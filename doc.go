@@ -184,13 +184,28 @@
 //     policy exactly once, and a redial replaces the member's previous
 //     connection (newest wins) rather than double-registering it.
 //
-//   - Model-checked safety: internal/membership contains an explicit
-//     state machine of the round/epoch protocol whose reachable state
-//     space is exhaustively explored in a tier-1 property test over
+//   - One round engine: a Spec without a Membership block runs on the same
+//     server loop as one with it — a fixed cohort is the population that
+//     never changes, MinWorkers = MaxWorkers = GAR.N with one epoch
+//     spanning the run — so every round-loop guarantee (a cancelled round
+//     commits nothing, one deadline per round, a final snapshot of the
+//     completed prefix on interrupt) holds for both. The two kinds of
+//     worker differ only in the frame they open with, and that frame, not
+//     the server's configuration, fixes the handshake: a welcome is the
+//     reply to a join and never goes to a connection that said hello; a
+//     hello for an id whose connection is live is rejected (first wins),
+//     a join for it replaces the connection (newest wins).
+//
+//   - Model-checked safety: the accept / credit / discard table and the
+//     commit bookkeeping live in one type (membership.SlotTable) that the
+//     server's collect loop executes and an explicit state machine of the
+//     round/epoch protocol explores: its reachable state space is
+//     exhaustively enumerated in a tier-1 property test over
 //     crash/rejoin/partition schedules, asserting the ledger always
 //     balances, no round commits two aggregates, and every epoch's view
 //     is a subset of handshaken workers — the executable analogue of the
-//     TLA+ safety specs distributed protocols usually keep on the side.
+//     TLA+ safety specs distributed protocols usually keep on the side,
+//     except that the checked transitions are the shipped ones.
 //
 // The local backend mirrors the deterministic half on its fixed cohort —
 // epoch scheduling, per-epoch GAR re-materialization, per-epoch ledgers,
@@ -368,6 +383,11 @@
 // Both paths share the same Server and RunWorker code; framing and
 // per-round processing reuse caller-owned buffers, so the steady-state
 // round loop allocates no gradient-sized memory on either transport.
+// There is one server round loop: a fixed cohort (no Membership block) is
+// its one-epoch case, gathered before the first round and never re-derived
+// — a worker lost mid-run is zero-padded to the end, per §2.1 — and the
+// server keeps accepting connections for the whole run either way (see
+// "Membership, churn and recovery" for the two handshake rules).
 //
 // # Fleet service
 //

@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"dpbyz/internal/data"
 	"dpbyz/internal/dp"
 	"dpbyz/internal/gar"
+	"dpbyz/internal/membership"
 	"dpbyz/internal/model"
 	"dpbyz/internal/vecmath"
 )
@@ -352,47 +355,60 @@ func TestWorkerDialFailure(t *testing.T) {
 	}
 }
 
+// TestServerRejectsDuplicateAndBadIDs pins the hello half of the handshake
+// rules: an id outside the population range is turned away, and so is a
+// second hello for an id whose connection is live (first wins — a hello
+// worker never redials, so the second is a stray and must not displace the
+// running one). The schedule is ordered on events: each rogue has been shut
+// out before the run is allowed to gather its cohort.
 func TestServerRejectsDuplicateAndBadIDs(t *testing.T) {
-	const n = 2
+	const n, steps = 2, 3
 	ds := testDataset(t)
 	m := testModel(t)
-	srvCfg := ServerConfig{
+	hs := newHandshakeLog()
+	srv, err := NewServer(ServerConfig{
 		Addr:         "127.0.0.1:0",
 		GAR:          mustGAR(t, "average", n, 0),
 		Dim:          m.Dim(),
-		Steps:        3,
+		Steps:        steps,
 		LearningRate: 1,
 		RoundTimeout: 2 * time.Second,
-	}
-	srv, err := NewServer(srvCfg)
+		Logf:         hs.logf,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// A rogue client sends an out-of-range id and must be rejected; the
-	// run then completes with two well-behaved workers.
-	go func() {
+	// rogue says hello as id and reports how the server answered: it must
+	// close the connection, never speak on it.
+	rogue := func(id int) error {
 		raw, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
-			return
+			return err
 		}
 		c := newConn(raw)
-		_ = c.sendHello(Hello{WorkerID: 99}, time.Now().Add(time.Second))
-		// The server closes this connection; wait for that.
-		_, _ = c.receive(time.Now().Add(2 * time.Second))
-		_ = c.close()
-	}()
+		defer c.close()
+		if err := c.sendHello(Hello{WorkerID: id}, time.Now().Add(time.Second)); err != nil {
+			return err
+		}
+		if m, err := c.receive(time.Now().Add(10 * time.Second)); err == nil {
+			return fmt.Errorf("hello %d was registered: server sent message kind %d", id, m.kind)
+		} else if errors.Is(err, os.ErrDeadlineExceeded) {
+			return fmt.Errorf("hello %d was neither served nor closed: %w", id, err)
+		}
+		return nil
+	}
 
 	var wg sync.WaitGroup
+	wg.Add(n)
+	workerRes := make([]*WorkerResult, n)
 	workerErrs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
+	startWorker := func(i int) {
+		go func() {
 			defer wg.Done()
-			time.Sleep(100 * time.Millisecond) // let the rogue client go first
-			_, workerErrs[i] = RunWorker(ctx, WorkerConfig{
+			workerRes[i], workerErrs[i] = RunWorker(ctx, WorkerConfig{
 				Addr:      srv.Addr(),
 				WorkerID:  i,
 				Model:     m,
@@ -400,20 +416,92 @@ func TestServerRejectsDuplicateAndBadIDs(t *testing.T) {
 				BatchSize: 10,
 				Seed:      uint64(i + 1),
 			})
-		}(i)
+		}()
 	}
+	rogueErrs := make(chan error, 2)
+	go func() {
+		rogueErrs <- rogue(99) // out of range
+		startWorker(0)
+		if err := hs.wait(ctx, 0, 1); err != nil {
+			rogueErrs <- err
+		} else {
+			rogueErrs <- rogue(0) // worker 0's connection is live
+		}
+		startWorker(1) // the cohort completes only now
+	}()
+
 	res, err := srv.Run(ctx)
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("server: %v", err)
 	}
-	if res.History.Len() != 3 {
+	for i := 0; i < cap(rogueErrs); i++ {
+		if rerr := <-rogueErrs; rerr != nil {
+			t.Error(rerr)
+		}
+	}
+	if res.History.Len() != steps {
 		t.Errorf("rounds completed = %d", res.History.Len())
+	}
+	if res.MissedGradients != 0 {
+		t.Errorf("missed gradients = %d: a rogue hello displaced a worker", res.MissedGradients)
 	}
 	for i, werr := range workerErrs {
 		if werr != nil {
 			t.Errorf("worker %d: %v", i, werr)
+		} else if workerRes[i].Rounds != steps {
+			t.Errorf("worker %d served %d rounds, want %d", i, workerRes[i].Rounds, steps)
 		}
+	}
+}
+
+// TestHelloWorkerOnMembershipServer pins the other handshake rule: a welcome
+// is the reply to a join and is never sent to a connection that opened with
+// hello. A plain worker among joining ones used to be killed by the boundary
+// welcome (ErrBadMessage) and its slot collapsed the view; it must train to
+// Done like everyone else.
+func TestHelloWorkerOnMembershipServer(t *testing.T) {
+	const n, steps, epochRounds = 4, 6, 2
+	tr := NewChanTransport()
+	ds := testDataset(t)
+	m := testModel(t)
+	srvCfg := ServerConfig{
+		Addr:         "hello-among-joins",
+		Transport:    tr,
+		Membership:   testMembership(n, n, 0.25, epochRounds),
+		Dim:          m.Dim(),
+		Steps:        steps,
+		LearningRate: 1,
+		RoundTimeout: 5 * time.Second,
+	}
+	workers := make([]WorkerConfig, n)
+	for i := range workers {
+		workers[i] = WorkerConfig{
+			Transport:  tr,
+			WorkerID:   i,
+			Model:      m,
+			Train:      ds,
+			BatchSize:  10,
+			Seed:       uint64(i + 1),
+			Membership: i != 1, // worker 1 says hello
+		}
+	}
+	srvRes, workerRes, workerErrs := launch(t, srvCfg, workers)
+	for i, err := range workerErrs {
+		if err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		} else if workerRes[i].Rounds != steps {
+			t.Errorf("worker %d served %d rounds, want %d", i, workerRes[i].Rounds, steps)
+		}
+	}
+	if srvRes.MissedGradients != 0 || srvRes.AcceptedGradients != n*steps {
+		t.Errorf("accepted %d missed %d, want %d and 0", srvRes.AcceptedGradients, srvRes.MissedGradients, n*steps)
+	}
+	if err := membership.BalanceEpochs(srvRes.Epochs); err != nil {
+		t.Errorf("epoch books: %v", err)
+	}
+	if got, want := len(srvRes.Epochs), steps/epochRounds; got != want {
+		t.Errorf("epochs = %d, want %d", got, want)
 	}
 }
 

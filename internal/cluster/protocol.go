@@ -32,13 +32,24 @@
 //	welcome:   round uint32 | epoch uint32 | dim uint32 | dim × float64 params
 //	           | dim × float64 velocity
 //
-// Join and welcome are the epoched-membership handshake (see
-// internal/membership): a worker opens with join instead of hello, carrying
-// its id and the last round it consumed, and the server answers with
-// welcome at the admission boundary, carrying the first round the worker
-// will serve plus the current model state so a rejoiner fast-forwards its
-// deterministic RNG streams to the cohort's position instead of submitting
-// stale garbage.
+// A connection opens with hello or with join, and that opening frame — not
+// the server's configuration — fixes its handshake rules. Every server runs
+// the same epoched round loop (a fixed cohort is a one-epoch run whose
+// population never changes), so both kinds of worker can sit in one view:
+//
+//  1. Welcome is the reply to join and is never sent to a connection that
+//     opened with hello. A join carries the worker's id and the last round
+//     it consumed; the welcome arrives at the admission boundary with the
+//     first round the worker will serve plus the current model state, so a
+//     rejoiner fast-forwards its deterministic RNG streams to the cohort's
+//     position instead of submitting stale garbage (see
+//     internal/membership). A hello worker is admitted at the same boundary
+//     and simply receives params next.
+//  2. A hello for an id whose connection is live is rejected (first wins: a
+//     hello worker never redials, so the newcomer is a stray and must not
+//     displace a running worker); a join for it replaces the old connection
+//     (newest wins: it is the worker's own redial after a broken link).
+//     Ids outside the population range are rejected either way.
 //
 // float64 values are raw little-endian IEEE-754 bits, so a d-dimensional
 // gradient costs exactly 8d+20 bytes and encodes/decodes with no
@@ -68,9 +79,9 @@ import (
 	"time"
 )
 
-// Protocol messages. Every connection starts with a Hello from the worker,
-// after which the server sends one Params message per round and the worker
-// answers with one Gradient message.
+// Protocol messages. Every connection starts with a Hello or a Join from the
+// worker, after which the server sends one Params message per round (after a
+// Welcome, for a Join) and the worker answers with one Gradient message.
 type (
 	// Hello announces a worker to the server.
 	Hello struct {
@@ -99,9 +110,9 @@ type (
 		Grad []float64
 	}
 
-	// Join opens a membership-mode connection: it announces a new or
+	// Join opens a connection that can survive churn: it announces a new or
 	// rejoining worker together with how far its deterministic streams
-	// have advanced.
+	// have advanced, and is answered by a Welcome at admission.
 	Join struct {
 		// WorkerID must be unique in [0, MaxWorkers).
 		WorkerID int
@@ -110,7 +121,8 @@ type (
 		LastRound int
 	}
 
-	// Welcome admits a joined worker at an epoch boundary. The round tag
+	// Welcome admits a worker that opened with Join at an epoch boundary
+	// (never one that opened with Hello). The round tag
 	// plus the worker's own seed fully determine the RNG stream state a
 	// cohort member would have at this point, so Round is the stream
 	// state in compressed form: the rejoiner fast-forwards its streams by
@@ -132,7 +144,9 @@ type (
 // Wire errors.
 var (
 	ErrBadMessage = errors.New("cluster: unexpected message type")
-	ErrBadHello   = errors.New("cluster: invalid hello")
+	// ErrBadHello rejects a hello for an id that already has a live
+	// connection.
+	ErrBadHello = errors.New("cluster: invalid hello")
 )
 
 // conn frames protocol messages over a transport connection. The encode

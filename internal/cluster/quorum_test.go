@@ -27,83 +27,174 @@ func helloOnly(t *testing.T, tr Transport, addr string, id int) *conn {
 	return c
 }
 
-// Regression test for the cancelled-round commit bug: a context cancellation
-// that lands mid-collect used to fall through to zero-padding, aggregation,
-// the momentum update and the step hook — committing a round built from a
-// cancelled collect. Cancellation must abort the round with NO side effects
-// on the trajectory: no history record, no hook call, no snapshot OF THE
-// CANCELLED ROUND. The graceful-shutdown contract does flush exactly one
-// final snapshot of the completed prefix — here zero committed rounds — so
-// resumable progress survives an interrupt.
-func TestServerCancelMidCollectCommitsNothing(t *testing.T) {
-	const n = 2
-	tr := NewChanTransport()
-	var hookCalls, snapCalls, lastSnapStep atomic.Int64
-	srv, err := NewServer(ServerConfig{
-		Addr:         "cancel-collect",
-		Transport:    tr,
-		GAR:          mustGAR(t, "average", n, 0),
-		Dim:          5,
-		Steps:        3,
-		LearningRate: 1,
-		// Far beyond the test's lifetime: the collect phase can only end via
-		// the cancellation under test, never the timer.
-		RoundTimeout: time.Hour,
-		StepHook: func(metrics.StepRecord, []float64) error {
-			hookCalls.Add(1)
-			return nil
-		},
-		SnapshotEvery: 1,
-		SnapshotFunc: func(step int, _, _ []float64) error {
-			snapCalls.Add(1)
-			lastSnapStep.Store(int64(step))
-			return nil
-		},
-	})
+// scriptedWorker handshakes as worker id — with a join when joined, a hello
+// otherwise — and answers the first `answer` parameter broadcasts with a zero
+// gradient; after that it stays registered but mute. The returned channel is
+// closed when the broadcast it will not answer has arrived, i.e. once the
+// server is collecting a round that only its deadline or a cancellation can
+// end. The reader goroutine exits when the server drops the connection.
+func scriptedWorker(t *testing.T, tr Transport, addr string, id int, joined bool, answer, dim int) <-chan struct{} {
+	t.Helper()
+	raw, err := tr.Dial(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
+	c := newConn(raw)
+	deadline := time.Now().Add(5 * time.Second)
+	if joined {
+		err = c.sendJoin(Join{WorkerID: id, LastRound: -1}, deadline)
+	} else {
+		err = c.sendHello(Hello{WorkerID: id}, deadline)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	mute := make(chan struct{})
 	go func() {
-		_, runErr := srv.Run(ctx)
-		errCh <- runErr
-	}()
-
-	// Two registered-but-mute workers: the server broadcasts round 0 and then
-	// blocks in collect with zero submissions.
-	conns := make([]*conn, n)
-	for i := 0; i < n; i++ {
-		conns[i] = helloOnly(t, tr, "cancel-collect", i)
-	}
-	defer func() {
-		for _, c := range conns {
-			_ = c.close()
+		defer c.close()
+		answered := 0
+		for {
+			m, err := c.receive(time.Time{})
+			if err != nil {
+				return
+			}
+			if m.kind != msgParams || m.params.Done {
+				continue
+			}
+			switch {
+			case answered < answer:
+				g := Gradient{WorkerID: id, Step: m.params.Step, Grad: make([]float64, dim)}
+				if err := c.sendGradient(g, time.Now().Add(5*time.Second)); err != nil {
+					return
+				}
+			case answered == answer:
+				close(mute) // this and every further broadcast go unanswered
+			}
+			answered++
 		}
 	}()
+	return mute
+}
 
-	time.Sleep(300 * time.Millisecond) // server is now mid-collect of round 0
-	cancel()
+// Regression test for the cancelled-round commit bug and the graceful-stop
+// contract, on the one round loop under both config shapes. A context
+// cancellation that lands mid-collect used to fall through to zero-padding,
+// aggregation, the momentum update and the step hook — committing a round
+// built from a cancelled collect; and an epoched server used to return from
+// either cancellation point without flushing anything. Cancellation must
+// abort with NO side effects on the trajectory — no history record, no hook
+// call, no snapshot OF THE CANCELLED ROUND — and flush exactly one final
+// snapshot of the completed prefix, so resumable progress survives an
+// interrupt; a flush that fails is the error the caller sees.
+func TestServerCancelMidCollectCommitsNothing(t *testing.T) {
+	const (
+		n     = 2
+		dim   = 5
+		steps = 3
+	)
+	errFlush := errors.New("test: disk full")
+	for _, shape := range []string{"fixed", "membership"} {
+		for _, at := range []string{"pre-round check", "mid-collect"} {
+			for _, flushFails := range []bool{false, true} {
+				name := shape + "/" + at
+				if flushFails {
+					name += "/flush fails"
+				}
+				t.Run(name, func(t *testing.T) {
+					tr := NewChanTransport()
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					var hookCalls, snapCalls, lastSnapStep atomic.Int64
+					cfg := ServerConfig{
+						Addr:         "cancel",
+						Transport:    tr,
+						Dim:          dim,
+						Steps:        steps,
+						LearningRate: 1,
+						// Far beyond the test's lifetime: a collect phase can
+						// only end by quorum or by the cancellation under test.
+						RoundTimeout: time.Hour,
+						StepHook: func(metrics.StepRecord, []float64) error {
+							hookCalls.Add(1)
+							if at == "pre-round check" {
+								cancel() // round 0 committed; round 1's check sees it
+							}
+							return nil
+						},
+						// Never periodic before the cancellation: the only
+						// snapshot is the final flush.
+						SnapshotEvery: steps,
+						SnapshotFunc: func(step int, _, _ []float64) error {
+							snapCalls.Add(1)
+							lastSnapStep.Store(int64(step))
+							if flushFails {
+								return errFlush
+							}
+							return nil
+						},
+					}
+					if shape == "fixed" {
+						cfg.GAR = mustGAR(t, "average", n, 0)
+					} else {
+						cfg.Membership = testMembership(n, n, 0, steps)
+					}
+					srv, err := NewServer(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					errCh := make(chan error, 1)
+					go func() {
+						_, runErr := srv.Run(ctx)
+						errCh <- runErr
+					}()
 
-	select {
-	case runErr := <-errCh:
-		if !errors.Is(runErr, context.Canceled) {
-			t.Errorf("error = %v, want context.Canceled", runErr)
+					// Mid-collect: registered-but-mute workers, so the server
+					// broadcasts round 0 and blocks in collect with zero
+					// submissions; cancel once every broadcast has landed.
+					// Pre-round: the workers answer and the hook cancels.
+					committed, answer := 0, 0
+					if at == "pre-round check" {
+						committed, answer = 1, steps
+					}
+					mutes := make([]<-chan struct{}, n)
+					for id := range mutes {
+						mutes[id] = scriptedWorker(t, tr, "cancel", id, shape == "membership", answer, dim)
+					}
+					if at == "mid-collect" {
+						for _, mute := range mutes {
+							<-mute
+						}
+						cancel()
+					}
+
+					select {
+					case runErr := <-errCh:
+						switch {
+						case !flushFails && !errors.Is(runErr, context.Canceled):
+							t.Errorf("error = %v, want context.Canceled", runErr)
+						case flushFails && (!errors.Is(runErr, errFlush) || errors.Is(runErr, context.Canceled)):
+							// A lost final snapshot must not pass for a clean
+							// interrupt.
+							t.Errorf("error = %v, want the flush error wrapped and context.Canceled not matched", runErr)
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatal("server did not return after cancellation")
+					}
+					if got := hookCalls.Load(); got != int64(committed) {
+						t.Errorf("step hook ran %d times, want %d (the cancelled round must not commit)", got, committed)
+					}
+					// The cancelled round itself is never snapshotted; the
+					// shutdown flushes exactly one snapshot of the completed
+					// prefix.
+					if got := snapCalls.Load(); got != 1 {
+						t.Errorf("cancellation flushed %d snapshots, want exactly 1 (the completed prefix)", got)
+					}
+					if got := lastSnapStep.Load(); got != int64(committed) {
+						t.Errorf("final snapshot claims %d completed rounds, want %d", got, committed)
+					}
+				})
+			}
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("server did not return after cancellation mid-collect")
-	}
-	if got := hookCalls.Load(); got != 0 {
-		t.Errorf("cancelled round invoked the step hook %d times (round committed)", got)
-	}
-	// The cancelled round itself is never snapshotted; the shutdown flushes
-	// exactly one snapshot of the completed prefix, which is empty here.
-	if got := snapCalls.Load(); got != 1 {
-		t.Errorf("cancellation flushed %d snapshots, want exactly 1 (the completed prefix)", got)
-	}
-	if got := lastSnapStep.Load(); got != 0 {
-		t.Errorf("final snapshot claims %d completed rounds, want 0 (round 0 was cancelled mid-collect)", got)
 	}
 }
 

@@ -19,14 +19,6 @@ import (
 // round before substituting zero vectors for the missing workers.
 const DefaultRoundTimeout = 10 * time.Second
 
-// submissionDepth is how many gradient buffers the server pre-allocates
-// per worker connection. Depth 1 covers the lock-step pipeline of an
-// honest worker; the extra slots absorb duplicated or reordered frames
-// from faulty channels. When a peer floods faster than the server
-// consumes, further frames are dropped (and counted), never buffered:
-// a hostile worker cannot force unbounded allocation.
-const submissionDepth = 3
-
 // ServerConfig configures the parameter server.
 type ServerConfig struct {
 	// Addr is the listen address in the transport's format, e.g.
@@ -37,8 +29,10 @@ type ServerConfig struct {
 	// MaxFrameBytes caps the payload length a peer may declare (0 means
 	// DefaultMaxFrameBytes). It must fit a Dim-sized gradient frame.
 	MaxFrameBytes int
-	// GAR is the aggregation rule; its N() is the number of workers the
-	// server waits for before starting.
+	// GAR is the aggregation rule of a fixed cohort: its N() workers, ids
+	// [0, N), are gathered before the first round and form the run's one
+	// epoch — nobody is admitted or evicted afterwards, a lost worker's
+	// slots are zero-padded to the end. Leave it nil when Membership is set.
 	GAR gar.GAR
 	// Dim is the model dimension d.
 	Dim int
@@ -64,11 +58,11 @@ type ServerConfig struct {
 	// bounded-staleness (bound 1) crediting rule. Older frames and
 	// duplicates are discarded either way.
 	LateCredit bool
-	// Membership, when set, switches the server into epoched-membership
-	// mode (see MembershipConfig): the worker set is re-derived at epoch
-	// boundaries instead of fixed at NewServer, GAR is nil (the per-epoch
-	// factory replaces it) and Quorum is derived per epoch from the live
-	// view and the membership Stragglers budget.
+	// Membership, when set, lets the population change (see
+	// MembershipConfig): the worker set is re-derived at epoch boundaries,
+	// GAR is nil (the per-epoch factory replaces it) and Quorum is derived
+	// per epoch from the live view and the membership Stragglers budget. A
+	// fixed cohort is the same run with one epoch and Min = Max = GAR.N().
 	Membership *MembershipConfig
 	// Logf, when non-nil, receives progress lines (e.g. log.Printf).
 	Logf func(format string, args ...any)
@@ -160,6 +154,56 @@ func validateMaxFrame(maxFrame, dim int) error {
 	return nil
 }
 
+// MembershipConfig opens the population: the worker set is re-derived at
+// epoch boundaries from live connections (see internal/membership). Workers
+// may join mid-run (admitted at the next boundary), crash or fall silent
+// (evicted at the boundary), and rejoin with a fast-forward welcome.
+type MembershipConfig struct {
+	// MinWorkers is the population floor: the run starts once this many
+	// workers have joined and aborts if a boundary would leave fewer.
+	MinWorkers int
+	// MaxWorkers caps the population and the worker-id range [0, MaxWorkers).
+	MaxWorkers int
+	// FRatio re-derives each epoch's Byzantine allowance f_e = ⌊FRatio·n_e⌋.
+	FRatio float64
+	// EpochRounds is the boundary spacing in rounds.
+	EpochRounds int
+	// EvictAfter evicts a member after this many consecutive missed rounds
+	// (0 means membership.DefaultEvictAfter).
+	EvictAfter int
+	// Stragglers is the per-epoch bounded-staleness budget: each epoch's
+	// commit quorum is n_e − f_e − Stragglers (0 = fully synchronous).
+	// Pair with ServerConfig.LateCredit exactly as with a fixed Quorum.
+	Stragglers int
+	// NewGAR materializes the epoch's aggregation rule for a live view of
+	// n workers with f Byzantine — the per-epoch re-materialization that
+	// keeps the GAR's breakdown point matched to the actual population.
+	NewGAR func(n, f int) (gar.GAR, error)
+}
+
+func (mc *MembershipConfig) validate() error {
+	if err := mc.trackerConfig().Validate(); err != nil {
+		return err
+	}
+	if mc.Stragglers < 0 {
+		return fmt.Errorf("cluster: negative membership stragglers %d", mc.Stragglers)
+	}
+	if mc.NewGAR == nil {
+		return errors.New("cluster: membership mode needs a NewGAR factory")
+	}
+	return nil
+}
+
+func (mc *MembershipConfig) trackerConfig() membership.Config {
+	return membership.Config{
+		MinWorkers:  mc.MinWorkers,
+		MaxWorkers:  mc.MaxWorkers,
+		FRatio:      mc.FRatio,
+		EpochRounds: mc.EpochRounds,
+		EvictAfter:  mc.EvictAfter,
+	}
+}
+
 // ServerResult is the outcome of a full networked training run.
 type ServerResult struct {
 	// Params is the final parameter vector.
@@ -181,15 +225,66 @@ type ServerResult struct {
 	// CreditedGradients counts accepted submissions that were one round
 	// stale and credited under LateCredit (a subset of AcceptedGradients).
 	CreditedGradients int
-	// Epochs holds the per-epoch membership books (membership mode only).
-	// Over a completed run Σ (Accepted_e + Missed_e) == Σ N_e × Rounds_e
-	// exactly; membership.BalanceEpochs checks the identity.
+	// Epochs holds the per-epoch membership books (Membership configs only;
+	// a fixed cohort's single epoch is the totals above). Over a completed
+	// run Σ (Accepted_e + Missed_e) == Σ N_e × Rounds_e exactly;
+	// membership.BalanceEpochs checks the identity.
 	Epochs []membership.EpochStat
 }
+
+// roundPlan is what NewServer normalises either config shape into, and all
+// the round loop ever consults: the population bounds the tracker enforces
+// and the two per-epoch derivations, view → GAR and view → commit target.
+type roundPlan struct {
+	members membership.Config
+	newGAR  func(n, f int) (gar.GAR, error)
+	// target is how many filled slots commit a round of the view: the
+	// quorum under bounded staleness, all of them otherwise.
+	target func(v membership.View) int
+	// epochBooks reports the per-epoch ledgers in ServerResult.Epochs.
+	epochBooks bool
+}
+
+// newRoundPlan normalises a validated config. A fixed cohort is the
+// population that never changes: Min = Max = GAR.N(), one epoch spanning the
+// run (its only boundary is the one every run opens with), the configured
+// rule itself every time — so a stateful gar.RoundAware kernel keeps its
+// cross-round state — and Quorum, or n, as the commit target.
+func newRoundPlan(cfg *ServerConfig) roundPlan {
+	if mc := cfg.Membership; mc != nil {
+		return roundPlan{
+			members: mc.trackerConfig(),
+			newGAR:  mc.NewGAR,
+			target: func(v membership.View) int {
+				if mc.Stragglers > 0 {
+					return v.Quorum(mc.Stragglers)
+				}
+				return v.N()
+			},
+			epochBooks: true,
+		}
+	}
+	rule, n := cfg.GAR, cfg.GAR.N()
+	target := n
+	if cfg.Quorum > 0 && cfg.Quorum < n {
+		target = cfg.Quorum
+	}
+	return roundPlan{
+		members: membership.Config{MinWorkers: n, MaxWorkers: n, EpochRounds: cfg.Steps},
+		newGAR:  func(int, int) (gar.GAR, error) { return rule, nil },
+		target:  func(membership.View) int { return target },
+	}
+}
+
+// logHandshaken is the progress line for a registered handshake. It is the
+// one event that tells an observer a dialled worker now counts towards the
+// population, so tests order their churn schedules on it.
+const logHandshaken = "worker %d handshaken"
 
 // Server drives synchronous distributed SGD over a Transport.
 type Server struct {
 	cfg      ServerConfig
+	plan     roundPlan
 	listener Listener
 	logf     func(string, ...any)
 }
@@ -214,7 +309,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Server{cfg: cfg, listener: ln, logf: logf}, nil
+	return &Server{cfg: cfg, plan: newRoundPlan(&cfg), listener: ln, logf: logf}, nil
 }
 
 // Addr returns the bound listen address.
@@ -224,116 +319,138 @@ func (s *Server) Addr() string { return s.listener.Addr() }
 // for aborting a server that never ran.
 func (s *Server) Close() error { return s.listener.Close() }
 
-// workerConn tracks one registered worker connection. free holds the
-// pre-allocated gradient buffers the reader goroutine copies submissions
-// into; the round loop hands buffers back after aggregation, so the
-// steady state allocates no gradient-sized slices.
-type workerConn struct {
-	id   int
-	c    *conn
-	free chan []float64
-}
-
-// submission is one gradient handed from a reader goroutine to the round
-// loop. grad is a buffer from src's free list and must be returned there.
-type submission struct {
-	src  *workerConn
-	step int
-	grad []float64
-}
-
-// Run accepts the expected number of workers, executes the configured
-// rounds and returns the final model. It always closes the listener and
-// all connections, and waits for its reader goroutines, before returning.
-// The context aborts both the accept phase and training between rounds.
+// Run is the parameter server's one round loop (§2.1): gather the floor
+// population, then per round broadcast w_t, collect, zero-pad the missing,
+// aggregate with the epoch's GAR and apply the momentum update.
+//
+// The run is partitioned into epochs. At each boundary the slot table
+// advances the view — admitting handshaken workers (one that opened with a
+// join gets a welcome frame carrying the first round it will serve plus the
+// current params and velocity, so a rejoiner fast-forwards its deterministic
+// streams and resumes bit-identically with the cohort), evicting crashed or
+// silent ones — and the server re-derives the GAR and commit target for the
+// new population. Within an epoch the view is frozen, so every round's books
+// have a well-defined n_e and the per-epoch ledger
+// Accepted_e + Missed_e == n_e × rounds_e stays exact. A fixed cohort is the
+// one-epoch case (see newRoundPlan); nothing below asks which shape the
+// config had.
+//
+// Run always closes the listener and all connections, and waits for its
+// reader goroutines, before returning. Cancelling the context aborts the
+// gather phase, or training at the next round check or mid-collect: the
+// interrupted round commits nothing and the completed prefix is flushed as
+// one final snapshot.
 func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
-	if s.cfg.Membership != nil {
-		return s.runMembership(ctx)
-	}
 	defer s.listener.Close()
-	n := s.cfg.GAR.N()
-
-	workers, err := s.acceptWorkers(ctx, n)
+	plan := s.plan
+	tracker, err := membership.NewTracker(plan.members)
 	if err != nil {
 		return nil, err
 	}
-	// Workers indexed by id; acceptWorkers guarantees ids are unique in
-	// [0, n), so this is a permutation.
-	byID := make([]*workerConn, n)
-	for _, w := range workers {
-		byID[w.id] = w
-	}
+	table := membership.NewSlotTable(tracker, s.cfg.LateCredit)
+	reg := newMemberRegistry(tracker)
 
 	var discarded atomic.Int64
+	// Room for a current and a late frame from every possible member, so a
+	// reader rarely parks on the hand-off while the loop aggregates.
+	inbox := make(chan submission, 2*plan.members.MaxWorkers)
 
 	// Fan-in: every connection gets a reader goroutine that validates the
 	// sender and dimension, copies the decoded gradient into one of the
-	// connection's own buffers and pushes it into a shared inbox. runDone
-	// unblocks readers stuck on a full inbox during shutdown; aborting the
-	// connections unblocks readers stuck in receive.
-	inbox := make(chan submission, n)
-	runDone := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w *workerConn) {
-			defer wg.Done()
-			for {
-				m, err := w.c.receive(time.Time{})
-				if err != nil {
-					return
-				}
-				if m.kind != msgGradient {
-					s.logf("worker %d sent non-gradient message", w.id)
-					return
-				}
-				g := &m.gradient
-				// A gradient claiming another worker's id is spoofed: the
-				// connection authenticates the sender.
-				if g.WorkerID != w.id || len(g.Grad) != s.cfg.Dim {
-					discarded.Add(1)
-					s.logf("discarding bad gradient from worker %d (claimed %d, dim %d)",
-						w.id, g.WorkerID, len(g.Grad))
-					continue
-				}
-				var buf []float64
-				select {
-				case buf = <-w.free:
-				default:
-					// Buffer depth exhausted: the peer is sending faster
-					// than rounds complete (duplication fault or flood).
-					discarded.Add(1)
-					continue
-				}
-				copy(buf, g.Grad)
-				select {
-				case inbox <- submission{src: w, step: g.Step, grad: buf}:
-				case <-runDone:
-					return
-				}
+	// connection's own buffers and pushes it into the shared inbox. Closing
+	// the registry unblocks a reader stuck on a full inbox during shutdown
+	// and aborts the connection of one stuck in receive. On exit the reader reports
+	// the disconnect and recycles the conn (readers own their conn's close).
+	read := func(w *workerConn) {
+		defer reg.readerExited(w)
+		for {
+			m, err := w.c.receive(time.Time{})
+			if err != nil {
+				return
 			}
-		}(w)
+			if m.kind != msgGradient {
+				s.logf("worker %d sent non-gradient message", w.id)
+				return
+			}
+			g := &m.gradient
+			// A gradient claiming another worker's id is spoofed: the
+			// connection authenticates the sender.
+			if g.WorkerID != w.id || len(g.Grad) != s.cfg.Dim {
+				discarded.Add(1)
+				s.logf("discarding bad gradient from worker %d (claimed %d, dim %d)",
+					w.id, g.WorkerID, len(g.Grad))
+				continue
+			}
+			var buf []float64
+			select {
+			case buf = <-w.free:
+			default:
+				// Buffer depth exhausted: the peer is sending faster than
+				// rounds complete (duplication fault or flood).
+				discarded.Add(1)
+				continue
+			}
+			copy(buf, g.Grad)
+			select {
+			case inbox <- submission{src: w, step: g.Step, grad: buf}:
+			case <-reg.done:
+				return
+			}
+		}
 	}
-	// shutdown tears down readers and connections. The success path calls
-	// it before building the result so the discard counter is final; the
-	// defer covers error returns.
+
+	// The accept loop runs for the whole training run: handshakes are
+	// welcome at any time and admitted at the next boundary. It ends when
+	// shutdown closes the listener; a handshake still in flight then is
+	// turned away by the closed registry.
+	go func() {
+		for {
+			raw, err := s.listener.Accept()
+			if err != nil {
+				return
+			}
+			c := newConnMax(raw, s.cfg.MaxFrameBytes)
+			m, err := c.receive(time.Now().Add(s.cfg.RoundTimeout))
+			if err != nil || (m.kind != msgJoin && m.kind != msgHello) {
+				s.logf("rejecting connection without join/hello: %v", err)
+				_ = c.close()
+				continue
+			}
+			id, joined := m.hello.WorkerID, false
+			if m.kind == msgJoin {
+				id, joined = m.join.WorkerID, true
+			}
+			w, err := reg.offer(id, c, joined, s.cfg.Dim)
+			if err != nil {
+				s.logf("rejecting handshake from worker %d: %v", id, err)
+				_ = c.close()
+				continue
+			}
+			s.logf(logHandshaken, id)
+			go read(w)
+		}
+	}()
+
+	// shutdown tears down the accept loop, readers and connections. The
+	// success path calls it before building the result so the discard
+	// counter is final; the defer covers error returns.
 	var shutdownOnce sync.Once
 	shutdown := func() {
 		shutdownOnce.Do(func() {
-			close(runDone)
-			for _, w := range workers {
-				if cerr := w.c.abort(); cerr != nil {
-					s.logf("close worker %d: %v", w.id, cerr)
-				}
-			}
-			wg.Wait()
-			// Readers are gone: decode scratch can be recycled safely.
-			for _, w := range workers {
-				_ = w.c.close()
-			}
+			s.listener.Close()
+			reg.close()
 		})
 	}
 	defer shutdown()
+
+	// Gather phase: the run starts once the floor population has handshaken.
+	for tracker.Population() < plan.members.MinWorkers {
+		select {
+		case <-reg.notify:
+		case <-ctx.Done():
+			return nil, fmt.Errorf("cluster: gather: %w", ctx.Err())
+		}
+	}
 
 	w := make([]float64, s.cfg.Dim)
 	if s.cfg.InitParams != nil {
@@ -344,16 +461,8 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 		copy(velocity, s.cfg.InitVelocity)
 	}
 	history := &metrics.History{}
-	missed, accepted, credited := 0, 0, 0
-	// target is how many filled slots commit a round: the quorum under
-	// bounded staleness, all n otherwise.
-	target := n
-	if s.cfg.Quorum > 0 && s.cfg.Quorum < n {
-		target = s.cfg.Quorum
-	}
-	submissions := make([][]float64, n)
 	// agg is reused every round via the GAR's pooled AggregateInto path, and
-	// zeros stands in for every timed-out worker (Aggregate never mutates its
+	// zeros stands in for every unfilled slot (Aggregate never mutates its
 	// inputs, so one shared zero vector is safe), so the steady-state round
 	// loop allocates no gradient-sized slices.
 	agg := make([]float64, s.cfg.Dim)
@@ -361,23 +470,61 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 
-	finish := func(finalW []float64) {
+	// Per-epoch state, rebuilt at each boundary. All three slices are
+	// slot-indexed: members holds each slot's connection (nil once it died
+	// or was replaced mid-epoch), submissions the round's GAR input and
+	// owners the connection whose free list each borrowed buffer returns to.
+	var (
+		epochGAR    gar.GAR
+		target      int
+		members     []*workerConn
+		submissions = make([][]float64, 0, plan.members.MaxWorkers)
+		owners      = make([]*workerConn, 0, plan.members.MaxWorkers)
+	)
+	boundary := func(step int) error {
+		v, admitted, evicted, err := table.Advance()
+		if err != nil {
+			return fmt.Errorf("cluster: round %d boundary: %w", step, err)
+		}
+		for _, id := range evicted {
+			s.logf("epoch %d: evicting worker %d", v.Epoch, id)
+			reg.evict(id)
+		}
 		deadline := time.Now().Add(s.cfg.RoundTimeout)
-		for _, wk := range workers {
-			msg := Params{Step: s.cfg.Steps, Weights: finalW, Done: true}
+		for _, id := range admitted {
+			wk := reg.current(id)
+			// Welcome is the reply to Join: a connection that opened with
+			// Hello expects params next and would fail on anything else.
+			// nil: crashed between handshake and admission.
+			if wk == nil || !wk.joined {
+				continue
+			}
+			welcome := Welcome{Round: step, Epoch: v.Epoch, Weights: w, Velocity: velocity}
+			if err := wk.c.sendWelcome(welcome, deadline); err != nil {
+				s.logf("welcome to worker %d: %v", id, err)
+				reg.disconnect(wk)
+			}
+		}
+		if epochGAR, err = plan.newGAR(v.N(), v.F); err != nil {
+			return fmt.Errorf("cluster: epoch %d GAR (n=%d f=%d): %w", v.Epoch, v.N(), v.F, err)
+		}
+		target = plan.target(v)
+		members = members[:0]
+		for _, id := range v.Members {
+			members = append(members, reg.current(id))
+		}
+		submissions, owners = submissions[:v.N()], owners[:v.N()]
+		s.logf("epoch %d: n=%d f=%d quorum=%d members=%v", v.Epoch, v.N(), v.F, target, v.Members)
+		return nil
+	}
+
+	finish := func() {
+		deadline := time.Now().Add(s.cfg.RoundTimeout)
+		for _, wk := range reg.all() {
+			msg := Params{Step: s.cfg.Steps, Weights: w, Done: true}
 			if err := wk.c.sendParams(msg, deadline); err != nil {
 				s.logf("final broadcast to worker %d: %v", wk.id, err)
 			}
-		}
-	}
-	result := func() *ServerResult {
-		return &ServerResult{
-			Params:               w,
-			History:              history,
-			MissedGradients:      missed,
-			AcceptedGradients:    accepted,
-			DiscardedSubmissions: int(discarded.Load()),
-			CreditedGradients:    credited,
 		}
 	}
 	// abort tears a cancelled run down at `completed` committed rounds:
@@ -385,7 +532,7 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 	// (best-effort — the interruption is still the error), so a graceful
 	// shutdown never loses resumable progress.
 	abort := func(completed int) error {
-		finish(w)
+		finish()
 		// A failed flush wraps the flush error, not the cancellation, so
 		// callers that treat a clean interrupt as success still see a lost
 		// snapshot as the failure it is.
@@ -396,6 +543,12 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 		}
 		return fmt.Errorf("cluster: round %d: %w", completed, ctx.Err())
 	}
+	// fail ends a run that cannot continue: workers are released with the
+	// last good model and the cause is the error.
+	fail := func(err error) (*ServerResult, error) {
+		finish()
+		return nil, err
+	}
 
 	for step := s.cfg.StartStep; step < s.cfg.Steps; step++ {
 		select {
@@ -403,85 +556,83 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 			return nil, abort(step)
 		default:
 		}
+		if step == s.cfg.StartStep || step%plan.members.EpochRounds == 0 {
+			if err := boundary(step); err != nil {
+				return fail(err)
+			}
+		}
 
 		// One deadline governs the whole round: the broadcast sends and the
 		// collect timer both derive from it, so a slow broadcast eats into
 		// the collection budget instead of stretching the round to ~2×
 		// RoundTimeout.
 		deadline := time.Now().Add(s.cfg.RoundTimeout)
-		for _, wk := range workers {
+		for i, wk := range members {
+			// A member whose conn was replaced mid-epoch stays in the frozen
+			// view as a mute: its rejoin is only admitted at the boundary,
+			// so the new conn gets no broadcast before then.
+			if wk == nil || !reg.isCurrent(wk) {
+				members[i] = nil
+				continue
+			}
 			msg := Params{Step: step, Weights: w}
 			if err := wk.c.sendParams(msg, deadline); err != nil {
 				s.logf("broadcast to worker %d: %v (treating as mute)", wk.id, err)
 			}
 		}
 
-		for i := range submissions {
-			submissions[i] = nil
-		}
-		received := 0
 		timer.Reset(time.Until(deadline))
 	collect:
-		for received < target {
+		for table.Received() < target {
 			select {
 			case sub := <-inbox:
-				id := sub.src.id
-				switch {
-				case sub.step == step && submissions[id] == nil:
-					submissions[id] = sub.grad
-					received++
-				case s.cfg.LateCredit && sub.step == step-1 && submissions[id] == nil:
-					// Bounded staleness 1: a frame computed against the
-					// previous round's parameters still carries signal —
-					// credit it to this round.
-					submissions[id] = sub.grad
-					received++
-					credited++
-				default:
-					discarded.Add(1)
-					s.logf("discarding stale/duplicate gradient (worker %d, step %d)", id, sub.step)
-					sub.src.free <- sub.grad
+				slot, d := -1, membership.NotMember
+				// Only an id's newest connection speaks for it: a frame from
+				// one the worker already replaced, or the server evicted, is
+				// nobody's.
+				if reg.isCurrent(sub.src) {
+					slot, d = table.Deliver(sub.src.id, sub.step, step)
 				}
+				if !d.Fills() {
+					discarded.Add(1)
+					s.logf("discarding gradient (worker %d, step %d): %s", sub.src.id, sub.step, d)
+					sub.src.free <- sub.grad
+					continue
+				}
+				submissions[slot], owners[slot] = sub.grad, sub.src
 			case <-timer.C:
 				break collect
 			case <-ctx.Done():
 				// A cancelled round must not commit: no zero-padding, no
-				// aggregation, no history record, no hooks. Return the
-				// borrowed buffers and abort.
+				// bookkeeping, no aggregation, no history record, no hooks.
 				timer.Stop()
-				for i := range submissions {
-					if submissions[i] != nil {
-						byID[i].free <- submissions[i]
-						submissions[i] = nil
-					}
-				}
 				return nil, abort(step)
 			}
 		}
 		timer.Stop()
-		accepted += received
 
-		// Missing gradients become zero vectors (§2.1).
+		// Missing gradients become zero vectors (§2.1); the table decides
+		// which slots those are and books them.
 		for i := range submissions {
-			if submissions[i] == nil {
+			if !table.Filled(i) {
 				submissions[i] = zeros
-				missed++
 			}
 		}
+		table.Commit()
 
 		// Stateful kernels observe the round counter (see gar.RoundAware):
 		// a round jump after a resume re-anchors their cross-round state.
-		if ra, ok := s.cfg.GAR.(gar.RoundAware); ok {
+		if ra, ok := epochGAR.(gar.RoundAware); ok {
 			ra.BeginRound(step)
 		}
-		if err := gar.AggregateInto(s.cfg.GAR, agg, submissions); err != nil {
-			finish(w)
-			return nil, fmt.Errorf("cluster: round %d aggregate: %w", step, err)
+		if err := gar.AggregateInto(epochGAR, agg, submissions); err != nil {
+			return fail(fmt.Errorf("cluster: round %d aggregate: %w", step, err))
 		}
 		// Aggregation is done with the buffers: hand them back for reuse.
-		for i := range submissions {
-			if submissions[i] != nil && &submissions[i][0] != &zeros[0] {
-				byID[i].free <- submissions[i]
+		for i, src := range owners {
+			if src != nil {
+				src.free <- submissions[i]
+				owners[i] = nil
 			}
 			submissions[i] = nil
 		}
@@ -491,8 +642,7 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 			w[i] -= s.cfg.LearningRate * velocity[i]
 		}
 		if !vecmath.AllFinite(w) {
-			finish(w)
-			return nil, fmt.Errorf("cluster: parameters diverged at round %d", step)
+			return fail(fmt.Errorf("cluster: parameters diverged at round %d", step))
 		}
 		rec := metrics.StepRecord{
 			Step:     step,
@@ -503,75 +653,26 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 		history.Append(rec)
 		if s.cfg.StepHook != nil {
 			if err := s.cfg.StepHook(rec, w); err != nil {
-				finish(w)
-				return nil, fmt.Errorf("cluster: round %d hook: %w", step, err)
+				return fail(fmt.Errorf("cluster: round %d hook: %w", step, err))
 			}
 		}
 		if s.cfg.SnapshotEvery > 0 && s.cfg.SnapshotFunc != nil &&
 			((step+1)%s.cfg.SnapshotEvery == 0 || step == s.cfg.Steps-1) {
 			if err := s.cfg.SnapshotFunc(step+1, w, velocity); err != nil {
-				finish(w)
-				return nil, fmt.Errorf("cluster: round %d snapshot: %w", step, err)
+				return fail(fmt.Errorf("cluster: round %d snapshot: %w", step, err))
 			}
 		}
 	}
 
-	finish(w)
-	// Quiesce the readers before snapshotting the counters: a frame racing
-	// the end of the last round must still be counted, keeping the
+	finish()
+	// Quiesce the readers before reading the counters: a frame racing the
+	// end of the last round must still be counted, keeping the
 	// accepted/discarded/missed accounting exact.
 	shutdown()
-	return result(), nil
-}
-
-// acceptWorkers waits for n distinct Hello messages.
-func (s *Server) acceptWorkers(ctx context.Context, n int) ([]*workerConn, error) {
-	workers := make([]*workerConn, 0, n)
-	seen := make(map[int]bool, n)
-	// Abort a blocking Accept on context cancellation by closing the
-	// listener; stop tears the watcher down on the normal path.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.listener.Close()
-		case <-stop:
-		}
-	}()
-	for len(workers) < n {
-		raw, err := s.listener.Accept()
-		if err != nil {
-			for _, w := range workers {
-				if cerr := w.c.close(); cerr != nil {
-					s.logf("close during abort: %v", cerr)
-				}
-			}
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("cluster: accept: %w", ctx.Err())
-			}
-			return nil, fmt.Errorf("cluster: accept: %w", err)
-		}
-		c := newConnMax(raw, s.cfg.MaxFrameBytes)
-		m, err := c.receive(time.Now().Add(s.cfg.RoundTimeout))
-		if err != nil || m.kind != msgHello {
-			s.logf("rejecting connection without hello: %v", err)
-			_ = c.close()
-			continue
-		}
-		id := m.hello.WorkerID
-		if id < 0 || id >= n || seen[id] {
-			s.logf("rejecting hello with bad id %d", id)
-			_ = c.close()
-			continue
-		}
-		seen[id] = true
-		free := make(chan []float64, submissionDepth)
-		for i := 0; i < submissionDepth; i++ {
-			free <- make([]float64, s.cfg.Dim)
-		}
-		workers = append(workers, &workerConn{id: id, c: c, free: free})
-		s.logf("worker %d joined (%d/%d)", id, len(workers), n)
+	res := &ServerResult{Params: w, History: history, DiscardedSubmissions: int(discarded.Load())}
+	res.AcceptedGradients, res.MissedGradients, res.CreditedGradients = table.Totals()
+	if plan.epochBooks {
+		res.Epochs = table.Epochs()
 	}
-	return workers, nil
+	return res, nil
 }

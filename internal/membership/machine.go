@@ -19,10 +19,13 @@
 //   - view ⊆ handshaken: no epoch's view ever contains a worker that did
 //     not complete a handshake.
 //
-// The model deliberately shares transition code with production: epoch
-// boundaries run Tracker.AdvanceEpoch, accept/miss bookkeeping runs
-// Tracker.RecordAccept/RecordMiss, and joins run Tracker.Handshake — so
-// the exploration checks the shipped membership logic, not a copy.
+// The model owns only the environment — which worker sends, crashes, joins,
+// and what the channel does to a frame in flight. Every server-side
+// transition is the shipped code: a delivered frame goes through
+// SlotTable.Deliver, the round ends in SlotTable.Commit, boundaries run
+// SlotTable.Advance (Tracker.AdvanceEpoch underneath) and joins run
+// Tracker.Handshake — the same calls the cluster server's round loop makes,
+// so the exploration checks the protocol that runs, not a copy of it.
 package membership
 
 import (
@@ -43,6 +46,11 @@ type ModelConfig struct {
 	LateCredit bool
 	// MaxStates aborts a runaway exploration (0 means no limit).
 	MaxStates int
+
+	// deliver, when non-nil, replaces SlotTable.Deliver — the seam through
+	// which the checker's own regression test plants a mutant on the shared
+	// table's path and asserts the exploration rejects it.
+	deliver func(t *SlotTable, id, tag, round int) (int, Disposition)
 }
 
 // Frame channel-state sentinel: no frame in flight.
@@ -66,51 +74,48 @@ type workerModel struct {
 
 // machineState is one explored state of the round protocol.
 type machineState struct {
-	tr    *Tracker
+	// table is the server's half of the state — slots, ledger and (through
+	// it) the tracker — in the shipped type.
+	table *SlotTable
 	round int
-	// filled marks view members whose slot holds a submission this round.
-	filled []bool
 	// workers is indexed by worker id.
 	workers []workerModel
-	// Ledger totals across the whole run.
-	accepted, missed int
-	// slots is Σ n_e over committed rounds — the ledger's right-hand side.
+	// slots is Σ n_e over committed rounds — the ledger's right-hand side,
+	// counted independently of the table's books.
 	slots int
 	// committed marks round numbers that already aggregated.
 	committed []bool
 	// started reports the initial cohort was admitted (epoch 0 exists).
 	started bool
-	// lateCredit mirrors ModelConfig.LateCredit for the deliver path.
-	lateCredit bool
 }
 
 // clone deep-copies the state for branching.
 func (s *machineState) clone() *machineState {
-	c := &machineState{
-		tr:         s.tr.Clone(),
-		round:      s.round,
-		filled:     append([]bool(nil), s.filled...),
-		workers:    append([]workerModel(nil), s.workers...),
-		accepted:   s.accepted,
-		missed:     s.missed,
-		slots:      s.slots,
-		committed:  append([]bool(nil), s.committed...),
-		started:    s.started,
-		lateCredit: s.lateCredit,
+	return &machineState{
+		table:     s.table.clone(),
+		round:     s.round,
+		workers:   append([]workerModel(nil), s.workers...),
+		slots:     s.slots,
+		committed: append([]bool(nil), s.committed...),
+		started:   s.started,
 	}
-	return c
 }
 
-// key canonically encodes the state for the visited set.
+// key canonically encodes the state for the visited set. The table
+// contributes the ledger's two sides, the slot fills and the fill count (a
+// function of the fills unless Deliver is broken — which is exactly when the
+// two states must not be merged); the credited count and the per-epoch books
+// feed no transition or invariant and stay out.
 func (s *machineState) key() string {
 	buf := make([]byte, 0, 16+4*len(s.workers))
-	buf = append(buf, byte(s.round), byte(s.accepted), byte(s.missed), byte(s.slots))
+	t := s.table
+	buf = append(buf, byte(s.round), byte(t.accepted), byte(t.missed), byte(t.received), byte(s.slots))
 	if s.started {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)
 	}
-	for _, f := range s.filled {
+	for _, f := range t.filled {
 		if f {
 			buf = append(buf, 1)
 		} else {
@@ -136,63 +141,40 @@ func (s *machineState) key() string {
 			buf = append(buf, 0)
 		}
 	}
-	return string(buf) + s.tr.stateKey()
-}
-
-// slot returns the view index of id, or -1 when id is not a member.
-func slot(v View, id int) int {
-	for i, m := range v.Members {
-		if m == id {
-			return i
-		}
-	}
-	return -1
+	return string(buf) + t.tr.stateKey()
 }
 
 // checkInvariants asserts the three model-checked safety properties.
 // atCommit gates the ledger-balance check to commit points, the only
 // instants at which both sides of the identity are updated.
 func (s *machineState) checkInvariants(atCommit bool) error {
-	if atCommit && s.accepted+s.missed != s.slots {
+	if accepted, missed, _ := s.table.Totals(); atCommit && accepted+missed != s.slots {
 		return fmt.Errorf("ledger imbalance at round %d: accepted %d + missed %d != slots %d",
-			s.round, s.accepted, s.missed, s.slots)
+			s.round, accepted, missed, s.slots)
 	}
-	v := s.tr.View()
+	tr := s.table.tr
+	v := tr.View()
 	for _, id := range v.Members {
-		if !s.tr.handshaken[id] {
+		if !tr.handshaken[id] {
 			return fmt.Errorf("epoch %d view contains never-handshaken worker %d", v.Epoch, id)
 		}
 	}
 	return nil
 }
 
-// deliver processes worker id's in-flight frame at the server: the
-// round-tagged, idempotent credit path. Current-round frames from members
-// fill empty slots; with LateCredit a round−1 frame fills an empty slot
-// (the late-credit path); everything else — duplicates into filled slots,
-// stale tags, non-members — is discarded. Exactly this decision table is
-// what makes duplicate and reordered delivery safe.
-func (s *machineState) deliver(id int) {
-	w := &s.workers[id]
-	tag := w.frame
-	v := s.tr.View()
-	i := slot(v, id)
-	switch {
-	case i < 0: // not a member (evicted or still pending): discard
-	case s.filled[i]: // duplicate of an already-filled slot: discard
-	case tag == s.round:
-		s.filled[i] = true
-		s.accepted++
-	case s.lateCredit && tag == s.round-1:
-		s.filled[i] = true
-		s.accepted++
-	default: // stale beyond the credit window: discard
+// deliver hands worker id's in-flight frame to the server's slot table — the
+// same SlotTable.Deliver call the cluster's collect loop makes.
+func (s *machineState) deliver(cfg ModelConfig, id int) {
+	deliver := (*SlotTable).Deliver
+	if cfg.deliver != nil {
+		deliver = cfg.deliver
 	}
+	deliver(s.table, id, s.workers[id].frame, s.round)
 }
 
-// commit ends the round: every unfilled member slot books a miss, the
-// ledger's slot total grows by the view size, and a boundary advances the
-// epoch through the real Tracker. Returns false when the machine stops
+// commit ends the round through SlotTable.Commit, grows the ledger's slot
+// total by the view size, and at a boundary advances the epoch through
+// SlotTable.Advance. Returns false when the machine stops
 // (horizon reached or view collapsed — collapse is a liveness concern,
 // not a safety violation, so the branch just terminates).
 func (s *machineState) commit(cfg ModelConfig) (bool, error) {
@@ -200,17 +182,8 @@ func (s *machineState) commit(cfg ModelConfig) (bool, error) {
 		return false, fmt.Errorf("round %d committed twice", s.round)
 	}
 	s.committed[s.round] = true
-	v := s.tr.View()
-	for i, id := range v.Members {
-		if s.filled[i] {
-			s.tr.RecordAccept(id)
-		} else {
-			s.missed++
-			s.tr.RecordMiss(id)
-		}
-		s.filled[i] = false
-	}
-	s.slots += v.N()
+	s.slots += s.table.view.N()
+	s.table.Commit()
 	s.round++
 	if err := s.checkInvariants(true); err != nil {
 		return false, err
@@ -219,16 +192,12 @@ func (s *machineState) commit(cfg ModelConfig) (bool, error) {
 		return false, nil
 	}
 	if s.round%cfg.Membership.EpochRounds == 0 {
-		nv, _, _, err := s.tr.AdvanceEpoch()
-		if err != nil {
+		if _, _, _, err := s.table.Advance(); err != nil {
 			return false, nil // view collapsed: terminal, not unsafe
 		}
-		s.filled = make([]bool, nv.N())
 		if err := s.checkInvariants(false); err != nil {
 			return false, err
 		}
-	} else {
-		s.filled = make([]bool, v.N())
 	}
 	return true, nil
 }
@@ -263,7 +232,7 @@ func (s *machineState) successors(cfg ModelConfig) ([]*machineState, error) {
 			}
 			id := id
 			if err := branch(func(c *machineState) (bool, error) {
-				if err := c.tr.Handshake(id); err != nil {
+				if err := c.table.tr.Handshake(id); err != nil {
 					return false, nil // capacity: branch dies, not unsafe
 				}
 				c.workers[id].connected = true
@@ -272,13 +241,11 @@ func (s *machineState) successors(cfg ModelConfig) ([]*machineState, error) {
 				return nil, err
 			}
 		}
-		if s.tr.Population() >= cfg.Membership.MinWorkers {
+		if s.table.tr.Population() >= cfg.Membership.MinWorkers {
 			if err := branch(func(c *machineState) (bool, error) {
-				v, _, _, err := c.tr.AdvanceEpoch()
-				if err != nil {
+				if _, _, _, err := c.table.Advance(); err != nil {
 					return false, nil
 				}
-				c.filled = make([]bool, v.N())
 				c.started = true
 				return true, nil
 			}); err != nil {
@@ -294,7 +261,7 @@ func (s *machineState) successors(cfg ModelConfig) ([]*machineState, error) {
 		if !w.connected {
 			// JOIN (or rejoin): handshake mid-run; admitted at a boundary.
 			if err := branch(func(c *machineState) (bool, error) {
-				if err := c.tr.Handshake(id); err != nil {
+				if err := c.table.tr.Handshake(id); err != nil {
 					return false, nil
 				}
 				c.workers[id].connected = true
@@ -309,7 +276,7 @@ func (s *machineState) successors(cfg ModelConfig) ([]*machineState, error) {
 		// CRASH: the transport drops the worker; its in-flight frame is
 		// lost with the connection.
 		if err := branch(func(c *machineState) (bool, error) {
-			c.tr.Disconnect(id)
+			c.table.tr.Disconnect(id)
 			c.workers[id].connected = false
 			c.workers[id].frame = noFrame
 			c.workers[id].dupped = false
@@ -320,7 +287,7 @@ func (s *machineState) successors(cfg ModelConfig) ([]*machineState, error) {
 		if w.frame == noFrame {
 			// SEND: a live member submits for the current round (at most
 			// once per round — the protocol is lock-step).
-			if slot(s.tr.View(), id) >= 0 && w.sent < s.round {
+			if s.table.view.Contains(id) && w.sent < s.round {
 				if err := branch(func(c *machineState) (bool, error) {
 					c.workers[id].frame = c.round
 					c.workers[id].dupped = false
@@ -334,7 +301,7 @@ func (s *machineState) successors(cfg ModelConfig) ([]*machineState, error) {
 		}
 		// DELIVER: the frame reaches the server and is consumed.
 		if err := branch(func(c *machineState) (bool, error) {
-			c.deliver(id)
+			c.deliver(cfg, id)
 			c.workers[id].frame = noFrame
 			c.workers[id].dupped = false
 			return true, nil
@@ -354,7 +321,7 @@ func (s *machineState) successors(cfg ModelConfig) ([]*machineState, error) {
 		// Bounded to one duplicate per frame to keep the space finite.
 		if !w.dupped {
 			if err := branch(func(c *machineState) (bool, error) {
-				c.deliver(id)
+				c.deliver(cfg, id)
 				c.workers[id].dupped = true
 				return true, nil
 			}); err != nil {
@@ -401,10 +368,9 @@ func Explore(cfg ModelConfig) (ExploreResult, error) {
 		return ExploreResult{}, err
 	}
 	init := &machineState{
-		tr:         tr,
-		workers:    make([]workerModel, cfg.Workers),
-		committed:  make([]bool, cfg.Rounds),
-		lateCredit: cfg.LateCredit,
+		table:     NewSlotTable(tr, cfg.LateCredit),
+		workers:   make([]workerModel, cfg.Workers),
+		committed: make([]bool, cfg.Rounds),
 	}
 	for i := range init.workers {
 		init.workers[i].frame = noFrame

@@ -83,42 +83,36 @@ func TestModelCheckCatchesSeededBugs(t *testing.T) {
 		Workers: 2, Rounds: 3, LateCredit: true, MaxStates: 2_000_000,
 		Membership: Config{MinWorkers: 1, MaxWorkers: 2, FRatio: 0, EpochRounds: 1, EvictAfter: 1},
 	}
-	tr, err := NewTracker(cfg.Membership)
-	if err != nil {
-		t.Fatal(err)
+	// started builds the state right after worker 0 was admitted as epoch 0.
+	started := func() *machineState {
+		tr, err := NewTracker(cfg.Membership)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &machineState{
+			table:     NewSlotTable(tr, cfg.LateCredit),
+			workers:   make([]workerModel, cfg.Workers),
+			committed: make([]bool, cfg.Rounds),
+			started:   true,
+		}
+		if err := tr.Handshake(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := s.table.Advance(); err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 
 	// Bug 1: a state whose view contains a worker that never handshook.
-	s := &machineState{
-		tr:        tr.Clone(),
-		workers:   make([]workerModel, cfg.Workers),
-		committed: make([]bool, cfg.Rounds),
-	}
-	if err := s.tr.Handshake(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := s.tr.AdvanceEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	s.tr.view.Members = append(s.tr.view.Members, 1) // forged member
+	s := started()
+	s.table.tr.view.Members = append(s.table.tr.view.Members, 1) // forged member
 	if err := s.checkInvariants(false); err == nil {
 		t.Fatal("forged view member not detected")
 	}
 
 	// Bug 2: double commit of the same round.
-	s2 := &machineState{
-		tr:        tr.Clone(),
-		workers:   make([]workerModel, cfg.Workers),
-		committed: make([]bool, cfg.Rounds),
-		filled:    []bool{false},
-		started:   true,
-	}
-	if err := s2.tr.Handshake(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := s2.tr.AdvanceEpoch(); err != nil {
-		t.Fatal(err)
-	}
+	s2 := started()
 	if _, err := s2.commit(cfg); err != nil {
 		t.Fatalf("first commit: %v", err)
 	}
@@ -127,23 +121,54 @@ func TestModelCheckCatchesSeededBugs(t *testing.T) {
 		t.Fatal("double commit not detected")
 	}
 
-	// Bug 3: a leaked slot (accepted++ without a filled slot) breaks the
+	// Bug 3: a leaked slot (a fill counted without a filled slot) breaks the
 	// ledger at the next commit.
-	s3 := &machineState{
-		tr:        tr.Clone(),
-		workers:   make([]workerModel, cfg.Workers),
-		committed: make([]bool, cfg.Rounds),
-		started:   true,
-	}
-	if err := s3.tr.Handshake(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := s3.tr.AdvanceEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	s3.filled = make([]bool, 1)
-	s3.accepted++ // double-counted submission
+	s3 := started()
+	s3.table.received++ // double-counted submission
 	if _, err := s3.commit(cfg); err == nil {
 		t.Fatal("ledger leak not detected")
+	}
+
+	// Bugs 4 and 5 sit on the shared table's own path: the mutant wraps
+	// SlotTable.Deliver — the call the cluster server's collect loop makes —
+	// and the full exploration, not a hand-built state, has to reject it.
+	// That is the proof the checker runs the code the server runs.
+	mutants := []struct {
+		name    string
+		deliver func(*SlotTable, int, int, int) (int, Disposition)
+	}{
+		{"credit into an already-filled slot", func(tb *SlotTable, id, tag, round int) (int, Disposition) {
+			slot, d := tb.Deliver(id, tag, round)
+			if d == Duplicate && tag == round-1 {
+				tb.received++
+				tb.credited++
+				return slot, Credited
+			}
+			return slot, d
+		}},
+		{"accept booked without filling the slot", func(tb *SlotTable, id, tag, round int) (int, Disposition) {
+			slot, d := tb.Deliver(id, tag, round)
+			if d == Accepted {
+				tb.filled[slot] = false
+			}
+			return slot, d
+		}},
+	}
+	// Two-round epochs: a frame delayed across a commit must still find its
+	// sender in the view, or the late-credit path is never reached.
+	mcfg := ModelConfig{
+		Workers: 2, Rounds: 4, LateCredit: true, MaxStates: 2_000_000,
+		Membership: Config{MinWorkers: 1, MaxWorkers: 2, FRatio: 0.4, EpochRounds: 2, EvictAfter: 2},
+	}
+	if _, err := Explore(mcfg); err != nil {
+		t.Fatalf("unmutated table rejected under the mutants' bounds: %v", err)
+	}
+	for _, m := range mutants {
+		mcfg.deliver = m.deliver
+		if res, err := Explore(mcfg); err == nil {
+			t.Errorf("mutant %q survived the exploration (%d states)", m.name, res.States)
+		} else {
+			t.Logf("mutant %q rejected after %d states: %v", m.name, res.States, err)
+		}
 	}
 }

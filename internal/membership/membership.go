@@ -16,11 +16,23 @@
 //
 // The Tracker is a pure state machine over Handshake / Disconnect /
 // RecordAccept / RecordMiss / AdvanceEpoch events: two trackers fed the
-// same event sequence produce identical views. The cluster server drives
-// it from real connection events (inherently timing-dependent), the local
-// simulator from a deterministic schedule, and the model checker in
-// machine.go from exhaustively enumerated event interleavings — all three
-// run the same transition code.
+// same event sequence produce identical views. On top of it the SlotTable
+// (slots.go) is the round protocol's decision point — which frame fills
+// which slot, which is discarded and why, what a commit books — and the
+// boundary that advances the tracker.
+//
+// What is shared, precisely: the cluster server's one round loop and the
+// model checker in machine.go both execute the Tracker and the SlotTable —
+// the server from real connection events (inherently timing-dependent), the
+// checker from exhaustively enumerated interleavings of sends, drops,
+// duplicates, delays, crashes and joins — so the explored transitions are
+// the shipped ones. A fixed worker cohort is not a second protocol: it is
+// the population that never changes (MinWorkers = MaxWorkers = n, one epoch
+// spanning the run). The local simulator shares only the books' arithmetic —
+// the EpochStat ledger and the BalanceEpochs identity it must satisfy: its
+// deterministic arrival model decides which workers straggle on a cohort
+// that never churns, not what happens to a frame, and does not run the
+// tracker or the slot table.
 //
 //dpbyz:deterministic
 package membership

@@ -32,8 +32,8 @@ var _ Backend = (*ClusterBackend)(nil)
 // Name implements Backend.
 func (b *ClusterBackend) Name() string { return "cluster" }
 
-// serverConfig translates the Spec's server half.
-func serverConfig(s *Spec, o *runOptions, dim int, initParams []float64) cluster.ServerConfig {
+// serverConfig translates the Spec's server half from its materialization.
+func serverConfig(s *Spec, o *runOptions, m *materialized) cluster.ServerConfig {
 	addr := o.addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
@@ -42,36 +42,39 @@ func serverConfig(s *Spec, o *runOptions, dim int, initParams []float64) cluster
 		Addr:          addr,
 		Transport:     o.transport,
 		MaxFrameBytes: o.maxFrameBytes,
-		GAR:           nil, // filled by the caller from the materialized spec
-		Dim:           dim,
+		Dim:           m.model.Dim(),
 		Steps:         s.Steps,
 		LearningRate:  s.LearningRate,
 		Momentum:      s.Momentum,
-		InitParams:    initParams,
+		InitParams:    m.initParams,
 		RoundTimeout:  o.roundTimeout,
 		Logf:          o.logf,
 		StepHook:      o.stepHook(),
 	}
 	if s.Staleness != nil {
-		cfg.Quorum = s.Quorum()
 		cfg.LateCredit = s.Staleness.late() == "credit"
 	}
-	if m := s.Membership; m != nil {
-		// Membership mode re-derives the quorum and the GAR per epoch, so
-		// the fixed-cohort knobs stay unset; the staleness budget moves into
-		// the per-epoch derivation and the late policy keeps its meaning.
-		cfg.Quorum = 0
-		mc := &cluster.MembershipConfig{
-			MinWorkers:  m.MinWorkers,
-			MaxWorkers:  m.MaxWorkers,
-			FRatio:      m.FRatio,
-			EpochRounds: m.EpochRounds,
-			NewGAR:      s.NewGARFactory(),
-		}
+	ms := s.Membership
+	if ms == nil {
+		// Fixed cohort: the materialized rule and the fixed quorum.
+		cfg.GAR = m.gar
 		if s.Staleness != nil {
-			mc.Stragglers = s.Staleness.Stragglers
+			cfg.Quorum = s.Quorum()
 		}
-		cfg.Membership = mc
+		return cfg
+	}
+	// Epoched membership re-derives the quorum and the GAR per epoch, so
+	// the fixed-cohort knobs stay unset; the staleness budget moves into
+	// the per-epoch derivation and the late policy keeps its meaning.
+	cfg.Membership = &cluster.MembershipConfig{
+		MinWorkers:  ms.MinWorkers,
+		MaxWorkers:  ms.MaxWorkers,
+		FRatio:      ms.FRatio,
+		EpochRounds: ms.EpochRounds,
+		NewGAR:      s.NewGARFactory(),
+	}
+	if s.Staleness != nil {
+		cfg.Membership.Stragglers = s.Staleness.Stragglers
 	}
 	return cfg
 }
@@ -150,15 +153,44 @@ func attachCheckpointing(s *Spec, o *runOptions, cfg *cluster.ServerConfig, back
 	return st, nil
 }
 
-// completedResult packages a resume-of-finished-run no-op: the snapshot's
-// parameters come back unchanged with an empty history, mirroring the local
-// backend's idempotent resume.
-func completedResult(backend string, st *checkpoint.RunState) *Result {
+// bindServer is the server half every cluster entry point shares: translate
+// the Spec, wire checkpointing and resume, and bind the listen endpoint. A
+// resume of an already-completed run binds nothing and returns the finished
+// result instead (done): the snapshot's parameters come back unchanged with
+// an empty history, mirroring the local backend's idempotent resume.
+func bindServer(s *Spec, o *runOptions, m *materialized, backend string) (srv *cluster.Server, done *Result, err error) {
+	cfg := serverConfig(s, o, m)
+	st, err := attachCheckpointing(s, o, &cfg, backend)
+	if err != nil {
+		return nil, nil, err
+	}
+	if st != nil && st.Step >= s.Steps {
+		return nil, &Result{
+			Backend: backend,
+			Params:  append([]float64(nil), st.Params...),
+			History: &metrics.History{},
+			Cluster: &ClusterStats{},
+		}, nil
+	}
+	srv, err = cluster.NewServer(cfg)
+	return srv, nil, err
+}
+
+// clusterResult packages a finished server run; workerRounds is nil when the
+// workers ran in other processes.
+func clusterResult(backend string, res *cluster.ServerResult, workerRounds []int) *Result {
 	return &Result{
 		Backend: backend,
-		Params:  append([]float64(nil), st.Params...),
-		History: &metrics.History{},
-		Cluster: &ClusterStats{},
+		Params:  res.Params,
+		History: res.History,
+		Cluster: &ClusterStats{
+			Accepted:     res.AcceptedGradients,
+			Discarded:    res.DiscardedSubmissions,
+			Missed:       res.MissedGradients,
+			Credited:     res.CreditedGradients,
+			WorkerRounds: workerRounds,
+			Epochs:       res.Epochs,
+		},
 	}
 }
 
@@ -180,20 +212,9 @@ func (b *ClusterBackend) Run(ctx context.Context, s Spec, opts ...Option) (*Resu
 		}
 	}
 
-	srvCfg := serverConfig(&s, o, m.model.Dim(), m.initParams)
-	if s.Membership == nil {
-		srvCfg.GAR = m.gar
-	}
-	st, err := attachCheckpointing(&s, o, &srvCfg, b.Name())
-	if err != nil {
-		return nil, err
-	}
-	if st != nil && st.Step >= s.Steps {
-		return completedResult(b.Name(), st), nil
-	}
-	srv, err := cluster.NewServer(srvCfg)
-	if err != nil {
-		return nil, err
+	srv, done, err := bindServer(&s, o, m, b.Name())
+	if err != nil || done != nil {
+		return done, err
 	}
 
 	// Build every worker config before any worker dials: a config error
@@ -240,19 +261,7 @@ func (b *ClusterBackend) Run(ctx context.Context, s Spec, opts ...Option) (*Resu
 			}
 		}
 	}
-	return &Result{
-		Backend: b.Name(),
-		Params:  res.Params,
-		History: res.History,
-		Cluster: &ClusterStats{
-			Accepted:     res.AcceptedGradients,
-			Discarded:    res.DiscardedSubmissions,
-			Missed:       res.MissedGradients,
-			Credited:     res.CreditedGradients,
-			WorkerRounds: rounds,
-			Epochs:       res.Epochs,
-		},
-	}, nil
+	return clusterResult(b.Name(), res, rounds), nil
 }
 
 // ServeSpec runs only the parameter-server half of a Spec — the entry point
@@ -265,20 +274,9 @@ func ServeSpec(ctx context.Context, s Spec, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	srvCfg := serverConfig(&s, o, m.model.Dim(), m.initParams)
-	if s.Membership == nil {
-		srvCfg.GAR = m.gar
-	}
-	st, err := attachCheckpointing(&s, o, &srvCfg, "cluster")
-	if err != nil {
-		return nil, err
-	}
-	if st != nil && st.Step >= s.Steps {
-		return completedResult("cluster", st), nil
-	}
-	srv, err := cluster.NewServer(srvCfg)
-	if err != nil {
-		return nil, err
+	srv, done, err := bindServer(&s, o, m, "cluster")
+	if err != nil || done != nil {
+		return done, err
 	}
 	if o.logf != nil {
 		o.logf("listening on %s, waiting for %d workers", srv.Addr(), s.GAR.N)
@@ -287,18 +285,7 @@ func ServeSpec(ctx context.Context, s Spec, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Backend: "cluster",
-		Params:  res.Params,
-		History: res.History,
-		Cluster: &ClusterStats{
-			Accepted:  res.AcceptedGradients,
-			Discarded: res.DiscardedSubmissions,
-			Missed:    res.MissedGradients,
-			Credited:  res.CreditedGradients,
-			Epochs:    res.Epochs,
-		},
-	}, nil
+	return clusterResult("cluster", res, nil), nil
 }
 
 // JoinSpec runs only worker workerID's half of a Spec — the entry point for
