@@ -258,7 +258,7 @@ func BenchmarkMDAExactVsGreedy(b *testing.B) {
 
 // benchTrainConfig is a small attacked MDA training run shared by the
 // ablation benches.
-func benchTrainConfig(b *testing.B) dpbyz.TrainConfig {
+func benchTrainConfig(b *testing.B) simulate.Config {
 	b.Helper()
 	ds, err := dpbyz.SyntheticPhishing(dpbyz.SyntheticPhishingConfig{
 		N: 1000, Features: 15, Seed: 1,
@@ -282,7 +282,7 @@ func benchTrainConfig(b *testing.B) dpbyz.TrainConfig {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return dpbyz.TrainConfig{
+	return simulate.Config{
 		Model:        m,
 		Train:        train,
 		Test:         test,
@@ -313,7 +313,7 @@ func BenchmarkMomentumAblation(b *testing.B) {
 				cfg := benchTrainConfig(b)
 				cfg.Momentum = style.server
 				cfg.WorkerMomentum = style.worker
-				res, err := dpbyz.Train(context.Background(), cfg)
+				res, err := simulate.Run(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -343,7 +343,7 @@ func BenchmarkMechanismAblation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := dpbyz.Train(context.Background(), cfg)
+				res, err := simulate.Run(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -112,7 +112,7 @@
 //     rule runs on the m bucket means at (m, f). Averaging is O(n·d) and
 //     the quadratic distance-based rules then pay O(m²·d) instead of
 //     O(n²·d) — at n=256, s=16 the measured Krum round is ~50x faster
-//     (BENCH_gar_bucketed.json) — at the cost of the inner rule needing
+//     (PR 7 in CHANGES.md) — at the cost of the inner rule needing
 //     2f+3 ≤ m (resp. the rule's own bound) to hold over buckets rather
 //     than workers. The deal is a pure function of the topology seed, so
 //     every backend computes the same buckets; gar.NewBucketed composes
@@ -220,17 +220,6 @@
 // GAR.N stays the initial cohort size and must satisfy
 // ⌊FRatio·GAR.N⌋ = GAR.F, so the declared rule is exactly epoch 0's.
 //
-// # Migrating from Train
-//
-// The pre-Spec entry point Train(ctx, TrainConfig) still works but is
-// deprecated: TrainConfig holds live objects, so it can only ever drive the
-// in-process simulator. The mapping is mechanical — each constructor call
-// becomes a registry reference (NewGAR("mda", 11, 5) → GARSpec{Name: "mda",
-// N: 11, F: 5}; NewGaussianMechanism(gmax, b, budget) → MechanismSpec plus
-// the Spec's ClipNorm/BatchSize; datasets and models by name in
-// DataSpec/ModelSpec) — and Train's remaining knobs keep their names on
-// Spec. The shim will be removed one release after this one.
-//
 // # Running the experiments and benchmarks
 //
 // Reproduce the paper's figures and tables from the repository root:
@@ -255,22 +244,23 @@
 // fan-out only the dispatch itself allocates. Parallel results are
 // bit-identical to the sequential path.
 //
-// The simulation hot path that feeds the aggregators is batched and fused
-// end to end. Every model implements model.BatchGradienter — one blocked
+// The simulation hot path that feeds the aggregators is batched end to
+// end. Every model implements model.BatchGradienter — one blocked
 // sweep per batch that folds per-sample clipping into the gradient
 // accumulation (for affine models the per-sample gradient g·[x, 1] is
 // clipped through the scalar |g|·√(‖x‖²+1), priced with feature norms
 // cached at dataset construction, so the d-sized per-sample gradient is
-// never materialized) — and the worker pipeline in internal/simulate fuses
-// noise injection, momentum and the submission copy into single passes
-// over worker-owned buffers. Gaussian noise comes from a 256-strip
-// ziggurat sampler (internal/randx; ~5x faster per variate than the
-// Box-Muller transform it replaced — note Gaussian draws are therefore
-// not bit-compatible with pre-ziggurat revisions, see the randx package
-// comment), and batch sampling reuses a stream-owned membership table.
-// The steady-state training step performs zero allocations (enforced by
-// AllocsPerRun gates in internal/simulate, internal/randx and
-// internal/data); BENCH_simulate.json records the measured before/after.
+// never materialized) — and the worker pipeline (internal/worker, the one
+// §2.3 honest step both the simulator and the cluster worker call) runs
+// noise injection and momentum in place over pipeline-owned buffers.
+// Gaussian noise comes from a 256-strip ziggurat sampler (internal/randx;
+// ~5x faster per variate than the Box-Muller transform it replaced — note
+// Gaussian draws are therefore not bit-compatible with pre-ziggurat
+// revisions, see the randx package comment), and batch sampling reuses a
+// stream-owned membership table. The steady-state training step performs
+// zero allocations (enforced by AllocsPerRun gates in internal/simulate,
+// internal/worker, internal/randx and internal/data); CHANGES.md (PR 3) records the measured before/after and
+// bench/README.md the current fig2_local numbers.
 //
 // # Sub-quadratic aggregation
 //
@@ -290,11 +280,6 @@
 //     re-check. Selection is property-tested to match the exact kernel on
 //     the battery fixtures; it is an approximation, not a bit-identity
 //     contract — an adversarial cloud can in principle steer the sketch.
-//     Optional float32 distance lanes (Lanes32) halve the sketch
-//     bandwidth; accumulation stays float64, and — like the ziggurat
-//     switch above — lane choice changes which candidates are shortlisted
-//     only through the sketch ordering, never the exact re-check, so the
-//     final selection still matches the exact kernel on the fixtures.
 //   - kernel "incremental" maintains the exact pairwise Gram across rounds
 //     (vecmath.IncGram): each round pays Θ(n·d) to measure per-worker
 //     drift, brackets every pairwise distance with triangle-inequality
@@ -417,10 +402,10 @@
 // reconnects sees every event exactly once even across a service crash;
 // DELETE /runs/{id} cancels a queued or running run with no side effects
 // beyond its already-flushed prefix, and GET /metrics reports throughput
-// and stream counters (BENCH_fleet.json records the measured rates). On
-// SIGINT/SIGTERM the service itself drains gracefully: in-flight runs
-// flush a final snapshot and the store is left ready for the next start
-// to resume them.
+// and stream counters (bench/README.md records the measured rates under
+// fleet_sweep_http). On SIGINT/SIGTERM the service itself drains
+// gracefully: in-flight runs flush a final snapshot and the store is left
+// ready for the next start to resume them.
 //
 // See examples/ for complete programs and DESIGN.md for the architecture.
 package dpbyz

@@ -1,8 +1,6 @@
 package dpbyz
 
 import (
-	"context"
-
 	"dpbyz/internal/attack"
 	"dpbyz/internal/data"
 	"dpbyz/internal/dp"
@@ -10,7 +8,6 @@ import (
 	"dpbyz/internal/metrics"
 	"dpbyz/internal/model"
 	"dpbyz/internal/randx"
-	"dpbyz/internal/simulate"
 )
 
 // Core type aliases. Aliasing (rather than wrapping) keeps the public API
@@ -47,10 +44,6 @@ type (
 	// Accountant tracks cumulative privacy spend.
 	Accountant = dp.Accountant
 
-	// TrainConfig configures a training run (see Train).
-	TrainConfig = simulate.Config
-	// TrainResult is a finished run: final parameters plus metric history.
-	TrainResult = simulate.Result
 	// History is a per-step metric trace.
 	History = metrics.History
 	// StepRecord is one step's metrics.
@@ -144,16 +137,3 @@ var (
 
 // NewStream returns a deterministic random stream for the given seed.
 func NewStream(seed uint64) *Stream { return randx.New(seed) }
-
-// Train runs distributed SGD in the parameter-server model per the supplied
-// configuration and returns the final parameters and metric history.
-//
-// Deprecated: Train predates the serializable Spec API and requires live
-// objects (Model, GAR, Attack, Mechanism) that cannot move between
-// execution backends. Build a Spec (registry names + parameters) and run it
-// with Run, LocalBackend or ClusterBackend instead; this shim remains for
-// one release to ease migration and simply forwards to the simulator the
-// LocalBackend wraps.
-func Train(ctx context.Context, cfg TrainConfig) (*TrainResult, error) {
-	return simulate.Run(ctx, cfg)
-}

@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"dpbyz"
+	"dpbyz/internal/simulate"
 )
 
-// TestPublicAPITrainPipeline exercises the full quick-start path through
-// the facade only.
+// TestPublicAPITrainPipeline builds every live object of a run through the
+// facade's constructors and trains with them.
 func TestPublicAPITrainPipeline(t *testing.T) {
 	ds, err := dpbyz.SyntheticPhishing(dpbyz.SyntheticPhishingConfig{
 		N: 800, Features: 12, Seed: 1,
@@ -40,7 +41,7 @@ func TestPublicAPITrainPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dpbyz.Train(context.Background(), dpbyz.TrainConfig{
+	res, err := simulate.Run(context.Background(), simulate.Config{
 		Model:         m,
 		Train:         train,
 		Test:          test,

@@ -14,8 +14,11 @@ import (
 )
 
 // RunStateVersion identifies the mid-run snapshot schema; bump on breaking
-// change.
-const RunStateVersion = 1
+// change. Version 1 stream states carried the Box-Muller spare cache
+// (spare/hasSpare), which no sampler reads any more: a v1 snapshot is
+// rejected by ErrBadRunStateVersion rather than resumed with the field
+// dropped.
+const RunStateVersion = 2
 
 // WorkerRunState is one simulated worker's resumable state: its two
 // randomness streams and (when worker momentum is enabled) the momentum

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dpbyz/internal/randx"
@@ -64,6 +65,16 @@ func TestRunStateValidate(t *testing.T) {
 	}
 	if err := sampleRunState().Validate(); err != nil {
 		t.Errorf("valid state rejected: %v", err)
+	}
+}
+
+// A version-1 snapshot (stream states with the Box-Muller spare cache) must
+// be refused by name, not decoded with the field ignored.
+func TestReadRunStateRejectsV1(t *testing.T) {
+	const v1 = `{"version":1,"step":3,"params":[0.5],"workers":[{` +
+		`"batch":{"s":[1,2,3,4]},"noise":{"s":[5,6,7,8],"spare":0.25,"hasSpare":true}}]}`
+	if _, err := ReadRunState(strings.NewReader(v1)); !errors.Is(err, ErrBadRunStateVersion) {
+		t.Errorf("v1 snapshot: error = %v, want ErrBadRunStateVersion", err)
 	}
 }
 

@@ -162,12 +162,21 @@ func (t *ChanTransport) dial(ctx context.Context, addr string, up, down FaultCon
 	server := &chanConn{out: downPipe, in: upPipe, done: done, closeOnce: &once}
 	select {
 	case ln.accepts <- server:
-		return client, nil
+		// The listener may have closed while this dial held it. If done is
+		// still open here, Close has yet to run its drain and will find the
+		// queued conn; otherwise the drain may already be over, so fail the
+		// conn here rather than leave it queued with nobody to accept it.
+		select {
+		case <-ln.done:
+			_ = client.Close()
+		default:
+			return client, nil
+		}
 	case <-ln.done:
-		return nil, fmt.Errorf("cluster: dial chan %q: %w", addr, net.ErrClosed)
 	case <-ctx.Done():
 		return nil, fmt.Errorf("cluster: dial chan %q: %w", addr, ctx.Err())
 	}
+	return nil, fmt.Errorf("cluster: dial chan %q: %w", addr, net.ErrClosed)
 }
 
 type chanListener struct {
@@ -189,12 +198,23 @@ func (l *chanListener) Accept() (Conn, error) {
 
 func (l *chanListener) Addr() string { return l.addr }
 
+// Close stops the listener and fails every dial still queued for Accept:
+// their conns are closed, so a dialler that was handed one sees its first
+// receive fail instead of waiting for a handshake nobody will answer.
 func (l *chanListener) Close() error {
 	l.once.Do(func() {
 		close(l.done)
 		l.t.mu.Lock()
 		delete(l.t.listeners, l.addr)
 		l.t.mu.Unlock()
+		for {
+			select {
+			case c := <-l.accepts:
+				_ = c.Close()
+			default:
+				return
+			}
+		}
 	})
 	return nil
 }

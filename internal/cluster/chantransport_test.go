@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -118,6 +120,60 @@ func TestChanTransportListenerClose(t *testing.T) {
 	// The name is released: rebinding must work.
 	if _, err := tr.Listen("srv"); err != nil {
 		t.Errorf("rebind after close: %v", err)
+	}
+}
+
+// A Dial racing Listener.Close must never be left queued with nobody to
+// accept it: every dial either fails, or hands back a conn whose first
+// receive fails at once because Close tore the queued pair down. Nothing
+// calls Accept here, so a conn that survives Close would block its dialler
+// until the read deadline.
+func TestChanTransportDialRacingCloseFailsQueuedConns(t *testing.T) {
+	const rounds, dials = 20, 32
+	for r := 0; r < rounds; r++ {
+		tr := NewChanTransport()
+		ln, err := tr.Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One dial is queued for certain before Close; the rest race it.
+		queued, err := tr.Dial(context.Background(), ln.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns := make(chan Conn, dials)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < dials; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				c, err := tr.Dial(context.Background(), ln.Addr())
+				if err == nil {
+					conns <- c
+				} else if !errors.Is(err, net.ErrClosed) && !strings.Contains(err.Error(), "no listener") {
+					t.Errorf("dial racing close: %v", err)
+				}
+			}()
+		}
+		close(start)
+		if err := ln.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		close(conns)
+		check := func(c Conn) {
+			t.Helper()
+			_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := c.Read(make([]byte, 1)); !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("round %d: receive on a conn queued across Close: %v, want net.ErrClosed", r, err)
+			}
+		}
+		check(queued)
+		for c := range conns {
+			check(c)
+		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"sync"
 	"testing"
 	"time"
@@ -20,17 +18,8 @@ const (
 	benchDim     = 10_000
 )
 
-// gobEnvelope reproduces the pre-binary wire format (a gob-encoded union
-// struct per message) as the baseline the codec is measured against.
-type gobEnvelope struct {
-	Hello    *Hello
-	Params   *Params
-	Gradient *Gradient
-}
-
 // BenchmarkClusterRound measures rounds/sec and allocs/op of the framing
-// layer (binary vs. the old gob envelope) and of the full cluster stack
-// over the in-process transport. One op = one synchronous round at n=64,
+// layer and of the full cluster stack over the in-process transport. One op = one synchronous round at n=64,
 // d=1e4.
 func BenchmarkClusterRound(b *testing.B) {
 	params := Params{Step: 1, Weights: make([]float64, benchDim)}
@@ -69,50 +58,6 @@ func BenchmarkClusterRound(b *testing.B) {
 		}
 		b.StopTimer()
 		m.releaseScratch()
-		reportRoundsPerSec(b)
-	})
-
-	b.Run("framing=gob", func(b *testing.B) {
-		// One persistent encoder/decoder pair per direction per worker,
-		// exactly like the old conn kept gob codecs per connection.
-		type link struct {
-			downBuf bytes.Buffer
-			downEnc *gob.Encoder
-			downDec *gob.Decoder
-			upBuf   bytes.Buffer
-			upEnc   *gob.Encoder
-			upDec   *gob.Decoder
-		}
-		links := make([]*link, benchWorkers)
-		for i := range links {
-			l := &link{}
-			l.downEnc, l.downDec = gob.NewEncoder(&l.downBuf), gob.NewDecoder(&l.downBuf)
-			l.upEnc, l.upDec = gob.NewEncoder(&l.upBuf), gob.NewDecoder(&l.upBuf)
-			links[i] = l
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, l := range links {
-				e := gobEnvelope{Params: &params}
-				if err := l.downEnc.Encode(&e); err != nil {
-					b.Fatal(err)
-				}
-				var in gobEnvelope
-				if err := l.downDec.Decode(&in); err != nil {
-					b.Fatal(err)
-				}
-				e = gobEnvelope{Gradient: &grad}
-				if err := l.upEnc.Encode(&e); err != nil {
-					b.Fatal(err)
-				}
-				in = gobEnvelope{}
-				if err := l.upDec.Decode(&in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.StopTimer()
 		reportRoundsPerSec(b)
 	})
 

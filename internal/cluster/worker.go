@@ -11,7 +11,7 @@ import (
 	"dpbyz/internal/dp"
 	"dpbyz/internal/model"
 	"dpbyz/internal/randx"
-	"dpbyz/internal/vecmath"
+	"dpbyz/internal/worker"
 )
 
 // Worker dial-retry defaults (satellite of the churn work: a transient
@@ -55,7 +55,7 @@ type WorkerConfig struct {
 	// accumulates raw batch gradients and the worker submits
 	// noise(clip(m_t)), matching the paper's experimental pipeline; set
 	// MomentumPostNoise for the theory-faithful per-sample-clip ordering
-	// (see simulate.Config.MomentumPostNoise for the trade-off).
+	// (see worker.Config.MomentumPostNoise for the trade-off).
 	Momentum float64
 	// MomentumPostNoise applies momentum after clipping and noising.
 	MomentumPostNoise bool
@@ -153,20 +153,20 @@ type WorkerResult struct {
 	FinalParams []float64
 }
 
-// workerState is the round-pipeline state that survives reconnects: the
-// deterministic streams, scratch vectors and momentum accumulator.
+// workerState is what survives reconnects: the honest pipeline (streams,
+// scratch, momentum) and, for a Byzantine worker, the attacker's view.
 type workerState struct {
-	batcher   *data.Batcher
-	noise     *randx.Stream
-	attackRng *randx.Stream
-	grad      []float64
-	clipBuf   []float64
-	momentum  []float64
+	pipe *worker.Pipeline
+
+	// attackRng and honestView exist only when cfg.Attack is set:
+	// honestView[0] is the round's honest submission the attack is crafted
+	// from.
+	attackRng  *randx.Stream
+	honestView [][]float64
 
 	adaptive    attack.AdaptiveAttack
 	prevParams  []float64
 	aggEstimate []float64
-	honestView  [][]float64
 	havePrev    bool
 
 	// consumed counts the rounds whose batch/noise draws this worker has
@@ -181,19 +181,18 @@ type workerState struct {
 
 func newWorkerState(cfg *WorkerConfig) (*workerState, error) {
 	root := randx.New(cfg.Seed)
-	batcher, err := data.NewBatcher(cfg.Train, cfg.BatchSize, root.Derive(1, uint64(cfg.WorkerID)))
+	pipe, err := worker.New(worker.Config{
+		Model: cfg.Model, Train: cfg.Train, BatchSize: cfg.BatchSize,
+		ClipNorm: cfg.ClipNorm, Mechanism: cfg.Mechanism,
+		Momentum: cfg.Momentum, MomentumPostNoise: cfg.MomentumPostNoise,
+	}, root, cfg.WorkerID)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: batcher: %w", err)
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	st := &workerState{
-		batcher:   batcher,
-		noise:     root.Derive(2, uint64(cfg.WorkerID)),
-		attackRng: root.Derive(3, uint64(cfg.WorkerID)),
-		grad:      make([]float64, cfg.Model.Dim()),
-		clipBuf:   make([]float64, cfg.Model.Dim()),
-	}
-	if cfg.Momentum > 0 {
-		st.momentum = make([]float64, cfg.Model.Dim())
+	st := &workerState{pipe: pipe}
+	if cfg.Attack != nil {
+		st.attackRng = root.Derive(worker.LabelAttack, uint64(cfg.WorkerID))
+		st.honestView = make([][]float64, 1)
 	}
 	// A stateful Byzantine worker reconstructs the server's aggregate
 	// direction from successive parameter broadcasts: the observed delta
@@ -203,31 +202,18 @@ func newWorkerState(cfg *WorkerConfig) (*workerState, error) {
 		st.adaptive = aa
 		st.prevParams = make([]float64, cfg.Model.Dim())
 		st.aggEstimate = make([]float64, cfg.Model.Dim())
-		st.honestView = [][]float64{st.grad}
 	}
 	return st, nil
 }
 
-// fastForward replays the per-round stream consumption of `rounds` missed
-// rounds: one batch draw plus (with DP) one noise perturbation per round,
-// discarded into scratch. Stream positions cannot be jumped arithmetically
-// — ziggurat/rejection sampling consumes a variable number of variates —
-// so replay is the only way to land the streams exactly where a
-// never-disconnected cohort member's would be. No gradient math runs and
-// no privacy is spent (noise drawn but never released is not a release).
-// Byzantine attack streams are deliberately not replayed: attackers carry
-// no bit-identity contract.
-func (st *workerState) fastForward(cfg *WorkerConfig, rounds int) {
-	for i := 0; i < rounds; i++ {
-		_ = st.batcher.Next()
-		if cfg.Mechanism != nil {
-			for j := range st.clipBuf {
-				st.clipBuf[j] = 0
-			}
-			cfg.Mechanism.Perturb(st.clipBuf, st.noise)
-		}
-		st.consumed++
-	}
+// skip replays the stream consumption of missed rounds (worker.Pipeline.Skip)
+// so the next live round is bit-identical with a never-disconnected
+// worker's. Byzantine attack streams are deliberately not replayed:
+// attackers carry no bit-identity contract.
+func (st *workerState) skip(res *WorkerResult, rounds int) {
+	st.pipe.Skip(rounds)
+	st.consumed += rounds
+	res.FastForwarded += rounds
 }
 
 // errConnLost distinguishes a recoverable transport failure (rejoin in
@@ -372,8 +358,7 @@ func runSession(ctx context.Context, cfg *WorkerConfig, st *workerState, res *Wo
 			// position; replay the gap so the next live round is
 			// bit-identical with a never-disconnected worker's.
 			if gap := m.welcome.Round - st.consumed; gap > 0 {
-				st.fastForward(cfg, gap)
-				res.FastForwarded += gap
+				st.skip(res, gap)
 			}
 			continue
 		case msgParams:
@@ -406,8 +391,7 @@ func runSession(ctx context.Context, cfg *WorkerConfig, st *workerState, res *Wo
 				continue
 			}
 			if gap := params.Step - st.consumed; gap > 0 {
-				st.fastForward(cfg, gap)
-				res.FastForwarded += gap
+				st.skip(res, gap)
 			}
 		}
 		if st.adaptive != nil {
@@ -432,46 +416,14 @@ func runSession(ctx context.Context, cfg *WorkerConfig, st *workerState, res *Wo
 			case <-time.After(cfg.RoundDelay):
 			}
 		}
-		batch := st.batcher.Next()
+		submission := st.pipe.Step(params.Weights)
 		st.consumed++
-		if st.momentum != nil && !cfg.MomentumPostNoise {
-			// Paper pipeline: momentum over raw gradients, then clip, then
-			// noise (the clip bounds every submission to G_max).
-			cfg.Model.Gradient(st.grad, params.Weights, batch)
-			for j := range st.momentum {
-				st.momentum[j] = cfg.Momentum*st.momentum[j] + st.grad[j]
-			}
-			copy(st.grad, st.momentum)
-			if cfg.ClipNorm > 0 {
-				vecmath.ClipL2(st.grad, cfg.ClipNorm)
-			}
-			if cfg.Mechanism != nil {
-				cfg.Mechanism.Perturb(st.grad, st.noise)
-				if cfg.Accountant != nil {
-					cfg.Accountant.Record()
-				}
-			}
-		} else {
-			// Theory pipeline: per-sample clipping keeps the 2*Gmax/b
-			// sensitivity assumption exact.
-			model.ClippedGradientWithNorms(cfg.Model, st.grad, st.clipBuf,
-				params.Weights, batch, st.batcher.BatchSqNorms(), cfg.ClipNorm)
-			if cfg.Mechanism != nil {
-				cfg.Mechanism.Perturb(st.grad, st.noise)
-				if cfg.Accountant != nil {
-					cfg.Accountant.Record()
-				}
-			}
-			if st.momentum != nil {
-				for j := range st.momentum {
-					st.momentum[j] = cfg.Momentum*st.momentum[j] + st.grad[j]
-				}
-				copy(st.grad, st.momentum)
-			}
+		if cfg.Mechanism != nil && cfg.Accountant != nil {
+			cfg.Accountant.Record()
 		}
-		submission := st.grad
 		if cfg.Attack != nil {
-			crafted, err := cfg.Attack.Craft([][]float64{st.grad}, st.attackRng)
+			st.honestView[0] = submission
+			crafted, err := cfg.Attack.Craft(st.honestView, st.attackRng)
 			if err != nil {
 				return fmt.Errorf("cluster: worker %d attack: %w", cfg.WorkerID, err)
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 // This file renders experiment results as the plain-text tables that
-// cmd/dpbyz-experiments prints and EXPERIMENTS.md records.
+// cmd/dpbyz-experiments prints.
 
 // WriteFigureReport renders a figure's cells as an aligned table: one row
 // per condition with min-loss, steps-to-min and final accuracy.

@@ -347,8 +347,8 @@ func benchGrads(n, d int) [][]float64 {
 	return grads
 }
 
-// The committed BENCH_gar_bucketed.json numbers come from this pair: Krum
-// over n=256 flat is Θ(n²·d); bucketed with s=8 runs the same rule over
+// The bucketed speed-up recorded in CHANGES.md (PR 7) comes from this pair:
+// Krum over n=256 flat is Θ(n²·d); bucketed with s=8 runs the same rule over
 // m=32 bucket means.
 func BenchmarkKrumFlat256(b *testing.B) {
 	const n, f, d = 256, 8, 1000

@@ -26,8 +26,6 @@ type scratch struct {
 	bucketFlat       []float64   // Bucketed pre-aggregation means (m·d, selA holds the row headers)
 	skFlat           []float64   // sketch projections (n·k, skRows holds the row headers)
 	skRows           [][]float64
-	sk32Flat         []float32 // float32 sketch lanes (n·k, sk32Rows holds the row headers)
-	sk32Rows         [][]float32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -82,18 +80,6 @@ func (s *scratch) square2(n int) [][]float64 {
 func (s *scratch) sketchRows(n, k int) [][]float64 {
 	flat := grow(&s.skFlat, n*k)
 	rows := grow(&s.skRows, n)
-	for i := range rows {
-		rows[i] = flat[i*k : (i+1)*k]
-	}
-	return rows
-}
-
-// sketchRows32 returns an n×k float32-lane matrix view.
-//
-//dpbyz:scratch
-func (s *scratch) sketchRows32(n, k int) [][]float32 {
-	flat := grow(&s.sk32Flat, n*k)
-	rows := grow(&s.sk32Rows, n)
 	for i := range rows {
 		rows[i] = flat[i*k : (i+1)*k]
 	}

@@ -15,9 +15,8 @@ func scaleFull() bool { return os.Getenv("DPBYZ_GAR_SCALE_FULL") != "" }
 
 // BenchmarkGARScale is the tentpole's benchmark of record: one Krum round
 // at n ∈ {64, 256, 1024}, d ∈ {10⁴, 10⁶}, f = 10, across the kernel modes.
-// "exact" is the flat Θ(n²·d) rule; "sketched" (and its float32-lane
-// variant) replaces the pairwise pass with Θ(n·d) JL projection + Θ(n²·k)
-// sketch distances + Θ(c·n·d) exact re-check of the shortlist;
+// "exact" is the flat Θ(n²·d) rule; "sketched" replaces the pairwise pass
+// with Θ(n·d) JL projection + Θ(n²·k) sketch distances + Θ(c·n·d) exact re-check of the shortlist;
 // "incremental" pays Θ(n·d) drift measurement per steady-state round (the
 // benchmark holds the cohort still, so the amortized Refresh cost is pushed
 // out by a large RefreshEvery — a drifting cohort refreshes every ~16 rounds
@@ -30,9 +29,6 @@ func BenchmarkGARScale(b *testing.B) {
 		{"exact", func(n, f int) (GAR, error) { return New("krum", n, f) }},
 		{"sketched", func(n, f int) (GAR, error) {
 			return NewSketched("krum", n, f, SketchOptions{Seed: 1})
-		}},
-		{"sketched32", func(n, f int) (GAR, error) {
-			return NewSketched("krum", n, f, SketchOptions{Seed: 1, Lanes32: true})
 		}},
 		{"incremental", func(n, f int) (GAR, error) {
 			return NewSketched("krum", n, f, SketchOptions{Incremental: true, RefreshEvery: 1 << 30})

@@ -24,8 +24,7 @@ const DefaultRefreshEvery = 16
 const DefaultDriftFraction = 0.25
 
 // SketchOptions configures the Sketched wrapper. The zero value selects the
-// JL mode with DefaultSketchDim, seed 0, float64 lanes and the derived
-// shortlist size.
+// JL mode with DefaultSketchDim, seed 0 and the derived shortlist size.
 type SketchOptions struct {
 	// SketchDim is the JL sketch dimension k (0 = DefaultSketchDim).
 	SketchDim int
@@ -35,10 +34,6 @@ type SketchOptions struct {
 	// of JL sketching. Unlike the JL mode, incremental selection is provably
 	// bit-identical to the exact rule every round.
 	Incremental bool
-	// Lanes32 runs the JL sketch distance pass in float32 storage (float64
-	// accumulation). See the vecmath lanes32 bit-stability note; candidates
-	// are still re-checked with the exact float64 kernel.
-	Lanes32 bool
 	// Shortlist overrides the candidate count (0 = derived from m and f).
 	Shortlist int
 	// RefreshEvery overrides the incremental round cap (0 = default).
@@ -92,7 +87,6 @@ type Sketched struct {
 	kdim        int
 	seed        uint64
 	incremental bool
-	lanes32     bool
 	shortlist   int
 
 	refreshEvery int
@@ -142,9 +136,6 @@ func NewSketched(inner string, n, f int, opt SketchOptions) (*Sketched, error) {
 	if opt.Incremental && !IncrementalSupported(inner) {
 		return nil, fmt.Errorf("gar: incremental mode does not support inner rule %q (no per-row score to bound)", inner)
 	}
-	if opt.Incremental && opt.Lanes32 {
-		return nil, fmt.Errorf("gar: incremental mode is exact and has no sketch pass for float32 lanes")
-	}
 	if opt.SketchDim < 0 {
 		return nil, fmt.Errorf("gar: negative sketch dimension %d", opt.SketchDim)
 	}
@@ -160,7 +151,6 @@ func NewSketched(inner string, n, f int, opt SketchOptions) (*Sketched, error) {
 		kdim:         opt.SketchDim,
 		seed:         opt.Seed,
 		incremental:  opt.Incremental,
-		lanes32:      opt.Lanes32,
 		shortlist:    opt.Shortlist,
 		refreshEvery: opt.RefreshEvery,
 		driftFrac:    opt.DriftFraction,
@@ -277,23 +267,14 @@ func (sk *Sketched) ensureSketcher(d int) {
 func (sk *Sketched) sketchGram(s *scratch, grads [][]float64) [][]float64 {
 	n := len(grads)
 	sk.ensureSketcher(len(grads[0]))
-	kdim := sk.sk.K()
-	proj := s.sketchRows(n, kdim)
+	proj := s.sketchRows(n, sk.sk.K())
 	for i := range grads {
 		// Dimensions are pinned by ensureSketcher and the rows view, so the
 		// projection error cannot fire.
 		_ = sk.sk.ProjectInto(proj[i], grads[i])
 	}
 	sg := s.square(n)
-	if sk.lanes32 {
-		p32 := s.sketchRows32(n, kdim)
-		for i := range proj {
-			_ = vecmath.Round32Into(p32[i], proj[i])
-		}
-		_ = vecmath.PairwiseSqDists32Into(sg, p32)
-	} else {
-		_ = vecmath.PairwiseSqDistsInto(sg, proj)
-	}
+	_ = vecmath.PairwiseSqDistsInto(sg, proj)
 	return sg
 }
 

@@ -42,43 +42,41 @@ func sketchedFixtures() []struct {
 // are bit-identical.
 func TestSketchedMatchesExactOnBattery(t *testing.T) {
 	for _, inner := range []string{"krum", "multikrum", "bulyan", "mda"} {
-		for _, lanes32 := range []bool{false, true} {
-			for _, fx := range sketchedFixtures() {
-				if inner == "mda" && fx.name != "outliers" {
-					// MDA's subset objective has no neighbourhood-shaped
-					// answer on an isotropic cloud or under heavy ties:
-					// exact enumeration finds min-diameter subsets that are
-					// not any center's nearest neighbourhood, so even the
-					// exact greedy heuristic diverges there. The shortlist
-					// property is only claimed where the outlier structure
-					// is separable.
-					continue
-				}
-				n := len(fx.grads)
-				d := len(fx.grads[0])
-				exact, err := New(inner, n, fx.f)
-				if err != nil {
-					continue // fixture shape outside the rule's constraint
-				}
-				sk, err := NewSketched(inner, n, fx.f, SketchOptions{
-					SketchDim: 8, Seed: 42, Lanes32: lanes32,
-				})
-				if err != nil {
-					t.Fatalf("%s/%s: %v", inner, fx.name, err)
-				}
-				want, err := exact.Aggregate(fx.grads)
-				if err != nil {
-					t.Fatalf("%s/%s exact: %v", inner, fx.name, err)
-				}
-				got := make([]float64, d)
-				if err := sk.AggregateInto(got, fx.grads); err != nil {
-					t.Fatalf("%s/%s sketched: %v", inner, fx.name, err)
-				}
-				for j := range got {
-					if got[j] != want[j] {
-						t.Fatalf("%s lanes32=%v on %s: coordinate %d differs: %v != %v",
-							sk.Name(), lanes32, fx.name, j, got[j], want[j])
-					}
+		for _, fx := range sketchedFixtures() {
+			if inner == "mda" && fx.name != "outliers" {
+				// MDA's subset objective has no neighbourhood-shaped
+				// answer on an isotropic cloud or under heavy ties:
+				// exact enumeration finds min-diameter subsets that are
+				// not any center's nearest neighbourhood, so even the
+				// exact greedy heuristic diverges there. The shortlist
+				// property is only claimed where the outlier structure
+				// is separable.
+				continue
+			}
+			n := len(fx.grads)
+			d := len(fx.grads[0])
+			exact, err := New(inner, n, fx.f)
+			if err != nil {
+				continue // fixture shape outside the rule's constraint
+			}
+			sk, err := NewSketched(inner, n, fx.f, SketchOptions{
+				SketchDim: 8, Seed: 42,
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", inner, fx.name, err)
+			}
+			want, err := exact.Aggregate(fx.grads)
+			if err != nil {
+				t.Fatalf("%s/%s exact: %v", inner, fx.name, err)
+			}
+			got := make([]float64, d)
+			if err := sk.AggregateInto(got, fx.grads); err != nil {
+				t.Fatalf("%s/%s sketched: %v", inner, fx.name, err)
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("%s on %s: coordinate %d differs: %v != %v",
+						sk.Name(), fx.name, j, got[j], want[j])
 				}
 			}
 		}
@@ -249,9 +247,6 @@ func TestSketchedConstructorValidation(t *testing.T) {
 	if _, err := NewSketched("mda", 13, 2, SketchOptions{Incremental: true}); err == nil {
 		t.Error("accepted incremental mda (no per-row score to bound)")
 	}
-	if _, err := NewSketched("krum", 13, 2, SketchOptions{Incremental: true, Lanes32: true}); err == nil {
-		t.Error("accepted float32 lanes in the exact incremental mode")
-	}
 	if _, err := NewSketched("krum", 13, 2, SketchOptions{SketchDim: -1}); err == nil {
 		t.Error("accepted negative sketch dimension")
 	}
@@ -300,7 +295,6 @@ func TestSketchedZeroAllocs(t *testing.T) {
 		opt  SketchOptions
 	}{
 		{"jl", SketchOptions{}},
-		{"jl-lanes32", SketchOptions{Lanes32: true}},
 		{"incremental", SketchOptions{Incremental: true}},
 	}
 	for _, inner := range []string{"krum", "multikrum", "bulyan", "mda"} {

@@ -17,8 +17,7 @@
 // uniform stream differently, so Gaussian draws — and therefore entire
 // simulation trajectories — are NOT bit-compatible across that switch.
 // Runs remain a pure function of their seed within any one build; only
-// cross-revision bit-identity was given up. The Box-Muller sampler is kept
-// as NormalBoxMuller for bit-compatibility tests against the old stream.
+// cross-revision bit-identity was given up.
 //
 //dpbyz:deterministic
 package randx
@@ -29,10 +28,6 @@ import "math"
 // concurrent use; derive one stream per goroutine instead.
 type Stream struct {
 	s [4]uint64
-	// spare caches the second Box-Muller Gaussian variate (NormalBoxMuller
-	// only; the ziggurat path never touches it).
-	spare    float64
-	hasSpare bool
 	// sampleKeys/sampleGen back Sample's stream-owned open-addressing set,
 	// so steady-state batch draws never allocate. A slot is occupied only
 	// when its generation stamp matches sampleEpoch, which makes clearing
@@ -82,21 +77,18 @@ func (r *Stream) Derive(labels ...uint64) *Stream {
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // StreamState is the serializable state of a Stream: the xoshiro256++ word
-// state plus the Box-Muller spare cache. It deliberately excludes Sample's
-// membership table, which is a pure performance cache — the draw sequence
-// does not depend on it — so a restored stream produces bit-identical draws
-// without carrying the scratch.
+// state. It deliberately excludes Sample's membership table, which is a
+// pure performance cache — the draw sequence does not depend on it — so a
+// restored stream produces bit-identical draws without carrying the scratch.
 type StreamState struct {
-	S        [4]uint64 `json:"s"`
-	Spare    float64   `json:"spare,omitempty"`
-	HasSpare bool      `json:"hasSpare,omitempty"`
+	S [4]uint64 `json:"s"`
 }
 
 // State snapshots the stream. Restoring the snapshot with SetState (or
 // Restore) yields a stream whose future draws are bit-identical to this
 // stream's.
 func (r *Stream) State() StreamState {
-	return StreamState{S: r.s, Spare: r.spare, HasSpare: r.hasSpare}
+	return StreamState{S: r.s}
 }
 
 // SetState overwrites the stream's generator state with a snapshot taken by
@@ -104,8 +96,6 @@ func (r *Stream) State() StreamState {
 // never influences the drawn values.
 func (r *Stream) SetState(st StreamState) {
 	r.s = st.S
-	r.spare = st.Spare
-	r.hasSpare = st.HasSpare
 }
 
 // Restore returns a new stream positioned at the given snapshot.
@@ -268,27 +258,6 @@ func (r *Stream) normalTail(neg bool) float64 {
 			return zigR + x
 		}
 	}
-}
-
-// NormalBoxMuller returns a standard Gaussian variate via the Box-Muller
-// transform (the second variate of each pair is cached). This is the
-// pre-ziggurat sampler, kept so the historical uniform-stream consumption
-// pattern stays testable; new code should use Normal.
-func (r *Stream) NormalBoxMuller() float64 {
-	if r.hasSpare {
-		r.hasSpare = false
-		return r.spare
-	}
-	var u float64
-	for u == 0 { // avoid log(0)
-		u = r.Float64()
-	}
-	v := r.Float64()
-	radius := math.Sqrt(-2 * math.Log(u))
-	theta := 2 * math.Pi * v
-	r.spare = radius * math.Sin(theta)
-	r.hasSpare = true
-	return radius * math.Cos(theta)
 }
 
 // NormalVec fills dst with i.i.d. N(0, sigma^2) variates and returns dst.

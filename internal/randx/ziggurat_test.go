@@ -100,48 +100,3 @@ func TestZigguratDistribution(t *testing.T) {
 		}
 	}
 }
-
-// NormalBoxMuller must keep consuming the uniform stream exactly as the
-// historical Normal did: radius·cos from two uniforms, cached sine spare.
-func TestNormalBoxMullerBitCompatible(t *testing.T) {
-	a, b := New(99), New(99)
-	// Reference implementation, transcribed from the pre-ziggurat sampler.
-	ref := func(r *Stream, spare *float64, has *bool) float64 {
-		if *has {
-			*has = false
-			return *spare
-		}
-		var u float64
-		for u == 0 {
-			u = r.Float64()
-		}
-		v := r.Float64()
-		radius := math.Sqrt(-2 * math.Log(u))
-		theta := 2 * math.Pi * v
-		*spare = radius * math.Sin(theta)
-		*has = true
-		return radius * math.Cos(theta)
-	}
-	var spare float64
-	var has bool
-	for i := 0; i < 2000; i++ {
-		if got, want := a.NormalBoxMuller(), ref(b, &spare, &has); got != want {
-			t.Fatalf("draw %d: %v != %v", i, got, want)
-		}
-	}
-}
-
-func TestNormalBoxMullerMoments(t *testing.T) {
-	r := New(19)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		x := r.NormalBoxMuller()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	if variance := sumSq/n - mean*mean; math.Abs(variance-1) > 0.03 || math.Abs(mean) > 0.02 {
-		t.Errorf("Box-Muller moments: mean %v, var %v", mean, variance)
-	}
-}

@@ -12,7 +12,7 @@ import (
 // run convergent at the paper's aggressive hyperparameters, while the
 // theory pipeline (per-sample clip → noise → momentum) amplifies the noise
 // and performs visibly worse. This is the reproduction finding documented
-// in EXPERIMENTS.md.
+// on worker.Config.MomentumPostNoise.
 func TestMomentumOrderingChangesDPOutcome(t *testing.T) {
 	run := func(postNoise bool) float64 {
 		cfg := baseConfig(t, mustGAR(t, "average", 11, 0))

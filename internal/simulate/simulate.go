@@ -16,10 +16,8 @@
 // independent randomness stream, so worker goroutines can run concurrently
 // without affecting the result.
 //
-// The per-worker hot path is fused: the batched gradient kernels
-// (model.BatchGradienter) fold per-sample clipping into the batch sweep,
-// and the noise → momentum → submission stages each touch the d
-// coordinates once, into worker-owned buffers. The steady-state step
+// The honest step itself is worker.Pipeline.Step — the same code a cluster
+// worker runs — into pipeline-owned buffers, so the steady-state step
 // allocates nothing beyond what a configured Attack allocates to craft its
 // vector.
 //
@@ -43,16 +41,12 @@ import (
 	"dpbyz/internal/model"
 	"dpbyz/internal/randx"
 	"dpbyz/internal/vecmath"
+	"dpbyz/internal/worker"
 )
 
-// Stream-derivation labels, one namespace per purpose so that adding a
-// consumer never perturbs existing ones.
-const (
-	purposeBatch uint64 = iota + 1
-	purposeNoise
-	purposeAttack
-	purposeStraggler
-)
+// labelStraggler derives the straggler-set stream; it continues the
+// worker package's label namespace.
+const labelStraggler = worker.LabelAttack + 1
 
 // Config fully describes one training run. The zero value is not usable;
 // populate at least Model, Train, GAR and Steps.
@@ -104,22 +98,9 @@ type Config struct {
 	// Momentum and WorkerMomentum. Its placement relative to clipping and
 	// noise is controlled by MomentumPostNoise.
 	WorkerMomentum float64
-	// MomentumPostNoise selects the worker pipeline ordering:
-	//
-	//   false (default, the paper's experimental pipeline): the momentum
-	//   state accumulates RAW batch gradients and the worker submits
-	//   noise(clip(m_t)) — clipping bounds every submission to G_max, so
-	//   lr = 2 with μ = 0.99 stays stable and the per-step noise stays
-	//   i.i.d. The DP caveat: the release's true sensitivity is 2·G_max
-	//   (ball diameter) rather than the 2·G_max/b the noise is calibrated
-	//   to, because the clip wraps the whole momentum state instead of
-	//   per-sample gradients. This is faithful to the paper's figures.
-	//
-	//   true (theory-faithful DP): per-sample clip → noise → momentum as
-	//   post-processing of the released sequence. The (ε, δ) guarantee is
-	//   exact, but the momentum then amplifies the injected noise ~1/(1−μ)
-	//   in parameter space and the paper's hyperparameters diverge; see
-	//   EXPERIMENTS.md for the measured comparison.
+	// MomentumPostNoise applies worker momentum after clipping and noising
+	// (theory-faithful DP) instead of before (the paper's experimental
+	// pipeline); see worker.Config.MomentumPostNoise for the trade-off.
 	MomentumPostNoise bool
 	// ClipNorm is G_max; gradients are clipped to this L2 norm before noise
 	// injection (paper: 1e-2). Zero disables clipping.
@@ -320,29 +301,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// worker is one simulated node's state. Every buffer is worker-owned, so
-// the parallel path shares nothing mutable between goroutines.
-type worker struct {
-	batcher *data.Batcher
-	noise   *randx.Stream
-	// grad holds the (clipped) batch gradient of the step.
-	grad []float64
-	// sub is the submission buffer the server reads; keeping it separate
-	// from grad and momentum lets noise and momentum fuse into single
-	// passes without an extra copy.
-	sub []float64
-	// out points at the vector this worker submits this step (grad or sub).
-	out []float64
-	// clipBuf is the per-sample gradient scratch for ClippedGradient.
-	clipBuf []float64
-	// momentum is the worker-side momentum buffer (nil when disabled).
-	momentum []float64
-	// lastBatch is the batch used this step, retained for loss recording.
-	// It aliases the batcher's reused slice, which stays valid until the
-	// next Next call — i.e. through the end of the step.
-	lastBatch []data.Point
-}
-
 // runner is one training run's full mutable state; Run drives it step by
 // step. Splitting construction from stepping lets tests and benchmarks
 // measure the steady-state step in isolation.
@@ -351,7 +309,7 @@ type runner struct {
 	n, f        int
 	computeFrom int
 	start       int
-	workers     []*worker
+	workers     []*worker.Pipeline
 	attackRng   *randx.Stream
 	adaptive    attack.AdaptiveAttack
 	w           []float64
@@ -361,6 +319,10 @@ type runner struct {
 	honest      [][]float64
 	predictor   model.Predictor
 	history     *metrics.History
+	// fresh[i] is worker i's own submission of the step, kept apart from
+	// submissions[i], which the staleness overlay may repoint; honest is
+	// the fresh[computeFrom:] view.
+	fresh [][]float64
 
 	// Bounded-staleness state (allocated only when cfg.Stragglers > 0).
 	// stale[i] buffers worker i's in-flight frame, hasPending marks it
@@ -401,32 +363,26 @@ func newRunner(cfg Config) (*runner, error) {
 		cfg:         cfg,
 		n:           n,
 		f:           cfg.GAR.F(),
-		workers:     make([]*worker, n),
-		attackRng:   root.Derive(purposeAttack),
+		workers:     make([]*worker.Pipeline, n),
+		attackRng:   root.Derive(worker.LabelAttack),
 		w:           make([]float64, d),
 		velocity:    make([]float64, d),
 		agg:         make([]float64, d),
 		submissions: make([][]float64, n),
-		honest:      make([][]float64, 0, n),
+		fresh:       make([][]float64, n),
+	}
+	wcfg := worker.Config{
+		Model: cfg.Model, Train: cfg.Train, BatchSize: cfg.BatchSize,
+		ClipNorm: cfg.ClipNorm, Mechanism: cfg.Mechanism,
+		Momentum: cfg.WorkerMomentum, MomentumPostNoise: cfg.MomentumPostNoise,
 	}
 	for i := range r.workers {
-		train := cfg.Train
 		if cfg.WorkerTrain != nil {
-			train = cfg.WorkerTrain[i]
+			wcfg.Train = cfg.WorkerTrain[i]
 		}
-		b, err := data.NewBatcher(train, cfg.BatchSize, root.Derive(purposeBatch, uint64(i)))
-		if err != nil {
-			return nil, fmt.Errorf("simulate: worker %d batcher: %w", i, err)
-		}
-		r.workers[i] = &worker{
-			batcher: b,
-			noise:   root.Derive(purposeNoise, uint64(i)),
-			grad:    make([]float64, d),
-			sub:     make([]float64, d),
-			clipBuf: make([]float64, d),
-		}
-		if cfg.WorkerMomentum > 0 {
-			r.workers[i].momentum = make([]float64, d)
+		var err error
+		if r.workers[i], err = worker.New(wcfg, root, i); err != nil {
+			return nil, fmt.Errorf("simulate: %w", err)
 		}
 	}
 	if cfg.InitParams != nil {
@@ -447,6 +403,7 @@ func newRunner(cfg Config) (*runner, error) {
 			ga.SetGAR(cfg.GAR)
 		}
 	}
+	r.honest = r.fresh[r.computeFrom:]
 	r.predictor, _ = cfg.Model.(model.Predictor)
 	r.rule = cfg.GAR
 	if cfg.Epochs != nil {
@@ -457,7 +414,7 @@ func newRunner(cfg Config) (*runner, error) {
 		r.epochStats = make([]membership.EpochStat, 0, cfg.Steps/cfg.Epochs.EpochRounds+1)
 	}
 	if cfg.Stragglers > 0 {
-		r.stragglerRng = root.Derive(purposeStraggler)
+		r.stragglerRng = root.Derive(labelStraggler)
 		r.stragglerIdx = make([]int, cfg.Stragglers)
 		r.isStraggler = make([]bool, n)
 		r.stale = make([][]float64, n)
@@ -496,13 +453,7 @@ func (r *runner) snapshot(stepsDone int) *checkpoint.RunState {
 		st.Attack = &as
 	}
 	for i, wk := range r.workers {
-		ws := checkpoint.WorkerRunState{
-			Batch: wk.batcher.RNGState(),
-			Noise: wk.noise.State(),
-		}
-		if wk.momentum != nil {
-			ws.Momentum = append([]float64(nil), wk.momentum...)
-		}
+		ws := wk.State()
 		if r.cfg.Stragglers > 0 && r.hasPending[i] {
 			ws.Stale = append([]float64(nil), r.stale[i]...)
 		}
@@ -576,14 +527,8 @@ func (r *runner) restore(st *checkpoint.RunState) error {
 		return errors.New("simulate: adaptive attack configured but the snapshot carries no attack state")
 	}
 	for i, ws := range st.Workers {
-		wk := r.workers[i]
-		wk.batcher.SetRNGState(ws.Batch)
-		wk.noise.SetState(ws.Noise)
-		if ws.Momentum != nil {
-			if wk.momentum == nil {
-				return fmt.Errorf("simulate: resume worker %d has momentum state but worker momentum is disabled", i)
-			}
-			copy(wk.momentum, ws.Momentum)
+		if err := r.workers[i].SetState(ws); err != nil {
+			return fmt.Errorf("simulate: resume worker %d: %w", i, err)
 		}
 		if ws.Stale != nil {
 			if r.cfg.Stragglers == 0 {
@@ -622,66 +567,6 @@ func (r *runner) restore(st *checkpoint.RunState) error {
 		return errors.New("simulate: epochs configured but the snapshot carries no membership state")
 	}
 	return nil
-}
-
-// runWorker executes one worker's fused step pipeline and leaves the
-// submission in wk.out.
-//
-//dpbyz:hotpath
-func (r *runner) runWorker(i int) {
-	cfg := &r.cfg
-	wk := r.workers[i]
-	wk.lastBatch = wk.batcher.Next()
-	if wk.momentum != nil && !cfg.MomentumPostNoise {
-		// Paper pipeline: momentum over raw gradients, then clip, then
-		// noise (see MomentumPostNoise for the DP caveat). The momentum
-		// update and the clip's norm accumulate in one pass; the clip
-		// scale and the copy into the submission buffer fuse into a
-		// second.
-		cfg.Model.Gradient(wk.grad, r.w, wk.lastBatch)
-		var sq float64
-		for j, g := range wk.grad {
-			m := cfg.WorkerMomentum*wk.momentum[j] + g
-			wk.momentum[j] = m
-			sq += m * m
-		}
-		scale := 1.0
-		if cfg.ClipNorm > 0 {
-			if norm := math.Sqrt(sq); norm > cfg.ClipNorm {
-				scale = cfg.ClipNorm / norm
-			}
-		}
-		for j, m := range wk.momentum {
-			wk.sub[j] = scale * m
-		}
-		if cfg.Mechanism != nil {
-			cfg.Mechanism.Perturb(wk.sub, wk.noise)
-		}
-		wk.out = wk.sub
-		return
-	}
-	// Theory pipeline: per-sample clipping (Assumption 1) gives the
-	// 2·Gmax/b sensitivity the DP noise is calibrated to; the batched
-	// kernel folds the clip into the gradient sweep, priced with the
-	// dataset's cached feature norms.
-	model.ClippedGradientWithNorms(cfg.Model, wk.grad, wk.clipBuf, r.w,
-		wk.lastBatch, wk.batcher.BatchSqNorms(), cfg.ClipNorm)
-	out := wk.grad
-	if cfg.Mechanism != nil {
-		// Momentum as post-processing of the noisy release keeps the DP
-		// guarantee exact.
-		cfg.Mechanism.PerturbInto(wk.sub, wk.grad, wk.noise)
-		out = wk.sub
-	}
-	if wk.momentum != nil {
-		for j, g := range out {
-			m := cfg.WorkerMomentum*wk.momentum[j] + g
-			wk.momentum[j] = m
-			wk.sub[j] = m
-		}
-		out = wk.sub
-	}
-	wk.out = out
 }
 
 // overlayStaleness rewrites the step's submission slots under the
@@ -737,7 +622,7 @@ func (r *runner) stashStragglers() {
 			r.hasPending[i] = false
 			continue
 		}
-		fresh := r.workers[i].out
+		fresh := r.fresh[i]
 		if i < r.f && r.crafted != nil {
 			fresh = r.crafted
 		}
@@ -761,24 +646,19 @@ func (r *runner) step(step int) error {
 			//dpbyz:allowalloc
 			go func(i int) {
 				defer wg.Done()
-				r.runWorker(i)
+				r.fresh[i] = r.workers[i].Step(r.w)
 			}(i)
 		}
 		wg.Wait()
 	} else {
 		for i := r.computeFrom; i < r.n; i++ {
-			r.runWorker(i)
+			r.fresh[i] = r.workers[i].Step(r.w)
 		}
 	}
 	if cfg.Mechanism != nil && cfg.Accountant != nil {
 		for i := r.computeFrom; i < r.n; i++ {
 			cfg.Accountant.Record()
 		}
-	}
-
-	r.honest = r.honest[:0]
-	for i := r.computeFrom; i < r.n; i++ {
-		r.honest = append(r.honest, r.workers[i].out)
 	}
 
 	// Byzantine submissions: every Byzantine worker sends the same crafted
@@ -794,9 +674,7 @@ func (r *runner) step(step int) error {
 		}
 		r.crafted = crafted
 	}
-	for i := r.computeFrom; i < r.n; i++ {
-		r.submissions[i] = r.workers[i].out
-	}
+	copy(r.submissions[r.computeFrom:], r.honest)
 	if cfg.Stragglers > 0 {
 		r.overlayStaleness()
 	} else {
@@ -955,13 +833,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 // honestBatchLoss averages the model loss at w over the honest workers'
 // last-sampled batches — the paper's training-loss metric (§5.1 item 2).
-func honestBatchLoss(m model.Model, w []float64, honest []*worker) float64 {
+func honestBatchLoss(m model.Model, w []float64, honest []*worker.Pipeline) float64 {
 	if len(honest) == 0 {
 		return math.NaN()
 	}
 	var s float64
 	for _, wk := range honest {
-		s += m.Loss(w, wk.lastBatch)
+		s += m.Loss(w, wk.Batch())
 	}
 	return s / float64(len(honest))
 }

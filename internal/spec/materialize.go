@@ -174,23 +174,11 @@ func (s *Spec) materialize(o *runOptions) (*materialized, error) {
 	if o.initParams != nil {
 		m.initParams = o.initParams
 	}
-	if s.Topology.name() == "bucketed" {
-		// The topology axis composes at materialization: every backend sees
-		// the wrapped rule, so the bucket deal — a pure function of the
-		// topology seed — is identical across local, cluster and worker
-		// processes.
-		m.gar, err = gar.NewBucketed(s.GAR.Name, s.GAR.N, s.GAR.F,
-			s.Topology.BucketSize, s.Topology.seed(s.Seed))
-	} else if s.GAR.kernel() != "exact" {
-		// The kernel knob composes here for the same reason the topology
-		// does: every backend materializes the identical wrapper, so the
-		// sketch transform (a pure function of the sketch seed) and the
-		// incremental mode's exact selections agree across processes.
-		m.gar, err = gar.NewSketched(s.GAR.Name, s.GAR.N, s.GAR.F, s.GAR.sketchOptions(s.Seed))
-	} else {
-		m.gar, err = gar.New(s.GAR.Name, s.GAR.N, s.GAR.F)
-	}
-	if err != nil {
+	// Topology and kernel compose in the factory: every backend materializes
+	// the identical wrapper, so the bucket deal and the sketch transform —
+	// pure functions of their seeds — agree across local, cluster and worker
+	// processes.
+	if m.gar, err = s.NewGARFactory()(s.GAR.N, s.GAR.F); err != nil {
 		return nil, err
 	}
 	if s.Attack != nil {

@@ -410,11 +410,12 @@ func (s *Spec) Quorum() int {
 	return s.GAR.N - s.GAR.F - s.Staleness.Stragglers
 }
 
-// NewGARFactory returns the (n, f) → aggregation-rule constructor the
-// epoched-membership modes re-materialize at every boundary, honoring the
-// Spec's GAR name and topology. The factory is deterministic: the bucketed
-// deal reuses the Spec's topology seed, so the same (n, f) always yields an
-// equivalent rule — the property resume bit-identity rests on.
+// NewGARFactory returns the Spec's (n, f) → aggregation-rule constructor,
+// honoring its GAR name, kernel and topology: Validate and materialization
+// call it at (GAR.N, GAR.F), the epoched-membership modes at every
+// boundary. The factory is deterministic: the bucketed deal reuses the
+// Spec's topology seed, so the same (n, f) always yields an equivalent
+// rule — the property resume bit-identity rests on.
 func (s *Spec) NewGARFactory() func(n, f int) (gar.GAR, error) {
 	name := s.GAR.Name
 	if s.Topology.name() == "bucketed" {
@@ -467,9 +468,6 @@ func (s *Spec) Validate() error {
 		if s.GAR.SketchDim != 0 || s.GAR.SketchSeed != 0 {
 			return fmt.Errorf("spec: gar.sketchDim/sketchSeed need kernel \"sketched\", not %q", k)
 		}
-		if _, err := gar.New(s.GAR.Name, s.GAR.N, s.GAR.F); err != nil {
-			return err
-		}
 	case "sketched", "incremental":
 		if s.Topology.name() == "bucketed" {
 			return fmt.Errorf("spec: gar kernel %q does not compose with the bucketed topology "+
@@ -479,25 +477,18 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("spec: gar.sketchDim/sketchSeed need kernel \"sketched\" " +
 				"(the incremental kernel has no sketch pass)")
 		}
-		// Constructing the wrapper validates the inner rule's own n-vs-f
-		// constraint and its kernel support.
-		if _, err := gar.NewSketched(s.GAR.Name, s.GAR.N, s.GAR.F, s.GAR.sketchOptions(s.Seed)); err != nil {
-			return err
-		}
 	default:
 		return fmt.Errorf("spec: unknown gar kernel %q", k)
 	}
 	switch name := s.Topology.name(); name {
-	case "flat":
-	case "bucketed":
-		// Constructing the wrapper validates the inner rule's n-vs-f
-		// constraint at the bucket count ⌈n/s⌉.
-		if _, err := gar.NewBucketed(s.GAR.Name, s.GAR.N, s.GAR.F,
-			s.Topology.BucketSize, s.Topology.seed(s.Seed)); err != nil {
-			return err
-		}
+	case "flat", "bucketed":
 	default:
 		return fmt.Errorf("spec: unknown topology %q", name)
+	}
+	// Constructing the rule validates its own n-vs-f constraint (at the
+	// bucket count ⌈n/s⌉ under the bucketed topology) and its kernel support.
+	if _, err := s.NewGARFactory()(s.GAR.N, s.GAR.F); err != nil {
+		return err
 	}
 	if s.Staleness != nil {
 		if s.Staleness.Stragglers < 0 {

@@ -167,53 +167,3 @@ func TestIncGramBoundsSound(t *testing.T) {
 		}
 	}
 }
-
-// TestLanes32MatchesFloat64Approximately pins the float32 lane contract:
-// deterministic, close to the float64 kernel, but not expected to be
-// bit-identical (see the lanes32 bit-stability note).
-func TestLanes32MatchesFloat64Approximately(t *testing.T) {
-	const n, d = 7, 513
-	rng := randx.New(9)
-	vs := make([][]float64, n)
-	vs32 := make([][]float32, n)
-	for i := range vs {
-		vs[i] = make([]float64, d)
-		rng.NormalVec(vs[i], 1)
-		vs32[i] = make([]float32, d)
-		if err := Round32Into(vs32[i], vs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exact := make([][]float64, n)
-	lane := make([][]float64, n)
-	laneSeq := make([][]float64, n)
-	for i := range exact {
-		exact[i] = make([]float64, n)
-		lane[i] = make([]float64, n)
-		laneSeq[i] = make([]float64, n)
-	}
-	if err := PairwiseSqDistsInto(exact, vs); err != nil {
-		t.Fatal(err)
-	}
-	SetParallelism(1)
-	if err := PairwiseSqDists32Into(laneSeq, vs32); err != nil {
-		t.Fatal(err)
-	}
-	forceParallel(t, 8)
-	if err := PairwiseSqDists32Into(lane, vs32); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if lane[i][j] != laneSeq[i][j] {
-				t.Fatalf("float32 lane is parallelism-dependent at (%d,%d)", i, j)
-			}
-			if diff := math.Abs(lane[i][j] - exact[i][j]); diff > 1e-3*(1+exact[i][j]) {
-				t.Fatalf("lane (%d,%d) = %v too far from exact %v", i, j, lane[i][j], exact[i][j])
-			}
-		}
-	}
-	if err := PairwiseSqDists32Into(lane, [][]float32{{1, 2}, {3}}); err == nil {
-		t.Error("PairwiseSqDists32Into accepted ragged input")
-	}
-}
