@@ -266,40 +266,31 @@
 //
 // The distance-based rules (Krum, Multi-Krum, Bulyan, MDA) are Θ(n²·d) as
 // the paper writes them: every pair of the n submitted gradients is priced
-// at full dimension d. GARSpec's Kernel knob swaps in two sub-quadratic
-// kernels (gar.NewSketched) that keep the registry, the pooled
-// AggregateInto fast path and the zero-allocation steady state:
-//
-//   - kernel "sketched" projects every gradient to SketchDim (default 32)
-//     coordinates with a seed-derived Johnson–Lindenstrauss sketch
-//     (internal/randx — SketchSeed, or the run Seed when 0, so every
-//     backend and every parallelism width builds the identical
-//     projection), scores the sketch Gram, shortlists the plausible
-//     winners, and re-scores only the shortlist with exact full-dimension
-//     distances: Θ(n·d) projection + Θ(n²·k) sketch distances + Θ(c·n·d)
-//     re-check. Selection is property-tested to match the exact kernel on
-//     the battery fixtures; it is an approximation, not a bit-identity
-//     contract — an adversarial cloud can in principle steer the sketch.
-//   - kernel "incremental" maintains the exact pairwise Gram across rounds
-//     (vecmath.IncGram): each round pays Θ(n·d) to measure per-worker
-//     drift, brackets every pairwise distance with triangle-inequality
-//     bounds, exactly re-scores only the candidates those bounds cannot
-//     exclude, and refreshes the anchor when drift crosses a bound (or
-//     every RefreshEvery rounds). This mode is bit-identical to the exact
-//     kernel on every round — the candidate-set proof is in
-//     internal/gar/sketched.go — and the wrapper resets its anchor on any
-//     non-consecutive round (gar.RoundAware), so checkpoint resume and
-//     epoched membership stay bit-exact.
-//
-// Both kernels serialize like everything else:
+// at full dimension d. GARSpec's Kernel knob swaps in one sub-quadratic
+// kernel (gar.NewSketched) that keeps the registry, the pooled
+// AggregateInto fast path and the zero-allocation steady state. Kernel
+// "sketched" projects every gradient to SketchDim (default 32) coordinates
+// with a seed-derived Johnson–Lindenstrauss sketch (internal/randx —
+// SketchSeed, or the run Seed when 0, so every backend and every
+// parallelism width builds the identical projection), scores the sketch
+// Gram, shortlists the plausible winners, and re-scores only the shortlist
+// with exact full-dimension distances: Θ(n·d) projection + Θ(n²·k) sketch
+// distances + Θ(c·n·d) re-check. Krum, Multi-Krum and every Bulyan
+// iteration run the same shortlist step; MDA shortlists centers by sketch
+// diameter instead. Selection is property-tested to match the exact kernel
+// on the battery fixtures; it is an approximation, not a bit-identity
+// contract — an adversarial cloud can in principle steer the sketch —
+// which is why it is an explicit choice and never a default:
 //
 //	s.GAR = dpbyz.GARSpec{Name: "krum", N: 1024, F: 10, Kernel: "sketched"}
 //
-// and BENCH_gar_scale.json records the measured grid (n up to 1024, d up
-// to 10⁶): at n = 1024 one Krum round is 11–18x faster sketched and
-// 21–137x faster incremental (d = 10⁶: 911s → 6.6s between refreshes);
-// at n = 64 the shortlist covers most of the cohort and the exact kernel
-// is the right choice.
+// BENCH_gar_scale.json records the measured grid (n up to 1024, d up to
+// 10⁶): at n = 1024 one Krum round is 11–18x faster sketched; at n = 64 the
+// shortlist covers most of the cohort and the exact kernel is the right
+// choice. (The file's "incremental" rows belong to a cross-round kernel
+// that was retired: under the paper's per-round DP noise it re-anchored on
+// every round. A Spec that still names it is rejected with a pointer to
+// "exact", which computes the identical trajectory.)
 //
 // At the experiment level, RunFigure and RunEpsilonSweep fan their
 // (condition, seed) cells across a bounded worker pool with per-seed

@@ -61,8 +61,10 @@ func NewIPM() *IPM {
 func (a *IPM) Name() string { return "ipm" }
 
 // SetGAR implements GARAware: it arms the line search with the server's
-// rule. The rule must be safe for concurrent aggregation (every built-in rule
-// is); the attack itself is not safe for concurrent Craft calls.
+// rule. Craft aggregates with it on the caller's goroutine, so a rule handed
+// to several attackers (or also to a server) must be safe for concurrent
+// aggregation — the registry rules are, gar.Sketched is not and needs one
+// instance per user. The attack itself is not safe for concurrent Craft calls.
 func (a *IPM) SetGAR(g gar.GAR) { a.rule = g }
 
 // Craft implements Attack.

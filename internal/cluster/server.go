@@ -248,8 +248,7 @@ type roundPlan struct {
 // newRoundPlan normalises a validated config. A fixed cohort is the
 // population that never changes: Min = Max = GAR.N(), one epoch spanning the
 // run (its only boundary is the one every run opens with), the configured
-// rule itself every time — so a stateful gar.RoundAware kernel keeps its
-// cross-round state — and Quorum, or n, as the commit target.
+// rule itself every time, and Quorum, or n, as the commit target.
 func newRoundPlan(cfg *ServerConfig) roundPlan {
 	if mc := cfg.Membership; mc != nil {
 		return roundPlan{
@@ -620,11 +619,6 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 		}
 		table.Commit()
 
-		// Stateful kernels observe the round counter (see gar.RoundAware):
-		// a round jump after a resume re-anchors their cross-round state.
-		if ra, ok := epochGAR.(gar.RoundAware); ok {
-			ra.BeginRound(step)
-		}
 		if err := gar.AggregateInto(epochGAR, agg, submissions); err != nil {
 			return fail(fmt.Errorf("cluster: round %d aggregate: %w", step, err))
 		}

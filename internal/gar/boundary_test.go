@@ -36,9 +36,9 @@ func TestConstructorBoundaryBattery(t *testing.T) {
 			minN: func(f int) int { return 2*f + 3 },
 			ctor: func(n, f int) (GAR, error) { return NewSketched("krum", n, f, SketchOptions{SketchDim: 4}) },
 		},
-		"incremental-bulyan": {
+		"sketched-bulyan": {
 			minN: func(f int) int { return 4*f + 3 },
-			ctor: func(n, f int) (GAR, error) { return NewSketched("bulyan", n, f, SketchOptions{Incremental: true}) },
+			ctor: func(n, f int) (GAR, error) { return NewSketched("bulyan", n, f, SketchOptions{SketchDim: 4}) },
 		},
 	}
 	const d = 9

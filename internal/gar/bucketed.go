@@ -31,7 +31,7 @@ const DefaultBucketSize = 2
 // translation-equivariance, outlier-clipping and empirical-(α,f) tests plus
 // seed determinism instead.
 type Bucketed struct {
-	n, f  int
+	ruleBase
 	size  int
 	seed  uint64
 	inner GAR
@@ -70,10 +70,11 @@ func NewBucketed(inner string, n, f, size int, seed uint64) (*Bucketed, error) {
 			inner, m, size, n, err)
 	}
 	b := &Bucketed{
-		n: n, f: f, size: size, seed: seed, inner: in, m: m,
+		size: size, seed: seed, inner: in, m: m,
 		assign: make([]int, n),
 		counts: make([]int, m),
 	}
+	b.bind("bucketed("+in.Name()+")", n, f, b)
 	// Deal a seed-derived shuffle into consecutive buckets of width s:
 	// bucket k owns positions [k·s, (k+1)·s) of the permutation.
 	perm := randx.New(seed).Derive('b', 'u', 'c', 'k').PermInto(make([]int, n))
@@ -84,15 +85,6 @@ func NewBucketed(inner string, n, f, size int, seed uint64) (*Bucketed, error) {
 	}
 	return b, nil
 }
-
-// Name implements GAR; e.g. "bucketed(krum)".
-func (b *Bucketed) Name() string { return "bucketed(" + b.inner.Name() + ")" }
-
-// N implements GAR.
-func (b *Bucketed) N() int { return b.n }
-
-// F implements GAR.
-func (b *Bucketed) F() int { return b.f }
 
 // Buckets returns the bucket count m = ⌈n/s⌉.
 func (b *Bucketed) Buckets() int { return b.m }
@@ -124,11 +116,6 @@ func (b *Bucketed) KF() float64 {
 		}
 	}
 	return inner * math.Sqrt(float64(minFill))
-}
-
-// Aggregate implements GAR.
-func (b *Bucketed) Aggregate(grads [][]float64) ([]float64, error) {
-	return aggregateAlloc(b, grads)
 }
 
 // AggregateInto implements IntoAggregator: bucket means are accumulated in

@@ -22,7 +22,7 @@ import (
 // the step's submissions and τ defaults to the median distance to v₀,
 // making the rule scale-equivariant.
 type CenteredClip struct {
-	n, f int
+	ruleBase
 	// Radius is the clipping radius τ; 0 selects the median distance to
 	// the starting center each call (adaptive, scale-equivariant).
 	Radius float64
@@ -45,25 +45,13 @@ func NewCenteredClip(n, f int) (*CenteredClip, error) {
 		return nil, fmt.Errorf("%w: centeredclip needs 2f < n (n=%d, f=%d)",
 			ErrBadByzantineCount, n, f)
 	}
-	return &CenteredClip{n: n, f: f, Iters: 3}, nil
+	c := &CenteredClip{Iters: 3}
+	c.bind("centeredclip", n, f, c)
+	return c, nil
 }
-
-// Name implements GAR.
-func (c *CenteredClip) Name() string { return "centeredclip" }
-
-// N implements GAR.
-func (c *CenteredClip) N() int { return c.n }
-
-// F implements GAR.
-func (c *CenteredClip) F() int { return c.f }
 
 // KF implements GAR: no VN-ratio constant is derived in the paper.
 func (c *CenteredClip) KF() float64 { return 0 }
-
-// Aggregate implements GAR.
-func (c *CenteredClip) Aggregate(grads [][]float64) ([]float64, error) {
-	return aggregateAlloc(c, grads)
-}
 
 // AggregateInto implements IntoAggregator.
 //

@@ -70,15 +70,39 @@ func AggregateInto(g GAR, dst []float64, grads [][]float64) error {
 	return nil
 }
 
-// aggregateAlloc adapts an AggregateInto implementation to the allocating
-// Aggregate signature.
-func aggregateAlloc(ia IntoAggregator, grads [][]float64) ([]float64, error) {
+// ruleBase carries what every rule answers the same way — its registry
+// name, the (n, f) it was constructed for and the allocating Aggregate — so
+// a rule itself is its constructor check, its KF and its AggregateInto.
+type ruleBase struct {
+	name string
+	n, f int
+	into IntoAggregator // the embedding rule; Aggregate runs its AggregateInto
+}
+
+// bind fills the base; every constructor calls it with the rule it is
+// building as self.
+func (b *ruleBase) bind(name string, n, f int, self IntoAggregator) {
+	*b = ruleBase{name: name, n: n, f: f, into: self}
+}
+
+// Name implements GAR.
+func (b *ruleBase) Name() string { return b.name }
+
+// N implements GAR.
+func (b *ruleBase) N() int { return b.n }
+
+// F implements GAR.
+func (b *ruleBase) F() int { return b.f }
+
+// Aggregate implements GAR: the allocating wrapper over the embedding
+// rule's AggregateInto.
+func (b *ruleBase) Aggregate(grads [][]float64) ([]float64, error) {
 	var d int
 	if len(grads) > 0 {
 		d = len(grads[0])
 	}
 	out := make([]float64, d)
-	if err := ia.AggregateInto(out, grads); err != nil {
+	if err := b.into.AggregateInto(out, grads); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -136,9 +160,7 @@ func checkNF(n, f int) error {
 
 // Average is the non-robust baseline F = (1/n)·Σ g_i used by the paper's
 // trusted-server scenario (Eq. 1). It tolerates zero Byzantine workers.
-type Average struct {
-	n int
-}
+type Average struct{ ruleBase }
 
 var (
 	_ GAR            = (*Average)(nil)
@@ -150,25 +172,13 @@ func NewAverage(n int) (*Average, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: n = %d", ErrBadWorkerCount, n)
 	}
-	return &Average{n: n}, nil
+	a := &Average{}
+	a.bind("average", n, 0, a)
+	return a, nil
 }
-
-// Name implements GAR.
-func (a *Average) Name() string { return "average" }
-
-// N implements GAR.
-func (a *Average) N() int { return a.n }
-
-// F implements GAR: averaging tolerates no Byzantine workers.
-func (a *Average) F() int { return 0 }
 
 // KF implements GAR: no resilience bound.
 func (a *Average) KF() float64 { return 0 }
-
-// Aggregate implements GAR.
-func (a *Average) Aggregate(grads [][]float64) ([]float64, error) {
-	return aggregateAlloc(a, grads)
-}
 
 // AggregateInto implements IntoAggregator.
 //
@@ -182,9 +192,7 @@ func (a *Average) AggregateInto(dst []float64, grads [][]float64) error {
 
 // Median is the coordinate-wise median rule of Yin et al. (2018); the paper
 // lists k_F(n, f) = 1/√(n − f) under the assumption 2f ≤ n − 1.
-type Median struct {
-	n, f int
-}
+type Median struct{ ruleBase }
 
 var (
 	_ GAR            = (*Median)(nil)
@@ -200,25 +208,13 @@ func NewMedian(n, f int) (*Median, error) {
 		return nil, fmt.Errorf("%w: median needs 2f <= n-1 (n=%d, f=%d)",
 			ErrBadByzantineCount, n, f)
 	}
-	return &Median{n: n, f: f}, nil
+	m := &Median{}
+	m.bind("median", n, f, m)
+	return m, nil
 }
-
-// Name implements GAR.
-func (m *Median) Name() string { return "median" }
-
-// N implements GAR.
-func (m *Median) N() int { return m.n }
-
-// F implements GAR.
-func (m *Median) F() int { return m.f }
 
 // KF implements GAR: 1/√(n − f) (paper, proof of Prop. 2).
 func (m *Median) KF() float64 { return 1 / math.Sqrt(float64(m.n-m.f)) }
-
-// Aggregate implements GAR.
-func (m *Median) Aggregate(grads [][]float64) ([]float64, error) {
-	return aggregateAlloc(m, grads)
-}
 
 // AggregateInto implements IntoAggregator.
 //
@@ -232,9 +228,7 @@ func (m *Median) AggregateInto(dst []float64, grads [][]float64) error {
 
 // TrimmedMean is the coordinate-wise f-trimmed mean of Yin et al. (2018);
 // k_F(n, f) = √((n − 2f)² / (2(f+1)(n − f))) (paper, proof of Prop. 3).
-type TrimmedMean struct {
-	n, f int
-}
+type TrimmedMean struct{ ruleBase }
 
 var (
 	_ GAR            = (*TrimmedMean)(nil)
@@ -250,27 +244,15 @@ func NewTrimmedMean(n, f int) (*TrimmedMean, error) {
 		return nil, fmt.Errorf("%w: trimmed mean needs 2f < n (n=%d, f=%d)",
 			ErrBadByzantineCount, n, f)
 	}
-	return &TrimmedMean{n: n, f: f}, nil
+	t := &TrimmedMean{}
+	t.bind("trimmedmean", n, f, t)
+	return t, nil
 }
-
-// Name implements GAR.
-func (t *TrimmedMean) Name() string { return "trimmedmean" }
-
-// N implements GAR.
-func (t *TrimmedMean) N() int { return t.n }
-
-// F implements GAR.
-func (t *TrimmedMean) F() int { return t.f }
 
 // KF implements GAR.
 func (t *TrimmedMean) KF() float64 {
 	n, f := float64(t.n), float64(t.f)
 	return math.Sqrt((n - 2*f) * (n - 2*f) / (2 * (f + 1) * (n - f)))
-}
-
-// Aggregate implements GAR.
-func (t *TrimmedMean) Aggregate(grads [][]float64) ([]float64, error) {
-	return aggregateAlloc(t, grads)
 }
 
 // AggregateInto implements IntoAggregator.
@@ -286,9 +268,7 @@ func (t *TrimmedMean) AggregateInto(dst []float64, grads [][]float64) error {
 // Meamed is the mean-around-median rule of Xie et al. (2018): per
 // coordinate, the average of the n − f values closest to the median;
 // k_F(n, f) = 1/√(10(n − f)) (paper, proof of Prop. 2).
-type Meamed struct {
-	n, f int
-}
+type Meamed struct{ ruleBase }
 
 var (
 	_ GAR            = (*Meamed)(nil)
@@ -304,25 +284,13 @@ func NewMeamed(n, f int) (*Meamed, error) {
 		return nil, fmt.Errorf("%w: meamed needs 2f <= n-1 (n=%d, f=%d)",
 			ErrBadByzantineCount, n, f)
 	}
-	return &Meamed{n: n, f: f}, nil
+	m := &Meamed{}
+	m.bind("meamed", n, f, m)
+	return m, nil
 }
-
-// Name implements GAR.
-func (m *Meamed) Name() string { return "meamed" }
-
-// N implements GAR.
-func (m *Meamed) N() int { return m.n }
-
-// F implements GAR.
-func (m *Meamed) F() int { return m.f }
 
 // KF implements GAR.
 func (m *Meamed) KF() float64 { return 1 / math.Sqrt(10*float64(m.n-m.f)) }
-
-// Aggregate implements GAR.
-func (m *Meamed) Aggregate(grads [][]float64) ([]float64, error) {
-	return aggregateAlloc(m, grads)
-}
 
 // AggregateInto implements IntoAggregator.
 //
@@ -339,9 +307,7 @@ func (m *Meamed) AggregateInto(dst []float64, grads [][]float64) error {
 // k_F(n, f) = √(4 + (n − 2f)²/(12(f+1)(n − f)))⁻¹-style constants via its
 // Prop. 3 derivation; we expose the constant exactly as the appendix states
 // it (see KF).
-type Phocas struct {
-	n, f int
-}
+type Phocas struct{ ruleBase }
 
 var (
 	_ GAR            = (*Phocas)(nil)
@@ -357,28 +323,16 @@ func NewPhocas(n, f int) (*Phocas, error) {
 		return nil, fmt.Errorf("%w: phocas needs 2f < n (n=%d, f=%d)",
 			ErrBadByzantineCount, n, f)
 	}
-	return &Phocas{n: n, f: f}, nil
+	p := &Phocas{}
+	p.bind("phocas", n, f, p)
+	return p, nil
 }
-
-// Name implements GAR.
-func (p *Phocas) Name() string { return "phocas" }
-
-// N implements GAR.
-func (p *Phocas) N() int { return p.n }
-
-// F implements GAR.
-func (p *Phocas) F() int { return p.f }
 
 // KF implements GAR: the appendix of the paper uses
 // k_F(n, f) = √(4 + (n − 2f)²/(12(f+1)(n − f))) in the Prop. 3 proof.
 func (p *Phocas) KF() float64 {
 	n, f := float64(p.n), float64(p.f)
 	return math.Sqrt(4 + (n-2*f)*(n-2*f)/(12*(f+1)*(n-f)))
-}
-
-// Aggregate implements GAR.
-func (p *Phocas) Aggregate(grads [][]float64) ([]float64, error) {
-	return aggregateAlloc(p, grads)
 }
 
 // phocasVal is one coordinate's candidate in the Phocas selection.

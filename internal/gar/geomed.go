@@ -16,7 +16,7 @@ import (
 // experimentally (its k_F is not derived in the paper, so KF reports 0 and
 // the analytical Table-1 calculators skip it).
 type GeoMed struct {
-	n, f int
+	ruleBase
 	// MaxIters bounds the Weiszfeld iterations (default 100).
 	MaxIters int
 	// Tol is the convergence threshold on the iterate movement
@@ -39,27 +39,14 @@ func NewGeoMed(n, f int) (*GeoMed, error) {
 		return nil, fmt.Errorf("%w: geomed needs 2f < n (n=%d, f=%d)",
 			ErrBadByzantineCount, n, f)
 	}
-	return &GeoMed{n: n, f: f, MaxIters: 100, Tol: 1e-10}, nil
+	g := &GeoMed{MaxIters: 100, Tol: 1e-10}
+	g.bind("geomed", n, f, g)
+	return g, nil
 }
-
-// Name implements GAR.
-func (g *GeoMed) Name() string { return "geomed" }
-
-// N implements GAR.
-func (g *GeoMed) N() int { return g.n }
-
-// F implements GAR.
-func (g *GeoMed) F() int { return g.f }
 
 // KF implements GAR. The paper derives no VN-ratio constant for the
 // geometric median, so none is claimed.
 func (g *GeoMed) KF() float64 { return 0 }
-
-// Aggregate implements GAR via smoothed Weiszfeld iterations started at
-// the coordinate-wise median.
-func (g *GeoMed) Aggregate(grads [][]float64) ([]float64, error) {
-	return aggregateAlloc(g, grads)
-}
 
 // AggregateInto implements IntoAggregator.
 //

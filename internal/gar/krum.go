@@ -83,9 +83,7 @@ func lexLess(a, b []float64) bool {
 // Krum is the rule of Blanchard et al. (2017): it outputs the single
 // gradient with the smallest Krum score. It requires n > 2f + 2 and the
 // paper lists k_F(n, f) = 1/√(2η(n, f)).
-type Krum struct {
-	n, f int
-}
+type Krum struct{ ruleBase }
 
 var (
 	_ GAR            = (*Krum)(nil)
@@ -101,25 +99,13 @@ func NewKrum(n, f int) (*Krum, error) {
 		return nil, fmt.Errorf("%w: krum needs n > 2f+2 (n=%d, f=%d)",
 			ErrBadByzantineCount, n, f)
 	}
-	return &Krum{n: n, f: f}, nil
+	k := &Krum{}
+	k.bind("krum", n, f, k)
+	return k, nil
 }
-
-// Name implements GAR.
-func (k *Krum) Name() string { return "krum" }
-
-// N implements GAR.
-func (k *Krum) N() int { return k.n }
-
-// F implements GAR.
-func (k *Krum) F() int { return k.f }
 
 // KF implements GAR: 1/√(2η(n, f)).
 func (k *Krum) KF() float64 { return 1 / math.Sqrt(2*krumEta(k.n, k.f)) }
-
-// Aggregate implements GAR.
-func (k *Krum) Aggregate(grads [][]float64) ([]float64, error) {
-	return aggregateAlloc(k, grads)
-}
 
 // AggregateInto implements IntoAggregator.
 //
@@ -144,7 +130,8 @@ func (k *Krum) AggregateInto(dst []float64, grads [][]float64) error {
 // MultiKrum averages the m gradients with the smallest Krum scores
 // (Blanchard et al. 2017, §4). With m = 1 it degenerates to Krum.
 type MultiKrum struct {
-	n, f, m int
+	ruleBase
+	m int
 }
 
 var (
@@ -165,28 +152,16 @@ func NewMultiKrum(n, f, m int) (*MultiKrum, error) {
 	if m < 1 || m > n-f-2 {
 		return nil, fmt.Errorf("gar: multi-krum m = %d out of range [1, %d]", m, n-f-2)
 	}
-	return &MultiKrum{n: n, f: f, m: m}, nil
+	mk := &MultiKrum{m: m}
+	mk.bind("multikrum", n, f, mk)
+	return mk, nil
 }
-
-// Name implements GAR.
-func (mk *MultiKrum) Name() string { return "multikrum" }
-
-// N implements GAR.
-func (mk *MultiKrum) N() int { return mk.n }
-
-// F implements GAR.
-func (mk *MultiKrum) F() int { return mk.f }
 
 // M returns the selection size.
 func (mk *MultiKrum) M() int { return mk.m }
 
 // KF implements GAR: Multi-Krum inherits Krum's constant.
 func (mk *MultiKrum) KF() float64 { return 1 / math.Sqrt(2*krumEta(mk.n, mk.f)) }
-
-// Aggregate implements GAR.
-func (mk *MultiKrum) Aggregate(grads [][]float64) ([]float64, error) {
-	return aggregateAlloc(mk, grads)
-}
 
 // AggregateInto implements IntoAggregator.
 //
@@ -235,9 +210,7 @@ func selectByScore(out [][]float64, idx []int, grads [][]float64, scores []float
 // the average of the β = θ − 2f values closest to the coordinate-wise
 // median of the selection. It requires n ≥ 4f + 3 and shares Krum's
 // k_F(n, f) in the paper's Table 1.
-type Bulyan struct {
-	n, f int
-}
+type Bulyan struct{ ruleBase }
 
 var (
 	_ GAR            = (*Bulyan)(nil)
@@ -253,25 +226,13 @@ func NewBulyan(n, f int) (*Bulyan, error) {
 		return nil, fmt.Errorf("%w: bulyan needs n >= 4f+3 (n=%d, f=%d)",
 			ErrBadByzantineCount, n, f)
 	}
-	return &Bulyan{n: n, f: f}, nil
+	b := &Bulyan{}
+	b.bind("bulyan", n, f, b)
+	return b, nil
 }
-
-// Name implements GAR.
-func (b *Bulyan) Name() string { return "bulyan" }
-
-// N implements GAR.
-func (b *Bulyan) N() int { return b.n }
-
-// F implements GAR.
-func (b *Bulyan) F() int { return b.f }
 
 // KF implements GAR: the paper groups Bulyan with Krum.
 func (b *Bulyan) KF() float64 { return 1 / math.Sqrt(2*krumEta(b.n, b.f)) }
-
-// Aggregate implements GAR.
-func (b *Bulyan) Aggregate(grads [][]float64) ([]float64, error) {
-	return aggregateAlloc(b, grads)
-}
 
 // AggregateInto implements IntoAggregator.
 //
@@ -330,15 +291,26 @@ func (b *Bulyan) AggregateInto(dst []float64, grads [][]float64) error {
 				}
 			}
 		} else {
-			for ai := 1; ai < m; ai++ {
-				ni, np := vecmath.SqNorm(grads[alive[ai]]), vecmath.SqNorm(grads[alive[pick]])
-				if ni < np || (ni == np && lexLess(grads[alive[ai]], grads[alive[pick]])) {
-					pick = ai
-				}
-			}
+			pick = minNormAlive(grads, alive)
 		}
 		selected = append(selected, grads[alive[pick]])
 		alive = append(alive[:pick], alive[pick+1:]...)
 	}
 	return vecmath.MeanAroundMedianInto(dst, selected, beta)
+}
+
+// minNormAlive is Bulyan's tail selection, used once too few rows are alive
+// to support a Krum neighbourhood: the position in alive of the gradient
+// with the smallest norm, ties broken by lexLess.
+//
+//dpbyz:hotpath
+func minNormAlive(grads [][]float64, alive []int) int {
+	pick := 0
+	for ai := 1; ai < len(alive); ai++ {
+		ni, np := vecmath.SqNorm(grads[alive[ai]]), vecmath.SqNorm(grads[alive[pick]])
+		if ni < np || (ni == np && lexLess(grads[alive[ai]], grads[alive[pick]])) {
+			pick = ai
+		}
+	}
+	return pick
 }

@@ -22,7 +22,7 @@ const DefaultMDAMaxEnumerate = 200_000
 // uses a near-neighbourhood greedy heuristic (for each gradient, the
 // candidate subset of it plus its n−f−1 nearest neighbours).
 type MDA struct {
-	n, f int
+	ruleBase
 	// MaxEnumerate caps the exact search; exposed for the ablation bench.
 	MaxEnumerate int
 }
@@ -42,17 +42,10 @@ func NewMDA(n, f int) (*MDA, error) {
 		return nil, fmt.Errorf("%w: mda needs 2f < n (n=%d, f=%d)",
 			ErrBadByzantineCount, n, f)
 	}
-	return &MDA{n: n, f: f, MaxEnumerate: DefaultMDAMaxEnumerate}, nil
+	m := &MDA{MaxEnumerate: DefaultMDAMaxEnumerate}
+	m.bind("mda", n, f, m)
+	return m, nil
 }
-
-// Name implements GAR.
-func (m *MDA) Name() string { return "mda" }
-
-// N implements GAR.
-func (m *MDA) N() int { return m.n }
-
-// F implements GAR.
-func (m *MDA) F() int { return m.f }
 
 // KF implements GAR: (n − f)/(√8·f); +Inf when f = 0 (nothing to tolerate).
 func (m *MDA) KF() float64 {
@@ -60,11 +53,6 @@ func (m *MDA) KF() float64 {
 		return math.Inf(1)
 	}
 	return float64(m.n-m.f) / (math.Sqrt(8) * float64(m.f))
-}
-
-// Aggregate implements GAR.
-func (m *MDA) Aggregate(grads [][]float64) ([]float64, error) {
-	return aggregateAlloc(m, grads)
 }
 
 // AggregateInto implements IntoAggregator.

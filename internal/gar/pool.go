@@ -1,6 +1,9 @@
 package gar
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // scratch bundles every buffer an AggregateInto call needs — gradient-sized
 // iterates, n-sized score columns, the shared n×n Gram (pairwise squared
@@ -13,8 +16,7 @@ import "sync"
 type scratch struct {
 	vecA, vecB       []float64 // gradient-sized (d) iterates and accumulators
 	scores           []float64 // per-worker (n) scores / distances
-	scoresB          []float64 // second score column (sketched lower bounds / sketch scores)
-	scoresC          []float64 // third score column (sketched upper bounds)
+	scoresB          []float64 // second score column (sketch-space scores)
 	row              []float64 // Krum neighbour-distance row (n-1)
 	gramFlat         []float64 // backing store of the Gram matrix (n·n)
 	gram             [][]float64
@@ -61,12 +63,17 @@ func (s *scratch) square(n int) [][]float64 {
 	return rows
 }
 
-// square2 returns a second, independent n×n matrix view; the sketched
-// kernels hold the sketch Gram in square and the exact-pair cache here.
+// nanSquare returns a second, independent n×n matrix view with every entry
+// NaN: the sketched kernels hold the sketch Gram in square and the exact-pair
+// cache here, NaN meaning "not computed yet" (see cachedSqDist).
 //
 //dpbyz:scratch
-func (s *scratch) square2(n int) [][]float64 {
+//dpbyz:hotpath
+func (s *scratch) nanSquare(n int) [][]float64 {
 	flat := grow(&s.gram2Flat, n*n)
+	for i := range flat {
+		flat[i] = math.NaN()
+	}
 	rows := grow(&s.gram2, n)
 	for i := range rows {
 		rows[i] = flat[i*n : (i+1)*n]

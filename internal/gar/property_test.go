@@ -2,6 +2,7 @@ package gar
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dpbyz/internal/randx"
@@ -20,12 +21,22 @@ const (
 	propertyD = 16
 )
 
-// batteryRules builds every registry rule at the battery size.
+// sketchedNames are the sketched wrapper's builds, by the name they report.
+var sketchedNames = []string{"sketched(krum)", "sketched(multikrum)", "sketched(bulyan)", "sketched(mda)"}
+
+// batteryRules builds every named rule at the battery size: registry names
+// through New, "sketched(inner)" through NewSketched.
 func batteryRules(t *testing.T, names []string) map[string]GAR {
 	t.Helper()
 	out := make(map[string]GAR, len(names))
 	for _, name := range names {
-		g, err := New(name, propertyN, propertyF)
+		var g GAR
+		var err error
+		if inner, ok := strings.CutPrefix(name, "sketched("); ok {
+			g, err = NewSketched(strings.TrimSuffix(inner, ")"), propertyN, propertyF, SketchOptions{})
+		} else {
+			g, err = New(name, propertyN, propertyF)
+		}
 		if err != nil {
 			t.Fatalf("rule %q rejects n=%d f=%d: %v", name, propertyN, propertyF, err)
 		}
@@ -49,9 +60,10 @@ func gaussianCloud(rng *randx.Stream, n, d int, sigma float64) (cloud [][]float6
 
 // Permutation invariance: a GAR must not care which worker sent which
 // gradient — F(X∘π) = F(X) for every permutation π. Catches index-dependent
-// tie-breaking and trim bookkeeping bugs.
+// tie-breaking and trim bookkeeping bugs — including the sketched wrapper's
+// shortlist, whose lexLess tie-break claims exactly this.
 func TestPropertyPermutationInvariance(t *testing.T) {
-	rules := batteryRules(t, Names())
+	rules := batteryRules(t, append(Names(), sketchedNames...))
 	for name, g := range rules {
 		t.Run(name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 10; seed++ {

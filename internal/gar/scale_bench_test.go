@@ -13,14 +13,11 @@ import (
 // DPBYZ_GAR_SCALE_FULL=1.
 func scaleFull() bool { return os.Getenv("DPBYZ_GAR_SCALE_FULL") != "" }
 
-// BenchmarkGARScale is the tentpole's benchmark of record: one Krum round
-// at n ∈ {64, 256, 1024}, d ∈ {10⁴, 10⁶}, f = 10, across the kernel modes.
+// BenchmarkGARScale is the kernel knob's developer benchmark: one Krum round
+// at n ∈ {64, 256, 1024}, d ∈ {10⁴, 10⁶}, f = 10, exact against sketched.
 // "exact" is the flat Θ(n²·d) rule; "sketched" replaces the pairwise pass
-// with Θ(n·d) JL projection + Θ(n²·k) sketch distances + Θ(c·n·d) exact re-check of the shortlist;
-// "incremental" pays Θ(n·d) drift measurement per steady-state round (the
-// benchmark holds the cohort still, so the amortized Refresh cost is pushed
-// out by a large RefreshEvery — a drifting cohort refreshes every ~16 rounds
-// and re-pays one exact pass).
+// with Θ(n·d) JL projection + Θ(n²·k) sketch distances + Θ(c·n·d) exact
+// re-check of the shortlist.
 func BenchmarkGARScale(b *testing.B) {
 	modes := []struct {
 		name  string
@@ -29,9 +26,6 @@ func BenchmarkGARScale(b *testing.B) {
 		{"exact", func(n, f int) (GAR, error) { return New("krum", n, f) }},
 		{"sketched", func(n, f int) (GAR, error) {
 			return NewSketched("krum", n, f, SketchOptions{Seed: 1})
-		}},
-		{"incremental", func(n, f int) (GAR, error) {
-			return NewSketched("krum", n, f, SketchOptions{Incremental: true, RefreshEvery: 1 << 30})
 		}},
 	}
 	const f = 10
@@ -51,8 +45,8 @@ func BenchmarkGARScale(b *testing.B) {
 					}
 					grads := benchGrads(n, d)
 					dst := make([]float64, d)
-					// Warm the pools, the lazy sketcher and the incremental
-					// anchor so the loop measures the steady state.
+					// Warm the pools and the lazy sketcher so the loop measures
+					// the steady state.
 					if err := AggregateInto(g, dst, grads); err != nil {
 						b.Fatal(err)
 					}

@@ -681,13 +681,6 @@ func (r *runner) step(step int) error {
 		r.accepted += r.n
 	}
 
-	// Stateful kernels (gar.RoundAware, e.g. the incremental sketched
-	// wrapper) observe the round counter: a non-consecutive step — resume
-	// from checkpoint, rollback — tells them their cross-round state
-	// describes a different timeline and must be re-anchored.
-	if ra, ok := r.rule.(gar.RoundAware); ok {
-		ra.BeginRound(step)
-	}
 	if err := gar.AggregateInto(r.rule, r.agg, r.submissions); err != nil {
 		return fmt.Errorf("simulate: step %d aggregate: %w", step, err)
 	}

@@ -109,7 +109,14 @@ func workerConfig(s *Spec, o *runOptions, m *materialized, id int, addr string) 
 			return cluster.WorkerConfig{}, fmt.Errorf("spec: worker %d attack: %w", id, err)
 		}
 		if ga, ok := a.(attack.GARAware); ok {
-			ga.SetGAR(m.gar)
+			// Its own rule too, not m.gar: the server goroutine and the other
+			// Byzantine workers aggregate concurrently, and a rule may be
+			// stateful (gar.Sketched builds its sketcher lazily).
+			rule, err := s.NewGARFactory()(s.GAR.N, s.GAR.F)
+			if err != nil {
+				return cluster.WorkerConfig{}, fmt.Errorf("spec: worker %d rule: %w", id, err)
+			}
+			ga.SetGAR(rule)
 		}
 		cfg.Attack = a
 	}

@@ -30,6 +30,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"gar":{"name":"krum","n":-4,"f":9}}`))            // bad system size
 	f.Add([]byte(`{"membership":{"minWorkers":2,"evictAfter":3}}`))  // unknown membership field
 	f.Add([]byte(`{"membership":{"minWorkers":9,"maxWorkers":4,"fRatio":0.9,"epochRounds":0}}`))
+	f.Add([]byte(`{"gar":{"name":"krum","n":11,"f":2,"kernel":"incremental"},"steps":10,"batchSize":4,"learningRate":1,"data":{"n":50,"features":3}}`)) // retired kernel
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`{"seed":18446744073709551615}`)) // max uint64
 	f.Add([]byte(``))

@@ -171,11 +171,12 @@ type GARSpec struct {
 	F int `json:"f"`
 	// Kernel selects the Krum-family kernel implementation: "exact" (the
 	// default) runs the full pairwise pass; "sketched" shortlists
-	// candidates from JL sketch distances and re-checks them exactly;
-	// "incremental" maintains drift-bounded distance bounds across rounds
-	// and is provably bit-identical to "exact". Non-exact kernels require
-	// a rule gar.SketchSupported reports true for, and do not compose
-	// with the bucketed topology (buckets are already few).
+	// candidates from JL sketch distances and re-checks them exactly — an
+	// approximation, so it is never chosen silently. "sketched" requires
+	// a rule gar.SketchSupported reports true for, and does not compose
+	// with the bucketed topology (buckets are already few). The retired
+	// value "incremental" is rejected by name: "exact" reproduces its
+	// trajectory bit for bit.
 	Kernel string `json:"kernel,omitempty"`
 	// SketchDim is the JL sketch dimension (0 selects
 	// gar.DefaultSketchDim); only valid with kernel "sketched".
@@ -199,11 +200,7 @@ func (g *GARSpec) sketchOptions(runSeed uint64) gar.SketchOptions {
 	if seed == 0 {
 		seed = runSeed
 	}
-	return gar.SketchOptions{
-		SketchDim:   g.SketchDim,
-		Seed:        seed,
-		Incremental: g.kernel() == "incremental",
-	}
+	return gar.SketchOptions{SketchDim: g.SketchDim, Seed: seed}
 }
 
 // TopologySpec selects the aggregation topology.
@@ -424,7 +421,7 @@ func (s *Spec) NewGARFactory() func(n, f int) (gar.GAR, error) {
 			return gar.NewBucketed(name, n, f, size, seed)
 		}
 	}
-	if s.GAR.kernel() != "exact" {
+	if s.GAR.kernel() == "sketched" {
 		opt := s.GAR.sketchOptions(s.Seed)
 		return func(n, f int) (gar.GAR, error) {
 			return gar.NewSketched(name, n, f, opt)
@@ -468,15 +465,14 @@ func (s *Spec) Validate() error {
 		if s.GAR.SketchDim != 0 || s.GAR.SketchSeed != 0 {
 			return fmt.Errorf("spec: gar.sketchDim/sketchSeed need kernel \"sketched\", not %q", k)
 		}
-	case "sketched", "incremental":
+	case "sketched":
 		if s.Topology.name() == "bucketed" {
 			return fmt.Errorf("spec: gar kernel %q does not compose with the bucketed topology "+
 				"(buckets are already few; sketch the flat rule instead)", k)
 		}
-		if k == "incremental" && (s.GAR.SketchDim != 0 || s.GAR.SketchSeed != 0) {
-			return fmt.Errorf("spec: gar.sketchDim/sketchSeed need kernel \"sketched\" " +
-				"(the incremental kernel has no sketch pass)")
-		}
+	case "incremental":
+		return errors.New("spec: gar kernel \"incremental\" was retired (under per-round DP noise it " +
+			"recomputed the exact pass every round); use \"exact\", which produces the bit-identical trajectory")
 	default:
 		return fmt.Errorf("spec: unknown gar kernel %q", k)
 	}

@@ -135,20 +135,12 @@ func TestSpecValidate(t *testing.T) {
 			s.Topology = nil
 			s.GAR = GARSpec{Name: "trimmedmean", N: 11, F: 2, Kernel: "sketched"}
 		},
-		"incremental mda": func(s *Spec) {
-			s.Topology = nil
-			s.GAR = GARSpec{Name: "mda", N: 11, F: 2, Kernel: "incremental"}
-		},
 		"kernel with bucketed topology": func(s *Spec) {
 			s.GAR = GARSpec{Name: "krum", N: 11, F: 2, Kernel: "sketched"}
 		},
 		"sketchDim without sketched": func(s *Spec) {
 			s.Topology = nil
 			s.GAR = GARSpec{Name: "krum", N: 11, F: 2, SketchDim: 16}
-		},
-		"sketchSeed with incremental": func(s *Spec) {
-			s.Topology = nil
-			s.GAR = GARSpec{Name: "krum", N: 11, F: 2, Kernel: "incremental", SketchSeed: 5}
 		},
 		"negative sketchDim": func(s *Spec) {
 			s.Topology = nil
@@ -159,6 +151,26 @@ func TestSpecValidate(t *testing.T) {
 		mutate(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	// The retired kernel is rejected by name with the migration spelled out
+	// (a fleet store may still hold a spec.json that selects it), whatever
+	// else the GAR block says.
+	for _, g := range []GARSpec{
+		{Name: "krum", N: 11, F: 2, Kernel: "incremental"},
+		{Name: "mda", N: 11, F: 2, Kernel: "incremental", SketchSeed: 5},
+	} {
+		s := fullSpec()
+		s.Topology = nil
+		s.GAR = g
+		err := s.Validate()
+		if err == nil {
+			t.Fatalf("retired kernel accepted for %s", g.Name)
+		}
+		for _, want := range []string{"retired", `"exact"`, "bit-identical"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("retired-kernel error for %s lacks %q: %v", g.Name, want, err)
+			}
 		}
 	}
 }

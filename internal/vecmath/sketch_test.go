@@ -107,63 +107,3 @@ func TestSketcherValidation(t *testing.T) {
 		t.Error("ProjectInto accepted wrong sketch dimension")
 	}
 }
-
-// TestIncGramBoundsSound checks, over a random walk of submissions, that the
-// triangle-inequality bounds always bracket the true squared distances and
-// tighten back to exact on Refresh.
-func TestIncGramBoundsSound(t *testing.T) {
-	const n, d, rounds = 9, 40, 12
-	rng := randx.New(23)
-	vs := make([][]float64, n)
-	for i := range vs {
-		vs[i] = make([]float64, d)
-		rng.NormalVec(vs[i], 1)
-	}
-	g := NewIncGram()
-	if g.Advance(vs) {
-		t.Fatal("Advance succeeded with no reference")
-	}
-	if err := g.Refresh(vs); err != nil {
-		t.Fatal(err)
-	}
-	step := make([]float64, d)
-	for r := 0; r < rounds; r++ {
-		for i := range vs {
-			rng.NormalVec(step, 0.05)
-			AddInto(vs[i], vs[i], step)
-		}
-		if !g.Advance(vs) {
-			t.Fatalf("round %d: Advance reported not-ready", r)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				lo, hi := g.BoundSq(i, j)
-				truth := SqDist(vs[i], vs[j])
-				if truth < lo-1e-9 || truth > hi+1e-9 {
-					t.Fatalf("round %d pair (%d,%d): true %v outside [%v, %v]",
-						r, i, j, truth, lo, hi)
-				}
-			}
-		}
-	}
-	if g.Rounds() != rounds {
-		t.Errorf("Rounds() = %d, want %d", g.Rounds(), rounds)
-	}
-	if err := g.Refresh(vs); err != nil {
-		t.Fatal(err)
-	}
-	if g.Refreshes() != 2 {
-		t.Errorf("Refreshes() = %d, want 2", g.Refreshes())
-	}
-	if !g.Advance(vs) {
-		t.Fatal("Advance after refresh failed")
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			lo, hi := g.BoundSq(i, j)
-			if lo != hi {
-				t.Fatalf("zero drift must pin the bounds: pair (%d,%d) [%v, %v]", i, j, lo, hi)
-			}
-		}
-	}
-}
