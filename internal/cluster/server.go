@@ -549,6 +549,10 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 		return nil, err
 	}
 
+	// bcast holds the round's params frame. The frame cap was checked once,
+	// by cfg.validate: a Dim-sized gradient frame fits MaxFrameBytes, and a
+	// params frame is three bytes shorter.
+	bcast := make([]byte, 0, frameHeaderSize+9+8*s.cfg.Dim)
 	for step := s.cfg.StartStep; step < s.cfg.Steps; step++ {
 		select {
 		case <-ctx.Done():
@@ -566,6 +570,11 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 		// the collection budget instead of stretching the round to ~2×
 		// RoundTimeout.
 		deadline := time.Now().Add(s.cfg.RoundTimeout)
+		// The params frame is the same for every member: encode it once and
+		// let each conn write the shared bytes. Transports copy or consume
+		// them before Write returns, so the buffer is free again when this
+		// (serial, view-ordered) loop ends.
+		bcast = appendParamsFrame(bcast[:0], Params{Step: step, Weights: w})
 		for i, wk := range members {
 			// A member whose conn was replaced mid-epoch stays in the frozen
 			// view as a mute: its rejoin is only admitted at the boundary,
@@ -574,8 +583,7 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 				members[i] = nil
 				continue
 			}
-			msg := Params{Step: step, Weights: w}
-			if err := wk.c.sendParams(msg, deadline); err != nil {
+			if err := wk.c.sendFrame(bcast, deadline); err != nil {
 				s.logf("broadcast to worker %d: %v (treating as mute)", wk.id, err)
 			}
 		}

@@ -1,6 +1,7 @@
 package gar
 
 import (
+	"math"
 	"testing"
 )
 
@@ -132,6 +133,72 @@ func TestBucketedBoundaryBattery(t *testing.T) {
 		}
 		if total != tc.n {
 			t.Errorf("bucketed(%s): bucket counts sum to %d, want %d", tc.inner, total, tc.n)
+		}
+	}
+}
+
+// TestNonFiniteSubmissionsAreContained pins the Byzantine non-finite
+// contract of the coordinate-wise rules. The server does not filter
+// submissions before the GAR, so f workers may send NaN, +Inf or −Inf: the
+// sorted-column kernel orders NaN first (like −∞), hence median and trimmed
+// mean trim them with the other extremes and return a finite value inside
+// the honest coordinate range — one NaN must never turn into a dead run.
+// For all four rules the d-wide aggregate must also be bit-equal to the rule
+// applied one coordinate at a time: a poisoned coordinate may not change its
+// neighbours' results, whichever path (tile or per-column fallback) they take.
+func TestNonFiniteSubmissionsAreContained(t *testing.T) {
+	const d = 700
+	nan, pinf, ninf := math.NaN(), math.Inf(1), math.Inf(-1)
+	kinds := map[string][]float64{
+		"nan":   {nan},
+		"+inf":  {pinf},
+		"-inf":  {ninf},
+		"mixed": {nan, pinf, ninf},
+	}
+	// Every coordinate, or one in 97 — at these n a tile of the kernel is at
+	// most 256 columns wide, so every tile still holds a poisoned column.
+	strides := map[string]int{"every-coordinate": 1, "one-per-tile": 97}
+	for _, nf := range []struct{ n, f int }{{16, 4}, {9, 2}} {
+		n, f := nf.n, nf.f
+		for kind, vals := range kinds {
+			for where, stride := range strides {
+				grads := cloudWithOutliers(n, 0, d, 1, 0.3, 0, uint64(n))
+				for i := 0; i < f; i++ {
+					for j := i % stride; j < d; j += stride {
+						grads[i][j] = vals[(i+j/stride)%len(vals)]
+					}
+				}
+				for _, name := range []string{"median", "trimmedmean", "meamed", "phocas"} {
+					g, err := New(name, n, f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out := make([]float64, d)
+					if err := AggregateInto(g, out, grads); err != nil {
+						t.Fatalf("%s n=%d %s %s: %v", name, n, kind, where, err)
+					}
+					one, column := make([]float64, 1), make([][]float64, n)
+					for j := range out {
+						lo, hi := pinf, ninf
+						for i, gr := range grads {
+							column[i] = gr[j : j+1]
+							if i >= f {
+								lo, hi = min(lo, gr[j]), max(hi, gr[j])
+							}
+						}
+						if err := AggregateInto(g, one, column); err != nil {
+							t.Fatal(err)
+						}
+						if math.Float64bits(out[j]) != math.Float64bits(one[0]) {
+							t.Fatalf("%s n=%d %s %s: out[%d] = %v, alone %v", name, n, kind, where, j, out[j], one[0])
+						}
+						if (name == "median" || name == "trimmedmean") && !(lo <= out[j] && out[j] <= hi) {
+							t.Fatalf("%s n=%d %s %s: out[%d] = %v outside the honest range [%v, %v]",
+								name, n, kind, where, j, out[j], lo, hi)
+						}
+					}
+				}
+			}
 		}
 	}
 }

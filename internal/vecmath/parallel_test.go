@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -239,15 +240,32 @@ func TestInlineKernelsZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	checks := []struct {
+	type check struct {
 		name string
 		fn   func()
-	}{
+	}
+	checks := []check{
 		{"CoordMedianInto", func() { _ = CoordMedianInto(dst, vs) }},
 		{"TrimmedCoordMeanInto", func() { _ = TrimmedCoordMeanInto(dst, vs, 4) }},
 		{"MeanAroundMedianInto", func() { _ = MeanAroundMedianInto(dst, vs, 6) }},
 		{"MeanInto", func() { _ = MeanInto(dst, vs) }},
 		{"PairwiseSqDistsInto", func() { _ = PairwiseSqDistsInto(gram, vs) }},
+	}
+	// The tiled sorted-column path at the benchmark's n = 16 and at n = 64,
+	// both with full-width tiles, and with a planted NaN so the per-tile
+	// fallback into reduceSortedColumnsRef (a nested getCol) is covered too.
+	for _, n := range []int{16, 64} {
+		d := 2*tileCols(n) + 3
+		wide, wdst := randMatrix(rng, n, d), make([]float64, d)
+		poisoned := randMatrix(rng, n, d)
+		poisoned[1][d-1] = math.NaN()
+		for _, in := range [][][]float64{wide, poisoned} {
+			checks = append(checks,
+				check{fmt.Sprintf("CoordMedianInto n=%d", n), func() { _ = CoordMedianInto(wdst, in) }},
+				check{fmt.Sprintf("TrimmedCoordMeanInto n=%d", n), func() { _ = TrimmedCoordMeanInto(wdst, in, n/4) }},
+				check{fmt.Sprintf("MeanAroundMedianInto n=%d", n), func() { _ = MeanAroundMedianInto(wdst, in, n-n/4) }},
+			)
+		}
 	}
 	for _, c := range checks {
 		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {

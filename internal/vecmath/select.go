@@ -11,10 +11,14 @@ import "sort"
 // k-prefix is sorted.
 //
 // Because the k smallest values of a multiset are the same multiset
-// whichever algorithm finds them, and sort.Float64s orders equal float64
-// values indistinguishably, summing xs[:k] in ascending index order after
-// PartialSortAscending is bit-identical to summing the first k entries of a
-// fully sorted copy.
+// whichever algorithm finds them, summing xs[:k] in ascending index order
+// after PartialSortAscending is bit-identical to summing the first k entries
+// of a fully sorted copy — provided values that compare equal are the same
+// bits. That fails for exactly one pair: −0 == +0 with different bit
+// patterns, which two correct sorts may leave in either order (and a tie at
+// the k boundary may keep either one). The Krum kernel's inputs are squared
+// distances, which are never −0; the tiled sorted-column kernel (kernel.go)
+// takes arbitrary inputs and therefore guards on −0.
 //
 //dpbyz:hotpath
 func PartialSortAscending(xs []float64, k int) {

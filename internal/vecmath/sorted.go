@@ -19,6 +19,11 @@ func TrimmedCoordMean(vs [][]float64, b int) ([]float64, error) {
 
 // TrimmedCoordMeanInto stores the coordinate-wise b-trimmed mean of vs into
 // dst without allocating gradient-sized scratch.
+//
+// Non-finite inputs are ordered, not rejected: on every coordinate NaN sorts
+// before −Inf (the sort.Float64s order) and is trimmed with the b smallest
+// values, so up to b rows submitting NaN or ±Inf leave the result finite and
+// inside the range of the remaining rows (see CoordMedianInto).
 func TrimmedCoordMeanInto(dst []float64, vs [][]float64, b int) error {
 	n := len(vs)
 	if n == 0 {

@@ -268,6 +268,13 @@ func CoordMedian(vs [][]float64) ([]float64, error) {
 // CoordMedianInto stores the coordinate-wise median of vs into dst without
 // allocating gradient-sized scratch.
 //
+// Non-finite inputs are ordered, not rejected: on every coordinate NaN sorts
+// before −Inf (the sort.Float64s order), so fewer than n/2 rows submitting
+// NaN or ±Inf cannot make the median non-finite or move it outside the range
+// of the remaining rows. Callers rely on this (the server does not filter
+// Byzantine submissions before the GAR); TestNonFiniteSubmissionsAreContained
+// in internal/gar pins it.
+//
 //dpbyz:hotpath
 func CoordMedianInto(dst []float64, vs [][]float64) error {
 	if _, err := checkDst(dst, vs); err != nil {
