@@ -206,18 +206,22 @@ func (c *conn) sendJoin(j Join, deadline time.Time) error {
 }
 
 func (c *conn) sendWelcome(w Welcome, deadline time.Time) error {
-	if n := 12 + 8*len(w.Weights) + 8*len(w.Velocity); n > c.maxFrame {
+	n := 12 + 8*len(w.Weights) + 8*len(w.Velocity)
+	if n > c.maxFrame {
 		return fmt.Errorf("%w: welcome payload %d bytes, cap %d", ErrFrameTooLarge, n, c.maxFrame)
 	}
-	c.wbuf = appendWelcomeFrame(c.wbuf[:0], w)
+	// Exact frame size first, as in sendParams.
+	c.wbuf = appendWelcomeFrame(slices.Grow(c.wbuf[:0], frameHeaderSize+n), w)
 	return c.writeFrame(deadline)
 }
 
 func (c *conn) sendGradient(g Gradient, deadline time.Time) error {
-	if n := 12 + 8*len(g.Grad); n > c.maxFrame {
+	n := 12 + 8*len(g.Grad)
+	if n > c.maxFrame {
 		return fmt.Errorf("%w: gradient payload %d bytes, cap %d", ErrFrameTooLarge, n, c.maxFrame)
 	}
-	c.wbuf = appendGradientFrame(c.wbuf[:0], g)
+	// Exact frame size first, as in sendParams.
+	c.wbuf = appendGradientFrame(slices.Grow(c.wbuf[:0], frameHeaderSize+n), g)
 	return c.writeFrame(deadline)
 }
 

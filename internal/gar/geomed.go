@@ -69,9 +69,7 @@ func (g *GeoMed) AggregateInto(dst []float64, grads [][]float64) error {
 	// floor until the Weiszfeld weights linearize and the outlier re-enters
 	// the aggregate like a mean term (caught by the GAR property battery).
 	dists := grow(&s.scores, len(grads))
-	for i, x := range grads {
-		dists[i] = vecmath.SqDist(x, y)
-	}
+	vecmath.SqDistsInto(dists, grads, y)
 	sort.Float64s(dists)
 	spread := vecmath.MedianSorted(dists)
 	tol := g.Tol * (1 + math.Sqrt(spread))
@@ -84,8 +82,9 @@ func (g *GeoMed) AggregateInto(dst []float64, grads [][]float64) error {
 		for i := range next {
 			next[i] = 0
 		}
-		for _, x := range grads {
-			wgt := 1 / math.Sqrt(vecmath.SqDist(x, y)+smoothing)
+		vecmath.SqDistsInto(dists, grads, y)
+		for i, x := range grads {
+			wgt := 1 / math.Sqrt(dists[i]+smoothing)
 			wsum += wgt
 			vecmath.Axpy(wgt, x, next)
 		}

@@ -115,3 +115,77 @@ func TestSortedColumnGoldens(t *testing.T) {
 		}
 	}
 }
+
+// pairwiseGoldens pins the FNV-64a hash of the AggregateInto output bits of
+// the rules whose selection reads the pairwise squared-distance matrix
+// (vecmath.PairwiseSqDistsInto), each at the largest f it admits. bulyan and
+// geomed — the kernel's other consumers — are pinned above. The constants
+// were printed by this test at commit a70fa47 (the parent of the four-pair
+// kernel) and must not be edited by a kernel change.
+//
+// sketched's exact re-score (cachedSqDist, sketched.go) calls vecmath.SqDist
+// once per pair, so its agreement with the exact kernel rests on the matrix
+// entries being those same bits.
+var pairwiseGoldens = map[string]uint64{
+	"krum/n=16,f=6,d=1000":           0x582e5fad5c6c4e59,
+	"krum/n=33,f=15,d=517":           0x741642e124a813bd,
+	"krum/n=7,f=2,d=130":             0x446671adceed90ea,
+	"mda/n=16,f=7,d=1000":            0x08ce0bfba993dba1,
+	"mda/n=33,f=16,d=517":            0x595f17e87dc2a866,
+	"mda/n=7,f=3,d=130":              0x3df9347dc9ad03b7,
+	"multikrum/n=16,f=6,d=1000":      0xa05cad1ddae567df,
+	"multikrum/n=33,f=15,d=517":      0x5969f0151a5b4764,
+	"multikrum/n=7,f=2,d=130":        0xcc081cde9dec9f78,
+	"sketched(krum)/n=16,f=6,d=1000": 0x582e5fad5c6c4e59,
+	"sketched(krum)/n=33,f=15,d=517": 0x741642e124a813bd,
+	"sketched(krum)/n=7,f=2,d=130":   0x446671adceed90ea,
+}
+
+// TestPairwiseGoldens is the next slice of ROADMAP item 1(b): krum,
+// multikrum, mda and the sketched kernel of krum at its default sketch, on
+// the clouds of TestSortedColumnGoldens, on the inline path and on the
+// row-striped one. amd64-only for the same reason.
+func TestPairwiseGoldens(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("goldens are pinned to GOARCH=amd64 (FMA fusion makes float results per-architecture); running on %s", runtime.GOARCH)
+	}
+	shapes := []struct{ n, f, d int }{{7, 2, 130}, {16, 4, 1000}, {33, 8, 517}}
+	newRule := func(name string, n, f int) (GAR, error) {
+		if name == "sketched(krum)" {
+			return NewSketched("krum", n, f, SketchOptions{})
+		}
+		return New(name, n, f)
+	}
+	t.Cleanup(func() {
+		vecmath.SetParallelism(0)
+		vecmath.SetParallelGrain(0)
+	})
+	for _, sh := range shapes {
+		grads := goldenCloud(sh.n, sh.f, sh.d, uint64(sh.n*1000+sh.d))
+		for _, name := range []string{"krum", "multikrum", "mda", "sketched(krum)"} {
+			// The largest f the rule admits at this n; the cloud keeps its
+			// sh.f outliers.
+			f := sh.n
+			g, err := newRule(name, sh.n, f)
+			for err != nil && f > 0 {
+				f--
+				g, err = newRule(name, sh.n, f)
+			}
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", name, sh.n, err)
+			}
+			key := fmt.Sprintf("%s/n=%d,f=%d,d=%d", name, sh.n, f, sh.d)
+			for _, workers := range []int{1, 2} {
+				vecmath.SetParallelism(workers)
+				vecmath.SetParallelGrain(32)
+				dst := make([]float64, sh.d)
+				if err := AggregateInto(g, dst, grads); err != nil {
+					t.Fatalf("%s workers=%d: %v", key, workers, err)
+				}
+				if got, want := hashBits(dst), pairwiseGoldens[key]; got != want {
+					t.Errorf("workers=%d: golden moved:\n\t%q: %#016x, // pinned %#016x", workers, key, got, want)
+				}
+			}
+		}
+	}
+}

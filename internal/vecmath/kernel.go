@@ -41,6 +41,24 @@ var errEmptyInput = errors.New("vecmath: empty input matrix")
 // (min/max would propagate it down the column), which the rules' tolerance
 // of Byzantine NaN submissions rests on. A worker that plants NaN or −0 in
 // every tile only buys the reference's speed.
+//
+// The pairwise kernel is Θ(n²·d) and its unit of work is one-to-many: the
+// distances from rows 0..j−1 to row j (SqDistsInto), four rows per sweep over
+// the coordinates (sqDist4). A single pair is one serial chain of d dependent
+// additions, so the per-pair loop ran at the adder's latency with the other
+// floating-point ports idle; four pairs give four independent chains that
+// overlap, and row j's coordinate is loaded once for the four. What is
+// blocked is the set of pairs, never a sum: each accumulator adds its own
+// pair's squares in ascending coordinate order, the operations and the order
+// of SqDist, so every entry carries SqDist's bit pattern on every input —
+// ±Inf, −0 and subnormals included, and NaN exactly where SqDist gives NaN
+// (which payload survives when two different NaNs meet in a sum is the
+// compiler's operand order, in SqDist as much as here). Nothing is
+// reassociated, hence nothing to guard and no fallback path (unlike the sort
+// above, where the order of equal keys had to be defended). The at most three
+// rows left over go through SqDist itself. Rows are dealt to workers in
+// strides; the owner of row j writes dst[j][i] and its mirror for i < j, so
+// each pair is still written by exactly one worker.
 
 // Column-reduction op codes.
 const (
@@ -362,10 +380,11 @@ func checkDst(dst []float64, vs [][]float64) (int, error) {
 }
 
 // PairwiseSqDistsInto fills the n×n matrix dst with squared Euclidean
-// distances between the vectors in vs (dst[i][j] = ‖vs[i]−vs[j]‖²) without
-// allocating. Rows are distributed across workers in strides so the
-// triangular work balances; each pair is computed exactly once, keeping the
-// result bit-identical to the sequential path.
+// distances between the vectors in vs (dst[i][j] = ‖vs[i]−vs[j]‖², the bits
+// of SqDist(vs[i], vs[j]) for i < j) without allocating. Rows are distributed
+// across workers in strides so the triangular work balances; each pair is
+// computed exactly once, keeping the result bit-identical to the sequential
+// path.
 //
 // Inputs are validated up front, before any worker fan-out: a ragged input
 // row or an undersized dst row returns ErrDimensionMismatch (an empty vs
@@ -403,18 +422,56 @@ func PairwiseSqDistsInto(dst [][]float64, vs [][]float64) error {
 }
 
 // pairwiseRows computes the rows owned by worker c out of w (rows c, c+w,
-// c+2w, …). The owner of row i writes dst[i][j] and the mirror dst[j][i]
-// for all j > i; no element is written by two workers.
+// c+2w, …). The owner of row j writes dst[i][j] and the mirror dst[j][i]
+// for all i < j; no element is written by two workers.
 //
 //dpbyz:hotpath
 func pairwiseRows(dst [][]float64, vs [][]float64, c, w int) {
-	n := len(vs)
-	for i := c; i < n; i += w {
-		dst[i][i] = 0
-		for j := i + 1; j < n; j++ {
-			dv := SqDist(vs[i], vs[j])
+	for j := c; j < len(vs); j += w {
+		row := dst[j][:j]
+		SqDistsInto(row, vs[:j], vs[j])
+		for i, dv := range row {
 			dst[i][j] = dv
-			dst[j][i] = dv
 		}
+		dst[j][j] = 0
 	}
+}
+
+// SqDistsInto stores the squared Euclidean distance from every row of vs to
+// the point p: dst[i] = SqDist(vs[i], p), bit for bit and with the rows as
+// the minuend, as both callers (a pairwise row, geomed's Weiszfeld step)
+// wrote it per pair. Rows go through sqDist4 four at a time, the at most
+// three left over through SqDist. Like SqDist it panics on a length mismatch;
+// dst must hold len(vs) values.
+//
+//dpbyz:hotpath
+func SqDistsInto(dst []float64, vs [][]float64, p []float64) {
+	dst = dst[:len(vs)]
+	i := 0
+	for ; i+4 <= len(vs); i += 4 {
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = sqDist4(vs[i], vs[i+1], vs[i+2], vs[i+3], p)
+	}
+	for ; i < len(vs); i++ {
+		dst[i] = SqDist(vs[i], p)
+	}
+}
+
+// sqDist4 returns SqDist(a0, p) … SqDist(a3, p) from one sweep over the
+// coordinates: four accumulators, each summing its own pair in ascending k
+// exactly as SqDist does, and p[k] loaded once for the four.
+//
+//dpbyz:hotpath
+func sqDist4(a0, a1, a2, a3, p []float64) (s0, s1, s2, s3 float64) {
+	assertSameLen(a0, p)
+	assertSameLen(a1, p)
+	assertSameLen(a2, p)
+	assertSameLen(a3, p)
+	for k, x := range p {
+		d0, d1, d2, d3 := a0[k]-x, a1[k]-x, a2[k]-x, a3[k]-x
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	return s0, s1, s2, s3
 }

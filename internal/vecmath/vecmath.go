@@ -23,6 +23,12 @@ var ErrDimensionMismatch = errors.New("vecmath: dimension mismatch")
 // assertSameLen panics when the two vectors differ in length. Internal
 // helpers use it because a mismatch is always a programming error in this
 // codebase (all vectors in one training run share the model dimension d).
+//
+// It also carries weight in the kernels: inlined in front of a loop it is
+// what tells the compiler len(a) == len(b), so the b[i] inside SqDist,
+// sqDist4 and Dot* loses its bounds check (go build
+// -gcflags=-d=ssa/check_bce shows none in those loops). Do not "clean it up"
+// into a check the compiler cannot see through.
 func assertSameLen(a, b []float64) {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vecmath: length mismatch %d != %d", len(a), len(b)))
@@ -201,13 +207,7 @@ func LInfNorm(v []float64) float64 {
 //
 //dpbyz:hotpath
 func Dist(a, b []float64) float64 {
-	assertSameLen(a, b)
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
+	return math.Sqrt(SqDist(a, b))
 }
 
 // SqDist returns the squared Euclidean distance between a and b.
