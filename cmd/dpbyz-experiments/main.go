@@ -19,6 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -29,23 +30,28 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dpbyz-experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	// ExitOnError keeps what flag.Parse did: a usage error exits 2, -h exits 0.
+	fs := flag.NewFlagSet("dpbyz-experiments", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "all", "experiment: all|fig2|fig3|fig4|figmlp|table1|thm1|epssweep|hetsweep|stalesweep|vnempirical|crossover|spec")
-		specPath = flag.String("spec", "", "JSON run-spec file for -exp spec: the spec is repeated across -seeds and aggregated like a grid cell")
-		smoke    = flag.Bool("smoke", false, "run at reduced scale (fast sanity pass)")
-		steps    = flag.Int("steps", 0, "override step count (0 = experiment default)")
-		seeds    = flag.Int("seeds", 0, "override seed count (0 = experiment default)")
-		parallel = flag.Int("parallel", 0, "max concurrent (condition, seed) cells (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
-		progress = flag.Bool("progress", true, "report per-cell grid progress on stderr")
+		exp      = fs.String("exp", "all", "experiment: all|fig2|fig3|fig4|figmlp|table1|thm1|epssweep|hetsweep|stalesweep|vnempirical|crossover|spec")
+		specPath = fs.String("spec", "", "JSON run-spec file for -exp spec: the spec is repeated across -seeds and aggregated like a grid cell")
+		smoke    = fs.Bool("smoke", false, "run at reduced scale (fast sanity pass)")
+		steps    = fs.Int("steps", 0, "override step count (0 = experiment default)")
+		seeds    = fs.Int("seeds", 0, "override seed count (0 = experiment default)")
+		parallel = fs.Int("parallel", 0, "max concurrent (condition, seed) cells (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
+		progress = fs.Bool("progress", true, "report per-cell grid progress on stderr")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -64,7 +70,7 @@ func run() error {
 		s := experiments.Sched{Workers: *parallel}
 		if *progress {
 			s.Progress = func(done, total int, label string) {
-				fmt.Fprintf(os.Stderr, "  %s: %d/%d cells (%s)\n", name, done, total, label)
+				fmt.Fprintf(stderr, "  %s: %d/%d cells (%s)\n", name, done, total, label)
 			}
 		}
 		return s
@@ -94,17 +100,17 @@ func run() error {
 			continue
 		}
 		ran++
-		fmt.Fprintf(os.Stderr, "running %s...\n", fig.name)
+		fmt.Fprintf(stderr, "running %s...\n", fig.name)
 		fig.spec.Sched = sched(fig.name)
 		res, err := experiments.RunFigure(ctx, fig.spec)
 		if err != nil {
 			return err
 		}
-		if err := experiments.WriteFigureReport(os.Stdout, res); err != nil {
+		if err := experiments.WriteFigureReport(stdout, res); err != nil {
 			return err
 		}
-		fmt.Println(experiments.Summary(res))
-		fmt.Println()
+		fmt.Fprintln(stdout, experiments.Summary(res))
+		fmt.Fprintln(stdout)
 	}
 
 	if want("table1") {
@@ -114,15 +120,15 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := experiments.WriteTable1Report(os.Stdout, res, 50, 5.0/23); err != nil {
+		if err := experiments.WriteTable1Report(stdout, res, 50, 5.0/23); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if want("thm1") {
 		ran++
-		fmt.Fprintln(os.Stderr, "running thm1...")
+		fmt.Fprintln(stderr, "running thm1...")
 		spec := experiments.Theorem1Spec{}
 		if *smoke {
 			spec = experiments.Theorem1Spec{Dims: []int{8, 32, 128}, Steps: 150, Seeds: 2, DatasetSize: 1500}
@@ -131,8 +137,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("Theorem 1: final suboptimality vs model dimension")
-		if err := experiments.WriteTheorem1Report(os.Stdout, points); err != nil {
+		fmt.Fprintln(stdout, "Theorem 1: final suboptimality vs model dimension")
+		if err := experiments.WriteTheorem1Report(stdout, points); err != nil {
 			return err
 		}
 		bPoints, err := experiments.RunTheorem1BatchSweep(ctx, spec, nil)
@@ -143,58 +149,58 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("Theorem 1: rate factors 1/b^2 and 1/T (unclipped harness)")
-		if err := experiments.WriteTheorem1SweepReports(os.Stdout, bPoints, tPoints); err != nil {
+		fmt.Fprintln(stdout, "Theorem 1: rate factors 1/b^2 and 1/T (unclipped harness)")
+		if err := experiments.WriteTheorem1SweepReports(stdout, bPoints, tPoints); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if want("vnempirical") {
 		ran++
-		fmt.Fprintln(os.Stderr, "running vnempirical...")
+		fmt.Fprintln(stderr, "running vnempirical...")
 		points, err := experiments.RunVNEmpirical(ctx, experiments.VNEmpiricalSpec{})
 		if err != nil {
 			return err
 		}
-		fmt.Println("Empirical DP-adjusted VN ratio vs k_F(n, f) (Eq. 8)")
-		if err := experiments.WriteVNEmpiricalReport(os.Stdout, points); err != nil {
+		fmt.Fprintln(stdout, "Empirical DP-adjusted VN ratio vs k_F(n, f) (Eq. 8)")
+		if err := experiments.WriteVNEmpiricalReport(stdout, points); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if want("crossover") {
 		ran++
-		fmt.Fprintln(os.Stderr, "running crossover...")
+		fmt.Fprintln(stderr, "running crossover...")
 		res, err := experiments.RunCrossover(ctx, experiments.CrossoverSpec{Scale: scale})
 		if err != nil {
 			return err
 		}
-		fmt.Println("Batch-size crossover (final accuracy per condition)")
-		if err := experiments.WriteCrossoverReport(os.Stdout, res); err != nil {
+		fmt.Fprintln(stdout, "Batch-size crossover (final accuracy per condition)")
+		if err := experiments.WriteCrossoverReport(stdout, res); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if want("epssweep") {
 		ran++
-		fmt.Fprintln(os.Stderr, "running epssweep...")
+		fmt.Fprintln(stderr, "running epssweep...")
 		points, err := experiments.RunEpsilonSweep(ctx,
 			experiments.EpsilonSweepSpec{Scale: scale, Sched: sched("epssweep")})
 		if err != nil {
 			return err
 		}
-		fmt.Println("Epsilon sweep (alie attack, MDA, DP on)")
-		if err := experiments.WriteEpsilonSweepReport(os.Stdout, points); err != nil {
+		fmt.Fprintln(stdout, "Epsilon sweep (alie attack, MDA, DP on)")
+		if err := experiments.WriteEpsilonSweepReport(stdout, points); err != nil {
 			return err
 		}
 	}
 
 	if want("hetsweep") {
 		ran++
-		fmt.Fprintln(os.Stderr, "running hetsweep...")
+		fmt.Fprintln(stderr, "running hetsweep...")
 		points, err := experiments.RunHeterogeneitySweep(ctx, experiments.HeterogeneitySweepSpec{
 			GARNames: []string{"mda", "trimmedmean"},
 			Scale:    scale,
@@ -203,16 +209,16 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("Heterogeneity sweep (Dirichlet beta, alie attack, DP on)")
-		if err := experiments.WriteHeterogeneitySweepReport(os.Stdout, points); err != nil {
+		fmt.Fprintln(stdout, "Heterogeneity sweep (Dirichlet beta, alie attack, DP on)")
+		if err := experiments.WriteHeterogeneitySweepReport(stdout, points); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if want("stalesweep") {
 		ran++
-		fmt.Fprintln(os.Stderr, "running stalesweep...")
+		fmt.Fprintln(stderr, "running stalesweep...")
 		points, err := experiments.RunStalenessSweep(ctx, experiments.StalenessSweepSpec{
 			GARNames: []string{"mda", "trimmedmean"},
 			Scale:    scale,
@@ -221,16 +227,16 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("Staleness sweep (quorum = n-f-s, late frames credited, alie attack, DP on)")
-		if err := experiments.WriteStalenessSweepReport(os.Stdout, points); err != nil {
+		fmt.Fprintln(stdout, "Staleness sweep (quorum = n-f-s, late frames credited, alie attack, DP on)")
+		if err := experiments.WriteStalenessSweepReport(stdout, points); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if want("spec") && *specPath != "" {
 		ran++
-		fmt.Fprintln(os.Stderr, "running spec...")
+		fmt.Fprintln(stderr, "running spec...")
 		s, err := dpbyz.LoadSpec(*specPath)
 		if err != nil {
 			return err
@@ -246,8 +252,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Spec cell %s (%s)\n", cell.Condition.Label, *specPath)
-		if err := experiments.WriteCellReport(os.Stdout, cell, max(cfg.Seeds, 1)); err != nil {
+		fmt.Fprintf(stdout, "Spec cell %s (%s)\n", cell.Condition.Label, *specPath)
+		if err := experiments.WriteCellReport(stdout, cell, max(cfg.Seeds, 1)); err != nil {
 			return err
 		}
 	} else if want("spec") && *exp == "spec" {

@@ -3,7 +3,7 @@
 // //dpbyz:deterministic packages, allocations in //dpbyz:hotpath functions,
 // pooled-scratch aliasing, and unknown registry names.
 //
-// Standalone use (the supported mode, and what CI runs):
+// Use (this is what CI runs):
 //
 //	go run ./cmd/dpbyz-lint ./...            # whole module, all analyzers
 //	go run ./cmd/dpbyz-lint -run detlint,scratchalias ./internal/simulate
@@ -11,23 +11,11 @@
 //
 // Diagnostics print as path:line:col: analyzer: message. Exit status is 0 for
 // a clean tree, 1 when diagnostics were reported, 2 on usage or load errors.
-//
-// The command also speaks enough of the `go vet -vettool` protocol to be used
-// as a vet plugin (it answers -V=full and -flags, and accepts a single
-// vet .cfg argument, type-checking from the export data the go command
-// provides). That mode is best-effort and experimental; the standalone mode
-// is canonical.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"sort"
@@ -44,28 +32,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dpbyz-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		runList  = fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-		docName  = fs.String("doc", "", "print the named analyzer's documentation and exit")
-		noTests  = fs.Bool("notests", false, "exclude _test.go files from loading (registryref normally checks test fixtures too)")
-		dir      = fs.String("C", "", "change to `dir` before resolving package patterns")
-		vFlag    = fs.String("V", "", "print version and exit (go vet handshake)")
-		jsonFlag = fs.Bool("json", false, "emit diagnostics as JSON (vettool protocol)")
+		runList = fs.String("run", "", "comma-separated analyzer names to run (default: all)")
+		docName = fs.String("doc", "", "print the named analyzer's documentation and exit")
+		noTests = fs.Bool("notests", false, "exclude _test.go files from loading (registryref normally checks test fixtures too)")
+		dir     = fs.String("C", "", "change to `dir` before resolving package patterns")
 	)
-	// `go vet` probes its tool with -flags expecting a JSON array of the
-	// tool's analyzer flags; we expose none.
-	for _, a := range args {
-		if a == "-flags" || a == "--flags" {
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		}
-	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *vFlag != "" {
-		// The go command accepts any "name version ..." line here.
-		fmt.Fprintln(stdout, "dpbyz-lint version devel")
-		return 0
 	}
 	if *docName != "" {
 		a := analysis.ByName(*docName)
@@ -83,13 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Vettool unit mode: a single argument naming a vet config file.
-	patterns := fs.Args()
-	if len(patterns) == 1 && strings.HasSuffix(patterns[0], ".cfg") {
-		return runUnit(patterns[0], analyzers, *jsonFlag, stdout, stderr)
-	}
-
-	m, err := analysis.Load(analysis.LoadConfig{Dir: *dir, Tests: !*noTests}, patterns...)
+	m, err := analysis.Load(analysis.LoadConfig{Dir: *dir, Tests: !*noTests}, fs.Args()...)
 	if err != nil {
 		fmt.Fprintf(stderr, "dpbyz-lint: %v\n", err)
 		return 2
@@ -138,135 +105,4 @@ func selectAnalyzers(runList string) ([]*analysis.Analyzer, error) {
 		return nil, fmt.Errorf("empty -run list")
 	}
 	return selected, nil
-}
-
-// vetConfig is the subset of the go command's vet config file the unit mode
-// needs. The go command writes one JSON file per package and invokes the tool
-// with its path as the sole argument.
-type vetConfig struct {
-	ID          string
-	Compiler    string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOutput  string
-}
-
-// runUnit analyzes one package from a `go vet` config: parse the listed
-// files, type-check against the export data the go command already built,
-// run the analyzers, and write an (empty) facts file so the go command's
-// protocol is satisfied. Experimental; the standalone mode is canonical.
-func runUnit(cfgPath string, analyzers []*analysis.Analyzer, asJSON bool, stdout, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "dpbyz-lint: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "dpbyz-lint: parse vet config %s: %v\n", cfgPath, err)
-		return 2
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			fmt.Fprintf(stderr, "dpbyz-lint: %v\n", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-
-	// Resolve imports through the export data the go command handed us.
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	imp := importer.ForCompiler(fset, compiler, lookup)
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		fmt.Fprintf(stderr, "dpbyz-lint: type-check %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-
-	// Unit mode sees one package at a time, so module-wide scratch and
-	// carrier indexes only cover this unit; the registry tables are located
-	// from the module root (found by walking up from the package directory).
-	m := &analysis.Module{
-		Fset: fset,
-		Dir:  analysis.FindModuleRoot(cfg.Dir),
-		Packages: []*analysis.Package{{
-			ImportPath: cfg.ImportPath,
-			Name:       tpkg.Name(),
-			Dir:        cfg.Dir,
-			Files:      files,
-			Types:      tpkg,
-			Info:       info,
-		}},
-	}
-	diags, err := analysis.RunAnalyzers(m, analyzers)
-	if err != nil {
-		fmt.Fprintf(stderr, "dpbyz-lint: %v\n", err)
-		return 2
-	}
-
-	// The go command requires the facts file to exist even though the dpbyz
-	// analyzers exchange no facts.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintf(stderr, "dpbyz-lint: %v\n", err)
-			return 2
-		}
-	}
-
-	if asJSON {
-		type jsonDiag struct {
-			Posn    string `json:"posn"`
-			Message string `json:"message"`
-		}
-		byAnalyzer := map[string][]jsonDiag{}
-		for _, d := range diags {
-			byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer], jsonDiag{
-				Posn:    d.Position(fset).String(),
-				Message: d.Message,
-			})
-		}
-		out := map[string]map[string][]jsonDiag{cfg.ImportPath: byAnalyzer}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(stderr, "dpbyz-lint: %v\n", err)
-			return 2
-		}
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintf(stderr, "%s: %s: %s\n", d.Position(fset), d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2 // vet reserves 1; diagnostics exit 2 like unitchecker
-	}
-	return 0
 }

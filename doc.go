@@ -292,12 +292,13 @@
 // every round. A Spec that still names it is rejected with a pointer to
 // "exact", which computes the identical trajectory.)
 //
-// At the experiment level, RunFigure and RunEpsilonSweep fan their
-// (condition, seed) cells across a bounded worker pool with per-seed
-// datasets built once and shared read-only; results are bit-identical at
-// every parallelism level (see the internal/experiments package comment
-// for the determinism contract, and cmd/dpbyz-experiments -parallel /
-// -progress for the CLI knobs).
+// At the experiment level, every Spec-driven driver — RunFigure,
+// RunEpsilonSweep, RunHeterogeneitySweep, RunStalenessSweep, RunCrossover
+// and RunSpecCell — is one grid of (condition, seed) cells run on one
+// bounded worker pool, with per-seed datasets built once and shared
+// read-only; results are bit-identical at every parallelism level (see the
+// internal/experiments package comment for the determinism contract, and
+// cmd/dpbyz-experiments -parallel / -progress for the CLI knobs).
 //
 // # Static analysis and code contracts
 //

@@ -2,8 +2,7 @@
 // mechanically enforce the repo's cross-cutting code contracts — bit-identical
 // determinism, zero-allocation steady-state hot paths, pooled-scratch
 // aliasing discipline, and registry-name integrity. The analyzers run over
-// the whole module via cmd/dpbyz-lint, programmatically in TestLintClean, and
-// (best effort) as a `go vet -vettool` plugin.
+// the whole module via cmd/dpbyz-lint and programmatically in TestLintClean.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis API
 // shape (Analyzer / Pass / Diagnostic) but is self-contained on the standard

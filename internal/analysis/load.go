@@ -168,8 +168,8 @@ func LoadDir(dir string) (*Module, error) {
 }
 
 // FindModuleRoot walks up from dir to the nearest directory containing
-// go.mod, returning "" if none is found. Used by callers (unit-mode vettool,
-// tests) that know a package directory but not the module root.
+// go.mod, returning "" if none is found. Used by tests that know a package
+// directory but not the module root.
 func FindModuleRoot(dir string) string {
 	dir, err := filepath.Abs(dir)
 	if err != nil {

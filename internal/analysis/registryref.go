@@ -173,7 +173,7 @@ func stringLiteral(e ast.Expr) (string, bool) {
 
 // registrySources describes where each domain's names live in the module
 // tree. Extraction is a pure AST scan, so it works in every mode (full
-// module, analysistest, vettool) without type-checking the registry package.
+// module, analysistest) without type-checking the registry package.
 var registrySources = []struct {
 	domain string
 	dir    string // module-relative package dir

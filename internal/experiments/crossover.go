@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"dpbyz/internal/data"
+	runspec "dpbyz/internal/spec"
 )
 
 // CrossoverSpec configures the batch-size crossover sweep behind the
@@ -70,34 +70,52 @@ type CrossoverResult struct {
 }
 
 // RunCrossover sweeps the batch-size grid and locates the three crossover
-// points.
+// points. The (batch, regime, seed) cells run on the deterministic scheduler
+// at its default width, over datasets built once per seed.
 func RunCrossover(ctx context.Context, spec CrossoverSpec) (*CrossoverResult, error) {
 	spec.fillDefaults()
-	trainN := spec.Scale.datasetSize() * data.PhishingTrainSize / data.PhishingSize
+	g, err := phishingGrid("crossover", Sched{}, spec.Scale, 0)
+	if err != nil {
+		return nil, err
+	}
+	// Four regimes per batch size, in CrossoverPoint field order.
+	regimes := []Condition{
+		{Label: "none+clear"},
+		{Label: "none+dp", DP: true},
+		{Label: spec.AttackName + "+clear", AttackName: spec.AttackName},
+		{Label: spec.AttackName + "+dp", AttackName: spec.AttackName, DP: true},
+	}
+	for _, b := range spec.BatchSizes {
+		for _, r := range regimes {
+			g.conds = append(g.conds, Condition{
+				Label: fmt.Sprintf("b=%d %s", b, r.Label), AttackName: r.AttackName, DP: r.DP,
+			})
+		}
+	}
+	g.spec = func(ci, seed int) runspec.Spec {
+		fig := FigureSpec{
+			ID: g.id, BatchSize: spec.BatchSizes[ci/len(regimes)], Epsilon: spec.Epsilon, Scale: spec.Scale,
+		}
+		return CellSpec(fig, regimes[ci%len(regimes)], seed)
+	}
+	cells, _, err := g.run(ctx)
+	if err != nil {
+		return nil, err
+	}
+
 	res := &CrossoverResult{
 		MinBatchDPOnly:     -1,
 		MinBatchAttackOnly: -1,
 		MinBatchCombined:   -1,
 	}
-	for _, b := range spec.BatchSizes {
-		fig := FigureSpec{ID: "crossover", BatchSize: b, Epsilon: spec.Epsilon, Scale: spec.Scale}
-		point := CrossoverPoint{BatchSize: b}
-
-		cells := []struct {
-			cond Condition
-			acc  *float64
-		}{
-			{Condition{Label: "none+clear"}, &point.BaselineAcc},
-			{Condition{Label: "none+dp", DP: true}, &point.DPOnlyAcc},
-			{Condition{Label: spec.AttackName + "+clear", AttackName: spec.AttackName}, &point.AttackOnlyAcc},
-			{Condition{Label: spec.AttackName + "+dp", AttackName: spec.AttackName, DP: true}, &point.CombinedAcc},
-		}
-		for _, c := range cells {
-			cell, err := runCell(ctx, fig, c.cond, trainN)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: crossover b=%d %s: %w", b, c.cond.Label, err)
-			}
-			*c.acc = cell.FinalAccMean
+	for bi, b := range spec.BatchSizes {
+		acc := cells[bi*len(regimes) : (bi+1)*len(regimes)]
+		point := CrossoverPoint{
+			BatchSize:     b,
+			BaselineAcc:   acc[0].FinalAccMean,
+			DPOnlyAcc:     acc[1].FinalAccMean,
+			AttackOnlyAcc: acc[2].FinalAccMean,
+			CombinedAcc:   acc[3].FinalAccMean,
 		}
 		threshold := point.BaselineAcc * (1 - spec.Tolerance)
 		point.DPOnlyOK = point.DPOnlyAcc >= threshold

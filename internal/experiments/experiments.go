@@ -8,18 +8,32 @@
 // from cmd/dpbyz-experiments or at smoke-test scale from the test suite and
 // benchmarks.
 //
+// # One grid, one scheduler
+//
+// Every Spec-driven driver — RunFigure, RunEpsilonSweep,
+// RunHeterogeneitySweep, RunStalenessSweep, RunCrossover and RunSpecCell —
+// is the same thing: a list of conditions, each repeated over seeds 1..k,
+// every (condition, seed) cell one runspec.Spec run on the local backend. A
+// driver fills in its defaults, lists its conditions, says how to build the
+// Spec of (condition, seed) and maps the aggregated cells to its point type;
+// the unexported grid type does the rest, on Pool (Sched.Workers goroutines,
+// default GOMAXPROCS). Progress labels are "<condition label> seed k".
+// Theorem 1 and the empirical VN ratio are not Spec-driven — the first
+// needs an inverse-time learning-rate schedule and a Gaussian-mean data
+// source no Spec can name, the second samples raw gradients without training
+// — and keep their own loops.
+//
 // # Scheduler determinism contract
 //
-// RunFigure and RunEpsilonSweep fan their (condition, seed) cells across a
-// bounded worker pool (Sched.Workers goroutines, default GOMAXPROCS). The
-// grid is embarrassingly parallel: every cell derives all of its randomness
-// from its own (seed-keyed) randx streams, the per-seed synthetic datasets
-// are built once up front and shared read-only, and per-cell results are
-// written into pre-indexed slots and aggregated in the fixed serial order.
-// Consequently the returned results are BIT-IDENTICAL for every Workers
-// setting, including Workers = 1 (the serial order); parallelism trades
-// wall-clock for cores and nothing else. Only the Progress callback
-// observes scheduling (cells complete in a nondeterministic order).
+// The grid is embarrassingly parallel: every cell derives all of its
+// randomness from its own (seed-keyed) randx streams, the per-seed synthetic
+// datasets are built once up front and shared read-only, and per-cell
+// results are written into pre-indexed slots and aggregated in the fixed
+// serial order. Consequently the returned results are BIT-IDENTICAL for
+// every Workers setting, including Workers = 1 (the serial order);
+// parallelism trades wall-clock for cores and nothing else. Only the
+// Progress callback observes scheduling (cells complete in a
+// nondeterministic order).
 //
 // Note that individual cell trajectories are a pure function of the seed
 // within one build of this module, but are not bit-stable across the randx
@@ -34,7 +48,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"dpbyz/internal/data"
 	"dpbyz/internal/metrics"
@@ -225,7 +238,7 @@ func (r *FigureResult) Cell(label string) *CellResult {
 // seedInputs is the immutable per-seed state shared by every condition of a
 // grid: the synthetic dataset (split once) and, for MLP figures, the
 // deterministic initialization. Building these once per seed instead of
-// once per (condition, seed) saves |Grid()|−1 regenerations per seed, and
+// once per (condition, seed) saves |conds|−1 regenerations per seed, and
 // sharing them read-only across concurrent cells is safe because datasets
 // are immutable by convention and simulate.Run copies InitParams.
 type seedInputs struct {
@@ -234,10 +247,15 @@ type seedInputs struct {
 	mlpInit []float64
 }
 
-// buildSeedInputs generates the per-seed datasets (seeds 1..Scale.seeds())
-// for a figure-class spec.
-func buildSeedInputs(spec FigureSpec, trainN int) ([]seedInputs, error) {
-	scale := spec.Scale
+// buildSeedInputs generates the per-seed phishing-shaped datasets (seeds
+// 1..scale.seeds()), split in the paper's 8400/2655 proportions, plus the
+// MLP initialization when mlpHidden > 0. It is the one place a dataset size
+// too small to split is rejected, so every sweep fails the same way.
+func buildSeedInputs(scale Scale, mlpHidden int) ([]seedInputs, error) {
+	trainN := scale.datasetSize() * data.PhishingTrainSize / data.PhishingSize
+	if trainN < 2 || trainN >= scale.datasetSize() {
+		return nil, fmt.Errorf("experiments: dataset size %d too small", scale.datasetSize())
+	}
 	out := make([]seedInputs, scale.seeds())
 	for i := range out {
 		seed := uint64(i + 1)
@@ -247,15 +265,14 @@ func buildSeedInputs(spec FigureSpec, trainN int) ([]seedInputs, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Deterministic split keyed by the seed, mirroring the paper's
-		// 8400/2655 proportions.
+		// Deterministic split keyed by the seed.
 		train, test, err := ds.Split(trainN, splitStream(seed))
 		if err != nil {
 			return nil, err
 		}
 		out[i] = seedInputs{train: train, test: test}
-		if spec.MLPHidden > 0 {
-			mlp, err := model.NewMLP(scale.features(), spec.MLPHidden)
+		if mlpHidden > 0 {
+			mlp, err := model.NewMLP(scale.features(), mlpHidden)
 			if err != nil {
 				return nil, err
 			}
@@ -263,13 +280,6 @@ func buildSeedInputs(spec FigureSpec, trainN int) ([]seedInputs, error) {
 		}
 	}
 	return out, nil
-}
-
-// cellRun is one (condition, seed) training run's raw outcome.
-type cellRun struct {
-	history *metrics.History
-	minLoss float64
-	minStep int
 }
 
 // resolveWorkers returns the effective scheduler width of a Sched.
@@ -322,50 +332,102 @@ func CellSpec(fig FigureSpec, cond Condition, seed int) runspec.Spec {
 	return s
 }
 
-// runSeed executes one (condition, seed) cell on the local backend and
-// returns its outcome. The pre-built per-seed datasets (and MLP init) are
-// injected so conditions share them; innerParallel enables simulate's
-// per-worker goroutines — useful when the cell scheduler itself is serial,
-// pure oversubscription when cells already saturate the cores (simulate's
-// results are identical either way).
-func runSeed(ctx context.Context, fig FigureSpec, cond Condition, in seedInputs, seed int, innerParallel bool) (cellRun, error) {
-	s := CellSpec(fig, cond, seed)
-	opts := []runspec.Option{runspec.WithDatasets(in.train, in.test)}
-	if in.mlpInit != nil {
-		opts = append(opts, runspec.WithInitParams(in.mlpInit))
-	}
-	if innerParallel {
-		opts = append(opts, runspec.WithParallel())
-	}
-	res, err := (&runspec.LocalBackend{}).Run(ctx, s, opts...)
+// grid is the one shape every Spec-driven experiment has: a list of
+// conditions, each repeated over seeds 1..seeds, every (condition, seed)
+// cell one runspec.Spec run on the local backend.
+type grid struct {
+	// id prefixes cell errors ("experiments: <id>/<label> seed k: ...").
+	id    string
+	sched Sched
+	// inputs are the pre-built per-seed datasets (and MLP init) injected
+	// into every cell of that seed; nil means each Spec materialises its own
+	// data.
+	inputs []seedInputs
+	seeds  int
+	conds  []Condition
+	// spec builds the cell of condition index ci at seed 1..seeds.
+	spec func(ci, seed int) runspec.Spec
+}
+
+// phishingGrid starts the grid of a phishing-shaped sweep: scale.seeds()
+// seeds over datasets built once per seed and shared by every condition.
+// The caller fills in conds and spec.
+func phishingGrid(id string, sched Sched, scale Scale, mlpHidden int) (grid, error) {
+	inputs, err := buildSeedInputs(scale, mlpHidden)
 	if err != nil {
-		return cellRun{}, err
+		return grid{}, err
 	}
-	minLoss, minStep := res.History.MinLoss()
-	return cellRun{history: res.History, minLoss: minLoss, minStep: minStep}, nil
+	return grid{id: id, sched: sched, inputs: inputs, seeds: len(inputs)}, nil
+}
+
+// run executes every cell on the scheduler and folds each condition's seeds,
+// in seed order, into a CellResult. It returns the cells in condition order
+// plus the raw runs (cell ci, seed k at index ci*seeds + k−1). Simulate's
+// per-worker goroutines are enabled only when the scheduler itself is serial
+// — pure oversubscription when cells already saturate the cores, and the
+// results are identical either way.
+func (g grid) run(ctx context.Context) ([]CellResult, []*runspec.Result, error) {
+	runs := make([]*runspec.Result, len(g.conds)*g.seeds)
+	inner := resolveWorkers(g.sched) == 1
+	label := func(t int) string {
+		return fmt.Sprintf("%s seed %d", g.conds[t/g.seeds].Label, t%g.seeds+1)
+	}
+	err := runGrid(ctx, g.sched, len(runs), label,
+		func(ctx context.Context, t int) error {
+			ci, si := t/g.seeds, t%g.seeds
+			var opts []runspec.Option
+			if g.inputs != nil {
+				opts = append(opts, runspec.WithDatasets(g.inputs[si].train, g.inputs[si].test))
+				if g.inputs[si].mlpInit != nil {
+					opts = append(opts, runspec.WithInitParams(g.inputs[si].mlpInit))
+				}
+			}
+			if inner {
+				opts = append(opts, runspec.WithParallel())
+			}
+			res, err := (&runspec.LocalBackend{}).Run(ctx, g.spec(ci, si+1), opts...)
+			if err != nil {
+				return fmt.Errorf("experiments: %s/%s: %w", g.id, label(t), err)
+			}
+			runs[t] = res
+			return nil
+		})
+	if err != nil {
+		return nil, nil, err
+	}
+	cells := make([]CellResult, len(g.conds))
+	for ci, cond := range g.conds {
+		cell, err := aggregateCell(cond, runs[ci*g.seeds:(ci+1)*g.seeds])
+		if err != nil {
+			return nil, nil, fmt.Errorf("experiments: %s/%s: %w", g.id, cond.Label, err)
+		}
+		cells[ci] = cell
+	}
+	return cells, runs, nil
 }
 
 // aggregateCell folds one condition's per-seed runs (in seed order) into a
 // CellResult, exactly as the serial runner always has.
-func aggregateCell(cond Condition, runs []cellRun) (*CellResult, error) {
+func aggregateCell(cond Condition, runs []*runspec.Result) (CellResult, error) {
 	histories := make([]*metrics.History, len(runs))
 	var minLossSum, stepsToMinSum float64
 	for i, r := range runs {
-		histories[i] = r.history
-		minLossSum += r.minLoss
-		stepsToMinSum += float64(r.minStep)
+		histories[i] = r.History
+		minLoss, minStep := r.History.MinLoss()
+		minLossSum += minLoss
+		stepsToMinSum += float64(minStep)
 	}
 	loss, err := metrics.AggregateLoss(histories)
 	if err != nil {
-		return nil, err
+		return CellResult{}, err
 	}
 	acc, err := metrics.AggregateAccuracy(histories)
 	if err != nil {
-		return nil, err
+		return CellResult{}, err
 	}
 	accMean, accStd := acc.Final()
 	seeds := float64(len(runs))
-	return &CellResult{
+	return CellResult{
 		Condition:      cond,
 		Loss:           loss,
 		Accuracy:       acc,
@@ -376,22 +438,17 @@ func aggregateCell(cond Condition, runs []cellRun) (*CellResult, error) {
 	}, nil
 }
 
-// runGrid drains total tasks through a bounded worker pool. The first task
-// failure cancels the remaining tasks; every started goroutine is joined
-// before returning. The returned error is the first non-cancellation task
-// error in task order (falling back to the cancellation cause), so it too
-// is independent of scheduling whenever a single task is at fault.
+// runGrid runs total tasks as one batch on a Pool of min(width, total)
+// workers, submitted at equal priority so they start in task order. The
+// first task failure cancels the remaining tasks; every task is joined and
+// the pool closed before returning. The returned error is the first
+// non-cancellation task error in task order (falling back to the
+// cancellation cause), so it too is independent of scheduling whenever a
+// single task is at fault.
 func runGrid(ctx context.Context, sched Sched, total int, label func(task int) string,
 	run func(ctx context.Context, task int) error) error {
 	if total <= 0 {
 		return nil
-	}
-	workers := sched.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > total {
-		workers = total
 	}
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -399,37 +456,32 @@ func runGrid(ctx context.Context, sched Sched, total int, label func(task int) s
 	errs := make([]error, total)
 	completed := make([]bool, total)
 	var (
-		next int64 = -1
 		mu   sync.Mutex
 		done int
 		wg   sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
+	pool := NewPool(min(resolveWorkers(sched), total))
+	defer pool.Close()
+	wg.Add(total)
+	for t := 0; t < total; t++ {
+		pool.Submit(0, func() {
 			defer wg.Done()
-			for {
-				t := int(atomic.AddInt64(&next, 1))
-				if t >= total {
-					return
-				}
-				if gctx.Err() != nil {
-					return
-				}
-				if err := run(gctx, t); err != nil {
-					errs[t] = err
-					cancel()
-					continue
-				}
-				completed[t] = true
-				mu.Lock()
-				done++
-				if sched.Progress != nil {
-					sched.Progress(done, total, label(t))
-				}
-				mu.Unlock()
+			if gctx.Err() != nil {
+				return
 			}
-		}()
+			if err := run(gctx, t); err != nil {
+				errs[t] = err
+				cancel()
+				return
+			}
+			completed[t] = true
+			mu.Lock()
+			done++
+			if sched.Progress != nil {
+				sched.Progress(done, total, label(t))
+			}
+			mu.Unlock()
+		})
 	}
 	wg.Wait()
 
@@ -451,7 +503,7 @@ func runGrid(ctx context.Context, sched Sched, total int, label func(task int) s
 	for _, ok := range completed {
 		if !ok {
 			// No task failed, yet the grid is incomplete: the parent
-			// context was cancelled between task pulls.
+			// context was cancelled between task starts.
 			return fmt.Errorf("experiments: grid interrupted: %w", context.Cause(ctx))
 		}
 	}
@@ -463,64 +515,17 @@ func runGrid(ctx context.Context, sched Sched, total int, label func(task int) s
 // scheduler configured by spec.Sched; see the package comment for the
 // determinism contract.
 func RunFigure(ctx context.Context, spec FigureSpec) (*FigureResult, error) {
-	scale := spec.Scale
-	trainN := scale.datasetSize() * data.PhishingTrainSize / data.PhishingSize
-	if trainN < 2 || trainN >= scale.datasetSize() {
-		return nil, fmt.Errorf("experiments: dataset size %d too small", scale.datasetSize())
-	}
-	inputs, err := buildSeedInputs(spec, trainN)
+	g, err := phishingGrid(spec.ID, spec.Sched, spec.Scale, spec.MLPHidden)
 	if err != nil {
 		return nil, err
 	}
-
-	conds := Grid()
-	seeds := scale.seeds()
-	runs := make([]cellRun, len(conds)*seeds)
-	inner := resolveWorkers(spec.Sched) == 1
-	err = runGrid(ctx, spec.Sched, len(runs),
-		func(t int) string {
-			return fmt.Sprintf("%s seed %d", conds[t/seeds].Label, t%seeds+1)
-		},
-		func(ctx context.Context, t int) error {
-			ci, si := t/seeds, t%seeds
-			out, err := runSeed(ctx, spec, conds[ci], inputs[si], si+1, inner)
-			if err != nil {
-				return fmt.Errorf("experiments: %s/%s: %w", spec.ID, conds[ci].Label, err)
-			}
-			runs[t] = out
-			return nil
-		})
+	g.conds = Grid()
+	g.spec = func(ci, seed int) runspec.Spec { return CellSpec(spec, g.conds[ci], seed) }
+	cells, _, err := g.run(ctx)
 	if err != nil {
 		return nil, err
 	}
-
-	out := &FigureResult{Spec: spec}
-	for ci, cond := range conds {
-		cell, err := aggregateCell(cond, runs[ci*seeds:(ci+1)*seeds])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s/%s: %w", spec.ID, cond.Label, err)
-		}
-		out.Cells = append(out.Cells, *cell)
-	}
-	return out, nil
-}
-
-// runCell executes one condition serially across all seeds — the
-// single-condition helper behind RunCrossover (RunFigure schedules whole
-// grids instead).
-func runCell(ctx context.Context, spec FigureSpec, cond Condition, trainN int) (*CellResult, error) {
-	inputs, err := buildSeedInputs(spec, trainN)
-	if err != nil {
-		return nil, err
-	}
-	runs := make([]cellRun, len(inputs))
-	for i := range inputs {
-		runs[i], err = runSeed(ctx, spec, cond, inputs[i], i+1, true)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return aggregateCell(cond, runs)
+	return &FigureResult{Spec: spec, Cells: cells}, nil
 }
 
 // EpsilonSweepSpec is the full version's hyperparameter sweep over the
@@ -561,48 +566,30 @@ func RunEpsilonSweep(ctx context.Context, spec EpsilonSweepSpec) ([]EpsilonPoint
 	if spec.AttackName == "" {
 		spec.AttackName = "alie"
 	}
-	trainN := spec.Scale.datasetSize() * data.PhishingTrainSize / data.PhishingSize
-	base := FigureSpec{ID: "epssweep", BatchSize: spec.BatchSize, Scale: spec.Scale}
-	inputs, err := buildSeedInputs(base, trainN)
+	g, err := phishingGrid("epssweep", spec.Sched, spec.Scale, 0)
 	if err != nil {
 		return nil, err
 	}
-	cond := Condition{Label: spec.AttackName + "+dp", AttackName: spec.AttackName, DP: true}
-
-	seeds := spec.Scale.seeds()
-	runs := make([]cellRun, len(spec.Epsilons)*seeds)
-	inner := resolveWorkers(spec.Sched) == 1
-	err = runGrid(ctx, spec.Sched, len(runs),
-		func(t int) string {
-			return fmt.Sprintf("eps=%v seed %d", spec.Epsilons[t/seeds], t%seeds+1)
-		},
-		func(ctx context.Context, t int) error {
-			ei, si := t/seeds, t%seeds
-			fig := base
-			fig.Epsilon = spec.Epsilons[ei]
-			out, err := runSeed(ctx, fig, cond, inputs[si], si+1, inner)
-			if err != nil {
-				return fmt.Errorf("experiments: epsilon %v: %w", spec.Epsilons[ei], err)
-			}
-			runs[t] = out
-			return nil
-		})
+	attacked := Condition{Label: spec.AttackName + "+dp", AttackName: spec.AttackName, DP: true}
+	for _, eps := range spec.Epsilons {
+		g.conds = append(g.conds, Condition{Label: fmt.Sprintf("eps=%v", eps), AttackName: spec.AttackName, DP: true})
+	}
+	g.spec = func(ci, seed int) runspec.Spec {
+		fig := FigureSpec{ID: g.id, BatchSize: spec.BatchSize, Epsilon: spec.Epsilons[ci], Scale: spec.Scale}
+		return CellSpec(fig, attacked, seed)
+	}
+	cells, _, err := g.run(ctx)
 	if err != nil {
 		return nil, err
 	}
-
-	out := make([]EpsilonPoint, 0, len(spec.Epsilons))
-	for ei, eps := range spec.Epsilons {
-		cell, err := aggregateCell(cond, runs[ei*seeds:(ei+1)*seeds])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: epsilon %v: %w", eps, err)
-		}
-		out = append(out, EpsilonPoint{
-			Epsilon:      eps,
+	out := make([]EpsilonPoint, len(cells))
+	for ci, cell := range cells {
+		out[ci] = EpsilonPoint{
+			Epsilon:      spec.Epsilons[ci],
 			MinLossMean:  cell.MinLossMean,
 			FinalAccMean: cell.FinalAccMean,
 			FinalAccStd:  cell.FinalAccStd,
-		})
+		}
 	}
 	return out, nil
 }

@@ -96,10 +96,28 @@ func TestRunFigureSmoke(t *testing.T) {
 	}
 }
 
+// Every phishing-shaped sweep rejects a dataset too small to split 8400/2655
+// with the same error: size 1 leaves an empty train set, size 2 a one-point
+// one.
 func TestRunFigureTooSmallDataset(t *testing.T) {
-	spec := Figure2(Scale{DatasetSize: 1, Steps: 1, Seeds: 1, Features: 2})
-	if _, err := RunFigure(context.Background(), spec); err == nil {
-		t.Error("tiny dataset did not error")
+	ctx := context.Background()
+	for _, size := range []int{1, 2} {
+		scale := Scale{DatasetSize: size, Steps: 1, Seeds: 1, Features: 2}
+		for _, tc := range []struct {
+			name string
+			run  func() error
+		}{
+			{"figure", func() error { _, err := RunFigure(ctx, Figure2(scale)); return err }},
+			{"epssweep", func() error { _, err := RunEpsilonSweep(ctx, EpsilonSweepSpec{Scale: scale}); return err }},
+			{"hetsweep", func() error { _, err := RunHeterogeneitySweep(ctx, HeterogeneitySweepSpec{Scale: scale}); return err }},
+			{"stalesweep", func() error { _, err := RunStalenessSweep(ctx, StalenessSweepSpec{Scale: scale}); return err }},
+			{"crossover", func() error { _, err := RunCrossover(ctx, CrossoverSpec{Scale: scale}); return err }},
+		} {
+			err := tc.run()
+			if err == nil || !strings.Contains(err.Error(), "too small") {
+				t.Errorf("%s at dataset size %d: error = %v, want \"dataset size %d too small\"", tc.name, size, err, size)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"dpbyz/internal/data"
 	runspec "dpbyz/internal/spec"
 )
 
@@ -78,60 +77,30 @@ func RunHeterogeneitySweep(ctx context.Context, sw HeterogeneitySweepSpec) ([]He
 	if sw.Epsilon == 0 {
 		sw.Epsilon = PaperEpsilon
 	}
-	trainN := sw.Scale.datasetSize() * data.PhishingTrainSize / data.PhishingSize
-	base := FigureSpec{ID: "hetsweep", BatchSize: sw.BatchSize, Epsilon: sw.Epsilon, Scale: sw.Scale}
-	inputs, err := buildSeedInputs(base, trainN)
+	g, err := phishingGrid("hetsweep", sw.Sched, sw.Scale, 0)
 	if err != nil {
 		return nil, err
 	}
-
-	seeds := sw.Scale.seeds()
-	conds := len(sw.GARNames) * len(sw.Betas)
-	runs := make([]cellRun, conds*seeds)
-	inner := resolveWorkers(sw.Sched) == 1
-	err = runGrid(ctx, sw.Sched, len(runs),
-		func(t int) string {
-			ci, si := t/seeds, t%seeds
-			return fmt.Sprintf("%s beta=%v seed %d",
-				sw.GARNames[ci/len(sw.Betas)], sw.Betas[ci%len(sw.Betas)], si+1)
-		},
-		func(ctx context.Context, t int) error {
-			ci, si := t/seeds, t%seeds
-			garName := sw.GARNames[ci/len(sw.Betas)]
-			beta := sw.Betas[ci%len(sw.Betas)]
-			s := heteroCellSpec(sw, garName, beta, si+1)
-			opts := []runspec.Option{runspec.WithDatasets(inputs[si].train, inputs[si].test)}
-			if inner {
-				opts = append(opts, runspec.WithParallel())
-			}
-			res, err := (&runspec.LocalBackend{}).Run(ctx, s, opts...)
-			if err != nil {
-				return fmt.Errorf("experiments: hetsweep %s beta=%v: %w", garName, beta, err)
-			}
-			minLoss, minStep := res.History.MinLoss()
-			runs[t] = cellRun{history: res.History, minLoss: minLoss, minStep: minStep}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	out := make([]HeterogeneityPoint, 0, conds)
-	for ci := 0; ci < conds; ci++ {
-		garName := sw.GARNames[ci/len(sw.Betas)]
-		beta := sw.Betas[ci%len(sw.Betas)]
-		cond := Condition{Label: fmt.Sprintf("%s/beta=%v", garName, beta), AttackName: sw.AttackName, DP: true}
-		cell, err := aggregateCell(cond, runs[ci*seeds:(ci+1)*seeds])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: hetsweep %s beta=%v: %w", garName, beta, err)
+	out := make([]HeterogeneityPoint, 0, len(sw.GARNames)*len(sw.Betas))
+	for _, garName := range sw.GARNames {
+		for _, beta := range sw.Betas {
+			out = append(out, HeterogeneityPoint{GAR: garName, Beta: beta})
+			g.conds = append(g.conds, Condition{
+				Label: fmt.Sprintf("%s beta=%v", garName, beta), AttackName: sw.AttackName, DP: true,
+			})
 		}
-		out = append(out, HeterogeneityPoint{
-			GAR:          garName,
-			Beta:         beta,
-			MinLossMean:  cell.MinLossMean,
-			FinalAccMean: cell.FinalAccMean,
-			FinalAccStd:  cell.FinalAccStd,
-		})
+	}
+	g.spec = func(ci, seed int) runspec.Spec {
+		return heteroCellSpec(sw, out[ci].GAR, out[ci].Beta, seed)
+	}
+	cells, _, err := g.run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	for ci, cell := range cells {
+		out[ci].MinLossMean = cell.MinLossMean
+		out[ci].FinalAccMean = cell.FinalAccMean
+		out[ci].FinalAccStd = cell.FinalAccStd
 	}
 	return out, nil
 }

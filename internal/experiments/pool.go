@@ -6,10 +6,9 @@ import (
 	"sync"
 )
 
-// Pool is the long-lived face of the bounded deterministic cell scheduler —
-// the same engine runGrid drives for the figure grids, exposed for external
-// work feeds that submit items over time instead of as one fixed batch (the
-// fleet control plane is the intended consumer).
+// Pool is the bounded deterministic cell scheduler. runGrid drives it with
+// one fixed batch per experiment grid; external work feeds submit items over
+// time instead (the fleet control plane is that consumer).
 //
 // Up to width items execute concurrently on a fixed set of worker
 // goroutines. Pending items start in (priority descending, submission order
@@ -20,14 +19,12 @@ import (
 // item results are bit-identical at every width, and only completion order
 // observes scheduling.
 type Pool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   taskHeap
-	seq     uint64
-	width   int
-	running int
-	closed  bool
-	wg      sync.WaitGroup
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  taskHeap
+	seq    uint64
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // Task is one submitted work item, usable to cancel it before it starts.
@@ -44,7 +41,7 @@ func NewPool(width int) *Pool {
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{width: width}
+	p := &Pool{}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(width)
 	for i := 0; i < width; i++ {
@@ -95,13 +92,6 @@ func (p *Pool) QueueDepth() int {
 	return len(p.queue)
 }
 
-// Running returns the number of items currently executing.
-func (p *Pool) Running() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.running
-}
-
 // Close stops the pool: queued items are discarded (they never run) and the
 // call blocks until every in-flight item returns. Callers that need a fast
 // stop cancel the contexts their items captured before closing.
@@ -136,11 +126,9 @@ func (p *Pool) worker() {
 		}
 		t := heap.Pop(&p.queue).(*Task)
 		t.index = -1
-		p.running++
 		p.mu.Unlock()
 		t.run()
 		p.mu.Lock()
-		p.running--
 	}
 }
 

@@ -53,6 +53,125 @@ func TestEpsilonSweepSchedulerBitIdentical(t *testing.T) {
 	}
 }
 
+// The contract holds for every grid driver, not only the three above: each
+// returns the same value, bit for bit, from the serial scheduler and from a
+// three-wide one, and each gives up with context.Canceled on a cancelled
+// context. The staleness and spec-cell cases also pin what those two drivers
+// promise beyond that.
+func TestSweepsWidthInvariant(t *testing.T) {
+	scale := schedScale()
+	ledgerBalances := func(t *testing.T, p StalenessPoint) {
+		if want := scale.Seeds * PaperWorkers * scale.Steps; p.Accepted+p.Missed != want {
+			t.Errorf("%s s=%d: accepted %d + missed %d != seeds·n·steps = %d",
+				p.GAR, p.Stragglers, p.Accepted, p.Missed, want)
+		}
+		if p.Credited > p.Accepted {
+			t.Errorf("%s s=%d: credited %d > accepted %d", p.GAR, p.Stragglers, p.Credited, p.Accepted)
+		}
+		if p.Stragglers == 0 && p.Missed != 0 {
+			t.Errorf("%s s=0: missed %d in the synchronous baseline", p.GAR, p.Missed)
+		}
+	}
+	specCell := func(ctx context.Context, s Sched, ownSeed uint64, seeds int) (*CellResult, error) {
+		run := CellSpec(Figure2(scale), Condition{Label: "alie+dp", AttackName: "alie", DP: true}, int(ownSeed))
+		return RunSpecCell(ctx, SpecCellConfig{Run: run, Seeds: seeds, Sched: s})
+	}
+	for _, tc := range []struct {
+		name  string
+		run   func(ctx context.Context, s Sched) (any, error)
+		check func(t *testing.T, got any)
+	}{
+		{name: "figure", run: func(ctx context.Context, s Sched) (any, error) {
+			spec := Figure2(scale)
+			spec.Sched = s
+			res, err := RunFigure(ctx, spec)
+			if err != nil {
+				return nil, err
+			}
+			return res.Cells, nil
+		}},
+		{name: "epssweep", run: func(ctx context.Context, s Sched) (any, error) {
+			return RunEpsilonSweep(ctx, EpsilonSweepSpec{Epsilons: []float64{0.3, 0.9}, Scale: scale, Sched: s})
+		}},
+		{name: "hetsweep", run: func(ctx context.Context, s Sched) (any, error) {
+			return RunHeterogeneitySweep(ctx, HeterogeneitySweepSpec{Betas: []float64{0.2, 5}, Scale: scale, Sched: s})
+		}},
+		{name: "stalesweep-credit", run: func(ctx context.Context, s Sched) (any, error) {
+			return RunStalenessSweep(ctx, StalenessSweepSpec{
+				Stragglers: []int{0, 2}, GARNames: []string{"mda", "trimmedmean"}, Scale: scale, Sched: s,
+			})
+		}, check: func(t *testing.T, got any) {
+			for _, p := range got.([]StalenessPoint) {
+				ledgerBalances(t, p)
+			}
+		}},
+		{name: "stalesweep-discard", run: func(ctx context.Context, s Sched) (any, error) {
+			return RunStalenessSweep(ctx, StalenessSweepSpec{
+				Stragglers: []int{0, 3}, Late: "discard", Scale: scale, Sched: s,
+			})
+		}, check: func(t *testing.T, got any) {
+			for _, p := range got.([]StalenessPoint) {
+				ledgerBalances(t, p)
+				if p.Credited != 0 {
+					t.Errorf("s=%d: credited %d although late frames are discarded", p.Stragglers, p.Credited)
+				}
+			}
+		}},
+		{name: "speccell", run: func(ctx context.Context, s Sched) (any, error) {
+			return specCell(ctx, s, 7, 3)
+		}, check: func(t *testing.T, got any) {
+			cell := func(ownSeed uint64, seeds int) *CellResult {
+				c, err := specCell(context.Background(), Sched{}, ownSeed, seeds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			// Seeds: k replaces the Spec's own seed with 1..k.
+			if !reflect.DeepEqual(got, cell(99, 3)) {
+				t.Error("Seeds: 3 depends on the Spec's own seed")
+			}
+			if !reflect.DeepEqual(cell(7, 1), cell(1, 0)) {
+				t.Error("Seeds: 1 is not the single run at seed 1")
+			}
+			// Seeds: 0 is one run at the Spec's own seed.
+			if reflect.DeepEqual(cell(7, 0), cell(1, 0)) {
+				t.Error("Seeds: 0 ignored the Spec's own seed")
+			}
+			if std := cell(7, 0).FinalAccStd; std != 0 {
+				t.Errorf("Seeds: 0 aggregated more than one run (final accuracy std %v)", std)
+			}
+		}},
+		{name: "crossover", run: func(ctx context.Context, s Sched) (any, error) {
+			// CrossoverSpec has no Sched: its grid runs GOMAXPROCS wide.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(s.Workers))
+			return RunCrossover(ctx, CrossoverSpec{BatchSizes: []int{10, 200}, Scale: scale})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial, err := tc.run(context.Background(), Sched{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wide, err := tc.run(context.Background(), Sched{Workers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serial, wide) {
+				t.Fatal("result differs between Workers=1 and Workers=3")
+			}
+			if tc.check != nil {
+				tc.check(t, serial)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := tc.run(ctx, Sched{Workers: 3}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled context: error = %v, want context.Canceled", err)
+			}
+		})
+	}
+}
+
 // Progress must fire once per cell and count every cell exactly once.
 func TestSchedulerProgressCounts(t *testing.T) {
 	spec := Figure2(schedScale())

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	runspec "dpbyz/internal/spec"
 )
@@ -26,42 +25,30 @@ type SpecCellConfig struct {
 // RunSpecCell executes the spec across the configured seeds on the local
 // backend and aggregates the curves.
 func RunSpecCell(ctx context.Context, cfg SpecCellConfig) (*CellResult, error) {
-	seeds := cfg.Seeds
-	if seeds <= 0 {
-		seeds = 1
-	}
 	label := cfg.Run.Name
 	if label == "" {
 		label = "spec"
 	}
-	runs := make([]cellRun, seeds)
-	inner := resolveWorkers(cfg.Sched) == 1
-	err := runGrid(ctx, cfg.Sched, seeds,
-		func(t int) string { return fmt.Sprintf("%s seed %d", label, t+1) },
-		func(ctx context.Context, t int) error {
-			s := cfg.Run
-			if cfg.Seeds > 0 {
-				s.Seed = uint64(t + 1)
-			}
-			var opts []runspec.Option
-			if inner {
-				opts = append(opts, runspec.WithParallel())
-			}
-			res, err := (&runspec.LocalBackend{}).Run(ctx, s, opts...)
-			if err != nil {
-				return fmt.Errorf("experiments: %s seed %d: %w", label, t+1, err)
-			}
-			minLoss, minStep := res.History.MinLoss()
-			runs[t] = cellRun{history: res.History, minLoss: minLoss, minStep: minStep}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	cond := Condition{Label: label}
+	cond := Condition{Label: label, DP: cfg.Run.Mechanism != nil}
 	if cfg.Run.Attack != nil {
 		cond.AttackName = cfg.Run.Attack.Name
 	}
-	cond.DP = cfg.Run.Mechanism != nil
-	return aggregateCell(cond, runs)
+	g := grid{
+		id:    "spec",
+		sched: cfg.Sched,
+		seeds: max(cfg.Seeds, 1),
+		conds: []Condition{cond},
+		spec: func(_, seed int) runspec.Spec {
+			s := cfg.Run
+			if cfg.Seeds > 0 {
+				s.Seed = uint64(seed)
+			}
+			return s
+		},
+	}
+	cells, _, err := g.run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &cells[0], nil
 }

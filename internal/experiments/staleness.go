@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"dpbyz/internal/data"
 	runspec "dpbyz/internal/spec"
 )
 
@@ -92,70 +91,37 @@ func RunStalenessSweep(ctx context.Context, sw StalenessSweepSpec) ([]StalenessP
 			return nil, fmt.Errorf("experiments: stalesweep s=%d leaves quorum %d (need >= 1)", s, q)
 		}
 	}
-	trainN := sw.Scale.datasetSize() * data.PhishingTrainSize / data.PhishingSize
-	base := FigureSpec{ID: "stalesweep", BatchSize: sw.BatchSize, Epsilon: sw.Epsilon, Scale: sw.Scale}
-	inputs, err := buildSeedInputs(base, trainN)
+	g, err := phishingGrid("stalesweep", sw.Sched, sw.Scale, 0)
 	if err != nil {
 		return nil, err
 	}
-
-	seeds := sw.Scale.seeds()
-	conds := len(sw.GARNames) * len(sw.Stragglers)
-	runs := make([]cellRun, conds*seeds)
-	stats := make([]runspec.ClusterStats, conds*seeds)
-	inner := resolveWorkers(sw.Sched) == 1
-	err = runGrid(ctx, sw.Sched, len(runs),
-		func(t int) string {
-			ci, si := t/seeds, t%seeds
-			return fmt.Sprintf("%s s=%d seed %d",
-				sw.GARNames[ci/len(sw.Stragglers)], sw.Stragglers[ci%len(sw.Stragglers)], si+1)
-		},
-		func(ctx context.Context, t int) error {
-			ci, si := t/seeds, t%seeds
-			garName := sw.GARNames[ci/len(sw.Stragglers)]
-			stragglers := sw.Stragglers[ci%len(sw.Stragglers)]
-			s := staleCellSpec(sw, garName, stragglers, si+1)
-			opts := []runspec.Option{runspec.WithDatasets(inputs[si].train, inputs[si].test)}
-			if inner {
-				opts = append(opts, runspec.WithParallel())
-			}
-			res, err := (&runspec.LocalBackend{}).Run(ctx, s, opts...)
-			if err != nil {
-				return fmt.Errorf("experiments: stalesweep %s s=%d: %w", garName, stragglers, err)
-			}
-			minLoss, minStep := res.History.MinLoss()
-			runs[t] = cellRun{history: res.History, minLoss: minLoss, minStep: minStep}
-			stats[t] = *res.Cluster
-			return nil
-		})
+	out := make([]StalenessPoint, 0, len(sw.GARNames)*len(sw.Stragglers))
+	for _, garName := range sw.GARNames {
+		for _, s := range sw.Stragglers {
+			out = append(out, StalenessPoint{GAR: garName, Stragglers: s})
+			g.conds = append(g.conds, Condition{
+				Label: fmt.Sprintf("%s s=%d", garName, s), AttackName: sw.AttackName, DP: true,
+			})
+		}
+	}
+	g.spec = func(ci, seed int) runspec.Spec {
+		return staleCellSpec(sw, out[ci].GAR, out[ci].Stragglers, seed)
+	}
+	cells, runs, err := g.run(ctx)
 	if err != nil {
 		return nil, err
 	}
-
-	out := make([]StalenessPoint, 0, conds)
-	for ci := 0; ci < conds; ci++ {
-		garName := sw.GARNames[ci/len(sw.Stragglers)]
-		stragglers := sw.Stragglers[ci%len(sw.Stragglers)]
-		cond := Condition{Label: fmt.Sprintf("%s/s=%d", garName, stragglers), AttackName: sw.AttackName, DP: true}
-		cell, err := aggregateCell(cond, runs[ci*seeds:(ci+1)*seeds])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: stalesweep %s s=%d: %w", garName, stragglers, err)
+	for ci, cell := range cells {
+		p := &out[ci]
+		p.MinLossMean = cell.MinLossMean
+		p.FinalAccMean = cell.FinalAccMean
+		p.FinalAccStd = cell.FinalAccStd
+		for _, r := range runs[ci*g.seeds : (ci+1)*g.seeds] {
+			p.Accepted += r.Cluster.Accepted
+			p.Missed += r.Cluster.Missed
+			p.Discarded += r.Cluster.Discarded
+			p.Credited += r.Cluster.Credited
 		}
-		p := StalenessPoint{
-			GAR:          garName,
-			Stragglers:   stragglers,
-			MinLossMean:  cell.MinLossMean,
-			FinalAccMean: cell.FinalAccMean,
-			FinalAccStd:  cell.FinalAccStd,
-		}
-		for si := 0; si < seeds; si++ {
-			st := stats[ci*seeds+si]
-			p.Accepted += st.Accepted
-			p.Missed += st.Missed
-			p.Discarded += st.Discarded
-			p.Credited += st.Credited
-		}
-		out = append(out, p)
 	}
 	return out, nil
 }

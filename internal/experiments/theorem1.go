@@ -90,65 +90,18 @@ func RunTheorem1(ctx context.Context, spec Theorem1Spec) ([]Theorem1Point, error
 	spec.fillDefaults()
 	out := make([]Theorem1Point, 0, len(spec.Dims))
 	for _, d := range spec.Dims {
-		var errDP, errClear float64
-		for seed := 1; seed <= spec.Seeds; seed++ {
-			ds, center, err := data.GaussianMean(data.GaussianMeanConfig{
-				N: spec.DatasetSize, Dim: d, Sigma: spec.Sigma, Seed: uint64(seed),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: theorem1 d=%d: %w", d, err)
-			}
-			m, err := model.NewMeanEstimation(d)
-			if err != nil {
-				return nil, err
-			}
-			for _, withDP := range []bool{false, true} {
-				g, err := gar.NewAverage(spec.Workers)
-				if err != nil {
-					return nil, err
-				}
-				cfg := simulate.Config{
-					Model: m,
-					Train: ds,
-					GAR:   g,
-					Steps: spec.Steps,
-					// Theorem 1's schedule is γ_t = 1/(λ(1−sinα)t); with
-					// averaging (α = 0) and λ = 1 for this objective we use
-					// the harmonic-mean-equivalent constant small rate; a
-					// fixed small step keeps the comparison clean and the
-					// d-scaling intact.
-					BatchSize:    spec.BatchSize,
-					LearningRate: 0.05,
-					Momentum:     0,
-					ClipNorm:     spec.Gmax,
-					Seed:         uint64(seed),
-					Parallel:     true,
-				}
-				if withDP {
-					mech, err := dp.NewGaussian(spec.Gmax, spec.BatchSize,
-						dp.Budget{Epsilon: spec.Epsilon, Delta: spec.Delta})
-					if err != nil {
-						return nil, err
-					}
-					cfg.Mechanism = mech
-				}
-				res, err := simulate.Run(ctx, cfg)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: theorem1 d=%d dp=%v: %w", d, withDP, err)
-				}
-				sub := m.Suboptimality(res.Params, center)
-				if withDP {
-					errDP += sub
-				} else {
-					errClear += sub
-				}
-			}
+		// Theorem 1's schedule is γ_t = 1/(λ(1−sinα)t); with averaging
+		// (α = 0) and λ = 1 for this objective the d sweep uses the
+		// harmonic-mean-equivalent constant small rate, clipped at G_max: a
+		// fixed small step keeps the clear/DP comparison clean and the
+		// d-scaling intact.
+		errs, err := theorem1Cell(ctx, spec, theorem1Shape{
+			dim: d, batch: spec.BatchSize, steps: spec.Steps, clip: spec.Gmax, constantLR: 0.05,
+		}, []bool{false, true})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: theorem1 d=%d: %w", d, err)
 		}
-		out = append(out, Theorem1Point{
-			Dim:      d,
-			ErrDP:    errDP / float64(spec.Seeds),
-			ErrClear: errClear / float64(spec.Seeds),
-		})
+		out = append(out, Theorem1Point{Dim: d, ErrClear: errs[0], ErrDP: errs[1]})
 	}
 	return out, nil
 }
@@ -233,11 +186,11 @@ func RunTheorem1BatchSweep(ctx context.Context, spec Theorem1Spec, batches []int
 	d := spec.Dims[0]
 	out := make([]Theorem1BatchPoint, 0, len(batches))
 	for _, b := range batches {
-		sub, err := theorem1Cell(ctx, spec, d, b, spec.Steps, true)
+		errs, err := theorem1Cell(ctx, spec, theorem1Shape{dim: d, batch: b, steps: spec.Steps}, []bool{true})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: theorem1 b=%d: %w", b, err)
 		}
-		out = append(out, Theorem1BatchPoint{BatchSize: b, ErrDP: sub})
+		out = append(out, Theorem1BatchPoint{BatchSize: b, ErrDP: errs[0]})
 	}
 	return out, nil
 }
@@ -260,70 +213,83 @@ func RunTheorem1StepsSweep(ctx context.Context, spec Theorem1Spec, stepGrid []in
 	d := spec.Dims[0]
 	out := make([]Theorem1StepsPoint, 0, len(stepGrid))
 	for _, steps := range stepGrid {
-		sub, err := theorem1Cell(ctx, spec, d, spec.BatchSize, steps, true)
+		errs, err := theorem1Cell(ctx, spec, theorem1Shape{dim: d, batch: spec.BatchSize, steps: steps}, []bool{true})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: theorem1 T=%d: %w", steps, err)
 		}
-		out = append(out, Theorem1StepsPoint{Steps: steps, ErrDP: sub})
+		out = append(out, Theorem1StepsPoint{Steps: steps, ErrDP: errs[0]})
 	}
 	return out, nil
 }
 
-// theorem1Cell runs one mean-estimation configuration averaged over the
-// spec's seeds and returns the mean final suboptimality. The sweeps use
-// Theorem 1's γ_t = 1/t schedule with clipping disabled: the theorem's
-// contraction argument assumes the unclipped strongly convex gradient, and
-// on this task per-sample norms always exceed G_max = 1, so clipping would
-// cap the pull and mask the 1/T and 1/b² factors. The noise is still
-// calibrated to the (G_max, b, ε, δ) sensitivity, exactly as in the
+// theorem1Shape is one mean-estimation configuration of the Theorem 1
+// harness.
+type theorem1Shape struct {
+	dim, batch, steps int
+	// clip is the per-sample clipping bound (0 = unclipped).
+	clip float64
+	// constantLR, when positive, is the fixed learning rate; zero selects
+	// Theorem 1's γ_t = 1/t schedule (λ = 1, α = 0).
+	constantLR float64
+}
+
+// theorem1Cell trains the shape once per (seed, DP mode) — honest averaging
+// over spec.Workers, the (d, seed) dataset built once and shared by the
+// modes — and returns, per mode, the final suboptimality averaged over the
+// spec's seeds. The b and T sweeps run it unclipped under the 1/t schedule:
+// the theorem's contraction argument assumes the unclipped strongly convex
+// gradient, and on this task per-sample norms always exceed G_max = 1, so
+// clipping would cap the pull and mask the 1/T and 1/b² factors. The noise is
+// always calibrated to the (G_max, b, ε, δ) sensitivity, exactly as in the
 // theorem's statement.
-func theorem1Cell(ctx context.Context, spec Theorem1Spec, dim, batch, steps int, inverseT bool) (float64, error) {
-	var total float64
+func theorem1Cell(ctx context.Context, spec Theorem1Spec, sh theorem1Shape, dpModes []bool) ([]float64, error) {
+	mech, err := dp.NewGaussian(spec.Gmax, sh.batch, dp.Budget{Epsilon: spec.Epsilon, Delta: spec.Delta})
+	if err != nil {
+		return nil, err
+	}
+	m, err := model.NewMeanEstimation(sh.dim)
+	if err != nil {
+		return nil, err
+	}
+	errs := make([]float64, len(dpModes))
 	for seed := 1; seed <= spec.Seeds; seed++ {
 		ds, center, err := data.GaussianMean(data.GaussianMeanConfig{
-			N: spec.DatasetSize, Dim: dim, Sigma: spec.Sigma, Seed: uint64(seed),
+			N: spec.DatasetSize, Dim: sh.dim, Sigma: spec.Sigma, Seed: uint64(seed),
 		})
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		m, err := model.NewMeanEstimation(dim)
-		if err != nil {
-			return 0, err
+		for i, withDP := range dpModes {
+			g, err := gar.NewAverage(spec.Workers)
+			if err != nil {
+				return nil, err
+			}
+			cfg := simulate.Config{
+				Model:        m,
+				Train:        ds,
+				GAR:          g,
+				Steps:        sh.steps,
+				BatchSize:    sh.batch,
+				LearningRate: sh.constantLR,
+				ClipNorm:     sh.clip,
+				Seed:         uint64(seed),
+				Parallel:     true,
+			}
+			if sh.constantLR == 0 {
+				cfg.LRSchedule = simulate.InverseTimeLR(1)
+			}
+			if withDP {
+				cfg.Mechanism = mech
+			}
+			res, err := simulate.Run(ctx, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("dp=%v: %w", withDP, err)
+			}
+			errs[i] += m.Suboptimality(res.Params, center)
 		}
-		g, err := gar.NewAverage(spec.Workers)
-		if err != nil {
-			return 0, err
-		}
-		cfg := simulate.Config{
-			Model:     m,
-			Train:     ds,
-			GAR:       g,
-			Steps:     steps,
-			BatchSize: batch,
-			ClipNorm:  0, // see function comment
-			Seed:      uint64(seed),
-			Parallel:  true,
-		}
-		if inverseT {
-			cfg.LRSchedule = simulate.InverseTimeLR(1) // λ = 1, α = 0
-		} else {
-			cfg.LearningRate = 0.05
-		}
-		sigma, err := dp.NoiseSigmaForGradient(spec.Gmax, batch,
-			dp.Budget{Epsilon: spec.Epsilon, Delta: spec.Delta})
-		if err != nil {
-			return 0, err
-		}
-		mech, err := dp.NewGaussianWithSigma(sigma)
-		if err != nil {
-			return 0, err
-		}
-		cfg.Mechanism = mech
-		res, err := simulate.Run(ctx, cfg)
-		if err != nil {
-			return 0, err
-		}
-		total += m.Suboptimality(res.Params, center)
 	}
-	return total / float64(spec.Seeds), nil
+	for i := range errs {
+		errs[i] /= float64(spec.Seeds)
+	}
+	return errs, nil
 }
