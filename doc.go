@@ -49,6 +49,18 @@
 //	dist, _ := (&dpbyz.ClusterBackend{}).Run(ctx, s)   // server + 11 workers over an
 //	                                                   // in-process ChanTransport
 //
+// A LocalBackend value remembers the one dataset it last synthesized, so
+// hold one value for a sweep — conditions × seeds over one pinned Data.Seed
+// pay for the dataset once, read-only and bit-identical — while a fresh
+// &dpbyz.LocalBackend{} is always cold and frees the dataset with the value:
+//
+//	be := &dpbyz.LocalBackend{}
+//	for seed := uint64(1); seed <= 5; seed++ {
+//		s.Seed, s.Data.Seed = seed, 7
+//		res, err := be.Run(ctx, s)
+//		...
+//	}
+//
 // or on a real network: cmd/dpbyz-server and cmd/dpbyz-worker consume the
 // same JSON file (dpbyz.ServeSpec / dpbyz.JoinSpec), adding only placement
 // flags — address, transport — that are deliberately not part of the Spec.
@@ -382,13 +394,27 @@
 //	    curl -s -X POST --data-binary @- http://127.0.0.1:8080/runs
 //	curl -sN http://127.0.0.1:8080/runs/run-00000000/events
 //
-// Every run persists in the store directory (spec, metadata, checkpoint
-// snapshots at the submission's cadence, and a per-step telemetry log
-// flushed before each snapshot). That write ordering is the crash-safety
-// contract: a service killed with runs in flight — SIGKILL, not merely
-// SIGTERM — restarts, resumes each interrupted run from its snapshot, and
-// finishes with final parameters bit-identical to an uninterrupted
-// service, regenerating the identical telemetry along the way. Clients
+// Every run persists in its own directory under the store root:
+//
+//	run-00000000/spec.json       the submitted Spec, indented
+//	run-00000000/meta.json       status, scheduling, outcome; indented
+//	run-00000000/snapshot.json   the latest resumable RunState, written at
+//	                             the submission's cadence: compact JSON on
+//	                             one line (machine state; `python3 -m
+//	                             json.tool` to read one)
+//	run-00000000/events.jsonl    one line per completed step, flushed
+//	                             before each snapshot
+//
+// The files people read are indented; the snapshot, rewritten every few
+// steps of every run, is not. Indented snapshots from older stores still
+// load. The service runs every local run on one LocalBackend value, so a
+// submitted sweep shares its dataset as above.
+//
+// The write ordering — log before snapshot — is the crash-safety contract:
+// a service killed with runs in flight — SIGKILL, not merely SIGTERM —
+// restarts, resumes each interrupted run from its snapshot, and finishes
+// with final parameters bit-identical to an uninterrupted service,
+// regenerating the identical telemetry along the way. Clients
 // stream GET /runs/{id}/events as ndjson with a resumable cursor
 // (?cursor=N or Last-Event-ID), so a consumer that disconnects and
 // reconnects sees every event exactly once even across a service crash;

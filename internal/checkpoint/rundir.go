@@ -17,7 +17,8 @@ const (
 	RunSpecFile = "spec.json"
 	// RunMetaFile holds the service-side run metadata (status, scheduling).
 	RunMetaFile = "meta.json"
-	// RunSnapshotFile holds the resumable RunState (SaveRunState format).
+	// RunSnapshotFile holds the resumable RunState (SaveRunState format:
+	// compact JSON; spec.json and meta.json, which people read, are indented).
 	RunSnapshotFile = "snapshot.json"
 	// RunEventsFile holds the run's append-only JSONL event log.
 	RunEventsFile = "events.jsonl"
@@ -67,12 +68,14 @@ func (d RunDir) LoadSnapshot() (*RunState, error) {
 	return st, err
 }
 
-// WriteFileAtomic writes data to path through a temporary file and a rename,
-// the same last-snapshot-wins idiom SaveRunState uses: a crash mid-write
-// never leaves a truncated file where a good one used to be.
+// WriteFileAtomic writes data to path through a temporary file and a rename
+// — the one write path of every file in a run directory, snapshots included:
+// a crash mid-write never leaves a truncated file where a good one used to
+// be, and a failed write leaves no temporary file behind.
 func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		_ = os.Remove(tmp)
 		return fmt.Errorf("checkpoint: write %s: %w", tmp, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {

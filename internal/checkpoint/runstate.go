@@ -193,20 +193,6 @@ func jsonEqual(a, b []byte) bool {
 	return bytes.Equal(ca.Bytes(), cb.Bytes())
 }
 
-// WriteRunState encodes the snapshot as indented JSON.
-func WriteRunState(w io.Writer, s *RunState) error {
-	s.Version = RunStateVersion
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
-		return fmt.Errorf("checkpoint: encode run state: %w", err)
-	}
-	return nil
-}
-
 // ReadRunState decodes and validates a snapshot.
 func ReadRunState(r io.Reader) (*RunState, error) {
 	var s RunState
@@ -219,29 +205,24 @@ func ReadRunState(r io.Reader) (*RunState, error) {
 	return &s, nil
 }
 
-// SaveRunState writes the snapshot to path atomically: it lands in a
-// temporary file first and renames into place, so an interrupted save never
-// leaves a truncated snapshot where a resumable one used to be.
+// SaveRunState validates the snapshot and writes it to path atomically
+// (WriteFileAtomic: temporary file, then rename), so an interrupted save
+// never leaves a truncated snapshot where a resumable one used to be. The
+// file is compact JSON — one encode, one buffer, one write — because a
+// snapshot is machine state rewritten every few steps of every run, and
+// indenting one (a line per float of every vector) costs more than encoding
+// it. ReadRunState does not care about whitespace, so an indented snapshot
+// from an older store loads all the same.
 func SaveRunState(path string, s *RunState) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("checkpoint: create %s: %w", tmp, err)
-	}
-	if err := WriteRunState(f, s); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
+	s.Version = RunStateVersion
+	if err := s.Validate(); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("checkpoint: close %s: %w", tmp, err)
+	b, err := json.Marshal(s)
+	if err != nil {
+		return fmt.Errorf("checkpoint: encode run state: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("checkpoint: rename %s: %w", path, err)
-	}
-	return nil
+	return WriteFileAtomic(path, b)
 }
 
 // LoadRunState reads a snapshot from path.

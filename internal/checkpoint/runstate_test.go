@@ -1,8 +1,11 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -100,5 +103,65 @@ func TestRunStateCheckSpec(t *testing.T) {
 	// provenance still resumes).
 	if err := s.CheckSpec("", nil); err != nil {
 		t.Errorf("absent sides rejected: %v", err)
+	}
+}
+
+// A save that cannot write its temporary file returns the error, leaves the
+// previous snapshot byte-identical and loadable, and leaves no temporary
+// file of its own behind. The obstacle is a directory squatting on
+// path+".tmp": a non-empty one survives (it is not the save's to delete), an
+// empty one is what a failed write's clean-up removes.
+func TestSaveRunStateFailureKeepsPrevious(t *testing.T) {
+	for _, nonEmpty := range []bool{true, false} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, RunSnapshotFile)
+		if err := SaveRunState(path, sampleRunState()); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmp := path + ".tmp"
+		if err := os.Mkdir(tmp, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if nonEmpty {
+			if err := os.WriteFile(filepath.Join(tmp, "squatter"), []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := sampleRunState()
+		next.Step = 50
+		if err := SaveRunState(path, next); err == nil {
+			t.Fatalf("nonEmpty=%v: save over a blocked temporary path succeeded", nonEmpty)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("nonEmpty=%v: failed save changed the previous snapshot", nonEmpty)
+		}
+		if st, err := LoadRunState(path); err != nil || st.Step != 25 {
+			t.Errorf("nonEmpty=%v: previous snapshot no longer loads at step 25: %v", nonEmpty, err)
+		}
+		if _, err := os.Stat(tmp); nonEmpty == errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("nonEmpty=%v: temporary path after the failed save: stat error %v", nonEmpty, err)
+		}
+	}
+}
+
+// A snapshot whose state fails Validate is refused before anything touches
+// the disk.
+func TestSaveRunStateValidatesFirst(t *testing.T) {
+	path := filepath.Join(t.TempDir(), RunSnapshotFile)
+	bad := sampleRunState()
+	bad.Velocity = []float64{1}
+	if err := SaveRunState(path, bad); err == nil {
+		t.Fatal("invalid state saved")
+	}
+	if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 0 {
+		t.Errorf("refused save left %d files behind", len(entries))
 	}
 }

@@ -369,6 +369,9 @@ func phishingGrid(id string, sched Sched, scale Scale, mlpHidden int) (grid, err
 func (g grid) run(ctx context.Context) ([]CellResult, []*runspec.Result, error) {
 	runs := make([]*runspec.Result, len(g.conds)*g.seeds)
 	inner := resolveWorkers(g.sched) == 1
+	// One backend value for the grid: cells whose Specs pin one Data.Seed
+	// share the dataset it last built, as phishing grids do through inputs.
+	backend := &runspec.LocalBackend{}
 	label := func(t int) string {
 		return fmt.Sprintf("%s seed %d", g.conds[t/g.seeds].Label, t%g.seeds+1)
 	}
@@ -385,7 +388,7 @@ func (g grid) run(ctx context.Context) ([]CellResult, []*runspec.Result, error) 
 			if inner {
 				opts = append(opts, runspec.WithParallel())
 			}
-			res, err := (&runspec.LocalBackend{}).Run(ctx, g.spec(ci, si+1), opts...)
+			res, err := backend.Run(ctx, g.spec(ci, si+1), opts...)
 			if err != nil {
 				return fmt.Errorf("experiments: %s/%s: %w", g.id, label(t), err)
 			}

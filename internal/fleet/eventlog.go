@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
+	"strconv"
 	"sync"
 )
 
@@ -45,7 +47,8 @@ type EventLog struct {
 	lines   [][]byte // complete JSON lines, without the trailing newline
 	f       *os.File
 	w       *bufio.Writer
-	changed chan struct{} // closed and replaced on every append and on close
+	buf     []byte        // Append's encode scratch: one line plus its newline
+	changed chan struct{} // non-nil once Next handed it out; closed and dropped on the next append or close
 	closed  bool
 }
 
@@ -83,13 +86,7 @@ func OpenEventLog(path string) (*EventLog, error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("fleet: seek event log %s: %w", path, err)
 	}
-	return &EventLog{
-		path:    path,
-		lines:   lines,
-		f:       f,
-		w:       bufio.NewWriter(f),
-		changed: make(chan struct{}),
-	}, nil
+	return &EventLog{path: path, lines: lines, f: f, w: bufio.NewWriter(f)}, nil
 }
 
 // Append appends ev to the log and wakes every waiting stream. The log
@@ -105,25 +102,69 @@ func (l *EventLog) Append(ev Event) error {
 	if ev.Step != ev.Seq {
 		return fmt.Errorf("fleet: event for step %d would land at log index %d", ev.Step, ev.Seq)
 	}
-	line, err := json.Marshal(ev)
+	buf, err := appendEvent(l.buf[:0], ev)
 	if err != nil {
 		return fmt.Errorf("fleet: encode event: %w", err)
 	}
+	l.buf = append(buf, '\n')
+	// The retained line is the append's one allocation.
+	line := make([]byte, len(buf))
+	copy(line, buf)
 	l.lines = append(l.lines, line)
-	if _, err := l.w.Write(line); err != nil {
-		return fmt.Errorf("fleet: append event log %s: %w", l.path, err)
-	}
-	if err := l.w.WriteByte('\n'); err != nil {
+	if _, err := l.w.Write(l.buf); err != nil {
 		return fmt.Errorf("fleet: append event log %s: %w", l.path, err)
 	}
 	l.broadcast()
 	return nil
 }
 
-// broadcast wakes every reader parked on the changed channel. Callers hold mu.
+// appendEvent appends ev's JSON to b: byte for byte what json.Marshal(ev)
+// returns, its refusal of a non-finite float included, without reflection
+// or an intermediate buffer.
+func appendEvent(b []byte, ev Event) ([]byte, error) {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendInt(b, int64(ev.Seq), 10)
+	b = append(b, `,"step":`...)
+	b = strconv.AppendInt(b, int64(ev.Step), 10)
+	fields := [...]struct {
+		key string
+		val *float64
+	}{{`,"loss":`, &ev.Loss}, {`,"accuracy":`, ev.Accuracy}, {`,"vnRatio":`, ev.VNRatio}}
+	for _, f := range fields {
+		if f.val == nil {
+			continue // omitempty
+		}
+		if math.IsNaN(*f.val) || math.IsInf(*f.val, 0) {
+			return nil, fmt.Errorf("unsupported float value %v", *f.val)
+		}
+		b = appendJSONFloat(append(b, f.key...), *f.val)
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSONFloat appends a finite f the way encoding/json writes a float64:
+// shortest round-trip digits, exponent form below 1e-6 and from 1e21, and a
+// negative exponent's leading zero dropped (e-09 becomes e-9).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// broadcast wakes every reader parked on the channel Next handed out. An
+// append nobody follows finds none and makes none. Callers hold mu.
 func (l *EventLog) broadcast() {
-	close(l.changed)
-	l.changed = make(chan struct{})
+	if l.changed != nil {
+		close(l.changed)
+		l.changed = nil
+	}
 }
 
 // Len returns the number of complete events in the log.
@@ -145,6 +186,9 @@ func (l *EventLog) Next(cursor int) (lines [][]byte, changed <-chan struct{}, cl
 	}
 	if cursor < len(l.lines) {
 		lines = l.lines[cursor:]
+	}
+	if l.changed == nil {
+		l.changed = make(chan struct{})
 	}
 	return lines, l.changed, l.closed
 }

@@ -101,6 +101,10 @@ type Service struct {
 	every int
 	logf  func(string, ...any)
 
+	// local executes every "local" run for the service's lifetime, so the
+	// runs of a sweep share the dataset the backend value last built.
+	local spec.LocalBackend
+
 	pool       *experiments.Pool
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -293,11 +297,11 @@ func (s *Service) schedule(r *run, resume *checkpoint.RunState) {
 }
 
 // backendFor maps a Meta.Backend name to its executor.
-func backendFor(name string) spec.Backend {
+func (s *Service) backendFor(name string) spec.Backend {
 	if name == "cluster" {
 		return &spec.ClusterBackend{}
 	}
-	return &spec.LocalBackend{}
+	return &s.local
 }
 
 // execute runs one scheduled run to a terminal state. It is the only
@@ -334,7 +338,7 @@ func (s *Service) execute(ctx context.Context, r *run, resume *checkpoint.RunSta
 	if resume != nil {
 		opts = append(opts, spec.WithResume(resume))
 	}
-	res, err := backendFor(meta.Backend).Run(ctx, r.sp, opts...)
+	res, err := s.backendFor(meta.Backend).Run(ctx, r.sp, opts...)
 	switch {
 	case err == nil:
 		s.finish(r, StatusDone, nil, res)

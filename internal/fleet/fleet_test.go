@@ -416,3 +416,77 @@ func TestFleetPriorityScheduling(t *testing.T) {
 	waitFinished(t, svc, low[0], 60*time.Second)
 	waitFinished(t, svc, blocker[0], 60*time.Second)
 }
+
+// finalParams waits for the run and returns its final snapshot's params.
+func finalParams(t *testing.T, svc *Service, id spec.RunID, steps int) []float64 {
+	t.Helper()
+	waitFinished(t, svc, id, 60*time.Second)
+	if meta, err := svc.Meta(id); err != nil || meta.Status != StatusDone {
+		t.Fatalf("run %s ended %+v (%v), want done", id, meta, err)
+	}
+	snap, err := svc.Snapshot(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil || snap.Step != steps {
+		t.Fatalf("run %s final snapshot missing or at wrong step", id)
+	}
+	return snap.Params
+}
+
+// The service runs every local run on one backend value, which remembers
+// the dataset it last built. Runs of two data keys interleaved two at a time
+// — each evicting the other's dataset, misses racing — must end in exactly
+// the params a fresh service gives each Spec alone.
+func TestFleetInterleavedDataKeysMatchFreshService(t *testing.T) {
+	const steps = 40
+	mk := func(key int, seed uint64) spec.Spec {
+		s := fleetSpec(steps, seed)
+		s.Data = spec.DataSpec{N: 400 + 100*key, Features: 8 + 2*key, Seed: uint64(100 + key)}
+		return s
+	}
+	subs := []*spec.Submission{
+		{Runs: []spec.Spec{mk(0, 1), mk(1, 2), mk(0, 3), mk(1, 4)}},
+		{Runs: []spec.Spec{mk(1, 5), mk(0, 6), mk(1, 7), mk(0, 8)}},
+	}
+
+	shared, err := Open(Config{Root: t.TempDir(), Width: 2, CheckpointEvery: 10, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shared.Stop()
+	var ids []spec.RunID
+	var specs []spec.Spec
+	for _, sub := range subs {
+		got, err := shared.Submit(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, got...)
+		specs = append(specs, sub.Runs...)
+	}
+
+	for i, id := range ids {
+		got := finalParams(t, shared, id, steps)
+
+		fresh, err := Open(Config{Root: t.TempDir(), Width: 1, CheckpointEvery: 10, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshIDs, err := fresh.Submit(&spec.Submission{Runs: specs[i : i+1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := finalParams(t, fresh, freshIDs[0], steps)
+		fresh.Stop()
+
+		if len(got) != len(want) {
+			t.Fatalf("run %s: %d params, fresh service %d", id, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("run %s param %d: %v on the shared service, %v on a fresh one", id, j, got[j], want[j])
+			}
+		}
+	}
+}

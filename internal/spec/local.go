@@ -2,7 +2,9 @@ package spec
 
 import (
 	"context"
+	"sync"
 
+	"dpbyz/internal/data"
 	"dpbyz/internal/simulate"
 )
 
@@ -11,10 +13,66 @@ import (
 // attacker, the configuration of the paper's figures. The steady-state step
 // performs zero allocations when no observer is installed, preserving the
 // simulator's AllocsPerRun gates.
+//
+// A LocalBackend value remembers the one dataset it last synthesized: a run
+// whose Data block resolves to the same generation parameters as the
+// previous run on this value reuses that train/test split read-only instead
+// of synthesizing it again, so a sweep — conditions × seeds over one
+// dataset — pays for the dataset once. Hold one value for a sweep; a fresh
+// &LocalBackend{} is always cold, and the remembered dataset is freed with
+// the value. Trajectories are bit-identical either way. The value is safe
+// for concurrent Runs and must not be copied after first use.
 type LocalBackend struct {
 	// Parallel computes worker gradients on separate goroutines; results
 	// are bit-identical either way. WithParallel overrides per run.
 	Parallel bool
+
+	mu   sync.Mutex
+	last builtData // guarded by mu
+}
+
+// dataKey is everything Spec.buildDatasets reads for a synthesized source,
+// with defaults resolved: equal keys build bit-identical datasets.
+type dataKey struct {
+	source      string
+	n, features int
+	seed        uint64
+	trainN      int
+	separation  float64
+}
+
+// builtData is one buildDatasets result under the key that produced it.
+type builtData struct {
+	key         dataKey
+	train, test *data.Dataset
+}
+
+// datasets is the Spec's buildDatasets behind the value's single-entry memo.
+// A libsvm source always rebuilds: the file can change between runs. Two
+// concurrent misses both build (no lock is held across synthesis) and the
+// later store stays.
+func (b *LocalBackend) datasets(s *Spec) (train, test *data.Dataset, err error) {
+	d := s.Data
+	key := dataKey{
+		source: d.source(), n: d.n(), features: d.features(),
+		seed: d.seed(s.Seed), trainN: d.TrainN, separation: d.separation(),
+	}
+	if key.source == "libsvm" {
+		return s.buildDatasets()
+	}
+	b.mu.Lock()
+	last := b.last
+	b.mu.Unlock()
+	if last.train != nil && last.key == key {
+		return last.train, last.test, nil
+	}
+	if train, test, err = s.buildDatasets(); err != nil {
+		return nil, nil, err
+	}
+	b.mu.Lock()
+	b.last = builtData{key: key, train: train, test: test}
+	b.mu.Unlock()
+	return train, test, nil
 }
 
 var _ Backend = (*LocalBackend)(nil)
@@ -26,7 +84,9 @@ func (b *LocalBackend) Name() string { return "local" }
 // native configuration. Exposed for the in-package tests that gate the
 // allocation behaviour of the materialized hot path.
 func (b *LocalBackend) config(s *Spec, o *runOptions) (simulate.Config, error) {
-	m, err := s.materialize(o)
+	m, err := s.materializeFrom(o, func() (train, test *data.Dataset, err error) {
+		return b.datasets(s)
+	})
 	if err != nil {
 		return simulate.Config{}, err
 	}

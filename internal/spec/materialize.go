@@ -152,13 +152,22 @@ func (s *Spec) buildModel(f int, dataSeed uint64) (model.Model, []float64, error
 // to share per-seed datasets across conditions) bypass dataset generation;
 // injected init params bypass the MLP derivation.
 func (s *Spec) materialize(o *runOptions) (*materialized, error) {
+	return s.materializeFrom(o, s.buildDatasets)
+}
+
+// materializeFrom is materialize with the dataset source named: build runs
+// only for a valid Spec with no injected datasets, which is where
+// LocalBackend puts the dataset its previous run built. Whatever the source,
+// datasets are shared read-only — nothing below, and nothing in a run,
+// writes through them.
+func (s *Spec) materializeFrom(o *runOptions, build func() (train, test *data.Dataset, err error)) (*materialized, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	m := &materialized{train: o.train, test: o.test}
 	if m.train == nil {
 		var err error
-		m.train, m.test, err = s.buildDatasets()
+		m.train, m.test, err = build()
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,15 @@
 package spec
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"dpbyz/internal/checkpoint"
@@ -316,4 +321,101 @@ func allFinite(v []float64) bool {
 		}
 	}
 	return true
+}
+
+// parentSnapshotSpec is the Spec of testdata/snapshot_parent_indented.json:
+// a 100-step staleness + membership run.
+func parentSnapshotSpec() Spec {
+	s := membershipSpec(100)
+	s.Staleness = &StalenessSpec{Stragglers: 1, Late: "credit"}
+	return s
+}
+
+// A store written before snapshots became compact still resumes. The fixture
+// is the indented snapshot.json the parent commit's SaveRunState wrote at
+// step 50 of parentSnapshotSpec (6fcc074, WithCheckpointFile(path, 50), run
+// aborted at step 60). It must load, pass CheckSpec against today's compact
+// Spec document, and resume to the uninterrupted run's exact end; saved
+// again it comes out compact, equal, and well under the indented size.
+func TestResumeParentIndentedSnapshot(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("fixture floats are pinned to GOARCH=amd64 (FMA fusion makes float results per-architecture); running on %s", runtime.GOARCH)
+	}
+	const fixture = "testdata/snapshot_parent_indented.json"
+	ctx := context.Background()
+	s := parentSnapshotSpec()
+
+	st, err := checkpoint.LoadRunState(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Step != 50 || st.Quorum == nil || st.Membership == nil {
+		t.Fatalf("fixture at step %d (quorum %v, membership %v), want a step-50 staleness + membership snapshot",
+			st.Step, st.Quorum != nil, st.Membership != nil)
+	}
+	specJSON, err := s.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CheckSpec("local", specJSON); err != nil {
+		t.Fatal(err)
+	}
+
+	full, err := (&LocalBackend{}).Run(ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := (&LocalBackend{}).Run(ctx, s, WithResumeFile(fixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range full.Params {
+		if resumed.Params[i] != full.Params[i] {
+			t.Fatalf("param %d: resumed from the parent's snapshot %v != uninterrupted %v",
+				i, resumed.Params[i], full.Params[i])
+		}
+	}
+	if !reflect.DeepEqual(resumed.Cluster, full.Cluster) {
+		t.Errorf("resumed ledger %+v != uninterrupted %+v", resumed.Cluster, full.Cluster)
+	}
+	for i := 0; i < resumed.History.Len(); i++ {
+		if got, want := resumed.History.Record(i), full.History.Record(50+i); got.Step != want.Step || got.Loss != want.Loss {
+			t.Fatalf("step %d: resumed loss %v != uninterrupted %v", want.Step, got.Loss, want.Loss)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "snapshot.json")
+	if err := checkpoint.SaveRunState(path, st); err != nil {
+		t.Fatal(err)
+	}
+	compact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(compact, []byte("\n ")) {
+		t.Error("re-saved snapshot is indented")
+	}
+	if 10*len(compact) >= 6*len(indented) {
+		t.Errorf("re-saved snapshot is %d bytes, not under 60%% of the fixture's %d", len(compact), len(indented))
+	}
+	again, err := checkpoint.LoadRunState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The embedded Spec document is the one field whose bytes changed.
+	var specDoc bytes.Buffer
+	if err := json.Compact(&specDoc, st.Spec); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Spec, specDoc.Bytes()) {
+		t.Errorf("re-saved Spec document is not the fixture's, compacted:\n%s", again.Spec)
+	}
+	again.Spec, st.Spec = nil, nil
+	if !reflect.DeepEqual(again, st) {
+		t.Errorf("re-saved snapshot does not round-trip:\n%+v\n%+v", again, st)
+	}
 }
