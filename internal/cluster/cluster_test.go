@@ -15,6 +15,7 @@ import (
 	"dpbyz/internal/dp"
 	"dpbyz/internal/gar"
 	"dpbyz/internal/membership"
+	"dpbyz/internal/metrics"
 	"dpbyz/internal/model"
 	"dpbyz/internal/vecmath"
 )
@@ -218,6 +219,15 @@ func TestCrashedWorkerBecomesZeroGradient(t *testing.T) {
 		}
 	}
 	workers[2].MaxRounds = 3 // crashes after 3 rounds
+	// Round 2's broadcast — the last worker 2 receives — carries the
+	// parameters round 1 committed.
+	var round2Params []float64
+	srvCfg.StepHook = func(rec metrics.StepRecord, params []float64) error {
+		if rec.Step == 1 {
+			round2Params = append([]float64(nil), params...)
+		}
+		return nil
+	}
 	srvRes, workerRes, workerErrs := launch(t, srvCfg, workers)
 	for i, err := range workerErrs {
 		if err != nil {
@@ -226,6 +236,9 @@ func TestCrashedWorkerBecomesZeroGradient(t *testing.T) {
 	}
 	if workerRes[2].Rounds != 3 {
 		t.Errorf("crashed worker rounds = %d", workerRes[2].Rounds)
+	}
+	if !vecmath.ApproxEqual(workerRes[2].FinalParams, round2Params, 0) {
+		t.Errorf("MaxRounds worker final params differ from round 2's broadcast")
 	}
 	// Rounds 3..9 are missing worker 2's gradient: 7 misses.
 	if srvRes.MissedGradients != 7 {

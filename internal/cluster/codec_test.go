@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"testing"
 	"time"
@@ -271,5 +273,17 @@ func TestConnSteadyStateZeroAlloc(t *testing.T) {
 	exchange() // warm buffers
 	if allocs := testing.AllocsPerRun(50, exchange); allocs > 0 {
 		t.Errorf("steady-state exchange allocates %.1f times per round, want 0", allocs)
+	}
+}
+
+// A transport failure reads exactly as the fmt.Errorf wrap it replaced, and
+// errors.Is still finds the cause.
+func TestConnErrorMatchesErrorf(t *testing.T) {
+	err := error(&connError{"read frame header", io.ErrUnexpectedEOF})
+	if want := fmt.Errorf("cluster: read frame header: %w", io.ErrUnexpectedEOF).Error(); err.Error() != want {
+		t.Errorf("Error() = %q, want %q", err.Error(), want)
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("errors.Is(%v, io.ErrUnexpectedEOF) = false", err)
 	}
 }

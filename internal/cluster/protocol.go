@@ -235,23 +235,36 @@ func (c *conn) writeFrame(deadline time.Time) error { return c.sendFrame(c.wbuf,
 // The caller answers for the frame cap.
 func (c *conn) sendFrame(frame []byte, deadline time.Time) error {
 	if err := c.raw.SetWriteDeadline(deadline); err != nil {
-		return fmt.Errorf("cluster: set write deadline: %w", err)
+		return &connError{"set write deadline", err}
 	}
 	if _, err := c.raw.Write(frame); err != nil {
-		return fmt.Errorf("cluster: write frame: %w", err)
+		return &connError{"write frame", err}
 	}
 	return nil
 }
+
+// connError is a transport failure on a conn, the operation prefixed as
+// fmt.Errorf("cluster: %s: %w") would. The message is built only when read:
+// every teardown fails a blocked receive or send, the server's readers
+// discard that error, and formatting a *net.OpError allocates its addresses.
+type connError struct {
+	op  string
+	err error
+}
+
+func (e *connError) Error() string { return "cluster: " + e.op + ": " + e.err.Error() }
+
+func (e *connError) Unwrap() error { return e.err }
 
 // receive reads and decodes the next frame. The returned message (and any
 // vector inside it) is owned by the conn and valid only until the next
 // receive; callers that keep a vector must copy it.
 func (c *conn) receive(deadline time.Time) (*message, error) {
 	if err := c.raw.SetReadDeadline(deadline); err != nil {
-		return nil, fmt.Errorf("cluster: set read deadline: %w", err)
+		return nil, &connError{"set read deadline", err}
 	}
 	if _, err := io.ReadFull(c.raw, c.hdr[:]); err != nil {
-		return nil, fmt.Errorf("cluster: read frame header: %w", err)
+		return nil, &connError{"read frame header", err}
 	}
 	kind, n, err := parseHeader(c.hdr[:], c.maxFrame)
 	if err != nil {
@@ -262,7 +275,7 @@ func (c *conn) receive(deadline time.Time) (*message, error) {
 	}
 	c.rbuf = c.rbuf[:n]
 	if _, err := io.ReadFull(c.raw, c.rbuf); err != nil {
-		return nil, fmt.Errorf("cluster: read frame payload: %w", err)
+		return nil, &connError{"read frame payload", err}
 	}
 	if err := decodePayload(kind, c.rbuf, &c.msg); err != nil {
 		return nil, err

@@ -147,10 +147,20 @@ type WorkerResult struct {
 	// FastForwarded counts rounds of deterministic stream replay performed
 	// to catch up with the cohort across joins and gaps.
 	FastForwarded int
-	// FinalParams is the last parameter vector received from the server
-	// (the trained model when the run completed). It is the worker's own
-	// copy, never an alias of connection internals.
+	// FinalParams is the trained model when RunWorker returns nil: the
+	// Done broadcast's weights, or the last broadcast before MaxRounds
+	// stopped the worker. It is the worker's own copy, never an alias of
+	// connection internals.
 	FinalParams []float64
+}
+
+// keepFinal copies the session's last broadcast into FinalParams. weights
+// lives in the conn's reusable decode buffer, which the next receive
+// overwrites and close recycles to other conns, so the result must own its
+// copy; taking it once at the successful exit spares a d-vector copy per
+// round.
+func (res *WorkerResult) keepFinal(weights []float64) {
+	res.FinalParams = append(res.FinalParams[:0], weights...)
 }
 
 // workerState is what survives reconnects: the honest pipeline (streams,
@@ -366,15 +376,8 @@ func runSession(ctx context.Context, cfg *WorkerConfig, st *workerState, res *Wo
 			return fmt.Errorf("cluster: worker %d: %w", cfg.WorkerID, ErrBadMessage)
 		}
 		params := &m.params
-		// params.Weights lives in the conn's reusable decode buffer, which
-		// the next receive overwrites and close recycles to other conns:
-		// the result must own its own copy.
-		if cap(res.FinalParams) < len(params.Weights) {
-			res.FinalParams = make([]float64, len(params.Weights))
-		}
-		res.FinalParams = res.FinalParams[:len(params.Weights)]
-		copy(res.FinalParams, params.Weights)
 		if params.Done {
+			res.keepFinal(params.Weights)
 			return nil
 		}
 		// A broadcast gap (partition-dropped frames, or admission without
@@ -439,6 +442,8 @@ func runSession(ctx context.Context, cfg *WorkerConfig, st *workerState, res *Wo
 		}
 		res.Rounds++
 		if cfg.MaxRounds > 0 && res.Rounds >= cfg.MaxRounds {
+			// No receive since: params.Weights is still this round's broadcast.
+			res.keepFinal(params.Weights)
 			return nil
 		}
 		if cfg.DropConnAfter > 0 && !st.dropped && res.Rounds >= cfg.DropConnAfter {

@@ -142,12 +142,10 @@ func (g *Gaussian) Perturb(v []float64, rng *randx.Stream) []float64 {
 	return g.PerturbInto(v, v, rng)
 }
 
-// PerturbInto implements Mechanism.
+// PerturbInto implements Mechanism through the stream's bulk fill, which
+// draws exactly the variates a per-coordinate Normal loop would.
 func (g *Gaussian) PerturbInto(dst, v []float64, rng *randx.Stream) []float64 {
-	for i := range v {
-		dst[i] = v[i] + g.sigma*rng.Normal()
-	}
-	return dst
+	return rng.AddNormalVec(dst, v, g.sigma)
 }
 
 // Laplace is the Laplace mechanism, calibrated on the L1 sensitivity. As the

@@ -21,3 +21,24 @@ func BenchmarkSample(b *testing.B) {
 		r.Sample(idx, 8400)
 	}
 }
+
+// The bulk fill against the per-variate loop it replaces, at the benchmark's
+// wide dimension.
+func BenchmarkNormalVec(b *testing.B) {
+	dst := make([]float64, 10_000)
+	b.Run("fill", func(b *testing.B) {
+		r := New(1)
+		for b.Loop() {
+			r.NormalVec(dst, 1)
+		}
+	})
+	b.Run("ref", func(b *testing.B) {
+		r := New(1)
+		var paths zigPaths
+		for b.Loop() {
+			for i := range dst {
+				dst[i] = normalRef(r, &paths)
+			}
+		}
+	})
+}

@@ -19,6 +19,12 @@
 // Runs remain a pure function of their seed within any one build; only
 // cross-revision bit-identity was given up.
 //
+// Bulk and scalar draws are the same variates in the same order: NormalVec
+// and AddNormalVec run the ziggurat of Normal (one xoshiro step, one strip
+// test, one wedge/tail path, shared by both) with the stream state held in
+// locals, so filling a vector leaves every value and the stream position
+// exactly where len(dst) Normal calls would.
+//
 //dpbyz:deterministic
 package randx
 
@@ -109,15 +115,26 @@ func Restore(st StreamState) *Stream {
 //
 //dpbyz:hotpath
 func (r *Stream) Uint64() uint64 {
-	res := rotl(r.s[0]+r.s[3], 23) + r.s[0]
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	res, s0, s1, s2, s3 := xoshiro(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
 	return res
+}
+
+// xoshiro is the one xoshiro256++ step: it returns the output for state
+// (s0, s1, s2, s3) and the advanced state. The words travel by value so that
+// a bulk loop (fillNormal) keeps them in registers across draws instead of
+// round-tripping them through the Stream.
+//
+//dpbyz:hotpath
+func xoshiro(s0, s1, s2, s3 uint64) (res, n0, n1, n2, n3 uint64) {
+	res = rotl(s0+s3, 23) + s0
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return res, s0, s1, s2, rotl(s3, 45)
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -217,23 +234,41 @@ func init() {
 //dpbyz:hotpath
 func (r *Stream) Normal() float64 {
 	for {
-		u := r.Uint64()
-		i := int(u & 0xFF)
-		// Bits 11..63 as a signed 53-bit integer give a uniform in [-1, 1);
-		// the low bits reused for the strip index do not overlap.
-		x := float64(int64(u)>>11) * (1.0 / (1 << 52)) * zigX[i]
-		if math.Abs(x) < zigX[i+1] {
-			return x // inside the strip's inner rectangle (~98.8% of draws)
+		x, i, inside := zigStrip(r.Uint64())
+		if inside {
+			return x
 		}
-		if i == 0 {
-			return r.normalTail(x < 0)
-		}
-		// Wedge: accept with probability proportional to the density above
-		// the inner rectangle.
-		if zigY[i]+r.Float64()*(zigY[i+1]-zigY[i]) < math.Exp(-0.5*x*x) {
+		if x, ok := r.zigOuter(x, i); ok {
 			return x
 		}
 	}
+}
+
+// zigStrip maps one 64-bit draw to its ziggurat candidate: the strip index
+// i (low 8 bits), x uniform across strip i's width, and whether x lies in
+// the strip's inner rectangle and is accepted outright (~98.8% of draws).
+//
+//dpbyz:hotpath
+func zigStrip(u uint64) (x float64, i int, inside bool) {
+	i = int(u & 0xFF)
+	// Bits 11..63 as a signed 53-bit integer give a uniform in [-1, 1);
+	// the low bits used for the strip index do not overlap.
+	x = float64(int64(u)>>11) * (1.0 / (1 << 52)) * zigX[i]
+	return x, i, math.Abs(x) < zigX[i+1]
+}
+
+// zigOuter finishes a candidate zigStrip did not accept: the base strip
+// (i == 0) samples the tail, any other strip runs the wedge test. ok is false
+// when the wedge rejects x and the caller must draw a fresh candidate.
+//
+//dpbyz:hotpath
+func (r *Stream) zigOuter(x float64, i int) (float64, bool) {
+	if i == 0 {
+		return r.normalTail(x < 0), true
+	}
+	// Wedge: accept with probability proportional to the density above
+	// the inner rectangle.
+	return x, zigY[i]+r.Float64()*(zigY[i+1]-zigY[i]) < math.Exp(-0.5*x*x)
 }
 
 // normalTail samples from the Gaussian tail beyond zigR (Marsaglia's
@@ -264,10 +299,58 @@ func (r *Stream) normalTail(neg bool) float64 {
 //
 //dpbyz:hotpath
 func (r *Stream) NormalVec(dst []float64, sigma float64) []float64 {
-	for i := range dst {
-		dst[i] = sigma * r.Normal()
-	}
+	r.fillNormal(dst, nil, sigma)
 	return dst
+}
+
+// AddNormalVec writes v[i] + sigma·N(0, 1) into dst[i] for every i of v and
+// returns dst; dst may alias v and must be at least as long. It draws the
+// variates len(v) Normal calls would, in the same order.
+//
+//dpbyz:hotpath
+func (r *Stream) AddNormalVec(dst, v []float64, sigma float64) []float64 {
+	r.fillNormal(dst[:len(v)], v, sigma)
+	return dst
+}
+
+// fillNormal is the bulk ziggurat: dst[k] = sigma·z_k, plus v[k] when v is
+// non-nil, where z_k is the k-th variate Normal would return. The stream
+// state lives in four local words for the whole vector — a Normal call per
+// variate would store it and reload it, a serial chain through memory — and
+// is written back only around the rare wedge and tail paths (zigOuter draws
+// from r) and once at the end.
+//
+//dpbyz:hotpath
+func (r *Stream) fillNormal(dst, v []float64, sigma float64) {
+	if v != nil {
+		v = v[:len(dst)]
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for k := range dst {
+		var z float64
+		for {
+			var u uint64
+			u, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+			x, i, inside := zigStrip(u)
+			if inside {
+				z = x
+				break
+			}
+			r.s = [4]uint64{s0, s1, s2, s3}
+			x, ok := r.zigOuter(x, i)
+			s0, s1, s2, s3 = r.s[0], r.s[1], r.s[2], r.s[3]
+			if ok {
+				z = x
+				break
+			}
+		}
+		if v != nil {
+			dst[k] = v[k] + sigma*z
+		} else {
+			dst[k] = sigma * z
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Laplace returns a zero-mean Laplace variate with scale b, via the inverse
@@ -275,7 +358,13 @@ func (r *Stream) NormalVec(dst []float64, sigma float64) []float64 {
 //
 //dpbyz:hotpath
 func (r *Stream) Laplace(b float64) float64 {
-	u := r.Float64() - 0.5
+	u := r.Float64()
+	for u == 0 {
+		// U = -1/2 exactly is ln(0) = -Inf; every other draw keeps its
+		// stream position.
+		u = r.Float64()
+	}
+	u -= 0.5
 	if u >= 0 {
 		return -b * math.Log(1-2*u)
 	}

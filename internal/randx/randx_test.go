@@ -175,6 +175,28 @@ func TestLaplaceVec(t *testing.T) {
 	}
 }
 
+// A uniform of exactly 0 maps to u = -1/2, where the inverse CDF is
+// b·log(0) = -Inf; Laplace must redraw that one value. The state below makes
+// the first Uint64 exactly 0 (rotl(0+0, 23) + 0), so Float64 returns 0.
+func TestLaplaceFiniteOnZeroUniform(t *testing.T) {
+	st := StreamState{S: [4]uint64{0, 1, 0, 0}}
+	if u := Restore(st).Uint64(); u != 0 {
+		t.Fatalf("first Uint64 = %#x, want 0", u)
+	}
+	r := Restore(st)
+	if x := r.Laplace(1); math.IsInf(x, 0) || math.IsNaN(x) {
+		t.Fatalf("Laplace(1) = %v on a zero uniform, want finite", x)
+	}
+	// The redraw consumed exactly one extra uniform: the stream sits where
+	// two Uint64 calls leave it.
+	ref := Restore(st)
+	ref.Uint64()
+	ref.Uint64()
+	if r.State() != ref.State() {
+		t.Errorf("stream after redraw = %v, want %v", r.State(), ref.State())
+	}
+}
+
 func TestSampleWithoutReplacement(t *testing.T) {
 	r := New(37)
 	idx := make([]int, 20)

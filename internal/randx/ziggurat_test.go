@@ -100,3 +100,106 @@ func TestZigguratDistribution(t *testing.T) {
 		}
 	}
 }
+
+// zigPaths counts how often normalRef left the inner rectangles.
+type zigPaths struct{ wedge, tail int }
+
+// normalRef is the per-variate ziggurat loop as it stood before the bulk
+// fill, kept verbatim as the oracle: fillNormal must reproduce its variates
+// and its stream position exactly. It also counts the slow paths taken so a
+// test can show it exercised them.
+func normalRef(r *Stream, paths *zigPaths) float64 {
+	for {
+		u := r.Uint64()
+		i := int(u & 0xFF)
+		x := float64(int64(u)>>11) * (1.0 / (1 << 52)) * zigX[i]
+		if math.Abs(x) < zigX[i+1] {
+			return x
+		}
+		if i == 0 {
+			paths.tail++
+			return r.normalTail(x < 0)
+		}
+		paths.wedge++
+		if zigY[i]+r.Float64()*(zigY[i+1]-zigY[i]) < math.Exp(-0.5*x*x) {
+			return x
+		}
+	}
+}
+
+// checkFill runs NormalVec and AddNormalVec (separate and aliased
+// destinations) from state st against the per-variate loop and reports the
+// first bit or stream-position mismatch.
+func checkFill(t *testing.T, st StreamState, n int, sigma float64, paths *zigPaths) {
+	t.Helper()
+	v := make([]float64, n)
+	for k := range v {
+		v[k] = float64(k%7) - 3.5
+	}
+	ref := Restore(st)
+	scalar := Restore(st)
+	wantVec := make([]float64, n)
+	wantAdd := make([]float64, n)
+	for k := range wantVec {
+		z := normalRef(ref, paths)
+		if got := scalar.Normal(); math.Float64bits(got) != math.Float64bits(z) {
+			t.Fatalf("n=%d σ=%g: Normal variate %d = %v, reference %v", n, sigma, k, got, z)
+		}
+		wantVec[k] = sigma * z
+		wantAdd[k] = v[k] + sigma*z
+	}
+	aliased := append([]float64(nil), v...)
+	for _, c := range []struct {
+		name string
+		fill func(r *Stream) []float64
+		want []float64
+	}{
+		{"NormalVec", func(r *Stream) []float64 { return r.NormalVec(make([]float64, n), sigma) }, wantVec},
+		{"AddNormalVec", func(r *Stream) []float64 { return r.AddNormalVec(make([]float64, n), v, sigma) }, wantAdd},
+		{"AddNormalVec/aliased", func(r *Stream) []float64 { return r.AddNormalVec(aliased, aliased, sigma) }, wantAdd},
+	} {
+		r := Restore(st)
+		got := c.fill(r)
+		if len(got) != n {
+			t.Fatalf("%s n=%d: returned length %d", c.name, n, len(got))
+		}
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(c.want[k]) {
+				t.Fatalf("%s n=%d σ=%g: variate %d = %v, per-variate loop %v", c.name, n, sigma, k, got[k], c.want[k])
+			}
+		}
+		if r.State() != ref.State() {
+			t.Fatalf("%s n=%d σ=%g: stream state %v, per-variate loop %v", c.name, n, sigma, r.State(), ref.State())
+		}
+	}
+}
+
+// The bulk fill is the per-variate loop, bit for bit and stream position
+// for stream position, at every length and scale, through the wedge and the
+// tail.
+func TestNormalFillMatchesNormal(t *testing.T) {
+	var paths zigPaths
+	for seed := uint64(1); seed <= 12; seed++ {
+		st := New(seed).State()
+		for _, n := range []int{0, 1, 7, 10_003} {
+			for _, sigma := range []float64{0, 1e-300, 1, 1e300} {
+				checkFill(t, st, n, sigma, &paths)
+			}
+		}
+	}
+	if paths.wedge == 0 || paths.tail == 0 {
+		t.Fatalf("slow paths not exercised: %d wedge, %d tail draws", paths.wedge, paths.tail)
+	}
+}
+
+func FuzzNormalFill(f *testing.F) {
+	f.Add(uint64(1), uint16(0), 1.0)
+	f.Add(uint64(2), uint16(1), 0.0)
+	f.Add(uint64(3), uint16(4099), 1e300)
+	f.Add(uint64(4), uint16(257), -2.5)
+	f.Add(uint64(5), uint16(64), math.Inf(1))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, sigma float64) {
+		var paths zigPaths
+		checkFill(t, New(seed).State(), int(n), sigma, &paths)
+	})
+}

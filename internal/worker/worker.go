@@ -16,6 +16,7 @@ package worker
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dpbyz/internal/checkpoint"
 	"dpbyz/internal/data"
@@ -115,9 +116,11 @@ func (p *Pipeline) Step(w []float64) []float64 {
 		// Paper pipeline: momentum over raw gradients, then clip, then
 		// noise (see Config.MomentumPostNoise for the DP caveat).
 		cfg.Model.Gradient(p.grad, w, p.batch)
-		p.accumulate()
-		if cfg.ClipNorm > 0 {
-			vecmath.ClipL2(p.grad, cfg.ClipNorm)
+		sq := p.accumulate()
+		// vecmath.ClipL2 on the norm accumulate already summed, in the same
+		// order, so the momentum is read once.
+		if n := math.Sqrt(sq); cfg.ClipNorm > 0 && n > cfg.ClipNorm {
+			vecmath.ScaleInPlace(cfg.ClipNorm/n, p.grad)
 		}
 		if cfg.Mechanism != nil {
 			cfg.Mechanism.Perturb(p.grad, p.noise)
@@ -140,17 +143,20 @@ func (p *Pipeline) Step(w []float64) []float64 {
 	return p.grad
 }
 
-// accumulate folds grad into the momentum state, m ← μ·m + g, and leaves m
-// in grad.
+// accumulate folds grad into the momentum state, m ← μ·m + g, leaves m in
+// grad and returns Σ m² — vecmath.SqNorm's sum, in ascending j.
 //
 //dpbyz:hotpath
-func (p *Pipeline) accumulate() {
+func (p *Pipeline) accumulate() float64 {
 	mu := p.cfg.Momentum
+	var sq float64
 	for j, g := range p.grad {
 		m := mu*p.momentum[j] + g
 		p.momentum[j] = m
 		p.grad[j] = m
+		sq += m * m
 	}
+	return sq
 }
 
 // Skip replays the stream consumption of rounds missed Steps: one batch
