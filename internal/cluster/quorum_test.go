@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dpbyz/internal/checkpoint"
 	"dpbyz/internal/metrics"
 )
 
@@ -124,9 +125,9 @@ func TestServerCancelMidCollectCommitsNothing(t *testing.T) {
 						// Never periodic before the cancellation: the only
 						// snapshot is the final flush.
 						SnapshotEvery: steps,
-						SnapshotFunc: func(step int, _, _ []float64) error {
+						SnapshotFunc: func(st *checkpoint.RunState) error {
 							snapCalls.Add(1)
-							lastSnapStep.Store(int64(step))
+							lastSnapStep.Store(int64(st.Step))
 							if flushFails {
 								return errFlush
 							}

@@ -9,9 +9,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dpbyz/internal/checkpoint"
 	"dpbyz/internal/gar"
 	"dpbyz/internal/membership"
 	"dpbyz/internal/metrics"
+	"dpbyz/internal/round"
 	"dpbyz/internal/vecmath"
 )
 
@@ -67,13 +69,13 @@ type ServerConfig struct {
 	// Logf, when non-nil, receives progress lines (e.g. log.Printf).
 	Logf func(format string, args ...any)
 
-	// StartStep, when positive, resumes a previous run: the first broadcast
-	// carries this step number and only Steps−StartStep rounds execute. Pair
-	// it with InitParams (and InitVelocity) captured by a snapshot.
-	StartStep int
-	// InitVelocity optionally restores the server-side momentum buffer when
-	// resuming (defaults to the zero vector).
-	InitVelocity []float64
+	// Resume, when non-nil, continues a run from a snapshot written by
+	// SnapshotFunc: the first broadcast carries Resume.Step, only the rounds
+	// from there to Steps execute, and the snapshot's params and velocity
+	// replace InitParams and the zero momentum buffer. NewServer rejects a
+	// snapshot that fails validation, has another dimension or lies beyond
+	// Steps. Workers keep their own state, so only the server resumes exactly.
+	Resume *checkpoint.RunState
 	// StepHook, when non-nil, is invoked after every completed round with
 	// the round's metric record and a read-only view of the current
 	// parameter vector (valid only during the call). A non-nil error aborts
@@ -85,10 +87,9 @@ type ServerConfig struct {
 	// velocity, completed step count — because worker state lives in the
 	// worker processes.
 	SnapshotEvery int
-	// SnapshotFunc receives each periodic snapshot; a non-nil error aborts
-	// the run. The slices are the server's live buffers, valid only during
-	// the call — implementations that persist them must copy.
-	SnapshotFunc func(step int, params, velocity []float64) error
+	// SnapshotFunc receives each periodic snapshot, whose buffers are
+	// copies; a non-nil error aborts the run.
+	SnapshotFunc func(*checkpoint.RunState) error
 }
 
 func (c *ServerConfig) validate() error {
@@ -119,12 +120,6 @@ func (c *ServerConfig) validate() error {
 	}
 	if c.InitParams != nil && len(c.InitParams) != c.Dim {
 		return fmt.Errorf("cluster: init params dim %d, want %d", len(c.InitParams), c.Dim)
-	}
-	if c.InitVelocity != nil && len(c.InitVelocity) != c.Dim {
-		return fmt.Errorf("cluster: init velocity dim %d, want %d", len(c.InitVelocity), c.Dim)
-	}
-	if c.StartStep < 0 || c.StartStep >= c.Steps {
-		return fmt.Errorf("cluster: start step %d outside [0, %d)", c.StartStep, c.Steps)
 	}
 	if c.Membership == nil && (c.Quorum < 0 || c.Quorum > c.GAR.N()) {
 		return fmt.Errorf("cluster: quorum %d outside [0, n=%d]", c.Quorum, c.GAR.N())
@@ -214,7 +209,8 @@ type ServerResult struct {
 	History *metrics.History
 	// MissedGradients counts (worker, round) pairs that timed out and were
 	// replaced by zero vectors. AcceptedGradients + MissedGradients equals
-	// exactly N×(Steps−StartStep) for a completed run.
+	// exactly N × the rounds this run executed: Steps, or Steps−Resume.Step
+	// for a resumed run.
 	MissedGradients int
 	// AcceptedGradients counts submissions that entered aggregation.
 	AcceptedGradients int
@@ -284,6 +280,7 @@ const logHandshaken = "worker %d handshaken"
 type Server struct {
 	cfg      ServerConfig
 	plan     roundPlan
+	commit   *round.Committer
 	listener Listener
 	logf     func(string, ...any)
 }
@@ -300,6 +297,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Transport == nil {
 		cfg.Transport = DefaultTransport
 	}
+	commit, err := round.New(round.Config{
+		Name: "cluster", Unit: "round", Dim: cfg.Dim, Steps: cfg.Steps,
+		Momentum: cfg.Momentum, Rate: func(int) float64 { return cfg.LearningRate },
+		InitParams: cfg.InitParams, Resume: cfg.Resume, Measure: aggNormRecord,
+		Hook: cfg.StepHook, SnapshotEvery: cfg.SnapshotEvery, SnapshotFunc: cfg.SnapshotFunc,
+	})
+	if err != nil {
+		return nil, err
+	}
 	ln, err := cfg.Transport.Listen(cfg.Addr)
 	if err != nil {
 		return nil, err
@@ -308,7 +314,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Server{cfg: cfg, plan: newRoundPlan(&cfg), listener: ln, logf: logf}, nil
+	return &Server{cfg: cfg, plan: newRoundPlan(&cfg), commit: commit, listener: ln, logf: logf}, nil
+}
+
+// aggNormRecord is the server's step record. The server holds no data and
+// cannot compute a loss, so Loss carries a proxy: the aggregate's norm.
+//
+//dpbyz:hotpath
+func aggNormRecord(step int, _, agg []float64) metrics.StepRecord {
+	return metrics.StepRecord{Step: step, Loss: vecmath.Norm(agg), Accuracy: math.NaN(), VNRatio: math.NaN()}
 }
 
 // Addr returns the bound listen address.
@@ -451,15 +465,7 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 		}
 	}
 
-	w := make([]float64, s.cfg.Dim)
-	if s.cfg.InitParams != nil {
-		copy(w, s.cfg.InitParams)
-	}
-	velocity := make([]float64, s.cfg.Dim)
-	if s.cfg.InitVelocity != nil {
-		copy(velocity, s.cfg.InitVelocity)
-	}
-	history := &metrics.History{}
+	w, velocity := s.commit.Params(), s.commit.Velocity()
 	// agg is reused every round via the GAR's pooled AggregateInto path, and
 	// zeros stands in for every unfilled slot (Aggregate never mutates its
 	// inputs, so one shared zero vector is safe), so the steady-state round
@@ -526,24 +532,10 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 			}
 		}
 	}
-	// abort tears a cancelled run down at `completed` committed rounds:
-	// an interrupted run flushes a final snapshot of its completed prefix
-	// (best-effort — the interruption is still the error), so a graceful
-	// shutdown never loses resumable progress.
-	abort := func(completed int) error {
-		finish()
-		// A failed flush wraps the flush error, not the cancellation, so
-		// callers that treat a clean interrupt as success still see a lost
-		// snapshot as the failure it is.
-		if s.cfg.SnapshotEvery > 0 && s.cfg.SnapshotFunc != nil {
-			if serr := s.cfg.SnapshotFunc(completed, w, velocity); serr != nil {
-				return fmt.Errorf("cluster: round %d: %v (final snapshot: %w)", completed, ctx.Err(), serr)
-			}
-		}
-		return fmt.Errorf("cluster: round %d: %w", completed, ctx.Err())
-	}
 	// fail ends a run that cannot continue: workers are released with the
-	// last good model and the cause is the error.
+	// current w — on the divergence path, the non-finite one — and the cause
+	// is the error. A cancelled run fails with commit.Cancel's error, after
+	// the completed prefix is flushed.
 	fail := func(err error) (*ServerResult, error) {
 		finish()
 		return nil, err
@@ -553,13 +545,12 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 	// by cfg.validate: a Dim-sized gradient frame fits MaxFrameBytes, and a
 	// params frame is three bytes shorter.
 	bcast := make([]byte, 0, frameHeaderSize+9+8*s.cfg.Dim)
-	for step := s.cfg.StartStep; step < s.cfg.Steps; step++ {
-		select {
-		case <-ctx.Done():
-			return nil, abort(step)
-		default:
+	start := s.commit.Start()
+	for step := start; step < s.cfg.Steps; step++ {
+		if err := ctx.Err(); err != nil {
+			return fail(s.commit.Cancel(step, err))
 		}
-		if step == s.cfg.StartStep || step%plan.members.EpochRounds == 0 {
+		if step == start || step%plan.members.EpochRounds == 0 {
 			if err := boundary(step); err != nil {
 				return fail(err)
 			}
@@ -613,7 +604,7 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 				// A cancelled round must not commit: no zero-padding, no
 				// bookkeeping, no aggregation, no history record, no hooks.
 				timer.Stop()
-				return nil, abort(step)
+				return fail(s.commit.Cancel(step, ctx.Err()))
 			}
 		}
 		timer.Stop()
@@ -639,30 +630,8 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 			submissions[i] = nil
 		}
 
-		for i := range velocity {
-			velocity[i] = s.cfg.Momentum*velocity[i] + agg[i]
-			w[i] -= s.cfg.LearningRate * velocity[i]
-		}
-		if !vecmath.AllFinite(w) {
-			return fail(fmt.Errorf("cluster: parameters diverged at round %d", step))
-		}
-		rec := metrics.StepRecord{
-			Step:     step,
-			Loss:     vecmath.Norm(agg), // server-side proxy: aggregate norm
-			Accuracy: math.NaN(),
-			VNRatio:  math.NaN(),
-		}
-		history.Append(rec)
-		if s.cfg.StepHook != nil {
-			if err := s.cfg.StepHook(rec, w); err != nil {
-				return fail(fmt.Errorf("cluster: round %d hook: %w", step, err))
-			}
-		}
-		if s.cfg.SnapshotEvery > 0 && s.cfg.SnapshotFunc != nil &&
-			((step+1)%s.cfg.SnapshotEvery == 0 || step == s.cfg.Steps-1) {
-			if err := s.cfg.SnapshotFunc(step+1, w, velocity); err != nil {
-				return fail(fmt.Errorf("cluster: round %d snapshot: %w", step, err))
-			}
+		if err := s.commit.Commit(step, agg); err != nil {
+			return fail(err)
 		}
 	}
 
@@ -671,7 +640,7 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 	// end of the last round must still be counted, keeping the
 	// accepted/discarded/missed accounting exact.
 	shutdown()
-	res := &ServerResult{Params: w, History: history, DiscardedSubmissions: int(discarded.Load())}
+	res := &ServerResult{Params: w, History: s.commit.History(), DiscardedSubmissions: int(discarded.Load())}
 	res.AcceptedGradients, res.MissedGradients, res.CreditedGradients = table.Totals()
 	if plan.epochBooks {
 		res.Epochs = table.Epochs()

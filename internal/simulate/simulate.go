@@ -40,7 +40,7 @@ import (
 	"dpbyz/internal/metrics"
 	"dpbyz/internal/model"
 	"dpbyz/internal/randx"
-	"dpbyz/internal/vecmath"
+	"dpbyz/internal/round"
 	"dpbyz/internal/worker"
 )
 
@@ -214,7 +214,9 @@ var (
 	ErrNilModel   = errors.New("simulate: nil model")
 	ErrNilDataset = errors.New("simulate: nil training dataset")
 	ErrNilGAR     = errors.New("simulate: nil aggregation rule")
-	ErrDiverged   = errors.New("simulate: parameters diverged to non-finite values")
+	// ErrDiverged is round.ErrDiverged, the one divergence sentinel both
+	// backends wrap.
+	ErrDiverged = round.ErrDiverged
 )
 
 // Validate checks the configuration for structural errors.
@@ -308,17 +310,17 @@ type runner struct {
 	cfg         Config
 	n, f        int
 	computeFrom int
-	start       int
+	// commit owns w, the server velocity and the history (history is its
+	// History, kept here for the Result).
+	commit      *round.Committer
+	history     *metrics.History
 	workers     []*worker.Pipeline
 	attackRng   *randx.Stream
 	adaptive    attack.AdaptiveAttack
-	w           []float64
-	velocity    []float64
 	agg         []float64
 	submissions [][]float64
 	honest      [][]float64
 	predictor   model.Predictor
-	history     *metrics.History
 	// fresh[i] is worker i's own submission of the step, kept apart from
 	// submissions[i], which the staleness overlay may repoint; honest is
 	// the fresh[computeFrom:] view.
@@ -365,12 +367,11 @@ func newRunner(cfg Config) (*runner, error) {
 		f:           cfg.GAR.F(),
 		workers:     make([]*worker.Pipeline, n),
 		attackRng:   root.Derive(worker.LabelAttack),
-		w:           make([]float64, d),
-		velocity:    make([]float64, d),
 		agg:         make([]float64, d),
 		submissions: make([][]float64, n),
 		fresh:       make([][]float64, n),
 	}
+	var err error
 	wcfg := worker.Config{
 		Model: cfg.Model, Train: cfg.Train, BatchSize: cfg.BatchSize,
 		ClipNorm: cfg.ClipNorm, Mechanism: cfg.Mechanism,
@@ -380,13 +381,9 @@ func newRunner(cfg Config) (*runner, error) {
 		if cfg.WorkerTrain != nil {
 			wcfg.Train = cfg.WorkerTrain[i]
 		}
-		var err error
 		if r.workers[i], err = worker.New(wcfg, root, i); err != nil {
 			return nil, fmt.Errorf("simulate: %w", err)
 		}
-	}
-	if cfg.InitParams != nil {
-		copy(r.w, cfg.InitParams)
 	}
 	// The first f slots are the Byzantine workers; they also compute an
 	// honest gradient when no attack is configured (the paper's unattacked
@@ -424,28 +421,34 @@ func newRunner(cfg Config) (*runner, error) {
 		r.hasPending = make([]bool, n)
 		r.zeros = make([]float64, d)
 	}
+	rate := cfg.LRSchedule
+	if rate == nil {
+		rate = ConstantLR(cfg.LearningRate)
+	}
+	if r.commit, err = round.New(round.Config{
+		Name: "simulate", Unit: "step", Dim: d, Steps: cfg.Steps,
+		Momentum: cfg.Momentum, Rate: rate, InitParams: cfg.InitParams,
+		Resume: cfg.Resume, Measure: r.measure, Hook: cfg.StepHook,
+		SnapshotEvery: cfg.SnapshotEvery, SnapshotFunc: cfg.SnapshotFunc,
+		Extend: r.snapshot,
+	}); err != nil {
+		return nil, err
+	}
+	r.history = r.commit.History()
 	if cfg.Resume != nil {
 		if err := r.restore(cfg.Resume); err != nil {
 			return nil, err
 		}
 	}
-	// The history covers only the (possibly resumed) segment this runner
-	// will execute, so appends never reallocate within the step budget.
-	r.history = metrics.NewHistory(cfg.Steps - r.start)
 	return r, nil
 }
 
-// snapshot captures the run's full mutable state after stepsDone completed
-// steps. Every buffer is copied, so the snapshot stays valid while the run
-// continues.
-func (r *runner) snapshot(stepsDone int) *checkpoint.RunState {
-	st := &checkpoint.RunState{
-		Version:  checkpoint.RunStateVersion,
-		Step:     stepsDone,
-		Params:   append([]float64(nil), r.w...),
-		Velocity: append([]float64(nil), r.velocity...),
-		Workers:  make([]checkpoint.WorkerRunState, len(r.workers)),
-	}
+// snapshot adds the simulator's own mutable state — workers, the attack,
+// the quorum and membership books — to the server half the Committer has
+// filled in. Every buffer is copied, so the snapshot stays valid while the
+// run continues.
+func (r *runner) snapshot(st *checkpoint.RunState) {
+	st.Workers = make([]checkpoint.WorkerRunState, len(r.workers))
 	ar := r.attackRng.State()
 	st.AttackRng = &ar
 	if r.adaptive != nil {
@@ -481,33 +484,15 @@ func (r *runner) snapshot(stepsDone int) *checkpoint.RunState {
 		}
 		st.Membership = ms
 	}
-	return st
 }
 
-// restore rewinds the runner to a snapshot taken by snapshot. The config
-// must describe the same scenario; structural mismatches are rejected.
+// restore rewinds the runner's own state to a snapshot taken by snapshot,
+// after the Committer restored the server half. The config must describe
+// the same scenario; structural mismatches are rejected.
 func (r *runner) restore(st *checkpoint.RunState) error {
-	if err := st.Validate(); err != nil {
-		return err
-	}
-	d := len(r.w)
-	if len(st.Params) != d {
-		return fmt.Errorf("simulate: resume params dim %d, model dim %d", len(st.Params), d)
-	}
-	if st.Step > r.cfg.Steps {
-		return fmt.Errorf("simulate: resume step %d beyond configured steps %d",
-			st.Step, r.cfg.Steps)
-	}
-	// st.Step == Steps is a completed run: resuming it is a no-op that
-	// returns the finished parameters, so scripted resume is idempotent.
 	if len(st.Workers) != len(r.workers) {
 		return fmt.Errorf("simulate: resume has %d workers, config has %d",
 			len(st.Workers), len(r.workers))
-	}
-	r.start = st.Step
-	copy(r.w, st.Params)
-	if st.Velocity != nil {
-		copy(r.velocity, st.Velocity)
 	}
 	if st.AttackRng != nil {
 		r.attackRng.SetState(*st.AttackRng)
@@ -636,6 +621,7 @@ func (r *runner) stashStragglers() {
 //dpbyz:hotpath
 func (r *runner) step(step int) error {
 	cfg := &r.cfg
+	w := r.commit.Params()
 
 	if cfg.Parallel {
 		var wg sync.WaitGroup
@@ -646,13 +632,13 @@ func (r *runner) step(step int) error {
 			//dpbyz:allowalloc
 			go func(i int) {
 				defer wg.Done()
-				r.fresh[i] = r.workers[i].Step(r.w)
+				r.fresh[i] = r.workers[i].Step(w)
 			}(i)
 		}
 		wg.Wait()
 	} else {
 		for i := r.computeFrom; i < r.n; i++ {
-			r.fresh[i] = r.workers[i].Step(r.w)
+			r.fresh[i] = r.workers[i].Step(w)
 		}
 	}
 	if cfg.Mechanism != nil && cfg.Accountant != nil {
@@ -675,10 +661,17 @@ func (r *runner) step(step int) error {
 		r.crafted = crafted
 	}
 	copy(r.submissions[r.computeFrom:], r.honest)
+	prevAccepted, prevMissed := r.accepted, r.missed
 	if cfg.Stragglers > 0 {
 		r.overlayStaleness()
 	} else {
 		r.accepted += r.n
+	}
+	if cfg.Epochs != nil {
+		st := &r.epochStats[len(r.epochStats)-1]
+		st.Rounds++
+		st.Accepted += r.accepted - prevAccepted
+		st.Missed += r.missed - prevMissed
 	}
 
 	if err := gar.AggregateInto(r.rule, r.agg, r.submissions); err != nil {
@@ -694,44 +687,35 @@ func (r *runner) step(step int) error {
 		r.adaptive.Observe(step, r.agg, r.honest)
 	}
 
-	// Server update with momentum: v ← m·v + G, w ← w − γ_t·v.
-	lr := cfg.LearningRate
-	if cfg.LRSchedule != nil {
-		lr = cfg.LRSchedule(step)
-		if lr <= 0 {
-			return fmt.Errorf("simulate: schedule returned non-positive rate %v at step %d", lr, step)
-		}
-	}
-	for i := range r.velocity {
-		r.velocity[i] = cfg.Momentum*r.velocity[i] + r.agg[i]
-		r.w[i] -= lr * r.velocity[i]
-	}
-	if !vecmath.AllFinite(r.w) {
-		return fmt.Errorf("%w at step %d", ErrDiverged, step)
-	}
+	return r.commit.Commit(step, r.agg)
+}
 
-	rec := metrics.StepRecord{
-		Step:     step,
-		Loss:     honestBatchLoss(cfg.Model, r.w, r.workers[r.computeFrom:]),
-		Accuracy: math.NaN(),
-		VNRatio:  math.NaN(),
+// measure is the simulator's step record: the loss at the updated w
+// averaged over the honest workers' last-sampled batches — the paper's
+// training-loss metric (§5.1 item 2) — plus test accuracy and the VN ratio
+// on their cadences.
+//
+//dpbyz:hotpath
+func (r *runner) measure(step int, w, _ []float64) metrics.StepRecord {
+	cfg := &r.cfg
+	rec := metrics.StepRecord{Step: step, Loss: math.NaN(), Accuracy: math.NaN(), VNRatio: math.NaN()}
+	if honest := r.workers[r.computeFrom:]; len(honest) > 0 {
+		rec.Loss = 0
+		for _, wk := range honest {
+			rec.Loss += cfg.Model.Loss(w, wk.Batch())
+		}
+		rec.Loss /= float64(len(honest))
 	}
 	if cfg.AccuracyEvery > 0 && r.predictor != nil && cfg.Test != nil &&
 		(step%cfg.AccuracyEvery == 0 || step == cfg.Steps-1) {
-		rec.Accuracy = model.Accuracy(r.predictor, r.w, cfg.Test)
+		rec.Accuracy = model.Accuracy(r.predictor, w, cfg.Test)
 	}
 	if cfg.VNRatioEvery > 0 && step%cfg.VNRatioEvery == 0 {
 		if ratio, err := gar.EmpiricalVNRatio(r.honest); err == nil {
 			rec.VNRatio = ratio
 		}
 	}
-	r.history.Append(rec)
-	if cfg.StepHook != nil {
-		if err := cfg.StepHook(rec, r.w); err != nil {
-			return fmt.Errorf("simulate: step %d hook: %w", step, err)
-		}
-	}
-	return nil
+	return rec
 }
 
 // enterEpoch re-derives the epoch containing step: f_e = ⌊FRatio·n⌋, a
@@ -773,48 +757,24 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	snapshots := cfg.SnapshotEvery > 0 && cfg.SnapshotFunc != nil
-	for step := r.start; step < cfg.Steps; step++ {
-		select {
-		case <-ctx.Done():
-			// An interrupted run flushes a final snapshot of its completed
-			// prefix, so a graceful shutdown (SIGINT on a cmd, fleet Stop)
-			// never loses more than zero steps of resumable progress. The
-			// flush is best-effort: the interruption is still the error.
-			// A failed flush wraps the flush error, not the cancellation,
-			// so callers that treat a clean interrupt as success still see
-			// a lost snapshot as the failure it is.
-			if snapshots {
-				if serr := cfg.SnapshotFunc(r.snapshot(step)); serr != nil {
-					return nil, fmt.Errorf("simulate: step %d: %v (final snapshot: %w)", step, ctx.Err(), serr)
-				}
-			}
-			return nil, fmt.Errorf("simulate: step %d: %w", step, ctx.Err())
-		default:
+	start := r.commit.Start()
+	for step := start; step < cfg.Steps; step++ {
+		if err := ctx.Err(); err != nil {
+			// A graceful shutdown (SIGINT on a cmd, fleet Stop) flushes the
+			// completed prefix.
+			return nil, r.commit.Cancel(step, err)
 		}
-		if cfg.Epochs != nil && (step == r.start || step%cfg.Epochs.EpochRounds == 0) {
+		if cfg.Epochs != nil && (step == start || step%cfg.Epochs.EpochRounds == 0) {
 			if err := r.enterEpoch(step); err != nil {
 				return nil, err
 			}
 		}
-		prevAccepted, prevMissed := r.accepted, r.missed
 		if err := r.step(step); err != nil {
 			return nil, err
 		}
-		if cfg.Epochs != nil {
-			st := &r.epochStats[len(r.epochStats)-1]
-			st.Rounds++
-			st.Accepted += r.accepted - prevAccepted
-			st.Missed += r.missed - prevMissed
-		}
-		if snapshots && ((step+1)%cfg.SnapshotEvery == 0 || step == cfg.Steps-1) {
-			if err := cfg.SnapshotFunc(r.snapshot(step + 1)); err != nil {
-				return nil, fmt.Errorf("simulate: step %d snapshot: %w", step, err)
-			}
-		}
 	}
 	return &Result{
-		Params:    r.w,
+		Params:    r.commit.Params(),
 		History:   r.history,
 		Accepted:  r.accepted,
 		Missed:    r.missed,
@@ -822,19 +782,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Credited:  r.credited,
 		Epochs:    r.epochStats,
 	}, nil
-}
-
-// honestBatchLoss averages the model loss at w over the honest workers'
-// last-sampled batches — the paper's training-loss metric (§5.1 item 2).
-func honestBatchLoss(m model.Model, w []float64, honest []*worker.Pipeline) float64 {
-	if len(honest) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, wk := range honest {
-		s += m.Loss(w, wk.Batch())
-	}
-	return s / float64(len(honest))
 }
 
 // InverseTimeLR returns the Theorem 1 learning-rate schedule

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"dpbyz/internal/attack"
-	"dpbyz/internal/checkpoint"
 	"dpbyz/internal/cluster"
 	"dpbyz/internal/metrics"
 )
@@ -31,53 +30,6 @@ var _ Backend = (*ClusterBackend)(nil)
 
 // Name implements Backend.
 func (b *ClusterBackend) Name() string { return "cluster" }
-
-// serverConfig translates the Spec's server half from its materialization.
-func serverConfig(s *Spec, o *runOptions, m *materialized) cluster.ServerConfig {
-	addr := o.addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	cfg := cluster.ServerConfig{
-		Addr:          addr,
-		Transport:     o.transport,
-		MaxFrameBytes: o.maxFrameBytes,
-		Dim:           m.model.Dim(),
-		Steps:         s.Steps,
-		LearningRate:  s.LearningRate,
-		Momentum:      s.Momentum,
-		InitParams:    m.initParams,
-		RoundTimeout:  o.roundTimeout,
-		Logf:          o.logf,
-		StepHook:      o.stepHook(),
-	}
-	if s.Staleness != nil {
-		cfg.LateCredit = s.Staleness.late() == "credit"
-	}
-	ms := s.Membership
-	if ms == nil {
-		// Fixed cohort: the materialized rule and the fixed quorum.
-		cfg.GAR = m.gar
-		if s.Staleness != nil {
-			cfg.Quorum = s.Quorum()
-		}
-		return cfg
-	}
-	// Epoched membership re-derives the quorum and the GAR per epoch, so
-	// the fixed-cohort knobs stay unset; the staleness budget moves into
-	// the per-epoch derivation and the late policy keeps its meaning.
-	cfg.Membership = &cluster.MembershipConfig{
-		MinWorkers:  ms.MinWorkers,
-		MaxWorkers:  ms.MaxWorkers,
-		FRatio:      ms.FRatio,
-		EpochRounds: ms.EpochRounds,
-		NewGAR:      s.NewGARFactory(),
-	}
-	if s.Staleness != nil {
-		cfg.Membership.Stragglers = s.Staleness.Stragglers
-	}
-	return cfg
-}
 
 // workerConfig translates the Spec's worker half for worker id. The first
 // GAR.F workers are the Byzantine ones, matching the simulator's layout.
@@ -123,55 +75,68 @@ func workerConfig(s *Spec, o *runOptions, m *materialized, id int, addr string) 
 	return cfg, nil
 }
 
-// attachCheckpointing wires periodic server-side snapshots and resume into
-// the server config. It returns the resume snapshot (nil when not resuming)
-// so callers can short-circuit a resume of an already-completed run — the
-// final periodic snapshot carries Step == Steps, which has no rounds left
-// to execute and must not bind a server that waits for workers.
-func attachCheckpointing(s *Spec, o *runOptions, cfg *cluster.ServerConfig, backend string) (*checkpoint.RunState, error) {
-	st, err := o.loadResume(s, backend)
-	if err != nil {
-		return nil, err
-	}
-	if st != nil {
-		if len(st.Params) != cfg.Dim {
-			return nil, fmt.Errorf("spec: resume params dim %d, model dim %d", len(st.Params), cfg.Dim)
-		}
-		if st.Step > s.Steps {
-			return nil, fmt.Errorf("spec: resume step %d beyond configured steps %d", st.Step, s.Steps)
-		}
-		cfg.StartStep = st.Step
-		cfg.InitParams = st.Params
-		cfg.InitVelocity = st.Velocity
-	}
-	if save, err := o.snapshotSaver(s, backend); err != nil {
-		return nil, err
-	} else if save != nil {
-		cfg.SnapshotEvery = o.checkpointEvery
-		cfg.SnapshotFunc = func(step int, params, velocity []float64) error {
-			return save(&checkpoint.RunState{
-				Version:  checkpoint.RunStateVersion,
-				Step:     step,
-				Params:   append([]float64(nil), params...),
-				Velocity: append([]float64(nil), velocity...),
-			})
-		}
-	}
-	return st, nil
-}
-
 // bindServer is the server half every cluster entry point shares: translate
-// the Spec, wire checkpointing and resume, and bind the listen endpoint. A
-// resume of an already-completed run binds nothing and returns the finished
-// result instead (done): the snapshot's parameters come back unchanged with
-// an empty history, mirroring the local backend's idempotent resume.
+// the Spec, pass the snapshot saver and the resume state through, and bind
+// the listen endpoint (NewServer rejects a snapshot that does not fit). A
+// resume of an already-completed run — the final periodic snapshot carries
+// Step == Steps — has no rounds left and must not leave a server waiting
+// for workers: it releases the endpoint and returns the finished result
+// instead (done), the snapshot's parameters unchanged with an empty history,
+// mirroring the local backend's idempotent resume.
 func bindServer(s *Spec, o *runOptions, m *materialized, backend string) (srv *cluster.Server, done *Result, err error) {
-	cfg := serverConfig(s, o, m)
-	st, err := attachCheckpointing(s, o, &cfg, backend)
-	if err != nil {
+	addr := o.addr
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	cfg := cluster.ServerConfig{
+		Addr:          addr,
+		Transport:     o.transport,
+		MaxFrameBytes: o.maxFrameBytes,
+		Dim:           m.model.Dim(),
+		Steps:         s.Steps,
+		LearningRate:  s.LearningRate,
+		Momentum:      s.Momentum,
+		InitParams:    m.initParams,
+		RoundTimeout:  o.roundTimeout,
+		Logf:          o.logf,
+		StepHook:      o.stepHook(),
+		SnapshotEvery: o.checkpointEvery,
+	}
+	if cfg.Resume, err = o.loadResume(s, backend); err != nil {
 		return nil, nil, err
 	}
-	if st != nil && st.Step >= s.Steps {
+	if cfg.SnapshotFunc, err = o.snapshotSaver(s, backend); err != nil {
+		return nil, nil, err
+	}
+	if s.Staleness != nil {
+		cfg.LateCredit = s.Staleness.late() == "credit"
+	}
+	if ms := s.Membership; ms == nil {
+		// Fixed cohort: the materialized rule and the fixed quorum.
+		cfg.GAR = m.gar
+		if s.Staleness != nil {
+			cfg.Quorum = s.Quorum()
+		}
+	} else {
+		// Epoched membership re-derives the quorum and the GAR per epoch, so
+		// the fixed-cohort knobs stay unset; the staleness budget moves into
+		// the per-epoch derivation and the late policy keeps its meaning.
+		cfg.Membership = &cluster.MembershipConfig{
+			MinWorkers:  ms.MinWorkers,
+			MaxWorkers:  ms.MaxWorkers,
+			FRatio:      ms.FRatio,
+			EpochRounds: ms.EpochRounds,
+			NewGAR:      s.NewGARFactory(),
+		}
+		if s.Staleness != nil {
+			cfg.Membership.Stragglers = s.Staleness.Stragglers
+		}
+	}
+	if srv, err = cluster.NewServer(cfg); err != nil {
+		return nil, nil, err
+	}
+	if st := cfg.Resume; st != nil && st.Step == s.Steps {
+		_ = srv.Close()
 		return nil, &Result{
 			Backend: backend,
 			Params:  append([]float64(nil), st.Params...),
@@ -179,8 +144,7 @@ func bindServer(s *Spec, o *runOptions, m *materialized, backend string) (srv *c
 			Cluster: &ClusterStats{},
 		}, nil
 	}
-	srv, err = cluster.NewServer(cfg)
-	return srv, nil, err
+	return srv, nil, nil
 }
 
 // clusterResult packages a finished server run; workerRounds is nil when the

@@ -141,12 +141,10 @@ func (b *LocalBackend) Run(ctx context.Context, s Spec, opts ...Option) (*Result
 	if cfg.Resume, err = o.loadResume(&s, b.Name()); err != nil {
 		return nil, err
 	}
-	if save, err := o.snapshotSaver(&s, b.Name()); err != nil {
+	if cfg.SnapshotFunc, err = o.snapshotSaver(&s, b.Name()); err != nil {
 		return nil, err
-	} else if save != nil {
-		cfg.SnapshotEvery = o.checkpointEvery
-		cfg.SnapshotFunc = save
 	}
+	cfg.SnapshotEvery = o.checkpointEvery
 	res, err := simulate.Run(ctx, cfg)
 	if err != nil {
 		return nil, err
