@@ -210,18 +210,21 @@
 //
 //   - Model-checked safety: the accept / credit / discard table and the
 //     commit bookkeeping live in one type (membership.SlotTable) that the
-//     server's collect loop executes and an explicit state machine of the
-//     round/epoch protocol explores: its reachable state space is
-//     exhaustively enumerated in a tier-1 property test over
-//     crash/rejoin/partition schedules, asserting the ledger always
-//     balances, no round commits two aggregates, and every epoch's view
-//     is a subset of handshaken workers — the executable analogue of the
-//     TLA+ safety specs distributed protocols usually keep on the side,
-//     except that the checked transitions are the shipped ones.
+//     server's collect loop and the local simulator execute and an
+//     explicit state machine of the round/epoch protocol explores: its
+//     reachable state space is exhaustively enumerated in a tier-1
+//     property test over crash/rejoin/partition schedules, asserting the
+//     ledger always balances, no round commits two aggregates, and every
+//     epoch's view is a subset of handshaken workers — the executable
+//     analogue of the TLA+ safety specs distributed protocols usually keep
+//     on the side, except that the checked transitions are the shipped
+//     ones.
 //
-// The local backend mirrors the deterministic half on its fixed cohort —
-// epoch scheduling, per-epoch GAR re-materialization, per-epoch ledgers,
-// and checkpoint/resume of the epoch position (RunState.Membership) — so a
+// The local backend runs the same tracker and slot table on a fixed cohort
+// that never churns or evicts: every frame of its seed-drawn arrival model
+// is delivered to the table, which decides and books it, and a resume
+// re-enters the snapshot's epoch through SlotTable.Resume, which rejects
+// books (RunState.Membership) that do not fit the configured cohort. A
 // membership Spec runs bit-identically there, while actual churn
 // (join/leave/rejoin) exercises the cluster backend:
 //

@@ -155,7 +155,7 @@ func (s *machineState) checkInvariants(atCommit bool) error {
 	tr := s.table.tr
 	v := tr.View()
 	for _, id := range v.Members {
-		if !tr.handshaken[id] {
+		if tr.member(id) == nil {
 			return fmt.Errorf("epoch %d view contains never-handshaken worker %d", v.Epoch, id)
 		}
 	}
@@ -233,7 +233,7 @@ func (s *machineState) successors(cfg ModelConfig) ([]*machineState, error) {
 			id := id
 			if err := branch(func(c *machineState) (bool, error) {
 				if err := c.table.tr.Handshake(id); err != nil {
-					return false, nil // capacity: branch dies, not unsafe
+					return false, err // ids lie in [0, MaxWorkers): never refused
 				}
 				c.workers[id].connected = true
 				return true, nil
@@ -262,7 +262,7 @@ func (s *machineState) successors(cfg ModelConfig) ([]*machineState, error) {
 			// JOIN (or rejoin): handshake mid-run; admitted at a boundary.
 			if err := branch(func(c *machineState) (bool, error) {
 				if err := c.table.tr.Handshake(id); err != nil {
-					return false, nil
+					return false, err
 				}
 				c.workers[id].connected = true
 				c.workers[id].frame = noFrame

@@ -8,8 +8,8 @@ import "testing"
 // proving the three safety invariants — ledger balance, single commit per
 // round, view ⊆ handshaken — over the full bounded state space. Each
 // bound set stresses a different corner: boundary-every-round churn,
-// multi-round epochs with the late-credit path, and a capacity-limited
-// population where joins race evictions.
+// multi-round epochs with the late-credit path, and a population that fills
+// the whole id range, where rejoins race evictions.
 func TestModelCheckRoundProtocol(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive exploration")
@@ -44,7 +44,9 @@ func TestModelCheckRoundProtocol(t *testing.T) {
 			},
 		},
 		{
-			// Population at capacity: rejoins only fit after evictions.
+			// Every id in [0, MaxWorkers) is a candidate: a crashed member
+			// that rejoins before the boundary keeps its slot, one evicted
+			// first waits, pending, for the next boundary.
 			name: "capacity-pressure",
 			cfg: ModelConfig{
 				Workers: 3, Rounds: 2, LateCredit: true,

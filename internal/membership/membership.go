@@ -21,18 +21,16 @@
 // which slot, which is discarded and why, what a commit books — and the
 // boundary that advances the tracker.
 //
-// What is shared, precisely: the cluster server's one round loop and the
-// model checker in machine.go both execute the Tracker and the SlotTable —
-// the server from real connection events (inherently timing-dependent), the
-// checker from exhaustively enumerated interleavings of sends, drops,
-// duplicates, delays, crashes and joins — so the explored transitions are
-// the shipped ones. A fixed worker cohort is not a second protocol: it is
-// the population that never changes (MinWorkers = MaxWorkers = n, one epoch
-// spanning the run). The local simulator shares only the books' arithmetic —
-// the EpochStat ledger and the BalanceEpochs identity it must satisfy: its
-// deterministic arrival model decides which workers straggle on a cohort
-// that never churns, not what happens to a frame, and does not run the
-// tracker or the slot table.
+// What is shared, precisely: three callers execute the Tracker and the
+// SlotTable — the cluster server's one round loop from real connection
+// events (inherently timing-dependent), the model checker in machine.go from
+// exhaustively enumerated interleavings of sends, drops, duplicates, delays,
+// crashes and joins, and the local simulator from its seed-drawn arrival
+// model (which workers straggle, which frames are a round late) — so the
+// explored transitions are the shipped ones on both backends. A fixed worker
+// cohort is not a second protocol: it is the population that never changes
+// (MinWorkers = MaxWorkers = n, one epoch spanning the run unless epochs are
+// configured), and the simulator's cohort also never evicts.
 //
 //dpbyz:deterministic
 package membership
@@ -40,7 +38,7 @@ package membership
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -130,8 +128,8 @@ func (v View) Quorum(stragglers int) int {
 
 // Contains reports whether id is a member (Members is sorted).
 func (v View) Contains(id int) bool {
-	i := sort.SearchInts(v.Members, id)
-	return i < len(v.Members) && v.Members[i] == id
+	_, ok := slices.BinarySearch(v.Members, id)
+	return ok
 }
 
 // EpochStat is one epoch's closed books. Over a completed run the ledger
@@ -176,8 +174,6 @@ var (
 	// ErrViewCollapsed reports a boundary that would leave fewer than
 	// MinWorkers live members.
 	ErrViewCollapsed = errors.New("membership: live view collapsed below min workers")
-	// ErrAtCapacity rejects a handshake beyond MaxWorkers.
-	ErrAtCapacity = errors.New("membership: population at max workers")
 	// ErrBadWorkerID rejects an id outside [0, MaxWorkers).
 	ErrBadWorkerID = errors.New("membership: worker id outside [0, max)")
 )
@@ -186,7 +182,8 @@ var (
 type status uint8
 
 const (
-	statusPending status = iota // handshaken, waiting for a boundary
+	statusAbsent  status = iota // never handshaken
+	statusPending               // handshaken, waiting for a boundary
 	statusLive                  // in the current view
 	statusEvicted               // removed; may handshake again
 )
@@ -207,14 +204,14 @@ type memberState struct {
 // goroutines and round loop all feed it); determinism is with respect to
 // the event order the callers establish.
 type Tracker struct {
-	mu      sync.Mutex
-	cfg     Config
-	members map[int]*memberState
-	// handshaken records every id that ever completed a handshake — the
-	// model-checked safety invariant is view ⊆ handshaken.
-	handshaken map[int]bool
-	view       View
-	epoch      int
+	mu  sync.Mutex
+	cfg Config
+	// members is indexed by worker id over [0, MaxWorkers). An id leaves
+	// statusAbsent at its first handshake and never returns to it, so the
+	// model-checked safety invariant view ⊆ handshaken reads off status.
+	members []memberState
+	view    View
+	epoch   int
 }
 
 // NewTracker validates cfg and returns an empty tracker (epoch −1: the
@@ -223,12 +220,7 @@ func NewTracker(cfg Config) (*Tracker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Tracker{
-		cfg:        cfg,
-		members:    make(map[int]*memberState),
-		handshaken: make(map[int]bool),
-		epoch:      -1,
-	}, nil
+	return &Tracker{cfg: cfg, members: make([]memberState, cfg.MaxWorkers), epoch: -1}, nil
 }
 
 // Config returns the tracker's configuration.
@@ -244,28 +236,12 @@ func (t *Tracker) Handshake(id int) error {
 	if id < 0 || id >= t.cfg.MaxWorkers {
 		return fmt.Errorf("%w: %d", ErrBadWorkerID, id)
 	}
-	m, ok := t.members[id]
-	if ok && m.status != statusEvicted {
+	if m := &t.members[id]; m.status == statusPending || m.status == statusLive {
 		m.connected = true
-		return nil
+	} else {
+		*m = memberState{status: statusPending, connected: true}
 	}
-	if t.populationLocked() >= t.cfg.MaxWorkers {
-		return fmt.Errorf("%w: %d", ErrAtCapacity, t.cfg.MaxWorkers)
-	}
-	t.members[id] = &memberState{status: statusPending, connected: true}
-	t.handshaken[id] = true
 	return nil
-}
-
-// populationLocked counts the non-evicted ids (live + pending).
-func (t *Tracker) populationLocked() int {
-	n := 0
-	for _, m := range t.members {
-		if m.status != statusEvicted {
-			n++
-		}
-	}
-	return n
 }
 
 // Population returns the live + pending count (the gather phase waits on
@@ -273,7 +249,22 @@ func (t *Tracker) populationLocked() int {
 func (t *Tracker) Population() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.populationLocked()
+	n := 0
+	for _, m := range t.members {
+		if m.status == statusPending || m.status == statusLive {
+			n++
+		}
+	}
+	return n
+}
+
+// member returns id's record, nil for an id that never handshook or lies
+// outside [0, MaxWorkers).
+func (t *Tracker) member(id int) *memberState {
+	if id < 0 || id >= len(t.members) || t.members[id].status == statusAbsent {
+		return nil
+	}
+	return &t.members[id]
 }
 
 // Disconnect records that the transport lost id's connection. A live
@@ -282,23 +273,22 @@ func (t *Tracker) Population() int {
 func (t *Tracker) Disconnect(id int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	m, ok := t.members[id]
-	if !ok {
-		return
-	}
-	m.connected = false
-	if m.status == statusPending {
-		m.status = statusEvicted
+	if m := t.member(id); m != nil {
+		m.connected = false
+		if m.status == statusPending {
+			m.status = statusEvicted
+		}
 	}
 }
 
 // RecordAccept resets id's missed streak after its submission entered a
-// round's aggregation.
+// round's aggregation. SlotTable.Commit books a whole round's streaks at
+// once, under one lock; these two are the single-member form.
 //
 //dpbyz:hotpath
 func (t *Tracker) RecordAccept(id int) {
 	t.mu.Lock()
-	if m, ok := t.members[id]; ok {
+	if m := t.member(id); m != nil {
 		m.missedStreak = 0
 	}
 	t.mu.Unlock()
@@ -309,7 +299,7 @@ func (t *Tracker) RecordAccept(id int) {
 //dpbyz:hotpath
 func (t *Tracker) RecordMiss(id int) {
 	t.mu.Lock()
-	if m, ok := t.members[id]; ok {
+	if m := t.member(id); m != nil {
 		m.missedStreak++
 	}
 	t.mu.Unlock()
@@ -319,42 +309,54 @@ func (t *Tracker) RecordMiss(id int) {
 // the missed-round streak are evicted, pending workers are admitted, and
 // the new view (with its re-derived f) becomes current. It returns the new
 // view plus the ids admitted and evicted at this boundary, and fails with
-// ErrViewCollapsed when fewer than MinWorkers members would remain.
+// ErrViewCollapsed, changing nothing, when fewer than MinWorkers members
+// would remain. A boundary that admits and evicts no one keeps the previous
+// view's Members slice (views are immutable) and allocates nothing.
 func (t *Tracker) AdvanceEpoch() (View, []int, []int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	evictAfter := t.cfg.evictAfter()
-	var admitted, evicted, members []int
-	// Order-insensitive: per-member status updates are keyed by id and the
-	// collected slices are sorted below before anything reads them.
-	for id, m := range t.members { //dpbyz:orderedmap
-		switch m.status {
-		case statusLive:
-			if !m.connected || m.missedStreak >= evictAfter {
-				m.status = statusEvicted
-				m.missedStreak = 0
-				evicted = append(evicted, id)
-				continue
-			}
-			members = append(members, id)
-		case statusPending:
-			m.status = statusLive
-			m.missedStreak = 0
-			admitted = append(admitted, id)
-			members = append(members, id)
+	leaves := func(m *memberState) bool { return !m.connected || m.missedStreak >= evictAfter }
+	stay, join, leave := 0, 0, 0
+	for i := range t.members {
+		switch m := &t.members[i]; {
+		case m.status == statusPending:
+			join++
+		case m.status != statusLive:
+		case leaves(m):
+			leave++
+		default:
+			stay++
 		}
 	}
-	// Map iteration feeds results only through these sorts: the returned
-	// view and deltas are order-canonical regardless of iteration order.
-	sort.Ints(admitted)
-	sort.Ints(evicted)
-	sort.Ints(members)
-	if len(members) < t.cfg.MinWorkers {
-		return View{}, nil, nil, fmt.Errorf("%w: %d live, min %d",
-			ErrViewCollapsed, len(members), t.cfg.MinWorkers)
+	n := stay + join
+	if n < t.cfg.MinWorkers {
+		return View{}, nil, nil, fmt.Errorf("%w: %d live, min %d", ErrViewCollapsed, n, t.cfg.MinWorkers)
+	}
+	members := t.view.Members
+	var admitted, evicted []int
+	if join+leave > 0 {
+		// One array carved into three capacity-clipped slices, filled in
+		// id order, so each comes out sorted.
+		buf := make([]int, n+join+leave)
+		members, admitted, evicted = buf[:0:n], buf[n:n:n+join], buf[n+join:n+join]
+		for id := range t.members {
+			switch m := &t.members[id]; {
+			case m.status == statusPending:
+				m.status, m.missedStreak = statusLive, 0
+				admitted = append(admitted, id)
+				members = append(members, id)
+			case m.status != statusLive:
+			case leaves(m):
+				m.status, m.missedStreak = statusEvicted, 0
+				evicted = append(evicted, id)
+			default:
+				members = append(members, id)
+			}
+		}
 	}
 	t.epoch++
-	t.view = View{Epoch: t.epoch, Members: members, F: t.cfg.F(len(members))}
+	t.view = View{Epoch: t.epoch, Members: members, F: t.cfg.F(n)}
 	return t.view, admitted, evicted, nil
 }
 
@@ -369,36 +371,22 @@ func (t *Tracker) View() View {
 func (t *Tracker) Handshaken() []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ids := make([]int, 0, len(t.handshaken))
-	for id := range t.handshaken {
-		ids = append(ids, id)
+	var ids []int
+	for id, m := range t.members {
+		if m.status != statusAbsent {
+			ids = append(ids, id)
+		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 
 // Clone deep-copies the tracker — the model checker forks one per
-// explored transition so branches never share mutable state.
+// explored transition so branches never share mutable state. The view is
+// immutable, so the clone shares it.
 func (t *Tracker) Clone() *Tracker {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c := &Tracker{
-		cfg:        t.cfg,
-		members:    make(map[int]*memberState, len(t.members)),
-		handshaken: make(map[int]bool, len(t.handshaken)),
-		view:       View{Epoch: t.view.Epoch, Members: append([]int(nil), t.view.Members...), F: t.view.F},
-		epoch:      t.epoch,
-	}
-	// Order-insensitive: each member is copied into the clone's map under
-	// its own id; no cross-member state is accumulated.
-	for id, m := range t.members { //dpbyz:orderedmap
-		mc := *m
-		c.members[id] = &mc
-	}
-	for id := range t.handshaken {
-		c.handshaken[id] = true
-	}
-	return c
+	return &Tracker{cfg: t.cfg, members: append([]memberState(nil), t.members...), view: t.view, epoch: t.epoch}
 }
 
 // stateKey canonically encodes the tracker's full state for the model
@@ -407,24 +395,14 @@ func (t *Tracker) Clone() *Tracker {
 func (t *Tracker) stateKey() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	buf := make([]byte, 0, 4+6*t.cfg.MaxWorkers)
+	buf := make([]byte, 0, 1+2*len(t.members))
 	buf = append(buf, byte(t.epoch+1))
-	for id := 0; id < t.cfg.MaxWorkers; id++ {
-		m, ok := t.members[id]
-		if !ok {
-			buf = append(buf, 0xFF)
-			continue
-		}
+	for _, m := range t.members {
 		b := byte(m.status)
 		if m.connected {
 			b |= 0x10
 		}
 		buf = append(buf, b, byte(m.missedStreak))
-		if t.handshaken[id] {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
 	}
 	return string(buf)
 }

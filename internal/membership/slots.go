@@ -1,5 +1,10 @@
 package membership
 
+import (
+	"fmt"
+	"slices"
+)
+
 // Disposition is the slot table's verdict on one delivered gradient frame.
 type Disposition uint8
 
@@ -45,9 +50,12 @@ func (d Disposition) String() string {
 // view laid out as delivery slots, the accept / credit / discard verdict for
 // every frame that reaches the server, and the commit bookkeeping that turns
 // a round's fills into the ledger (Accepted + Missed == Σ n_e × rounds_e) and
-// the tracker's eviction streaks. The cluster server's collect loop executes
-// it and the model checker in machine.go explores it — the same methods, so
-// the exhaustively checked transitions are the shipped ones.
+// the tracker's eviction streaks. Three callers execute the same methods:
+// the cluster server's collect loop, the model checker in machine.go, which
+// explores every interleaving of them, and the local simulator, which turns
+// its seed-drawn arrival model into Deliver calls on a cohort that never
+// churns. So the exhaustively checked transitions are the shipped ones on
+// both backends.
 //
 // A SlotTable is driven by one goroutine (the round loop); the Tracker it
 // feeds is the concurrency-safe half.
@@ -83,7 +91,8 @@ func NewSlotTable(tr *Tracker, lateCredit bool) *SlotTable {
 // Advance runs an epoch boundary: it closes the open epoch's books, advances
 // the tracker (admissions, evictions, re-derived f — see
 // Tracker.AdvanceEpoch, whose results it returns) and lays the new view out
-// as empty slots.
+// as empty slots. Over an unchanged cohort it allocates only to grow the
+// closed books.
 func (t *SlotTable) Advance() (View, []int, []int, error) {
 	v, admitted, evicted, err := t.tr.AdvanceEpoch()
 	if err != nil {
@@ -99,7 +108,10 @@ func (t *SlotTable) Advance() (View, []int, []int, error) {
 		t.slotOf[id] = i
 	}
 	t.view = v
-	t.filled = make([]bool, v.N())
+	// Commit left every slot empty, so a same-sized layout is reused as is.
+	if len(t.filled) != v.N() {
+		t.filled = make([]bool, v.N())
+	}
 	t.received = 0
 	t.stat = EpochStat{Epoch: v.Epoch, N: v.N(), F: v.F, View: v.Members}
 	return v, admitted, evicted, nil
@@ -145,20 +157,23 @@ func (t *SlotTable) Filled(slot int) bool { return t.filled[slot] }
 
 // Commit closes the round: every filled slot books an accept and resets its
 // member's missed streak, every unfilled slot books a miss and extends it,
-// and the slots are emptied for the next round.
+// and the slots are emptied for the next round. The streaks are written
+// under one tracker lock for the whole round.
 //
 //dpbyz:hotpath
 func (t *SlotTable) Commit() {
+	t.tr.mu.Lock()
 	for i, id := range t.view.Members {
 		if t.filled[i] {
-			t.tr.RecordAccept(id)
+			t.tr.members[id].missedStreak = 0
 			t.filled[i] = false
 		} else {
+			t.tr.members[id].missedStreak++
 			t.missed++
 			t.stat.Missed++
-			t.tr.RecordMiss(id)
 		}
 	}
+	t.tr.mu.Unlock()
 	t.accepted += t.received
 	t.stat.Accepted += t.received
 	t.stat.Rounds++
@@ -175,11 +190,44 @@ func (t *SlotTable) Totals() (accepted, missed, credited int) {
 // Epochs returns the per-epoch books, the open epoch included once it has
 // committed a round.
 func (t *SlotTable) Epochs() []EpochStat {
-	epochs := append([]EpochStat(nil), t.closed...)
+	epochs := append(make([]EpochStat, 0, len(t.closed)+1), t.closed...)
 	if t.stat.Rounds > 0 {
 		epochs = append(epochs, t.stat)
 	}
 	return epochs
+}
+
+// Resume re-enters an interrupted run on a table that has not advanced yet:
+// it replays the boundaries up to the epoch holding round step−1, lays that
+// epoch's view out and restores the run's books. Replaying is exact only for
+// a population that changes at boundaries alone — a fixed cohort. books are
+// the ledgers of epochs 0 through the open one (nil when the run kept none),
+// and accepted, missed and credited the run totals. Every book must match the
+// view the tracker derives for its epoch, so a snapshot of another
+// population is rejected. It returns the re-entered view.
+func (t *SlotTable) Resume(step int, books []EpochStat, accepted, missed, credited int) (View, error) {
+	open := (step - 1) / t.tr.cfg.EpochRounds
+	if books != nil && len(books) != open+1 {
+		return View{}, fmt.Errorf("membership: resume at step %d carries %d epoch books, want %d", step, len(books), open+1)
+	}
+	for e := 0; e <= open; e++ {
+		v, _, _, err := t.Advance()
+		if err != nil {
+			return View{}, err
+		}
+		if books != nil {
+			b := books[e]
+			if b.Epoch != v.Epoch || b.N != v.N() || b.F != v.F || !slices.Equal(b.View, v.Members) {
+				return View{}, fmt.Errorf("membership: resume books of epoch %d (n=%d f=%d view %v) do not match the tracker's epoch %d (n=%d f=%d view %v)",
+					b.Epoch, b.N, b.F, b.View, v.Epoch, v.N(), v.F, v.Members)
+			}
+			// The next boundary closes the book as it closes any open epoch.
+			b.View = v.Members
+			t.stat = b
+		}
+	}
+	t.accepted, t.missed, t.credited = accepted, missed, credited
+	return t.view, nil
 }
 
 // clone deep-copies the table (and its tracker) so model-checker branches

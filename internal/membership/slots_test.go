@@ -1,6 +1,10 @@
 package membership
 
-import "testing"
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
 
 // TestSlotTableDispositions walks the accept / credit / discard table and
 // the commit bookkeeping through two epochs: every verdict with its reason,
@@ -101,5 +105,85 @@ func TestSlotTableDispositions(t *testing.T) {
 	}
 	if a, m, _ := tb.Totals(); a+m != 3*2+3*1 {
 		t.Errorf("ledger %d + %d != 9 slots", a, m)
+	}
+}
+
+// Resume replays a fixed cohort's boundaries up to the epoch holding the
+// snapshot step, restores its books and totals so the run continues as if
+// uninterrupted, and rejects books that do not fit the views the tracker
+// derives.
+func TestSlotTableResume(t *testing.T) {
+	cfg := Config{MinWorkers: 3, MaxWorkers: 3, FRatio: 0.34, EpochRounds: 2, EvictAfter: 100}
+	fresh := func() *SlotTable {
+		tr := newTestTracker(t, cfg)
+		for id := 0; id < 3; id++ {
+			if err := tr.Handshake(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return NewSlotTable(tr, true)
+	}
+	// play runs rounds [from, to); worker 2 is silent in odd rounds. Both
+	// runs below split at step 5, inside epoch 2.
+	play := func(tb *SlotTable, from, to int) {
+		for step := from; step < to; step++ {
+			if step%cfg.EpochRounds == 0 {
+				if _, _, _, err := tb.Advance(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for id := 0; id < 3; id++ {
+				if id != 2 || step%2 == 0 {
+					tb.Deliver(id, step, step)
+				}
+			}
+			tb.Commit()
+		}
+	}
+	full := fresh()
+	play(full, 0, 5)
+	books := full.Epochs()
+	a, m, c := full.Totals()
+	play(full, 5, 8)
+
+	tb := fresh()
+	v, err := tb.Resume(5, books, a, m, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Epoch != 2 || v.N() != 3 || v.F != 1 {
+		t.Fatalf("re-entered view %+v, want epoch 2 with n=3 f=1", v)
+	}
+	play(tb, 5, 8)
+	if !reflect.DeepEqual(tb.Epochs(), full.Epochs()) {
+		t.Errorf("resumed books %+v, uninterrupted %+v", tb.Epochs(), full.Epochs())
+	}
+	ra, rm, rc := tb.Totals()
+	if fa, fm, fc := full.Totals(); ra != fa || rm != fm || rc != fc {
+		t.Errorf("resumed totals %d/%d/%d, uninterrupted %d/%d/%d", ra, rm, rc, fa, fm, fc)
+	}
+
+	// A run that keeps no books re-enters the same view with an empty ledger.
+	plain := fresh()
+	if v, err := plain.Resume(5, nil, 0, 0, 0); err != nil || v.Epoch != 2 {
+		t.Fatalf("bookless resume: view %+v, %v", v, err)
+	}
+	if got := plain.Epochs(); len(got) != 0 {
+		t.Errorf("bookless resume books %+v, want none", got)
+	}
+
+	foreign := append([]EpochStat(nil), books...)
+	foreign[1].N, foreign[1].View = 2, []int{0, 1}
+	for _, tc := range []struct {
+		name  string
+		books []EpochStat
+		want  string
+	}{
+		{"another cohort", foreign, "resume books of epoch 1 (n=2 f=1 view [0 1]) do not match the tracker's epoch 1 (n=3 f=1 view [0 1 2])"},
+		{"missing the open epoch", books[:2], "resume at step 5 carries 2 epoch books, want 3"},
+	} {
+		if _, err := fresh().Resume(5, tc.books, a, m, c); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }

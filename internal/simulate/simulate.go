@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"dpbyz/internal/attack"
@@ -106,25 +107,30 @@ type Config struct {
 	// injection (paper: 1e-2). Zero disables clipping.
 	ClipNorm float64
 
-	// Epochs, when non-nil, mirrors the cluster server's epoched-membership
-	// mode on a fixed cohort: the run is partitioned into EpochRounds-round
-	// epochs, each epoch re-derives f_e = ⌊FRatio·n⌋ and re-materializes the
-	// aggregation rule through NewGAR, and the per-epoch delivery ledgers
-	// are kept exactly as the cluster's (Accepted_e + Missed_e == n×rounds_e).
-	// The local cohort never churns — n_e is always GAR.N() — so the mirror
-	// exercises the deterministic half of membership (epoch scheduling, GAR
-	// re-materialization, per-epoch books, snapshot/resume of the epoch
-	// position) and a membership Spec runs bit-identically on this backend.
+	// Every run's frames go through the cluster server's round machine: a
+	// membership.Tracker over the cohort [0, GAR.N()) and the
+	// membership.SlotTable that decides which frame fills which slot and
+	// books the delivery ledger. The local cohort never churns
+	// (MinWorkers = MaxWorkers = n) and never evicts. Without Epochs the run
+	// is one epoch spanning every step, as on the cluster.
+	//
+	// Epochs, when non-nil, partitions the run into EpochRounds-round epochs
+	// of that tracker: each boundary re-derives f_e = ⌊FRatio·n⌋ and
+	// re-materializes the aggregation rule through NewGAR, and the per-epoch
+	// books are the table's (Accepted_e + Missed_e == n×rounds_e). A
+	// membership Spec runs bit-identically on this backend.
 	Epochs *EpochConfig
 
 	// Stragglers, when positive, models bounded-staleness quorum rounds:
 	// each step a seed-derived uniform set of Stragglers workers misses the
-	// quorum cut (the server fires at n − Stragglers submissions), its slot
-	// is zero-padded and counted as missed, and its frame arrives one round
-	// late — credited to the next round (default) or discarded under
-	// LateDiscard. This mirrors the cluster server's Quorum/LateCredit
-	// semantics with a deterministic arrival model, so quorum sweeps run
-	// bit-identically on the local backend.
+	// quorum cut (the server fires at n − Stragglers submissions) and its
+	// frame arrives one round late. That arrival model is all the simulator
+	// decides: every frame is delivered to the slot table in the cluster's
+	// inbox order, and the table zero-pads and books the straggler's slot as
+	// missed and credits the late frame to the next round (default) or
+	// discards it as stale under LateDiscard — the cluster server's
+	// Quorum/LateCredit semantics, so quorum sweeps run bit-identically on
+	// the local backend.
 	Stragglers int
 	// LateDiscard drops one-round-late frames instead of crediting them to
 	// the following round (the "discard" staleness policy). Meaningful only
@@ -173,8 +179,8 @@ type Config struct {
 	Resume *checkpoint.RunState
 }
 
-// EpochConfig is the local mirror of the cluster's epoched membership
-// (cluster.MembershipConfig) for a fixed cohort of GAR.N() workers.
+// EpochConfig is the cluster's epoched membership (cluster.MembershipConfig)
+// for a fixed cohort of GAR.N() workers.
 type EpochConfig struct {
 	// EpochRounds is the boundary spacing in rounds; every epoch boundary
 	// re-derives f and re-materializes the aggregation rule.
@@ -286,21 +292,31 @@ func (c *Config) Validate() error {
 			c.Stragglers, c.GAR.N())
 	}
 	if e := c.Epochs; e != nil {
-		if e.EpochRounds < 1 {
-			return fmt.Errorf("simulate: epoch length %d below 1 round", e.EpochRounds)
-		}
-		if e.FRatio < 0 || e.FRatio >= 0.5 {
-			return fmt.Errorf("simulate: epoch f ratio %v outside [0, 0.5)", e.FRatio)
-		}
 		if e.NewGAR == nil {
 			return errors.New("simulate: epoched run needs a NewGAR factory")
 		}
-		if f := int(e.FRatio*float64(c.GAR.N()) + 1e-9); f != c.GAR.F() {
+		mc := c.cohort()
+		if err := mc.Validate(); err != nil {
+			return fmt.Errorf("simulate: epochs: %w", err)
+		}
+		if f := mc.F(c.GAR.N()); f != c.GAR.F() {
 			return fmt.Errorf("simulate: epoch f ratio %v derives f=%d at n=%d, but the GAR declares f=%d",
 				e.FRatio, f, c.GAR.N(), c.GAR.F())
 		}
 	}
 	return nil
+}
+
+// cohort is the local population: workers [0, n) that never churn, one
+// epoch per EpochRounds or one spanning the run (the cluster's fixed-cohort
+// shape), and an eviction streak past Steps. A straggler under LateDiscard
+// can miss several rounds in a row, and a local cohort never evicts.
+func (c *Config) cohort() membership.Config {
+	mc := membership.Config{MinWorkers: c.GAR.N(), MaxWorkers: c.GAR.N(), EpochRounds: c.Steps, EvictAfter: c.Steps + 1}
+	if e := c.Epochs; e != nil {
+		mc.EpochRounds, mc.FRatio = e.EpochRounds, e.FRatio
+	}
+	return mc
 }
 
 // runner is one training run's full mutable state; Run drives it step by
@@ -322,15 +338,24 @@ type runner struct {
 	honest      [][]float64
 	predictor   model.Predictor
 	// fresh[i] is worker i's own submission of the step, kept apart from
-	// submissions[i], which the staleness overlay may repoint; honest is
-	// the fresh[computeFrom:] view.
+	// submissions[i], which delivery may repoint; honest is the
+	// fresh[computeFrom:] view.
 	fresh [][]float64
 
-	// Bounded-staleness state (allocated only when cfg.Stragglers > 0).
+	// tracker and table are the round machine every frame goes through;
+	// the table keeps the ledger, and discarded counts the frames it turned
+	// away, as the cluster server counts them. rule is the aggregation rule
+	// the steps use — cfg.GAR, or the current epoch's re-materialized rule.
+	tracker   *membership.Tracker
+	table     *membership.SlotTable
+	discarded int
+	rule      gar.GAR
+
+	// The arrival model (allocated only when cfg.Stragglers > 0).
 	// stale[i] buffers worker i's in-flight frame, hasPending marks it
 	// live, zeros pads missed slots, and crafted remembers the step's
 	// Byzantine vector so straggling Byzantine workers stash the right
-	// frame. The counters mirror the cluster server's accounting.
+	// frame.
 	stragglerRng *randx.Stream
 	stragglerIdx []int
 	isStraggler  []bool
@@ -338,17 +363,6 @@ type runner struct {
 	hasPending   []bool
 	zeros        []float64
 	crafted      []float64
-	accepted     int
-	missed       int
-	discarded    int
-	credited     int
-
-	// Epoched-membership mirror state (allocated only when cfg.Epochs is
-	// set). rule is the aggregation rule the steps use — cfg.GAR for plain
-	// runs, the current epoch's re-materialized rule for epoched ones.
-	rule       gar.GAR
-	view       []int
-	epochStats []membership.EpochStat
 }
 
 // newRunner validates cfg and allocates every buffer the run will touch, so
@@ -403,13 +417,15 @@ func newRunner(cfg Config) (*runner, error) {
 	r.honest = r.fresh[r.computeFrom:]
 	r.predictor, _ = cfg.Model.(model.Predictor)
 	r.rule = cfg.GAR
-	if cfg.Epochs != nil {
-		r.view = make([]int, n)
-		for i := range r.view {
-			r.view[i] = i
-		}
-		r.epochStats = make([]membership.EpochStat, 0, cfg.Steps/cfg.Epochs.EpochRounds+1)
+	if r.tracker, err = membership.NewTracker(cfg.cohort()); err != nil {
+		return nil, fmt.Errorf("simulate: %w", err)
 	}
+	for id := 0; id < n; id++ {
+		if err := r.tracker.Handshake(id); err != nil {
+			return nil, fmt.Errorf("simulate: %w", err)
+		}
+	}
+	r.table = membership.NewSlotTable(r.tracker, !cfg.LateDiscard)
 	if cfg.Stragglers > 0 {
 		r.stragglerRng = root.Derive(labelStraggler)
 		r.stragglerIdx = make([]int, cfg.Stragglers)
@@ -440,13 +456,19 @@ func newRunner(cfg Config) (*runner, error) {
 			return nil, err
 		}
 	}
+	// Lay out the epoch the first step runs under.
+	if start := r.commit.Start(); start < cfg.Steps {
+		if err := r.enterEpoch(start); err != nil {
+			return nil, err
+		}
+	}
 	return r, nil
 }
 
 // snapshot adds the simulator's own mutable state — workers, the attack,
 // the quorum and membership books — to the server half the Committer has
-// filled in. Every buffer is copied, so the snapshot stays valid while the
-// run continues.
+// filled in. Every buffer is copied and views are immutable, so the snapshot
+// stays valid while the run continues.
 func (r *runner) snapshot(st *checkpoint.RunState) {
 	st.Workers = make([]checkpoint.WorkerRunState, len(r.workers))
 	ar := r.attackRng.State()
@@ -463,26 +485,13 @@ func (r *runner) snapshot(st *checkpoint.RunState) {
 		st.Workers[i] = ws
 	}
 	if r.cfg.Stragglers > 0 {
-		st.Quorum = &checkpoint.QuorumRunState{
-			StragglerRng: r.stragglerRng.State(),
-			Accepted:     r.accepted,
-			Missed:       r.missed,
-			Discarded:    r.discarded,
-			Credited:     r.credited,
-		}
+		st.Quorum = &checkpoint.QuorumRunState{StragglerRng: r.stragglerRng.State(), Discarded: r.discarded}
+		st.Quorum.Accepted, st.Quorum.Missed, st.Quorum.Credited = r.table.Totals()
 	}
-	if r.cfg.Epochs != nil && len(r.epochStats) > 0 {
-		cur := r.epochStats[len(r.epochStats)-1]
-		ms := &checkpoint.MembershipRunState{
-			Epoch:  cur.Epoch,
-			View:   append([]int(nil), r.view...),
-			F:      cur.F,
-			Epochs: append([]membership.EpochStat(nil), r.epochStats...),
-		}
-		for i := range ms.Epochs {
-			ms.Epochs[i].View = append([]int(nil), ms.Epochs[i].View...)
-		}
-		st.Membership = ms
+	if r.cfg.Epochs != nil {
+		// Views are immutable, so the snapshot shares their member slices.
+		v := r.tracker.View()
+		st.Membership = &checkpoint.MembershipRunState{Epoch: v.Epoch, View: v.Members, F: v.F, Epochs: r.table.Epochs()}
 	}
 }
 
@@ -523,77 +532,81 @@ func (r *runner) restore(st *checkpoint.RunState) error {
 			r.hasPending[i] = true
 		}
 	}
+	var q checkpoint.QuorumRunState
 	if st.Quorum != nil {
 		if r.cfg.Stragglers == 0 {
 			return errors.New("simulate: resume carries quorum state but staleness is disabled")
 		}
-		r.stragglerRng.SetState(st.Quorum.StragglerRng)
-		r.accepted = st.Quorum.Accepted
-		r.missed = st.Quorum.Missed
-		r.discarded = st.Quorum.Discarded
-		r.credited = st.Quorum.Credited
+		q = *st.Quorum
+		r.stragglerRng.SetState(q.StragglerRng)
+		r.discarded = q.Discarded
 	} else if r.cfg.Stragglers > 0 && st.Step > 0 {
 		return errors.New("simulate: staleness configured but the snapshot carries no quorum state")
 	}
+	var m checkpoint.MembershipRunState
 	if st.Membership != nil {
 		if r.cfg.Epochs == nil {
 			return errors.New("simulate: resume carries membership state but epochs are disabled")
 		}
-		m := st.Membership
-		if wantEpoch := (st.Step - 1) / r.cfg.Epochs.EpochRounds; st.Step > 0 && m.Epoch != wantEpoch {
-			return fmt.Errorf("simulate: resume epoch %d, but step %d lies in epoch %d",
-				m.Epoch, st.Step, wantEpoch)
-		}
-		r.epochStats = append(r.epochStats[:0], m.Epochs...)
-		for i := range r.epochStats {
-			r.epochStats[i].View = append([]int(nil), r.epochStats[i].View...)
-		}
+		m = *st.Membership
 	} else if r.cfg.Epochs != nil && st.Step > 0 {
 		return errors.New("simulate: epochs configured but the snapshot carries no membership state")
+	}
+	if st.Step == 0 {
+		return nil
+	}
+	// A run without stragglers keeps no totals in its snapshot: the resumed
+	// segment counts its own.
+	v, err := r.table.Resume(st.Step, m.Epochs, q.Accepted, q.Missed, q.Credited)
+	if err != nil {
+		return fmt.Errorf("simulate: %w", err)
+	}
+	if st.Membership != nil && (m.Epoch != v.Epoch || m.F != v.F || !slices.Equal(m.View, v.Members)) {
+		return fmt.Errorf("simulate: resume view (epoch %d, f=%d, %v) is not the cohort's (epoch %d, f=%d, %v) at step %d",
+			m.Epoch, m.F, m.View, v.Epoch, v.F, v.Members, st.Step)
 	}
 	return nil
 }
 
-// overlayStaleness rewrites the step's submission slots under the
-// bounded-staleness model, mirroring the cluster server's inbox order: a
-// worker's one-round-late frame is queued ahead of its fresh one, so a
-// credited late frame fills the slot and the fresh frame is either still
-// in flight (the worker straggles again) or dropped as a duplicate.
-// Stragglers' slots are zero-padded per §2.1 and counted as missed.
+// deliver hands the step's frames to the slot table in the cluster's inbox
+// order — a worker's one-round-late frame ahead of its fresh one — zero-pads
+// (§2.1) the slots no frame filled and commits the round. The table decides
+// every frame: a late frame is credited, or stale under LateDiscard; a fresh
+// one is accepted, or a duplicate behind a credited frame; a straggler's
+// fresh frame is still in flight. The local view is [0, n) in order, so
+// worker i owns slot i, which already holds its fresh frame.
 //
 //dpbyz:hotpath
-func (r *runner) overlayStaleness() {
-	r.stragglerRng.Sample(r.stragglerIdx, r.n)
-	for i := range r.isStraggler {
-		r.isStraggler[i] = false
-	}
-	for _, i := range r.stragglerIdx {
-		r.isStraggler[i] = true
-	}
-	for i := 0; i < r.n; i++ {
-		pending := r.hasPending[i]
-		switch {
-		case pending && !r.cfg.LateDiscard:
-			r.submissions[i] = r.stale[i]
-			r.accepted++
-			r.credited++
-			if !r.isStraggler[i] {
-				// The fresh frame arrived behind the credited one: duplicate.
-				r.discarded++
-			}
-		case r.isStraggler[i]:
-			if pending {
-				r.discarded++ // LateDiscard drops the late arrival.
-			}
-			r.submissions[i] = r.zeros
-			r.missed++
-		default:
-			if pending {
-				r.discarded++ // LateDiscard drops the late arrival.
-			}
-			r.accepted++
+func (r *runner) deliver(step int) {
+	late := r.cfg.Stragglers > 0
+	if late {
+		r.stragglerRng.Sample(r.stragglerIdx, r.n)
+		clear(r.isStraggler)
+		for _, i := range r.stragglerIdx {
+			r.isStraggler[i] = true
 		}
 	}
+	for i := 0; i < r.n; i++ {
+		if late && r.hasPending[i] {
+			if _, d := r.table.Deliver(i, step-1, step); d.Fills() {
+				r.submissions[i] = r.stale[i]
+			} else {
+				r.discarded++
+			}
+		}
+		if late && r.isStraggler[i] {
+			continue
+		}
+		if _, d := r.table.Deliver(i, step, step); !d.Fills() {
+			r.discarded++
+		}
+	}
+	for i := range r.submissions {
+		if !r.table.Filled(i) {
+			r.submissions[i] = r.zeros
+		}
+	}
+	r.table.Commit()
 }
 
 // stashStragglers records each straggler's frame as in flight for the next
@@ -661,18 +674,7 @@ func (r *runner) step(step int) error {
 		r.crafted = crafted
 	}
 	copy(r.submissions[r.computeFrom:], r.honest)
-	prevAccepted, prevMissed := r.accepted, r.missed
-	if cfg.Stragglers > 0 {
-		r.overlayStaleness()
-	} else {
-		r.accepted += r.n
-	}
-	if cfg.Epochs != nil {
-		st := &r.epochStats[len(r.epochStats)-1]
-		st.Rounds++
-		st.Accepted += r.accepted - prevAccepted
-		st.Missed += r.missed - prevMissed
-	}
+	r.deliver(step)
 
 	if err := gar.AggregateInto(r.rule, r.agg, r.submissions); err != nil {
 		return fmt.Errorf("simulate: step %d aggregate: %w", step, err)
@@ -718,34 +720,35 @@ func (r *runner) measure(step int, w, _ []float64) metrics.StepRecord {
 	return rec
 }
 
-// enterEpoch re-derives the epoch containing step: f_e = ⌊FRatio·n⌋, a
-// fresh aggregation rule from the factory, and (entering a new epoch) a
-// fresh ledger entry. Re-entering the current epoch — a mid-epoch resume —
-// only re-materializes the rule, continuing the restored partial ledger.
-// This runs at epoch boundaries, outside the hot step loop, so the factory
-// may allocate freely.
+// enterEpoch lays out the epoch step runs under: at a boundary the slot
+// table advances the tracker to the next view; otherwise (a mid-epoch
+// resume) the view the table re-entered stands. An epoched run then
+// re-materializes its rule for the view's (n, f). This runs outside the hot
+// step loop, so the factory may allocate freely.
 func (r *runner) enterEpoch(step int) error {
-	ec := r.cfg.Epochs
-	e := step / ec.EpochRounds
-	f := int(ec.FRatio*float64(r.n) + 1e-9)
-	g, err := ec.NewGAR(r.n, f)
-	if err != nil {
-		return fmt.Errorf("simulate: epoch %d gar: %w", e, err)
+	if step%r.tracker.Config().EpochRounds == 0 {
+		if _, _, _, err := r.table.Advance(); err != nil {
+			return fmt.Errorf("simulate: step %d boundary: %w", step, err)
+		}
 	}
-	if g.N() != r.n || g.F() != f {
+	ec := r.cfg.Epochs
+	if ec == nil {
+		return nil
+	}
+	v := r.tracker.View()
+	g, err := ec.NewGAR(v.N(), v.F)
+	if err != nil {
+		return fmt.Errorf("simulate: epoch %d gar: %w", v.Epoch, err)
+	}
+	if g.N() != v.N() || g.F() != v.F {
 		return fmt.Errorf("simulate: epoch %d factory built a (%d, %d) rule, want (%d, %d)",
-			e, g.N(), g.F(), r.n, f)
+			v.Epoch, g.N(), g.F(), v.N(), v.F)
 	}
 	r.rule = g
 	// GAR-aware attackers line-search against the server's live rule, so
 	// they track the epoch re-materialization exactly as on the cluster.
 	if ga, ok := r.cfg.Attack.(attack.GARAware); ok {
 		ga.SetGAR(g)
-	}
-	if len(r.epochStats) == 0 || r.epochStats[len(r.epochStats)-1].Epoch != e {
-		r.epochStats = append(r.epochStats, membership.EpochStat{
-			Epoch: e, N: r.n, F: f, View: r.view,
-		})
 	}
 	return nil
 }
@@ -757,14 +760,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := r.commit.Start()
+	start, rounds := r.commit.Start(), r.tracker.Config().EpochRounds
 	for step := start; step < cfg.Steps; step++ {
 		if err := ctx.Err(); err != nil {
 			// A graceful shutdown (SIGINT on a cmd, fleet Stop) flushes the
 			// completed prefix.
 			return nil, r.commit.Cancel(step, err)
 		}
-		if cfg.Epochs != nil && (step == start || step%cfg.Epochs.EpochRounds == 0) {
+		// newRunner laid out the start's epoch.
+		if step > start && step%rounds == 0 {
 			if err := r.enterEpoch(step); err != nil {
 				return nil, err
 			}
@@ -773,15 +777,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	return &Result{
-		Params:    r.commit.Params(),
-		History:   r.history,
-		Accepted:  r.accepted,
-		Missed:    r.missed,
-		Discarded: r.discarded,
-		Credited:  r.credited,
-		Epochs:    r.epochStats,
-	}, nil
+	res := &Result{Params: r.commit.Params(), History: r.history, Discarded: r.discarded}
+	res.Accepted, res.Missed, res.Credited = r.table.Totals()
+	if cfg.Epochs != nil {
+		res.Epochs = r.table.Epochs()
+	}
+	return res, nil
 }
 
 // InverseTimeLR returns the Theorem 1 learning-rate schedule

@@ -120,8 +120,7 @@ func (b *LocalBackend) config(s *Spec, o *runOptions) (simulate.Config, error) {
 	}
 	if s.Membership != nil {
 		// The local cohort never churns, so MinWorkers/MaxWorkers have no
-		// local meaning; the deterministic half — epoch scheduling, per-epoch
-		// GAR re-materialization, per-epoch ledgers — mirrors the cluster.
+		// local meaning; epochs run on the cluster's tracker and slot table.
 		cfg.Epochs = &simulate.EpochConfig{
 			EpochRounds: s.Membership.EpochRounds,
 			FRatio:      s.Membership.FRatio,

@@ -51,3 +51,38 @@ func TestResumeRejectedOnBothBackends(t *testing.T) {
 		}
 	}
 }
+
+// A local snapshot whose membership state describes another cohort must not
+// resume. The rewrite below keeps every epoch balanced, so
+// checkpoint.Validate passes it; only the slot table, which re-derives each
+// epoch's view from the configured cohort, can tell the books are foreign.
+func TestLocalResumeRejectsForeignCohort(t *testing.T) {
+	ctx := context.Background()
+	s := trajectorySpecs()["membership"]
+	var snap *checkpoint.RunState
+	if _, err := (&LocalBackend{}).Run(ctx, s, WithSnapshotFunc(func(st *checkpoint.RunState) error {
+		if st.Step == trajectoryResumeAt {
+			snap = st
+		}
+		return nil
+	}, trajectoryResumeAt)); err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil || snap.Membership == nil {
+		t.Fatalf("no membership snapshot at step %d", trajectoryResumeAt)
+	}
+	six := []int{0, 1, 2, 3, 4, 5}
+	m := snap.Membership
+	m.View = six
+	for i := range m.Epochs {
+		e := &m.Epochs[i]
+		e.N, e.View, e.Accepted, e.Missed = len(six), six, len(six)*e.Rounds, 0
+	}
+	if err := snap.Validate(); err != nil {
+		t.Fatalf("rewritten snapshot must pass Validate: %v", err)
+	}
+	_, err := (&LocalBackend{}).Run(ctx, s, WithResume(snap))
+	if want := "do not match the tracker's epoch 0"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("foreign cohort resumed: error %v, want one naming %q", err, want)
+	}
+}

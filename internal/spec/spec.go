@@ -500,19 +500,20 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if m := s.Membership; m != nil {
-		if err := (membership.Config{
+		mc := membership.Config{
 			MinWorkers:  m.MinWorkers,
 			MaxWorkers:  m.MaxWorkers,
 			FRatio:      m.FRatio,
 			EpochRounds: m.EpochRounds,
-		}).Validate(); err != nil {
+		}
+		if err := mc.Validate(); err != nil {
 			return err
 		}
 		if s.GAR.N < m.MinWorkers || s.GAR.N > m.MaxWorkers {
 			return fmt.Errorf("spec: gar.n %d outside membership [%d, %d]",
 				s.GAR.N, m.MinWorkers, m.MaxWorkers)
 		}
-		if f := int(m.FRatio*float64(s.GAR.N) + 1e-9); f != s.GAR.F {
+		if f := mc.F(s.GAR.N); f != s.GAR.F {
 			return fmt.Errorf("spec: membership fRatio %v derives f=%d at n=%d, but gar.f is %d",
 				m.FRatio, f, s.GAR.N, s.GAR.F)
 		}
