@@ -28,16 +28,16 @@ func benchScale() experiments.Scale {
 // runFigureBench executes the figure grid and reports the loss of the
 // combined DP+attack cell relative to the clean baseline — the paper's
 // headline "do they add up" number for that batch size.
-func runFigureBench(b *testing.B, spec experiments.FigureSpec) {
+func runFigureBench(b *testing.B, sw experiments.Sweep) {
 	b.Helper()
 	var lastRatio float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure(context.Background(), spec)
+		cells, err := experiments.Run(context.Background(), sw, experiments.Sched{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		base := res.Cell("none+clear")
-		combined := res.Cell("alie+dp")
+		base := experiments.Cell(cells, "none+clear")
+		combined := experiments.Cell(cells, "alie+dp")
 		if base == nil || combined == nil {
 			b.Fatal("missing cells")
 		}
@@ -55,13 +55,13 @@ func BenchmarkFigure4(b *testing.B) {
 	// the paper's proportions by scaling the dataset up alongside.
 	s := benchScale()
 	s.DatasetSize = 4000
-	runFigureBench(b, experiments.FigureSpec{ID: "fig4", BatchSize: 500, Epsilon: 0.2, Scale: s})
+	runFigureBench(b, experiments.Figure4(s))
 }
 
 func BenchmarkTable1VNConditions(b *testing.B) {
 	var satisfied int
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable1(experiments.Table1Spec{})
+		res, err := experiments.RunTable1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,17 +112,16 @@ func BenchmarkTheorem1ErrorRate(b *testing.B) {
 }
 
 func BenchmarkEpsilonSweep(b *testing.B) {
-	spec := experiments.EpsilonSweepSpec{
-		Epsilons: []float64{0.1, 0.5},
-		Scale:    benchScale(),
-	}
+	// The ε = 0.1 and ε = 0.5 rows.
+	sw := experiments.EpsilonSweep(benchScale())
+	sw.Rows = []experiments.Row{sw.Rows[0], sw.Rows[2]}
 	var degradation float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.RunEpsilonSweep(context.Background(), spec)
+		cells, err := experiments.Run(context.Background(), sw, experiments.Sched{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		degradation = points[0].MinLossMean / points[1].MinLossMean
+		degradation = cells[0].MinLossMean / cells[1].MinLossMean
 	}
 	b.ReportMetric(degradation, "loss(eps=0.1)/loss(eps=0.5)")
 }
@@ -428,33 +427,33 @@ func BenchmarkVNEmpirical(b *testing.B) {
 }
 
 func BenchmarkCrossover(b *testing.B) {
-	spec := experiments.CrossoverSpec{
-		BatchSizes: []int{10, 400},
-		Scale:      experiments.Scale{Steps: 120, Seeds: 1, DatasetSize: 1500, Features: 12},
-	}
+	// The b = 10 and b = 500 ends of the grid (four regime rows each).
+	sw := experiments.CrossoverSweep(experiments.Scale{Steps: 120, Seeds: 1, DatasetSize: 1500, Features: 12})
+	sw.Rows = append(sw.Rows[:4:4], sw.Rows[len(sw.Rows)-4:]...)
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunCrossover(context.Background(), spec)
+		cells, err := experiments.Run(context.Background(), sw, experiments.Sched{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := experiments.Crossover(sw, cells)
 		last := res.Points[len(res.Points)-1]
 		gap = last.BaselineAcc - last.CombinedAcc
 	}
-	b.ReportMetric(gap, "acc-gap@b=400")
+	b.ReportMetric(gap, "acc-gap@b=500")
 }
 
 func BenchmarkFigureMLP(b *testing.B) {
-	spec := experiments.FigureMLP(experiments.Scale{
+	sw := experiments.FigureMLP(experiments.Scale{
 		Steps: 80, Seeds: 1, DatasetSize: 1000, Features: 10,
 	})
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure(context.Background(), spec)
+		cells, err := experiments.Run(context.Background(), sw, experiments.Sched{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ratio = res.Cell("foe+dp").MinLossMean / res.Cell("none+clear").MinLossMean
+		ratio = experiments.Cell(cells, "foe+dp").MinLossMean / experiments.Cell(cells, "none+clear").MinLossMean
 	}
 	b.ReportMetric(ratio, "lossRatio(foe+dp)/clean")
 }

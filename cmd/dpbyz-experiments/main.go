@@ -4,15 +4,20 @@
 //	dpbyz-experiments -exp fig2 -smoke    # one figure, reduced scale
 //	dpbyz-experiments -exp spec -spec run.json -seeds 5
 //
-// Experiments: fig2, fig3, fig4 (loss/accuracy grids at b = 50/10/500),
-// table1 (VN-condition thresholds across model sizes), thm1 (error rate vs
-// model dimension), epssweep (the full version's ε sweep), hetsweep (the
-// heterogeneity sweep: Dirichlet label-skew β × aggregation rule under
-// attack with DP on), stalesweep (the bounded-staleness sweep: per-round
+// Experiments, in output order: fig2, fig3, fig4 (loss/accuracy grids at
+// b = 50/10/500), figmlp (the Fig. 2 grid on an MLP), table1 (VN-condition
+// thresholds across model sizes), thm1 (error rate vs model dimension,
+// batch size and steps), vnempirical (the measured DP-adjusted VN ratio),
+// crossover (the batch size at which DP and Byzantine resilience combine),
+// epssweep (the full version's ε sweep), hetsweep (Dirichlet label-skew β ×
+// aggregation rule under attack with DP on), stalesweep (per-round
 // straggler count × aggregation rule with exact delivery accounting) and
-// spec (any JSON run spec — the same file
-// dpbyz-train and the cluster binaries consume — repeated across seeds and
-// aggregated like a grid cell).
+// spec (any JSON run spec — the same file dpbyz-train and the cluster
+// binaries consume — repeated across seeds and aggregated like a grid row).
+// -exp takes a comma-separated list; an unknown name is an error. Every
+// Spec-driven table is one experiments.Sweep, run by experiments.Run and
+// printed by experiments.WriteTable; each experiment's output ends with a
+// blank line.
 package main
 
 import (
@@ -22,12 +27,19 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 
 	"dpbyz"
 	"dpbyz/internal/experiments"
 )
+
+// experiment is one -exp name and what it prints.
+type experiment struct {
+	name string
+	run  func(ctx context.Context) error
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -76,192 +88,115 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return s
 	}
 
-	wanted := strings.Split(*exp, ",")
-	want := func(name string) bool {
-		for _, w := range wanted {
-			if w == "all" || w == name {
-				return true
+	// table runs one Spec-driven sweep and prints it; a figure adds its
+	// one-line verdict.
+	table := func(sw experiments.Sweep, summary bool) func(context.Context) error {
+		return func(ctx context.Context) error {
+			cells, err := experiments.Run(ctx, sw, sched(sw.ID))
+			if err != nil {
+				return err
 			}
-		}
-		return false
-	}
-	ran := 0
-
-	for _, fig := range []struct {
-		name string
-		spec experiments.FigureSpec
-	}{
-		{name: "fig2", spec: experiments.Figure2(scale)},
-		{name: "fig3", spec: experiments.Figure3(scale)},
-		{name: "fig4", spec: experiments.Figure4(scale)},
-		{name: "figmlp", spec: experiments.FigureMLP(scale)},
-	} {
-		if !want(fig.name) {
-			continue
-		}
-		ran++
-		fmt.Fprintf(stderr, "running %s...\n", fig.name)
-		fig.spec.Sched = sched(fig.name)
-		res, err := experiments.RunFigure(ctx, fig.spec)
-		if err != nil {
-			return err
-		}
-		if err := experiments.WriteFigureReport(stdout, res); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, experiments.Summary(res))
-		fmt.Fprintln(stdout)
-	}
-
-	if want("table1") {
-		ran++
-		spec := experiments.Table1Spec{}
-		res, err := experiments.RunTable1(spec)
-		if err != nil {
-			return err
-		}
-		if err := experiments.WriteTable1Report(stdout, res, 50, 5.0/23); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-
-	if want("thm1") {
-		ran++
-		fmt.Fprintln(stderr, "running thm1...")
-		spec := experiments.Theorem1Spec{}
-		if *smoke {
-			spec = experiments.Theorem1Spec{Dims: []int{8, 32, 128}, Steps: 150, Seeds: 2, DatasetSize: 1500}
-		}
-		points, err := experiments.RunTheorem1(ctx, spec)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "Theorem 1: final suboptimality vs model dimension")
-		if err := experiments.WriteTheorem1Report(stdout, points); err != nil {
-			return err
-		}
-		bPoints, err := experiments.RunTheorem1BatchSweep(ctx, spec, nil)
-		if err != nil {
-			return err
-		}
-		tPoints, err := experiments.RunTheorem1StepsSweep(ctx, spec, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "Theorem 1: rate factors 1/b^2 and 1/T (unclipped harness)")
-		if err := experiments.WriteTheorem1SweepReports(stdout, bPoints, tPoints); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-
-	if want("vnempirical") {
-		ran++
-		fmt.Fprintln(stderr, "running vnempirical...")
-		points, err := experiments.RunVNEmpirical(ctx, experiments.VNEmpiricalSpec{})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "Empirical DP-adjusted VN ratio vs k_F(n, f) (Eq. 8)")
-		if err := experiments.WriteVNEmpiricalReport(stdout, points); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-
-	if want("crossover") {
-		ran++
-		fmt.Fprintln(stderr, "running crossover...")
-		res, err := experiments.RunCrossover(ctx, experiments.CrossoverSpec{Scale: scale})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "Batch-size crossover (final accuracy per condition)")
-		if err := experiments.WriteCrossoverReport(stdout, res); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-	}
-
-	if want("epssweep") {
-		ran++
-		fmt.Fprintln(stderr, "running epssweep...")
-		points, err := experiments.RunEpsilonSweep(ctx,
-			experiments.EpsilonSweepSpec{Scale: scale, Sched: sched("epssweep")})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "Epsilon sweep (alie attack, MDA, DP on)")
-		if err := experiments.WriteEpsilonSweepReport(stdout, points); err != nil {
+			if err := experiments.WriteTable(stdout, sw, cells); err != nil || !summary {
+				return err
+			}
+			_, err = fmt.Fprintln(stdout, experiments.Summary(sw, cells))
 			return err
 		}
 	}
 
-	if want("hetsweep") {
-		ran++
-		fmt.Fprintln(stderr, "running hetsweep...")
-		points, err := experiments.RunHeterogeneitySweep(ctx, experiments.HeterogeneitySweepSpec{
-			GARNames: []string{"mda", "trimmedmean"},
-			Scale:    scale,
-			Sched:    sched("hetsweep"),
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "Heterogeneity sweep (Dirichlet beta, alie attack, DP on)")
-		if err := experiments.WriteHeterogeneitySweepReport(stdout, points); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
+	// The registry, in output order. Every entry's output is followed by one
+	// blank line.
+	registry := []experiment{
+		{"fig2", table(experiments.Figure2(scale), true)},
+		{"fig3", table(experiments.Figure3(scale), true)},
+		{"fig4", table(experiments.Figure4(scale), true)},
+		{"figmlp", table(experiments.FigureMLP(scale), true)},
+		{"table1", func(context.Context) error {
+			res, err := experiments.RunTable1()
+			if err != nil {
+				return err
+			}
+			return experiments.WriteTable1Report(stdout, res)
+		}},
+		{"thm1", func(ctx context.Context) error {
+			spec := experiments.Theorem1Spec{}
+			if *smoke {
+				spec = experiments.Theorem1Spec{Dims: []int{8, 32, 128}, Steps: 150, Seeds: 2, DatasetSize: 1500}
+			}
+			points, err := experiments.RunTheorem1(ctx, spec)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, "Theorem 1: final suboptimality vs model dimension")
+			if err := experiments.WriteTheorem1Report(stdout, points); err != nil {
+				return err
+			}
+			bPoints, err := experiments.RunTheorem1BatchSweep(ctx, spec, nil)
+			if err != nil {
+				return err
+			}
+			tPoints, err := experiments.RunTheorem1StepsSweep(ctx, spec, nil)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, "Theorem 1: rate factors 1/b^2 and 1/T (unclipped harness)")
+			return experiments.WriteTheorem1SweepReports(stdout, bPoints, tPoints)
+		}},
+		{"vnempirical", func(ctx context.Context) error {
+			points, err := experiments.RunVNEmpirical(ctx, experiments.VNEmpiricalSpec{})
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, "Empirical DP-adjusted VN ratio vs k_F(n, f) (Eq. 8)")
+			return experiments.WriteVNEmpiricalReport(stdout, points)
+		}},
+		{"crossover", func(ctx context.Context) error {
+			sw := experiments.CrossoverSweep(scale)
+			cells, err := experiments.Run(ctx, sw, sched(sw.ID))
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, sw.Title)
+			return experiments.WriteCrossoverReport(stdout, experiments.Crossover(sw, cells))
+		}},
+		{"epssweep", table(experiments.EpsilonSweep(scale), false)},
+		{"hetsweep", table(experiments.HeterogeneitySweep(scale), false)},
+		{"stalesweep", table(experiments.StalenessSweep(scale), false)},
+		{"spec", func(ctx context.Context) error {
+			s, err := dpbyz.LoadSpec(*specPath)
+			if err != nil {
+				return err
+			}
+			n := *seeds
+			if n == 0 && !*smoke {
+				n = experiments.PaperSeeds
+			}
+			if *steps > 0 {
+				s.Steps = *steps
+			}
+			return table(experiments.SpecCell(*s, n), false)(ctx)
+		}},
 	}
 
-	if want("stalesweep") {
-		ran++
-		fmt.Fprintln(stderr, "running stalesweep...")
-		points, err := experiments.RunStalenessSweep(ctx, experiments.StalenessSweepSpec{
-			GARNames: []string{"mda", "trimmedmean"},
-			Scale:    scale,
-			Sched:    sched("stalesweep"),
-		})
-		if err != nil {
-			return err
+	wanted := strings.Split(*exp, ",")
+	all := slices.Contains(wanted, "all")
+	for _, name := range wanted {
+		if name != "all" && !slices.ContainsFunc(registry, func(e experiment) bool { return e.name == name }) {
+			return fmt.Errorf("unknown experiment %q", name)
 		}
-		fmt.Fprintln(stdout, "Staleness sweep (quorum = n-f-s, late frames credited, alie attack, DP on)")
-		if err := experiments.WriteStalenessSweepReport(stdout, points); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
 	}
-
-	if want("spec") && *specPath != "" {
-		ran++
-		fmt.Fprintln(stderr, "running spec...")
-		s, err := dpbyz.LoadSpec(*specPath)
-		if err != nil {
-			return err
-		}
-		cfg := experiments.SpecCellConfig{Run: *s, Seeds: *seeds, Sched: sched("spec")}
-		if cfg.Seeds == 0 && !*smoke {
-			cfg.Seeds = experiments.PaperSeeds
-		}
-		if *steps > 0 {
-			cfg.Run.Steps = *steps
-		}
-		cell, err := experiments.RunSpecCell(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "Spec cell %s (%s)\n", cell.Condition.Label, *specPath)
-		if err := experiments.WriteCellReport(stdout, cell, max(cfg.Seeds, 1)); err != nil {
-			return err
-		}
-	} else if want("spec") && *exp == "spec" {
+	if slices.Contains(wanted, "spec") && *specPath == "" {
 		return fmt.Errorf("-exp spec needs -spec <file> (generate one with dpbyz-train -dump-spec)")
 	}
-
-	if ran == 0 {
-		return fmt.Errorf("unknown experiment %q", *exp)
+	for _, e := range registry {
+		if !all && !slices.Contains(wanted, e.name) || e.name == "spec" && *specPath == "" {
+			continue
+		}
+		fmt.Fprintf(stderr, "running %s...\n", e.name)
+		if err := e.run(ctx); err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout)
 	}
 	return nil
 }

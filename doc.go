@@ -104,7 +104,7 @@
 //	s.Partition = &dpbyz.PartitionSpec{Name: "dirichlet", Beta: 0.3}
 //	s.Attack = &dpbyz.AttackSpec{Name: "ipm"}
 //
-// and sweep from the experiment layer: RunHeterogeneitySweep (CLI:
+// and sweep from the experiment layer: the HeterogeneitySweep table (CLI:
 // dpbyz-experiments -exp hetsweep) measures accuracy versus Dirichlet β per
 // aggregation rule, bit-identical at every scheduler parallelism, and
 // examples/heterogeneity walks the same sweep as a program. The GAR registry
@@ -152,7 +152,7 @@
 //	s.Topology = &dpbyz.TopologySpec{Name: "bucketed", BucketSize: 4}
 //	s.Staleness = &dpbyz.StalenessSpec{Stragglers: 2, Late: "credit"}
 //
-// and sweep from the experiment layer: RunStalenessSweep (CLI:
+// and sweep from the experiment layer: the StalenessSweep table (CLI:
 // dpbyz-experiments -exp stalesweep) measures accuracy and the
 // accounting ledger against the straggler count per rule.
 //
@@ -307,13 +307,15 @@
 // every round. A Spec that still names it is rejected with a pointer to
 // "exact", which computes the identical trajectory.)
 //
-// At the experiment level, every Spec-driven driver — RunFigure,
-// RunEpsilonSweep, RunHeterogeneitySweep, RunStalenessSweep, RunCrossover
-// and RunSpecCell — is one grid of (condition, seed) cells run on one
-// bounded worker pool, with per-seed datasets built once and shared
-// read-only; results are bit-identical at every parallelism level (see the
-// internal/experiments package comment for the determinism contract, and
-// cmd/dpbyz-experiments -parallel / -progress for the CLI knobs).
+// At the experiment level, every Spec-driven table — the figures, the ε,
+// heterogeneity and staleness sweeps, the batch-size crossover and the spec
+// cell — is one experiments.Sweep value (rows of Specs, each repeated over
+// seeds), executed by the one runner experiments.Run on one bounded worker
+// pool, with per-seed datasets built once and shared read-only, and printed
+// by the one writer experiments.WriteTable; results are bit-identical at
+// every parallelism level (see the internal/experiments package comment for
+// the determinism contract, and cmd/dpbyz-experiments -parallel / -progress
+// for the CLI knobs).
 //
 // # Static analysis and code contracts
 //

@@ -21,10 +21,9 @@ func BenchmarkRunFigure(b *testing.B) {
 		{name: "parallel", workers: 0},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			spec := Figure2(ScaleSmall())
-			spec.Sched = Sched{Workers: mode.workers}
+			sw := Figure2(ScaleSmall())
 			for i := 0; i < b.N; i++ {
-				if _, err := RunFigure(context.Background(), spec); err != nil {
+				if _, err := Run(context.Background(), sw, Sched{Workers: mode.workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

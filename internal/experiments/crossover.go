@@ -1,42 +1,38 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
-
-	runspec "dpbyz/internal/spec"
+	"strconv"
 )
 
-// CrossoverSpec configures the batch-size crossover sweep behind the
-// paper's §5.2 takeaway: the batch size at which DP and Byzantine
-// resilience can be combined (500) is ~10× the one at which either works
-// alone (50) and ~50× the one sufficient for plain convergence (10).
-type CrossoverSpec struct {
-	// BatchSizes is the b grid (default {10, 25, 50, 100, 250, 500}).
-	BatchSizes []int
-	// AttackName is the attack of the combined cell (default "alie").
-	AttackName string
-	// Epsilon is the DP parameter (default 0.2).
-	Epsilon float64
-	// Tolerance is the relative accuracy loss (vs the clean baseline at the
-	// same b) below which a condition counts as "working" (default 0.05).
-	Tolerance float64
-	Scale     Scale
-}
+// The batch-size crossover sweep sits behind the paper's §5.2 takeaway: the
+// batch size at which DP and Byzantine resilience can be combined (500) is
+// ~10× the one at which either works alone (50) and ~50× the one sufficient
+// for plain convergence (10).
+var crossoverBatches = []int{10, 25, 50, 100, 250, 500}
 
-func (s *CrossoverSpec) fillDefaults() {
-	if len(s.BatchSizes) == 0 {
-		s.BatchSizes = []int{10, 25, 50, 100, 250, 500}
+// crossoverTolerance is the relative accuracy loss (vs the clean baseline at
+// the same b) below which a condition counts as "working".
+const crossoverTolerance = 0.05
+
+// crossoverRegimes is the number of rows per batch size: the first four
+// conditions of Grid() — clean baseline, DP only, attack only, DP + attack —
+// in CrossoverPoint field order.
+const crossoverRegimes = 4
+
+// CrossoverSweep runs the crossover's four regimes at every batch size of
+// the grid; Crossover pivots its cells into CrossoverPoints.
+func CrossoverSweep(scale Scale) Sweep {
+	sw := phishingSweep("crossover", "Batch-size crossover (final accuracy per condition)",
+		scale, []Key{{"batch", 8}, {"regime", 12}}, []Metric{MetricFinalAcc})
+	for _, b := range crossoverBatches {
+		for _, cond := range Grid()[:crossoverRegimes] {
+			sw.Rows = append(sw.Rows, Row{
+				Keys: []string{"b=" + strconv.Itoa(b), cond.Label},
+				Spec: paperSpec(sw.ID, scale, b, PaperEpsilon, cond),
+			})
+		}
 	}
-	if s.AttackName == "" {
-		s.AttackName = "alie"
-	}
-	if s.Epsilon == 0 {
-		s.Epsilon = PaperEpsilon
-	}
-	if s.Tolerance == 0 {
-		s.Tolerance = 0.05
-	}
+	return sw
 }
 
 // CrossoverPoint is one batch size's measurement of the three regimes.
@@ -50,7 +46,7 @@ type CrossoverPoint struct {
 	AttackOnlyAcc float64
 	CombinedAcc   float64
 	// DPOnlyOK/AttackOnlyOK/CombinedOK report whether each condition is
-	// within Tolerance of the baseline.
+	// within the tolerance of the baseline.
 	DPOnlyOK     bool
 	AttackOnlyOK bool
 	CombinedOK   bool
@@ -69,47 +65,18 @@ type CrossoverResult struct {
 	MinBatchCombined int
 }
 
-// RunCrossover sweeps the batch-size grid and locates the three crossover
-// points. The (batch, regime, seed) cells run on the deterministic scheduler
-// at its default width, over datasets built once per seed.
-func RunCrossover(ctx context.Context, spec CrossoverSpec) (*CrossoverResult, error) {
-	spec.fillDefaults()
-	g, err := phishingGrid("crossover", Sched{}, spec.Scale, 0)
-	if err != nil {
-		return nil, err
-	}
-	// Four regimes per batch size, in CrossoverPoint field order.
-	regimes := []Condition{
-		{Label: "none+clear"},
-		{Label: "none+dp", DP: true},
-		{Label: spec.AttackName + "+clear", AttackName: spec.AttackName},
-		{Label: spec.AttackName + "+dp", AttackName: spec.AttackName, DP: true},
-	}
-	for _, b := range spec.BatchSizes {
-		for _, r := range regimes {
-			g.conds = append(g.conds, Condition{
-				Label: fmt.Sprintf("b=%d %s", b, r.Label), AttackName: r.AttackName, DP: r.DP,
-			})
-		}
-	}
-	g.spec = func(ci, seed int) runspec.Spec {
-		fig := FigureSpec{
-			ID: g.id, BatchSize: spec.BatchSizes[ci/len(regimes)], Epsilon: spec.Epsilon, Scale: spec.Scale,
-		}
-		return CellSpec(fig, regimes[ci%len(regimes)], seed)
-	}
-	cells, _, err := g.run(ctx)
-	if err != nil {
-		return nil, err
-	}
-
+// Crossover pivots the cells Run returned for a CrossoverSweep (or any
+// trimming of it that keeps whole batch sizes) into one point per batch size
+// and locates the three crossover points.
+func Crossover(sw Sweep, cells []CellResult) *CrossoverResult {
 	res := &CrossoverResult{
 		MinBatchDPOnly:     -1,
 		MinBatchAttackOnly: -1,
 		MinBatchCombined:   -1,
 	}
-	for bi, b := range spec.BatchSizes {
-		acc := cells[bi*len(regimes) : (bi+1)*len(regimes)]
+	for i := 0; i+crossoverRegimes <= len(cells); i += crossoverRegimes {
+		acc := cells[i : i+crossoverRegimes]
+		b := sw.Rows[i].Spec.BatchSize
 		point := CrossoverPoint{
 			BatchSize:     b,
 			BaselineAcc:   acc[0].FinalAccMean,
@@ -117,7 +84,7 @@ func RunCrossover(ctx context.Context, spec CrossoverSpec) (*CrossoverResult, er
 			AttackOnlyAcc: acc[2].FinalAccMean,
 			CombinedAcc:   acc[3].FinalAccMean,
 		}
-		threshold := point.BaselineAcc * (1 - spec.Tolerance)
+		threshold := point.BaselineAcc * (1 - crossoverTolerance)
 		point.DPOnlyOK = point.DPOnlyAcc >= threshold
 		point.AttackOnlyOK = point.AttackOnlyAcc >= threshold
 		point.CombinedOK = point.CombinedAcc >= threshold
@@ -132,5 +99,5 @@ func RunCrossover(ctx context.Context, spec CrossoverSpec) (*CrossoverResult, er
 		}
 		res.Points = append(res.Points, point)
 	}
-	return res, nil
+	return res
 }

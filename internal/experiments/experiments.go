@@ -4,24 +4,24 @@
 // Table 1 / Propositions 1–3 (VN-condition thresholds), Theorem 1 (the
 // Θ(d·log(1/δ)/(T·b²·ε²)) error rate) and the full version's ε sweep.
 //
-// Each runner accepts a Scale so the same experiment can run at paper scale
-// from cmd/dpbyz-experiments or at smoke-test scale from the test suite and
-// benchmarks.
+// Each table is built for a Scale so the same experiment can run at paper
+// scale from cmd/dpbyz-experiments or at smoke-test scale from the test
+// suite and benchmarks.
 //
-// # One grid, one scheduler
+// # Every table is one Sweep
 //
-// Every Spec-driven driver — RunFigure, RunEpsilonSweep,
-// RunHeterogeneitySweep, RunStalenessSweep, RunCrossover and RunSpecCell —
-// is the same thing: a list of conditions, each repeated over seeds 1..k,
-// every (condition, seed) cell one runspec.Spec run on the local backend. A
-// driver fills in its defaults, lists its conditions, says how to build the
-// Spec of (condition, seed) and maps the aggregated cells to its point type;
-// the unexported grid type does the rest, on Pool (Sched.Workers goroutines,
-// default GOMAXPROCS). Progress labels are "<condition label> seed k".
-// Theorem 1 and the empirical VN ratio are not Spec-driven — the first
-// needs an inverse-time learning-rate schedule and a Gaussian-mean data
-// source no Spec can name, the second samples raw gradients without training
-// — and keep their own loops.
+// Every Spec-driven table — Figures 2–4 and the MLP figure, the ε sweep,
+// the heterogeneity and staleness sweeps, the batch-size crossover and the
+// spec cell — is a Sweep value: a title, key and metric columns, and rows,
+// each row one runspec.Spec repeated over seeds 1..k. Constructors such as
+// Figure2 and EpsilonSweep build them with the paper's settings as
+// constants; a caller that wants a smaller grid trims Rows. One runner, Run,
+// executes any Sweep on Pool (Sched.Workers goroutines, default GOMAXPROCS)
+// and one writer, WriteTable, prints it; the crossover adds only its pivot.
+// Progress labels are "<row keys> seed k". Theorem 1 and the empirical VN
+// ratio are not Spec-driven — the first needs an inverse-time learning-rate
+// schedule and a Gaussian-mean data source no Spec can name, the second
+// samples raw gradients without training — and keep their own loops.
 //
 // # Scheduler determinism contract
 //
@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 
 	"dpbyz/internal/data"
@@ -120,7 +121,7 @@ func (s Scale) features() int {
 // Sched configures the parallel deterministic cell scheduler (see the
 // package comment for the determinism contract).
 type Sched struct {
-	// Workers caps how many (condition, seed) cells run concurrently.
+	// Workers caps how many (row, seed) cells run concurrently.
 	// 0 means runtime.GOMAXPROCS(0); 1 forces the serial order. The results
 	// are bit-identical at every setting.
 	Workers int
@@ -131,82 +132,50 @@ type Sched struct {
 	Progress func(done, total int, label string)
 }
 
-// Condition is one cell of the Figs 2–4 grid.
-type Condition struct {
-	// Label is a human-readable identifier such as "alie+dp".
-	Label string
-	// AttackName is "" for the unattacked baseline, else an attack registry
-	// name.
-	AttackName string
-	// DP enables Gaussian noise injection at the figure's budget.
-	DP bool
-}
-
-// Grid returns the six conditions of each figure: {none, alie, foe} ×
-// {no DP, DP}.
-func Grid() []Condition {
-	var out []Condition
-	for _, atk := range []string{"", "alie", "foe"} {
-		for _, dpOn := range []bool{false, true} {
-			label := "none"
-			if atk != "" {
-				label = atk
-			}
-			if dpOn {
-				label += "+dp"
-			} else {
-				label += "+clear"
-			}
-			out = append(out, Condition{Label: label, AttackName: atk, DP: dpOn})
-		}
-	}
-	return out
-}
-
-// FigureSpec describes one of Figs 2–4 (or the non-convex MLP variant).
-type FigureSpec struct {
-	// ID is "fig2", "fig3", "fig4" or "figmlp".
+// Sweep is one table of the evaluation: rows of runspec.Specs, each run at
+// seeds 1..Seeds and folded into one CellResult, printed by WriteTable as
+// the row's key cells followed by its Metrics.
+type Sweep struct {
+	// ID names the table in cell errors ("experiments: <id>/<row> seed k").
 	ID string
-	// BatchSize is the b that distinguishes the three figures.
-	BatchSize int
-	// Epsilon is the per-step privacy parameter (paper: 0.2).
-	Epsilon float64
-	// MLPHidden, when positive, replaces the paper's logistic model with a
-	// one-hidden-layer MLP of that width — the non-convex regime of §3,
-	// where the VN-ratio analysis (but not Theorem 1) still applies.
-	MLPHidden int
-	// Scale shrinks the run for tests.
-	Scale Scale
-	// Sched configures the cell scheduler; the zero value fans across
-	// GOMAXPROCS workers with no progress reporting.
-	Sched Sched
+	// Title is the line WriteTable prints above the table.
+	Title string
+	// Keys are the left-aligned key columns; every row has one cell each.
+	Keys []Key
+	// Metrics are the right-aligned metric columns after the keys.
+	Metrics []Metric
+	// Seeds repeats every row at seeds 1..Seeds; 0 runs each row once at
+	// its Spec's own seed.
+	Seeds int
+	Rows  []Row
+
+	// sharedData marks a phishing-shaped sweep: every row reads the
+	// synthetic dataset Rows[0].Spec.Data describes, so Run builds each
+	// seed's split (and MLP initialization) once and hands it to every row.
+	sharedData bool
 }
 
-// Figure2 returns the paper's Fig. 2 spec (b = 50).
-func Figure2(s Scale) FigureSpec {
-	return FigureSpec{ID: "fig2", BatchSize: 50, Epsilon: PaperEpsilon, Scale: s}
+// Key is one key column: a header and the width its cells are padded to.
+type Key struct {
+	Header string
+	Width  int
 }
 
-// Figure3 returns the paper's Fig. 3 spec (b = 10).
-func Figure3(s Scale) FigureSpec {
-	return FigureSpec{ID: "fig3", BatchSize: 10, Epsilon: PaperEpsilon, Scale: s}
+// Row is one row of a Sweep.
+type Row struct {
+	// Keys are the row's pre-formatted key cells, one per Sweep.Keys.
+	Keys []string
+	// Spec is the run behind the row; Run sets its Seed per repetition.
+	Spec runspec.Spec
 }
 
-// Figure4 returns the paper's Fig. 4 spec (b = 500).
-func Figure4(s Scale) FigureSpec {
-	return FigureSpec{ID: "fig4", BatchSize: 500, Epsilon: PaperEpsilon, Scale: s}
-}
+// label names the row in progress reports and errors.
+func (r Row) label() string { return strings.Join(r.Keys, " ") }
 
-// FigureMLP returns the non-convex extension of the Fig. 2 grid: the same
-// conditions on a one-hidden-layer MLP (d grows to hidden·(features+2)+1),
-// exercising the general setting of the paper's §3.
-func FigureMLP(s Scale) FigureSpec {
-	return FigureSpec{ID: "figmlp", BatchSize: 50, Epsilon: PaperEpsilon, MLPHidden: 16, Scale: s}
-}
-
-// CellResult aggregates one condition's runs.
+// CellResult aggregates one row's runs.
 type CellResult struct {
-	Condition Condition
+	// Label is the row's key cells joined by spaces, e.g. "alie+dp".
+	Label string
 	// Loss and Accuracy are mean ± std across seeds, per step.
 	Loss     *metrics.SeriesStats
 	Accuracy *metrics.SeriesStats
@@ -217,28 +186,29 @@ type CellResult struct {
 	// FinalAccMean/Std summarize the last measured accuracy.
 	FinalAccMean float64
 	FinalAccStd  float64
-}
-
-// FigureResult is a reproduced figure.
-type FigureResult struct {
-	Spec  FigureSpec
-	Cells []CellResult
+	// Accepted, Missed, Discarded and Credited are the delivery ledger
+	// summed over seeds (zero for fully synchronous rows). For a staleness
+	// row Accepted + Missed == seeds × n × steps exactly.
+	Accepted  int
+	Missed    int
+	Discarded int
+	Credited  int
 }
 
 // Cell returns the cell with the given label, or nil.
-func (r *FigureResult) Cell(label string) *CellResult {
-	for i := range r.Cells {
-		if r.Cells[i].Condition.Label == label {
-			return &r.Cells[i]
+func Cell(cells []CellResult, label string) *CellResult {
+	for i := range cells {
+		if cells[i].Label == label {
+			return &cells[i]
 		}
 	}
 	return nil
 }
 
-// seedInputs is the immutable per-seed state shared by every condition of a
-// grid: the synthetic dataset (split once) and, for MLP figures, the
-// deterministic initialization. Building these once per seed instead of
-// once per (condition, seed) saves |conds|−1 regenerations per seed, and
+// seedInputs is the immutable per-seed state shared by every row of a
+// phishing-shaped sweep: the synthetic dataset (split once) and, for MLP
+// figures, the deterministic initialization. Building these once per seed
+// instead of once per (row, seed) saves |rows|−1 regenerations per seed, and
 // sharing them read-only across concurrent cells is safe because datasets
 // are immutable by convention and simulate.Run copies InitParams.
 type seedInputs struct {
@@ -247,20 +217,22 @@ type seedInputs struct {
 	mlpInit []float64
 }
 
-// buildSeedInputs generates the per-seed phishing-shaped datasets (seeds
-// 1..scale.seeds()), split in the paper's 8400/2655 proportions, plus the
-// MLP initialization when mlpHidden > 0. It is the one place a dataset size
-// too small to split is rejected, so every sweep fails the same way.
-func buildSeedInputs(scale Scale, mlpHidden int) ([]seedInputs, error) {
-	trainN := scale.datasetSize() * data.PhishingTrainSize / data.PhishingSize
-	if trainN < 2 || trainN >= scale.datasetSize() {
-		return nil, fmt.Errorf("experiments: dataset size %d too small", scale.datasetSize())
+// buildSeedInputs generates the per-seed phishing-shaped datasets that s
+// describes (seeds 1..seeds), split in the paper's 8400/2655 proportions,
+// plus the MLP initialization when s names an MLP. It is the one place a
+// dataset size too small to split is rejected, so every sweep fails the
+// same way.
+func buildSeedInputs(s runspec.Spec, seeds int) ([]seedInputs, error) {
+	size, features := s.Data.N, s.Data.Features
+	trainN := size * data.PhishingTrainSize / data.PhishingSize
+	if trainN < 2 || trainN >= size {
+		return nil, fmt.Errorf("experiments: dataset size %d too small", size)
 	}
-	out := make([]seedInputs, scale.seeds())
+	out := make([]seedInputs, seeds)
 	for i := range out {
 		seed := uint64(i + 1)
 		ds, err := data.SyntheticPhishing(data.SyntheticPhishingConfig{
-			N: scale.datasetSize(), Features: scale.features(), Seed: seed,
+			N: size, Features: features, Seed: seed,
 		})
 		if err != nil {
 			return nil, err
@@ -271,8 +243,8 @@ func buildSeedInputs(scale Scale, mlpHidden int) ([]seedInputs, error) {
 			return nil, err
 		}
 		out[i] = seedInputs{train: train, test: test}
-		if mlpHidden > 0 {
-			mlp, err := model.NewMLP(scale.features(), mlpHidden)
+		if s.Model.Name == "mlp" {
+			mlp, err := model.NewMLP(features, s.Model.Hidden)
 			if err != nil {
 				return nil, err
 			}
@@ -290,128 +262,71 @@ func resolveWorkers(s Sched) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// CellSpec builds the serializable run spec of one (condition, seed) cell —
-// the same runspec.Spec object that drives cmd/dpbyz-train and the cluster
-// backend, so any grid cell can be exported, replayed, or moved to a
-// distributed deployment unchanged.
-func CellSpec(fig FigureSpec, cond Condition, seed int) runspec.Spec {
-	scale := fig.Scale
-	s := runspec.Spec{
-		Name: fig.ID + "/" + cond.Label,
-		Data: runspec.DataSpec{N: scale.datasetSize(), Features: scale.features()},
-		// The paper's stack applies its 0.99 momentum at the workers
-		// (the distributed-momentum technique of its ref [16]); see
-		// simulate.Config.WorkerMomentum.
-		Steps:          scale.steps(),
-		BatchSize:      fig.BatchSize,
-		LearningRate:   PaperLearningRate,
-		WorkerMomentum: PaperMomentum,
-		ClipNorm:       PaperClipNorm,
-		Seed:           uint64(seed),
-		AccuracyEvery:  PaperAccuracyEvery,
-	}
-	if fig.MLPHidden > 0 {
-		s.Model = runspec.ModelSpec{Name: "mlp", Hidden: fig.MLPHidden}
-	} else {
-		s.Model = runspec.ModelSpec{Name: "logistic-mse"}
-	}
-	if cond.AttackName == "" {
-		// Unattacked baseline: all 11 workers honest, plain averaging
-		// (the paper's "when averaging is used, the f workers ... behave
-		// as honest workers").
-		s.GAR = runspec.GARSpec{Name: "average", N: PaperWorkers}
-	} else {
-		s.GAR = runspec.GARSpec{Name: "mda", N: PaperWorkers, F: PaperByzantine}
-		s.Attack = &runspec.AttackSpec{Name: cond.AttackName}
-	}
-	if cond.DP {
-		s.Mechanism = &runspec.MechanismSpec{
-			Name: "gaussian", Epsilon: fig.Epsilon, Delta: PaperDelta,
+// Run executes every (row, seed) cell of the sweep on the scheduler and
+// folds each row's seeds, in seed order, into a CellResult; the cells come
+// back in row order. See the package comment for the determinism contract.
+// Simulate's per-worker goroutines are enabled only when the scheduler
+// itself is serial — pure oversubscription when cells already saturate the
+// cores, and the results are identical either way.
+func Run(ctx context.Context, sw Sweep, sched Sched) ([]CellResult, error) {
+	seeds := max(sw.Seeds, 1)
+	var inputs []seedInputs
+	if sw.sharedData && len(sw.Rows) > 0 {
+		var err error
+		if inputs, err = buildSeedInputs(sw.Rows[0].Spec, seeds); err != nil {
+			return nil, err
 		}
 	}
-	return s
-}
-
-// grid is the one shape every Spec-driven experiment has: a list of
-// conditions, each repeated over seeds 1..seeds, every (condition, seed)
-// cell one runspec.Spec run on the local backend.
-type grid struct {
-	// id prefixes cell errors ("experiments: <id>/<label> seed k: ...").
-	id    string
-	sched Sched
-	// inputs are the pre-built per-seed datasets (and MLP init) injected
-	// into every cell of that seed; nil means each Spec materialises its own
-	// data.
-	inputs []seedInputs
-	seeds  int
-	conds  []Condition
-	// spec builds the cell of condition index ci at seed 1..seeds.
-	spec func(ci, seed int) runspec.Spec
-}
-
-// phishingGrid starts the grid of a phishing-shaped sweep: scale.seeds()
-// seeds over datasets built once per seed and shared by every condition.
-// The caller fills in conds and spec.
-func phishingGrid(id string, sched Sched, scale Scale, mlpHidden int) (grid, error) {
-	inputs, err := buildSeedInputs(scale, mlpHidden)
-	if err != nil {
-		return grid{}, err
-	}
-	return grid{id: id, sched: sched, inputs: inputs, seeds: len(inputs)}, nil
-}
-
-// run executes every cell on the scheduler and folds each condition's seeds,
-// in seed order, into a CellResult. It returns the cells in condition order
-// plus the raw runs (cell ci, seed k at index ci*seeds + k−1). Simulate's
-// per-worker goroutines are enabled only when the scheduler itself is serial
-// — pure oversubscription when cells already saturate the cores, and the
-// results are identical either way.
-func (g grid) run(ctx context.Context) ([]CellResult, []*runspec.Result, error) {
-	runs := make([]*runspec.Result, len(g.conds)*g.seeds)
-	inner := resolveWorkers(g.sched) == 1
-	// One backend value for the grid: cells whose Specs pin one Data.Seed
-	// share the dataset it last built, as phishing grids do through inputs.
+	// Cell (row ri, seed k) is task ri*seeds + k−1.
+	runs := make([]*runspec.Result, len(sw.Rows)*seeds)
+	inner := resolveWorkers(sched) == 1
+	// One backend value for the sweep: cells whose Specs pin one Data.Seed
+	// share the dataset it last built, as phishing sweeps do through inputs.
 	backend := &runspec.LocalBackend{}
 	label := func(t int) string {
-		return fmt.Sprintf("%s seed %d", g.conds[t/g.seeds].Label, t%g.seeds+1)
+		return fmt.Sprintf("%s seed %d", sw.Rows[t/seeds].label(), t%seeds+1)
 	}
-	err := runGrid(ctx, g.sched, len(runs), label,
+	err := runGrid(ctx, sched, len(runs), label,
 		func(ctx context.Context, t int) error {
-			ci, si := t/g.seeds, t%g.seeds
+			s, si := sw.Rows[t/seeds].Spec, t%seeds
+			if sw.Seeds > 0 {
+				s.Seed = uint64(si + 1)
+			}
 			var opts []runspec.Option
-			if g.inputs != nil {
-				opts = append(opts, runspec.WithDatasets(g.inputs[si].train, g.inputs[si].test))
-				if g.inputs[si].mlpInit != nil {
-					opts = append(opts, runspec.WithInitParams(g.inputs[si].mlpInit))
+			if inputs != nil {
+				opts = append(opts, runspec.WithDatasets(inputs[si].train, inputs[si].test))
+				if inputs[si].mlpInit != nil {
+					opts = append(opts, runspec.WithInitParams(inputs[si].mlpInit))
 				}
 			}
 			if inner {
 				opts = append(opts, runspec.WithParallel())
 			}
-			res, err := backend.Run(ctx, g.spec(ci, si+1), opts...)
+			res, err := backend.Run(ctx, s, opts...)
 			if err != nil {
-				return fmt.Errorf("experiments: %s/%s: %w", g.id, label(t), err)
+				return fmt.Errorf("experiments: %s/%s: %w", sw.ID, label(t), err)
 			}
 			runs[t] = res
 			return nil
 		})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cells := make([]CellResult, len(g.conds))
-	for ci, cond := range g.conds {
-		cell, err := aggregateCell(cond, runs[ci*g.seeds:(ci+1)*g.seeds])
+	cells := make([]CellResult, len(sw.Rows))
+	for ri, row := range sw.Rows {
+		cell, err := aggregateCell(row.label(), runs[ri*seeds:(ri+1)*seeds])
 		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: %s/%s: %w", g.id, cond.Label, err)
+			return nil, fmt.Errorf("experiments: %s/%s: %w", sw.ID, row.label(), err)
 		}
-		cells[ci] = cell
+		cells[ri] = cell
 	}
-	return cells, runs, nil
+	return cells, nil
 }
 
-// aggregateCell folds one condition's per-seed runs (in seed order) into a
+// aggregateCell folds one row's per-seed runs (in seed order) into a
 // CellResult, exactly as the serial runner always has.
-func aggregateCell(cond Condition, runs []*runspec.Result) (CellResult, error) {
+func aggregateCell(label string, runs []*runspec.Result) (CellResult, error) {
+	cell := CellResult{Label: label}
 	histories := make([]*metrics.History, len(runs))
 	var minLossSum, stepsToMinSum float64
 	for i, r := range runs {
@@ -419,26 +334,25 @@ func aggregateCell(cond Condition, runs []*runspec.Result) (CellResult, error) {
 		minLoss, minStep := r.History.MinLoss()
 		minLossSum += minLoss
 		stepsToMinSum += float64(minStep)
+		if c := r.Cluster; c != nil {
+			cell.Accepted += c.Accepted
+			cell.Missed += c.Missed
+			cell.Discarded += c.Discarded
+			cell.Credited += c.Credited
+		}
 	}
-	loss, err := metrics.AggregateLoss(histories)
-	if err != nil {
+	var err error
+	if cell.Loss, err = metrics.AggregateLoss(histories); err != nil {
 		return CellResult{}, err
 	}
-	acc, err := metrics.AggregateAccuracy(histories)
-	if err != nil {
+	if cell.Accuracy, err = metrics.AggregateAccuracy(histories); err != nil {
 		return CellResult{}, err
 	}
-	accMean, accStd := acc.Final()
 	seeds := float64(len(runs))
-	return CellResult{
-		Condition:      cond,
-		Loss:           loss,
-		Accuracy:       acc,
-		MinLossMean:    minLossSum / seeds,
-		StepsToMinMean: stepsToMinSum / seeds,
-		FinalAccMean:   accMean,
-		FinalAccStd:    accStd,
-	}, nil
+	cell.MinLossMean = minLossSum / seeds
+	cell.StepsToMinMean = stepsToMinSum / seeds
+	cell.FinalAccMean, cell.FinalAccStd = cell.Accuracy.Final()
+	return cell, nil
 }
 
 // runGrid runs total tasks as one batch on a Pool of min(width, total)
@@ -511,90 +425,6 @@ func runGrid(ctx context.Context, sched Sched, total int, label func(task int) s
 		}
 	}
 	return nil
-}
-
-// RunFigure executes every condition of a figure across the configured
-// seeds and aggregates the curves. The (condition, seed) cells run on the
-// scheduler configured by spec.Sched; see the package comment for the
-// determinism contract.
-func RunFigure(ctx context.Context, spec FigureSpec) (*FigureResult, error) {
-	g, err := phishingGrid(spec.ID, spec.Sched, spec.Scale, spec.MLPHidden)
-	if err != nil {
-		return nil, err
-	}
-	g.conds = Grid()
-	g.spec = func(ci, seed int) runspec.Spec { return CellSpec(spec, g.conds[ci], seed) }
-	cells, _, err := g.run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &FigureResult{Spec: spec, Cells: cells}, nil
-}
-
-// EpsilonSweepSpec is the full version's hyperparameter sweep over the
-// privacy parameter ε at fixed batch size.
-type EpsilonSweepSpec struct {
-	// Epsilons are the per-step ε values to sweep (default full-version
-	// grid {0.1, 0.2, 0.5, 0.9}).
-	Epsilons []float64
-	// BatchSize defaults to 50 (the Fig. 2 batch).
-	BatchSize int
-	// AttackName defaults to "alie".
-	AttackName string
-	Scale      Scale
-	// Sched configures the (epsilon, seed) cell scheduler.
-	Sched Sched
-}
-
-// EpsilonPoint is one sweep measurement.
-type EpsilonPoint struct {
-	Epsilon      float64
-	MinLossMean  float64
-	FinalAccMean float64
-	FinalAccStd  float64
-}
-
-// RunEpsilonSweep measures how gracefully accuracy degrades as ε shrinks
-// (the paper's "slightly larger privacy noise gracefully translates into
-// slightly lower performances" observation). The (epsilon, seed) cells run
-// on the same deterministic scheduler as RunFigure, with the per-seed
-// datasets built once and shared across every ε.
-func RunEpsilonSweep(ctx context.Context, spec EpsilonSweepSpec) ([]EpsilonPoint, error) {
-	if len(spec.Epsilons) == 0 {
-		spec.Epsilons = []float64{0.1, 0.2, 0.5, 0.9}
-	}
-	if spec.BatchSize == 0 {
-		spec.BatchSize = 50
-	}
-	if spec.AttackName == "" {
-		spec.AttackName = "alie"
-	}
-	g, err := phishingGrid("epssweep", spec.Sched, spec.Scale, 0)
-	if err != nil {
-		return nil, err
-	}
-	attacked := Condition{Label: spec.AttackName + "+dp", AttackName: spec.AttackName, DP: true}
-	for _, eps := range spec.Epsilons {
-		g.conds = append(g.conds, Condition{Label: fmt.Sprintf("eps=%v", eps), AttackName: spec.AttackName, DP: true})
-	}
-	g.spec = func(ci, seed int) runspec.Spec {
-		fig := FigureSpec{ID: g.id, BatchSize: spec.BatchSize, Epsilon: spec.Epsilons[ci], Scale: spec.Scale}
-		return CellSpec(fig, attacked, seed)
-	}
-	cells, _, err := g.run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]EpsilonPoint, len(cells))
-	for ci, cell := range cells {
-		out[ci] = EpsilonPoint{
-			Epsilon:      spec.Epsilons[ci],
-			MinLossMean:  cell.MinLossMean,
-			FinalAccMean: cell.FinalAccMean,
-			FinalAccStd:  cell.FinalAccStd,
-		}
-	}
-	return out, nil
 }
 
 // splitStream returns the deterministic stream used for the train/test

@@ -11,6 +11,16 @@ func smokeScale() Scale {
 	return Scale{Steps: 60, Seeds: 2, DatasetSize: 800, Features: 10}
 }
 
+// pick returns sw trimmed to the rows at the given indices.
+func pick(sw Sweep, rows ...int) Sweep {
+	kept := make([]Row, len(rows))
+	for i, r := range rows {
+		kept[i] = sw.Rows[r]
+	}
+	sw.Rows = kept
+	return sw
+}
+
 func TestGrid(t *testing.T) {
 	g := Grid()
 	if len(g) != 6 {
@@ -31,14 +41,24 @@ func TestGrid(t *testing.T) {
 }
 
 func TestFigureSpecs(t *testing.T) {
-	if Figure2(Scale{}).BatchSize != 50 {
-		t.Error("fig2 batch != 50")
+	for _, tc := range []struct {
+		sw    Sweep
+		batch int
+	}{{Figure2(Scale{}), 50}, {Figure3(Scale{}), 10}, {Figure4(Scale{}), 500}, {FigureMLP(Scale{}), 50}} {
+		if len(tc.sw.Rows) != len(Grid()) || tc.sw.Seeds != PaperSeeds {
+			t.Errorf("%s: %d rows at %d seeds, want %d at %d", tc.sw.ID, len(tc.sw.Rows), tc.sw.Seeds, len(Grid()), PaperSeeds)
+		}
+		for _, r := range tc.sw.Rows {
+			if r.Spec.BatchSize != tc.batch || r.Spec.Steps != PaperSteps {
+				t.Errorf("%s/%s: b=%d T=%d, want b=%d T=%d", tc.sw.ID, r.label(), r.Spec.BatchSize, r.Spec.Steps, tc.batch, PaperSteps)
+			}
+			if err := r.Spec.Validate(); err != nil {
+				t.Errorf("%s/%s: %v", tc.sw.ID, r.label(), err)
+			}
+		}
 	}
-	if Figure3(Scale{}).BatchSize != 10 {
-		t.Error("fig3 batch != 10")
-	}
-	if Figure4(Scale{}).BatchSize != 500 {
-		t.Error("fig4 batch != 500")
+	if m := FigureMLP(Scale{}).Rows[0].Spec.Model; m.Name != "mlp" || m.Hidden != 16 {
+		t.Errorf("figmlp model = %+v", m)
 	}
 }
 
@@ -54,44 +74,51 @@ func TestScaleDefaults(t *testing.T) {
 }
 
 func TestRunFigureSmoke(t *testing.T) {
-	spec := Figure2(smokeScale())
-	res, err := RunFigure(context.Background(), spec)
+	sw := Figure2(smokeScale())
+	cells, err := Run(context.Background(), sw, Sched{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != 6 {
-		t.Fatalf("cells = %d", len(res.Cells))
+	if len(cells) != 6 {
+		t.Fatalf("cells = %d", len(cells))
 	}
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		if c.Loss == nil || len(c.Loss.Mean) != 60 {
-			t.Errorf("%s: bad loss series", c.Condition.Label)
+			t.Errorf("%s: bad loss series", c.Label)
 		}
 		if c.MinLossMean < 0 {
-			t.Errorf("%s: negative loss", c.Condition.Label)
+			t.Errorf("%s: negative loss", c.Label)
 		}
 		if c.FinalAccMean < 0 || c.FinalAccMean > 1 {
-			t.Errorf("%s: accuracy %v out of range", c.Condition.Label, c.FinalAccMean)
+			t.Errorf("%s: accuracy %v out of range", c.Label, c.FinalAccMean)
+		}
+		if c.Accepted+c.Missed+c.Discarded+c.Credited != 0 {
+			t.Errorf("%s: a synchronous row booked a ledger %+v", c.Label, c)
 		}
 	}
-	if got := res.Cell("alie+dp"); got == nil {
+	if got := Cell(cells, "alie+dp"); got == nil {
 		t.Error("Cell lookup failed")
 	}
-	if got := res.Cell("nope"); got != nil {
+	if got := Cell(cells, "nope"); got != nil {
 		t.Error("Cell lookup for unknown label returned non-nil")
 	}
 	// The unattacked clear baseline must converge decently even at smoke
 	// scale.
-	if base := res.Cell("none+clear"); base.FinalAccMean < 0.75 {
+	if base := Cell(cells, "none+clear"); base.FinalAccMean < 0.75 {
 		t.Errorf("baseline accuracy %v too low", base.FinalAccMean)
 	}
 	var sb strings.Builder
-	if err := WriteFigureReport(&sb, res); err != nil {
+	if err := WriteTable(&sb, sw, cells); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "fig2") || !strings.Contains(sb.String(), "alie+dp") {
+	lines := strings.Split(sb.String(), "\n")
+	if lines[0] != "fig2 (b=50, eps=0.2, steps=60, seeds=2)" || !strings.HasPrefix(lines[5], "alie+dp ") {
 		t.Errorf("report missing content:\n%s", sb.String())
 	}
-	if s := Summary(res); !strings.Contains(s, "fig2") {
+	if len(lines) != 2+len(cells)+1 || lines[len(lines)-1] != "" {
+		t.Errorf("report is not title, header and one line per cell:\n%s", sb.String())
+	}
+	if s := Summary(sw, cells); !strings.HasPrefix(s, "fig2: ") {
 		t.Errorf("summary = %q", s)
 	}
 }
@@ -103,19 +130,12 @@ func TestRunFigureTooSmallDataset(t *testing.T) {
 	ctx := context.Background()
 	for _, size := range []int{1, 2} {
 		scale := Scale{DatasetSize: size, Steps: 1, Seeds: 1, Features: 2}
-		for _, tc := range []struct {
-			name string
-			run  func() error
-		}{
-			{"figure", func() error { _, err := RunFigure(ctx, Figure2(scale)); return err }},
-			{"epssweep", func() error { _, err := RunEpsilonSweep(ctx, EpsilonSweepSpec{Scale: scale}); return err }},
-			{"hetsweep", func() error { _, err := RunHeterogeneitySweep(ctx, HeterogeneitySweepSpec{Scale: scale}); return err }},
-			{"stalesweep", func() error { _, err := RunStalenessSweep(ctx, StalenessSweepSpec{Scale: scale}); return err }},
-			{"crossover", func() error { _, err := RunCrossover(ctx, CrossoverSpec{Scale: scale}); return err }},
+		for _, sw := range []Sweep{
+			Figure2(scale), EpsilonSweep(scale), HeterogeneitySweep(scale), StalenessSweep(scale), CrossoverSweep(scale),
 		} {
-			err := tc.run()
+			_, err := Run(ctx, sw, Sched{})
 			if err == nil || !strings.Contains(err.Error(), "too small") {
-				t.Errorf("%s at dataset size %d: error = %v, want \"dataset size %d too small\"", tc.name, size, err, size)
+				t.Errorf("%s at dataset size %d: error = %v, want \"dataset size %d too small\"", sw.ID, size, err, size)
 			}
 		}
 	}
@@ -160,7 +180,7 @@ func TestRunTheorem1ShowsLinearDimDependence(t *testing.T) {
 }
 
 func TestRunTable1(t *testing.T) {
-	res, err := RunTable1(Table1Spec{})
+	res, err := RunTable1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +199,12 @@ func TestRunTable1(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	if err := WriteTable1Report(&sb, res, 50, 5.0/23); err != nil {
+	if err := WriteTable1Report(&sb, res); err != nil {
 		t.Fatal(err)
+	}
+	// The header states the (b, f/n) the rows were computed at.
+	if want := "Table 1 necessary conditions (b=50, f/n=0.217)\n"; !strings.HasPrefix(sb.String(), want) {
+		t.Errorf("table1 header: got %q, want %q", strings.SplitAfter(sb.String(), "\n")[0], want)
 	}
 	if !strings.Contains(sb.String(), "krum") {
 		t.Error("table1 report missing rules")
@@ -188,27 +212,28 @@ func TestRunTable1(t *testing.T) {
 }
 
 func TestRunEpsilonSweep(t *testing.T) {
-	points, err := RunEpsilonSweep(context.Background(), EpsilonSweepSpec{
-		Epsilons: []float64{0.1, 0.9},
-		Scale:    smokeScale(),
-	})
+	sw := pick(EpsilonSweep(smokeScale()), 0, 3)
+	if sw.Rows[0].Keys[0] != "0.1" || sw.Rows[1].Keys[0] != "0.9" {
+		t.Fatalf("trimmed rows %v, %v; want eps 0.1 and 0.9", sw.Rows[0].Keys, sw.Rows[1].Keys)
+	}
+	cells, err := Run(context.Background(), sw, Sched{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
+	if len(cells) != 2 {
+		t.Fatalf("cells = %d", len(cells))
 	}
 	// More privacy (smaller eps) must not help the loss.
-	if points[0].MinLossMean < points[1].MinLossMean*0.5 {
+	if cells[0].MinLossMean < cells[1].MinLossMean*0.5 {
 		t.Errorf("eps=0.1 loss %v unexpectedly far below eps=0.9 loss %v",
-			points[0].MinLossMean, points[1].MinLossMean)
+			cells[0].MinLossMean, cells[1].MinLossMean)
 	}
 	var sb strings.Builder
-	if err := WriteEpsilonSweepReport(&sb, points); err != nil {
+	if err := WriteTable(&sb, sw, cells); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "epsilon") {
-		t.Error("sweep report missing header")
+	if !strings.Contains(sb.String(), "epsilon") || strings.Contains(sb.String(), "steps-to-min") {
+		t.Errorf("sweep report has the wrong columns:\n%s", sb.String())
 	}
 }
 
@@ -261,43 +286,43 @@ func TestRunVNEmpiricalNoAdmissibleRule(t *testing.T) {
 }
 
 func TestRunFigureMLP(t *testing.T) {
-	spec := FigureMLP(Scale{Steps: 40, Seeds: 1, DatasetSize: 600, Features: 8})
-	res, err := RunFigure(context.Background(), spec)
+	sw := FigureMLP(Scale{Steps: 40, Seeds: 1, DatasetSize: 600, Features: 8})
+	cells, err := Run(context.Background(), sw, Sched{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != 6 {
-		t.Fatalf("cells = %d", len(res.Cells))
+	if len(cells) != 6 {
+		t.Fatalf("cells = %d", len(cells))
 	}
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		if len(c.Loss.Mean) != 40 {
-			t.Errorf("%s: loss series length %d", c.Condition.Label, len(c.Loss.Mean))
+			t.Errorf("%s: loss series length %d", c.Label, len(c.Loss.Mean))
 		}
 	}
 }
 
 func TestRunCrossover(t *testing.T) {
-	res, err := RunCrossover(context.Background(), CrossoverSpec{
-		BatchSizes: []int{20, 400},
-		Scale:      Scale{Steps: 200, Seeds: 1, DatasetSize: 1500, Features: 12},
-	})
+	// The b = 25 and b = 500 rows of the grid.
+	sw := pick(CrossoverSweep(Scale{Steps: 200, Seeds: 1, DatasetSize: 1500, Features: 12}), 4, 5, 6, 7, 20, 21, 22, 23)
+	cells, err := Run(context.Background(), sw, Sched{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d", len(res.Points))
+	res := Crossover(sw, cells)
+	if len(res.Points) != 2 || res.Points[0].BatchSize != 25 || res.Points[1].BatchSize != 500 {
+		t.Fatalf("points = %+v, want b = 25 and 500", res.Points)
 	}
-	// The combined condition must work at b=400 but not at b=20 on this
+	// The combined condition must work at b=500 but not at b=25 on this
 	// small task — the paper's antagonism gap in miniature.
 	if res.Points[0].CombinedOK {
-		t.Error("combined condition unexpectedly works at b=20")
+		t.Error("combined condition unexpectedly works at b=25")
 	}
-	if res.MinBatchCombined != 400 {
-		t.Errorf("combined crossover = %d, want 400", res.MinBatchCombined)
+	if res.MinBatchCombined != 500 {
+		t.Errorf("combined crossover = %d, want 500", res.MinBatchCombined)
 	}
 	// Either defence alone already works at the small batch.
 	if !res.Points[0].DPOnlyOK || !res.Points[0].AttackOnlyOK {
-		t.Error("single defences should work at b=20")
+		t.Error("single defences should work at b=25")
 	}
 	var sb strings.Builder
 	if err := WriteCrossoverReport(&sb, res); err != nil {

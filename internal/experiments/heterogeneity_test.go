@@ -10,81 +10,78 @@ import (
 // The heterogeneity sweep inherits the scheduler determinism contract: the
 // same grid must come out BIT-IDENTICAL at every Workers setting.
 func TestHeterogeneitySweepSchedulerBitIdentical(t *testing.T) {
-	run := func(workers int) []HeterogeneityPoint {
-		points, err := RunHeterogeneitySweep(context.Background(), HeterogeneitySweepSpec{
-			Betas:    []float64{0.2, 5},
-			GARNames: []string{"mda", "trimmedmean"},
-			Scale:    schedScale(),
-			Sched:    Sched{Workers: workers},
-		})
+	// β = 0.3 and 10 for both rules.
+	sw := pick(HeterogeneitySweep(schedScale()), 1, 3, 5, 7)
+	run := func(workers int) []CellResult {
+		cells, err := Run(context.Background(), sw, Sched{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return points
+		return cells
 	}
 	if serial, par := run(1), run(4); !reflect.DeepEqual(serial, par) {
 		t.Fatal("heterogeneity sweep differs between serial and parallel scheduling")
 	}
 }
 
-// The sweep's grid covers every (gar, beta) pair in declaration order and
-// aggregates real trajectories (finite losses, accuracy measured).
+// The sweep's rows cover every (gar, beta) pair, rule-major, and aggregate
+// real trajectories (finite losses, accuracy measured).
 func TestHeterogeneitySweepGrid(t *testing.T) {
-	betas := []float64{0.3, 2}
-	gars := []string{"trimmedmean", "mda"}
-	points, err := RunHeterogeneitySweep(context.Background(), HeterogeneitySweepSpec{
-		Betas:    betas,
-		GARNames: gars,
-		Scale:    schedScale(),
-	})
+	sw := HeterogeneitySweep(schedScale())
+	var want [][]string
+	for _, g := range []string{"mda", "trimmedmean"} {
+		for _, b := range []string{"0.1", "0.3", "1", "10"} {
+			want = append(want, []string{g, b})
+		}
+	}
+	if len(sw.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(sw.Rows), len(want))
+	}
+	for i, r := range sw.Rows {
+		if !reflect.DeepEqual(r.Keys, want[i]) || r.Spec.GAR.Name != want[i][0] {
+			t.Errorf("row %d keys %v on rule %q, want %v", i, r.Keys, r.Spec.GAR.Name, want[i])
+		}
+	}
+	// β = 0.3 and 1 for both rules.
+	sw = pick(sw, 1, 2, 5, 6)
+	cells, err := Run(context.Background(), sw, Sched{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != len(betas)*len(gars) {
-		t.Fatalf("%d points for a %dx%d grid", len(points), len(gars), len(betas))
-	}
-	i := 0
-	for _, g := range gars {
-		for _, b := range betas {
-			p := points[i]
-			i++
-			if p.GAR != g || p.Beta != b {
-				t.Errorf("point %d is (%s, %v), want (%s, %v)", i-1, p.GAR, p.Beta, g, b)
-			}
-			if p.MinLossMean <= 0 || p.MinLossMean > 10 {
-				t.Errorf("point %d min loss %v implausible", i-1, p.MinLossMean)
-			}
-			if p.FinalAccMean < 0 || p.FinalAccMean > 1 {
-				t.Errorf("point %d accuracy %v outside [0, 1]", i-1, p.FinalAccMean)
-			}
+	for i, c := range cells {
+		if c.Label != sw.Rows[i].label() {
+			t.Errorf("cell %d is %q, want %q", i, c.Label, sw.Rows[i].label())
+		}
+		if c.MinLossMean <= 0 || c.MinLossMean > 10 {
+			t.Errorf("cell %s min loss %v implausible", c.Label, c.MinLossMean)
+		}
+		if c.FinalAccMean < 0 || c.FinalAccMean > 1 {
+			t.Errorf("cell %s accuracy %v outside [0, 1]", c.Label, c.FinalAccMean)
 		}
 	}
 }
 
-// Every heterogeneity cell is a plain serializable Spec carrying the
+// Every heterogeneity row is a plain serializable Spec carrying the
 // Dirichlet partition, so any cell can be replayed on any backend.
 func TestHeteroCellSpecIsPortable(t *testing.T) {
-	sw := HeterogeneitySweepSpec{
-		BatchSize:  50,
-		AttackName: "drift",
-		Epsilon:    PaperEpsilon,
-		Scale:      schedScale(),
-	}
-	s := heteroCellSpec(sw, "trimmedmean", 0.3, 1)
-	if err := s.Validate(); err != nil {
-		t.Fatalf("hetsweep cell spec invalid: %v", err)
-	}
-	if s.Partition == nil || s.Partition.Name != "dirichlet" || s.Partition.Beta != 0.3 {
-		t.Errorf("cell partition %+v", s.Partition)
-	}
-	if s.Attack == nil || s.Attack.Name != "drift" {
-		t.Errorf("cell attack %+v", s.Attack)
-	}
-	b, err := s.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(b), `"partition"`) {
-		t.Error("serialized cell spec lost the partition field")
+	for _, r := range HeterogeneitySweep(schedScale()).Rows {
+		s := r.Spec
+		s.Seed = 1
+		if err := s.Validate(); err != nil {
+			t.Fatalf("hetsweep cell spec %s invalid: %v", s.Name, err)
+		}
+		if s.Partition == nil || s.Partition.Name != "dirichlet" || s.Partition.Beta <= 0 {
+			t.Errorf("cell partition %+v", s.Partition)
+		}
+		if s.Attack == nil || s.Attack.Name != "alie" || s.Mechanism == nil {
+			t.Errorf("cell attack %+v, mechanism %+v", s.Attack, s.Mechanism)
+		}
+		b, err := s.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(b), `"partition"`) {
+			t.Error("serialized cell spec lost the partition field")
+		}
 	}
 }

@@ -10,38 +10,69 @@ import (
 // This file renders experiment results as the plain-text tables that
 // cmd/dpbyz-experiments prints.
 
-// WriteFigureReport renders a figure's cells as an aligned table: one row
-// per condition with min-loss, steps-to-min and final accuracy.
-func WriteFigureReport(w io.Writer, res *FigureResult) error {
-	if _, err := fmt.Fprintf(w, "%s (b=%d, eps=%g, steps=%d, seeds=%d)\n",
-		res.Spec.ID, res.Spec.BatchSize, res.Spec.Epsilon,
-		res.Spec.Scale.steps(), res.Spec.Scale.seeds()); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-12s %12s %12s %14s %12s\n",
-		"condition", "min-loss", "steps-to-min", "final-acc", "acc-std"); err != nil {
-		return err
-	}
-	for _, c := range res.Cells {
-		if _, err := fmt.Fprintf(w, "%-12s %12.5f %12.1f %14.4f %12.4f\n",
-			c.Condition.Label, c.MinLossMean, c.StepsToMinMean,
-			c.FinalAccMean, c.FinalAccStd); err != nil {
-			return err
-		}
-	}
-	return nil
+// Metric names one metric column of a Sweep's table.
+type Metric int
+
+// The metric columns WriteTable can print.
+const (
+	MetricMinLoss Metric = iota
+	MetricStepsToMin
+	MetricFinalAcc
+	MetricAccStd
+	MetricAccepted
+	MetricMissed
+	MetricDiscarded
+	MetricCredited
+)
+
+// metricColumn is how WriteTable prints one Metric: its header, its width,
+// the verb that prints a value at that width, and the value.
+type metricColumn struct {
+	header string
+	width  int
+	verb   string
+	value  func(c *CellResult) any
 }
 
-// WriteCellReport renders a single aggregated cell — the output of the
-// spec-driven experiment mode (RunSpecCell).
-func WriteCellReport(w io.Writer, c *CellResult, seeds int) error {
-	if _, err := fmt.Fprintf(w, "%-12s %12s %12s %14s %12s\n",
-		"cell", "min-loss", "steps-to-min", "final-acc", "acc-std"); err != nil {
-		return err
+// metricColumns is every metric column, indexed by Metric.
+var metricColumns = [...]metricColumn{
+	MetricMinLoss:    {"min-loss", 12, "%*.5f", func(c *CellResult) any { return c.MinLossMean }},
+	MetricStepsToMin: {"steps-to-min", 12, "%*.1f", func(c *CellResult) any { return c.StepsToMinMean }},
+	MetricFinalAcc:   {"final-acc", 14, "%*.4f", func(c *CellResult) any { return c.FinalAccMean }},
+	MetricAccStd:     {"acc-std", 12, "%*.4f", func(c *CellResult) any { return c.FinalAccStd }},
+	MetricAccepted:   {"accepted", 10, "%*d", func(c *CellResult) any { return c.Accepted }},
+	MetricMissed:     {"missed", 8, "%*d", func(c *CellResult) any { return c.Missed }},
+	MetricDiscarded:  {"discarded", 10, "%*d", func(c *CellResult) any { return c.Discarded }},
+	MetricCredited:   {"credited", 9, "%*d", func(c *CellResult) any { return c.Credited }},
+}
+
+// WriteTable renders a sweep's cells (as Run returned them, one per row) as
+// an aligned table under the sweep's title: the key columns left-aligned,
+// then the metric columns right-aligned, single-space separated.
+func WriteTable(w io.Writer, sw Sweep, cells []CellResult) error {
+	var b strings.Builder
+	b.WriteString(sw.Title + "\n")
+	line := func(keys []string, metric func(col metricColumn) string) {
+		cols := make([]string, 0, len(sw.Keys)+len(sw.Metrics))
+		for i, k := range sw.Keys {
+			cols = append(cols, fmt.Sprintf("%-*s", k.Width, keys[i]))
+		}
+		for _, m := range sw.Metrics {
+			cols = append(cols, metric(metricColumns[m]))
+		}
+		b.WriteString(strings.Join(cols, " ") + "\n")
 	}
-	_, err := fmt.Fprintf(w, "%-12s %12.5f %12.1f %14.4f %12.4f  (%d seeds)\n",
-		c.Condition.Label, c.MinLossMean, c.StepsToMinMean,
-		c.FinalAccMean, c.FinalAccStd, seeds)
+	headers := make([]string, len(sw.Keys))
+	for i, k := range sw.Keys {
+		headers[i] = k.Header
+	}
+	line(headers, func(col metricColumn) string { return fmt.Sprintf("%*s", col.width, col.header) })
+	for ri := range cells {
+		line(sw.Rows[ri].Keys, func(col metricColumn) string {
+			return fmt.Sprintf(col.verb, col.width, col.value(&cells[ri]))
+		})
+	}
+	_, err := io.WriteString(w, b.String())
 	return err
 }
 
@@ -61,10 +92,11 @@ func WriteTheorem1Report(w io.Writer, points []Theorem1Point) error {
 	return nil
 }
 
-// WriteTable1Report renders the necessary-condition table per model size.
-func WriteTable1Report(w io.Writer, results []Table1Result, batch int, frac float64) error {
-	if _, err := fmt.Fprintf(w,
-		"Table 1 necessary conditions (b=%d, f/n=%.3f)\n", batch, frac); err != nil {
+// WriteTable1Report renders the necessary-condition table per model size,
+// under a header naming the batch size and f/n it was computed at.
+func WriteTable1Report(w io.Writer, results []Table1Result) error {
+	if _, err := fmt.Fprintf(w, "Table 1 necessary conditions (b=%d, f/n=%.3f)\n",
+		table1Batch, float64(table1Byzantine)/table1Workers); err != nil {
 		return err
 	}
 	for _, res := range results {
@@ -85,76 +117,28 @@ func WriteTable1Report(w io.Writer, results []Table1Result, batch int, frac floa
 	return nil
 }
 
-// WriteEpsilonSweepReport renders the ε sweep.
-func WriteEpsilonSweepReport(w io.Writer, points []EpsilonPoint) error {
-	if _, err := fmt.Fprintf(w, "%-10s %12s %14s %12s\n",
-		"epsilon", "min-loss", "final-acc", "acc-std"); err != nil {
-		return err
-	}
-	for _, p := range points {
-		if _, err := fmt.Fprintf(w, "%-10.3g %12.5f %14.4f %12.4f\n",
-			p.Epsilon, p.MinLossMean, p.FinalAccMean, p.FinalAccStd); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteHeterogeneitySweepReport renders the Dirichlet-β heterogeneity sweep.
-func WriteHeterogeneitySweepReport(w io.Writer, points []HeterogeneityPoint) error {
-	if _, err := fmt.Fprintf(w, "%-14s %-8s %12s %14s %12s\n",
-		"gar", "beta", "min-loss", "final-acc", "acc-std"); err != nil {
-		return err
-	}
-	for _, p := range points {
-		if _, err := fmt.Fprintf(w, "%-14s %-8.3g %12.5f %14.4f %12.4f\n",
-			p.GAR, p.Beta, p.MinLossMean, p.FinalAccMean, p.FinalAccStd); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteStalenessSweepReport renders the bounded-staleness quorum sweep with
-// its exact delivery accounting (summed across seeds).
-func WriteStalenessSweepReport(w io.Writer, points []StalenessPoint) error {
-	if _, err := fmt.Fprintf(w, "%-14s %-6s %12s %14s %12s %10s %8s %10s %9s\n",
-		"gar", "s", "min-loss", "final-acc", "acc-std",
-		"accepted", "missed", "discarded", "credited"); err != nil {
-		return err
-	}
-	for _, p := range points {
-		if _, err := fmt.Fprintf(w, "%-14s %-6d %12.5f %14.4f %12.4f %10d %8d %10d %9d\n",
-			p.GAR, p.Stragglers, p.MinLossMean, p.FinalAccMean, p.FinalAccStd,
-			p.Accepted, p.Missed, p.Discarded, p.Credited); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Summary produces a one-line qualitative verdict for a figure, used in
-// logs: which conditions converged and which did not, judged against the
+// Summary produces a one-line qualitative verdict for a figure's cells:
+// which conditions converged and which did not, judged against the
 // unattacked clear baseline.
-func Summary(res *FigureResult) string {
-	base := res.Cell("none+clear")
+func Summary(sw Sweep, cells []CellResult) string {
+	base := Cell(cells, "none+clear")
 	if base == nil {
-		return res.Spec.ID + ": missing baseline"
+		return sw.ID + ": missing baseline"
 	}
 	var good, bad []string
-	for _, c := range res.Cells {
-		if c.Condition.Label == "none+clear" {
+	for _, c := range cells {
+		if c.Label == "none+clear" {
 			continue
 		}
 		// "Comparable" = min loss within 50% of baseline's.
 		if c.MinLossMean <= base.MinLossMean*1.5 {
-			good = append(good, c.Condition.Label)
+			good = append(good, c.Label)
 		} else {
-			bad = append(bad, c.Condition.Label)
+			bad = append(bad, c.Label)
 		}
 	}
 	return fmt.Sprintf("%s: comparable-to-baseline=[%s] degraded=[%s]",
-		res.Spec.ID, strings.Join(good, " "), strings.Join(bad, " "))
+		sw.ID, strings.Join(good, " "), strings.Join(bad, " "))
 }
 
 // WriteVNEmpiricalReport renders the empirical VN-ratio sweep: one line per

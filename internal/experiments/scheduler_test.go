@@ -15,21 +15,19 @@ func schedScale() Scale {
 	return Scale{Steps: 30, Seeds: 2, DatasetSize: 600, Features: 8}
 }
 
-// The scheduler's determinism contract: the FigureResult must be
+// The scheduler's determinism contract: a figure's cells must be
 // bit-identical at every Workers setting, including the serial order.
 func TestParallelSchedulerBitIdenticalToSerial(t *testing.T) {
-	results := make([]*FigureResult, 0, 3)
+	results := make([][]CellResult, 0, 3)
 	for _, workers := range []int{1, 3, 8} {
-		spec := Figure2(schedScale())
-		spec.Sched = Sched{Workers: workers}
-		res, err := RunFigure(context.Background(), spec)
+		cells, err := Run(context.Background(), Figure2(schedScale()), Sched{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		results = append(results, res)
+		results = append(results, cells)
 	}
 	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(results[0].Cells, results[i].Cells) {
+		if !reflect.DeepEqual(results[0], results[i]) {
 			t.Fatalf("cells differ between Workers=1 and Workers=%d", []int{1, 3, 8}[i])
 		}
 	}
@@ -37,98 +35,84 @@ func TestParallelSchedulerBitIdenticalToSerial(t *testing.T) {
 
 // Same contract for the ε sweep scheduler.
 func TestEpsilonSweepSchedulerBitIdentical(t *testing.T) {
-	run := func(workers int) []EpsilonPoint {
-		points, err := RunEpsilonSweep(context.Background(), EpsilonSweepSpec{
-			Epsilons: []float64{0.3, 0.9},
-			Scale:    schedScale(),
-			Sched:    Sched{Workers: workers},
-		})
+	run := func(workers int) []CellResult {
+		cells, err := Run(context.Background(), pick(EpsilonSweep(schedScale()), 2, 3), Sched{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return points
+		return cells
 	}
 	if serial, par := run(1), run(4); !reflect.DeepEqual(serial, par) {
 		t.Fatal("epsilon sweep differs between serial and parallel scheduling")
 	}
 }
 
-// The contract holds for every grid driver, not only the three above: each
-// returns the same value, bit for bit, from the serial scheduler and from a
+// The contract holds for every sweep, not only the three above: each
+// returns the same cells, bit for bit, from the serial scheduler and from a
 // three-wide one, and each gives up with context.Canceled on a cancelled
-// context. The staleness and spec-cell cases also pin what those two drivers
+// context. The staleness and spec-cell cases also pin what those two sweeps
 // promise beyond that.
 func TestSweepsWidthInvariant(t *testing.T) {
 	scale := schedScale()
-	ledgerBalances := func(t *testing.T, p StalenessPoint) {
-		if want := scale.Seeds * PaperWorkers * scale.Steps; p.Accepted+p.Missed != want {
-			t.Errorf("%s s=%d: accepted %d + missed %d != seeds·n·steps = %d",
-				p.GAR, p.Stragglers, p.Accepted, p.Missed, want)
-		}
-		if p.Credited > p.Accepted {
-			t.Errorf("%s s=%d: credited %d > accepted %d", p.GAR, p.Stragglers, p.Credited, p.Accepted)
-		}
-		if p.Stragglers == 0 && p.Missed != 0 {
-			t.Errorf("%s s=0: missed %d in the synchronous baseline", p.GAR, p.Missed)
+	ledgerBalances := func(t *testing.T, sw Sweep, cells []CellResult) {
+		for i, c := range cells {
+			s := sw.Rows[i].Spec.Staleness.Stragglers
+			if want := scale.Seeds * PaperWorkers * scale.Steps; c.Accepted+c.Missed != want {
+				t.Errorf("%s: accepted %d + missed %d != seeds·n·steps = %d", c.Label, c.Accepted, c.Missed, want)
+			}
+			if c.Credited > c.Accepted {
+				t.Errorf("%s: credited %d > accepted %d", c.Label, c.Credited, c.Accepted)
+			}
+			if s == 0 && c.Missed != 0 {
+				t.Errorf("%s: missed %d in the synchronous baseline", c.Label, c.Missed)
+			}
 		}
 	}
-	specCell := func(ctx context.Context, s Sched, ownSeed uint64, seeds int) (*CellResult, error) {
-		run := CellSpec(Figure2(scale), Condition{Label: "alie+dp", AttackName: "alie", DP: true}, int(ownSeed))
-		return RunSpecCell(ctx, SpecCellConfig{Run: run, Seeds: seeds, Sched: s})
+	// Late frames discarded, at s = 0 and s = 3 for mda.
+	discard := pick(StalenessSweep(scale), 0, 3)
+	for i := range discard.Rows {
+		st := *discard.Rows[i].Spec.Staleness
+		st.Late = "discard"
+		discard.Rows[i].Spec.Staleness = &st
+	}
+	// The spec cell of the Fig. 2 alie+dp row, carrying its own seed.
+	specCell := func(ownSeed uint64, seeds int) Sweep {
+		s := Figure2(scale).Rows[3].Spec
+		s.Seed = ownSeed
+		return SpecCell(s, seeds)
 	}
 	for _, tc := range []struct {
 		name  string
-		run   func(ctx context.Context, s Sched) (any, error)
-		check func(t *testing.T, got any)
+		sweep Sweep
+		check func(t *testing.T, sw Sweep, cells []CellResult)
 	}{
-		{name: "figure", run: func(ctx context.Context, s Sched) (any, error) {
-			spec := Figure2(scale)
-			spec.Sched = s
-			res, err := RunFigure(ctx, spec)
-			if err != nil {
-				return nil, err
-			}
-			return res.Cells, nil
-		}},
-		{name: "epssweep", run: func(ctx context.Context, s Sched) (any, error) {
-			return RunEpsilonSweep(ctx, EpsilonSweepSpec{Epsilons: []float64{0.3, 0.9}, Scale: scale, Sched: s})
-		}},
-		{name: "hetsweep", run: func(ctx context.Context, s Sched) (any, error) {
-			return RunHeterogeneitySweep(ctx, HeterogeneitySweepSpec{Betas: []float64{0.2, 5}, Scale: scale, Sched: s})
-		}},
-		{name: "stalesweep-credit", run: func(ctx context.Context, s Sched) (any, error) {
-			return RunStalenessSweep(ctx, StalenessSweepSpec{
-				Stragglers: []int{0, 2}, GARNames: []string{"mda", "trimmedmean"}, Scale: scale, Sched: s,
-			})
-		}, check: func(t *testing.T, got any) {
-			for _, p := range got.([]StalenessPoint) {
-				ledgerBalances(t, p)
+		{name: "figure", sweep: Figure2(scale)},
+		{name: "epssweep", sweep: pick(EpsilonSweep(scale), 2, 3)},
+		{name: "hetsweep", sweep: pick(HeterogeneitySweep(scale), 0, 3)},
+		{name: "stalesweep-credit", sweep: pick(StalenessSweep(scale), 0, 2, 4, 6), check: func(t *testing.T, sw Sweep, cells []CellResult) {
+			ledgerBalances(t, sw, cells)
+			if c := cells[1]; c.Credited == 0 {
+				t.Errorf("%s: nothing credited although late frames are credited", c.Label)
 			}
 		}},
-		{name: "stalesweep-discard", run: func(ctx context.Context, s Sched) (any, error) {
-			return RunStalenessSweep(ctx, StalenessSweepSpec{
-				Stragglers: []int{0, 3}, Late: "discard", Scale: scale, Sched: s,
-			})
-		}, check: func(t *testing.T, got any) {
-			for _, p := range got.([]StalenessPoint) {
-				ledgerBalances(t, p)
-				if p.Credited != 0 {
-					t.Errorf("s=%d: credited %d although late frames are discarded", p.Stragglers, p.Credited)
+		{name: "stalesweep-discard", sweep: discard, check: func(t *testing.T, sw Sweep, cells []CellResult) {
+			ledgerBalances(t, sw, cells)
+			for _, c := range cells {
+				if c.Credited != 0 {
+					t.Errorf("%s: credited %d although late frames are discarded", c.Label, c.Credited)
 				}
 			}
 		}},
-		{name: "speccell", run: func(ctx context.Context, s Sched) (any, error) {
-			return specCell(ctx, s, 7, 3)
-		}, check: func(t *testing.T, got any) {
-			cell := func(ownSeed uint64, seeds int) *CellResult {
-				c, err := specCell(context.Background(), Sched{}, ownSeed, seeds)
+		{name: "speccell", sweep: specCell(7, 3), check: func(t *testing.T, _ Sweep, got []CellResult) {
+			cell := func(ownSeed uint64, seeds int) CellResult {
+				cells, err := Run(context.Background(), specCell(ownSeed, seeds), Sched{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				return c
+				return cells[0]
 			}
 			// Seeds: k replaces the Spec's own seed with 1..k.
-			if !reflect.DeepEqual(got, cell(99, 3)) {
+			if !reflect.DeepEqual(got[0], cell(99, 3)) {
 				t.Error("Seeds: 3 depends on the Spec's own seed")
 			}
 			if !reflect.DeepEqual(cell(7, 1), cell(1, 0)) {
@@ -142,18 +126,20 @@ func TestSweepsWidthInvariant(t *testing.T) {
 				t.Errorf("Seeds: 0 aggregated more than one run (final accuracy std %v)", std)
 			}
 		}},
-		{name: "crossover", run: func(ctx context.Context, s Sched) (any, error) {
-			// CrossoverSpec has no Sched: its grid runs GOMAXPROCS wide.
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(s.Workers))
-			return RunCrossover(ctx, CrossoverSpec{BatchSizes: []int{10, 200}, Scale: scale})
+		// The b = 10 and b = 250 rows of the crossover grid.
+		{name: "crossover", sweep: pick(CrossoverSweep(scale), 0, 1, 2, 3, 16, 17, 18, 19), check: func(t *testing.T, sw Sweep, cells []CellResult) {
+			res := Crossover(sw, cells)
+			if len(res.Points) != 2 || res.Points[0].BatchSize != 10 || res.Points[1].BatchSize != 250 {
+				t.Errorf("crossover points %+v, want b = 10 and 250", res.Points)
+			}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, err := tc.run(context.Background(), Sched{Workers: 1})
+			serial, err := Run(context.Background(), tc.sweep, Sched{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			wide, err := tc.run(context.Background(), Sched{Workers: 3})
+			wide, err := Run(context.Background(), tc.sweep, Sched{Workers: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,38 +147,40 @@ func TestSweepsWidthInvariant(t *testing.T) {
 				t.Fatal("result differs between Workers=1 and Workers=3")
 			}
 			if tc.check != nil {
-				tc.check(t, serial)
+				tc.check(t, tc.sweep, serial)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, err := tc.run(ctx, Sched{Workers: 3}); !errors.Is(err, context.Canceled) {
+			if _, err := Run(ctx, tc.sweep, Sched{Workers: 3}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled context: error = %v, want context.Canceled", err)
 			}
 		})
 	}
 }
 
-// Progress must fire once per cell and count every cell exactly once.
+// Progress must fire once per cell and count every cell exactly once, for a
+// figure and for the crossover alike.
 func TestSchedulerProgressCounts(t *testing.T) {
-	spec := Figure2(schedScale())
-	var calls atomic.Int64
-	var sawTotal atomic.Int64
-	spec.Sched = Sched{
-		Workers: 2,
-		Progress: func(done, total int, label string) {
-			calls.Add(1)
-			sawTotal.Store(int64(total))
-			if label == "" {
-				t.Error("empty progress label")
-			}
-		},
-	}
-	if _, err := RunFigure(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	want := int64(len(Grid()) * spec.Scale.seeds())
-	if calls.Load() != want || sawTotal.Load() != want {
-		t.Fatalf("progress calls = %d (total %d), want %d", calls.Load(), sawTotal.Load(), want)
+	for _, sw := range []Sweep{Figure2(schedScale()), pick(CrossoverSweep(schedScale()), 0, 1, 2, 3)} {
+		var calls atomic.Int64
+		var sawTotal atomic.Int64
+		sched := Sched{
+			Workers: 2,
+			Progress: func(done, total int, label string) {
+				calls.Add(1)
+				sawTotal.Store(int64(total))
+				if label == "" {
+					t.Error("empty progress label")
+				}
+			},
+		}
+		if _, err := Run(context.Background(), sw, sched); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(len(sw.Rows) * sw.Seeds)
+		if calls.Load() != want || sawTotal.Load() != want {
+			t.Fatalf("%s: progress calls = %d (total %d), want %d", sw.ID, calls.Load(), sawTotal.Load(), want)
+		}
 	}
 }
 
@@ -207,9 +195,8 @@ func TestRunFigureCancelMidGrid(t *testing.T) {
 	defer cancel()
 	scale := schedScale()
 	scale.Steps = 4000 // long enough that 12 uncancelled cells would be slow
-	spec := Figure2(scale)
 	var completed atomic.Int64
-	spec.Sched = Sched{
+	sched := Sched{
 		Workers: 3,
 		Progress: func(done, total int, label string) {
 			completed.Add(1)
@@ -217,10 +204,10 @@ func TestRunFigureCancelMidGrid(t *testing.T) {
 		},
 	}
 	start := time.Now()
-	res, err := RunFigure(ctx, spec)
+	cells, err := Run(ctx, Figure2(scale), sched)
 	elapsed := time.Since(start)
-	if err == nil || res != nil {
-		t.Fatalf("cancelled grid returned res=%v err=%v", res, err)
+	if err == nil || cells != nil {
+		t.Fatalf("cancelled grid returned cells=%v err=%v", cells, err)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
@@ -252,8 +239,7 @@ func TestRunFigureCancelMidGrid(t *testing.T) {
 func TestRunFigureCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	spec := Figure2(schedScale())
-	if _, err := RunFigure(ctx, spec); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, Figure2(schedScale()), Sched{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
 }

@@ -106,44 +106,17 @@ func RunTheorem1(ctx context.Context, spec Theorem1Spec) ([]Theorem1Point, error
 	return out, nil
 }
 
-// Table1Spec configures the reproduction of Table 1 / Propositions 1–3
-// across a model-size grid.
-type Table1Spec struct {
-	// Workers and Byzantine fix (n, f); defaults 23 and 5 so that all seven
-	// rules admit the pair (the paper's own n = 11, f = 5 excludes the
-	// Krum family by its n > 2f + 2 constraint).
-	Workers   int
-	Byzantine int
-	// BatchSize is b (default 50).
-	BatchSize int
-	// Dims is the model-size grid (default {69, 1e4, 1e5, 25.6e6} — the
-	// paper's model, two small networks, and ResNet-50).
-	Dims []int
-	// Epsilon/Delta form the per-step budget (defaults 0.2 / 1e-6).
-	Epsilon float64
-	Delta   float64
-}
+// Table 1 / Propositions 1–3 across a model-size grid. (n, f) = (23, 5) so
+// that all seven rules admit the pair (the paper's own n = 11, f = 5
+// excludes the Krum family by its n > 2f + 2 constraint); the model sizes
+// are the paper's model, two small networks, and ResNet-50.
+const (
+	table1Workers   = 23
+	table1Byzantine = 5
+	table1Batch     = 50
+)
 
-func (s *Table1Spec) fillDefaults() {
-	if s.Workers == 0 {
-		s.Workers = 23
-	}
-	if s.Byzantine == 0 {
-		s.Byzantine = 5
-	}
-	if s.BatchSize == 0 {
-		s.BatchSize = 50
-	}
-	if len(s.Dims) == 0 {
-		s.Dims = []int{69, 10_000, 100_000, 25_600_000}
-	}
-	if s.Epsilon == 0 {
-		s.Epsilon = PaperEpsilon
-	}
-	if s.Delta == 0 {
-		s.Delta = PaperDelta
-	}
-}
+var table1Dims = []int{69, 10_000, 100_000, 25_600_000}
 
 // Table1Result is the reproduced table: one row set per model size.
 type Table1Result struct {
@@ -152,13 +125,12 @@ type Table1Result struct {
 }
 
 // RunTable1 evaluates the Table 1 necessary conditions over the model-size
-// grid.
-func RunTable1(spec Table1Spec) ([]Table1Result, error) {
-	spec.fillDefaults()
-	budget := dp.Budget{Epsilon: spec.Epsilon, Delta: spec.Delta}
-	out := make([]Table1Result, 0, len(spec.Dims))
-	for _, d := range spec.Dims {
-		rows, err := gar.Table1(spec.Workers, spec.Byzantine, spec.BatchSize, d, budget)
+// grid at the paper's per-step budget.
+func RunTable1() ([]Table1Result, error) {
+	budget := dp.Budget{Epsilon: PaperEpsilon, Delta: PaperDelta}
+	out := make([]Table1Result, 0, len(table1Dims))
+	for _, d := range table1Dims {
+		rows, err := gar.Table1(table1Workers, table1Byzantine, table1Batch, d, budget)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table1 d=%d: %w", d, err)
 		}
