@@ -156,8 +156,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
+			res, err := experiments.Crossover(sw, cells)
+			if err != nil {
+				return err
+			}
 			fmt.Fprintln(stdout, sw.Title)
-			return experiments.WriteCrossoverReport(stdout, experiments.Crossover(sw, cells))
+			return experiments.WriteCrossoverReport(stdout, res)
 		}},
 		{"epssweep", table(experiments.EpsilonSweep(scale), false)},
 		{"hetsweep", table(experiments.HeterogeneitySweep(scale), false)},

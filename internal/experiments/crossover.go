@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 )
 
@@ -15,7 +16,7 @@ var crossoverBatches = []int{10, 25, 50, 100, 250, 500}
 const crossoverTolerance = 0.05
 
 // crossoverRegimes is the number of rows per batch size: the first four
-// conditions of Grid() — clean baseline, DP only, attack only, DP + attack —
+// conditions of grid() — clean baseline, DP only, attack only, DP + attack —
 // in CrossoverPoint field order.
 const crossoverRegimes = 4
 
@@ -25,7 +26,7 @@ func CrossoverSweep(scale Scale) Sweep {
 	sw := phishingSweep("crossover", "Batch-size crossover (final accuracy per condition)",
 		scale, []Key{{"batch", 8}, {"regime", 12}}, []Metric{MetricFinalAcc})
 	for _, b := range crossoverBatches {
-		for _, cond := range Grid()[:crossoverRegimes] {
+		for _, cond := range grid()[:crossoverRegimes] {
 			sw.Rows = append(sw.Rows, Row{
 				Keys: []string{"b=" + strconv.Itoa(b), cond.Label},
 				Spec: paperSpec(sw.ID, scale, b, PaperEpsilon, cond),
@@ -67,16 +68,28 @@ type CrossoverResult struct {
 
 // Crossover pivots the cells Run returned for a CrossoverSweep (or any
 // trimming of it that keeps whole batch sizes) into one point per batch size
-// and locates the three crossover points.
-func Crossover(sw Sweep, cells []CellResult) *CrossoverResult {
+// and locates the three crossover points. It rejects rows that are not whole,
+// ordered four-regime groups at one batch size.
+func Crossover(sw Sweep, cells []CellResult) (*CrossoverResult, error) {
+	if len(cells) != len(sw.Rows) || len(cells)%crossoverRegimes != 0 {
+		return nil, fmt.Errorf("experiments: crossover: %d cells for %d rows, want whole groups of %d",
+			len(cells), len(sw.Rows), crossoverRegimes)
+	}
+	regimes := grid()[:crossoverRegimes]
 	res := &CrossoverResult{
 		MinBatchDPOnly:     -1,
 		MinBatchAttackOnly: -1,
 		MinBatchCombined:   -1,
 	}
-	for i := 0; i+crossoverRegimes <= len(cells); i += crossoverRegimes {
-		acc := cells[i : i+crossoverRegimes]
+	for i := 0; i < len(cells); i += crossoverRegimes {
 		b := sw.Rows[i].Spec.BatchSize
+		for j, row := range sw.Rows[i : i+crossoverRegimes] {
+			if row.Spec.BatchSize != b || len(row.Keys) == 0 || row.Keys[len(row.Keys)-1] != regimes[j].Label {
+				return nil, fmt.Errorf("experiments: crossover: row %s is not regime %s at b=%d",
+					row.label(), regimes[j].Label, b)
+			}
+		}
+		acc := cells[i : i+crossoverRegimes]
 		point := CrossoverPoint{
 			BatchSize:     b,
 			BaselineAcc:   acc[0].FinalAccMean,
@@ -99,5 +112,5 @@ func Crossover(sw Sweep, cells []CellResult) *CrossoverResult {
 		}
 		res.Points = append(res.Points, point)
 	}
-	return res
+	return res, nil
 }

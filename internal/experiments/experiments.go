@@ -272,6 +272,14 @@ func Run(ctx context.Context, sw Sweep, sched Sched) ([]CellResult, error) {
 	seeds := max(sw.Seeds, 1)
 	var inputs []seedInputs
 	if sw.sharedData && len(sw.Rows) > 0 {
+		// Every row trains on row 0's datasets and MLP init.
+		first := sw.Rows[0].Spec
+		for _, row := range sw.Rows[1:] {
+			if row.Spec.Data != first.Data || row.Spec.Model != first.Model {
+				return nil, fmt.Errorf("experiments: %s/%s: data or model differs from row %s, but the sweep's rows share one dataset",
+					sw.ID, row.label(), sw.Rows[0].label())
+			}
+		}
 		var err error
 		if inputs, err = buildSeedInputs(sw.Rows[0].Spec, seeds); err != nil {
 			return nil, err

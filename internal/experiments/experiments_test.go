@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
+
+	runspec "dpbyz/internal/spec"
 )
 
 // smokeScale keeps experiment tests fast while exercising the full path.
@@ -22,7 +25,7 @@ func pick(sw Sweep, rows ...int) Sweep {
 }
 
 func TestGrid(t *testing.T) {
-	g := Grid()
+	g := grid()
 	if len(g) != 6 {
 		t.Fatalf("grid has %d conditions", len(g))
 	}
@@ -45,8 +48,8 @@ func TestFigureSpecs(t *testing.T) {
 		sw    Sweep
 		batch int
 	}{{Figure2(Scale{}), 50}, {Figure3(Scale{}), 10}, {Figure4(Scale{}), 500}, {FigureMLP(Scale{}), 50}} {
-		if len(tc.sw.Rows) != len(Grid()) || tc.sw.Seeds != PaperSeeds {
-			t.Errorf("%s: %d rows at %d seeds, want %d at %d", tc.sw.ID, len(tc.sw.Rows), tc.sw.Seeds, len(Grid()), PaperSeeds)
+		if len(tc.sw.Rows) != len(grid()) || tc.sw.Seeds != PaperSeeds {
+			t.Errorf("%s: %d rows at %d seeds, want %d at %d", tc.sw.ID, len(tc.sw.Rows), tc.sw.Seeds, len(grid()), PaperSeeds)
 		}
 		for _, r := range tc.sw.Rows {
 			if r.Spec.BatchSize != tc.batch || r.Spec.Steps != PaperSteps {
@@ -302,27 +305,40 @@ func TestRunFigureMLP(t *testing.T) {
 }
 
 func TestRunCrossover(t *testing.T) {
-	// The b = 25 and b = 500 rows of the grid.
-	sw := pick(CrossoverSweep(Scale{Steps: 200, Seeds: 1, DatasetSize: 1500, Features: 12}), 4, 5, 6, 7, 20, 21, 22, 23)
+	// b = 20 and b = 400, between the grid's batch sizes.
+	scale := Scale{Steps: 200, Seeds: 1, DatasetSize: 1500, Features: 12}
+	sw := CrossoverSweep(scale)
+	sw.Rows = nil
+	for _, b := range []int{20, 400} {
+		for _, cond := range grid()[:crossoverRegimes] {
+			sw.Rows = append(sw.Rows, Row{
+				Keys: []string{"b=" + strconv.Itoa(b), cond.Label},
+				Spec: paperSpec("crossover", scale, b, PaperEpsilon, cond),
+			})
+		}
+	}
 	cells, err := Run(context.Background(), sw, Sched{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Crossover(sw, cells)
-	if len(res.Points) != 2 || res.Points[0].BatchSize != 25 || res.Points[1].BatchSize != 500 {
-		t.Fatalf("points = %+v, want b = 25 and 500", res.Points)
+	res, err := Crossover(sw, cells)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The combined condition must work at b=500 but not at b=25 on this
+	if len(res.Points) != 2 || res.Points[0].BatchSize != 20 || res.Points[1].BatchSize != 400 {
+		t.Fatalf("points = %+v, want b = 20 and 400", res.Points)
+	}
+	// The combined condition must work at b=400 but not at b=20 on this
 	// small task — the paper's antagonism gap in miniature.
 	if res.Points[0].CombinedOK {
-		t.Error("combined condition unexpectedly works at b=25")
+		t.Error("combined condition unexpectedly works at b=20")
 	}
-	if res.MinBatchCombined != 500 {
-		t.Errorf("combined crossover = %d, want 500", res.MinBatchCombined)
+	if res.MinBatchCombined != 400 {
+		t.Errorf("combined crossover = %d, want 400", res.MinBatchCombined)
 	}
 	// Either defence alone already works at the small batch.
 	if !res.Points[0].DPOnlyOK || !res.Points[0].AttackOnlyOK {
-		t.Error("single defences should work at b=25")
+		t.Error("single defences should work at b=20")
 	}
 	var sb strings.Builder
 	if err := WriteCrossoverReport(&sb, res); err != nil {
@@ -330,6 +346,36 @@ func TestRunCrossover(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "crossovers") {
 		t.Errorf("report missing summary:\n%s", sb.String())
+	}
+}
+
+func TestCrossoverRejectsBrokenGroups(t *testing.T) {
+	sw := CrossoverSweep(smokeScale())
+	for name, rows := range map[string][]Row{
+		"partial group":   sw.Rows[:6],
+		"shifted groups":  sw.Rows[2:10],
+		"swapped regimes": {sw.Rows[1], sw.Rows[0], sw.Rows[2], sw.Rows[3]},
+		"mixed batch":     {sw.Rows[0], sw.Rows[1], sw.Rows[6], sw.Rows[3]},
+	} {
+		trimmed := sw
+		trimmed.Rows = rows
+		if _, err := Crossover(trimmed, make([]CellResult, len(rows))); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+}
+
+func TestRunRejectsRowsOffTheSharedData(t *testing.T) {
+	ctx := context.Background()
+	for name, edit := range map[string]func(*Row){
+		"data":  func(r *Row) { r.Spec.Data.Features++ },
+		"model": func(r *Row) { r.Spec.Model = runspec.ModelSpec{Name: "mlp", Hidden: 4} },
+	} {
+		sw := pick(Figure2(smokeScale()), 0, 1)
+		edit(&sw.Rows[1])
+		if _, err := Run(ctx, sw, Sched{}); err == nil || !strings.Contains(err.Error(), "share one dataset") {
+			t.Errorf("%s: error = %v, want the shared-dataset rejection", name, err)
+		}
 	}
 }
 

@@ -128,7 +128,10 @@ func TestSweepsWidthInvariant(t *testing.T) {
 		}},
 		// The b = 10 and b = 250 rows of the crossover grid.
 		{name: "crossover", sweep: pick(CrossoverSweep(scale), 0, 1, 2, 3, 16, 17, 18, 19), check: func(t *testing.T, sw Sweep, cells []CellResult) {
-			res := Crossover(sw, cells)
+			res, err := Crossover(sw, cells)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(res.Points) != 2 || res.Points[0].BatchSize != 10 || res.Points[1].BatchSize != 250 {
 				t.Errorf("crossover points %+v, want b = 10 and 250", res.Points)
 			}

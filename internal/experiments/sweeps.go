@@ -10,8 +10,8 @@ import (
 // This file builds the evaluation's Sweeps. Every setting a table does not
 // take from its Scale is a constant here.
 
-// Condition is one cell of the Figs 2–4 grid.
-type Condition struct {
+// condition is one cell of the Figs 2–4 grid.
+type condition struct {
 	// Label is a human-readable identifier such as "alie+dp".
 	Label string
 	// AttackName is "" for the unattacked baseline, else an attack registry
@@ -21,10 +21,10 @@ type Condition struct {
 	DP bool
 }
 
-// Grid returns the six conditions of each figure: {none, alie, foe} ×
+// grid returns the six conditions of each figure: {none, alie, foe} ×
 // {no DP, DP}.
-func Grid() []Condition {
-	var out []Condition
+func grid() []condition {
+	var out []condition
 	for _, atk := range []string{"", "alie", "foe"} {
 		for _, dpOn := range []bool{false, true} {
 			label := "none"
@@ -36,7 +36,7 @@ func Grid() []Condition {
 			} else {
 				label += "+clear"
 			}
-			out = append(out, Condition{Label: label, AttackName: atk, DP: dpOn})
+			out = append(out, condition{Label: label, AttackName: atk, DP: dpOn})
 		}
 	}
 	return out
@@ -49,7 +49,7 @@ var (
 	sweepStragglers = []int{0, 1, 2, 3}
 	sweepRules      = []string{"mda", "trimmedmean"}
 	// sweepAttacked is the condition every sweep row trains under.
-	sweepAttacked = Condition{Label: "alie+dp", AttackName: "alie", DP: true}
+	sweepAttacked = condition{Label: "alie+dp", AttackName: "alie", DP: true}
 )
 
 // sweepBatch is the batch size of every sweep but the crossover (Fig. 2's).
@@ -72,7 +72,7 @@ func phishingSweep(id, title string, scale Scale, keys []Key, metrics []Metric) 
 // cmd/dpbyz-train and the cluster backend, so any cell can be exported,
 // replayed, or moved to a distributed deployment unchanged. Run sets its
 // seed.
-func paperSpec(id string, scale Scale, batch int, eps float64, cond Condition) runspec.Spec {
+func paperSpec(id string, scale Scale, batch int, eps float64, cond condition) runspec.Spec {
 	s := runspec.Spec{
 		Name:  id + "/" + cond.Label,
 		Data:  runspec.DataSpec{N: scale.datasetSize(), Features: scale.features()},
@@ -117,13 +117,13 @@ func Figure4(s Scale) Sweep { return figure("fig4", 500, 0, s) }
 // where the VN-ratio analysis (but not Theorem 1) still applies.
 func FigureMLP(s Scale) Sweep { return figure("figmlp", 50, 16, s) }
 
-// figure builds the Grid() rows of one figure at batch size b, on the
+// figure builds the grid() rows of one figure at batch size b, on the
 // logistic model or, when mlpHidden > 0, an MLP of that width.
 func figure(id string, b, mlpHidden int, scale Scale) Sweep {
 	sw := phishingSweep(id,
 		fmt.Sprintf("%s (b=%d, eps=%g, steps=%d, seeds=%d)", id, b, PaperEpsilon, scale.steps(), scale.seeds()),
 		scale, []Key{{"condition", 12}}, curveMetrics)
-	for _, cond := range Grid() {
+	for _, cond := range grid() {
 		s := paperSpec(id, scale, b, PaperEpsilon, cond)
 		if mlpHidden > 0 {
 			s.Model = runspec.ModelSpec{Name: "mlp", Hidden: mlpHidden}
