@@ -96,8 +96,12 @@
 //     descent history). Adaptive attacks observe every completed round and
 //     their mutable state rides through local-backend checkpoints, so
 //     interrupted LocalBackend runs resume bit-identically (cluster
-//     snapshots carry only server-side state — worker-local attack state,
-//     like every other worker-local buffer there, restarts on resume).
+//     snapshots carry only server-side state — the adversary's attack
+//     state, like every worker-local buffer there, restarts on resume).
+//     Both backends run one colluding adversary: on the cluster the f
+//     Byzantine workers share it, and it recomputes the round's honest
+//     submissions from the broadcast parameters, so an attacked Spec with a
+//     fixed, synchronous cohort ends on the same bits on either backend.
 //
 // Both axes serialize like everything else:
 //

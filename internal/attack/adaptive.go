@@ -1,27 +1,20 @@
 package attack
 
-import (
-	"fmt"
-
-	"dpbyz/internal/gar"
-)
+import "dpbyz/internal/gar"
 
 // AdaptiveAttack is a stateful, state-aware Byzantine attack: besides
 // crafting each step's submission it observes every completed round — the
 // server's aggregate and the honest submissions it was crafted against — and
 // carries serializable state so checkpointed runs resume bit-identically.
 //
-// The execution surfaces (internal/simulate, internal/cluster) detect
-// adaptive attacks with a type assertion and skip Observe/state handling for
-// stateless ones; harnesses that instead want to hold every attack behind
-// one interface can lift a stateless attack with Adapt.
+// The one colluding adversary both backends run (worker.Adversary) detects
+// adaptive attacks with a type assertion and skips Observe/state handling
+// for stateless ones.
 type AdaptiveAttack interface {
 	Attack
 	// Observe feeds the attacker round t's outcome: the aggregate the server
 	// accepted and the honest submissions of the round. Implementations must
-	// not retain either slice (copy to keep) and must not mutate them. On the
-	// networked backend the aggregate is the worker's local estimate
-	// recovered from successive parameter broadcasts.
+	// not retain either slice (copy to keep) and must not mutate them.
 	Observe(round int, aggregate []float64, honest [][]float64)
 	// State snapshots the attack's mutable state. The snapshot owns its
 	// memory: mutating the attack afterwards must not change it.
@@ -52,47 +45,13 @@ type GARAware interface {
 	SetGAR(g gar.GAR)
 }
 
-// adapted wraps a stateless Attack as a trivially adaptive one.
-type adapted struct {
-	Attack
-}
-
-var _ AdaptiveAttack = adapted{}
-
-// Observe implements AdaptiveAttack as a no-op.
-func (adapted) Observe(int, []float64, [][]float64) {}
-
-// State implements AdaptiveAttack: stateless attacks have empty state.
-func (adapted) State() State { return State{} }
-
-// SetState implements AdaptiveAttack: only the empty state is accepted.
-func (a adapted) SetState(st State) error {
-	if st.Round != 0 || st.Gain != 0 || len(st.Drift) != 0 {
-		return fmt.Errorf("attack: stateless attack %q cannot restore non-empty state", a.Name())
-	}
-	return nil
-}
-
-// Adapt returns a as an AdaptiveAttack: adaptive attacks pass through
-// unchanged, stateless attacks gain a no-op Observe and empty state. It is
-// a convenience for harnesses that treat all attacks uniformly; the built-in
-// backends type-assert instead and never need it.
-func Adapt(a Attack) AdaptiveAttack {
-	if aa, ok := a.(AdaptiveAttack); ok {
-		return aa
-	}
-	return adapted{Attack: a}
-}
-
-// AdaptiveNames returns the registered attacks that are natively adaptive
-// (stateful); every other registered name is stateless and adapts via Adapt.
+// AdaptiveNames returns the registered attacks that are adaptive (stateful);
+// every other registered name is stateless.
 func AdaptiveNames() []string {
 	var names []string
 	for _, name := range Names() {
-		if a, err := New(name); err == nil {
-			if _, ok := a.(AdaptiveAttack); ok {
-				names = append(names, name)
-			}
+		if _, ok := registry[name]().(AdaptiveAttack); ok {
+			names = append(names, name)
 		}
 	}
 	return names

@@ -20,38 +20,6 @@ func adaptiveHonest() [][]float64 {
 	}
 }
 
-// Adapt must pass adaptive attacks through and wrap stateless ones with
-// empty state and a no-op Observe.
-func TestAdaptShim(t *testing.T) {
-	ipm := NewIPM()
-	if Adapt(ipm) != AdaptiveAttack(ipm) {
-		t.Error("Adapt re-wrapped a natively adaptive attack")
-	}
-	wrapped := Adapt(NewALIE())
-	wrapped.Observe(3, []float64{1}, adaptiveHonest())
-	if st := wrapped.State(); !reflect.DeepEqual(st, State{}) {
-		t.Errorf("stateless shim state %+v, want empty", st)
-	}
-	if err := wrapped.SetState(State{}); err != nil {
-		t.Errorf("empty state rejected: %v", err)
-	}
-	if err := wrapped.SetState(State{Round: 2}); err == nil {
-		t.Error("stateless shim accepted non-empty state")
-	}
-	if wrapped.Name() != "alie" {
-		t.Errorf("shim name %q", wrapped.Name())
-	}
-	// The shim must still craft exactly what the wrapped attack crafts.
-	a, err1 := wrapped.Craft(adaptiveHonest(), nil)
-	b, err2 := NewALIE().Craft(adaptiveHonest(), nil)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !vecmath.ApproxEqual(a, b, 0) {
-		t.Error("shimmed craft differs from the wrapped attack's")
-	}
-}
-
 // AdaptiveNames must report exactly the natively stateful attacks.
 func TestAdaptiveNames(t *testing.T) {
 	want := []string{"drift", "ipm"}

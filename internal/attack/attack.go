@@ -13,12 +13,14 @@
 // two concrete state-aware attackers — the GAR-aware inner-product maximizer
 // IPM, which line-searches its factor against the server's known rule, and
 // DriftAttack, which accumulates past aggregates into a persistent push
-// direction. Stateless attacks join the same execution paths through Adapt.
+// direction.
 package attack
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"dpbyz/internal/randx"
 	"dpbyz/internal/vecmath"
@@ -37,6 +39,18 @@ type Attack interface {
 // ErrNoHonestGradients is returned when an attack is invoked with an empty
 // honest-gradient estimate.
 var ErrNoHonestGradients = errors.New("attack: no honest gradients to observe")
+
+// honestMean is g_t, the coordinate-wise mean of the honest submissions.
+func honestMean(honest [][]float64) ([]float64, error) {
+	if len(honest) == 0 {
+		return nil, ErrNoHonestGradients
+	}
+	mean, err := vecmath.Mean(honest)
+	if err != nil {
+		return nil, fmt.Errorf("attack: %w", err)
+	}
+	return mean, nil
+}
 
 // ALIE is "A Little Is Enough": submit g_t − ν·σ_t, the honest mean shifted
 // against the coordinate-wise standard deviation, with the paper's ν = 1.5.
@@ -58,12 +72,9 @@ func (a *ALIE) Name() string { return "alie" }
 
 // Craft implements Attack: g_t + ν·a_t with a_t = −σ_t.
 func (a *ALIE) Craft(honest [][]float64, _ *randx.Stream) ([]float64, error) {
-	if len(honest) == 0 {
-		return nil, ErrNoHonestGradients
-	}
-	mean, err := vecmath.Mean(honest)
+	mean, err := honestMean(honest)
 	if err != nil {
-		return nil, fmt.Errorf("attack: %w", err)
+		return nil, err
 	}
 	std, err := vecmath.CoordStd(honest)
 	if err != nil {
@@ -94,12 +105,9 @@ func (f *FallOfEmpires) Name() string { return "foe" }
 
 // Craft implements Attack: (1 − ν)·g_t.
 func (f *FallOfEmpires) Craft(honest [][]float64, _ *randx.Stream) ([]float64, error) {
-	if len(honest) == 0 {
-		return nil, ErrNoHonestGradients
-	}
-	mean, err := vecmath.Mean(honest)
+	mean, err := honestMean(honest)
 	if err != nil {
-		return nil, fmt.Errorf("attack: %w", err)
+		return nil, err
 	}
 	return vecmath.ScaleInPlace(1-f.Nu, mean), nil
 }
@@ -120,12 +128,9 @@ func (s *SignFlip) Name() string { return "signflip" }
 
 // Craft implements Attack.
 func (s *SignFlip) Craft(honest [][]float64, _ *randx.Stream) ([]float64, error) {
-	if len(honest) == 0 {
-		return nil, ErrNoHonestGradients
-	}
-	mean, err := vecmath.Mean(honest)
+	mean, err := honestMean(honest)
 	if err != nil {
-		return nil, fmt.Errorf("attack: %w", err)
+		return nil, err
 	}
 	return vecmath.ScaleInPlace(-s.Kappa, mean), nil
 }
@@ -186,21 +191,14 @@ func (z *Zero) Craft(honest [][]float64, _ *randx.Stream) ([]float64, error) {
 // registry maps attack names to factories with default parameters. Read-only
 // after initialisation.
 var registry = map[string]func() Attack{
-	"alie":     func() Attack { return NewALIE() },
-	"foe":      func() Attack { return NewFallOfEmpires() },
-	"signflip": func() Attack { return NewSignFlip() },
-	"zero":     func() Attack { return NewZero() },
-	"mimic":    func() Attack { return NewMimic() },
-	"ipm":      func() Attack { return NewIPM() },
-	"drift":    func() Attack { return NewDrift() },
-	"randomnoise": func() Attack {
-		a, err := NewRandomNoise(1)
-		if err != nil {
-			// Unreachable: the constant 1 is valid.
-			panic(err)
-		}
-		return a
-	},
+	"alie":        func() Attack { return NewALIE() },
+	"foe":         func() Attack { return NewFallOfEmpires() },
+	"signflip":    func() Attack { return NewSignFlip() },
+	"zero":        func() Attack { return NewZero() },
+	"mimic":       func() Attack { return NewMimic() },
+	"ipm":         func() Attack { return NewIPM() },
+	"drift":       func() Attack { return NewDrift() },
+	"randomnoise": func() Attack { return &RandomNoise{Sigma: 1} },
 }
 
 // New returns the named attack with its default (paper) parameters.
@@ -213,16 +211,4 @@ func New(name string) (Attack, error) {
 }
 
 // Names returns the sorted registered attack names.
-func Names() []string {
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	// Small fixed set; insertion sort keeps the package dependency-free.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return names
-}
+func Names() []string { return slices.Sorted(maps.Keys(registry)) }

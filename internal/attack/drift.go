@@ -53,12 +53,9 @@ func (d *DriftAttack) Name() string { return "drift" }
 // (so the displacement opposes the descent history); before any drift
 // accumulates it submits −ν·ḡ (the sign-flip opening).
 func (d *DriftAttack) Craft(honest [][]float64, _ *randx.Stream) ([]float64, error) {
-	if len(honest) == 0 {
-		return nil, ErrNoHonestGradients
-	}
-	mean, err := vecmath.Mean(honest)
+	mean, err := honestMean(honest)
 	if err != nil {
-		return nil, fmt.Errorf("attack: %w", err)
+		return nil, err
 	}
 	nu := d.Nu
 	if nu == 0 {

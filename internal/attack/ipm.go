@@ -69,12 +69,9 @@ func (a *IPM) SetGAR(g gar.GAR) { a.rule = g }
 
 // Craft implements Attack.
 func (a *IPM) Craft(honest [][]float64, _ *randx.Stream) ([]float64, error) {
-	if len(honest) == 0 {
-		return nil, ErrNoHonestGradients
-	}
-	mean, err := vecmath.Mean(honest)
+	mean, err := honestMean(honest)
 	if err != nil {
-		return nil, fmt.Errorf("attack: %w", err)
+		return nil, err
 	}
 	if a.Nu == 0 {
 		a.Nu = DefaultIPMNu

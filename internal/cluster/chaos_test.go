@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"dpbyz/internal/attack"
 	"dpbyz/internal/data"
 	"dpbyz/internal/gar"
 	"dpbyz/internal/membership"
@@ -71,7 +70,7 @@ func TestClusterChaos64Workers(t *testing.T) {
 		}
 		switch {
 		case i < f:
-			workers[i].Attack = attack.NewSignFlip()
+			// Byzantine: the shared adversary below.
 		case i < f+crashers:
 			workers[i].MaxRounds = 3
 		case i < f+crashers+straggler:
@@ -88,6 +87,14 @@ func TestClusterChaos64Workers(t *testing.T) {
 			workers[i].Model = smallModel
 			workers[i].Train = smallDS
 		}
+	}
+	// The adversary crafts from the honest cohort, which the
+	// wrong-dimension worker is not part of.
+	wrongDim := f + crashers + straggler + faulty
+	honest := append(append([]WorkerConfig(nil), workers[f:wrongDim]...), workers[wrongDim+1:]...)
+	adv := signFlipCoalition(t, mustGAR(t, "trimmedmean", n, f), honest)
+	for i := range workers[:f] {
+		workers[i].Attack = adv
 	}
 
 	srvRes, workerRes, workerErrs := launch(t, srvCfg, workers)
@@ -181,21 +188,29 @@ func TestClusterChaos512Quorum(t *testing.T) {
 	ctx, cancel := testContext(t)
 	defer cancel()
 	workerCtx, stopWorkers := testWorkerContext(ctx)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		cfg := WorkerConfig{
+	baseWorker := func(id int) WorkerConfig {
+		return WorkerConfig{
 			Addr:      "chaos512",
 			Transport: tr,
-			WorkerID:  i,
+			WorkerID:  id,
 			Model:     m,
 			Train:     ds,
 			BatchSize: 20,
 			ClipNorm:  0.01,
-			Seed:      uint64(i + 1),
+			Seed:      uint64(id + 1),
 		}
+	}
+	honest := make([]WorkerConfig, n-f)
+	for i := range honest {
+		honest[i] = baseWorker(f + i)
+	}
+	adv := signFlipCoalition(t, mustGAR(t, "trimmedmean", n, f), honest)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		cfg := baseWorker(i)
 		switch {
 		case i < f:
-			cfg.Attack = attack.NewSignFlip()
+			cfg.Attack = adv
 		case i < f+crashers:
 			cfg.MaxRounds = 3
 		case i < f+crashers+straggler:
@@ -339,11 +354,16 @@ func TestClusterChaosChurn(t *testing.T) {
 			results[id], workerErrs[id] = RunWorker(ctx, cfg)
 		}()
 	}
+	honest := make([]WorkerConfig, maxN-atk)
+	for i := range honest {
+		honest[i] = baseWorker(atk + i)
+	}
+	adv := signFlipCoalition(t, mustGAR(t, "trimmedmean", maxN, atk), honest)
 	for id := 0; id < maxN; id++ {
 		cfg := baseWorker(id)
 		switch {
 		case id < atk:
-			cfg.Attack = attack.NewSignFlip()
+			cfg.Attack = adv
 		case id < atk+crashers:
 			cfg.MaxRounds = 4
 		case id < atk+crashers+droppers:

@@ -18,6 +18,7 @@ import (
 	"dpbyz/internal/metrics"
 	"dpbyz/internal/model"
 	"dpbyz/internal/vecmath"
+	"dpbyz/internal/worker"
 )
 
 func testDataset(t *testing.T) *data.Dataset {
@@ -47,6 +48,18 @@ func mustGAR(t *testing.T, name string, n, f int) gar.GAR {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// signFlipCoalition is the sign-flip adversary a test's Byzantine workers
+// share, crafting from the honest workers' configs; rule is its own (n, f)
+// instance.
+func signFlipCoalition(t *testing.T, rule gar.GAR, honest []WorkerConfig) *worker.Coalition {
+	t.Helper()
+	c, err := NewCoalition(attack.NewSignFlip(), rule, 1, honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // launch runs a server plus n worker goroutines and returns the server
@@ -273,7 +286,7 @@ func TestByzantineWorkerWithMDA(t *testing.T) {
 			Seed:      uint64(i + 1),
 		}
 	}
-	workers[0].Attack = attack.NewSignFlip()
+	workers[0].Attack = signFlipCoalition(t, mustGAR(t, "mda", n, f), workers[f:])
 	srvRes, _, workerErrs := launch(t, srvCfg, workers)
 	for i, err := range workerErrs {
 		if err != nil {

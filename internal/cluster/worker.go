@@ -9,6 +9,7 @@ import (
 	"dpbyz/internal/attack"
 	"dpbyz/internal/data"
 	"dpbyz/internal/dp"
+	"dpbyz/internal/gar"
 	"dpbyz/internal/model"
 	"dpbyz/internal/randx"
 	"dpbyz/internal/worker"
@@ -48,7 +49,8 @@ type WorkerConfig struct {
 	// Mechanism is the worker's local DP randomizer; nil sends gradients in
 	// the clear (still unencrypted either way, per the paper's Remark 1).
 	Mechanism dp.Mechanism
-	// Accountant, when non-nil, records one private release per round.
+	// Accountant, when non-nil, records one private release per round the
+	// worker submits an honest gradient.
 	Accountant *dp.Accountant
 	// Momentum is the worker-side momentum coefficient (the distributed-
 	// momentum technique the paper's stack uses). The momentum state
@@ -60,16 +62,13 @@ type WorkerConfig struct {
 	// MomentumPostNoise applies momentum after clipping and noising.
 	MomentumPostNoise bool
 	// Attack, when non-nil, makes this worker Byzantine: each round it
-	// crafts its submission from its own honest gradient estimate. Unlike
-	// the simulator's omniscient attacker, a networked Byzantine worker
-	// only observes its own data. Stateful attacks (attack.AdaptiveAttack)
-	// observe an estimate of each round's aggregate recovered from
-	// successive parameter broadcasts; do not share one attack instance
-	// across workers — Craft mutates attack-local state.
-	Attack attack.Attack
-	// LearningRate, when positive, lets an adaptive attack rescale observed
-	// parameter deltas back to gradient magnitude ((w_t − w_{t+1})/γ); zero
-	// feeds the attack raw deltas, which only changes the observed scale.
+	// submits the run's one colluding adversary's vector (NewCoalition),
+	// crafted from the round's recomputed honest submissions, and computes
+	// no gradient of its own. A run's Byzantine workers share one Coalition;
+	// a Byzantine worker in its own process builds an identical copy.
+	Attack *worker.Coalition
+	// Deprecated: LearningRate is unused; the adversary observes the exact
+	// aggregate instead of estimating it from parameter deltas.
 	LearningRate float64
 	// Seed drives batch sampling and noise.
 	Seed uint64
@@ -131,10 +130,7 @@ func (c *WorkerConfig) validate() error {
 	if c.Momentum < 0 || c.Momentum >= 1 {
 		return fmt.Errorf("cluster: momentum %v outside [0, 1)", c.Momentum)
 	}
-	if err := validateMaxFrame(c.MaxFrameBytes, c.Model.Dim()); err != nil {
-		return err
-	}
-	return nil
+	return validateMaxFrame(c.MaxFrameBytes, c.Model.Dim())
 }
 
 // WorkerResult summarizes a worker's run.
@@ -164,20 +160,9 @@ func (res *WorkerResult) keepFinal(weights []float64) {
 }
 
 // workerState is what survives reconnects: the honest pipeline (streams,
-// scratch, momentum) and, for a Byzantine worker, the attacker's view.
+// scratch, momentum), nil for a Byzantine worker.
 type workerState struct {
 	pipe *worker.Pipeline
-
-	// attackRng and honestView exist only when cfg.Attack is set:
-	// honestView[0] is the round's honest submission the attack is crafted
-	// from.
-	attackRng  *randx.Stream
-	honestView [][]float64
-
-	adaptive    attack.AdaptiveAttack
-	prevParams  []float64
-	aggEstimate []float64
-	havePrev    bool
 
 	// consumed counts the rounds whose batch/noise draws this worker has
 	// performed (live or replayed). A cohort member that participated in
@@ -189,41 +174,46 @@ type workerState struct {
 	dropped bool
 }
 
-func newWorkerState(cfg *WorkerConfig) (*workerState, error) {
-	root := randx.New(cfg.Seed)
-	pipe, err := worker.New(worker.Config{
+// newPipeline builds the honest pipeline cfg describes.
+func newPipeline(cfg *WorkerConfig) (*worker.Pipeline, error) {
+	return worker.New(worker.Config{
 		Model: cfg.Model, Train: cfg.Train, BatchSize: cfg.BatchSize,
 		ClipNorm: cfg.ClipNorm, Mechanism: cfg.Mechanism,
 		Momentum: cfg.Momentum, MomentumPostNoise: cfg.MomentumPostNoise,
-	}, root, cfg.WorkerID)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	st := &workerState{pipe: pipe}
-	if cfg.Attack != nil {
-		st.attackRng = root.Derive(worker.LabelAttack, uint64(cfg.WorkerID))
-		st.honestView = make([][]float64, 1)
-	}
-	// A stateful Byzantine worker reconstructs the server's aggregate
-	// direction from successive parameter broadcasts: the observed delta
-	// (w_t − w_{t+1})/γ is the momentum-filtered aggregate — exactly the
-	// signal a real state-aware attacker has in the networked threat model.
-	if aa, ok := cfg.Attack.(attack.AdaptiveAttack); ok {
-		st.adaptive = aa
-		st.prevParams = make([]float64, cfg.Model.Dim())
-		st.aggEstimate = make([]float64, cfg.Model.Dim())
-	}
-	return st, nil
+	}, randx.New(cfg.Seed), cfg.WorkerID)
 }
 
-// skip replays the stream consumption of missed rounds (worker.Pipeline.Skip)
-// so the next live round is bit-identical with a never-disconnected
-// worker's. Byzantine attack streams are deliberately not replayed:
-// attackers carry no bit-identity contract.
-func (st *workerState) skip(res *WorkerResult, rounds int) {
-	st.pipe.Skip(rounds)
-	st.consumed += rounds
-	res.FastForwarded += rounds
+// NewCoalition returns the colluding adversary a run's Byzantine workers
+// share (WorkerConfig.Attack): attack a, its stream derived from seed,
+// aggregating with rule — the adversary's own instance, never the
+// server's — over shadow pipelines of the honest workers described by
+// honest, built as RunWorker builds theirs. The adversary crafts from the
+// scheduled honest cohort; under a quorum cut or churn that is not the set
+// the server accepts.
+func NewCoalition(a attack.Attack, rule gar.GAR, seed uint64, honest []WorkerConfig) (*worker.Coalition, error) {
+	shadows := make([]*worker.Pipeline, len(honest))
+	for i := range honest {
+		p, err := newPipeline(&honest[i])
+		if err != nil {
+			return nil, fmt.Errorf("cluster: adversary: %w", err)
+		}
+		shadows[i] = p
+	}
+	return worker.NewCoalition(a, randx.New(seed), rule, shadows), nil
+}
+
+// skipTo replays the stream consumption of the rounds before round that
+// this worker missed (worker.Pipeline.Skip), so the next live round is
+// bit-identical with a never-disconnected worker's; a Byzantine worker
+// draws nothing and only counts.
+func (st *workerState) skipTo(res *WorkerResult, round int) {
+	if gap := round - st.consumed; gap > 0 {
+		if st.pipe != nil {
+			st.pipe.Skip(gap)
+		}
+		st.consumed = round
+		res.FastForwarded += gap
+	}
 }
 
 // errConnLost distinguishes a recoverable transport failure (rejoin in
@@ -249,9 +239,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (*WorkerResult, error) {
 		cfg.Sleep = time.Sleep
 	}
 
-	st, err := newWorkerState(&cfg)
-	if err != nil {
-		return nil, err
+	st := &workerState{}
+	if cfg.Attack == nil {
+		var err error
+		if st.pipe, err = newPipeline(&cfg); err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
+		}
 	}
 	res := &WorkerResult{}
 	for {
@@ -344,10 +337,6 @@ func runSession(ctx context.Context, cfg *WorkerConfig, st *workerState, res *Wo
 			return fmt.Errorf("cluster: hello: %w", err)
 		}
 	}
-	// A new connection invalidates the adaptive attacker's broadcast
-	// continuity: the next delta would span the gap.
-	st.havePrev = false
-
 	for {
 		m, err := c.receive(time.Time{})
 		if err != nil {
@@ -367,9 +356,7 @@ func runSession(ctx context.Context, cfg *WorkerConfig, st *workerState, res *Wo
 			// Admission: the welcome's round tag is the cohort's stream
 			// position; replay the gap so the next live round is
 			// bit-identical with a never-disconnected worker's.
-			if gap := m.welcome.Round - st.consumed; gap > 0 {
-				st.skip(res, gap)
-			}
+			st.skipTo(res, m.welcome.Round)
 			continue
 		case msgParams:
 		default:
@@ -380,37 +367,19 @@ func runSession(ctx context.Context, cfg *WorkerConfig, st *workerState, res *Wo
 			res.keepFinal(params.Weights)
 			return nil
 		}
-		// A broadcast gap (partition-dropped frames, or admission without
-		// an explicit welcome after reconnecting while still a member)
-		// shows up as a skipped-ahead step: replay the missed rounds so
-		// the streams stay aligned with the cohort. Fixed-mode rounds are
-		// gapless, so this is a no-op there.
-		if cfg.Membership {
-			if params.Step < st.consumed {
-				// Duplicated or reordered broadcast for a round whose
-				// streams were already drawn: recomputing would desync the
-				// stream position, so skip it (idempotent round handling,
-				// mirroring the server's credit path).
-				continue
-			}
-			if gap := params.Step - st.consumed; gap > 0 {
-				st.skip(res, gap)
-			}
+		if params.Step < st.consumed {
+			// Duplicated or reordered broadcast for a round whose streams
+			// were already drawn: recomputing would desync the stream
+			// position, so skip it (idempotent round handling, mirroring
+			// the server's credit path).
+			continue
 		}
-		if st.adaptive != nil {
-			if st.havePrev {
-				invLR := 1.0
-				if cfg.LearningRate > 0 {
-					invLR = 1 / cfg.LearningRate
-				}
-				for j := range st.aggEstimate {
-					st.aggEstimate[j] = (st.prevParams[j] - params.Weights[j]) * invLR
-				}
-				st.adaptive.Observe(params.Step-1, st.aggEstimate, st.honestView)
-			}
-			copy(st.prevParams, params.Weights)
-			st.havePrev = true
-		}
+		// A broadcast gap (partition-dropped frames, admission without an
+		// explicit welcome after reconnecting while still a member, or a
+		// server resumed from a snapshot) shows up as a skipped-ahead step:
+		// replay the missed rounds so the streams stay aligned with the
+		// cohort.
+		st.skipTo(res, params.Step)
 
 		if cfg.RoundDelay > 0 {
 			select {
@@ -419,19 +388,18 @@ func runSession(ctx context.Context, cfg *WorkerConfig, st *workerState, res *Wo
 			case <-time.After(cfg.RoundDelay):
 			}
 		}
-		submission := st.pipe.Step(params.Weights)
-		st.consumed++
-		if cfg.Mechanism != nil && cfg.Accountant != nil {
-			cfg.Accountant.Record()
-		}
+		var submission []float64
 		if cfg.Attack != nil {
-			st.honestView[0] = submission
-			crafted, err := cfg.Attack.Craft(st.honestView, st.attackRng)
-			if err != nil {
+			if submission, err = cfg.Attack.Submission(params.Step, params.Weights); err != nil {
 				return fmt.Errorf("cluster: worker %d attack: %w", cfg.WorkerID, err)
 			}
-			submission = crafted
+		} else {
+			submission = st.pipe.Step(params.Weights)
+			if cfg.Mechanism != nil && cfg.Accountant != nil {
+				cfg.Accountant.Record()
+			}
 		}
+		st.consumed++
 
 		msg := Gradient{WorkerID: cfg.WorkerID, Step: params.Step, Grad: submission}
 		if err := c.sendGradient(msg, time.Now().Add(cfg.DialTimeout)); err != nil {

@@ -331,15 +331,14 @@ type runner struct {
 	commit      *round.Committer
 	history     *metrics.History
 	workers     []*worker.Pipeline
-	attackRng   *randx.Stream
-	adaptive    attack.AdaptiveAttack
+	adv         worker.Adversary
 	agg         []float64
 	submissions [][]float64
 	honest      [][]float64
 	predictor   model.Predictor
-	// fresh[i] is worker i's own submission of the step, kept apart from
-	// submissions[i], which delivery may repoint; honest is the
-	// fresh[computeFrom:] view.
+	// fresh[i] is worker i's own submission of the step — the crafted
+	// vector for a Byzantine worker — kept apart from submissions[i], which
+	// delivery may repoint; honest is the fresh[computeFrom:] view.
 	fresh [][]float64
 
 	// tracker and table are the round machine every frame goes through;
@@ -353,16 +352,13 @@ type runner struct {
 
 	// The arrival model (allocated only when cfg.Stragglers > 0).
 	// stale[i] buffers worker i's in-flight frame, hasPending marks it
-	// live, zeros pads missed slots, and crafted remembers the step's
-	// Byzantine vector so straggling Byzantine workers stash the right
-	// frame.
+	// live, and zeros pads missed slots.
 	stragglerRng *randx.Stream
 	stragglerIdx []int
 	isStraggler  []bool
 	stale        [][]float64
 	hasPending   []bool
 	zeros        []float64
-	crafted      []float64
 }
 
 // newRunner validates cfg and allocates every buffer the run will touch, so
@@ -380,7 +376,7 @@ func newRunner(cfg Config) (*runner, error) {
 		n:           n,
 		f:           cfg.GAR.F(),
 		workers:     make([]*worker.Pipeline, n),
-		attackRng:   root.Derive(worker.LabelAttack),
+		adv:         worker.NewAdversary(cfg.Attack, root),
 		agg:         make([]float64, d),
 		submissions: make([][]float64, n),
 		fresh:       make([][]float64, n),
@@ -401,19 +397,12 @@ func newRunner(cfg Config) (*runner, error) {
 	}
 	// The first f slots are the Byzantine workers; they also compute an
 	// honest gradient when no attack is configured (the paper's unattacked
-	// runs keep all n workers honest).
+	// runs keep all n workers honest). A GAR-aware attack line-searches
+	// against the server's own rule.
 	if cfg.Attack != nil {
 		r.computeFrom = r.f
-		// Stateful attackers observe every completed round; GAR-aware ones
-		// additionally get the server's rule to line-search against (the
-		// omniscient threat model of the simulator).
-		if aa, ok := cfg.Attack.(attack.AdaptiveAttack); ok {
-			r.adaptive = aa
-		}
-		if ga, ok := cfg.Attack.(attack.GARAware); ok {
-			ga.SetGAR(cfg.GAR)
-		}
 	}
+	r.adv.SetGAR(cfg.GAR)
 	r.honest = r.fresh[r.computeFrom:]
 	r.predictor, _ = cfg.Model.(model.Predictor)
 	r.rule = cfg.GAR
@@ -471,12 +460,7 @@ func newRunner(cfg Config) (*runner, error) {
 // stays valid while the run continues.
 func (r *runner) snapshot(st *checkpoint.RunState) {
 	st.Workers = make([]checkpoint.WorkerRunState, len(r.workers))
-	ar := r.attackRng.State()
-	st.AttackRng = &ar
-	if r.adaptive != nil {
-		as := r.adaptive.State()
-		st.Attack = &as
-	}
+	r.adv.Snapshot(st)
 	for i, wk := range r.workers {
 		ws := wk.State()
 		if r.cfg.Stragglers > 0 && r.hasPending[i] {
@@ -503,22 +487,8 @@ func (r *runner) restore(st *checkpoint.RunState) error {
 		return fmt.Errorf("simulate: resume has %d workers, config has %d",
 			len(st.Workers), len(r.workers))
 	}
-	if st.AttackRng != nil {
-		r.attackRng.SetState(*st.AttackRng)
-	}
-	if st.Attack != nil {
-		if r.adaptive == nil {
-			return errors.New("simulate: resume has adaptive attack state but the configured attack is stateless")
-		}
-		if err := r.adaptive.SetState(*st.Attack); err != nil {
-			return fmt.Errorf("simulate: resume attack state: %w", err)
-		}
-	} else if r.adaptive != nil && st.Step > 0 {
-		// The converse mismatch: every mid-run snapshot of an adaptive run
-		// carries attack state, so its absence means the snapshot belongs to
-		// a different scenario (or was truncated) — resuming would silently
-		// reset the attacker and break bit-identity.
-		return errors.New("simulate: adaptive attack configured but the snapshot carries no attack state")
+	if err := r.adv.Restore(st); err != nil {
+		return fmt.Errorf("simulate: %w", err)
 	}
 	for i, ws := range st.Workers {
 		if err := r.workers[i].SetState(ws); err != nil {
@@ -620,11 +590,7 @@ func (r *runner) stashStragglers() {
 			r.hasPending[i] = false
 			continue
 		}
-		fresh := r.fresh[i]
-		if i < r.f && r.crafted != nil {
-			fresh = r.crafted
-		}
-		copy(r.stale[i], fresh)
+		copy(r.stale[i], r.fresh[i])
 		r.hasPending[i] = true
 	}
 }
@@ -662,18 +628,16 @@ func (r *runner) step(step int) error {
 
 	// Byzantine submissions: every Byzantine worker sends the same crafted
 	// vector, per the collusion model of §5.1.
-	r.crafted = nil
 	if cfg.Attack != nil {
-		crafted, err := cfg.Attack.Craft(r.honest, r.attackRng)
+		crafted, err := r.adv.Craft(r.honest)
 		if err != nil {
 			return fmt.Errorf("simulate: step %d attack: %w", step, err)
 		}
 		for i := 0; i < r.f; i++ {
-			r.submissions[i] = crafted
+			r.fresh[i] = crafted
 		}
-		r.crafted = crafted
 	}
-	copy(r.submissions[r.computeFrom:], r.honest)
+	copy(r.submissions, r.fresh)
 	r.deliver(step)
 
 	if err := gar.AggregateInto(r.rule, r.agg, r.submissions); err != nil {
@@ -682,12 +646,8 @@ func (r *runner) step(step int) error {
 	if cfg.Stragglers > 0 {
 		r.stashStragglers()
 	}
-	// Stateful attackers observe the completed round: the accepted aggregate
-	// and the honest submissions it was crafted against. The nil check is the
-	// only cost for stateless runs, preserving the zero-allocation gate.
-	if r.adaptive != nil {
-		r.adaptive.Observe(step, r.agg, r.honest)
-	}
+	// A stateful attack observes the completed round's accepted aggregate.
+	r.adv.Observe(step, r.agg, r.honest)
 
 	return r.commit.Commit(step, r.agg)
 }
@@ -745,11 +705,8 @@ func (r *runner) enterEpoch(step int) error {
 			v.Epoch, g.N(), g.F(), v.N(), v.F)
 	}
 	r.rule = g
-	// GAR-aware attackers line-search against the server's live rule, so
-	// they track the epoch re-materialization exactly as on the cluster.
-	if ga, ok := r.cfg.Attack.(attack.GARAware); ok {
-		ga.SetGAR(g)
-	}
+	// A GAR-aware attack line-searches against the server's live rule.
+	r.adv.SetGAR(g)
 	return nil
 }
 

@@ -140,7 +140,7 @@ func observe(r *runner) oracleRound {
 			rec.sources[i] = fromZeros
 		case sameBuffer(s, r.stale[i]):
 			rec.sources[i] = fromStale
-		case sameBuffer(s, r.fresh[i]), i < r.f && sameBuffer(s, r.crafted):
+		case sameBuffer(s, r.fresh[i]): // a Byzantine worker's fresh frame is the crafted vector
 			rec.sources[i] = fromFresh
 		default:
 			rec.sources[i] = fromOther

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"sync"
 
-	"dpbyz/internal/attack"
 	"dpbyz/internal/cluster"
 	"dpbyz/internal/metrics"
+	"dpbyz/internal/worker"
 )
 
 // ClusterBackend executes a Spec in the networked parameter-server
@@ -20,10 +20,12 @@ import (
 // in-process equivalent; cross-process deployments use ServeSpec and
 // JoinSpec from one process per node.
 //
-// Unlike the local simulator's omniscient attacker, Byzantine workers here
-// observe only their own gradient estimate, and trajectories depend on
-// message timing — cluster runs converge to the same quality but are not
-// bit-comparable with local runs.
+// The first GAR.F workers share the run's one colluding adversary, which
+// recomputes the honest submissions from the broadcast parameters, so for a
+// fixed, synchronous cohort a Spec — attacked or not — ends on the same bits
+// as on LocalBackend. Under a quorum cut or membership churn the adversary
+// still crafts from the scheduled honest cohort, not from the set the server
+// accepts, and which submissions make a round depends on message timing.
 type ClusterBackend struct{}
 
 var _ Backend = (*ClusterBackend)(nil)
@@ -31,10 +33,9 @@ var _ Backend = (*ClusterBackend)(nil)
 // Name implements Backend.
 func (b *ClusterBackend) Name() string { return "cluster" }
 
-// workerConfig translates the Spec's worker half for worker id. The first
-// GAR.F workers are the Byzantine ones, matching the simulator's layout.
-func workerConfig(s *Spec, o *runOptions, m *materialized, id int, addr string) (cluster.WorkerConfig, error) {
-	cfg := cluster.WorkerConfig{
+// workerConfig translates the Spec's honest worker half for worker id.
+func workerConfig(s *Spec, o *runOptions, m *materialized, id int, addr string) cluster.WorkerConfig {
+	return cluster.WorkerConfig{
 		Addr:              addr,
 		Transport:         o.transport,
 		MaxFrameBytes:     o.maxFrameBytes,
@@ -48,31 +49,27 @@ func workerConfig(s *Spec, o *runOptions, m *materialized, id int, addr string) 
 		Momentum:          s.WorkerMomentum,
 		MomentumPostNoise: s.MomentumPostNoise,
 		Seed:              s.Seed,
-		LearningRate:      s.LearningRate,
 	}
-	if s.Attack != nil && id < s.GAR.F {
-		// Every Byzantine worker gets its own attack instance: adaptive
-		// attacks carry per-worker mutable state that must not be shared
-		// across worker goroutines. Construction cannot fail for a validated
-		// Spec, but a failure must surface rather than silently fall back to
-		// a shared (and then racy) instance.
-		a, err := attack.New(s.Attack.Name)
-		if err != nil {
-			return cluster.WorkerConfig{}, fmt.Errorf("spec: worker %d attack: %w", id, err)
-		}
-		if ga, ok := a.(attack.GARAware); ok {
-			// Its own rule too, not m.gar: the server goroutine and the other
-			// Byzantine workers aggregate concurrently, and a rule may be
-			// stateful (gar.Sketched builds its sketcher lazily).
-			rule, err := s.NewGARFactory()(s.GAR.N, s.GAR.F)
-			if err != nil {
-				return cluster.WorkerConfig{}, fmt.Errorf("spec: worker %d rule: %w", id, err)
-			}
-			ga.SetGAR(rule)
-		}
-		cfg.Attack = a
+}
+
+// coalition builds the Spec's one colluding adversary over the honest
+// workers [GAR.F, GAR.N) — the simulator's layout — or nil for an
+// unattacked Spec (Validate rejects an attack with GAR.F == 0). Its rule is its own, not m.gar: the server aggregates
+// concurrently, and a rule may be stateful (gar.Sketched builds its
+// sketcher lazily).
+func coalition(s *Spec, o *runOptions, m *materialized) (*worker.Coalition, error) {
+	if s.Attack == nil {
+		return nil, nil
 	}
-	return cfg, nil
+	rule, err := s.NewGARFactory()(s.GAR.N, s.GAR.F)
+	if err != nil {
+		return nil, fmt.Errorf("spec: adversary rule: %w", err)
+	}
+	honest := make([]cluster.WorkerConfig, s.GAR.N-s.GAR.F)
+	for i := range honest {
+		honest[i] = workerConfig(s, o, m, s.GAR.F+i, "")
+	}
+	return cluster.NewCoalition(m.attack, rule, s.Seed, honest)
 }
 
 // bindServer is the server half every cluster entry point shares: translate
@@ -183,38 +180,39 @@ func (b *ClusterBackend) Run(ctx context.Context, s Spec, opts ...Option) (*Resu
 		}
 	}
 
+	// Build the adversary before the server binds: an error (unreachable
+	// for a validated Spec, but load-bearing if the registries ever drift)
+	// must fail the run up front, not leave the server waiting forever for
+	// a worker that will never say hello.
+	adv, err := coalition(&s, o, m)
+	if err != nil {
+		return nil, err
+	}
 	srv, done, err := bindServer(&s, o, m, b.Name())
 	if err != nil || done != nil {
 		return done, err
 	}
 
-	// Build every worker config before any worker dials: a config error
-	// (unreachable for a validated Spec, but load-bearing if the registries
-	// ever drift) must fail the run up front, not leave the server waiting
-	// forever for a worker that will never say hello.
-	n := s.GAR.N
-	workerCfgs := make([]cluster.WorkerConfig, n)
-	for i := 0; i < n; i++ {
-		if workerCfgs[i], err = workerConfig(&s, o, m, i, srv.Addr()); err != nil {
-			_ = srv.Close()
-			return nil, err
-		}
-	}
 	workerCtx, stopWorkers := context.WithCancel(ctx)
 	defer stopWorkers()
+	n := s.GAR.N
 	rounds := make([]int, n)
 	workerErrs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for id := 0; id < n; id++ {
+		cfg := workerConfig(&s, o, m, id, srv.Addr())
+		if id < s.GAR.F {
+			cfg.Attack = adv
+		}
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
-			res, err := cluster.RunWorker(workerCtx, workerCfgs[id])
+			res, err := cluster.RunWorker(workerCtx, cfg)
 			if res != nil {
 				rounds[id] = res.Rounds
 			}
 			workerErrs[id] = err
-		}(i)
+		}()
 	}
 
 	res, runErr := srv.Run(ctx)
@@ -283,9 +281,13 @@ func JoinSpec(ctx context.Context, s Spec, workerID int, opts ...Option) (*clust
 	if addr == "" {
 		addr = "127.0.0.1:7001"
 	}
-	cfg, err := workerConfig(&s, o, m, workerID, addr)
-	if err != nil {
-		return nil, err
+	cfg := workerConfig(&s, o, m, workerID, addr)
+	if workerID < s.GAR.F {
+		// A Byzantine process builds its own copy of the adversary, identical
+		// to every other's because it is deterministic.
+		if cfg.Attack, err = coalition(&s, o, m); err != nil {
+			return nil, err
+		}
 	}
 	return cluster.RunWorker(ctx, cfg)
 }

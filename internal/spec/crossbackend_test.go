@@ -2,6 +2,7 @@ package spec
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 // tension, expressed once as a Spec and executed everywhere. The batch size
 // and ε sit in the survivable region of the VN condition (b = 50 keeps the
 // per-step noise σ ∝ 1/(bε) small enough for trimmed mean to withstand the
-// omniscient ALIE), so both backends are expected to actually converge.
+// omniscient ALIE), so the run is expected to actually converge.
 func scenario() Spec {
 	return Spec{
 		Name:           "crossbackend",
@@ -34,8 +35,7 @@ func scenario() Spec {
 
 // checkConverged asserts a run actually learned: the loss fell well below
 // its starting value and the trajectory stayed finite. The thresholds are
-// loose — the point is "both backends train this scenario", not matching
-// exact trajectories (cluster noise streams and timing differ by design).
+// loose — the point is "this scenario trains", not an exact trajectory.
 func checkConverged(t *testing.T, label string, res *Result, lossAt0, lossFloor float64) {
 	t.Helper()
 	if !allFinite(res.Params) {
@@ -51,9 +51,12 @@ func checkConverged(t *testing.T, label string, res *Result, lossAt0, lossFloor 
 	}
 }
 
-// The same Spec must train on the in-process simulator and on a cluster
-// over a ChanTransport, with exactly balanced delivery accounting on the
-// cluster side.
+// The same Spec must be the same run on the in-process simulator and on a
+// cluster over a ChanTransport, with exactly balanced delivery accounting on
+// the cluster side. The Spec domain is a fixed, synchronous cohort (no
+// membership churn, no quorum cut): there the cluster's Byzantine workers
+// submit the one colluding adversary's vector, crafted from the same honest
+// submissions the simulator sees, so the final parameters are bit-equal.
 func TestCrossBackendScenario(t *testing.T) {
 	s := scenario()
 	ctx := context.Background()
@@ -74,10 +77,11 @@ func TestCrossBackendScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The server's Loss column is the aggregate-norm proxy, not a data
-	// loss; measure convergence by evaluating the returned model instead.
-	if !allFinite(dist.Params) {
-		t.Fatal("cluster: non-finite final params")
+	for i := range local.Params {
+		if math.Float64bits(dist.Params[i]) != math.Float64bits(local.Params[i]) {
+			t.Fatalf("cluster param %d = %v, local %v: the backends ran different trajectories",
+				i, dist.Params[i], local.Params[i])
+		}
 	}
 	if dist.Backend != "cluster" || dist.Cluster == nil {
 		t.Fatalf("cluster result mislabelled: %+v", dist)
@@ -102,21 +106,16 @@ func TestCrossBackendScenario(t *testing.T) {
 		}
 	}
 
-	// Both models must actually have learned the task: evaluate each on the
-	// same held-out split the spec defines.
+	// The model must actually have learned the task: evaluate it on the
+	// held-out split the spec defines. Converged means clearly below the
+	// p=1/2 indifference loss of 0.25.
 	m, err := s.materialize(&runOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	localLoss := m.model.Loss(local.Params, m.test.Points())
-	distLoss := m.model.Loss(dist.Params, m.test.Points())
-	// Converged means clearly below the p=1/2 indifference loss of 0.25;
-	// both backends land near 0.12 with margin at these hyperparameters.
-	if localLoss > 0.2 || distLoss > 0.2 {
-		t.Errorf("held-out losses local=%v cluster=%v, want both ≤ 0.2", localLoss, distLoss)
+	if loss := m.model.Loss(local.Params, m.test.Points()); loss > 0.2 {
+		t.Errorf("held-out loss %v, want ≤ 0.2", loss)
 	}
-	t.Logf("held-out loss: local=%.4f cluster=%.4f (accepted=%d missed=%d)",
-		localLoss, distLoss, st.Accepted, st.Missed)
 }
 
 // The same Spec also runs over an adversarial ChanTransport — the chaos

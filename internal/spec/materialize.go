@@ -193,7 +193,7 @@ func (s *Spec) materializeFrom(o *runOptions, build func() (train, test *data.Da
 	if s.Attack != nil {
 		// Rule injection for GAR-aware attacks happens at the consumer: the
 		// simulate runner arms m.attack with its rule, and the cluster path
-		// builds per-worker instances (workerConfig) with their own rule.
+		// hands it to the run's one adversary (coalition) with its own rule.
 		m.attack, err = attack.New(s.Attack.Name)
 		if err != nil {
 			return nil, err

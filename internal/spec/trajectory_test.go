@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dpbyz/internal/attack"
 	"dpbyz/internal/checkpoint"
 )
 
@@ -21,27 +22,33 @@ type trajectoryPin struct {
 }
 
 // trajectoryPins pins four small Specs on the local backend, on the cluster
-// backend over a ChanTransport, and on the local backend resumed from a
-// snapshot at step trajectoryResumeAt. The constants were printed by this
-// test at commit c8f21a9, before the commit step shared by both round loops
+// backend over a ChanTransport, and on both backends resumed from a snapshot
+// at step trajectoryResumeAt. The local constants were printed by this test
+// at commit c8f21a9, before the commit step shared by both round loops
 // existed, and must not be edited by a refactor that means to keep the bits.
+// The cluster constants were printed once the cluster's Byzantine workers
+// ran the simulator's colluding adversary; each equals its local twin.
 // The quorum Spec has no cluster pin: its commit cut takes the first
 // n − f − s arrivals, so which submissions make a round depends on timing.
-// A resumed fully synchronous run counts only its own segment's accepted
-// submissions (84 = 12 rounds × 7) outside the per-epoch ledgers, which
-// carry across the snapshot; the pin records that as it is.
+// The momentumPostNoise Spec has no resumed cluster pin: a cluster snapshot
+// carries no worker momentum. A resumed fully synchronous run counts only
+// its own segment's accepted submissions (84 = 12 rounds × 7) outside the
+// per-epoch ledgers, which carry across the snapshot; the pins record that
+// as it is.
 var trajectoryPins = map[string]trajectoryPin{
 	"plain/local":               {params: 0x7b10ea971caeeb27},
 	"plain/resumed":             {params: 0x7b10ea971caeeb27},
-	"plain/cluster":             {params: 0xa5f71cd67170a291, ledger: [4]int{140, 0, 0, 0}},
+	"plain/cluster":             {params: 0x7b10ea971caeeb27, ledger: [4]int{140, 0, 0, 0}},
+	"plain/clusterResumed":      {params: 0x7b10ea971caeeb27, ledger: [4]int{84, 0, 0, 0}},
 	"quorum+credit/local":       {params: 0xc9d09a92798d5247, ledger: [4]int{122, 18, 17, 19}},
 	"quorum+credit/resumed":     {params: 0xc9d09a92798d5247, ledger: [4]int{122, 18, 17, 19}},
 	"membership/local":          {params: 0x7b10ea971caeeb27, ledger: [4]int{140, 0, 0, 0}},
 	"membership/resumed":        {params: 0x7b10ea971caeeb27, ledger: [4]int{84, 0, 0, 0}},
-	"membership/cluster":        {params: 0xa5f71cd67170a291, ledger: [4]int{140, 0, 0, 0}},
+	"membership/cluster":        {params: 0x7b10ea971caeeb27, ledger: [4]int{140, 0, 0, 0}},
+	"membership/clusterResumed": {params: 0x7b10ea971caeeb27, ledger: [4]int{84, 0, 0, 0}},
 	"momentumPostNoise/local":   {params: 0x3fe3bbe8ffeb061b},
 	"momentumPostNoise/resumed": {params: 0x3fe3bbe8ffeb061b},
-	"momentumPostNoise/cluster": {params: 0x3213be7a663364b9, ledger: [4]int{140, 0, 0, 0}},
+	"momentumPostNoise/cluster": {params: 0x3fe3bbe8ffeb061b, ledger: [4]int{140, 0, 0, 0}},
 }
 
 // trajectoryResumeAt is the snapshot step the resumed runs restart from;
@@ -114,28 +121,35 @@ func TestTrajectoryPins(t *testing.T) {
 			}
 		}
 
+		// resume runs s on b with a snapshot taken at trajectoryResumeAt,
+		// then resumes a second run from it.
+		resume := func(b Backend) *Result {
+			t.Helper()
+			var snap *checkpoint.RunState
+			if _, err := b.Run(ctx, s, WithSnapshotFunc(func(st *checkpoint.RunState) error {
+				if st.Step == trajectoryResumeAt {
+					snap = st
+				}
+				return nil
+			}, trajectoryResumeAt)); err != nil {
+				t.Fatalf("%s %s checkpointed: %v", name, b.Name(), err)
+			}
+			if snap == nil {
+				t.Fatalf("%s %s: no snapshot at step %d", name, b.Name(), trajectoryResumeAt)
+			}
+			res, err := b.Run(ctx, s, WithResume(snap))
+			if err != nil {
+				t.Fatalf("%s %s resumed: %v", name, b.Name(), err)
+			}
+			return res
+		}
+
 		local, err := (&LocalBackend{}).Run(ctx, s)
 		if err != nil {
 			t.Fatalf("%s local: %v", name, err)
 		}
 		check(name+"/local", local)
-
-		var snap *checkpoint.RunState
-		if _, err := (&LocalBackend{}).Run(ctx, s, WithSnapshotFunc(func(st *checkpoint.RunState) error {
-			if st.Step == trajectoryResumeAt {
-				snap = st
-			}
-			return nil
-		}, trajectoryResumeAt)); err != nil {
-			t.Fatalf("%s checkpointed: %v", name, err)
-		}
-		if snap == nil {
-			t.Fatalf("%s: no snapshot at step %d", name, trajectoryResumeAt)
-		}
-		resumed, err := (&LocalBackend{}).Run(ctx, s, WithResume(snap))
-		if err != nil {
-			t.Fatalf("%s resumed: %v", name, err)
-		}
+		resumed := resume(&LocalBackend{})
 		check(name+"/resumed", resumed)
 		if pinOf(resumed).params != pinOf(local).params {
 			t.Errorf("%s: resumed params are not the uninterrupted run's", name)
@@ -149,6 +163,9 @@ func TestTrajectoryPins(t *testing.T) {
 			t.Fatalf("%s cluster: %v", name, err)
 		}
 		check(name+"/cluster", dist)
+		if s.WorkerMomentum == 0 {
+			check(name+"/clusterResumed", resume(&ClusterBackend{}))
+		}
 	}
 }
 
@@ -156,4 +173,30 @@ func TestTrajectoryPins(t *testing.T) {
 func (p trajectoryPin) GoString() string {
 	return fmt.Sprintf("trajectoryPin{params: %#016x, ledger: [4]int{%d, %d, %d, %d}}",
 		p.params, p.ledger[0], p.ledger[1], p.ledger[2], p.ledger[3])
+}
+
+// TestAttackParityAcrossBackends holds every registered attack to the
+// paper's one colluding adversary on both backends: on the plain trajectory
+// Spec (a fixed, synchronous cohort) the local and the cluster run must end
+// on the same bits. A newly registered attack the cluster cannot replay
+// fails here.
+func TestAttackParityAcrossBackends(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range attack.Names() {
+		t.Run(name, func(t *testing.T) {
+			s := trajectorySpecs()["plain"]
+			s.Attack = &AttackSpec{Name: name}
+			local, err := (&LocalBackend{}).Run(ctx, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dist, err := (&ClusterBackend{}).Run(ctx, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := pinOf(dist).params, pinOf(local).params; got != want {
+				t.Errorf("cluster params %#016x, local %#016x", got, want)
+			}
+		})
+	}
 }

@@ -6,9 +6,11 @@
 // backends because it is the same code, and a rejoining worker's replay
 // (Skip) lives next to the draws it has to mirror.
 //
-// What a round does with the submission — privacy accounting, crafting a
-// Byzantine vector from it, feeding an adaptive attacker — stays with the
-// caller.
+// The paper's colluding Byzantine coalition is written once here too:
+// Adversary crafts the round's one Byzantine vector from the honest
+// submissions, and Coalition recomputes those submissions with shadow
+// pipelines for a cluster, whose Byzantine workers hold none. Privacy
+// accounting stays with the caller.
 //
 //dpbyz:deterministic
 package worker
@@ -28,8 +30,8 @@ import (
 
 // Stream-derivation labels under a run's root stream, one per purpose so
 // that adding a consumer never perturbs existing ones. Batch and noise
-// streams are derived per worker id by New; the attack stream belongs to
-// whoever crafts the Byzantine vector.
+// streams are derived per worker id by New; the run's one attack stream is
+// the Adversary's.
 const (
 	LabelBatch uint64 = iota + 1
 	LabelNoise
