@@ -69,8 +69,11 @@
 // per-step metrics (JSONL, progress, or an in-memory History sink; with no
 // observer installed the local hot path stays zero-allocation),
 // WithCheckpointFile snapshots resumable state every k steps, and
-// WithResumeFile continues an interrupted run — on the local backend the
-// resumed trajectory is bit-identical to the uninterrupted one.
+// WithResumeFile continues an interrupted run — the resumed params and
+// ledger are the uninterrupted run's on the local backend, and on the
+// cluster backend for a fixed, synchronous cohort (a cluster resume that
+// could not be exact, one with worker momentum, fails with
+// spec.ErrInexactResume).
 //
 // # Scenario matrix: heterogeneous data and adaptive attacks
 //
@@ -94,10 +97,10 @@
 //     its factor against the server's actual rule each step) and "drift"
 //     (accumulates past aggregates and pushes persistently against the
 //     descent history). Adaptive attacks observe every completed round and
-//     their mutable state rides through local-backend checkpoints, so
-//     interrupted LocalBackend runs resume bit-identically (cluster
-//     snapshots carry only server-side state — the adversary's attack
-//     state, like every worker-local buffer there, restarts on resume).
+//     their mutable state rides through checkpoints, so interrupted
+//     LocalBackend and ClusterBackend runs resume bit-identically (a
+//     cross-process dpbyz-server snapshot has no adversary half: its
+//     Byzantine processes restart the attack on resume).
 //     Both backends run one colluding adversary: on the cluster the f
 //     Byzantine workers share it, and it recomputes the round's honest
 //     submissions from the broadcast parameters, so an attacked Spec with a
@@ -226,9 +229,11 @@
 //
 // The local backend runs the same tracker and slot table on a fixed cohort
 // that never churns or evicts: every frame of its seed-drawn arrival model
-// is delivered to the table, which decides and books it, and a resume
-// re-enters the snapshot's epoch through SlotTable.Resume, which rejects
-// books (RunState.Membership) that do not fit the configured cohort. A
+// is delivered to the table, which decides and books it. The table's epoch
+// books are the run's one delivery ledger and ride in every snapshot
+// (RunState.Membership); on either backend a resume re-enters the
+// snapshot's epoch through SlotTable.Restore, which rejects books that do
+// not fit the configured population. A
 // membership Spec runs bit-identically there, while actual churn
 // (join/leave/rejoin) exercises the cluster backend:
 //

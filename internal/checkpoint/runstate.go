@@ -14,11 +14,16 @@ import (
 )
 
 // RunStateVersion identifies the mid-run snapshot schema; bump on breaking
-// change. Version 1 stream states carried the Box-Muller spare cache
-// (spare/hasSpare), which no sampler reads any more: a v1 snapshot is
-// rejected by ErrBadRunStateVersion rather than resumed with the field
-// dropped.
-const RunStateVersion = 2
+// change. Version 3 made the epoch books (Membership) the run's only ledger
+// and dropped the copies version 2 kept beside them — the quorum's accepted
+// and missed totals and the membership's epoch, view and f — so a version-2
+// reader refuses it by version. A version-2 snapshot still loads: the
+// dropped fields are ignored, its books (when it has any) are restored as
+// written, and one without books resumes counting the ledger from its step.
+// Version 1 stream states carried the Box-Muller spare cache (spare /
+// hasSpare), which no sampler reads any more: a v1 snapshot is rejected by
+// ErrBadRunStateVersion rather than resumed with the field dropped.
+const RunStateVersion = 3
 
 // WorkerRunState is one simulated worker's resumable state: its two
 // randomness streams and (when worker momentum is enabled) the momentum
@@ -38,42 +43,39 @@ type WorkerRunState struct {
 }
 
 // QuorumRunState is the bounded-staleness round state of a local-backend
-// run: the straggler-draw stream position and the delivery counters, so a
-// resumed run's straggler sets and accounting are bit-identical to the
-// uninterrupted run's.
+// run: the straggler-draw stream position and the two counters the epoch
+// books do not hold, so a resumed run's straggler sets and accounting are
+// bit-identical to the uninterrupted run's.
 type QuorumRunState struct {
 	// StragglerRng is the straggler-set sampling stream position.
 	StragglerRng randx.StreamState `json:"stragglerRng"`
-	// Accepted/Missed/Discarded/Credited carry the delivery accounting up
-	// to the snapshot step (Accepted + Missed == n × Step).
-	Accepted  int `json:"accepted"`
-	Missed    int `json:"missed"`
+	// Discarded and Credited count the frames discarded and the accepted
+	// frames credited a round late, up to the snapshot step.
 	Discarded int `json:"discarded"`
 	Credited  int `json:"credited"`
 }
 
-// MembershipRunState is the epoched-membership position of a run: the
-// current epoch's frozen view and every epoch's ledger so far. Restoring
-// it re-enters the interrupted epoch with the same view, the same
-// re-derived f, and books that still balance Accepted_e + Missed_e ==
-// n_e × rounds_e across the interrupt.
+// MembershipRunState is the slot table's delivery ledger at the snapshot:
+// every epoch's books, the open one last, and the missed streaks of the
+// open epoch's members. Restoring it (round.Committer.Restore) re-enters
+// the interrupted epoch with the same view and f, and the run's Accepted
+// and Missed totals are the sums of the books.
 type MembershipRunState struct {
-	// Epoch is the current epoch index at the snapshot step.
-	Epoch int `json:"epoch"`
-	// View is the current epoch's frozen member view (sorted worker ids).
-	View []int `json:"view"`
-	// F is the current epoch's Byzantine allowance ⌊FRatio·n⌋.
-	F int `json:"f"`
 	// Epochs carries the per-epoch ledgers up to the snapshot, the
 	// in-progress epoch last (its Rounds count only the completed rounds).
 	Epochs []membership.EpochStat `json:"epochs,omitempty"`
+	// Streaks holds the consecutive missed rounds of each member of the last
+	// epoch's view, in view order (absent in snapshots that predate it:
+	// all zero).
+	Streaks []int `json:"streaks,omitempty"`
 }
 
 // RunState is a mid-run training snapshot taken at a step boundary: enough
-// state to resume the run and produce bit-identical results (for the
-// in-process backend, whose execution is a pure function of this state) or
-// to continue server-side training from the captured parameters (for the
-// networked backend, whose workers hold their own state).
+// state to resume the run and produce bit-identical results. The local
+// backend's execution is a pure function of it. A cluster snapshot carries
+// the server's half, the ledger and (from the in-process cluster backend)
+// the adversary's half; its workers replay their own streams to the
+// snapshot step, which is exact unless they keep worker momentum.
 type RunState struct {
 	// Version is the schema version (RunStateVersion at write time).
 	Version int `json:"version"`
@@ -88,32 +90,42 @@ type RunState struct {
 	Params []float64 `json:"params"`
 	// Velocity is the server-side momentum buffer.
 	Velocity []float64 `json:"velocity,omitempty"`
-	// AttackRng is the shared attack stream position (local backend only).
+	// AttackRng is the colluding adversary's attack stream position, written
+	// by the local backend and by the in-process cluster backend (absent
+	// from a cross-process server's snapshots).
 	AttackRng *randx.StreamState `json:"attackRng,omitempty"`
 	// Attack is the adaptive attack's mutable state (absent for stateless
 	// attacks and unattacked runs); restoring it makes the resumed attacker's
-	// Craft sequence bit-identical to the uninterrupted run's.
+	// Craft sequence bit-identical to the uninterrupted run's. Written where
+	// AttackRng is.
 	Attack *attack.State `json:"attack,omitempty"`
-	// Workers holds the per-worker resumable state (local backend only; the
-	// networked backend's workers own their state in their own processes).
+	// Workers holds the per-worker resumable state (local backend only; a
+	// cluster's workers replay their streams instead, and a cluster refuses
+	// to resume a run with worker momentum).
 	Workers []WorkerRunState `json:"workers,omitempty"`
 	// Quorum holds the bounded-staleness round state (local backend only,
 	// absent for fully synchronous runs).
 	Quorum *QuorumRunState `json:"quorum,omitempty"`
-	// Membership holds the epoched-membership position (absent for
-	// fixed-cohort runs).
+	// Membership holds the delivery ledger, on both backends and for fixed
+	// cohorts too (one epoch); absent before the first committed round.
 	Membership *MembershipRunState `json:"membership,omitempty"`
 }
 
-// Run-state validation errors.
+// Run-state errors, matchable with errors.Is.
 var (
 	ErrBadRunStateVersion = errors.New("checkpoint: unsupported run-state version")
 	ErrBadStep            = errors.New("checkpoint: negative step")
+	// ErrUndecodable reports a snapshot that is not a run-state document:
+	// truncated, empty or not JSON.
+	ErrUndecodable = errors.New("checkpoint: undecodable run state")
+	// ErrSpecMismatch reports a snapshot written by another backend or for
+	// another Spec than the run resuming it.
+	ErrSpecMismatch = errors.New("checkpoint: snapshot belongs to another run")
 )
 
 // Validate checks structural invariants after decode.
 func (s *RunState) Validate() error {
-	if s.Version != RunStateVersion {
+	if s.Version < 2 || s.Version > RunStateVersion {
 		return fmt.Errorf("%w: %d", ErrBadRunStateVersion, s.Version)
 	}
 	if s.Step < 0 {
@@ -140,25 +152,14 @@ func (s *RunState) Validate() error {
 				i, len(w.Stale), len(s.Params))
 		}
 	}
-	if q := s.Quorum; q != nil {
-		if q.Accepted < 0 || q.Missed < 0 || q.Discarded < 0 || q.Credited < 0 {
-			return errors.New("checkpoint: negative quorum accounting counter")
-		}
+	if q := s.Quorum; q != nil && (q.Discarded < 0 || q.Credited < 0) {
+		return errors.New("checkpoint: negative quorum accounting counter")
 	}
 	if m := s.Membership; m != nil {
-		if m.Epoch < 0 {
-			return fmt.Errorf("checkpoint: negative epoch %d", m.Epoch)
-		}
-		for i, id := range m.View {
-			if id < 0 {
-				return fmt.Errorf("checkpoint: negative worker id in view")
-			}
-			if i > 0 && m.View[i-1] >= id {
-				return errors.New("checkpoint: membership view not strictly sorted")
-			}
-		}
 		// Every epoch's ledger — the partial current one included — must
-		// balance: each completed round contributes exactly n_e slots.
+		// balance: each completed round contributes exactly n_e slots. Whether
+		// the views and streaks fit the run's population is the slot table's
+		// check (membership.SlotTable.Restore).
 		if err := membership.BalanceEpochs(m.Epochs); err != nil {
 			return fmt.Errorf("checkpoint: %w", err)
 		}
@@ -167,16 +168,17 @@ func (s *RunState) Validate() error {
 }
 
 // CheckSpec verifies the snapshot belongs to the given backend and spec
-// document, so a resume cannot silently continue a different scenario.
-// Either side may be absent (empty), in which case that check is skipped;
-// spec documents are compared structurally (whitespace-insensitive).
+// document, so a resume cannot silently continue a different scenario; a
+// mismatch wraps ErrSpecMismatch. Either side may be absent (empty), in
+// which case that check is skipped; spec documents are compared
+// structurally (whitespace-insensitive).
 func (s *RunState) CheckSpec(backend string, specJSON []byte) error {
 	if s.Backend != "" && backend != "" && s.Backend != backend {
-		return fmt.Errorf("checkpoint: snapshot written by backend %q, resuming on %q",
-			s.Backend, backend)
+		return fmt.Errorf("%w: written by backend %q, resuming on %q",
+			ErrSpecMismatch, s.Backend, backend)
 	}
 	if len(s.Spec) > 0 && len(specJSON) > 0 && !jsonEqual(s.Spec, specJSON) {
-		return errors.New("checkpoint: snapshot belongs to a different spec")
+		return fmt.Errorf("%w: written for a different spec", ErrSpecMismatch)
 	}
 	return nil
 }
@@ -197,7 +199,7 @@ func jsonEqual(a, b []byte) bool {
 func ReadRunState(r io.Reader) (*RunState, error) {
 	var s RunState
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode run state: %w", err)
+		return nil, fmt.Errorf("%w: %v", ErrUndecodable, err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

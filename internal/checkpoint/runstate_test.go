@@ -81,6 +81,21 @@ func TestReadRunStateRejectsV1(t *testing.T) {
 	}
 }
 
+// A version-2 snapshot still loads: the copies of the ledger it kept beside
+// the epoch books are ignored, and the books come through as written.
+func TestReadRunStateLoadsV2(t *testing.T) {
+	const v2 = `{"version":2,"step":3,"params":[0.5],` +
+		`"quorum":{"stragglerRng":{"s":[1,2,3,4]},"accepted":5,"missed":1,"discarded":2,"credited":1},` +
+		`"membership":{"epoch":0,"view":[0,1],"f":0,"epochs":[{"epoch":0,"n":2,"f":0,"rounds":3,"accepted":5,"missed":1,"view":[0,1]}]}}`
+	st, err := ReadRunState(strings.NewReader(v2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, m := st.Quorum, st.Membership; q.Discarded != 2 || q.Credited != 1 || len(m.Epochs) != 1 || m.Epochs[0].Accepted != 5 || m.Streaks != nil {
+		t.Errorf("v2 snapshot read as quorum %+v, membership %+v", q, m)
+	}
+}
+
 func TestRunStateCheckSpec(t *testing.T) {
 	s := sampleRunState()
 	if err := s.CheckSpec("local", []byte(`{"version":1,"steps":60}`)); err != nil {

@@ -71,10 +71,16 @@ type ServerConfig struct {
 
 	// Resume, when non-nil, continues a run from a snapshot written by
 	// SnapshotFunc: the first broadcast carries Resume.Step, only the rounds
-	// from there to Steps execute, and the snapshot's params and velocity
-	// replace InitParams and the zero momentum buffer. NewServer rejects a
-	// snapshot that fails validation, has another dimension or lies beyond
-	// Steps. Workers keep their own state, so only the server resumes exactly.
+	// from there to Steps execute, the snapshot's params and velocity
+	// replace InitParams and the zero momentum buffer, and the run re-enters
+	// the snapshot's open epoch with its books (round.Committer.Restore).
+	// The workers that reconnect are that epoch's view; the gather waits for
+	// MinWorkers of them, and a member that never returns is mute until the
+	// next boundary evicts it. Workers replay their streams to the first
+	// broadcast, so the run continues exactly unless they keep worker
+	// momentum, which no snapshot holds. NewServer rejects a snapshot that
+	// fails validation, has another dimension, lies beyond Steps or carries
+	// books that do not fit the population.
 	Resume *checkpoint.RunState
 	// StepHook, when non-nil, is invoked after every completed round with
 	// the round's metric record and a read-only view of the current
@@ -83,9 +89,9 @@ type ServerConfig struct {
 	StepHook func(rec metrics.StepRecord, params []float64) error
 	// SnapshotEvery, when positive together with SnapshotFunc, captures the
 	// server's resumable state every k completed rounds (and after the final
-	// round). Cluster snapshots carry only server-side state — parameters,
-	// velocity, completed step count — because worker state lives in the
-	// worker processes.
+	// round): parameters, velocity, completed step count and the epoch books
+	// with the open view's missed streaks. Worker state lives in the worker
+	// processes and is not in it.
 	SnapshotEvery int
 	// SnapshotFunc receives each periodic snapshot, whose buffers are
 	// copies; a non-nil error aborts the run.
@@ -209,8 +215,8 @@ type ServerResult struct {
 	History *metrics.History
 	// MissedGradients counts (worker, round) pairs that timed out and were
 	// replaced by zero vectors. AcceptedGradients + MissedGradients equals
-	// exactly N × the rounds this run executed: Steps, or Steps−Resume.Step
-	// for a resumed run.
+	// exactly Σ N_e × rounds_e over the run, a resumed run's snapshot books
+	// included. Both are sums of the epoch books.
 	MissedGradients int
 	// AcceptedGradients counts submissions that entered aggregation.
 	AcceptedGradients int
@@ -220,6 +226,7 @@ type ServerResult struct {
 	DiscardedSubmissions int
 	// CreditedGradients counts accepted submissions that were one round
 	// stale and credited under LateCredit (a subset of AcceptedGradients).
+	// It restarts at a resume: a cluster snapshot does not carry it.
 	CreditedGradients int
 	// Epochs holds the per-epoch membership books (Membership configs only;
 	// a fixed cohort's single epoch is the totals above). Over a completed
@@ -280,6 +287,8 @@ const logHandshaken = "worker %d handshaken"
 type Server struct {
 	cfg      ServerConfig
 	plan     roundPlan
+	tracker  *membership.Tracker
+	table    *membership.SlotTable
 	commit   *round.Committer
 	listener Listener
 	logf     func(string, ...any)
@@ -297,11 +306,18 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Transport == nil {
 		cfg.Transport = DefaultTransport
 	}
+	plan := newRoundPlan(&cfg)
+	tracker, err := membership.NewTracker(plan.members)
+	if err != nil {
+		return nil, err
+	}
+	table := membership.NewSlotTable(tracker, cfg.LateCredit)
 	commit, err := round.New(round.Config{
 		Name: "cluster", Unit: "round", Dim: cfg.Dim, Steps: cfg.Steps,
 		Momentum: cfg.Momentum, Rate: func(int) float64 { return cfg.LearningRate },
 		InitParams: cfg.InitParams, Resume: cfg.Resume, Measure: aggNormRecord,
 		Hook: cfg.StepHook, SnapshotEvery: cfg.SnapshotEvery, SnapshotFunc: cfg.SnapshotFunc,
+		Table: table,
 	})
 	if err != nil {
 		return nil, err
@@ -314,7 +330,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Server{cfg: cfg, plan: newRoundPlan(&cfg), commit: commit, listener: ln, logf: logf}, nil
+	return &Server{cfg: cfg, plan: plan, tracker: tracker, table: table, commit: commit, listener: ln, logf: logf}, nil
 }
 
 // aggNormRecord is the server's step record. The server holds no data and
@@ -355,12 +371,7 @@ func (s *Server) Close() error { return s.listener.Close() }
 // one final snapshot.
 func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 	defer s.listener.Close()
-	plan := s.plan
-	tracker, err := membership.NewTracker(plan.members)
-	if err != nil {
-		return nil, err
-	}
-	table := membership.NewSlotTable(tracker, s.cfg.LateCredit)
+	plan, tracker, table := s.plan, s.tracker, s.table
 	reg := newMemberRegistry(tracker)
 
 	var discarded atomic.Int64
@@ -456,8 +467,11 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 	}
 	defer shutdown()
 
-	// Gather phase: the run starts once the floor population has handshaken.
-	for tracker.Population() < plan.members.MinWorkers {
+	// Gather phase: the run starts once the floor population has handshaken
+	// (a completed run resumed from its final snapshot has no round to wait
+	// for).
+	start := s.commit.Start()
+	for start < s.cfg.Steps && tracker.Population() < plan.members.MinWorkers {
 		select {
 		case <-reg.notify:
 		case <-ctx.Done():
@@ -486,10 +500,16 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 		submissions = make([][]float64, 0, plan.members.MaxWorkers)
 		owners      = make([]*workerConn, 0, plan.members.MaxWorkers)
 	)
-	boundary := func(step int) error {
-		v, admitted, evicted, err := table.Advance()
-		if err != nil {
-			return fmt.Errorf("cluster: round %d boundary: %w", step, err)
+	// enterEpoch lays out the epoch step runs under. At a boundary, or on a
+	// table no snapshot restored, the slot table advances the view; a
+	// resumed run's first round re-enters the snapshot's open epoch.
+	enterEpoch := func(step int) (err error) {
+		v := tracker.View()
+		var admitted, evicted []int
+		if step%plan.members.EpochRounds == 0 || v.N() == 0 {
+			if v, admitted, evicted, err = table.Advance(); err != nil {
+				return fmt.Errorf("cluster: round %d boundary: %w", step, err)
+			}
 		}
 		for _, id := range evicted {
 			s.logf("epoch %d: evicting worker %d", v.Epoch, id)
@@ -545,13 +565,12 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 	// by cfg.validate: a Dim-sized gradient frame fits MaxFrameBytes, and a
 	// params frame is three bytes shorter.
 	bcast := make([]byte, 0, frameHeaderSize+9+8*s.cfg.Dim)
-	start := s.commit.Start()
 	for step := start; step < s.cfg.Steps; step++ {
 		if err := ctx.Err(); err != nil {
 			return fail(s.commit.Cancel(step, err))
 		}
 		if step == start || step%plan.members.EpochRounds == 0 {
-			if err := boundary(step); err != nil {
+			if err := enterEpoch(step); err != nil {
 				return fail(err)
 			}
 		}

@@ -14,10 +14,17 @@
 // long as the on-disk snapshot's Step. A restarted service truncates each
 // log back to exactly its snapshot's Step lines and resumes the run, whose
 // bit-identical replay regenerates the truncated lines byte-for-byte:
-// final parameters equal an uninterrupted run's exactly, and every stream
-// cursor position keeps meaning the same event across the crash — a
-// reconnecting client replays from its last acked line with no loss and
-// no duplicates.
+// final parameters and the ledger equal an uninterrupted run's exactly, and
+// every stream cursor position keeps meaning the same event across the
+// crash — a reconnecting client replays from its last acked line with no
+// loss and no duplicates.
+//
+// The contract holds for every local run. For a cluster run it holds on a
+// fixed, synchronous cohort (no quorum cut, no churn), where the in-process
+// backend's snapshots carry the epoch books and the adversary's attack
+// half, for every attack. A cluster run whose Spec keeps worker momentum
+// cannot resume exactly — that state is in no snapshot — so its resume
+// fails with spec.ErrInexactResume and the run is marked failed.
 //
 // # Scheduler determinism contract
 //
@@ -55,6 +62,11 @@ type Config struct {
 	CheckpointEvery int
 	// Logf routes service progress lines (nil discards them).
 	Logf func(string, ...any)
+
+	// hold, when non-nil, is called with each run's context and ID before
+	// every step's event is logged. Crash tests block in it to stop runs at
+	// a fixed step while they kill the service.
+	hold func(ctx context.Context, id spec.RunID, step int)
 }
 
 // DefaultCheckpointEvery is the snapshot cadence used when neither the
@@ -100,6 +112,7 @@ type Service struct {
 	store Store
 	every int
 	logf  func(string, ...any)
+	hold  func(context.Context, spec.RunID, int)
 
 	// local executes every "local" run for the service's lifetime, so the
 	// runs of a sweep share the dataset the backend value last built.
@@ -136,6 +149,7 @@ func Open(cfg Config) (*Service, error) {
 		store: NewStore(cfg.Root),
 		every: every,
 		logf:  logf,
+		hold:  cfg.hold,
 		pool:  experiments.NewPool(cfg.Width),
 		runs:  make(map[spec.RunID]*run),
 	}
@@ -321,8 +335,12 @@ func (s *Service) execute(ctx context.Context, r *run, resume *checkpoint.RunSta
 		return
 	}
 
+	obs := &logObserver{log: r.log}
+	if s.hold != nil {
+		obs.hold = func(step int) { s.hold(ctx, r.id, step) }
+	}
 	opts := []spec.Option{
-		spec.WithObserver(&logObserver{log: r.log}),
+		spec.WithObserver(obs),
 		// The durability contract's load-bearing line: the event log
 		// reaches the disk BEFORE the snapshot that presumes it.
 		spec.WithSnapshotFunc(func(st *checkpoint.RunState) error {
@@ -577,11 +595,15 @@ func (s *Service) Kill() {
 // logObserver bridges a backend's per-step observer callbacks into the
 // run's event log, mirroring spec.JSONLSink's NaN-dropping wire form.
 type logObserver struct {
-	log *EventLog
+	log  *EventLog
+	hold func(step int) // Config.hold, bound to the run
 }
 
 // OnStep implements spec.Observer.
 func (o *logObserver) OnStep(ev spec.StepEvent) error {
+	if o.hold != nil {
+		o.hold(ev.Step)
+	}
 	e := Event{Step: ev.Step, Loss: ev.Loss}
 	if !math.IsNaN(ev.Accuracy) {
 		a := ev.Accuracy

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -59,14 +60,41 @@ func assertEventsExactlyOnce(t *testing.T, log *EventLog, steps int) {
 	}
 }
 
+// holdAt returns a Config.hold that stops every run before it logs step
+// killAt and reports the run on the returned channel; the run stays there
+// until its context dies. Killing the service once every run reported is a
+// crash at a fixed step, whatever the machine's speed.
+func holdAt(killAt, runs int) (func(context.Context, spec.RunID, int), chan spec.RunID) {
+	held := make(chan spec.RunID, runs)
+	return func(ctx context.Context, id spec.RunID, step int) {
+		if step == killAt {
+			held <- id
+			<-ctx.Done()
+		}
+	}, held
+}
+
+// waitHeld blocks until n runs stopped at their kill step.
+func waitHeld(t *testing.T, held <-chan spec.RunID, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-held:
+		case <-time.After(60 * time.Second):
+			t.Fatal("runs never reached the kill step")
+		}
+	}
+}
+
 // The acceptance test: a fleet service killed with >= 2 runs in flight and
 // restarted produces final params bit-identical to an uninterrupted
 // service, and the regenerated event logs hold every event exactly once.
 func TestFleetKillResumeBitIdentity(t *testing.T) {
 	const (
-		steps = 1000
-		every = 25
-		nRuns = 2
+		steps  = 1000
+		every  = 25
+		nRuns  = 2
+		killAt = 310 // past the snapshot at 300, so the log outruns it
 	)
 	root := t.TempDir()
 
@@ -80,8 +108,9 @@ func TestFleetKillResumeBitIdentity(t *testing.T) {
 		want[i] = res.Params
 	}
 
-	// Service A: both runs in flight concurrently.
-	svcA, err := Open(Config{Root: root, Width: nRuns, CheckpointEvery: every, Logf: t.Logf})
+	// Service A: both runs in flight concurrently, each stopped at killAt.
+	hold, held := holdAt(killAt, nRuns)
+	svcA, err := Open(Config{Root: root, Width: nRuns, CheckpointEvery: every, Logf: t.Logf, hold: hold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,31 +123,25 @@ func TestFleetKillResumeBitIdentity(t *testing.T) {
 		t.Fatalf("submitted %d runs, want %d", len(ids), nRuns)
 	}
 
-	// Wait until both runs are demonstrably mid-flight (some telemetry, not
-	// done), then kill the service — buffered events die with it and the
-	// store keeps only what the durability contract promised.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		progressed := 0
-		for _, id := range ids {
-			log, err := svcA.Events(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := log.Len(); n >= every && n < steps {
-				progressed++
-			}
-			if log.Len() >= steps {
-				t.Fatalf("run %s finished before the kill; raise steps", id)
-			}
+	// Both runs are demonstrably mid-flight (some telemetry, not done) at
+	// the kill step; kill the service there — buffered events die with it
+	// and the store keeps only what the durability contract promised.
+	waitHeld(t, held, nRuns)
+	progressed := 0
+	for _, id := range ids {
+		log, err := svcA.Events(id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if progressed == nRuns {
-			break
+		if n := log.Len(); n >= every && n < steps {
+			progressed++
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("runs never reached mid-flight")
+		if log.Len() >= steps {
+			t.Fatalf("run %s finished before the kill; raise steps", id)
 		}
-		time.Sleep(200 * time.Microsecond)
+	}
+	if progressed != nRuns {
+		t.Fatal("runs never reached mid-flight")
 	}
 	svcA.Kill()
 
@@ -355,6 +378,116 @@ func TestFleetClusterBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertEventsExactlyOnce(t, log, 30)
+}
+
+// A fleet cluster submission killed mid-run and resumed by a restarted
+// service is the uninterrupted run: the same final params, every event
+// exactly once and equal to the uninterrupted log's, and the same ledger in
+// meta.json (the in-process workers' round counts aside). The Spec is the
+// plain trajectory Spec of the spec package's pins with the stateful drift
+// attack: a fixed, synchronous cohort, the domain where a cluster resume is
+// exact.
+func TestFleetKillResumeCluster(t *testing.T) {
+	const (
+		steps  = 20
+		every  = 5
+		killAt = 12 // past the snapshot at 10, so the log outruns it
+	)
+	sp := spec.Spec{
+		Data:         spec.DataSpec{N: 400, Features: 10},
+		GAR:          spec.GARSpec{Name: "trimmedmean", N: 7, F: 2},
+		Attack:       &spec.AttackSpec{Name: "drift"},
+		Mechanism:    &spec.MechanismSpec{Name: "gaussian", Epsilon: 0.5, Delta: 1e-6},
+		Steps:        steps,
+		BatchSize:    20,
+		LearningRate: 2,
+		Momentum:     0.9,
+		ClipNorm:     0.01,
+		Seed:         3,
+	}
+	sub := &spec.Submission{Backend: "cluster", Runs: []spec.Spec{sp}, CheckpointEvery: every}
+
+	// finished runs the service at root until its one run is terminal and
+	// returns the run's final snapshot, event log and meta.json.
+	finished := func(svc *Service, root string, id spec.RunID) (*checkpoint.RunState, *EventLog, *Meta) {
+		t.Helper()
+		waitFinished(t, svc, id, 60*time.Second)
+		snap, err := svc.Snapshot(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := svc.Events(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, err := NewStore(root).LoadMeta(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Status != StatusDone || meta.Cluster == nil || snap == nil || snap.Step != steps {
+			t.Fatalf("run %s ended %q (%s) with ledger %v", id, meta.Status, meta.Error, meta.Cluster)
+		}
+		assertEventsExactlyOnce(t, log, steps)
+		return snap, log, meta
+	}
+
+	refRoot := t.TempDir()
+	ref, err := Open(Config{Root: refRoot, Width: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Stop()
+	refIDs, err := ref.Submit(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSnap, wantLog, wantMeta := finished(ref, refRoot, refIDs[0])
+
+	root := t.TempDir()
+	hold, held := holdAt(killAt, 1)
+	svcA, err := Open(Config{Root: root, Width: 1, Logf: t.Logf, hold: hold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := svcA.Submit(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitHeld(t, held, 1)
+	svcA.Kill()
+	if snap, err := NewStore(root).Dir(ids[0]).LoadSnapshot(); err != nil || snap == nil || snap.Step != 10 {
+		t.Fatalf("killed run's snapshot %v (%v), want one at step 10", snap, err)
+	}
+
+	svcB, err := Open(Config{Root: root, Width: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svcB.Stop()
+	snap, log, meta := finished(svcB, root, ids[0])
+	for i := range wantSnap.Params {
+		if snap.Params[i] != wantSnap.Params[i] {
+			t.Fatalf("param %d differs after kill+resume: %v vs %v", i, snap.Params[i], wantSnap.Params[i])
+		}
+	}
+	for i := 0; i < steps; i++ {
+		got, err := log.Event(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := wantLog.Event(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("event %d after kill+resume %+v, uninterrupted %+v", i, got, want)
+		}
+	}
+	got, want := *meta.Cluster, *wantMeta.Cluster
+	got.WorkerRounds, want.WorkerRounds = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("meta.json ledger after kill+resume %+v, uninterrupted %+v", got, want)
+	}
 }
 
 // Priority orders queued runs: with one worker busy, a later high-priority

@@ -109,7 +109,8 @@ func (s *machineState) clone() *machineState {
 func (s *machineState) key() string {
 	buf := make([]byte, 0, 16+4*len(s.workers))
 	t := s.table
-	buf = append(buf, byte(s.round), byte(t.accepted), byte(t.missed), byte(t.received), byte(s.slots))
+	accepted, missed, _ := t.Totals()
+	buf = append(buf, byte(s.round), byte(accepted), byte(missed), byte(t.received), byte(s.slots))
 	if s.started {
 		buf = append(buf, 1)
 	} else {

@@ -15,11 +15,12 @@
 // layer, specialized to synchronous rounds.
 //
 // The Tracker is a pure state machine over Handshake / Disconnect /
-// RecordAccept / RecordMiss / AdvanceEpoch events: two trackers fed the
-// same event sequence produce identical views. On top of it the SlotTable
-// (slots.go) is the round protocol's decision point — which frame fills
-// which slot, which is discarded and why, what a commit books — and the
-// boundary that advances the tracker.
+// AdvanceEpoch events and the missed streaks SlotTable.Commit books: two
+// trackers fed the same event sequence produce identical views. On top of
+// it the SlotTable (slots.go) is the round protocol's decision point —
+// which frame fills which slot, which is discarded and why, what a commit
+// books — the boundary that advances the tracker, and the restore that
+// re-enters a snapshot's open epoch.
 //
 // What is shared, precisely: three callers execute the Tracker and the
 // SlotTable — the cluster server's one round loop from real connection
@@ -244,14 +245,18 @@ func (t *Tracker) Handshake(id int) error {
 	return nil
 }
 
-// Population returns the live + pending count (the gather phase waits on
-// it reaching MinWorkers).
+// Population returns how many workers the gather phase counts towards
+// MinWorkers: before the first boundary the pending ones, and on a view a
+// snapshot restored its members that have handshaken again.
 func (t *Tracker) Population() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
+	counted, n := statusPending, 0
+	if t.view.Members != nil {
+		counted = statusLive
+	}
 	for _, m := range t.members {
-		if m.status == statusPending || m.status == statusLive {
+		if m.status == counted && m.connected {
 			n++
 		}
 	}
@@ -279,30 +284,6 @@ func (t *Tracker) Disconnect(id int) {
 			m.status = statusEvicted
 		}
 	}
-}
-
-// RecordAccept resets id's missed streak after its submission entered a
-// round's aggregation. SlotTable.Commit books a whole round's streaks at
-// once, under one lock; these two are the single-member form.
-//
-//dpbyz:hotpath
-func (t *Tracker) RecordAccept(id int) {
-	t.mu.Lock()
-	if m := t.member(id); m != nil {
-		m.missedStreak = 0
-	}
-	t.mu.Unlock()
-}
-
-// RecordMiss advances id's missed streak after its slot was zero-padded.
-//
-//dpbyz:hotpath
-func (t *Tracker) RecordMiss(id int) {
-	t.mu.Lock()
-	if m := t.member(id); m != nil {
-		m.missedStreak++
-	}
-	t.mu.Unlock()
 }
 
 // AdvanceEpoch closes the epoch: live members that disconnected or out-ran
@@ -365,19 +346,6 @@ func (t *Tracker) View() View {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.view
-}
-
-// Handshaken returns every id that ever completed a handshake, sorted.
-func (t *Tracker) Handshaken() []int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var ids []int
-	for id, m := range t.members {
-		if m.status != statusAbsent {
-			ids = append(ids, id)
-		}
-	}
-	return ids
 }
 
 // Clone deep-copies the tracker — the model checker forks one per

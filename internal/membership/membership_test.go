@@ -134,8 +134,10 @@ func TestTrackerJoinLeaveLifecycle(t *testing.T) {
 	if !equalInts(v.Members, []int{0, 1, 2, 4}) || !equalInts(adm, []int{1}) {
 		t.Fatalf("rejoin epoch view=%+v adm=%v", v, adm)
 	}
-	if !equalInts(tr.Handshaken(), []int{0, 1, 2, 4}) {
-		t.Fatalf("handshaken = %v", tr.Handshaken())
+	for id, m := range tr.members {
+		if handshaken := m.status != statusAbsent; handshaken != (id != 3) {
+			t.Fatalf("worker %d handshaken = %v", id, handshaken)
+		}
 	}
 }
 
@@ -146,21 +148,40 @@ func TestTrackerMissedStreakEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mustAdvance(t, tr)
+	// The slot table books the streaks: a member whose slot no frame fills
+	// at a commit misses the round.
+	tb := NewSlotTable(tr, false)
+	advance := func() (View, []int) {
+		t.Helper()
+		v, _, ev, err := tb.Advance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, ev
+	}
+	r := 0
+	round := func(ids ...int) {
+		for _, id := range ids {
+			tb.Deliver(id, r, r)
+		}
+		tb.Commit()
+		r++
+	}
+	advance()
 
 	// One miss then an accept: streak resets, survives the boundary.
-	tr.RecordMiss(1)
-	tr.RecordAccept(1)
-	tr.RecordMiss(1)
-	v, _, ev := mustAdvance(t, tr)
+	round(0)
+	round(0, 1)
+	round(0)
+	v, ev := advance()
 	if len(ev) != 0 || !equalInts(v.Members, []int{0, 1}) {
 		t.Fatalf("streak-reset worker evicted: view=%+v ev=%v", v, ev)
 	}
 
 	// Two consecutive misses: evicted at the boundary.
-	tr.RecordMiss(1)
-	tr.RecordMiss(1)
-	v, _, ev = mustAdvance(t, tr)
+	round(0)
+	round(0)
+	v, ev = advance()
 	if !equalInts(ev, []int{1}) || !equalInts(v.Members, []int{0}) {
 		t.Fatalf("silent worker kept: view=%+v ev=%v", v, ev)
 	}
@@ -224,7 +245,7 @@ func TestTrackerCloneIsolation(t *testing.T) {
 	if err := c.Handshake(1); err != nil {
 		t.Fatal(err)
 	}
-	c.RecordMiss(0)
+	c.Disconnect(0)
 	if tr.Population() != 1 {
 		t.Error("clone mutation leaked into original")
 	}

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 )
@@ -70,8 +71,9 @@ type SlotTable struct {
 	// received counts the slots filled this round: the quorum trigger, and
 	// at commit the round's accepted total.
 	received int
-	// Run totals; credited ⊆ accepted.
-	accepted, missed, credited int
+	// credited counts the accepted frames that arrived a round late; the
+	// books are the rest of the ledger.
+	credited int
 	// stat is the open epoch's books; closed holds the finished epochs.
 	stat   EpochStat
 	closed []EpochStat
@@ -101,6 +103,12 @@ func (t *SlotTable) Advance() (View, []int, []int, error) {
 	if t.stat.Rounds > 0 {
 		t.closed = append(t.closed, t.stat)
 	}
+	t.enter(v)
+	return v, admitted, evicted, nil
+}
+
+// enter lays v out as empty slots and opens its books.
+func (t *SlotTable) enter(v View) {
 	for _, id := range t.view.Members {
 		t.slotOf[id] = -1
 	}
@@ -114,7 +122,6 @@ func (t *SlotTable) Advance() (View, []int, []int, error) {
 	}
 	t.received = 0
 	t.stat = EpochStat{Epoch: v.Epoch, N: v.N(), F: v.F, View: v.Members}
-	return v, admitted, evicted, nil
 }
 
 // Deliver decides what happens to a frame tagged `tag` from worker id that
@@ -169,22 +176,25 @@ func (t *SlotTable) Commit() {
 			t.filled[i] = false
 		} else {
 			t.tr.members[id].missedStreak++
-			t.missed++
 			t.stat.Missed++
 		}
 	}
 	t.tr.mu.Unlock()
-	t.accepted += t.received
 	t.stat.Accepted += t.received
 	t.stat.Rounds++
 	t.received = 0
 }
 
-// Totals returns the run's ledger so far: accepted and missed partition the
-// committed delivery slots, and credited counts the accepted frames that
-// arrived one round late.
+// Totals returns the run's ledger so far, summed from the epoch books:
+// accepted and missed partition the committed delivery slots, and credited
+// counts the accepted frames that arrived one round late.
 func (t *SlotTable) Totals() (accepted, missed, credited int) {
-	return t.accepted, t.missed, t.credited
+	accepted, missed = t.stat.Accepted, t.stat.Missed
+	for _, e := range t.closed {
+		accepted += e.Accepted
+		missed += e.Missed
+	}
+	return accepted, missed, t.credited
 }
 
 // Epochs returns the per-epoch books, the open epoch included once it has
@@ -197,37 +207,73 @@ func (t *SlotTable) Epochs() []EpochStat {
 	return epochs
 }
 
-// Resume re-enters an interrupted run on a table that has not advanced yet:
-// it replays the boundaries up to the epoch holding round step−1, lays that
-// epoch's view out and restores the run's books. Replaying is exact only for
-// a population that changes at boundaries alone — a fixed cohort. books are
-// the ledgers of epochs 0 through the open one (nil when the run kept none),
-// and accepted, missed and credited the run totals. Every book must match the
-// view the tracker derives for its epoch, so a snapshot of another
-// population is rejected. It returns the re-entered view.
-func (t *SlotTable) Resume(step int, books []EpochStat, accepted, missed, credited int) (View, error) {
-	open := (step - 1) / t.tr.cfg.EpochRounds
-	if books != nil && len(books) != open+1 {
-		return View{}, fmt.Errorf("membership: resume at step %d carries %d epoch books, want %d", step, len(books), open+1)
+// Books returns what a snapshot carries of the table: the epoch books, and
+// the missed streak of each member of the last book's view, in view order.
+func (t *SlotTable) Books() (books []EpochStat, streaks []int) {
+	books = t.Epochs()
+	if len(books) == 0 {
+		return nil, nil
 	}
-	for e := 0; e <= open; e++ {
-		v, _, _, err := t.Advance()
-		if err != nil {
-			return View{}, err
+	view := books[len(books)-1].View
+	streaks = make([]int, len(view))
+	t.tr.mu.Lock()
+	defer t.tr.mu.Unlock()
+	for i, id := range view {
+		streaks[i] = t.tr.members[id].missedStreak
+	}
+	return books, streaks
+}
+
+// Restore re-enters an interrupted run, on a table that has not advanced
+// yet, from the books a snapshot carries (see Books): the last book is the
+// open epoch, whose view and f become the tracker's, each of its members
+// live with its missed streak (nil streaks are all zero) and its connection
+// as it stands; credited is the run's credited count. Nothing is replayed,
+// so a population that churned re-enters the view it had, and a member that
+// has not handshaken counts as disconnected until it does. The books must
+// fit the configured population — consecutive epochs from 0, each view a
+// sorted set of [MinWorkers, MaxWorkers] ids with the f FRatio derives, no
+// epoch longer than EpochRounds and no more rounds in all than step — or
+// the snapshot is rejected and the table is left untouched, as it is for
+// streaks that are negative or do not match the open view.
+func (t *SlotTable) Restore(step int, books []EpochStat, streaks []int, credited int) error {
+	cfg := t.tr.cfg
+	if len(books) == 0 {
+		return errors.New("membership: restore without epoch books")
+	}
+	open := books[len(books)-1]
+	if streaks != nil && (len(streaks) != open.N || slices.Min(streaks) < 0) {
+		return fmt.Errorf("membership: restore carries missed streaks %v for an open view of %d", streaks, open.N)
+	}
+	rounds := 0
+	for i, b := range books {
+		rounds += b.Rounds
+		ok := b.Epoch == i && b.N == len(b.View) && b.N >= cfg.MinWorkers && b.N <= cfg.MaxWorkers &&
+			b.F == cfg.F(b.N) && b.Rounds >= 1 && b.Rounds <= cfg.EpochRounds
+		for j, id := range b.View {
+			ok = ok && id >= 0 && id < cfg.MaxWorkers && (j == 0 || b.View[j-1] < id)
 		}
-		if books != nil {
-			b := books[e]
-			if b.Epoch != v.Epoch || b.N != v.N() || b.F != v.F || !slices.Equal(b.View, v.Members) {
-				return View{}, fmt.Errorf("membership: resume books of epoch %d (n=%d f=%d view %v) do not match the tracker's epoch %d (n=%d f=%d view %v)",
-					b.Epoch, b.N, b.F, b.View, v.Epoch, v.N(), v.F, v.Members)
-			}
-			// The next boundary closes the book as it closes any open epoch.
-			b.View = v.Members
-			t.stat = b
+		if !ok {
+			return fmt.Errorf("membership: book of epoch %d (n=%d f=%d rounds %d view %v) does not fit a population of [%d, %d] workers, f ratio %v, %d-round epochs",
+				b.Epoch, b.N, b.F, b.Rounds, b.View, cfg.MinWorkers, cfg.MaxWorkers, cfg.FRatio, cfg.EpochRounds)
 		}
 	}
-	t.accepted, t.missed, t.credited = accepted, missed, credited
-	return t.view, nil
+	if rounds > step {
+		return fmt.Errorf("membership: restore at step %d carries books of %d rounds", step, rounds)
+	}
+	t.tr.mu.Lock()
+	for i, id := range open.View {
+		m := &t.tr.members[id]
+		m.status, m.missedStreak = statusLive, 0
+		if streaks != nil {
+			m.missedStreak = streaks[i]
+		}
+	}
+	t.tr.view, t.tr.epoch = View{Epoch: open.Epoch, Members: open.View, F: open.F}, open.Epoch
+	t.tr.mu.Unlock()
+	t.enter(t.tr.view)
+	t.stat, t.closed, t.credited = open, slices.Clone(books[:len(books)-1]), credited
+	return nil
 }
 
 // clone deep-copies the table (and its tracker) so model-checker branches

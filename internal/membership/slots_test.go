@@ -108,51 +108,71 @@ func TestSlotTableDispositions(t *testing.T) {
 	}
 }
 
-// Resume replays a fixed cohort's boundaries up to the epoch holding the
-// snapshot step, restores its books and totals so the run continues as if
-// uninterrupted, and rejects books that do not fit the views the tracker
-// derives.
+// Restore re-enters an interrupted run from its snapshot's books — the open
+// epoch's view, f and missed streaks, totals derived from the books — so the
+// run continues as if uninterrupted. The population churns (worker 3 joins
+// at round 3, worker 2 falls silent at round 4 and is evicted at round 6),
+// which no replay of boundaries from a fresh tracker could reproduce. Books
+// that do not fit the configured population are rejected.
 func TestSlotTableResume(t *testing.T) {
-	cfg := Config{MinWorkers: 3, MaxWorkers: 3, FRatio: 0.34, EpochRounds: 2, EvictAfter: 100}
-	fresh := func() *SlotTable {
+	cfg := Config{MinWorkers: 2, MaxWorkers: 4, FRatio: 0.34, EpochRounds: 3, EvictAfter: 2}
+	fresh := func(ids ...int) *SlotTable {
 		tr := newTestTracker(t, cfg)
-		for id := 0; id < 3; id++ {
+		for _, id := range ids {
 			if err := tr.Handshake(id); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return NewSlotTable(tr, true)
 	}
-	// play runs rounds [from, to); worker 2 is silent in odd rounds. Both
-	// runs below split at step 5, inside epoch 2.
 	play := func(tb *SlotTable, from, to int) {
 		for step := from; step < to; step++ {
 			if step%cfg.EpochRounds == 0 {
+				if step == 3 {
+					if err := tb.tr.Handshake(3); err != nil {
+						t.Fatal(err)
+					}
+				}
 				if _, _, _, err := tb.Advance(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for id := 0; id < 3; id++ {
-				if id != 2 || step%2 == 0 {
+			for _, id := range tb.view.Members {
+				if id != 2 || step < 4 {
 					tb.Deliver(id, step, step)
 				}
 			}
 			tb.Commit()
 		}
 	}
-	full := fresh()
+	full := fresh(0, 1, 2)
 	play(full, 0, 5)
-	books := full.Epochs()
-	a, m, c := full.Totals()
+	books, streaks := full.Books()
+	_, _, credited := full.Totals()
 	play(full, 5, 8)
+	if got := full.Epochs()[2].View; !reflect.DeepEqual(got, []int{0, 1, 3}) {
+		t.Fatalf("uninterrupted epoch 2 view %v, want worker 2 evicted", got)
+	}
 
+	// The restored table's members reconnect after the restore, as workers
+	// redial a resumed server.
 	tb := fresh()
-	v, err := tb.Resume(5, books, a, m, c)
-	if err != nil {
+	if err := tb.Restore(5, books, streaks, credited); err != nil {
 		t.Fatal(err)
 	}
-	if v.Epoch != 2 || v.N() != 3 || v.F != 1 {
-		t.Fatalf("re-entered view %+v, want epoch 2 with n=3 f=1", v)
+	if v := tb.tr.View(); v.Epoch != 1 || v.N() != 4 || v.F != 1 {
+		t.Fatalf("re-entered view %+v, want epoch 1 with n=4 f=1", v)
+	}
+	if got := tb.tr.Population(); got != 0 {
+		t.Errorf("restored members count %d before they reconnect, want 0", got)
+	}
+	for id := 0; id < 4; id++ {
+		if err := tb.tr.Handshake(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tb.tr.Population(); got != 4 {
+		t.Errorf("population %d once the view reconnected, want its 4 members", got)
 	}
 	play(tb, 5, 8)
 	if !reflect.DeepEqual(tb.Epochs(), full.Epochs()) {
@@ -163,26 +183,42 @@ func TestSlotTableResume(t *testing.T) {
 		t.Errorf("resumed totals %d/%d/%d, uninterrupted %d/%d/%d", ra, rm, rc, fa, fm, fc)
 	}
 
-	// A run that keeps no books re-enters the same view with an empty ledger.
-	plain := fresh()
-	if v, err := plain.Resume(5, nil, 0, 0, 0); err != nil || v.Epoch != 2 {
-		t.Fatalf("bookless resume: view %+v, %v", v, err)
+	// The gather counts the restored view's reconnected members, not a
+	// non-member waiting for the next boundary.
+	early := fresh()
+	if err := early.Restore(2, []EpochStat{{Epoch: 0, N: 3, F: 1, Rounds: 2, Accepted: 6, View: []int{0, 1, 2}}}, nil, 0); err != nil {
+		t.Fatal(err)
 	}
-	if got := plain.Epochs(); len(got) != 0 {
-		t.Errorf("bookless resume books %+v, want none", got)
+	for _, id := range []int{0, 1, 3} {
+		if err := early.tr.Handshake(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := early.tr.Population(); got != 2 {
+		t.Errorf("population %d with 2 of 3 members back and a joiner pending, want 2", got)
 	}
 
+	// Books written before snapshots carried streaks restore as all zero.
+	if err := fresh().Restore(5, books, nil, credited); err != nil {
+		t.Errorf("streak-free books: %v", err)
+	}
 	foreign := append([]EpochStat(nil), books...)
-	foreign[1].N, foreign[1].View = 2, []int{0, 1}
+	foreign[0].N, foreign[0].View, foreign[0].Accepted = 1, []int{0}, 3
 	for _, tc := range []struct {
-		name  string
-		books []EpochStat
-		want  string
+		name    string
+		tb      *SlotTable
+		step    int
+		books   []EpochStat
+		streaks []int
+		want    string
 	}{
-		{"another cohort", foreign, "resume books of epoch 1 (n=2 f=1 view [0 1]) do not match the tracker's epoch 1 (n=3 f=1 view [0 1 2])"},
-		{"missing the open epoch", books[:2], "resume at step 5 carries 2 epoch books, want 3"},
+		{"another population", fresh(), 5, foreign, streaks, "book of epoch 0 (n=1 f=1 rounds 3 view [0]) does not fit a population of [2, 4] workers"},
+		{"no books", fresh(), 5, nil, nil, "restore without epoch books"},
+		{"streaks of another view", fresh(), 5, books, streaks[:2], "missed streaks [0 0] for an open view of 4"},
+		{"negative streak", fresh(), 5, books, []int{0, 0, -3, 0}, "missed streaks [0 0 -3 0]"},
+		{"more rounds than steps", fresh(), 4, books, streaks, "restore at step 4 carries books of 5 rounds"},
 	} {
-		if _, err := fresh().Resume(5, tc.books, a, m, c); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := tc.tb.Restore(tc.step, tc.books, tc.streaks, credited); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
 		}
 	}

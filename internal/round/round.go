@@ -5,7 +5,8 @@
 // applies the momentum update of Eq. 9, v ← μ·v + G, w ← w − γ_t·v, checks
 // that w stayed finite, records the round, calls the step hook and takes the
 // periodic snapshot. The Committer also owns the server half of a
-// checkpoint.RunState — step, parameters, velocity — and the flush of the
+// checkpoint.RunState — step, parameters, velocity, and the slot table's
+// epoch books, which are the run's delivery ledger — and the flush of the
 // completed prefix when a run is cancelled.
 //
 //dpbyz:deterministic
@@ -16,6 +17,7 @@ import (
 	"fmt"
 
 	"dpbyz/internal/checkpoint"
+	"dpbyz/internal/membership"
 	"dpbyz/internal/metrics"
 	"dpbyz/internal/vecmath"
 )
@@ -42,6 +44,10 @@ type Config struct {
 	// Resume, when non-nil, restores the run's position from a snapshot (see
 	// Restore); it wins over InitParams.
 	Resume *checkpoint.RunState
+	// Table, when non-nil, is the run's slot table: every snapshot carries
+	// its books, and Restore re-enters the snapshot's open epoch on it. It
+	// must not have advanced when New is called.
+	Table *membership.SlotTable
 	// Measure builds step's record from the updated parameters w and the
 	// aggregate agg. It is called once per round on the hot path.
 	Measure func(step int, w, agg []float64) metrics.StepRecord
@@ -154,15 +160,21 @@ func (c *Committer) Cancel(k int, cause error) error {
 	return fmt.Errorf("%s: %s %d: %w", cfg.Name, cfg.Unit, k, cause)
 }
 
-// Snapshot captures the run after k completed steps. Params and velocity
-// are copied, so the snapshot stays valid while the run continues; Extend,
-// if set, adds the caller's state.
+// Snapshot captures the run after k completed steps. Params, velocity and
+// the books are copied (views are immutable and shared), so the snapshot
+// stays valid while the run continues; Extend, if set, adds the caller's
+// state.
 func (c *Committer) Snapshot(k int) *checkpoint.RunState {
 	st := &checkpoint.RunState{
 		Version:  checkpoint.RunStateVersion,
 		Step:     k,
 		Params:   append([]float64(nil), c.w...),
 		Velocity: append([]float64(nil), c.velocity...),
+	}
+	if c.cfg.Table != nil {
+		if books, streaks := c.cfg.Table.Books(); books != nil {
+			st.Membership = &checkpoint.MembershipRunState{Epochs: books, Streaks: streaks}
+		}
 	}
 	if c.cfg.Extend != nil {
 		c.cfg.Extend(st)
@@ -171,10 +183,15 @@ func (c *Committer) Snapshot(k int) *checkpoint.RunState {
 }
 
 // Restore rewinds the server state to a snapshot: the run restarts at
-// st.Step with its parameters and velocity. A snapshot that fails its own
-// validation, has another dimension, or lies beyond the run's steps is
-// rejected. st.Step == Steps is a completed run, which has nothing left to
-// run: resuming it returns the finished parameters.
+// st.Step with its parameters and velocity, and the slot table re-enters the
+// snapshot's open epoch with its books, missed streaks and credited count
+// (membership.SlotTable.Restore) — the one resume path of both round loops.
+// A snapshot without books (written before they were kept, or at step 0)
+// leaves the table fresh: the loop opens an epoch at st.Step and the ledger
+// counts from there. A snapshot that fails its own validation, has another
+// dimension, lies beyond the run's steps or carries books that do not fit
+// the table is rejected. st.Step == Steps is a completed run, which has
+// nothing left to run: resuming it returns the finished parameters.
 func (c *Committer) Restore(st *checkpoint.RunState) error {
 	if err := st.Validate(); err != nil {
 		return err
@@ -184,6 +201,15 @@ func (c *Committer) Restore(st *checkpoint.RunState) error {
 	}
 	if st.Step > c.cfg.Steps {
 		return fmt.Errorf("%s: resume step %d beyond configured steps %d", c.cfg.Name, st.Step, c.cfg.Steps)
+	}
+	if m := st.Membership; c.cfg.Table != nil && m != nil && len(m.Epochs) > 0 {
+		credited := 0
+		if st.Quorum != nil {
+			credited = st.Quorum.Credited
+		}
+		if err := c.cfg.Table.Restore(st.Step, m.Epochs, m.Streaks, credited); err != nil {
+			return fmt.Errorf("%s: %w", c.cfg.Name, err)
+		}
 	}
 	c.start = st.Step
 	copy(c.w, st.Params)

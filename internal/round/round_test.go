@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dpbyz/internal/checkpoint"
+	"dpbyz/internal/membership"
 	"dpbyz/internal/metrics"
 	"dpbyz/internal/randx"
 )
@@ -295,5 +296,67 @@ func TestRestoreRejects(t *testing.T) {
 	}
 	if c.Start() != 10 || !reflect.DeepEqual(c.Params(), st.Params) || !reflect.DeepEqual(c.Velocity(), []float64{0, 0, 0}) {
 		t.Errorf("completed resume: start %d params %v velocity %v", c.Start(), c.Params(), c.Velocity())
+	}
+}
+
+// With a slot table the snapshot carries its books and streaks, and New
+// restores them into a fresh table: the resumed ledger is the snapshot's.
+// Books that do not fit the table are rejected, and a snapshot without
+// books leaves the table fresh for the loop to open an epoch.
+func TestSnapshotRestoresBooks(t *testing.T) {
+	table := func(t *testing.T) *membership.SlotTable {
+		t.Helper()
+		tr, err := membership.NewTracker(membership.Config{MinWorkers: 3, MaxWorkers: 3, EpochRounds: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < 3; id++ {
+			if err := tr.Handshake(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return membership.NewSlotTable(tr, false)
+	}
+	cfg := Config{Name: "t", Unit: "step", Dim: 2, Steps: 10, Table: table(t)}
+	c := mustNew(t, cfg)
+	if _, _, _, err := cfg.Table.Advance(); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 4; step++ {
+		for id := 0; id < 3; id++ {
+			if id != 2 || step < 2 {
+				cfg.Table.Deliver(id, step, step)
+			}
+		}
+		cfg.Table.Commit()
+		if err := c.Commit(step, []float64{1, 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.Snapshot(4)
+	if m := st.Membership; m == nil || len(m.Epochs) != 1 || m.Epochs[0].Missed != 2 || !reflect.DeepEqual(m.Streaks, []int{0, 0, 2}) {
+		t.Fatalf("snapshot books %+v", st.Membership)
+	}
+
+	cfg.Table, cfg.Resume = table(t), st
+	mustNew(t, cfg)
+	if got, want := cfg.Table.Epochs(), st.Membership.Epochs; !reflect.DeepEqual(got, want) {
+		t.Errorf("restored books %+v, snapshot's %+v", got, want)
+	}
+
+	foreign := *st
+	foreign.Membership = &checkpoint.MembershipRunState{Epochs: []membership.EpochStat{{N: 2, Rounds: 4, Accepted: 8, View: []int{0, 1}}}}
+	cfg.Table, cfg.Resume = table(t), &foreign
+	cfg.Measure, cfg.Rate = nanRecord, func(int) float64 { return 0.5 }
+	if _, err := New(cfg); err == nil {
+		t.Error("books of a 2-worker view restored onto a 3-worker population")
+	}
+
+	bookless := *st
+	bookless.Membership = nil
+	cfg.Table, cfg.Resume = table(t), &bookless
+	mustNew(t, cfg)
+	if a, m, _ := cfg.Table.Totals(); a+m != 0 || len(cfg.Table.Epochs()) != 0 {
+		t.Errorf("bookless resume left ledger %d+%d, books %+v", a, m, cfg.Table.Epochs())
 	}
 }

@@ -144,10 +144,11 @@ func TestEpochResumeBitIdentical(t *testing.T) {
 	if m == nil {
 		t.Fatal("epoched snapshot carries no membership state")
 	}
-	if m.Epoch != 1 || m.F != 2 || len(m.View) != 7 {
-		t.Fatalf("snapshot membership %+v, want epoch 1, f 2, 7-member view", m)
+	last := m.Epochs[len(m.Epochs)-1]
+	if last.Epoch != 1 || last.F != 2 || len(last.View) != 7 {
+		t.Fatalf("snapshot's open epoch %+v, want epoch 1, f 2, 7-member view", last)
 	}
-	if last := m.Epochs[len(m.Epochs)-1]; last.Rounds != 2 {
+	if last.Rounds != 2 {
 		t.Fatalf("partial epoch in snapshot has %d rounds, want 2", last.Rounds)
 	}
 

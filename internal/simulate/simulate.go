@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"dpbyz/internal/attack"
@@ -170,8 +169,9 @@ type Config struct {
 
 	// Resume, when non-nil, continues a run from a mid-run snapshot written
 	// by SnapshotFunc: training starts at Resume.Step with the captured
-	// parameters, momentum buffers and randomness stream positions, and the
-	// trajectory from there is bit-identical to the uninterrupted run's.
+	// parameters, momentum buffers, randomness stream positions and epoch
+	// books, and the trajectory and the ledger from there are the
+	// uninterrupted run's, bit for bit.
 	// The rest of the Config must describe the same scenario the snapshot
 	// was taken from. Accountant spend, when configured, restarts at zero:
 	// callers tracking a cumulative budget across segments must carry the
@@ -435,7 +435,7 @@ func newRunner(cfg Config) (*runner, error) {
 		Momentum: cfg.Momentum, Rate: rate, InitParams: cfg.InitParams,
 		Resume: cfg.Resume, Measure: r.measure, Hook: cfg.StepHook,
 		SnapshotEvery: cfg.SnapshotEvery, SnapshotFunc: cfg.SnapshotFunc,
-		Extend: r.snapshot,
+		Extend: r.snapshot, Table: r.table,
 	}); err != nil {
 		return nil, err
 	}
@@ -454,10 +454,10 @@ func newRunner(cfg Config) (*runner, error) {
 	return r, nil
 }
 
-// snapshot adds the simulator's own mutable state — workers, the attack,
-// the quorum and membership books — to the server half the Committer has
-// filled in. Every buffer is copied and views are immutable, so the snapshot
-// stays valid while the run continues.
+// snapshot adds the simulator's own mutable state — workers, the attack and
+// the arrival model — to the server half and the books the Committer has
+// filled in. Every buffer is copied, so the snapshot stays valid while the
+// run continues.
 func (r *runner) snapshot(st *checkpoint.RunState) {
 	st.Workers = make([]checkpoint.WorkerRunState, len(r.workers))
 	r.adv.Snapshot(st)
@@ -469,19 +469,14 @@ func (r *runner) snapshot(st *checkpoint.RunState) {
 		st.Workers[i] = ws
 	}
 	if r.cfg.Stragglers > 0 {
-		st.Quorum = &checkpoint.QuorumRunState{StragglerRng: r.stragglerRng.State(), Discarded: r.discarded}
-		st.Quorum.Accepted, st.Quorum.Missed, st.Quorum.Credited = r.table.Totals()
-	}
-	if r.cfg.Epochs != nil {
-		// Views are immutable, so the snapshot shares their member slices.
-		v := r.tracker.View()
-		st.Membership = &checkpoint.MembershipRunState{Epoch: v.Epoch, View: v.Members, F: v.F, Epochs: r.table.Epochs()}
+		_, _, credited := r.table.Totals()
+		st.Quorum = &checkpoint.QuorumRunState{StragglerRng: r.stragglerRng.State(), Discarded: r.discarded, Credited: credited}
 	}
 }
 
 // restore rewinds the runner's own state to a snapshot taken by snapshot,
-// after the Committer restored the server half. The config must describe
-// the same scenario; structural mismatches are rejected.
+// after the Committer restored the server half and the books. The config
+// must describe the same scenario; structural mismatches are rejected.
 func (r *runner) restore(st *checkpoint.RunState) error {
 	if len(st.Workers) != len(r.workers) {
 		return fmt.Errorf("simulate: resume has %d workers, config has %d",
@@ -502,38 +497,14 @@ func (r *runner) restore(st *checkpoint.RunState) error {
 			r.hasPending[i] = true
 		}
 	}
-	var q checkpoint.QuorumRunState
-	if st.Quorum != nil {
+	if q := st.Quorum; q != nil {
 		if r.cfg.Stragglers == 0 {
 			return errors.New("simulate: resume carries quorum state but staleness is disabled")
 		}
-		q = *st.Quorum
 		r.stragglerRng.SetState(q.StragglerRng)
 		r.discarded = q.Discarded
 	} else if r.cfg.Stragglers > 0 && st.Step > 0 {
 		return errors.New("simulate: staleness configured but the snapshot carries no quorum state")
-	}
-	var m checkpoint.MembershipRunState
-	if st.Membership != nil {
-		if r.cfg.Epochs == nil {
-			return errors.New("simulate: resume carries membership state but epochs are disabled")
-		}
-		m = *st.Membership
-	} else if r.cfg.Epochs != nil && st.Step > 0 {
-		return errors.New("simulate: epochs configured but the snapshot carries no membership state")
-	}
-	if st.Step == 0 {
-		return nil
-	}
-	// A run without stragglers keeps no totals in its snapshot: the resumed
-	// segment counts its own.
-	v, err := r.table.Resume(st.Step, m.Epochs, q.Accepted, q.Missed, q.Credited)
-	if err != nil {
-		return fmt.Errorf("simulate: %w", err)
-	}
-	if st.Membership != nil && (m.Epoch != v.Epoch || m.F != v.F || !slices.Equal(m.View, v.Members)) {
-		return fmt.Errorf("simulate: resume view (epoch %d, f=%d, %v) is not the cohort's (epoch %d, f=%d, %v) at step %d",
-			m.Epoch, m.F, m.View, v.Epoch, v.F, v.Members, st.Step)
 	}
 	return nil
 }
@@ -680,13 +651,14 @@ func (r *runner) measure(step int, w, _ []float64) metrics.StepRecord {
 	return rec
 }
 
-// enterEpoch lays out the epoch step runs under: at a boundary the slot
-// table advances the tracker to the next view; otherwise (a mid-epoch
-// resume) the view the table re-entered stands. An epoched run then
-// re-materializes its rule for the view's (n, f). This runs outside the hot
-// step loop, so the factory may allocate freely.
+// enterEpoch lays out the epoch step runs under: at a boundary, or on a
+// table no snapshot restored, the slot table advances the tracker to the
+// next view; otherwise (a mid-epoch resume) the view the table re-entered
+// stands. An epoched run then re-materializes its rule for the view's
+// (n, f). This runs outside the hot step loop, so the factory may allocate
+// freely.
 func (r *runner) enterEpoch(step int) error {
-	if step%r.tracker.Config().EpochRounds == 0 {
+	if step%r.tracker.Config().EpochRounds == 0 || r.tracker.View().N() == 0 {
 		if _, _, _, err := r.table.Advance(); err != nil {
 			return fmt.Errorf("simulate: step %d boundary: %w", step, err)
 		}

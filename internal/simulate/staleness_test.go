@@ -180,8 +180,15 @@ func TestStalenessResumeBitIdentical(t *testing.T) {
 	if snap.Quorum == nil {
 		t.Fatal("quorum snapshot carries no quorum state")
 	}
-	if got := snap.Quorum.Accepted + snap.Quorum.Missed; got != mk().GAR.N()*resumeAt {
-		t.Fatalf("snapshot accounting %d, want %d", got, mk().GAR.N()*resumeAt)
+	if snap.Membership == nil {
+		t.Fatal("quorum snapshot carries no epoch books")
+	}
+	booked := 0
+	for _, e := range snap.Membership.Epochs {
+		booked += e.Accepted + e.Missed
+	}
+	if booked != mk().GAR.N()*resumeAt {
+		t.Fatalf("snapshot accounting %d, want %d", booked, mk().GAR.N()*resumeAt)
 	}
 	inFlight := 0
 	for _, ws := range snap.Workers {

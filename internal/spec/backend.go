@@ -142,9 +142,10 @@ func WithSnapshotFunc(save func(*checkpoint.RunState) error, every int) Option {
 }
 
 // WithResume continues a run from a snapshot previously written through
-// WithCheckpointFile. On the local backend the resumed trajectory is
-// bit-identical to the uninterrupted run's; on the cluster backend the
-// server state resumes exactly while workers restart their local streams.
+// WithCheckpointFile. The resumed run is the uninterrupted run — params,
+// history tail and ledger — on the local backend, and on the cluster
+// backend for a fixed, synchronous cohort; a cluster resume it could not
+// make exact fails with ErrInexactResume (see ClusterBackend, ServeSpec).
 func WithResume(st *checkpoint.RunState) Option {
 	return func(o *runOptions) { o.resume = st }
 }

@@ -2,13 +2,19 @@ package spec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
+	"dpbyz/internal/checkpoint"
 	"dpbyz/internal/cluster"
-	"dpbyz/internal/metrics"
 	"dpbyz/internal/worker"
 )
+
+// ErrInexactResume refuses a cluster resume that could not continue the
+// uninterrupted run: the Spec keeps worker momentum, which lives in the
+// worker processes and in no cluster snapshot.
+var ErrInexactResume = errors.New("spec: cluster resume would not be exact")
 
 // ClusterBackend executes a Spec in the networked parameter-server
 // realization (internal/cluster): one server plus GAR.N worker loops
@@ -26,6 +32,12 @@ import (
 // as on LocalBackend. Under a quorum cut or membership churn the adversary
 // still crafts from the scheduled honest cohort, not from the set the server
 // accepts, and which submissions make a round depends on message timing.
+//
+// Its snapshots carry the server's half, the epoch books and the
+// adversary's attack half, and its workers replay their streams to the
+// resumed round, so a resumed fixed, synchronous cohort is the uninterrupted
+// run — params and ledger — for every attack. A Spec with worker momentum
+// is refused with ErrInexactResume before any round runs.
 type ClusterBackend struct{}
 
 var _ Backend = (*ClusterBackend)(nil)
@@ -73,14 +85,16 @@ func coalition(s *Spec, o *runOptions, m *materialized) (*worker.Coalition, erro
 }
 
 // bindServer is the server half every cluster entry point shares: translate
-// the Spec, pass the snapshot saver and the resume state through, and bind
-// the listen endpoint (NewServer rejects a snapshot that does not fit). A
-// resume of an already-completed run — the final periodic snapshot carries
-// Step == Steps — has no rounds left and must not leave a server waiting
-// for workers: it releases the endpoint and returns the finished result
-// instead (done), the snapshot's parameters unchanged with an empty history,
-// mirroring the local backend's idempotent resume.
-func bindServer(s *Spec, o *runOptions, m *materialized, backend string) (srv *cluster.Server, done *Result, err error) {
+// the Spec, pass the snapshot saver and the resume state through — adding
+// and restoring adv's attack half when the adversary runs in this process —
+// and bind the listen endpoint (NewServer rejects a snapshot that does not
+// fit). A resume of an already-completed run — the final periodic snapshot
+// carries Step == Steps — has no rounds left and must not leave a server
+// waiting for workers: it runs no round and returns the finished result
+// instead (done), the snapshot's parameters and ledger with an empty
+// history, mirroring the local backend's idempotent resume. A mid-run
+// resume of a Spec with worker momentum fails with ErrInexactResume.
+func bindServer(ctx context.Context, s *Spec, o *runOptions, m *materialized, backend string, adv *worker.Coalition) (srv *cluster.Server, done *Result, err error) {
 	addr := o.addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
@@ -104,6 +118,12 @@ func bindServer(s *Spec, o *runOptions, m *materialized, backend string) (srv *c
 	}
 	if cfg.SnapshotFunc, err = o.snapshotSaver(s, backend); err != nil {
 		return nil, nil, err
+	}
+	if save := cfg.SnapshotFunc; save != nil && adv != nil {
+		cfg.SnapshotFunc = func(st *checkpoint.RunState) error {
+			adv.Snapshot(st)
+			return save(st)
+		}
 	}
 	if s.Staleness != nil {
 		cfg.LateCredit = s.Staleness.late() == "credit"
@@ -132,14 +152,24 @@ func bindServer(s *Spec, o *runOptions, m *materialized, backend string) (srv *c
 	if srv, err = cluster.NewServer(cfg); err != nil {
 		return nil, nil, err
 	}
-	if st := cfg.Resume; st != nil && st.Step == s.Steps {
+	switch st := cfg.Resume; {
+	case st == nil:
+	case st.Step == s.Steps:
+		res, err := srv.Run(ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		return nil, clusterResult(backend, res, nil), nil
+	case s.WorkerMomentum > 0:
+		err = fmt.Errorf("%w: worker momentum %v is in no cluster snapshot", ErrInexactResume, s.WorkerMomentum)
+	case adv != nil:
+		if err = adv.Restore(st); err != nil {
+			err = fmt.Errorf("spec: adversary: %w", err)
+		}
+	}
+	if err != nil {
 		_ = srv.Close()
-		return nil, &Result{
-			Backend: backend,
-			Params:  append([]float64(nil), st.Params...),
-			History: &metrics.History{},
-			Cluster: &ClusterStats{},
-		}, nil
+		return nil, nil, err
 	}
 	return srv, nil, nil
 }
@@ -188,7 +218,7 @@ func (b *ClusterBackend) Run(ctx context.Context, s Spec, opts ...Option) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	srv, done, err := bindServer(&s, o, m, b.Name())
+	srv, done, err := bindServer(ctx, &s, o, m, b.Name(), adv)
 	if err != nil || done != nil {
 		return done, err
 	}
@@ -237,13 +267,20 @@ func (b *ClusterBackend) Run(ctx context.Context, s Spec, opts ...Option) (*Resu
 // for cmd/dpbyz-server, where each worker joins from its own process via
 // JoinSpec. Placement (address, transport, frame caps, timeouts,
 // checkpointing) comes from the options; the scenario comes from the Spec.
+//
+// A resumed server re-enters its snapshot's epoch and ledger, and the
+// workers replay their streams to the first broadcast. The Byzantine
+// processes build their adversary afresh, though, so a cross-process
+// attacked resume is exact only for attacks that keep no state and draw
+// nothing from the attack stream. A Spec with worker momentum is refused
+// with ErrInexactResume, as on ClusterBackend.
 func ServeSpec(ctx context.Context, s Spec, opts ...Option) (*Result, error) {
 	o := applyOptions(opts)
 	m, err := s.materialize(o)
 	if err != nil {
 		return nil, err
 	}
-	srv, done, err := bindServer(&s, o, m, "cluster")
+	srv, done, err := bindServer(ctx, &s, o, m, "cluster", nil)
 	if err != nil || done != nil {
 		return done, err
 	}

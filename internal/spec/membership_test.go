@@ -105,8 +105,8 @@ func TestMembershipResumeBitIdentical(t *testing.T) {
 	if st.Membership == nil {
 		t.Fatal("membership snapshot carries no membership state")
 	}
-	if st.Membership.Epoch != 1 || len(st.Membership.View) != 7 {
-		t.Fatalf("snapshot membership %+v, want epoch 1 with a 7-member view", st.Membership)
+	if open := st.Membership.Epochs[len(st.Membership.Epochs)-1]; open.Epoch != 1 || len(open.View) != 7 {
+		t.Fatalf("snapshot's open epoch %+v, want epoch 1 with a 7-member view", open)
 	}
 
 	resumed, err := be.Run(ctx, membershipSpec(steps), WithResumeFile(path))

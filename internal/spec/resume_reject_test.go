@@ -54,8 +54,8 @@ func TestResumeRejectedOnBothBackends(t *testing.T) {
 
 // A local snapshot whose membership state describes another cohort must not
 // resume. The rewrite below keeps every epoch balanced, so
-// checkpoint.Validate passes it; only the slot table, which re-derives each
-// epoch's view from the configured cohort, can tell the books are foreign.
+// checkpoint.Validate passes it; only the slot table, which checks each
+// book against the configured population, can tell the books are foreign.
 func TestLocalResumeRejectsForeignCohort(t *testing.T) {
 	ctx := context.Background()
 	s := trajectorySpecs()["membership"]
@@ -73,7 +73,7 @@ func TestLocalResumeRejectsForeignCohort(t *testing.T) {
 	}
 	six := []int{0, 1, 2, 3, 4, 5}
 	m := snap.Membership
-	m.View = six
+	m.Streaks = m.Streaks[:len(six)]
 	for i := range m.Epochs {
 		e := &m.Epochs[i]
 		e.N, e.View, e.Accepted, e.Missed = len(six), six, len(six)*e.Rounds, 0
@@ -82,7 +82,7 @@ func TestLocalResumeRejectsForeignCohort(t *testing.T) {
 		t.Fatalf("rewritten snapshot must pass Validate: %v", err)
 	}
 	_, err := (&LocalBackend{}).Run(ctx, s, WithResume(snap))
-	if want := "do not match the tracker's epoch 0"; err == nil || !strings.Contains(err.Error(), want) {
+	if want := "book of epoch 0 (n=6 f=2 rounds 7 view [0 1 2 3 4 5]) does not fit"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("foreign cohort resumed: error %v, want one naming %q", err, want)
 	}
 }

@@ -255,9 +255,10 @@ func TestResumeSpecMismatchRejected(t *testing.T) {
 	}
 }
 
-// The cluster backend's periodic snapshots capture the server state; a
-// resumed cluster run continues from the snapshot's step with the captured
-// parameters and runs only the remaining rounds.
+// The cluster backend's periodic snapshots capture the server state and the
+// books; a resumed cluster run continues from the snapshot's step with the
+// captured parameters, runs only the remaining rounds and keeps the whole
+// run's ledger.
 func TestClusterCheckpointResume(t *testing.T) {
 	s := resumeSpec(20)
 	ctx := context.Background()
@@ -296,18 +297,24 @@ func TestClusterCheckpointResume(t *testing.T) {
 		}
 	}
 
-	// Resume from the mid-run state: only the remaining rounds execute.
-	mid := *st
-	mid.Step = 10
-	res, err := be.Run(ctx, s, WithResume(&mid))
+	// A mid-run resume of a Spec with worker momentum, which no cluster
+	// snapshot holds, is refused before any round runs.
+	if _, err := be.Run(ctx, s, WithResume(snapshotAt(t, be, s, 10))); !errors.Is(err, ErrInexactResume) {
+		t.Fatalf("worker-momentum cluster resume: error %v, want ErrInexactResume", err)
+	}
+
+	// Without worker momentum only the remaining rounds execute, and the
+	// ledger spans the whole run.
+	s.WorkerMomentum = 0
+	res, err := be.Run(ctx, s, WithResume(snapshotAt(t, be, s, 10)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.History.Len() != 10 {
 		t.Fatalf("resumed cluster run recorded %d rounds, want 10", res.History.Len())
 	}
-	if got := res.Cluster.Accepted + res.Cluster.Missed; got != s.GAR.N*10 {
-		t.Fatalf("accounting %d, want %d", got, s.GAR.N*10)
+	if got := res.Cluster.Accepted + res.Cluster.Missed; got != s.GAR.N*20 {
+		t.Fatalf("accounting %d, want %d", got, s.GAR.N*20)
 	}
 	if !allFinite(res.Params) {
 		t.Fatal("resumed params not finite")

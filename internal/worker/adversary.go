@@ -140,6 +140,25 @@ func (c *Coalition) Submission(round int, w []float64) ([]float64, error) {
 	return c.crafted, c.err
 }
 
+// Snapshot records the coalition's attack half in st, as Adversary.Snapshot
+// does. Taken at a commit of a synchronous fixed cohort, every Byzantine
+// submission of the committed rounds has been crafted and the next round's
+// has not, so it is the local run's attack half at the same step.
+func (c *Coalition) Snapshot(st *checkpoint.RunState) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.adv.Snapshot(st)
+}
+
+// Restore rewinds a coalition that has not crafted yet to a snapshot taken
+// by Snapshot (or by the local backend). The shadows replay the rounds
+// before st.Step on the first craft, like any worker's broadcast gap.
+func (c *Coalition) Restore(st *checkpoint.RunState) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.adv.Restore(st)
+}
+
 func (c *Coalition) craft(round int, w []float64) ([]float64, error) {
 	for i, p := range c.shadows {
 		p.Skip(round - c.consumed)
