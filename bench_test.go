@@ -196,10 +196,12 @@ func BenchmarkGARInto(b *testing.B) {
 	}
 }
 
-// BenchmarkGARParallelSpeedup compares the sequential and chunked-parallel
-// aggregation engine at production dimension (d = 10⁵). On a multi-core
-// runner the "par" variants should run ≥ 2× faster than "seq" for the
-// coordinate-wise rules; on a single core they coincide.
+// BenchmarkGARParallelSpeedup compares the sequential and fanned-out
+// aggregation engine at d = 10⁵, where n·d = 2.3M is far past the fan-out
+// grain. "seq" pins the worker cap to one goroutine through the
+// vecmath.SetParallelism test seam; "par" keeps the default cap
+// (GOMAXPROCS), so the kernels split exactly as a training run's would. On a
+// multi-core runner "par" is the faster; on a single core they coincide.
 func BenchmarkGARParallelSpeedup(b *testing.B) {
 	const n, f, d = 23, 5, 100_000
 	grads := benchGradients(n, f, d)
@@ -292,7 +294,6 @@ func benchTrainConfig(b *testing.B) simulate.Config {
 		LearningRate: 2,
 		ClipNorm:     0.01,
 		Seed:         1,
-		Parallel:     true,
 	}
 }
 

@@ -208,7 +208,6 @@ func run() (retErr error) {
 	var be dpbyz.Backend
 	switch *backend {
 	case "local":
-		opts = append(opts, dpbyz.WithParallel())
 		be = &dpbyz.LocalBackend{}
 	case "cluster":
 		be = &dpbyz.ClusterBackend{}

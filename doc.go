@@ -258,15 +258,21 @@
 //
 // # Performance
 //
-// The aggregation hot path is served by a shared parallel engine
-// (internal/vecmath): coordinate-wise rules (Median, Trimmed Mean, Phocas,
-// Meamed) split the d coordinates across GOMAXPROCS workers, the
-// distance-based rules (Krum, Multi-Krum, Bulyan, MDA) share one parallel
-// pairwise-distance kernel, and every rule offers an AggregateInto fast
-// path whose scratch is sync.Pool-backed: on the sequential (sub-grain)
-// path it allocates nothing on the steady state, and with goroutine
-// fan-out only the dispatch itself allocates. Parallel results are
-// bit-identical to the sequential path.
+// Every in-process parallel loop sizes itself from its work with one rule,
+// vecmath.ChunkWorkers: a loop of `work` element operations gets one
+// goroutine per full grain (DefaultParallelGrain, the crossover measured on
+// a 2-vCPU box), capped at GOMAXPROCS, and runs inline below two grains.
+// The sites count their own work: coordinate-wise rules (Median, Trimmed
+// Mean, Phocas, Meamed, the mean) n·d, split over coordinates; the one
+// pairwise-distance kernel the distance-based rules (Krum, Multi-Krum,
+// Bulyan, MDA) share n(n−1)/2·d; the evaluation scan points·d; and the
+// simulator's honest gradient sweep (worker.StepAll, which also runs a
+// cluster coalition's shadow pipelines) workers·b·d. There is no option to
+// set: the paper's figure shape stays inline and wide models fan out. Every
+// rule offers an AggregateInto fast path whose scratch is sync.Pool-backed:
+// on the sequential (sub-grain) path it allocates nothing on the steady
+// state, and with goroutine fan-out only the dispatch itself allocates.
+// Results are bit-identical at every width.
 //
 // The simulation hot path that feeds the aggregators is batched end to
 // end. Every model implements model.BatchGradienter — one blocked

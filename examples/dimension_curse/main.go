@@ -72,7 +72,7 @@ func finalError(dim int, withDP bool) (float64, error) {
 		s.Mechanism = &dpbyz.MechanismSpec{Name: "gaussian", Epsilon: 0.2, Delta: 1e-6}
 	}
 	res, err := dpbyz.Run(context.Background(), s,
-		dpbyz.WithDatasets(ds, nil), dpbyz.WithParallel())
+		dpbyz.WithDatasets(ds, nil))
 	if err != nil {
 		return 0, err
 	}

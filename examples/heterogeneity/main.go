@@ -51,7 +51,7 @@ func run() error {
 				Seed:           1,
 				AccuracyEvery:  50,
 			}
-			res, err := dpbyz.Run(context.Background(), s, dpbyz.WithParallel())
+			res, err := dpbyz.Run(context.Background(), s)
 			if err != nil {
 				return fmt.Errorf("%s beta=%v: %w", garName, beta, err)
 			}

@@ -73,7 +73,7 @@ func run() error {
 				return err
 			}
 		}
-		res, err := dpbyz.Run(context.Background(), s, dpbyz.WithParallel())
+		res, err := dpbyz.Run(context.Background(), s)
 		if err != nil {
 			return err
 		}

@@ -60,7 +60,7 @@ func run() error {
 		if setting.dp {
 			s.Mechanism = &dpbyz.MechanismSpec{Name: "gaussian", Epsilon: 0.2, Delta: 1e-6}
 		}
-		res, err := dpbyz.Run(context.Background(), s, dpbyz.WithParallel())
+		res, err := dpbyz.Run(context.Background(), s)
 		if err != nil {
 			return err
 		}

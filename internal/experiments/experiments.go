@@ -265,9 +265,8 @@ func resolveWorkers(s Sched) int {
 // Run executes every (row, seed) cell of the sweep on the scheduler and
 // folds each row's seeds, in seed order, into a CellResult; the cells come
 // back in row order. See the package comment for the determinism contract.
-// Simulate's per-worker goroutines are enabled only when the scheduler
-// itself is serial — pure oversubscription when cells already saturate the
-// cores, and the results are identical either way.
+// A cell's own loops fan out by their work (vecmath.ChunkWorkers) whatever
+// the scheduler's width; the results are identical either way.
 func Run(ctx context.Context, sw Sweep, sched Sched) ([]CellResult, error) {
 	seeds := max(sw.Seeds, 1)
 	var inputs []seedInputs
@@ -287,7 +286,6 @@ func Run(ctx context.Context, sw Sweep, sched Sched) ([]CellResult, error) {
 	}
 	// Cell (row ri, seed k) is task ri*seeds + k−1.
 	runs := make([]*runspec.Result, len(sw.Rows)*seeds)
-	inner := resolveWorkers(sched) == 1
 	// One backend value for the sweep: cells whose Specs pin one Data.Seed
 	// share the dataset it last built, as phishing sweeps do through inputs.
 	backend := &runspec.LocalBackend{}
@@ -306,9 +304,6 @@ func Run(ctx context.Context, sw Sweep, sched Sched) ([]CellResult, error) {
 				if inputs[si].mlpInit != nil {
 					opts = append(opts, runspec.WithInitParams(inputs[si].mlpInit))
 				}
-			}
-			if inner {
-				opts = append(opts, runspec.WithParallel())
 			}
 			res, err := backend.Run(ctx, s, opts...)
 			if err != nil {

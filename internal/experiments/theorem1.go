@@ -245,7 +245,6 @@ func theorem1Cell(ctx context.Context, spec Theorem1Spec, sh theorem1Shape, dpMo
 				LearningRate: sh.constantLR,
 				ClipNorm:     sh.clip,
 				Seed:         uint64(seed),
-				Parallel:     true,
 			}
 			if sh.constantLR == 0 {
 				cfg.LRSchedule = simulate.InverseTimeLR(1)

@@ -356,9 +356,9 @@ func (p *Phocas) AggregateInto(dst []float64, grads [][]float64) error {
 	}
 	// Per coordinate, average the n-f values nearest the trimmed mean.
 	d := len(dst)
-	if w := vecmath.ChunkWorkers(d); w > 1 {
-		// Above-grain dimensions fan out across cores; the closure spawn is
-		// the documented fixed goroutine-dispatch cost (see IntoAggregator).
+	if w := vecmath.ChunkWorkers(len(grads) * d); w > 1 {
+		// Above-grain n·d fans out across cores; the closure spawn is the
+		// documented fixed goroutine-dispatch cost (see IntoAggregator).
 		//dpbyz:allowalloc
 		vecmath.RunChunked(d, w, func(lo, hi int) {
 			ws := getScratch()

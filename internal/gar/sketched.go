@@ -26,7 +26,7 @@ type SketchOptions struct {
 // RoundAware was the hook through which the retired cross-round incremental
 // kernel observed the round counter. No rule implements it and no round loop
 // calls it any more; the declaration survives only because bench/wrap.go
-// names it, and goes with the next [benchmark] PR (ROADMAP item 6f).
+// names it, and goes with the next [benchmark] PR (ROADMAP item 11(e)).
 type RoundAware interface {
 	BeginRound(round int)
 }

@@ -46,14 +46,14 @@ var ErrBadDimension = errors.New("model: non-positive dimension")
 
 // evalGrain is the fixed number of points per evaluation chunk used by
 // Accuracy and DatasetLoss. The chunk boundaries depend only on the dataset
-// size — never on GOMAXPROCS or the vecmath parallelism cap — so the
+// size — never on GOMAXPROCS or on how many chunks run at once — so the
 // returned values are identical no matter how many cores execute the chunks.
 const evalGrain = 1024
 
-// evalChunks runs body(chunk) for every grain-sized chunk of n points,
-// fanning the chunks across the vecmath worker budget when there is more
-// than one. Each chunk index is processed exactly once.
-func evalChunks(n int, body func(c, lo, hi int)) {
+// evalChunks runs body(chunk) for every grain-sized chunk of n points of
+// dimension d, fanning the chunks out when vecmath.ChunkWorkers says the
+// n·d scan is worth it. Each chunk index is processed exactly once.
+func evalChunks(n, d int, body func(c, lo, hi int)) {
 	chunks := (n + evalGrain - 1) / evalGrain
 	runRange := func(cLo, cHi int) {
 		for c := cLo; c < cHi; c++ {
@@ -65,15 +65,11 @@ func evalChunks(n int, body func(c, lo, hi int)) {
 			body(c, lo, hi)
 		}
 	}
-	w := vecmath.Parallelism()
-	if w > chunks {
-		w = chunks
-	}
-	if w <= 1 {
-		runRange(0, chunks)
+	if w := min(vecmath.ChunkWorkers(n*d), chunks); w > 1 {
+		vecmath.RunChunked(chunks, w, runRange)
 		return
 	}
-	vecmath.RunChunked(chunks, w, runRange)
+	runRange(0, chunks)
 }
 
 // Accuracy returns the fraction of points in ds whose thresholded prediction
@@ -90,7 +86,7 @@ func Accuracy(m Predictor, w []float64, ds *data.Dataset) float64 {
 		return float64(accuracyRange(m, w, pts)) / float64(n)
 	}
 	counts := make([]int, (n+evalGrain-1)/evalGrain)
-	evalChunks(n, func(c, lo, hi int) {
+	evalChunks(n, len(w), func(c, lo, hi int) {
 		counts[c] = accuracyRange(m, w, pts[lo:hi])
 	})
 	correct := 0
@@ -130,7 +126,7 @@ func DatasetLoss(m Model, w []float64, ds *data.Dataset) float64 {
 		return m.Loss(w, pts)
 	}
 	sums := make([]float64, (n+evalGrain-1)/evalGrain)
-	evalChunks(n, func(c, lo, hi int) {
+	evalChunks(n, len(w), func(c, lo, hi int) {
 		sums[c] = m.Loss(w, pts[lo:hi]) * float64(hi-lo)
 	})
 	var total float64

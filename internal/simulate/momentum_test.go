@@ -43,25 +43,3 @@ func TestWorkerMomentumImprovesAttackedTraining(t *testing.T) {
 		t.Errorf("worker momentum did not help: %v (with) vs %v (without)", with, without)
 	}
 }
-
-func TestWorkerMomentumDeterministicWithParallel(t *testing.T) {
-	cfg := baseConfig(t, mustGAR(t, "mda", 7, 3))
-	cfg.Attack = attack.NewFallOfEmpires()
-	cfg.Momentum = 0
-	cfg.WorkerMomentum = 0.9
-	cfg.Steps = 30
-	serial, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallel = true
-	parallel, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.Params {
-		if serial.Params[i] != parallel.Params[i] {
-			t.Fatal("worker-momentum run is scheduling dependent")
-		}
-	}
-}

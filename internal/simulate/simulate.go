@@ -13,8 +13,9 @@
 // shards.
 //
 // The simulation is deterministic in Config.Seed: every worker derives an
-// independent randomness stream, so worker goroutines can run concurrently
-// without affecting the result.
+// independent randomness stream, so worker.StepAll can step the honest
+// workers on several goroutines (when their b·d work is past the fan-out
+// grain) without affecting the result.
 //
 // The honest step itself is worker.Pipeline.Step — the same code a cluster
 // worker runs — into pipeline-owned buffers, so the steady-state step
@@ -29,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"dpbyz/internal/attack"
 	"dpbyz/internal/checkpoint"
@@ -147,9 +147,6 @@ type Config struct {
 	// VNRatioEvery records the empirical DP-adjusted VN ratio of the honest
 	// submissions every k steps; 0 disables.
 	VNRatioEvery int
-	// Parallel computes worker gradients on separate goroutines. The result
-	// is identical either way; this only trades wall-clock for cores.
-	Parallel bool
 
 	// StepHook, when non-nil, is invoked after every completed step with the
 	// step's metric record and a read-only view of the current parameter
@@ -573,24 +570,7 @@ func (r *runner) step(step int) error {
 	cfg := &r.cfg
 	w := r.commit.Params()
 
-	if cfg.Parallel {
-		var wg sync.WaitGroup
-		for i := r.computeFrom; i < r.n; i++ {
-			wg.Add(1)
-			// Parallel mode trades a fixed per-step goroutine dispatch for
-			// wall-clock; the zero-alloc gate covers the serial path.
-			//dpbyz:allowalloc
-			go func(i int) {
-				defer wg.Done()
-				r.fresh[i] = r.workers[i].Step(w)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := r.computeFrom; i < r.n; i++ {
-			r.fresh[i] = r.workers[i].Step(w)
-		}
-	}
+	worker.StepAll(r.honest, r.workers[r.computeFrom:], w)
 	if cfg.Mechanism != nil && cfg.Accountant != nil {
 		for i := r.computeFrom; i < r.n; i++ {
 			cfg.Accountant.Record()

@@ -65,7 +65,6 @@ type ClusterStats struct {
 // runOptions collects the runtime (non-serializable) knobs of a run.
 type runOptions struct {
 	observers []Observer
-	parallel  bool
 
 	// Dataset and init-param injection for callers that pre-build shared
 	// inputs (the experiment grids).
@@ -103,12 +102,6 @@ func applyOptions(opts []Option) *runOptions {
 // for visibility.
 func WithObserver(obs Observer) Option {
 	return func(o *runOptions) { o.observers = append(o.observers, obs) }
-}
-
-// WithParallel computes worker gradients on separate goroutines (local
-// backend; results are bit-identical either way).
-func WithParallel() Option {
-	return func(o *runOptions) { o.parallel = true }
 }
 
 // WithDatasets injects pre-built train/test datasets, bypassing the Spec's

@@ -23,10 +23,6 @@ import (
 // the value. Trajectories are bit-identical either way. The value is safe
 // for concurrent Runs and must not be copied after first use.
 type LocalBackend struct {
-	// Parallel computes worker gradients on separate goroutines; results
-	// are bit-identical either way. WithParallel overrides per run.
-	Parallel bool
-
 	mu   sync.Mutex
 	last builtData // guarded by mu
 }
@@ -109,7 +105,6 @@ func (b *LocalBackend) config(s *Spec, o *runOptions) (simulate.Config, error) {
 		InitParams:        m.initParams,
 		AccuracyEvery:     s.AccuracyEvery,
 		VNRatioEvery:      s.VNRatioEvery,
-		Parallel:          b.Parallel || o.parallel,
 		StepHook:          o.stepHook(),
 	}
 	if s.Staleness != nil {

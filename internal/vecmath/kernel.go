@@ -159,11 +159,12 @@ func checkRect(vs [][]float64) (int, error) {
 }
 
 // reduceSortedColumns writes red.apply(sorted column j) into dst[j] for
-// every coordinate j, splitting the coordinate range across workers. vs
-// must be rectangular (checkRect) with len(dst) == len(vs[0]).
+// every coordinate j, splitting the coordinate range across workers when
+// the n·d work calls for it. vs must be rectangular (checkRect) with
+// len(dst) == len(vs[0]).
 func reduceSortedColumns(dst []float64, vs [][]float64, red colReduce) {
 	d := len(dst)
-	if w := ChunkWorkers(d); w > 1 {
+	if w := ChunkWorkers(len(vs) * d); w > 1 {
 		RunChunked(d, w, func(lo, hi int) {
 			reduceSortedColumnsRange(dst, vs, red, lo, hi)
 		})
@@ -335,7 +336,7 @@ func MeanInto(dst []float64, vs [][]float64) error {
 	if err != nil {
 		return err
 	}
-	if w := ChunkWorkers(d); w > 1 {
+	if w := ChunkWorkers(len(vs) * d); w > 1 {
 		RunChunked(d, w, func(lo, hi int) {
 			meanRange(dst, vs, lo, hi)
 		})
@@ -407,11 +408,7 @@ func PairwiseSqDistsInto(dst [][]float64, vs [][]float64) error {
 			return ErrDimensionMismatch
 		}
 	}
-	w := ChunkWorkers(n * (n - 1) / 2 * d)
-	if w > n {
-		w = n
-	}
-	if w > 1 {
+	if w := min(ChunkWorkers(n*(n-1)/2*d), n); w > 1 {
 		RunStriped(w, func(c int) {
 			pairwiseRows(dst, vs, c, w)
 		})

@@ -6,77 +6,77 @@ import (
 	"sync/atomic"
 )
 
-// DefaultParallelGrain is the minimum number of coordinates a worker must
-// receive before the kernels fan out to an extra goroutine. Below one grain
-// everything runs inline on the calling goroutine, which also keeps the
-// hot-path *Into kernels allocation-free (goroutine fan-out costs a handful
-// of small allocations).
-const DefaultParallelGrain = 4096
+// DefaultParallelGrain is the work, in element operations, one goroutine
+// must receive before a loop fans out to another: ChunkWorkers gives a loop
+// one goroutine per full grain, so below two grains everything runs inline
+// on the calling goroutine, which also keeps the hot-path *Into kernels
+// allocation-free (goroutine fan-out costs a handful of small allocations).
+// Split in two on a 2-vCPU box, the pairwise pass (the cheapest operation
+// per element) loses at 28k element operations and ties at 56k, the mean
+// loses at 10k and wins at 20k, and the sorted-column kernels, the gradient
+// sweep and the evaluation scan already win at 10–20k. Fanning out from two
+// grains (32,768) sits between those crossovers and keeps the paper's
+// figure shape (6 honest workers × b = 50 × d = 69 = 20,700) inline.
+const DefaultParallelGrain = 1 << 14
 
 var (
-	// parallelWorkers caps the number of goroutines per kernel invocation;
-	// 0 means runtime.GOMAXPROCS(0), resolved at call time.
-	parallelWorkers atomic.Int64
-	// parallelGrain is the per-worker coordinate floor; 0 means
-	// DefaultParallelGrain.
-	parallelGrain atomic.Int64
+	// workerCap caps the number of goroutines per fan-out; 0 means
+	// runtime.GOMAXPROCS(0), resolved at call time.
+	workerCap atomic.Int64
+	// workGrain is the per-worker work floor; 0 means DefaultParallelGrain.
+	workGrain atomic.Int64
 )
 
-// SetParallelism caps the number of goroutines the chunked kernels may use.
-// workers <= 0 restores the default (runtime.GOMAXPROCS at call time).
-// SetParallelism(1) forces every kernel onto the calling goroutine, which is
-// also the fully allocation-free configuration.
+// SetParallelism caps the number of goroutines a fan-out may use; it is a
+// test seam. workers <= 0 restores the default (runtime.GOMAXPROCS at call
+// time). SetParallelism(1) forces every loop onto the calling goroutine,
+// which is also the fully allocation-free configuration.
 func SetParallelism(workers int) {
 	if workers < 0 {
 		workers = 0
 	}
-	parallelWorkers.Store(int64(workers))
+	workerCap.Store(int64(workers))
 }
 
-// Parallelism returns the current goroutine cap for the chunked kernels.
-func Parallelism() int {
-	if w := int(parallelWorkers.Load()); w > 0 {
+// parallelism returns the current goroutine cap.
+func parallelism() int {
+	if w := int(workerCap.Load()); w > 0 {
 		return w
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// SetParallelGrain sets the minimum coordinates-per-worker before the
-// kernels spawn an extra goroutine. coords <= 0 restores
-// DefaultParallelGrain. Tests lower it to exercise the parallel path on
-// small inputs.
-func SetParallelGrain(coords int) {
-	if coords < 0 {
-		coords = 0
+// SetParallelGrain sets the per-worker work floor, in element operations;
+// it is a test seam. work <= 0 restores DefaultParallelGrain. Tests set 1
+// to exercise the parallel path on small inputs.
+func SetParallelGrain(work int) {
+	if work < 0 {
+		work = 0
 	}
-	parallelGrain.Store(int64(coords))
+	workGrain.Store(int64(work))
 }
 
-// ParallelGrain returns the current per-worker coordinate floor.
-func ParallelGrain() int {
-	if g := int(parallelGrain.Load()); g > 0 {
+// parallelGrain returns the current per-worker work floor.
+func parallelGrain() int {
+	if g := int(workGrain.Load()); g > 0 {
 		return g
 	}
 	return DefaultParallelGrain
 }
 
-// ChunkWorkers returns how many goroutines a kernel over `work` units should
-// use: never more than the configured cap and never so many that a worker
-// gets less than one grain of work. Callers with a zero-alloc fast path
-// should handle a result of 1 by calling their sequential body directly.
+// ChunkWorkers is the process's one fan-out decision: how many goroutines a
+// loop doing `work` element operations should use — one per full grain,
+// never more than the configured cap. Each caller counts its own work (n·d
+// for a coordinate-wise kernel, n(n−1)/2·d for the pairwise pass, points·d
+// for an evaluation scan, workers·b·d for a gradient sweep) and still caps
+// the result at its number of items. Callers with a zero-alloc fast path
+// handle a result of 1 by calling their sequential body directly.
 func ChunkWorkers(work int) int {
-	g := ParallelGrain()
-	byGrain := work / g
+	byGrain := work / parallelGrain()
 	if byGrain <= 1 {
 		return 1
 	}
-	if w := Parallelism(); w < byGrain {
-		byGrain = w
-	}
-	if byGrain < 1 {
-		return 1
-	}
-	return byGrain
+	return min(byGrain, parallelism())
 }
 
 // chunkBounds splits [0, n) into w near-equal contiguous chunks and returns

@@ -313,8 +313,41 @@ func TestChunkWorkersRespectsGrain(t *testing.T) {
 	if w := ChunkWorkers(100_000); w != 4 {
 		t.Errorf("ChunkWorkers(1e5) = %d, want the cap 4", w)
 	}
-	if Parallelism() != 4 || ParallelGrain() != 100 {
+	if parallelism() != 4 || parallelGrain() != 100 {
 		t.Error("knobs did not round-trip")
+	}
+}
+
+// TestChunkWorkersAtBenchmarkShapes pins the default grain's decision at
+// the shapes it was measured on, two cores: what stays inline and what
+// splits. Each work count is the caller's own formula (n·d for a
+// coordinate-wise kernel, n(n−1)/2·d for the pairwise pass, workers·b·d for
+// a gradient sweep), so a grain edit that flips a benchmark shape fails
+// here by name.
+func TestChunkWorkersAtBenchmarkShapes(t *testing.T) {
+	SetParallelism(2)
+	t.Cleanup(func() { SetParallelism(0) })
+	pairs := func(n int) int { return n * (n - 1) / 2 }
+	for _, c := range []struct {
+		name string
+		work int
+		want int
+	}{
+		{"fig2 sweep: 6 honest × b=50 × d=69", 6 * 50 * 69, 1},
+		{"fleet sweep: 8 workers × b=10 × d=11", 8 * 10 * 11, 1},
+		{"krum pairwise n=8, d=1000", pairs(8) * 1000, 1},
+		{"krum pairwise n=8, d=2000", pairs(8) * 2000, 2},
+		{"mean n=16, d=1250", 16 * 1250, 1},
+		{"median n=16, d=2500", 16 * 2500, 2},
+		{"median n=16, d=10⁴", 16 * 10_000, 2},
+		{"median n=64, d=10⁴", 64 * 10_000, 2},
+		{"krum pairwise n=16, d=10⁴", pairs(16) * 10_000, 2},
+		{"krum pairwise n=64, d=10⁴", pairs(64) * 10_000, 2},
+		{"wide sweep: 16 workers × b=10 × d=10⁴", 16 * 10 * 10_000, 2},
+	} {
+		if got := ChunkWorkers(c.work); got != c.want {
+			t.Errorf("%s: ChunkWorkers(%d) = %d, want %d", c.name, c.work, got, c.want)
+		}
 	}
 }
 

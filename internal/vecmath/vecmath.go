@@ -35,11 +35,6 @@ func assertSameLen(a, b []float64) {
 	}
 }
 
-// Zeros returns a freshly allocated zero vector of dimension d.
-func Zeros(d int) []float64 {
-	return make([]float64, d)
-}
-
 // Clone returns a copy of v.
 func Clone(v []float64) []float64 {
 	out := make([]float64, len(v))
@@ -74,18 +69,6 @@ func Add(a, b []float64) []float64 {
 		out[i] = a[i] + b[i]
 	}
 	return out
-}
-
-// AddInto stores a + b into dst and returns dst.
-//
-//dpbyz:hotpath
-func AddInto(dst, a, b []float64) []float64 {
-	assertSameLen(a, b)
-	assertSameLen(dst, a)
-	for i := range a {
-		dst[i] = a[i] + b[i]
-	}
-	return dst
 }
 
 // Sub returns a - b.
@@ -177,30 +160,6 @@ func SqNorm(v []float64) float64 {
 //dpbyz:hotpath
 func Norm(v []float64) float64 {
 	return math.Sqrt(SqNorm(v))
-}
-
-// L1Norm returns the L1 norm of v.
-//
-//dpbyz:hotpath
-func L1Norm(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// LInfNorm returns the maximum absolute coordinate of v (0 for empty v).
-//
-//dpbyz:hotpath
-func LInfNorm(v []float64) float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Dist returns the Euclidean distance between a and b.
@@ -322,19 +281,6 @@ func PairwiseSqDists(vs [][]float64) ([][]float64, error) {
 	return m, nil
 }
 
-// Diameter returns the maximum pairwise Euclidean distance among vs.
-func Diameter(vs [][]float64) float64 {
-	var best float64
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			if d := SqDist(vs[i], vs[j]); d > best {
-				best = d
-			}
-		}
-	}
-	return math.Sqrt(best)
-}
-
 // AllFinite reports whether every coordinate of v is finite (no NaN/±Inf).
 //
 //dpbyz:hotpath
@@ -358,35 +304,4 @@ func ApproxEqual(a, b []float64, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Sum returns the sum of the coordinates of v.
-//
-//dpbyz:hotpath
-func Sum(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// MinMax returns the smallest and largest coordinate of v.
-// It returns (0, 0) for an empty vector.
-//
-//dpbyz:hotpath
-func MinMax(v []float64) (lo, hi float64) {
-	if len(v) == 0 {
-		return 0, 0
-	}
-	lo, hi = v[0], v[0]
-	for _, x := range v[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
 }

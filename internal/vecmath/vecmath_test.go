@@ -8,16 +8,7 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestZerosAndClone(t *testing.T) {
-	z := Zeros(4)
-	if len(z) != 4 {
-		t.Fatalf("Zeros(4) length = %d", len(z))
-	}
-	for _, x := range z {
-		if x != 0 {
-			t.Fatalf("Zeros produced non-zero coordinate %v", x)
-		}
-	}
+func TestClone(t *testing.T) {
 	v := []float64{1, 2, 3}
 	c := Clone(v)
 	c[0] = 99
@@ -53,9 +44,6 @@ func TestIntoVariantsMatchAllocVariants(t *testing.T) {
 	a := []float64{1, -2, 3.5}
 	b := []float64{0.5, 2, -1}
 	dst := make([]float64, 3)
-	if got := AddInto(dst, a, b); !ApproxEqual(got, Add(a, b), 0) {
-		t.Errorf("AddInto = %v", got)
-	}
 	if got := SubInto(dst, a, b); !ApproxEqual(got, Sub(a, b), 0) {
 		t.Errorf("SubInto = %v", got)
 	}
@@ -93,15 +81,6 @@ func TestDotNormDist(t *testing.T) {
 	}
 	if got := SqDist([]float64{0, 0}, a); got != 25 {
 		t.Errorf("SqDist = %v", got)
-	}
-	if got := L1Norm([]float64{-1, 2, -3}); got != 6 {
-		t.Errorf("L1Norm = %v", got)
-	}
-	if got := LInfNorm([]float64{-1, 2, -3}); got != 3 {
-		t.Errorf("LInfNorm = %v", got)
-	}
-	if got := LInfNorm(nil); got != 0 {
-		t.Errorf("LInfNorm(nil) = %v", got)
 	}
 }
 
@@ -261,7 +240,7 @@ func TestCoordStd(t *testing.T) {
 	}
 }
 
-func TestPairwiseSqDistsAndDiameter(t *testing.T) {
+func TestPairwiseSqDists(t *testing.T) {
 	vs := [][]float64{{0, 0}, {3, 4}, {0, 1}}
 	m, err := PairwiseSqDists(vs)
 	if err != nil {
@@ -272,12 +251,6 @@ func TestPairwiseSqDistsAndDiameter(t *testing.T) {
 	}
 	if m[0][0] != 0 || m[1][1] != 0 {
 		t.Error("diagonal not zero")
-	}
-	if got := Diameter(vs); got != 5 {
-		t.Errorf("Diameter = %v", got)
-	}
-	if got := Diameter(nil); got != 0 {
-		t.Errorf("Diameter(nil) = %v", got)
 	}
 }
 
@@ -293,21 +266,10 @@ func TestAllFinite(t *testing.T) {
 	}
 }
 
-func TestSumFillMinMax(t *testing.T) {
-	if got := Sum([]float64{1, 2, 3.5}); got != 6.5 {
-		t.Errorf("Sum = %v", got)
-	}
+func TestFill(t *testing.T) {
 	v := Fill(make([]float64, 3), 2)
 	if !ApproxEqual(v, []float64{2, 2, 2}, 0) {
 		t.Errorf("Fill = %v", v)
-	}
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = %v, %v", lo, hi)
-	}
-	lo, hi = MinMax(nil)
-	if lo != 0 || hi != 0 {
-		t.Errorf("MinMax(nil) = %v, %v", lo, hi)
 	}
 }
 

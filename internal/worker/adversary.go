@@ -160,10 +160,10 @@ func (c *Coalition) Restore(st *checkpoint.RunState) error {
 }
 
 func (c *Coalition) craft(round int, w []float64) ([]float64, error) {
-	for i, p := range c.shadows {
+	for _, p := range c.shadows {
 		p.Skip(round - c.consumed)
-		c.honest[i] = p.Step(w)
 	}
+	StepAll(c.honest, c.shadows, w)
 	c.consumed = round + 1
 	v, err := c.adv.Craft(c.honest)
 	if err != nil {

@@ -20,3 +20,19 @@ func TestStepZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// Below the fan-out grain StepAll is a plain loop over Step and allocates
+// nothing either.
+func TestStepAllZeroAlloc(t *testing.T) {
+	cfg := testConfig(t, "gaussian", 0.9, false)
+	pipes := make([]*Pipeline, 5)
+	for i := range pipes {
+		pipes[i] = mustNew(t, cfg)
+	}
+	dst := make([][]float64, len(pipes))
+	w := make([]float64, cfg.Model.Dim())
+	StepAll(dst, pipes, w)
+	if a := testing.AllocsPerRun(100, func() { StepAll(dst, pipes, w) }); a != 0 {
+		t.Errorf("StepAll allocates %v per round below the grain, want 0", a)
+	}
+}

@@ -1,10 +1,10 @@
 // Package worker is the honest worker of the paper's §2.3, written once:
 // sample a batch, compute the gradient, clip it to G_max (Assumption 1),
 // inject the DP noise of Eq. 7 and apply distributed momentum. The
-// simulator steps n Pipelines in one process and a cluster worker steps one
-// behind a connection, so an honest submission is the same bits on both
-// backends because it is the same code, and a rejoining worker's replay
-// (Skip) lives next to the draws it has to mirror.
+// simulator steps n Pipelines in one process (StepAll) and a cluster worker
+// steps one behind a connection, so an honest submission is the same bits
+// on both backends because it is the same code, and a rejoining worker's
+// replay (Skip) lives next to the draws it has to mirror.
 //
 // The paper's colluding Byzantine coalition is written once here too:
 // Adversary crafts the round's one Byzantine vector from the honest
@@ -143,6 +143,39 @@ func (p *Pipeline) Step(w []float64) []float64 {
 		p.accumulate()
 	}
 	return p.grad
+}
+
+// StepAll runs one round at parameters w on every pipeline and stores
+// pipeline i's submission in dst[i], aliasing its buffer as Step's result
+// does. Pipelines share nothing mutable, so the sweep splits across
+// goroutines when vecmath.ChunkWorkers says its pipelines·b·d work is worth
+// it; every submission is the same bits either way.
+//
+//dpbyz:hotpath
+func StepAll(dst [][]float64, pipes []*Pipeline, w []float64) {
+	if len(pipes) == 0 {
+		return
+	}
+	work := len(pipes) * pipes[0].cfg.BatchSize * len(w)
+	if nw := min(vecmath.ChunkWorkers(work), len(pipes)); nw > 1 {
+		// A sweep past the grain pays the fixed goroutine dispatch; below it
+		// the loop runs inline and allocates nothing.
+		//dpbyz:allowalloc
+		vecmath.RunChunked(len(pipes), nw, func(lo, hi int) {
+			stepRange(dst, pipes, w, lo, hi)
+		})
+		return
+	}
+	stepRange(dst, pipes, w, 0, len(pipes))
+}
+
+// stepRange steps pipelines [lo, hi) into dst.
+//
+//dpbyz:hotpath
+func stepRange(dst [][]float64, pipes []*Pipeline, w []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		dst[i] = pipes[i].Step(w)
+	}
 }
 
 // accumulate folds grad into the momentum state, m ← μ·m + g, leaves m in

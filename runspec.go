@@ -121,7 +121,6 @@ var (
 
 	// Run options.
 	WithObserver       = spec.WithObserver
-	WithParallel       = spec.WithParallel
 	WithDatasets       = spec.WithDatasets
 	WithInitParams     = spec.WithInitParams
 	WithCheckpointFile = spec.WithCheckpointFile
