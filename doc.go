@@ -280,7 +280,11 @@
 // accumulation (for affine models the per-sample gradient g·[x, 1] is
 // clipped through the scalar |g|·√(‖x‖²+1), priced with feature norms
 // cached at dataset construction, so the d-sized per-sample gradient is
-// never materialized) — and the worker pipeline (internal/worker, the one
+// never materialized). The per-sample scores w·x are taken two rows per
+// sweep over w (vecmath.DotBlocked2, bit-identical to one blocked dot per
+// row), in the batched gradients and in the Loss the runner measures on
+// every honest batch, and an affine block of four rows is then accumulated
+// in one Axpy4 sweep. The worker pipeline (internal/worker, the one
 // §2.3 honest step both the simulator and the cluster worker call) runs
 // noise injection and momentum in place over pipeline-owned buffers.
 // Gaussian noise comes from a 256-strip ziggurat sampler (internal/randx;

@@ -138,3 +138,18 @@ func reportRoundsPerSec(b *testing.B) {
 		b.ReportMetric(float64(b.N)/sec, "rounds/sec")
 	}
 }
+
+// BenchmarkDecodeFloat64s times the payload decode every parsed params or
+// gradient frame pays, at the wide workloads' d = 10⁴.
+func BenchmarkDecodeFloat64s(b *testing.B) {
+	src := make([]byte, 8*benchDim)
+	for i := range src {
+		src[i] = byte(i * 31)
+	}
+	dst := make([]float64, benchDim)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dst = decodeFloat64s(dst, src, benchDim)
+	}
+}

@@ -294,7 +294,8 @@ func decodeFloat64s(dst []float64, src []byte, n int) []float64 {
 	}
 	dst = dst[:n]
 	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
+		src = src[8:]
 	}
 	return dst
 }

@@ -337,7 +337,10 @@ func TestMembershipLateJoin(t *testing.T) {
 		Logf:         hs.logf,
 		StepHook: func(rec metrics.StepRecord, w []float64) error {
 			// Launch the late joiner once the first round has committed, so
-			// its admission necessarily happens at a later boundary.
+			// its admission necessarily happens at a later boundary. The
+			// hold below is safe on a loaded box: the late joiner dials as
+			// soon as it is launched, and nothing it waits for needs the
+			// server to advance.
 			lateOnce.Do(func() {
 				lateWG.Add(1)
 				go func() {
@@ -406,7 +409,9 @@ func viewOf(st membership.EpochStat) membership.View {
 // TestMembershipCrashEvictionAndRestart is the join/leave lifecycle over a
 // real run: a worker crashes mid-run, is evicted at a boundary (shrinking
 // the view), and a fresh process with the same id rejoins epochs later,
-// fast-forwarding from scratch to the cohort's position.
+// fast-forwarding from scratch to the cohort's position. Both of worker 2's
+// dials wait on events, and the hook that holds the server for each dial
+// waits for nothing else, so the schedule is the same on a loaded box.
 func TestMembershipCrashEvictionAndRestart(t *testing.T) {
 	const (
 		steps       = 16
@@ -419,6 +424,7 @@ func TestMembershipCrashEvictionAndRestart(t *testing.T) {
 	ctx, cancel := testContext(t)
 	defer cancel()
 
+	crashGate := make(chan struct{})
 	restartGate := make(chan struct{})
 	hs := newHandshakeLog()
 	srvCfg := ServerConfig{
@@ -435,11 +441,20 @@ func TestMembershipCrashEvictionAndRestart(t *testing.T) {
 		Logf:         hs.logf,
 		StepHook: func(rec metrics.StepRecord, w []float64) error {
 			switch rec.Step {
+			case 1:
+				// Let the crash-phase process dial, and hold round 1 until it
+				// is registered: the boundary at round 2 admits it, and it
+				// serves its two rounds long before the restart. Its dial
+				// waits for nothing but this gate.
+				close(crashGate)
+				return hs.wait(ctx, 2, 1)
 			case 8:
 				close(restartGate)
 			case steps - epochRounds - 1:
 				// The restarted process (worker 2's second handshake) must be
-				// registered before the final boundary.
+				// registered before the final boundary. It dials once the
+				// crash phase has ended (round 3) and round 8 has opened
+				// restartGate, so it needs nothing more from the server.
 				return hs.wait(ctx, 2, 2)
 			}
 			return nil
@@ -479,15 +494,18 @@ func TestMembershipCrashEvictionAndRestart(t *testing.T) {
 		defer wg.Done()
 		crash := baseWorker(2)
 		crash.MaxRounds = 2
-		// The doomed process dials only once both survivors are registered:
-		// the run starts at the floor of two, and were it one of those two
-		// its eviction could find the third worker not yet handshaken and
-		// collapse the view.
+		// The doomed process dials only once round 1 has committed, so
+		// the run starts with the two survivors at the floor of two (were it
+		// one of those two, its eviction could find the third worker not yet
+		// handshaken and collapse the view), and as late as the round-1 hook
+		// allows.
 		crash.Transport = &gatedDialTransport{inner: tr, gate: func(ctx context.Context) error {
-			if err := hs.wait(ctx, 0, 1); err != nil {
-				return err
+			select {
+			case <-crashGate:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
 			}
-			return hs.wait(ctx, 1, 1)
 		}}
 		if _, err := RunWorker(ctx, crash); err != nil {
 			restartErr = fmt.Errorf("crash phase: %w", err)
@@ -862,6 +880,9 @@ func TestMembershipPartitionEvictRejoin(t *testing.T) {
 			// Epoch 2 (rounds 6-8) opens with worker 3's eviction; hold its
 			// first round until the redial is registered, so the rejoin is
 			// admitted at round 9 and not whenever the dial got scheduled.
+			// The hold is safe on a loaded box: the boundary before round 6
+			// has already aborted worker 3's dead connection, and its redial
+			// needs nothing more from the server.
 			if rec.Step == 2*epochRounds {
 				return hs.wait(ctx, 3, 2)
 			}

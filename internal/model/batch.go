@@ -45,40 +45,57 @@ func dlossLogisticNLL(z, y float64) float64 { return sigmoid(z) - y }
 
 func dlossLinearRegression(z, y float64) float64 { return 2 * (z - y) }
 
+// pairDots returns the scores w·xᵢ and w·xᵢ₊₁ of batch rows i and i+1, each
+// over the row's own width, reading w once when the two rows share a width
+// (vecmath.DotBlocked2 is bit-identical to two DotBlocked calls). When i is
+// the last row, the second score is 0. Rows of different widths — the
+// dimension-confused inputs the cluster tests feed — are scored one at a
+// time, so they degrade instead of panicking.
+func pairDots(w []float64, batch []data.Point, i int) (float64, float64) {
+	x0 := batch[i].X
+	if i+1 == len(batch) {
+		return vecmath.DotBlocked(w[:len(x0)], x0), 0
+	}
+	x1 := batch[i+1].X
+	if len(x1) != len(x0) {
+		return vecmath.DotBlocked(w[:len(x0)], x0), vecmath.DotBlocked(w[:len(x1)], x1)
+	}
+	return vecmath.DotBlocked2(w[:len(x0)], x0, x1)
+}
+
 // affineSampleCoeff returns the (possibly clipped) per-sample coefficient g
-// for one point of an affine model: the per-sample gradient g·[x, 1] has
-// norm |g|·√(‖x‖²+1), so clipping reduces to rescaling the scalar. With
-// clip <= 0 the raw coefficient is returned. The kernels range over the
-// point's own width (as the historical scalar loops did), so
-// dimension-confused inputs degrade instead of panicking here.
-func affineSampleCoeff(w []float64, p data.Point, xSq float64, haveSq bool, clip float64,
+// for batch point i of an affine model with score dot = w·x: the per-sample
+// gradient g·[x, 1] has norm |g|·√(‖x‖²+1), so clipping reduces to rescaling
+// the scalar. With clip <= 0 the raw coefficient is returned; otherwise ‖x‖²
+// comes from xSq when it is non-nil and from one blocked pass over x when it
+// is not.
+func affineSampleCoeff(w []float64, batch []data.Point, i int, dot float64, xSq []float64, clip float64,
 	dloss func(z, y float64) float64) float64 {
-	if clip <= 0 {
-		// Raw batch gradient: no clipping, so the feature norm is never
-		// needed and the fused pass degenerates to a plain blocked dot.
-		return dloss(vecmath.DotBlocked(w[:len(p.X)], p.X)+w[len(w)-1], p.Y)
-	}
-	var dot, sq float64
-	if haveSq {
-		dot = vecmath.DotBlocked(w[:len(p.X)], p.X)
-		sq = xSq
-	} else {
-		dot, sq = vecmath.DotSqNorm(w[:len(p.X)], p.X)
-	}
+	p := batch[i]
 	g := dloss(dot+w[len(w)-1], p.Y)
-	if g != 0 {
-		if norm := math.Abs(g) * math.Sqrt(sq+1); norm > clip {
-			g *= clip / norm
-		}
+	if clip <= 0 || g == 0 {
+		return g
+	}
+	var sq float64
+	if xSq != nil {
+		sq = xSq[i]
+	} else {
+		sq = vecmath.DotBlocked(p.X, p.X)
+	}
+	if norm := math.Abs(g) * math.Sqrt(sq+1); norm > clip {
+		g *= clip / norm
 	}
 	return g
 }
 
 // affineBatch is the shared batched kernel of the three affine models, for
 // both the raw (clip <= 0) and per-sample-clipped (clip > 0) batch
-// gradients. Samples are processed four at a time: the four coefficients
-// are computed first, then one fused Axpy4 sweep accumulates them, touching
-// each dst coordinate once per block instead of once per sample.
+// gradients. Samples are processed four at a time: two DotBlocked2 sweeps
+// score the four rows, reading w once per pair, the four coefficients
+// follow, then one fused Axpy4 sweep accumulates them, touching each dst
+// coordinate once per block instead of once per sample. The 1–3 leftover
+// samples are scored in pairs where they can be and accumulated one by one,
+// in sample order.
 func affineBatch(dst, w []float64, batch []data.Point, xSq []float64, clip float64,
 	dloss func(z, y float64) float64) []float64 {
 	for i := range dst {
@@ -88,24 +105,20 @@ func affineBatch(dst, w []float64, batch []data.Point, xSq []float64, clip float
 	var gs [4]float64
 	i := 0
 	for ; i+4 <= len(batch); i += 4 {
-		for k := 0; k < 4; k++ {
-			var sq float64
-			if xSq != nil {
-				sq = xSq[i+k]
-			}
-			g := affineSampleCoeff(w, batch[i+k], sq, xSq != nil, clip, dloss)
-			gs[k] = g
-			dst[f] += g
+		gs[0], gs[1] = pairDots(w, batch, i)
+		gs[2], gs[3] = pairDots(w, batch, i+2)
+		for k := range gs {
+			gs[k] = affineSampleCoeff(w, batch, i+k, gs[k], xSq, clip, dloss)
+			dst[f] += gs[k]
 		}
 		vecmath.Axpy4(dst, gs[0], batch[i].X, gs[1], batch[i+1].X,
 			gs[2], batch[i+2].X, gs[3], batch[i+3].X)
 	}
 	for ; i < len(batch); i++ {
-		var sq float64
-		if xSq != nil {
-			sq = xSq[i]
+		if i%2 == 0 {
+			gs[0], gs[1] = pairDots(w, batch, i)
 		}
-		g := affineSampleCoeff(w, batch[i], sq, xSq != nil, clip, dloss)
+		g := affineSampleCoeff(w, batch, i, gs[i%2], xSq, clip, dloss)
 		vecmath.Axpy(g, batch[i].X, dst[:len(batch[i].X)])
 		dst[f] += g
 	}
@@ -142,13 +155,12 @@ func (m *MeanEstimation) ClippedBatchGradient(dst, _, w []float64, batch []data.
 	wSq := vecmath.SqNorm(w)
 	var sSum float64
 	var ss [4]float64
-	sampleScale := func(i int) float64 {
-		var dot, sq float64
+	sampleScale := func(i int, dot float64) float64 {
+		var sq float64
 		if xSq != nil {
-			dot = vecmath.DotBlocked(w, batch[i].X)
 			sq = xSq[i]
 		} else {
-			dot, sq = vecmath.DotSqNorm(w, batch[i].X)
+			sq = vecmath.DotBlocked(batch[i].X, batch[i].X)
 		}
 		normSq := wSq - 2*dot + sq
 		if normSq > clip*clip {
@@ -158,16 +170,20 @@ func (m *MeanEstimation) ClippedBatchGradient(dst, _, w []float64, batch []data.
 	}
 	i := 0
 	for ; i+4 <= len(batch); i += 4 {
-		for k := 0; k < 4; k++ {
-			s := sampleScale(i + k)
-			ss[k] = s
-			sSum += s
+		ss[0], ss[1] = pairDots(w, batch, i)
+		ss[2], ss[3] = pairDots(w, batch, i+2)
+		for k := range ss {
+			ss[k] = sampleScale(i+k, ss[k])
+			sSum += ss[k]
 		}
 		vecmath.Axpy4(dst, -ss[0], batch[i].X, -ss[1], batch[i+1].X,
 			-ss[2], batch[i+2].X, -ss[3], batch[i+3].X)
 	}
 	for ; i < len(batch); i++ {
-		s := sampleScale(i)
+		if i%2 == 0 {
+			ss[0], ss[1] = pairDots(w, batch, i)
+		}
+		s := sampleScale(i, ss[i%2])
 		vecmath.Axpy(-s, batch[i].X, dst)
 		sSum += s
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // batchTask builds a deterministic batch plus matching ‖x‖² cache.
-func batchTask(t *testing.T, features, n int, seed int64) ([]data.Point, []float64) {
+func batchTask(t testing.TB, features, n int, seed int64) ([]data.Point, []float64) {
 	t.Helper()
 	batch := make([]data.Point, n)
 	xSq := make([]float64, n)
@@ -202,5 +202,35 @@ func TestEvalParallelismInvariant(t *testing.T) {
 	flat := m.Loss(w, ds.Points())
 	if math.Abs(losses[0]-flat) > 1e-9*(1+math.Abs(flat)) {
 		t.Errorf("chunked loss %v far from flat loss %v", losses[0], flat)
+	}
+}
+
+// BenchmarkAffineBatch times one clipped batch gradient of the paper's
+// model with cached feature norms, at the fig2 shape (b = 50, d = 69) and at
+// the cluster workloads' wide shape (b = 10, d = 10⁴), where each batch is
+// the next ten rows of a 410-row set so that rows are not all cache-hot.
+func BenchmarkAffineBatch(b *testing.B) {
+	for _, sh := range []struct {
+		name            string
+		batch, features int
+		rows            int
+	}{
+		{"fig2", 50, 68, 50},
+		{"wide", 10, 9999, 410},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			m, err := NewLogisticMSE(sh.features)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows, xSq := batchTask(b, sh.features, sh.rows, 1)
+			w := randomParams(m.Dim(), 2)
+			dst := make([]float64, m.Dim())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := i * sh.batch % sh.rows
+				m.ClippedBatchGradient(dst, nil, w, rows[lo:lo+sh.batch], xSq[lo:lo+sh.batch], 1e-2)
+			}
+		})
 	}
 }

@@ -50,14 +50,26 @@ func (m *MLP) unpack(w []float64) (w1 []float64, b1 []float64, w2 []float64, b2 
 }
 
 // forward computes hidden activations into hBuf and returns the output
-// probability.
+// probability. Hidden rows are scored two per sweep over x: DotBlocked2(x,
+// rowᵢ, rowᵢ₊₁) is bit-identical to DotBlocked(rowᵢ, x) and DotBlocked(rowᵢ₊₁,
+// x), since IEEE multiplication commutes.
 func (m *MLP) forward(w []float64, x []float64, hBuf []float64) float64 {
 	w1, b1, w2, b2 := m.unpack(w)
 	f := m.features
 	z := b2
+	var next float64
 	for i := 0; i < m.hidden; i++ {
-		row := w1[i*f : (i+1)*f]
-		a := b1[i] + vecmath.DotBlocked(row[:len(x)], x)
+		row := w1[i*f : (i+1)*f][:len(x)]
+		var dot float64
+		switch {
+		case i%2 == 1:
+			dot = next
+		case i+1 < m.hidden:
+			dot, next = vecmath.DotBlocked2(x, row, w1[(i+1)*f : (i+2)*f][:len(x)])
+		default:
+			dot = vecmath.DotBlocked(row, x)
+		}
+		a := b1[i] + dot
 		hBuf[i] = math.Tanh(a)
 		z += w2[i] * hBuf[i]
 	}

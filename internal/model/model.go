@@ -146,11 +146,12 @@ func sigmoid(z float64) float64 {
 }
 
 // affine returns w·x + bias where the bias is the last parameter; the
-// feature dimension is len(w)-1. The dot product runs on the blocked kernel
-// so loss evaluation keeps pace with the batched gradient path. Like the
-// historical scalar loop, it ranges over x, tolerating a w that carries more
-// features than the point (the cluster tests exercise dimension-confused
-// workers that way).
+// feature dimension is len(w)-1. It scores one point for Predict; the Loss
+// loops score their batch two rows per sweep over w with pairDots, which is
+// bit-identical to one DotBlocked call per row. Like the historical scalar
+// loop, both range over x, tolerating a w that carries more features than
+// the point (the cluster tests exercise dimension-confused workers that
+// way).
 func affine(w []float64, x []float64) float64 {
 	return w[len(w)-1] + vecmath.DotBlocked(w[:len(x)], x)
 }
@@ -192,8 +193,12 @@ func (m *LogisticMSE) Predict(w []float64, x []float64) float64 {
 // Loss implements Model: mean over the batch of (sigmoid(w·x+b) − y)².
 func (m *LogisticMSE) Loss(w []float64, batch []data.Point) float64 {
 	var s float64
-	for _, p := range batch {
-		d := sigmoid(affine(w, p.X)) - p.Y
+	var zs [2]float64
+	for i, p := range batch {
+		if i%2 == 0 {
+			zs[0], zs[1] = pairDots(w, batch, i)
+		}
+		d := sigmoid(w[len(w)-1]+zs[i%2]) - p.Y
 		s += d * d
 	}
 	return s / float64(len(batch))
@@ -241,8 +246,12 @@ func (m *LogisticNLL) Predict(w []float64, x []float64) float64 {
 // log-sum-exp form.
 func (m *LogisticNLL) Loss(w []float64, batch []data.Point) float64 {
 	var s float64
-	for _, p := range batch {
-		z := affine(w, p.X)
+	var zs [2]float64
+	for i, p := range batch {
+		if i%2 == 0 {
+			zs[0], zs[1] = pairDots(w, batch, i)
+		}
+		z := w[len(w)-1] + zs[i%2]
 		// log(1+e^z) − y·z, stable for both signs of z.
 		s += math.Max(z, 0) + math.Log1p(math.Exp(-math.Abs(z))) - p.Y*z
 	}
@@ -282,8 +291,12 @@ func (m *LinearRegression) Features() int { return m.features }
 // Loss implements Model: mean of (w·x + b − y)².
 func (m *LinearRegression) Loss(w []float64, batch []data.Point) float64 {
 	var s float64
-	for _, p := range batch {
-		d := affine(w, p.X) - p.Y
+	var zs [2]float64
+	for i, p := range batch {
+		if i%2 == 0 {
+			zs[0], zs[1] = pairDots(w, batch, i)
+		}
+		d := w[len(w)-1] + zs[i%2] - p.Y
 		s += d * d
 	}
 	return s / float64(len(batch))
