@@ -229,6 +229,9 @@ func run() (retErr error) {
 			} else {
 				fmt.Fprintln(os.Stderr, "interrupted")
 			}
+			if res != nil {
+				printPrivacy(res.Privacy)
+			}
 			return nil
 		}
 		return err
@@ -243,14 +246,7 @@ func run() (retErr error) {
 				e.Epoch, e.N, e.F, e.Rounds, e.Accepted, e.Missed)
 		}
 	}
-	if s.Mechanism != nil && s.Mechanism.Epsilon > 0 && s.Mechanism.Delta > 0 {
-		bud := dpbyz.Budget{Epsilon: s.Mechanism.Epsilon, Delta: s.Mechanism.Delta}
-		if total, err := dpbyz.BasicComposition(bud, s.Steps); err == nil {
-			fmt.Fprintf(os.Stderr,
-				"per-worker privacy spend (basic composition over %d releases): eps=%.3g delta=%.3g\n",
-				s.Steps, total.Epsilon, total.Delta)
-		}
-	}
+	printPrivacy(res.Privacy)
 	if *savePath != "" {
 		name := s.Model.Name
 		if name == "" {
@@ -276,6 +272,17 @@ func run() (retErr error) {
 		fmt.Fprintf(os.Stderr, "checkpoint written to %s\n", *savePath)
 	}
 	return res.History.WriteCSV(os.Stdout)
+}
+
+// printPrivacy reports the run's ledger with its method; a Spec the ledger
+// does not cover, or without noise, gets no number.
+func printPrivacy(p dpbyz.Privacy) {
+	if p.Method == "rdp" || p.Method == "basic" {
+		fmt.Fprintf(os.Stderr, "per-worker privacy spend over %d releases (%s): eps=%.4g delta=%.3g\n",
+			p.Releases, p.Method, p.Epsilon, p.Delta)
+		return
+	}
+	fmt.Fprintf(os.Stderr, "per-worker privacy spend over %d releases: %s\n", p.Releases, p.Method)
 }
 
 // mlpHidden returns the hidden width to record: only MLPs have one.

@@ -9,7 +9,7 @@
 //     paper's (α, f)-Byzantine-resilient aggregation rules (Krum,
 //     Multi-Krum, Median, Trimmed Mean, Phocas, Meamed, Bulyan, MDA),
 //   - inject worker-local differential privacy noise (Gaussian or Laplace
-//     mechanisms) with composition accounting,
+//     mechanisms) and read every run's total spend from one ledger,
 //   - subject the training to the state-of-the-art attacks the paper
 //     evaluates (A Little Is Enough, Fall of Empires),
 //   - analyse the variance-to-norm (VN) ratio condition and the paper's
@@ -74,6 +74,16 @@
 // cluster backend for a fixed, synchronous cohort (a cluster resume that
 // could not be exact, one with worker momentum, fails with
 // spec.ErrInexactResume).
+//
+// Every Result carries the run's privacy spend, Spec.Privacy(Steps): a pure
+// function of the Spec and the rounds released, so a resumed run reports the
+// uninterrupted run's spend on either backend, and a cancelled run reports
+// its committed rounds plus the one in flight. A Gaussian run is composed in
+// Rényi DP and reported at the Spec's per-step δ, a Laplace run by basic
+// composition. The paper's ordering — worker momentum before the noise, the
+// quick start's Spec above — releases more than the calibrated sensitivity
+// and is reported as "not covered", with no number. No amplification by
+// subsampling is claimed.
 //
 // # Scenario matrix: heterogeneous data and adaptive attacks
 //

@@ -41,8 +41,6 @@ type (
 	Budget = dp.Budget
 	// Mechanism is a noise-injection DP mechanism.
 	Mechanism = dp.Mechanism
-	// Accountant tracks cumulative privacy spend.
-	Accountant = dp.Accountant
 
 	// History is a per-step metric trace.
 	History = metrics.History
@@ -96,12 +94,6 @@ var (
 	// NewLaplaceMechanismForGradient calibrates Laplace noise for a clipped
 	// gradient: (gmax, batchSize, dim, epsilon).
 	NewLaplaceMechanismForGradient = dp.NewLaplaceForGradient
-	// NewAccountant tracks per-step budget spend.
-	NewAccountant = dp.NewAccountant
-	// BasicComposition and AdvancedComposition bound the total budget of a
-	// multi-step release.
-	BasicComposition    = dp.BasicComposition
-	AdvancedComposition = dp.AdvancedComposition
 	// NoiseSigmaForGradient returns the paper's per-step noise scale
 	// s = 2·Gmax·√(2·log(1.25/δ))/(b·ε).
 	NoiseSigmaForGradient = dp.NoiseSigmaForGradient

@@ -37,10 +37,6 @@ func TestPublicAPITrainPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acct, err := dpbyz.NewAccountant(dpbyz.Budget{Epsilon: 0.5, Delta: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := simulate.Run(context.Background(), simulate.Config{
 		Model:         m,
 		Train:         train,
@@ -48,7 +44,6 @@ func TestPublicAPITrainPipeline(t *testing.T) {
 		GAR:           g,
 		Attack:        atk,
 		Mechanism:     mech,
-		Accountant:    acct,
 		Steps:         50,
 		BatchSize:     20,
 		LearningRate:  2,
@@ -62,12 +57,6 @@ func TestPublicAPITrainPipeline(t *testing.T) {
 	}
 	if res.History.Len() != 50 {
 		t.Errorf("history length = %d", res.History.Len())
-	}
-	if acct.Steps() == 0 {
-		t.Error("accountant recorded nothing")
-	}
-	if total := acct.Basic(); total.Epsilon <= 0 {
-		t.Errorf("composed epsilon = %v", total.Epsilon)
 	}
 }
 

@@ -88,13 +88,23 @@ func ExampleNoiseSigmaForGradient() {
 	// Output: sigma = 0.0106
 }
 
-// ExampleBasicComposition shows the privacy cost of a full 1000-step run
-// under classical composition.
-func ExampleBasicComposition() {
-	total, err := dpbyz.BasicComposition(dpbyz.Budget{Epsilon: 0.2, Delta: 1e-6}, 1000)
-	if err != nil {
-		log.Fatal(err)
+// ExampleSpec_Privacy shows the privacy spend a full 1000-step run reports
+// at the paper's per-step budget: Rényi-DP composition for the
+// theory-faithful ordering, and no number for the paper's ordering, whose
+// releases the calibrated sensitivity does not bound.
+func ExampleSpec_Privacy() {
+	s := dpbyz.Spec{
+		Mechanism:         &dpbyz.MechanismSpec{Name: "gaussian", Epsilon: 0.2, Delta: 1e-6},
+		BatchSize:         50,
+		WorkerMomentum:    0.99,
+		MomentumPostNoise: true,
+		ClipNorm:          0.01,
 	}
-	fmt.Printf("eps = %.0f, delta = %.0e\n", total.Epsilon, total.Delta)
-	// Output: eps = 200, delta = 1e-03
+	p := s.Privacy(1000)
+	fmt.Printf("%s: eps = %.2f, delta = %.0e\n", p.Method, p.Epsilon, p.Delta)
+	s.MomentumPostNoise = false
+	fmt.Println(s.Privacy(1000).Method)
+	// Output:
+	// rdp: eps = 7.02, delta = 1e-06
+	// not covered
 }

@@ -42,10 +42,10 @@ type WorkerRunState struct {
 	Stale []float64 `json:"stale,omitempty"`
 }
 
-// QuorumRunState is the bounded-staleness round state of a local-backend
-// run: the straggler-draw stream position and the two counters the epoch
-// books do not hold, so a resumed run's straggler sets and accounting are
-// bit-identical to the uninterrupted run's.
+// QuorumRunState holds the two run counters the epoch books do not hold
+// and, on a local-backend run with stragglers, the straggler-draw stream
+// position, so a resumed run's straggler sets and accounting continue the
+// uninterrupted run's.
 type QuorumRunState struct {
 	// StragglerRng is the straggler-set sampling stream position.
 	StragglerRng randx.StreamState `json:"stragglerRng"`
@@ -103,8 +103,9 @@ type RunState struct {
 	// cluster's workers replay their streams instead, and a cluster refuses
 	// to resume a run with worker momentum).
 	Workers []WorkerRunState `json:"workers,omitempty"`
-	// Quorum holds the bounded-staleness round state (local backend only,
-	// absent for fully synchronous runs).
+	// Quorum holds the run counters: in every cluster snapshot, and in a
+	// local one only under bounded staleness (absent for fully synchronous
+	// local runs).
 	Quorum *QuorumRunState `json:"quorum,omitempty"`
 	// Membership holds the delivery ledger, on both backends and for fixed
 	// cohorts too (one epoch); absent before the first committed round.

@@ -226,7 +226,8 @@ type ServerResult struct {
 	DiscardedSubmissions int
 	// CreditedGradients counts accepted submissions that were one round
 	// stale and credited under LateCredit (a subset of AcceptedGradients).
-	// It restarts at a resume: a cluster snapshot does not carry it.
+	// It and DiscardedSubmissions continue a resumed run's counts: every
+	// snapshot carries both as RunState.Quorum.
 	CreditedGradients int
 	// Epochs holds the per-epoch membership books (Membership configs only;
 	// a fixed cohort's single epoch is the totals above). Over a completed
@@ -292,6 +293,9 @@ type Server struct {
 	commit   *round.Committer
 	listener Listener
 	logf     func(string, ...any)
+	// discarded counts the frames turned away before aggregation; readers
+	// add to it concurrently with the round loop.
+	discarded atomic.Int64
 }
 
 // NewServer binds the listen endpoint so that Addr() is known before any
@@ -311,26 +315,36 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	table := membership.NewSlotTable(tracker, cfg.LateCredit)
-	commit, err := round.New(round.Config{
+	s := &Server{cfg: cfg, plan: plan, tracker: tracker, logf: cfg.Logf}
+	s.table = membership.NewSlotTable(tracker, cfg.LateCredit)
+	if s.commit, err = round.New(round.Config{
 		Name: "cluster", Unit: "round", Dim: cfg.Dim, Steps: cfg.Steps,
 		Momentum: cfg.Momentum, Rate: func(int) float64 { return cfg.LearningRate },
 		InitParams: cfg.InitParams, Resume: cfg.Resume, Measure: aggNormRecord,
 		Hook: cfg.StepHook, SnapshotEvery: cfg.SnapshotEvery, SnapshotFunc: cfg.SnapshotFunc,
-		Table: table,
-	})
-	if err != nil {
+		Table: s.table, Extend: s.snapshot,
+	}); err != nil {
 		return nil, err
 	}
-	ln, err := cfg.Transport.Listen(cfg.Addr)
-	if err != nil {
+	if st := cfg.Resume; st != nil && st.Quorum != nil {
+		s.discarded.Store(int64(st.Quorum.Discarded))
+	}
+	if s.listener, err = cfg.Transport.Listen(cfg.Addr); err != nil {
 		return nil, err
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+	if s.logf == nil {
+		s.logf = func(string, ...any) {}
 	}
-	return &Server{cfg: cfg, plan: plan, tracker: tracker, table: table, commit: commit, listener: ln, logf: logf}, nil
+	return s, nil
+}
+
+// snapshot adds the two run counters the epoch books do not hold — frames
+// discarded, and accepted frames credited a round late — so a resumed run
+// continues them; round.Committer.Restore hands the credited count back to
+// the slot table.
+func (s *Server) snapshot(st *checkpoint.RunState) {
+	_, _, credited := s.table.Totals()
+	st.Quorum = &checkpoint.QuorumRunState{Discarded: int(s.discarded.Load()), Credited: credited}
 }
 
 // aggNormRecord is the server's step record. The server holds no data and
@@ -368,13 +382,13 @@ func (s *Server) Close() error { return s.listener.Close() }
 // reader goroutines, before returning. Cancelling the context aborts the
 // gather phase, or training at the next round check or mid-collect: the
 // interrupted round commits nothing and the completed prefix is flushed as
-// one final snapshot.
+// one final snapshot. Every error from the round loop is a *round.Stopped
+// counting the committed rounds.
 func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 	defer s.listener.Close()
 	plan, tracker, table := s.plan, s.tracker, s.table
 	reg := newMemberRegistry(tracker)
-
-	var discarded atomic.Int64
+	discarded := &s.discarded
 	// Room for a current and a late frame from every possible member, so a
 	// reader rarely parks on the hand-off while the loop aggregates.
 	inbox := make(chan submission, 2*plan.members.MaxWorkers)
@@ -558,7 +572,7 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 	// the completed prefix is flushed.
 	fail := func(err error) (*ServerResult, error) {
 		finish()
-		return nil, err
+		return nil, s.commit.Stop(err)
 	}
 
 	// bcast holds the round's params frame. The frame cap was checked once,

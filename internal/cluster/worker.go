@@ -49,9 +49,6 @@ type WorkerConfig struct {
 	// Mechanism is the worker's local DP randomizer; nil sends gradients in
 	// the clear (still unencrypted either way, per the paper's Remark 1).
 	Mechanism dp.Mechanism
-	// Accountant, when non-nil, records one private release per round the
-	// worker submits an honest gradient.
-	Accountant *dp.Accountant
 	// Momentum is the worker-side momentum coefficient (the distributed-
 	// momentum technique the paper's stack uses). The momentum state
 	// accumulates raw batch gradients and the worker submits
@@ -395,9 +392,6 @@ func runSession(ctx context.Context, cfg *WorkerConfig, st *workerState, res *Wo
 			}
 		} else {
 			submission = st.pipe.Step(params.Weights)
-			if cfg.Mechanism != nil && cfg.Accountant != nil {
-				cfg.Accountant.Record()
-			}
 		}
 		st.consumed++
 

@@ -1,8 +1,9 @@
 // Package dp implements the differential-privacy machinery of the paper's
 // §2.3: the Gaussian mechanism calibrated to the L2 sensitivity of the
 // clipped batch gradient (Eq. 5–7), a Laplace alternative (Remark 3), and
-// the composition accounting used to track the privacy cost of a full
-// training run.
+// RDPEpsilon, the Rényi-DP composition of repeated Gaussian releases. A
+// run's total spend is not accumulated here: spec.Spec.Privacy derives it
+// from the Spec and the number of rounds released.
 package dp
 
 import (

@@ -3,7 +3,6 @@ package dp
 import (
 	"errors"
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -197,103 +196,5 @@ func TestLaplaceForGradientScale(t *testing.T) {
 	want := (2 * 0.01 / 50) * math.Sqrt(69) / 0.2
 	if math.Abs(l.Sigma()-want) > 1e-15 {
 		t.Errorf("scale = %v, want %v", l.Sigma(), want)
-	}
-}
-
-func TestBasicComposition(t *testing.T) {
-	b := Budget{Epsilon: 0.2, Delta: 1e-6}
-	total, err := BasicComposition(b, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(total.Epsilon-200) > 1e-9 || math.Abs(total.Delta-1e-3) > 1e-12 {
-		t.Errorf("BasicComposition = %+v", total)
-	}
-	if _, err := BasicComposition(b, 0); err == nil {
-		t.Error("zero steps did not error")
-	}
-	if _, err := BasicComposition(Budget{Epsilon: 2, Delta: 0.5}, 10); err == nil {
-		t.Error("invalid budget did not error")
-	}
-}
-
-func TestAdvancedCompositionBeatsBasicForManySteps(t *testing.T) {
-	b := Budget{Epsilon: 0.05, Delta: 1e-8}
-	const steps = 10000
-	basic, err := BasicComposition(b, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv, err := AdvancedComposition(b, steps, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adv.Epsilon >= basic.Epsilon {
-		t.Errorf("advanced epsilon %v not below basic %v", adv.Epsilon, basic.Epsilon)
-	}
-	if adv.Delta <= basic.Delta {
-		t.Errorf("advanced delta %v should exceed basic %v by the slack", adv.Delta, basic.Delta)
-	}
-}
-
-func TestAdvancedCompositionValidation(t *testing.T) {
-	b := Budget{Epsilon: 0.2, Delta: 1e-6}
-	if _, err := AdvancedComposition(b, 0, 1e-6); err == nil {
-		t.Error("zero steps did not error")
-	}
-	if _, err := AdvancedComposition(b, 10, 0); err == nil {
-		t.Error("zero slack did not error")
-	}
-	if _, err := AdvancedComposition(Budget{}, 10, 1e-6); err == nil {
-		t.Error("invalid budget did not error")
-	}
-}
-
-func TestAccountant(t *testing.T) {
-	a, err := NewAccountant(Budget{Epsilon: 0.2, Delta: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Basic(); got.Epsilon != 0 || got.Delta != 0 {
-		t.Errorf("empty accountant Basic = %+v", got)
-	}
-	if _, err := a.Advanced(1e-6); err == nil {
-		t.Error("Advanced with zero steps did not error")
-	}
-	for i := 0; i < 5; i++ {
-		a.Record()
-	}
-	if a.Steps() != 5 {
-		t.Errorf("Steps = %d", a.Steps())
-	}
-	if got := a.Basic(); math.Abs(got.Epsilon-1.0) > 1e-12 {
-		t.Errorf("Basic epsilon = %v, want 1.0", got.Epsilon)
-	}
-	if _, err := a.Advanced(1e-6); err != nil {
-		t.Errorf("Advanced failed: %v", err)
-	}
-	if _, err := NewAccountant(Budget{}); err == nil {
-		t.Error("invalid per-step budget did not error")
-	}
-}
-
-func TestAccountantConcurrent(t *testing.T) {
-	a, err := NewAccountant(Budget{Epsilon: 0.1, Delta: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				a.Record()
-			}
-		}()
-	}
-	wg.Wait()
-	if a.Steps() != 800 {
-		t.Errorf("Steps = %d, want 800", a.Steps())
 	}
 }

@@ -5,25 +5,18 @@ import (
 	"math"
 )
 
-// This file implements Rényi differential privacy (RDP) accounting for the
-// Gaussian mechanism — the tighter alternative to basic/advanced
-// composition that the paper points to via the moments accountant (its
-// ref [2], Abadi et al. 2016; the moments accountant is RDP accounting in
-// different clothing). The paper itself only needs per-step budgets, but a
-// downstream user training for thousands of steps wants this.
-//
-// Facts used (Mironov 2017):
+// This file converts repeated Gaussian releases into one (ε, δ) bound by
+// Rényi differential privacy (RDP), the accounting behind the moments
+// accountant of the paper's ref [2] (Abadi et al. 2016). Facts used
+// (Mironov 2017):
 //   - The Gaussian mechanism with noise multiplier m = σ/Δ satisfies
 //     (α, α/(2m²))-RDP for every α > 1.
 //   - RDP composes additively: k releases cost (α, k·α/(2m²)).
 //   - (α, ρ)-RDP implies (ρ + log(1/δ)/(α−1), δ)-DP for any δ ∈ (0, 1).
-//
-// The accountant optimizes the conversion over a grid of α values, as
-// production DP libraries do.
 
-// defaultRDPAlphas is the α grid used for the RDP→DP conversion, matching
-// the grid popularized by TensorFlow Privacy.
-var defaultRDPAlphas = func() []float64 {
+// rdpAlphas is the α grid the RDP→DP conversion is optimized over, the grid
+// popularized by TensorFlow Privacy.
+var rdpAlphas = func() []float64 {
 	alphas := []float64{1.25, 1.5, 1.75, 2, 2.25, 2.5, 3, 3.5, 4, 4.5}
 	for a := 5.0; a <= 64; a++ {
 		alphas = append(alphas, a)
@@ -31,89 +24,32 @@ var defaultRDPAlphas = func() []float64 {
 	return append(alphas, 128, 256, 512)
 }()
 
-// RDPAccountant tracks the Rényi-DP cost of repeated Gaussian releases
-// with a fixed noise multiplier. It is not safe for concurrent use; wrap
-// with a mutex or use one per worker and sum the step counts.
-type RDPAccountant struct {
-	noiseMultiplier float64
-	steps           int
-	alphas          []float64
+// gaussianRDP is the Rényi divergence bound ρ(α) = k·α/(2m²) of k Gaussian
+// releases with noise multiplier m.
+func gaussianRDP(multiplier float64, releases int, alpha float64) float64 {
+	return float64(releases) * alpha / (2 * multiplier * multiplier)
 }
 
-// NewRDPAccountant returns an accountant for a Gaussian mechanism whose
-// noise standard deviation is noiseMultiplier times the L2 sensitivity.
-func NewRDPAccountant(noiseMultiplier float64) (*RDPAccountant, error) {
-	if noiseMultiplier <= 0 {
-		return nil, fmt.Errorf("dp: non-positive noise multiplier %v", noiseMultiplier)
+// RDPEpsilon returns the ε of the (ε, δ)-DP bound that releases Gaussian
+// releases with noise multiplier σ/Δ satisfy, composed in RDP and converted
+// at delta, the best over the α grid. Zero releases spend nothing.
+func RDPEpsilon(multiplier float64, releases int, delta float64) (float64, error) {
+	if !(multiplier > 0) {
+		return 0, fmt.Errorf("dp: non-positive noise multiplier %v", multiplier)
 	}
-	return &RDPAccountant{
-		noiseMultiplier: noiseMultiplier,
-		alphas:          defaultRDPAlphas,
-	}, nil
-}
-
-// NewRDPAccountantForGradient derives the noise multiplier from the
-// paper's gradient pipeline: σ = GaussianSigma(2·Gmax/b, budget) and
-// Δ = 2·Gmax/b, so the multiplier is σ/Δ = √(2·ln(1.25/δ))/ε.
-func NewRDPAccountantForGradient(budget Budget) (*RDPAccountant, error) {
-	if err := budget.Validate(); err != nil {
-		return nil, err
+	if releases < 0 {
+		return 0, fmt.Errorf("dp: negative release count %d", releases)
 	}
-	m := math.Sqrt(2*math.Log(1.25/budget.Delta)) / budget.Epsilon
-	return NewRDPAccountant(m)
-}
-
-// NoiseMultiplier returns σ/Δ.
-func (a *RDPAccountant) NoiseMultiplier() float64 { return a.noiseMultiplier }
-
-// Record accounts for k more Gaussian releases.
-func (a *RDPAccountant) Record(k int) {
-	if k > 0 {
-		a.steps += k
-	}
-}
-
-// Steps returns the number of recorded releases.
-func (a *RDPAccountant) Steps() int { return a.steps }
-
-// RDP returns the cumulative Rényi divergence bound ρ(α) = k·α/(2m²).
-func (a *RDPAccountant) RDP(alpha float64) (float64, error) {
-	if alpha <= 1 {
-		return 0, fmt.Errorf("dp: RDP order %v must exceed 1", alpha)
-	}
-	m := a.noiseMultiplier
-	return float64(a.steps) * alpha / (2 * m * m), nil
-}
-
-// Epsilon converts the accumulated RDP cost to an (ε, δ)-DP bound,
-// optimizing over the α grid. It returns an error when no step has been
-// recorded or δ is out of range.
-func (a *RDPAccountant) Epsilon(delta float64) (float64, error) {
 	if !(delta > 0 && delta < 1) {
 		return 0, fmt.Errorf("%w: got %v", ErrBadDelta, delta)
 	}
-	if a.steps == 0 {
-		return 0, fmt.Errorf("dp: no releases recorded")
+	if releases == 0 {
+		return 0, nil
 	}
 	best := math.Inf(1)
 	logDelta := math.Log(1 / delta)
-	for _, alpha := range a.alphas {
-		rho, err := a.RDP(alpha)
-		if err != nil {
-			return 0, err
-		}
-		if eps := rho + logDelta/(alpha-1); eps < best {
-			best = eps
-		}
+	for _, alpha := range rdpAlphas {
+		best = min(best, gaussianRDP(multiplier, releases, alpha)+logDelta/(alpha-1))
 	}
 	return best, nil
-}
-
-// TotalBudget returns the (ε, δ) bound at the given δ as a Budget value.
-func (a *RDPAccountant) TotalBudget(delta float64) (Budget, error) {
-	eps, err := a.Epsilon(delta)
-	if err != nil {
-		return Budget{}, err
-	}
-	return Budget{Epsilon: eps, Delta: delta}, nil
 }

@@ -361,15 +361,16 @@ func (s *Service) execute(ctx context.Context, r *run, resume *checkpoint.RunSta
 	case err == nil:
 		s.finish(r, StatusDone, nil, res)
 	case ctx.Err() != nil && s.wasDeleted(r):
-		// DELETE /runs/{id}: the backend aborted with no side effects (the
-		// PR-7 contract) and flushed a snapshot of the completed prefix.
-		s.finish(r, StatusCancelled, nil, nil)
+		// DELETE /runs/{id}: the backend aborted the in-flight round without
+		// committing it and flushed a snapshot of the completed prefix;
+		// res, when set, carries the released prefix's privacy spend.
+		s.finish(r, StatusCancelled, nil, res)
 	case ctx.Err() != nil:
 		// Service stop (or kill): not a run outcome. The on-disk status
 		// still says "running", which is exactly what makes a restarted
 		// service reschedule it.
 	default:
-		s.finish(r, StatusFailed, err, nil)
+		s.finish(r, StatusFailed, err, res)
 	}
 }
 
@@ -394,6 +395,7 @@ func (s *Service) finish(r *run, status Status, cause error, res *spec.Result) {
 			}
 		}
 		r.meta.Cluster = res.Cluster
+		r.meta.Privacy = res.Privacy
 	}
 	meta := r.meta
 	s.mu.Unlock()

@@ -295,8 +295,8 @@ func TestFleetCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Status != StatusCancelled {
-		t.Fatalf("queued run ended %q, want cancelled", meta.Status)
+	if meta.Status != StatusCancelled || meta.Privacy != (spec.Privacy{}) {
+		t.Fatalf("queued run ended %q with privacy %+v, want cancelled and nothing released", meta.Status, meta.Privacy)
 	}
 	log, err := svc.Events(queued)
 	if err != nil {
@@ -331,6 +331,14 @@ func TestFleetCancel(t *testing.T) {
 	}
 	if meta.Status != StatusCancelled {
 		t.Fatalf("running run ended %q (%s), want cancelled", meta.Status, meta.Error)
+	}
+	// The spend covers every committed round plus the one in flight.
+	log, err = svc.Events(running)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Privacy.Releases != log.Len()+1 {
+		t.Fatalf("cancelled run's privacy %+v after %d committed rounds", meta.Privacy, log.Len())
 	}
 	// Cancelling a terminal run is a conflict, not a repeat.
 	if err := svc.Cancel(running); err != ErrNotRunning {
@@ -487,6 +495,9 @@ func TestFleetKillResumeCluster(t *testing.T) {
 	got.WorkerRounds, want.WorkerRounds = nil, nil
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("meta.json ledger after kill+resume %+v, uninterrupted %+v", got, want)
+	}
+	if meta.Privacy != wantMeta.Privacy || meta.Privacy.Method != "rdp" {
+		t.Errorf("meta.json privacy after kill+resume %+v, uninterrupted %+v", meta.Privacy, wantMeta.Privacy)
 	}
 }
 

@@ -61,6 +61,10 @@ type Meta struct {
 	// Cluster carries the run's delivery accounting and per-epoch ledgers
 	// when the backend produced them (terminal runs only).
 	Cluster *spec.ClusterStats `json:"cluster,omitempty"`
+	// Privacy is the run's differential-privacy spend (terminal runs that
+	// released a round only): the whole run's when done, the released
+	// prefix's when cancelled or failed.
+	Privacy spec.Privacy `json:"privacy,omitzero"`
 }
 
 // Store is the fleet's on-disk state: one directory per run under a root,

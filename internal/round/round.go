@@ -27,6 +27,19 @@ import (
 // every other failure whichever loop ran.
 var ErrDiverged = errors.New("parameters diverged to non-finite values")
 
+// Stopped is the error of a run that ended inside its step loop, before its
+// last step. Committed counts the steps it committed, a resumed run's prefix
+// included; the round in flight may already have released its submissions.
+// Err is the cause, formatted as the loop reported it.
+type Stopped struct {
+	Committed int
+	Err       error
+}
+
+func (e *Stopped) Error() string { return e.Err.Error() }
+
+func (e *Stopped) Unwrap() error { return e.Err }
+
 // Config binds a Committer to one run.
 type Config struct {
 	// Name prefixes every error ("simulate", "cluster") and Unit names one
@@ -135,6 +148,12 @@ func (c *Committer) Commit(step int, agg []float64) error {
 		}
 	}
 	return nil
+}
+
+// Stop wraps err, which ends the run inside its step loop, as a *Stopped
+// that counts the steps committed so far.
+func (c *Committer) Stop(err error) error {
+	return &Stopped{Committed: c.start + c.history.Len(), Err: err}
 }
 
 // snapshotDue is the snapshot cadence: every k completed steps, and after

@@ -72,9 +72,6 @@ type Config struct {
 	Attack attack.Attack
 	// Mechanism is the per-worker DP noise; nil disables privacy.
 	Mechanism dp.Mechanism
-	// Accountant, when non-nil, records one private release per worker per
-	// step.
-	Accountant *dp.Accountant
 
 	// Steps is the number of synchronous SGD steps (paper: 1000).
 	Steps int
@@ -170,9 +167,9 @@ type Config struct {
 	// books, and the trajectory and the ledger from there are the
 	// uninterrupted run's, bit for bit.
 	// The rest of the Config must describe the same scenario the snapshot
-	// was taken from. Accountant spend, when configured, restarts at zero:
-	// callers tracking a cumulative budget across segments must carry the
-	// prior spend themselves.
+	// was taken from. The privacy spend needs no state of its own: the
+	// spec.Spec.Privacy ledger reads it from the absolute step a run ends
+	// at, so a resumed run reports the uninterrupted run's spend.
 	Resume *checkpoint.RunState
 }
 
@@ -571,11 +568,6 @@ func (r *runner) step(step int) error {
 	w := r.commit.Params()
 
 	worker.StepAll(r.honest, r.workers[r.computeFrom:], w)
-	if cfg.Mechanism != nil && cfg.Accountant != nil {
-		for i := r.computeFrom; i < r.n; i++ {
-			cfg.Accountant.Record()
-		}
-	}
 
 	// Byzantine submissions: every Byzantine worker sends the same crafted
 	// vector, per the collusion model of §5.1.
@@ -663,7 +655,9 @@ func (r *runner) enterEpoch(step int) error {
 }
 
 // Run executes the configured training and returns the final parameters and
-// metric history. The context cancels long runs between steps.
+// metric history. The context cancels long runs between steps. An error
+// from inside the step loop is a *round.Stopped counting the committed
+// steps.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	r, err := newRunner(cfg)
 	if err != nil {
@@ -674,16 +668,16 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			// A graceful shutdown (SIGINT on a cmd, fleet Stop) flushes the
 			// completed prefix.
-			return nil, r.commit.Cancel(step, err)
+			return nil, r.commit.Stop(r.commit.Cancel(step, err))
 		}
 		// newRunner laid out the start's epoch.
 		if step > start && step%rounds == 0 {
 			if err := r.enterEpoch(step); err != nil {
-				return nil, err
+				return nil, r.commit.Stop(err)
 			}
 		}
 		if err := r.step(step); err != nil {
-			return nil, err
+			return nil, r.commit.Stop(err)
 		}
 	}
 	res := &Result{Params: r.commit.Params(), History: r.history, Discarded: r.discarded}

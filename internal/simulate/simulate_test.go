@@ -223,30 +223,6 @@ func TestDPNoiseDegradesSmallBatches(t *testing.T) {
 	}
 }
 
-func TestAccountantCountsReleases(t *testing.T) {
-	bud := dp.Budget{Epsilon: 0.5, Delta: 1e-6}
-	acct, err := dp.NewAccountant(bud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := baseConfig(t, mustGAR(t, "mda", 7, 2))
-	cfg.Attack = attack.NewFallOfEmpires()
-	mech, err := dp.NewGaussian(cfg.ClipNorm, cfg.BatchSize, bud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Mechanism = mech
-	cfg.Accountant = acct
-	cfg.Steps = 10
-	if _, err := Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	// 5 honest workers release once per step.
-	if got, want := acct.Steps(), 10*5; got != want {
-		t.Errorf("accountant recorded %d, want %d", got, want)
-	}
-}
-
 func TestContextCancellation(t *testing.T) {
 	cfg := baseConfig(t, mustGAR(t, "average", 5, 0))
 	cfg.Steps = 100000

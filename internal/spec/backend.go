@@ -17,7 +17,10 @@ import (
 type Backend interface {
 	// Run executes the spec to completion and returns the outcome. Options
 	// carry runtime concerns (observers, checkpointing, transports) that are
-	// deliberately not part of the serializable Spec.
+	// deliberately not part of the serializable Spec. A run that stops
+	// inside its round loop — cancelled, diverged — returns its error beside
+	// a Result that carries only Backend and the Privacy of the rounds it
+	// released.
 	Run(ctx context.Context, s Spec, opts ...Option) (*Result, error)
 	// Name identifies the backend in results and snapshots.
 	Name() string
@@ -38,6 +41,9 @@ type Result struct {
 	// bounded staleness (nil for fully synchronous local runs, where every
 	// submission is trivially accepted).
 	Cluster *ClusterStats
+	// Privacy is the run's spend, Spec.Privacy(Steps) for a completed run,
+	// resumed or not.
+	Privacy Privacy
 }
 
 // ClusterStats is the exact delivery accounting of a run: for a completed

@@ -159,7 +159,7 @@ func bindServer(ctx context.Context, s *Spec, o *runOptions, m *materialized, ba
 		if err != nil {
 			return nil, nil, err
 		}
-		return nil, clusterResult(backend, res, nil), nil
+		return nil, clusterResult(s, backend, res, nil), nil
 	case s.WorkerMomentum > 0:
 		err = fmt.Errorf("%w: worker momentum %v is in no cluster snapshot", ErrInexactResume, s.WorkerMomentum)
 	case adv != nil:
@@ -176,11 +176,12 @@ func bindServer(ctx context.Context, s *Spec, o *runOptions, m *materialized, ba
 
 // clusterResult packages a finished server run; workerRounds is nil when the
 // workers ran in other processes.
-func clusterResult(backend string, res *cluster.ServerResult, workerRounds []int) *Result {
+func clusterResult(s *Spec, backend string, res *cluster.ServerResult, workerRounds []int) *Result {
 	return &Result{
 		Backend: backend,
 		Params:  res.Params,
 		History: res.History,
+		Privacy: s.Privacy(s.Steps),
 		Cluster: &ClusterStats{
 			Accepted:     res.AcceptedGradients,
 			Discarded:    res.DiscardedSubmissions,
@@ -251,7 +252,7 @@ func (b *ClusterBackend) Run(ctx context.Context, s Spec, opts ...Option) (*Resu
 	stopWorkers()
 	wg.Wait()
 	if runErr != nil {
-		return nil, runErr
+		return stopped(&s, b.Name(), runErr), runErr
 	}
 	if o.logf != nil {
 		for id, werr := range workerErrs {
@@ -260,7 +261,7 @@ func (b *ClusterBackend) Run(ctx context.Context, s Spec, opts ...Option) (*Resu
 			}
 		}
 	}
-	return clusterResult(b.Name(), res, rounds), nil
+	return clusterResult(&s, b.Name(), res, rounds), nil
 }
 
 // ServeSpec runs only the parameter-server half of a Spec — the entry point
@@ -289,9 +290,9 @@ func ServeSpec(ctx context.Context, s Spec, opts ...Option) (*Result, error) {
 	}
 	res, err := srv.Run(ctx)
 	if err != nil {
-		return nil, err
+		return stopped(&s, "cluster", err), err
 	}
-	return clusterResult("cluster", res, nil), nil
+	return clusterResult(&s, "cluster", res, nil), nil
 }
 
 // JoinSpec runs only worker workerID's half of a Spec — the entry point for

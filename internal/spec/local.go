@@ -141,9 +141,9 @@ func (b *LocalBackend) Run(ctx context.Context, s Spec, opts ...Option) (*Result
 	cfg.SnapshotEvery = o.checkpointEvery
 	res, err := simulate.Run(ctx, cfg)
 	if err != nil {
-		return nil, err
+		return stopped(&s, b.Name(), err), err
 	}
-	out := &Result{Backend: b.Name(), Params: res.Params, History: res.History}
+	out := &Result{Backend: b.Name(), Params: res.Params, History: res.History, Privacy: s.Privacy(s.Steps)}
 	if s.Staleness != nil || s.Membership != nil {
 		out.Cluster = &ClusterStats{
 			Accepted:  res.Accepted,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dpbyz/internal/attack"
@@ -151,6 +152,47 @@ func TestBooklessSnapshotResumesSegmentLedger(t *testing.T) {
 		got, want := pinOf(resumed), pinOf(full)
 		if got.params != want.params || got.ledger != [4]int{84, 0, 0, 0} {
 			t.Errorf("%s: bookless resume %#v, want params %#016x and ledger [84 0 0 0]", b.Name(), got, want.params)
+		}
+	}
+}
+
+// A cluster snapshot carries the two run counters the epoch books do not
+// hold, Discarded and Credited, and a resumed server continues them; they
+// used to restart at zero. A completed quorum+credit run is resumed from its
+// final snapshot (step == Steps, so no round runs and no cut makes the
+// result timing-dependent): the result is the uninterrupted ledger with the
+// snapshot's counters. Credited is the run's; Discarded is at most the
+// run's, because the connection readers still turn frames away (floods past
+// a worker's buffer depth) between the final commit and the server's
+// shutdown, after the snapshot. A loaded box can cut so that nothing is
+// credited, so the resume also runs with made-up non-zero counters to keep
+// the check from going vacuous.
+func TestClusterResumeKeepsRunCounters(t *testing.T) {
+	ctx := context.Background()
+	s := trajectorySpecs()["quorum+credit"]
+	var final *checkpoint.RunState
+	full, err := (&ClusterBackend{}).Run(ctx, s, WithSnapshotFunc(func(st *checkpoint.RunState) error {
+		final = st
+		return nil
+	}, s.Steps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := final.Quorum; q == nil || q.Credited != full.Cluster.Credited || q.Discarded > full.Cluster.Discarded {
+		t.Fatalf("final snapshot counters %+v, run ledger %+v", q, *full.Cluster)
+	}
+	for _, q := range []checkpoint.QuorumRunState{*final.Quorum, {Discarded: 7, Credited: 3}} {
+		st := *final
+		st.Quorum = &q
+		resumed, err := (&ClusterBackend{}).Run(ctx, s, WithResume(&st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := *full.Cluster
+		want.WorkerRounds = nil // the completed resume starts no worker
+		want.Discarded, want.Credited = q.Discarded, q.Credited
+		if got := *resumed.Cluster; !reflect.DeepEqual(got, want) {
+			t.Errorf("resumed from counters %+v: ledger %+v, want %+v", q, got, want)
 		}
 	}
 }

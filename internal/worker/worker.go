@@ -9,8 +9,10 @@
 // The paper's colluding Byzantine coalition is written once here too:
 // Adversary crafts the round's one Byzantine vector from the honest
 // submissions, and Coalition recomputes those submissions with shadow
-// pipelines for a cluster, whose Byzantine workers hold none. Privacy
-// accounting stays with the caller.
+// pipelines for a cluster, whose Byzantine workers hold none. A Pipeline
+// counts no privacy spend: each Step is one release, and the run ledger
+// (spec.Spec.Privacy) charges one per round from the Spec and the round
+// count.
 //
 //dpbyz:deterministic
 package worker

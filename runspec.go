@@ -61,6 +61,8 @@ type (
 	ClusterBackend = spec.ClusterBackend
 	// Result is the outcome of a run on any backend.
 	Result = spec.Result
+	// Privacy is a run's differential-privacy spend (Spec.Privacy).
+	Privacy = spec.Privacy
 	// ClusterStats is the cluster backend's exact delivery accounting.
 	ClusterStats = spec.ClusterStats
 	// Option configures one run on a backend.
