@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"os"
@@ -16,7 +17,13 @@ import (
 // no sockets, and every frame can be subjected to the adversarial-channel
 // faults the paper's system model allows (§2.1: unreliable, non-FIFO
 // links). Faults are configured per direction via WithFaults; the plain
-// transport is reliable and allocation-free on the steady state.
+// transport is reliable and allocation-free on the steady state. A
+// fault-free direction moves frames without copying them: the protocol
+// layer enqueues its own encode buffer and decodes a received frame where it
+// lies (frameHandoff), so a gradient's bytes are written once, by its
+// encode, and read once, by its decode. Only the server's shared broadcast
+// frame is still copied per member, and faulty directions copy every frame,
+// as Write and Read do.
 //
 // Because the protocol writes exactly one frame per Write call, the
 // transport treats each Write as one message: faults drop, duplicate,
@@ -219,10 +226,13 @@ func (l *chanListener) Close() error {
 	return nil
 }
 
-// chanPipe carries whole frames in one direction. The writer endpoint
-// applies faults; the reader endpoint consumes frames byte-wise and
-// recycles their buffers through free, keeping the fault-free steady state
-// allocation-free.
+// chanPipe carries whole frames in one direction. Every buffer is in exactly
+// one place at a time: with the writer that encodes into it, queued in msgs,
+// with the reader that consumes it, or recycled in free. The writer endpoint
+// applies faults and copies what Write is given; the reader endpoint either
+// consumes a frame byte-wise through Read or, on a fault-free pipe, takes
+// it whole (frameHandoff). Both return the buffer to free once done, which
+// keeps the fault-free steady state allocation-free.
 type chanPipe struct {
 	msgs chan []byte
 	free chan []byte
@@ -502,6 +512,68 @@ func (c *chanConn) nextFrameLocked(deadline time.Time) ([]byte, error) {
 		case <-timer.C:
 			return nil, os.ErrDeadlineExceeded
 		}
+	}
+}
+
+// takeFrame implements frameHandoff: the frame leaves the pipe whole, and
+// the caller returns it through releaseFrame.
+//
+//dpbyz:scratch
+//dpbyz:hotpath
+func (c *chanConn) takeFrame() ([]byte, bool, error) {
+	if c.in.rng != nil {
+		return nil, false, nil
+	}
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if c.cur != nil {
+		return nil, false, nil
+	}
+	m, err := c.nextFrameLocked(c.rdDeadline)
+	if err != nil {
+		return nil, false, err
+	}
+	if len(m) < frameHeaderSize || int(binary.LittleEndian.Uint32(m[4:frameHeaderSize])) != len(m)-frameHeaderSize {
+		c.cur, c.off = m, 0
+		return nil, false, nil
+	}
+	return m, true, nil
+}
+
+// releaseFrame implements frameHandoff.
+//
+//dpbyz:hotpath
+func (c *chanConn) releaseFrame(frame []byte) { c.in.putBuf(frame) }
+
+// giveFrame implements frameHandoff: on a fault-free pipe the frame is
+// queued as it is, and the reader recycles it to the pipe's free list.
+//
+//dpbyz:hotpath
+func (c *chanConn) giveFrame(frame []byte) (bool, error) {
+	if c.out.rng != nil {
+		return false, nil
+	}
+	c.wmu.Lock()
+	deadline := c.wrDeadline
+	c.wmu.Unlock()
+	select {
+	case <-c.done:
+		return true, net.ErrClosed
+	default:
+	}
+	return true, c.out.enqueue(frame, deadline)
+}
+
+// spareFrame implements frameHandoff.
+//
+//dpbyz:scratch
+//dpbyz:hotpath
+func (c *chanConn) spareFrame() []byte {
+	select {
+	case b := <-c.out.free:
+		return b[:0]
+	default:
+		return nil
 	}
 }
 

@@ -153,3 +153,48 @@ func BenchmarkDecodeFloat64s(b *testing.B) {
 		dst = decodeFloat64s(dst, src, benchDim)
 	}
 }
+
+// BenchmarkAppendFloat64s times the payload encode every params, gradient
+// and welcome frame pays, at the wide workloads' d = 10⁴.
+func BenchmarkAppendFloat64s(b *testing.B) {
+	v := make([]float64, benchDim)
+	for i := range v {
+		v[i] = float64(i) * 1e-6
+	}
+	dst := make([]byte, 0, 8*benchDim)
+	b.SetBytes(int64(8 * benchDim))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = appendFloat64s(dst[:0], v)
+	}
+}
+
+// BenchmarkChanFrameHop times one d = 10⁴ gradient's hop over the fault-free
+// in-process transport: the worker's sendGradient, the server's receive and
+// the reader's claim of the decoded vector for a round slot.
+func BenchmarkChanFrameHop(b *testing.B) {
+	client, server := connPair(b, 0)
+	w := newWorkerConn(0, server, false)
+	g := Gradient{Step: 1, Grad: make([]float64, benchDim)}
+	for i := range g.Grad {
+		g.Grad[i] = float64(i) * 1e-6
+	}
+	b.SetBytes(int64(8 * benchDim))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := client.sendGradient(g, time.Time{}); err != nil {
+			b.Fatal(err)
+		}
+		m, err := server.receive(time.Time{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		slot, ok := w.claim(&m.gradient)
+		if !ok {
+			b.Fatal("no free slot buffer")
+		}
+		w.free <- slot // the round loop's return after aggregation
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Binary frame codec, version 1. See the package comment in protocol.go
@@ -158,12 +159,24 @@ func appendWelcomeFrame(dst []byte, w Welcome) []byte {
 	return appendFloat64s(dst, w.Velocity)
 }
 
-// appendFloat64s packs v as raw little-endian bits onto dst.
+// appendFloat64s packs v as raw little-endian bits onto dst, four values
+// per step. The frame writers size dst first, so it grows only for callers
+// that did not.
 //
 //dpbyz:hotpath
 func appendFloat64s(dst []byte, v []float64) []byte {
-	for _, x := range v {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+	n := len(dst)
+	dst = slices.Grow(dst, 8*len(v))[:n+8*len(v)]
+	b := dst[n:]
+	for len(v) >= 4 && len(b) >= 32 {
+		binary.LittleEndian.PutUint64(b[0:8], math.Float64bits(v[0]))
+		binary.LittleEndian.PutUint64(b[8:16], math.Float64bits(v[1]))
+		binary.LittleEndian.PutUint64(b[16:24], math.Float64bits(v[2]))
+		binary.LittleEndian.PutUint64(b[24:32], math.Float64bits(v[3]))
+		v, b = v[4:], b[32:]
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 	return dst
 }
@@ -283,7 +296,7 @@ func decodePayload(kind msgType, payload []byte, m *message) error {
 }
 
 // decodeFloat64s fills dst (grown through the scratch pool when too small)
-// with n raw little-endian float64s from src.
+// with n raw little-endian float64s from src, four values per step.
 //
 //dpbyz:scratch
 //dpbyz:hotpath
@@ -293,9 +306,16 @@ func decodeFloat64s(dst []float64, src []byte, n int) []float64 {
 		dst = getScratch(n)
 	}
 	dst = dst[:n]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
-		src = src[8:]
+	d, src := dst, src[:8*n]
+	for len(d) >= 4 && len(src) >= 32 {
+		d[0] = math.Float64frombits(binary.LittleEndian.Uint64(src[0:8]))
+		d[1] = math.Float64frombits(binary.LittleEndian.Uint64(src[8:16]))
+		d[2] = math.Float64frombits(binary.LittleEndian.Uint64(src[16:24]))
+		d[3] = math.Float64frombits(binary.LittleEndian.Uint64(src[24:32]))
+		d, src = d[4:], src[32:]
+	}
+	for i := range d {
+		d[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
 	return dst
 }

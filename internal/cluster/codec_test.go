@@ -247,32 +247,101 @@ func TestOversizedFrameRejectedWithoutAllocation(t *testing.T) {
 
 // TestConnSteadyStateZeroAlloc pins the zero-allocation discipline of the
 // framing layer over the fault-free in-process transport: once buffers are
-// warm, a full params+gradient exchange allocates nothing.
+// warm, a full params+gradient exchange allocates nothing — with the frame
+// hand-off active in both directions, and on the byte path a transport
+// without one takes. The shared broadcast frame is covered too.
 func TestConnSteadyStateZeroAlloc(t *testing.T) {
-	client, server := connPair(t, 0)
 	const dim = 2048
 	w := make([]float64, dim)
 	for i := range w {
 		w[i] = float64(i)
 	}
-	exchange := func() {
-		if err := server.sendParams(Params{Step: 1, Weights: w}, time.Time{}); err != nil {
-			t.Fatal(err)
-		}
-		m, err := client.receive(time.Time{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := client.sendGradient(Gradient{WorkerID: 0, Step: 1, Grad: m.params.Weights}, time.Time{}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := server.receive(time.Time{}); err != nil {
-			t.Fatal(err)
-		}
+	bcast := appendParamsFrame(nil, Params{Step: 2, Weights: w})
+	for _, tc := range []struct {
+		name    string
+		handoff bool
+	}{{"handoff", true}, {"bytes", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, server := connPair(t, 0)
+			if !tc.handoff {
+				client, server = hideHandoff(client), hideHandoff(server)
+			}
+			if got := client.hand != nil && server.hand != nil; got != tc.handoff {
+				t.Fatalf("hand-off active = %v, want %v", got, tc.handoff)
+			}
+			exchange := func() {
+				if err := server.sendParams(Params{Step: 1, Weights: w}, time.Time{}); err != nil {
+					t.Fatal(err)
+				}
+				m, err := client.receive(time.Time{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := client.sendGradient(Gradient{WorkerID: 0, Step: 1, Grad: m.params.Weights}, time.Time{}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := server.receive(time.Time{}); err != nil {
+					t.Fatal(err)
+				}
+				if err := server.sendFrame(bcast, time.Time{}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := client.receive(time.Time{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Two exchanges warm every buffer: a handed-off frame is back in
+			// its pipe's free list only once the peer has decoded it.
+			exchange()
+			exchange()
+			if allocs := testing.AllocsPerRun(50, exchange); allocs > 0 {
+				t.Errorf("steady-state exchange allocates %.1f times per round, want 0", allocs)
+			}
+		})
 	}
-	exchange() // warm buffers
-	if allocs := testing.AllocsPerRun(50, exchange); allocs > 0 {
-		t.Errorf("steady-state exchange allocates %.1f times per round, want 0", allocs)
+}
+
+// TestFloat64sRoundTripBitExact holds the four-per-step codec loops to the
+// per-value encoding they replaced: the same bytes for every length around
+// the step, special values included, and the same bits back.
+func TestFloat64sRoundTripBitExact(t *testing.T) {
+	specials := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000f_ffff_ffff_ffff), // largest subnormal
+		math.Float64frombits(0x7ff8_0000_0000_0001), // quiet NaN, payload 1
+		math.Float64frombits(0xfff4_0000_dead_beef), // signalling NaN, sign set
+		1.5, -2.25, math.MaxFloat64,
+	}
+	ref := func(dst []byte, v []float64) []byte {
+		for _, x := range v {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+		}
+		return dst
+	}
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10_000}
+	for _, n := range lengths {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = specials[i%len(specials)]
+			if i >= len(specials) {
+				v[i] = math.Float64frombits(uint64(i) * 0x9e37_79b9_7f4a_7c15)
+			}
+		}
+		for _, prefix := range [][]byte{nil, []byte("DB\x01\x03abc")} {
+			want := ref(append([]byte(nil), prefix...), v)
+			got := appendFloat64s(append([]byte(nil), prefix...), v)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("n=%d prefix=%q: appendFloat64s bytes differ from the per-value encoding", n, prefix)
+			}
+			back := decodeFloat64s(nil, got[len(prefix):], n)
+			for i := range v {
+				if math.Float64bits(back[i]) != math.Float64bits(v[i]) {
+					t.Fatalf("n=%d: value %d decodes to %#x, want %#x", n, i, math.Float64bits(back[i]), math.Float64bits(v[i]))
+				}
+			}
+			putScratch(back)
+		}
 	}
 }
 

@@ -150,16 +150,26 @@ var (
 	ErrBadHello = errors.New("cluster: invalid hello")
 )
 
-// conn frames protocol messages over a transport connection. The encode
-// buffer, read buffer and decoded message storage are all owned by the
-// conn and reused, so steady-state sends and receives allocate nothing.
-// Consequently a *message returned by receive is only valid until the next
-// receive on the same conn.
+// conn frames protocol messages over a transport connection. Steady-state
+// sends and receives allocate nothing, and every buffer has one owner:
+//
+//   - The decoded message storage is the conn's and is reused, so a
+//     *message returned by receive is only valid until the next receive on
+//     the same conn. A caller that keeps a vector copies it out, or swaps a
+//     buffer of its own into the message in its place.
+//   - The encode buffer wbuf is the conn's until its frame is sent. Over a
+//     transport with a frameHandoff the buffer itself is enqueued and is the
+//     transport's from then on; the next encode takes a recycled buffer.
+//   - An inbound frame taken whole through the hand-off is decoded in place
+//     and handed back before receive returns. Over a byte stream the frame
+//     is read into the conn's own rbuf instead.
 //
 // A conn is not safe for concurrent use, except that abort may be called
 // from any goroutine to unblock pending I/O.
 type conn struct {
-	raw      Conn
+	raw Conn
+	// hand is raw's zero-copy path, nil when raw has none.
+	hand     frameHandoff
 	maxFrame int
 	hdr      [frameHeaderSize]byte
 	wbuf     []byte
@@ -179,11 +189,21 @@ func newConnMax(raw Conn, maxFrame int) *conn {
 	if int64(maxFrame) > int64(math.MaxUint32) {
 		maxFrame = math.MaxUint32
 	}
-	return &conn{raw: raw, maxFrame: maxFrame}
+	hand, _ := raw.(frameHandoff)
+	return &conn{raw: raw, hand: hand, maxFrame: maxFrame}
+}
+
+// encodeBuf returns the conn's encode buffer, emptied. After a hand-off the
+// last frame belongs to the transport, so the conn takes a recycled one.
+func (c *conn) encodeBuf() []byte {
+	if c.wbuf == nil && c.hand != nil {
+		c.wbuf = c.hand.spareFrame()
+	}
+	return c.wbuf[:0]
 }
 
 func (c *conn) sendHello(h Hello, deadline time.Time) error {
-	c.wbuf = appendHelloFrame(c.wbuf[:0], h)
+	c.wbuf = appendHelloFrame(c.encodeBuf(), h)
 	return c.writeFrame(deadline)
 }
 
@@ -196,12 +216,12 @@ func (c *conn) sendParams(p Params, deadline time.Time) error {
 	// Grow to the exact frame size first: appending 8 bytes at a time would
 	// reach it through ~30 reallocations per conn (measured on the n = 64
 	// krum_wide_chan workload: 29 allocs/round and 20 MiB of peak RSS).
-	c.wbuf = appendParamsFrame(slices.Grow(c.wbuf[:0], frameHeaderSize+9+8*len(p.Weights)), p)
+	c.wbuf = appendParamsFrame(slices.Grow(c.encodeBuf(), frameHeaderSize+9+8*len(p.Weights)), p)
 	return c.writeFrame(deadline)
 }
 
 func (c *conn) sendJoin(j Join, deadline time.Time) error {
-	c.wbuf = appendJoinFrame(c.wbuf[:0], j)
+	c.wbuf = appendJoinFrame(c.encodeBuf(), j)
 	return c.writeFrame(deadline)
 }
 
@@ -211,7 +231,7 @@ func (c *conn) sendWelcome(w Welcome, deadline time.Time) error {
 		return fmt.Errorf("%w: welcome payload %d bytes, cap %d", ErrFrameTooLarge, n, c.maxFrame)
 	}
 	// Exact frame size first, as in sendParams.
-	c.wbuf = appendWelcomeFrame(slices.Grow(c.wbuf[:0], frameHeaderSize+n), w)
+	c.wbuf = appendWelcomeFrame(slices.Grow(c.encodeBuf(), frameHeaderSize+n), w)
 	return c.writeFrame(deadline)
 }
 
@@ -221,18 +241,38 @@ func (c *conn) sendGradient(g Gradient, deadline time.Time) error {
 		return fmt.Errorf("%w: gradient payload %d bytes, cap %d", ErrFrameTooLarge, n, c.maxFrame)
 	}
 	// Exact frame size first, as in sendParams.
-	c.wbuf = appendGradientFrame(slices.Grow(c.wbuf[:0], frameHeaderSize+n), g)
+	c.wbuf = appendGradientFrame(slices.Grow(c.encodeBuf(), frameHeaderSize+n), g)
 	return c.writeFrame(deadline)
 }
 
-// writeFrame flushes the frame staged in the conn's own buffer.
-func (c *conn) writeFrame(deadline time.Time) error { return c.sendFrame(c.wbuf, deadline) }
+// writeFrame flushes the frame staged in the conn's own buffer. Over a
+// transport with a hand-off the buffer itself is enqueued, not a copy: the
+// conn gives it up, and encodeBuf takes a recycled one for the next frame.
+func (c *conn) writeFrame(deadline time.Time) error {
+	if c.hand == nil {
+		return c.sendFrame(c.wbuf, deadline)
+	}
+	if err := c.raw.SetWriteDeadline(deadline); err != nil {
+		return &connError{"set write deadline", err}
+	}
+	given, err := c.hand.giveFrame(c.wbuf)
+	if !given {
+		_, err = c.raw.Write(c.wbuf)
+	}
+	if err != nil {
+		return &connError{"write frame", err}
+	}
+	if given {
+		c.wbuf = nil
+	}
+	return nil
+}
 
 // sendFrame writes one caller-encoded frame in a single Write call, which is
-// what lets message-oriented transports apply per-frame faults. The frame is
-// only read, and transports copy or consume the bytes before Write returns,
-// so one encoded frame may be sent on many conns (the server's broadcast).
-// The caller answers for the frame cap.
+// what lets message-oriented transports apply per-frame faults. The frame
+// stays the caller's: Write only reads it and is done with it when it
+// returns, so one encoded frame may be sent on many conns (the server's
+// broadcast). The caller answers for the frame cap.
 func (c *conn) sendFrame(frame []byte, deadline time.Time) error {
 	if err := c.raw.SetWriteDeadline(deadline); err != nil {
 		return &connError{"set write deadline", err}
@@ -258,10 +298,30 @@ func (e *connError) Unwrap() error { return e.err }
 
 // receive reads and decodes the next frame. The returned message (and any
 // vector inside it) is owned by the conn and valid only until the next
-// receive; callers that keep a vector must copy it.
+// receive; callers that keep a vector must copy it, or swap a buffer of
+// their own into the message in its place. A frame the transport hands over
+// whole is decoded where it lies and handed back; any other goes through
+// the byte stream, and either way the decoded message is the same.
 func (c *conn) receive(deadline time.Time) (*message, error) {
 	if err := c.raw.SetReadDeadline(deadline); err != nil {
 		return nil, &connError{"set read deadline", err}
+	}
+	if c.hand != nil {
+		frame, taken, err := c.hand.takeFrame()
+		if err != nil {
+			return nil, &connError{"read frame header", err}
+		}
+		if taken {
+			kind, _, err := parseHeader(frame, c.maxFrame)
+			if err == nil {
+				err = decodePayload(kind, frame[frameHeaderSize:], &c.msg)
+			}
+			c.hand.releaseFrame(frame)
+			if err != nil {
+				return nil, err
+			}
+			return &c.msg, nil
+		}
 	}
 	if _, err := io.ReadFull(c.raw, c.hdr[:]); err != nil {
 		return nil, &connError{"read frame header", err}

@@ -8,18 +8,23 @@ import (
 	"dpbyz/internal/membership"
 )
 
-// submissionDepth is how many gradient buffers the server pre-allocates
-// per worker connection. Depth 1 covers the lock-step pipeline of an
+// submissionDepth is how many gradients of one worker connection the server
+// holds at once: its reader claims one per frame and the round loop hands it
+// back after aggregation. Depth 1 covers the lock-step pipeline of an
 // honest worker; the extra slots absorb duplicated or reordered frames
 // from faulty channels. When a peer floods faster than the server
 // consumes, further frames are dropped (and counted), never buffered:
 // a hostile worker cannot force unbounded allocation.
 const submissionDepth = 3
 
-// workerConn tracks one handshaken worker connection. free holds the
-// pre-allocated gradient buffers the reader goroutine copies submissions
-// into; the round loop hands buffers back after aggregation, so the
-// steady state allocates no gradient-sized slices.
+// workerConn tracks one handshaken worker connection. free holds its
+// submissionDepth buffer slots: the reader swaps one into the conn's message
+// as the next decode target whenever it hands a decoded gradient over
+// (claim), and the round loop hands the gradient back after aggregation. A
+// slot starts empty, so the decoder draws its buffer from the decode-scratch
+// pool on first use, and a reader that exits returns what its free list
+// holds to the pool (release): the steady state allocates no gradient-sized
+// slices, and a conn allocates none it never decodes into.
 type workerConn struct {
 	id   int
 	c    *conn
@@ -34,8 +39,47 @@ type workerConn struct {
 	gone bool
 }
 
+func newWorkerConn(id int, c *conn, joined bool) *workerConn {
+	free := make(chan []float64, submissionDepth)
+	for i := 0; i < submissionDepth; i++ {
+		free <- nil
+	}
+	return &workerConn{id: id, c: c, free: free, joined: joined}
+}
+
+// claim takes the decoded gradient g off the conn for the round loop. The
+// vector is handed over, not copied: a free buffer takes its place in g as
+// the conn's next decode target, so neither is left with two owners. It
+// reports false, taking nothing, when no buffer is free — the peer is
+// sending faster than rounds complete.
+//
+//dpbyz:hotpath
+func (w *workerConn) claim(g *Gradient) ([]float64, bool) {
+	select {
+	case buf := <-w.free:
+		buf, g.Grad = g.Grad, buf
+		return buf, true
+	default:
+		return nil, false
+	}
+}
+
+// release returns the buffers in w's free list to the decode-scratch pool.
+// Only the reader claims from the list, so once it has exited they have no
+// other owner; one the round loop hands back later stays with the conn.
+func (w *workerConn) release() {
+	for {
+		select {
+		case buf := <-w.free:
+			putScratch(buf)
+		default:
+			return
+		}
+	}
+}
+
 // submission is one gradient handed from a reader goroutine to the round
-// loop. grad is a buffer from src's free list and must be returned there.
+// loop. grad was claimed from src and must be returned to src's free list.
 type submission struct {
 	src  *workerConn
 	step int
@@ -77,7 +121,7 @@ func newMemberRegistry(tr *membership.Tracker) *memberRegistry {
 // the id has a live connection (first wins: a Hello worker never redials, so
 // a second one is a stray or an impostor and must not displace a running
 // worker). Ids outside the population range are rejected by the tracker.
-func (r *memberRegistry) offer(id int, c *conn, joined bool, dim int) (*workerConn, error) {
+func (r *memberRegistry) offer(id int, c *conn, joined bool) (*workerConn, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	select {
@@ -95,11 +139,7 @@ func (r *memberRegistry) offer(id int, c *conn, joined bool, dim int) (*workerCo
 	if old != nil {
 		_ = old.c.abort()
 	}
-	free := make(chan []float64, submissionDepth)
-	for i := 0; i < submissionDepth; i++ {
-		free <- make([]float64, dim)
-	}
-	w := &workerConn{id: id, c: c, free: free, joined: joined}
+	w := newWorkerConn(id, c, joined)
 	r.cur[id] = w
 	r.readers.Add(1)
 	select {
@@ -110,11 +150,12 @@ func (r *memberRegistry) offer(id int, c *conn, joined bool, dim int) (*workerCo
 }
 
 // readerExited is the reader goroutine's last act: it reports the
-// disconnect and recycles the conn's decode scratch, which only the reader
-// used.
+// disconnect and recycles the conn's decode scratch and free buffers, which
+// only the reader decoded into.
 func (r *memberRegistry) readerExited(w *workerConn) {
 	r.disconnect(w)
 	_ = w.c.close()
+	w.release()
 	r.readers.Done()
 }
 

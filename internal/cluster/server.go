@@ -220,9 +220,11 @@ type ServerResult struct {
 	MissedGradients int
 	// AcceptedGradients counts submissions that entered aggregation.
 	AcceptedGradients int
-	// DiscardedSubmissions counts frames thrown away before aggregation:
-	// stale or future steps, duplicates, spoofed worker ids, wrong
-	// dimensions, or floods beyond the per-worker buffer depth.
+	// DiscardedSubmissions counts frames thrown away before aggregation, up
+	// to the final commit: stale or future steps, duplicates, spoofed worker
+	// ids, wrong dimensions, or floods beyond the per-worker buffer depth.
+	// Frames turned away while the run tears down are logged, not counted,
+	// so the count equals the final snapshot's.
 	DiscardedSubmissions int
 	// CreditedGradients counts accepted submissions that were one round
 	// stale and credited under LateCredit (a subset of AcceptedGradients).
@@ -293,9 +295,11 @@ type Server struct {
 	commit   *round.Committer
 	listener Listener
 	logf     func(string, ...any)
-	// discarded counts the frames turned away before aggregation; readers
-	// add to it concurrently with the round loop.
-	discarded atomic.Int64
+	// discarded counts the frames turned away before aggregation. Only the
+	// round loop touches it; readers count their turn-aways in rejected,
+	// which the loop moves over (tally) before every commit and snapshot.
+	discarded int
+	rejected  atomic.Int64
 }
 
 // NewServer binds the listen endpoint so that Addr() is known before any
@@ -327,7 +331,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	if st := cfg.Resume; st != nil && st.Quorum != nil {
-		s.discarded.Store(int64(st.Quorum.Discarded))
+		s.discarded = st.Quorum.Discarded
 	}
 	if s.listener, err = cfg.Transport.Listen(cfg.Addr); err != nil {
 		return nil, err
@@ -344,7 +348,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // the slot table.
 func (s *Server) snapshot(st *checkpoint.RunState) {
 	_, _, credited := s.table.Totals()
-	st.Quorum = &checkpoint.QuorumRunState{Discarded: int(s.discarded.Load()), Credited: credited}
+	st.Quorum = &checkpoint.QuorumRunState{Discarded: s.tally(), Credited: credited}
+}
+
+// tally moves the readers' turn-aways into the run's discard count and
+// returns it. The round loop calls it before every commit and snapshot and
+// never after the final commit, so a frame turned away during teardown does
+// not reach the count.
+func (s *Server) tally() int {
+	s.discarded += int(s.rejected.Swap(0))
+	return s.discarded
 }
 
 // aggNormRecord is the server's step record. The server holds no data and
@@ -388,17 +401,19 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 	defer s.listener.Close()
 	plan, tracker, table := s.plan, s.tracker, s.table
 	reg := newMemberRegistry(tracker)
-	discarded := &s.discarded
 	// Room for a current and a late frame from every possible member, so a
 	// reader rarely parks on the hand-off while the loop aggregates.
 	inbox := make(chan submission, 2*plan.members.MaxWorkers)
 
 	// Fan-in: every connection gets a reader goroutine that validates the
-	// sender and dimension, copies the decoded gradient into one of the
-	// connection's own buffers and pushes it into the shared inbox. Closing
-	// the registry unblocks a reader stuck on a full inbox during shutdown
-	// and aborts the connection of one stuck in receive. On exit the reader reports
-	// the disconnect and recycles the conn (readers own their conn's close).
+	// sender and dimension and pushes the decoded gradient into the shared
+	// inbox. The vector is handed over, not copied (workerConn.claim): one of
+	// the connection's free buffers becomes the conn's next decode target, so
+	// each buffer has one owner — the conn, the inbox or round loop, or the
+	// free list it returns to. Closing the registry unblocks a reader stuck
+	// on a full inbox during shutdown and aborts the connection of one stuck
+	// in receive. On exit the reader reports the disconnect and recycles the
+	// conn (readers own their conn's close).
 	read := func(w *workerConn) {
 		defer reg.readerExited(w)
 		for {
@@ -414,21 +429,18 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 			// A gradient claiming another worker's id is spoofed: the
 			// connection authenticates the sender.
 			if g.WorkerID != w.id || len(g.Grad) != s.cfg.Dim {
-				discarded.Add(1)
+				s.rejected.Add(1)
 				s.logf("discarding bad gradient from worker %d (claimed %d, dim %d)",
 					w.id, g.WorkerID, len(g.Grad))
 				continue
 			}
-			var buf []float64
-			select {
-			case buf = <-w.free:
-			default:
+			buf, ok := w.claim(g)
+			if !ok {
 				// Buffer depth exhausted: the peer is sending faster than
 				// rounds complete (duplication fault or flood).
-				discarded.Add(1)
+				s.rejected.Add(1)
 				continue
 			}
-			copy(buf, g.Grad)
 			select {
 			case inbox <- submission{src: w, step: g.Step, grad: buf}:
 			case <-reg.done:
@@ -458,7 +470,7 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 			if m.kind == msgJoin {
 				id, joined = m.join.WorkerID, true
 			}
-			w, err := reg.offer(id, c, joined, s.cfg.Dim)
+			w, err := reg.offer(id, c, joined)
 			if err != nil {
 				s.logf("rejecting handshake from worker %d: %v", id, err)
 				_ = c.close()
@@ -595,9 +607,9 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 		// RoundTimeout.
 		deadline := time.Now().Add(s.cfg.RoundTimeout)
 		// The params frame is the same for every member: encode it once and
-		// let each conn write the shared bytes. Transports copy or consume
-		// them before Write returns, so the buffer is free again when this
-		// (serial, view-ordered) loop ends.
+		// let each conn write the shared bytes. sendFrame never hands the
+		// buffer over — Write only reads it and is done when it returns — so
+		// it is free again when this (serial, view-ordered) loop ends.
 		bcast = appendParamsFrame(bcast[:0], Params{Step: step, Weights: w})
 		for i, wk := range members {
 			// A member whose conn was replaced mid-epoch stays in the frozen
@@ -625,7 +637,7 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 					slot, d = table.Deliver(sub.src.id, sub.step, step)
 				}
 				if !d.Fills() {
-					discarded.Add(1)
+					s.discarded++
 					s.logf("discarding gradient (worker %d, step %d): %s", sub.src.id, sub.step, d)
 					sub.src.free <- sub.grad
 					continue
@@ -663,17 +675,18 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 			submissions[i] = nil
 		}
 
+		s.tally()
 		if err := s.commit.Commit(step, agg); err != nil {
 			return fail(err)
 		}
 	}
 
 	finish()
-	// Quiesce the readers before reading the counters: a frame racing the
-	// end of the last round must still be counted, keeping the
-	// accepted/discarded/missed accounting exact.
+	// The counters closed at the final commit: a frame the readers turn away
+	// from here on is logged, not counted, so the result equals the final
+	// snapshot's books. Quiesce the readers before returning all the same.
 	shutdown()
-	res := &ServerResult{Params: w, History: s.commit.History(), DiscardedSubmissions: int(discarded.Load())}
+	res := &ServerResult{Params: w, History: s.commit.History(), DiscardedSubmissions: s.discarded}
 	res.AcceptedGradients, res.MissedGradients, res.CreditedGradients = table.Totals()
 	if plan.epochBooks {
 		res.Epochs = table.Epochs()

@@ -32,12 +32,39 @@ type Listener interface {
 // Conn is a bidirectional byte stream with deadline support — the subset
 // of net.Conn the protocol needs. One protocol frame is written per Write
 // call, which lets message-oriented transports inject per-frame faults.
+// Write only reads p and is done with it when it returns, so the caller
+// keeps ownership and may send the same bytes on many conns; Read copies
+// into the caller's p.
 type Conn interface {
 	Read(p []byte) (int, error)
 	Write(p []byte) (int, error)
 	Close() error
 	SetReadDeadline(t time.Time) error
 	SetWriteDeadline(t time.Time) error
+}
+
+// frameHandoff is the zero-copy path of a Conn that carries whole frames as
+// byte slices; only the in-process transport's conn implements it. Where
+// Read and Write copy, it moves ownership of a frame buffer instead: a taken
+// frame is the caller's until releaseFrame, and a given frame is the
+// transport's from the moment giveFrame succeeds. Both honour the deadlines
+// set through the Conn, and both decline (ok false) where the frame has to
+// take the copying byte path, so the stream a conn reads is the same either
+// way.
+type frameHandoff interface {
+	// takeFrame returns the next inbound frame whole. It declines when the
+	// direction injects faults, when a frame is partly consumed by Read, or
+	// when the next frame is not exactly a header plus the payload length it
+	// declares; that frame is then left for Read.
+	takeFrame() (frame []byte, ok bool, err error)
+	// releaseFrame hands a taken frame back to its direction for reuse.
+	releaseFrame(frame []byte)
+	// giveFrame enqueues frame itself instead of a copy. It declines when
+	// the direction injects faults; the frame must then go through Write.
+	giveFrame(frame []byte) (ok bool, err error)
+	// spareFrame returns an empty recycled buffer of the outbound
+	// direction to encode the next frame into, or nil when none is free.
+	spareFrame() []byte
 }
 
 // TCPTransport is the production transport: real TCP sockets.
