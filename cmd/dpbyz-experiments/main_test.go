@@ -22,7 +22,10 @@ var update = flag.Bool("update", false, "rewrite testdata/smoke_all.golden from 
 // after the ε sweep, which every table now ends with. Regenerate it
 // (-update) only for a change that means to move the paper's numbers.
 // Float trajectories are per-architecture (the compiler fuses multiply-adds
-// outside amd64), so the golden is pinned to GOARCH=amd64.
+// outside amd64), so the golden is pinned to GOARCH=amd64. Within amd64 it
+// holds on CPUs with AVX and FMA only: the models' sigmoid calls math.Exp,
+// whose amd64 body takes an FMA branch there (math/exp_amd64.go, useFMA)
+// and rounds differently without it (ROADMAP rule (iv)).
 func TestSmokeAllGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden is pinned to GOARCH=amd64 (FMA fusion makes float results per-architecture); running on %s", runtime.GOARCH)

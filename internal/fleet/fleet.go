@@ -114,9 +114,11 @@ type Service struct {
 	logf  func(string, ...any)
 	hold  func(context.Context, spec.RunID, int)
 
-	// local executes every "local" run for the service's lifetime, so the
-	// runs of a sweep share the dataset the backend value last built.
-	local spec.LocalBackend
+	// local and cluster execute every run of their backend for the
+	// service's lifetime, so the runs of a sweep share the dataset the
+	// backend value last built.
+	local   spec.LocalBackend
+	cluster spec.ClusterBackend
 
 	pool       *experiments.Pool
 	baseCtx    context.Context
@@ -313,7 +315,7 @@ func (s *Service) schedule(r *run, resume *checkpoint.RunState) {
 // backendFor maps a Meta.Backend name to its executor.
 func (s *Service) backendFor(name string) spec.Backend {
 	if name == "cluster" {
-		return &spec.ClusterBackend{}
+		return &s.cluster
 	}
 	return &s.local
 }

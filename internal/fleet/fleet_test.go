@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -504,18 +505,35 @@ func TestFleetKillResumeCluster(t *testing.T) {
 // Priority orders queued runs: with one worker busy, a later high-priority
 // submission overtakes earlier low-priority ones.
 func TestFleetPriorityScheduling(t *testing.T) {
+	// The first run to log a step is held there until it is cancelled, so
+	// the single worker is provably busy before the others are submitted:
+	// a worker still idle at the low-priority Submit would take that run
+	// ahead of the blocker.
+	var holding atomic.Bool
+	started := make(chan struct{})
+	hold := func(ctx context.Context, _ spec.RunID, _ int) {
+		if holding.CompareAndSwap(false, true) {
+			close(started)
+			<-ctx.Done()
+		}
+	}
 	root := t.TempDir()
-	svc, err := Open(Config{Root: root, Width: 1, CheckpointEvery: 50, Logf: t.Logf})
+	svc, err := Open(Config{Root: root, Width: 1, CheckpointEvery: 50, Logf: t.Logf, hold: hold})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Stop()
 
-	// Occupy the single worker long enough that the later submissions are
-	// genuinely queued behind it (it is cancelled at the end, not awaited).
+	// Occupy the single worker, so the later submissions are genuinely
+	// queued behind it (it is cancelled at the end, not awaited).
 	blocker, err := svc.Submit(&spec.Submission{Runs: []spec.Spec{fleetSpec(500000, 1)}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	select {
+	case <-started:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the blocker never started")
 	}
 	// The low-priority run is long so it cannot slip to done in the gap
 	// between the high-priority run finishing and the assertion below.

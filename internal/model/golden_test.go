@@ -109,7 +109,10 @@ func hashBatch(h hash.Hash64, m Model, w []float64, batch []data.Point, xSq []fl
 // TestModelGoldens pins the model layer's output bits, the per-sample
 // scores under them included. amd64-only, like worker.TestStepGoldens: the
 // compiler fuses multiply-adds elsewhere, so float results are
-// per-architecture.
+// per-architecture. Within amd64 they hold on CPUs with AVX and FMA only:
+// sigmoid calls math.Exp, whose amd64 body takes an FMA branch there
+// (math/exp_amd64.go, useFMA) and rounds differently without it (ROADMAP
+// rule (iv)).
 func TestModelGoldens(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("goldens are pinned to GOARCH=amd64 (FMA fusion makes float results per-architecture); running on %s", runtime.GOARCH)

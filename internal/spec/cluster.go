@@ -8,6 +8,7 @@ import (
 
 	"dpbyz/internal/checkpoint"
 	"dpbyz/internal/cluster"
+	"dpbyz/internal/data"
 	"dpbyz/internal/worker"
 )
 
@@ -38,7 +39,13 @@ var ErrInexactResume = errors.New("spec: cluster resume would not be exact")
 // resumed round, so a resumed fixed, synchronous cohort is the uninterrupted
 // run — params and ledger — for every attack. A Spec with worker momentum
 // is refused with ErrInexactResume before any round runs.
-type ClusterBackend struct{}
+//
+// Like LocalBackend, a ClusterBackend value remembers the one dataset it
+// last synthesized (datasetMemo), so hold one value across a sweep. The
+// value is safe for concurrent Runs and must not be copied after first use.
+type ClusterBackend struct {
+	datasetMemo
+}
 
 var _ Backend = (*ClusterBackend)(nil)
 
@@ -200,7 +207,9 @@ func clusterResult(s *Spec, backend string, res *cluster.ServerResult, workerRou
 // run failures — the trained model is the server's.
 func (b *ClusterBackend) Run(ctx context.Context, s Spec, opts ...Option) (*Result, error) {
 	o := applyOptions(opts)
-	m, err := s.materialize(o)
+	m, err := s.materializeFrom(o, func() (train, test *data.Dataset, err error) {
+		return b.datasets(&s)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -14,15 +14,21 @@ import (
 // performs zero allocations when no observer is installed, preserving the
 // simulator's AllocsPerRun gates.
 //
-// A LocalBackend value remembers the one dataset it last synthesized: a run
-// whose Data block resolves to the same generation parameters as the
-// previous run on this value reuses that train/test split read-only instead
-// of synthesizing it again, so a sweep — conditions × seeds over one
-// dataset — pays for the dataset once. Hold one value for a sweep; a fresh
-// &LocalBackend{} is always cold, and the remembered dataset is freed with
-// the value. Trajectories are bit-identical either way. The value is safe
-// for concurrent Runs and must not be copied after first use.
+// A LocalBackend value remembers the one dataset it last synthesized
+// (datasetMemo). The value is safe for concurrent Runs and must not be
+// copied after first use.
 type LocalBackend struct {
+	datasetMemo
+}
+
+// datasetMemo is the single-entry dataset memo both backends embed: a run
+// whose Data block resolves to the same generation parameters as the
+// previous run on the same backend value reuses that train/test split
+// read-only instead of synthesizing it again, so a sweep — conditions ×
+// seeds over one dataset — pays for the dataset once. Hold one value for a
+// sweep; a fresh backend value is always cold, and the remembered dataset is
+// freed with the value. Trajectories are bit-identical either way.
+type datasetMemo struct {
 	mu   sync.Mutex
 	last builtData // guarded by mu
 }
@@ -47,7 +53,7 @@ type builtData struct {
 // A libsvm source always rebuilds: the file can change between runs. Two
 // concurrent misses both build (no lock is held across synthesis) and the
 // later store stays.
-func (b *LocalBackend) datasets(s *Spec) (train, test *data.Dataset, err error) {
+func (b *datasetMemo) datasets(s *Spec) (train, test *data.Dataset, err error) {
 	d := s.Data
 	key := dataKey{
 		source: d.source(), n: d.n(), features: d.features(),

@@ -344,6 +344,9 @@ func parentSnapshotSpec() Spec {
 // aborted at step 60). It must load, pass CheckSpec against today's compact
 // Spec document, and resume to the uninterrupted run's exact end; saved
 // again it comes out compact, equal, and well under the indented size.
+// amd64-only, and within amd64 CPUs with AVX and FMA only: math.Exp in the
+// model's sigmoid takes an FMA branch there (math/exp_amd64.go, useFMA) and
+// rounds differently without it (ROADMAP rule (iv)).
 func TestResumeParentIndentedSnapshot(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("fixture floats are pinned to GOARCH=amd64 (FMA fusion makes float results per-architecture); running on %s", runtime.GOARCH)

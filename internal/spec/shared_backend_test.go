@@ -251,6 +251,34 @@ func TestSharedBackendMatchesFresh(t *testing.T) {
 	}
 }
 
+// Two runs on one ClusterBackend value whose data keys agree get the same
+// *data.Dataset — the value synthesizes it once, as a LocalBackend does —
+// and the second run is the run a fresh value gives, bit for bit.
+func TestClusterBackendReusesDataset(t *testing.T) {
+	ctx := context.Background()
+	be := &ClusterBackend{}
+	var built []*data.Dataset
+	for runSeed := uint64(1); runSeed <= 2; runSeed++ {
+		got, err := be.Run(ctx, sharedBase(runSeed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		be.mu.Lock()
+		built = append(built, be.last.train)
+		be.mu.Unlock()
+		want, err := (&ClusterBackend{}).Run(ctx, sharedBase(runSeed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameResult(got, want); err != nil {
+			t.Errorf("run seed %d, shared value vs fresh value: %v", runSeed, err)
+		}
+	}
+	if built[0] == nil || built[1] != built[0] {
+		t.Errorf("second run's dataset %p, want the first run's %p", built[1], built[0])
+	}
+}
+
 // One value, two goroutines, every Spec of the table: hits, misses and
 // racing stores all at once, each run still the fresh value's run. The race
 // detector watches the memo and the shared datasets.

@@ -107,7 +107,10 @@ func pinOf(res *Result) trajectoryPin {
 // TestTrajectoryPins is a slice of ROADMAP item 2(b): whole-run trajectories
 // pinned across both backends and a mid-run resume, so a change that moves
 // local and cluster together still trips it. amd64-only, like every golden
-// here: the compiler fuses multiply-adds elsewhere.
+// here: the compiler fuses multiply-adds elsewhere. Within amd64 the pins
+// hold on CPUs with AVX and FMA only: math.Exp in the model's sigmoid takes
+// an FMA branch there (math/exp_amd64.go, useFMA) and rounds differently
+// without it (ROADMAP rule (iv)).
 func TestTrajectoryPins(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("trajectory pins are pinned to GOARCH=amd64 (FMA fusion makes float results per-architecture); running on %s", runtime.GOARCH)

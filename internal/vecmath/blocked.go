@@ -4,11 +4,16 @@ package vecmath
 // batched gradient fast paths: DotBlocked scores one row, DotBlocked2 scores
 // two rows against a shared vector in one sweep over it, and Axpy4
 // accumulates four rows. The unrolling breaks the sequential dependence
-// between adds so the CPU can keep several FMAs in flight; the reduction
-// order of each kernel is fixed (independent of input values and of any
-// parallelism setting), and DotBlocked2 keeps each row's sum in
+// between adds so the CPU can keep several multiply-adds in flight; the
+// reduction order of each kernel is fixed (independent of input values and
+// of any parallelism setting), and DotBlocked2 keeps each row's sum in
 // DotBlocked's order, so results are deterministic everywhere and the
 // two-row kernel is bit-identical to two one-row calls.
+//
+// On amd64 the loops of DotBlocked2 and Axpy4 run as SSE2
+// (kernels_amd64.s), lane for lane the operations of dotBlocked2Generic and
+// axpy4Generic below, which are the body on every other GOARCH and the
+// oracle of the differential tests.
 
 // DotBlocked returns the inner product <a, b> accumulated in four
 // interleaved partial sums. The reduction order differs from Dot, so the two
@@ -21,10 +26,11 @@ func DotBlocked(a, b []float64) float64 {
 	var d0, d1, d2, d3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		d0 += a[i] * b[i]
-		d1 += a[i+1] * b[i+1]
-		d2 += a[i+2] * b[i+2]
-		d3 += a[i+3] * b[i+3]
+		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
+		d0 += x[0] * y[0]
+		d1 += x[1] * y[1]
+		d2 += x[2] * y[2]
+		d3 += x[3] * y[3]
 	}
 	for ; i < len(a); i++ {
 		d0 += a[i] * b[i]
@@ -44,18 +50,27 @@ func DotBlocked(a, b []float64) float64 {
 func DotBlocked2(a, b0, b1 []float64) (float64, float64) {
 	assertSameLen(a, b0)
 	assertSameLen(a, b1)
+	return dotBlocked2Loop(a, b0, b1)
+}
+
+// dotBlocked2Generic is DotBlocked2's loop in Go.
+//
+//dpbyz:hotpath
+func dotBlocked2Generic(a, b0, b1 []float64) (p, q float64) {
+	assertSameLen(a, b0)
+	assertSameLen(a, b1)
 	var p0, p1, p2, p3, q0, q1, q2, q3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		a0, a1, a2, a3 := a[i], a[i+1], a[i+2], a[i+3]
-		p0 += a0 * b0[i]
-		p1 += a1 * b0[i+1]
-		p2 += a2 * b0[i+2]
-		p3 += a3 * b0[i+3]
-		q0 += a0 * b1[i]
-		q1 += a1 * b1[i+1]
-		q2 += a2 * b1[i+2]
-		q3 += a3 * b1[i+3]
+		x, y, z := a[i:i+4:i+4], b0[i:i+4:i+4], b1[i:i+4:i+4]
+		p0 += x[0] * y[0]
+		p1 += x[1] * y[1]
+		p2 += x[2] * y[2]
+		p3 += x[3] * y[3]
+		q0 += x[0] * z[0]
+		q1 += x[1] * z[1]
+		q2 += x[2] * z[2]
+		q3 += x[3] * z[3]
 	}
 	for ; i < len(a); i++ {
 		p0 += a[i] * b0[i]
@@ -81,8 +96,20 @@ func Axpy4(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []float64,
 		Axpy(a3, x3, dst[:len(x3)])
 		return
 	}
-	d := dst[:n]
-	for j := 0; j < n; j++ {
+	axpy4Loop(dst[:n], a0, x0, a1, x1, a2, x2, a3, x3)
+}
+
+// axpy4Generic is Axpy4's loop in Go, for vectors that all share d's
+// length.
+//
+//dpbyz:hotpath
+func axpy4Generic(d []float64, a0 float64, x0 []float64, a1 float64, x1 []float64,
+	a2 float64, x2 []float64, a3 float64, x3 []float64) {
+	assertSameLen(x0, d)
+	assertSameLen(x1, d)
+	assertSameLen(x2, d)
+	assertSameLen(x3, d)
+	for j := range d {
 		d[j] += a0*x0[j] + a1*x1[j] + a2*x2[j] + a3*x3[j]
 	}
 }

@@ -13,20 +13,21 @@ var blockedSpecials = []float64{
 	math.MaxFloat64,
 }
 
-// fuzzBlockedInput decodes three vectors of one length from fuzz bytes: the
+// fuzzBlockedVecs decodes k vectors of one length from fuzz bytes: the
 // first byte picks the length (0–9, or a wide length past the unrolled
 // block), the rest are cycled as values, low bytes mapping to
-// blockedSpecials.
-func fuzzBlockedInput(data []byte) (a, b0, b1 []float64) {
+// blockedSpecials. It returns nil for empty data.
+func fuzzBlockedVecs(data []byte, k int) [][]float64 {
 	if len(data) == 0 {
-		return nil, nil, nil
+		return nil
 	}
 	n := int(data[0]) % 10
 	if data[0] >= 200 {
 		n = 1000 + int(data[0])
 	}
 	vals := data[1:]
-	vec := func(off int) []float64 {
+	vs := make([][]float64, k)
+	for off := range vs {
 		v := make([]float64, n)
 		for j := range v {
 			if len(vals) == 0 {
@@ -40,9 +41,9 @@ func fuzzBlockedInput(data []byte) (a, b0, b1 []float64) {
 				v[j] = float64(int(b)-128) / 7 * math.Pow(10, float64(int(b)%5-2))
 			}
 		}
-		return v
+		vs[off] = v
 	}
-	return vec(0), vec(1), vec(2)
+	return vs
 }
 
 // sameBits reports whether x and y have the same bits, counting any two
@@ -57,7 +58,10 @@ func sameBits(x, y float64) bool {
 // both outputs equal the one-row DotBlocked, bit for bit.
 func requireDotBlocked2(t *testing.T, data []byte) {
 	t.Helper()
-	a, b0, b1 := fuzzBlockedInput(data)
+	var a, b0, b1 []float64
+	if vs := fuzzBlockedVecs(data, 3); vs != nil {
+		a, b0, b1 = vs[0], vs[1], vs[2]
+	}
 	got0, got1 := DotBlocked2(a, b0, b1)
 	want0, want1 := DotBlocked(a, b0), DotBlocked(a, b1)
 	if !sameBits(got0, want0) || !sameBits(got1, want1) {

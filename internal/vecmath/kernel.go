@@ -455,10 +455,23 @@ func SqDistsInto(dst []float64, vs [][]float64, p []float64) {
 
 // sqDist4 returns SqDist(a0, p) … SqDist(a3, p) from one sweep over the
 // coordinates: four accumulators, each summing its own pair in ascending k
-// exactly as SqDist does, and p[k] loaded once for the four.
+// exactly as SqDist does, and p[k] loaded once for the four. On amd64 the
+// sweep runs as SSE2 (kernels_amd64.s), two accumulators per register, lane
+// for lane sqDist4Generic's operations.
 //
 //dpbyz:hotpath
 func sqDist4(a0, a1, a2, a3, p []float64) (s0, s1, s2, s3 float64) {
+	assertSameLen(a0, p)
+	assertSameLen(a1, p)
+	assertSameLen(a2, p)
+	assertSameLen(a3, p)
+	return sqDist4Loop(a0, a1, a2, a3, p)
+}
+
+// sqDist4Generic is sqDist4's sweep in Go.
+//
+//dpbyz:hotpath
+func sqDist4Generic(a0, a1, a2, a3, p []float64) (s0, s1, s2, s3 float64) {
 	assertSameLen(a0, p)
 	assertSameLen(a1, p)
 	assertSameLen(a2, p)

@@ -1,0 +1,18 @@
+//go:build !amd64
+
+package vecmath
+
+// Without the amd64 SSE2 loops, the kernels run their Go bodies.
+
+func dotBlocked2Loop(a, b0, b1 []float64) (p, q float64) {
+	return dotBlocked2Generic(a, b0, b1)
+}
+
+func sqDist4Loop(a0, a1, a2, a3, p []float64) (s0, s1, s2, s3 float64) {
+	return sqDist4Generic(a0, a1, a2, a3, p)
+}
+
+func axpy4Loop(d []float64, a0 float64, x0 []float64, a1 float64, x1 []float64,
+	a2 float64, x2 []float64, a3 float64, x3 []float64) {
+	axpy4Generic(d, a0, x0, a1, x1, a2, x2, a3, x3)
+}

@@ -1,0 +1,185 @@
+package vecmath
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"dpbyz/internal/randx"
+)
+
+// kernelSpecials are the values the differential tests plant: signed zeros,
+// infinities, NaN, subnormals and magnitudes whose products overflow to ±Inf
+// or underflow into the subnormal range.
+var kernelSpecials = []float64{
+	math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, -0x1.8p-1060, 0x1.fffffp-1023,
+	1e300, -3e300, 1e-300, -7e-300,
+}
+
+// offsetVec returns an n-vector that starts off elements into its backing
+// array (off = 1 puts it off the 16-byte alignment of a fresh allocation),
+// filled by at(j).
+func offsetVec(n, off int, at func(j int) float64) []float64 {
+	v := make([]float64, n+off)[off:]
+	for j := range v {
+		v[j] = at(j)
+	}
+	return v
+}
+
+// kernelFills are the value patterns of TestKernelsMatchGeneric: row r,
+// coordinate j.
+func kernelFills(rng *randx.Stream) []struct {
+	name string
+	at   func(r, j int) float64
+} {
+	gauss := func() float64 { return rng.Normal() * math.Pow(10, float64(rng.Intn(7)-3)) }
+	return []struct {
+		name string
+		at   func(r, j int) float64
+	}{
+		{"gaussian", func(r, j int) float64 { return gauss() }},
+		{"planted", func(r, j int) float64 {
+			if (r+2*j)%5 == 0 {
+				return kernelSpecials[(r+j)%len(kernelSpecials)]
+			}
+			return gauss()
+		}},
+		{"specials", func(r, j int) float64 { return kernelSpecials[(3*r+j)%len(kernelSpecials)] }},
+		{"huge", func(r, j int) float64 { return 1e300 * gauss() }},
+		{"tiny", func(r, j int) float64 { return 1e-300 * gauss() }},
+		{"subnormal", func(r, j int) float64 { return 0x1p-1040 * gauss() }},
+	}
+}
+
+// requireKernelsMatchGeneric runs each kernel and its Go body on the same
+// rows and fails on the first result whose bits differ (NaN-ness only for a
+// NaN, sameBits).
+func requireKernelsMatchGeneric(t *testing.T, rows [][]float64, coef []float64, label string) {
+	t.Helper()
+	p, q := DotBlocked2(rows[0], rows[1], rows[2])
+	wp, wq := dotBlocked2Generic(rows[0], rows[1], rows[2])
+	if !sameBits(p, wp) || !sameBits(q, wq) {
+		t.Fatalf("%s: DotBlocked2 = (%#x, %#x), generic (%#x, %#x)", label,
+			math.Float64bits(p), math.Float64bits(q), math.Float64bits(wp), math.Float64bits(wq))
+	}
+
+	var s, ws [4]float64
+	s[0], s[1], s[2], s[3] = sqDist4(rows[1], rows[2], rows[3], rows[4], rows[0])
+	ws[0], ws[1], ws[2], ws[3] = sqDist4Generic(rows[1], rows[2], rows[3], rows[4], rows[0])
+	for i := range s {
+		if !sameBits(s[i], ws[i]) {
+			t.Fatalf("%s: sqDist4[%d] = %#x, generic %#x", label, i, math.Float64bits(s[i]), math.Float64bits(ws[i]))
+		}
+	}
+
+	got, want := Clone(rows[0]), Clone(rows[0])
+	Axpy4(got, coef[0], rows[1], coef[1], rows[2], coef[2], rows[3], coef[3], rows[4])
+	axpy4Generic(want, coef[0], rows[1], coef[1], rows[2], coef[2], rows[3], coef[3], rows[4])
+	for j := range got {
+		if !sameBits(got[j], want[j]) {
+			t.Fatalf("%s: Axpy4 dst[%d] = %#x, generic %#x", label, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+		}
+	}
+}
+
+// TestKernelsMatchGeneric is the differential test of the three kernels
+// that have an assembly body — DotBlocked2, sqDist4 and Axpy4 — against
+// their Go loops, bit for bit: every length from 0 to 70 (each residue of
+// the unrolled blocks and both tails), rows at an even and an odd element
+// offset, and values that are Gaussian, planted with or made of ±0, ±Inf,
+// NaN and subnormals, or scaled so that products overflow or underflow.
+func TestKernelsMatchGeneric(t *testing.T) {
+	rng := randx.New(40)
+	for _, fill := range kernelFills(rng) {
+		for n := 0; n <= 70; n++ {
+			for _, off := range []int{0, 1} {
+				rows := make([][]float64, 5)
+				for r := range rows {
+					rows[r] = offsetVec(n, (off+r)%2, func(j int) float64 { return fill.at(r, j) })
+				}
+				coef := offsetVec(4, 0, func(j int) float64 { return fill.at(5, n+j) })
+				requireKernelsMatchGeneric(t, rows, coef, fmt.Sprintf("%s n=%d offset=%d", fill.name, n, off))
+			}
+		}
+	}
+}
+
+// requireAxpy4 asserts Axpy4's contract on decoded fuzz input: the kernel
+// leaves in dst what axpy4Generic does, bit for bit (sameBits).
+func requireAxpy4(t *testing.T, data []byte) {
+	t.Helper()
+	vs := fuzzBlockedVecs(data, 6)
+	if vs == nil {
+		return
+	}
+	n := len(vs[0])
+	coef := [4]float64{1.5, -0.25, 3, 1}
+	if n > 0 {
+		coef = [4]float64{vs[5][0], vs[5][n/3], vs[5][n/2], vs[5][n-1]}
+	}
+	// An odd-length input also runs at an odd element offset.
+	dst := offsetVec(n, n%2, func(j int) float64 { return vs[0][j] })
+	want := Clone(vs[0])
+	Axpy4(dst, coef[0], vs[1], coef[1], vs[2], coef[2], vs[3], coef[3], vs[4])
+	axpy4Generic(want, coef[0], vs[1], coef[1], vs[2], coef[2], vs[3], coef[3], vs[4])
+	for j := range dst {
+		if !sameBits(dst[j], want[j]) {
+			t.Fatalf("len %d: Axpy4 dst[%d] = %#x, generic %#x", n, j, math.Float64bits(dst[j]), math.Float64bits(want[j]))
+		}
+	}
+}
+
+// FuzzAxpy4 asserts that Axpy4 equals its Go loop on fuzzer-chosen lengths,
+// values and coefficients.
+func FuzzAxpy4(f *testing.F) {
+	f.Add([]byte{3, 0, 2, 4, 130, 140})
+	f.Add([]byte{9, 6, 8, 10, 12, 14, 16, 1, 250, 33})
+	f.Add([]byte{221, 100, 150, 3, 7})
+	f.Add([]byte{5, 4, 6, 2, 0, 10, 12, 8, 16})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		requireAxpy4(t, data)
+	})
+}
+
+// BenchmarkDotBlocked2 is the micro-cell of the two-row dot: the kernel
+// (SSE2 on amd64) beside its Go loop, at fig2's d = 68 and the wide
+// workloads' 9,999 features.
+func BenchmarkDotBlocked2(b *testing.B) {
+	rng := randx.New(1)
+	for _, d := range []int{68, 9999} {
+		m := randMatrix(rng, 3, d)
+		for _, k := range []struct {
+			name string
+			fn   func(a, b0, b1 []float64) (float64, float64)
+		}{{"kernel", DotBlocked2}, {"generic", dotBlocked2Generic}} {
+			b.Run(fmt.Sprintf("d=%d/%s", d, k.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					p, q := k.fn(m[0], m[1], m[2])
+					benchSink += p + q
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkAxpy4 is the micro-cell of the four-row accumulate, laid out as
+// BenchmarkDotBlocked2.
+func BenchmarkAxpy4(b *testing.B) {
+	rng := randx.New(1)
+	for _, d := range []int{68, 9999} {
+		m := randMatrix(rng, 5, d)
+		for _, k := range []struct {
+			name string
+			fn   func(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, x3 []float64)
+		}{{"kernel", Axpy4}, {"generic", axpy4Generic}} {
+			b.Run(fmt.Sprintf("d=%d/%s", d, k.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.fn(m[0], 1e-3, m[1], -1e-3, m[2], 2e-3, m[3], -2e-3, m[4])
+				}
+				benchSink = m[0][d-1]
+			})
+		}
+	}
+}

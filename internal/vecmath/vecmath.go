@@ -25,10 +25,14 @@ var ErrDimensionMismatch = errors.New("vecmath: dimension mismatch")
 // codebase (all vectors in one training run share the model dimension d).
 //
 // It also carries weight in the kernels: inlined in front of a loop it is
-// what tells the compiler len(a) == len(b), so the b[i] inside SqDist,
-// sqDist4 and Dot* loses its bounds check (go build
-// -gcflags=-d=ssa/check_bce shows none in those loops). Do not "clean it up"
-// into a check the compiler cannot see through.
+// what tells the compiler len(a) == len(b), so indexing b by a's index needs
+// no bounds check. go build -gcflags=-d=ssa/check_bce shows none in the
+// loops of Dot, SqDist and sqDist4Generic. The 4-blocked bodies (DotBlocked,
+// dotBlocked2Generic, Axpy) reslice each block, x := a[i:i+4:i+4]: that
+// costs one slice check per block on the first vector and none on the
+// others or on x[0..3], where indexing a[i+1] … a[i+3] cost four per block.
+// Their scalar tails keep one check per element. Do not "clean it up" into a
+// check the compiler cannot see through.
 func assertSameLen(a, b []float64) {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vecmath: length mismatch %d != %d", len(a), len(b)))
@@ -121,10 +125,11 @@ func Axpy(alpha float64, x, dst []float64) []float64 {
 	assertSameLen(x, dst)
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
-		dst[i] += alpha * x[i]
-		dst[i+1] += alpha * x[i+1]
-		dst[i+2] += alpha * x[i+2]
-		dst[i+3] += alpha * x[i+3]
+		xs, ds := x[i:i+4:i+4], dst[i:i+4:i+4]
+		ds[0] += alpha * xs[0]
+		ds[1] += alpha * xs[1]
+		ds[2] += alpha * xs[2]
+		ds[3] += alpha * xs[3]
 	}
 	for ; i < len(x); i++ {
 		dst[i] += alpha * x[i]

@@ -74,6 +74,10 @@ var stepGoldens = map[string]uint64{
 // honest step's output bits — batch draw, gradient, clip, noise, momentum —
 // in both orderings. amd64-only, like gar.TestPairwiseGoldens: the compiler
 // fuses multiply-adds elsewhere, so float results are per-architecture.
+// Unlike gar's, these goldens hold within amd64 on CPUs with AVX and FMA
+// only: the gradient's sigmoid calls math.Exp, whose amd64 body takes an
+// FMA branch there (math/exp_amd64.go, useFMA) and rounds differently
+// without it (ROADMAP rule (iv)).
 func TestStepGoldens(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("goldens are pinned to GOARCH=amd64 (FMA fusion makes float results per-architecture); running on %s", runtime.GOARCH)
