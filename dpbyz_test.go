@@ -61,10 +61,10 @@ func TestPublicAPITrainPipeline(t *testing.T) {
 }
 
 func TestRegistriesExposed(t *testing.T) {
-	if len(dpbyz.GARNames()) != 11 {
+	if len(dpbyz.GARNames()) != 10 {
 		t.Errorf("GARNames = %v", dpbyz.GARNames())
 	}
-	if len(dpbyz.ResilientGARNames()) != 10 {
+	if len(dpbyz.ResilientGARNames()) != 9 {
 		t.Errorf("ResilientGARNames = %v", dpbyz.ResilientGARNames())
 	}
 	if len(dpbyz.AttackNames()) != 8 {

@@ -102,7 +102,7 @@ func RunVNEmpirical(ctx context.Context, spec VNEmpiricalSpec) ([]VNEmpiricalPoi
 			continue // (n, f) constraint not met
 		}
 		if g.KF() <= 0 {
-			continue // no analytical bound (e.g. geomed)
+			continue // no analytical bound (e.g. centeredclip)
 		}
 		rules[name] = g
 	}

@@ -18,7 +18,7 @@ const DefaultBucketSize = 2
 // a bucket are averaged and the inner rule — constructed for (m, f), since
 // in the worst case every Byzantine worker contaminates a distinct bucket —
 // aggregates the m bucket means. Averaging is O(n·d), so the quadratic
-// rules (Krum family, MDA, GeoMed) drop from O(n²·d) to O((n/s)²·d), and
+// rules (Krum family, MDA) drop from O(n²·d) to O((n/s)²·d), and
 // intra-bucket averaging shrinks the honest variance that heterogeneous
 // partitions inflate, which is the known repair for (α, f)-resilience under
 // non-IID data.

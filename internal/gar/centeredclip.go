@@ -13,7 +13,7 @@ import (
 //	v_{l+1} = v_l + (1/n) Σ_i clip(x_i − v_l, τ)
 //
 // so that each worker can pull the estimate by at most τ/n per iteration.
-// Like GeoMed it is an extension beyond the paper's Table-1 rules (its
+// It is an extension beyond the paper's Table-1 rules (its
 // analysis postdates the paper), included because it is the aggregator of
 // choice in the follow-up literature on momentum + robustness; KF reports
 // 0 since the paper derives no VN-ratio constant for it.

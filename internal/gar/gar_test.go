@@ -454,7 +454,7 @@ func TestKFValues(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	names := Names()
-	if len(names) != 11 {
+	if len(names) != 10 {
 		t.Fatalf("registry has %d rules: %v", len(names), names)
 	}
 	for _, name := range names {
@@ -474,7 +474,7 @@ func TestRegistry(t *testing.T) {
 		t.Error("unknown rule did not error")
 	}
 	res := ResilientNames()
-	if len(res) != 10 {
+	if len(res) != 9 {
 		t.Errorf("ResilientNames = %v", res)
 	}
 	for _, name := range res {

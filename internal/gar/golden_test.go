@@ -23,9 +23,6 @@ var sortedColumnGoldens = map[string]uint64{
 	"centeredclip/n=16,f=4,d=1000": 0x1b5f78620671953c,
 	"centeredclip/n=33,f=8,d=517":  0xeff11f2bd84d85b1,
 	"centeredclip/n=7,f=2,d=130":   0x0c5a6422d036a0ac,
-	"geomed/n=16,f=4,d=1000":       0xce8ca14214874fe6,
-	"geomed/n=33,f=8,d=517":        0x4c0804a7b45f9701,
-	"geomed/n=7,f=2,d=130":         0x1ec3b755c47a9015,
 	"meamed/n=16,f=4,d=1000":       0x22f0786bacf433a6,
 	"meamed/n=33,f=8,d=517":        0x514717701894b8b5,
 	"meamed/n=7,f=2,d=130":         0x67287340268169cd,
@@ -70,7 +67,7 @@ func hashBits(xs []float64) uint64 {
 
 // TestSortedColumnGoldens is the slice of ROADMAP item 1(b) the tiled
 // sorted-column kernel needs (item 1's trajectory goldens should absorb it):
-// for median, trimmedmean, meamed, phocas, bulyan, geomed and centeredclip —
+// for median, trimmedmean, meamed, phocas, bulyan and centeredclip —
 // every rule that enters vecmath.reduceSortedColumnsRange — it pins the
 // output bits on seeded inputs, on the inline path (SetParallelism(1)) and
 // on the chunked path (SetParallelism(2) with a grain small enough that the
@@ -82,7 +79,7 @@ func TestSortedColumnGoldens(t *testing.T) {
 		t.Skipf("goldens are pinned to GOARCH=amd64 (FMA fusion makes float results per-architecture); running on %s", runtime.GOARCH)
 	}
 	shapes := []struct{ n, f, d int }{{7, 2, 130}, {16, 4, 1000}, {33, 8, 517}}
-	rules := []string{"median", "trimmedmean", "meamed", "phocas", "bulyan", "geomed", "centeredclip"}
+	rules := []string{"median", "trimmedmean", "meamed", "phocas", "bulyan", "centeredclip"}
 	t.Cleanup(func() {
 		vecmath.SetParallelism(0)
 		vecmath.SetParallelGrain(0)
@@ -118,8 +115,8 @@ func TestSortedColumnGoldens(t *testing.T) {
 
 // pairwiseGoldens pins the FNV-64a hash of the AggregateInto output bits of
 // the rules whose selection reads the pairwise squared-distance matrix
-// (vecmath.PairwiseSqDistsInto), each at the largest f it admits. bulyan and
-// geomed — the kernel's other consumers — are pinned above. The constants
+// (vecmath.PairwiseSqDistsInto), each at the largest f it admits. bulyan —
+// the kernel's other consumer — is pinned above. The constants
 // were printed by this test at commit a70fa47 (the parent of the four-pair
 // kernel) and must not be edited by a kernel change.
 //

@@ -220,7 +220,6 @@ func TestPropertyEmpiricalAlphaF(t *testing.T) {
 		"meamed":       1.5,
 		"bulyan":       1.5,
 		"mda":          1.5,
-		"geomed":       1.5,
 		"centeredclip": 3.0,
 	}
 	rules := batteryRules(t, ResilientNames())
@@ -291,10 +290,10 @@ func TestPropertyFixtureRegime(t *testing.T) {
 }
 
 // Every paper (Table-1) rule must advertise a positive k_F(n, f) constant;
-// the extension rules (geomed, centeredclip) have no paper-derived constant
-// and must report exactly 0, and the average must not claim resilience.
+// the extension rule (centeredclip) has no paper-derived constant and must
+// report exactly 0, and the average must not claim resilience.
 func TestPropertyKFConsistency(t *testing.T) {
-	noPaperKF := map[string]bool{"geomed": true, "centeredclip": true}
+	noPaperKF := map[string]bool{"centeredclip": true}
 	for _, name := range ResilientNames() {
 		g, err := New(name, propertyN, propertyF)
 		if err != nil {

@@ -22,7 +22,6 @@ var registry = map[string]Constructor{
 	"meamed":       func(n, f int) (GAR, error) { return NewMeamed(n, f) },
 	"bulyan":       func(n, f int) (GAR, error) { return NewBulyan(n, f) },
 	"mda":          func(n, f int) (GAR, error) { return NewMDA(n, f) },
-	"geomed":       func(n, f int) (GAR, error) { return NewGeoMed(n, f) },
 	"centeredclip": func(n, f int) (GAR, error) { return NewCenteredClip(n, f) },
 }
 

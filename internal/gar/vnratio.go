@@ -17,23 +17,9 @@ import (
 // sample of honest gradients. It returns +Inf when the mean gradient is the
 // zero vector (the condition is then unsatisfiable for any finite variance).
 func EmpiricalVNRatio(honest [][]float64) (float64, error) {
-	if len(honest) < 2 {
-		return 0, errors.New("gar: need at least 2 gradients to estimate the VN ratio")
-	}
-	mean, err := vecmath.Mean(honest)
-	if err != nil {
-		return 0, err
-	}
-	var variance float64
-	for _, g := range honest {
-		variance += vecmath.SqDist(g, mean)
-	}
-	variance /= float64(len(honest))
-	normMean := vecmath.Norm(mean)
-	if normMean == 0 {
-		return math.Inf(1), nil
-	}
-	return math.Sqrt(variance) / normMean, nil
+	// Adding d·0 = +0 to a sum of squares is exact: the bits are those of
+	// the variance loop alone.
+	return DPAdjustedVNRatio(honest, 0)
 }
 
 // DPAdjustedVNRatio applies Eq. 8: it inflates an honest-gradient variance

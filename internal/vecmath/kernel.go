@@ -42,23 +42,30 @@ var errEmptyInput = errors.New("vecmath: empty input matrix")
 // of Byzantine NaN submissions rests on. A worker that plants NaN or −0 in
 // every tile only buys the reference's speed.
 //
-// The pairwise kernel is Θ(n²·d) and its unit of work is one-to-many: the
-// distances from rows 0..j−1 to row j (SqDistsInto), four rows per sweep over
-// the coordinates (sqDist4). A single pair is one serial chain of d dependent
-// additions, so the per-pair loop ran at the adder's latency with the other
-// floating-point ports idle; four pairs give four independent chains that
-// overlap, and row j's coordinate is loaded once for the four. What is
-// blocked is the set of pairs, never a sum: each accumulator adds its own
-// pair's squares in ascending coordinate order, the operations and the order
-// of SqDist, so every entry carries SqDist's bit pattern on every input —
-// ±Inf, −0 and subnormals included, and NaN exactly where SqDist gives NaN
-// (which payload survives when two different NaNs meet in a sum is the
-// compiler's operand order, in SqDist as much as here). Nothing is
-// reassociated, hence nothing to guard and no fallback path (unlike the sort
-// above, where the order of equal keys had to be defended). The at most three
-// rows left over go through SqDist itself. Rows are dealt to workers in
-// strides; the owner of row j writes dst[j][i] and its mirror for i < j, so
-// each pair is still written by exactly one worker.
+// The pairwise kernel is Θ(n²·d) and its unit of work is one tile: the
+// distances from four rows to two points, one sweep over the coordinates
+// (sqDist4x2). A single pair is one serial chain of d dependent additions,
+// so a per-pair loop runs at the adder's latency with the other
+// floating-point ports idle; the tile's eight pairs are eight independent
+// chains that overlap, each row element is loaded once for both points and
+// each point element once for the four rows. Rows are dealt to workers in
+// pairs (j, j+1), and one sweep of the tile over rows 0..j yields both
+// points' distances to every lower row, plus the pair (j, j+1) itself.
+// Where fewer than four rows are left the call repeats the last of them,
+// and where j is the last row the second point is j again; the repeated
+// lanes and row j's distance to itself are computed and dropped, so there
+// is no second code path for the tails. What is blocked is the set of
+// pairs, never a sum: each accumulator adds its own pair's squares in
+// ascending coordinate order with the lower row as the minuend, the
+// operations and the order of SqDist, so every entry carries
+// SqDist(vs[i], vs[j])'s bit pattern for i < j on every input — ±Inf, −0
+// and subnormals included, and NaN exactly where SqDist gives NaN (which
+// payload survives when two different NaNs meet in a sum is the compiler's
+// operand order, in SqDist as much as here). Nothing is reassociated, hence
+// nothing to guard and no fallback path (unlike the sort above, where the
+// order of equal keys had to be defended). The owner of rows j and j+1
+// writes their entries below the diagonal and the mirrors, so each pair is
+// still written by exactly one worker.
 
 // Column-reduction op codes.
 const (
@@ -382,10 +389,10 @@ func checkDst(dst []float64, vs [][]float64) (int, error) {
 
 // PairwiseSqDistsInto fills the n×n matrix dst with squared Euclidean
 // distances between the vectors in vs (dst[i][j] = ‖vs[i]−vs[j]‖², the bits
-// of SqDist(vs[i], vs[j]) for i < j) without allocating. Rows are distributed
-// across workers in strides so the triangular work balances; each pair is
-// computed exactly once, keeping the result bit-identical to the sequential
-// path.
+// of SqDist(vs[i], vs[j]) for i < j) without allocating. Pairs of rows are
+// distributed across workers in strides so the triangular work balances;
+// each pair is computed exactly once, keeping the result bit-identical to
+// the sequential path.
 //
 // Inputs are validated up front, before any worker fan-out: a ragged input
 // row or an undersized dst row returns ErrDimensionMismatch (an empty vs
@@ -408,7 +415,7 @@ func PairwiseSqDistsInto(dst [][]float64, vs [][]float64) error {
 			return ErrDimensionMismatch
 		}
 	}
-	if w := min(ChunkWorkers(n*(n-1)/2*d), n); w > 1 {
+	if w := min(ChunkWorkers(n*(n-1)/2*d), (n+1)/2); w > 1 {
 		RunStriped(w, func(c int) {
 			pairwiseRows(dst, vs, c, w)
 		})
@@ -418,70 +425,82 @@ func PairwiseSqDistsInto(dst [][]float64, vs [][]float64) error {
 	return nil
 }
 
-// pairwiseRows computes the rows owned by worker c out of w (rows c, c+w,
-// c+2w, …). The owner of row j writes dst[i][j] and the mirror dst[j][i]
-// for all i < j; no element is written by two workers.
+// pairwiseRows computes the row pairs owned by worker c out of w: rows
+// (2c, 2c+1), then (2c+2w, 2c+2w+1), and so on; the last row of an odd n
+// is a pair on its own. The owner of rows j and j+1 writes dst[j][i] and
+// dst[j+1][i] for every i below them, and their mirrors; no element is
+// written by two workers.
 //
 //dpbyz:hotpath
 func pairwiseRows(dst [][]float64, vs [][]float64, c, w int) {
-	for j := c; j < len(vs); j += w {
-		row := dst[j][:j]
-		SqDistsInto(row, vs[:j], vs[j])
-		for i, dv := range row {
-			dst[i][j] = dv
+	var out [8]float64
+	for j := 2 * c; j < len(vs); j += 2 * w {
+		// m rows go through the sweep: 0..j against the points (j, j+1),
+		// or 0..j−1 against (j, j) when j is the last row.
+		p, q, m := vs[j], vs[j], j
+		if j+1 < len(vs) {
+			q, m = vs[j+1], j+1
+		}
+		last := m - 1
+		for i := 0; i < m; i += 4 {
+			sqDist4x2(&out, vs[i], vs[min(i+1, last)], vs[min(i+2, last)], vs[min(i+3, last)], p, q)
+			for r := range min(4, m-i) {
+				if i+r < j {
+					dst[j][i+r], dst[i+r][j] = out[r], out[r]
+				}
+				if m > j {
+					dst[j+1][i+r], dst[i+r][j+1] = out[4+r], out[4+r]
+				}
+			}
 		}
 		dst[j][j] = 0
+		if m > j {
+			dst[j+1][j+1] = 0
+		}
 	}
 }
 
-// SqDistsInto stores the squared Euclidean distance from every row of vs to
-// the point p: dst[i] = SqDist(vs[i], p), bit for bit and with the rows as
-// the minuend, as both callers (a pairwise row, geomed's Weiszfeld step)
-// wrote it per pair. Rows go through sqDist4 four at a time, the at most
-// three left over through SqDist. Like SqDist it panics on a length mismatch;
-// dst must hold len(vs) values.
+// sqDist4x2 stores the squared distances from the rows a0..a3 to the points
+// p and q in out: out[r] = SqDist(a_r, p) and out[4+r] = SqDist(a_r, q), bit
+// for bit, from one sweep over the coordinates. Eight accumulators each sum
+// their own pair in ascending k exactly as SqDist does, with the row as the
+// minuend. On amd64 the sweep runs as SSE2 (kernels_amd64.s), two
+// accumulators per register, lane for lane sqDist4x2Generic's operations.
+// Like SqDist it panics on a length mismatch.
 //
 //dpbyz:hotpath
-func SqDistsInto(dst []float64, vs [][]float64, p []float64) {
-	dst = dst[:len(vs)]
-	i := 0
-	for ; i+4 <= len(vs); i += 4 {
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = sqDist4(vs[i], vs[i+1], vs[i+2], vs[i+3], p)
-	}
-	for ; i < len(vs); i++ {
-		dst[i] = SqDist(vs[i], p)
-	}
-}
-
-// sqDist4 returns SqDist(a0, p) … SqDist(a3, p) from one sweep over the
-// coordinates: four accumulators, each summing its own pair in ascending k
-// exactly as SqDist does, and p[k] loaded once for the four. On amd64 the
-// sweep runs as SSE2 (kernels_amd64.s), two accumulators per register, lane
-// for lane sqDist4Generic's operations.
-//
-//dpbyz:hotpath
-func sqDist4(a0, a1, a2, a3, p []float64) (s0, s1, s2, s3 float64) {
+func sqDist4x2(out *[8]float64, a0, a1, a2, a3, p, q []float64) {
 	assertSameLen(a0, p)
 	assertSameLen(a1, p)
 	assertSameLen(a2, p)
 	assertSameLen(a3, p)
-	return sqDist4Loop(a0, a1, a2, a3, p)
+	assertSameLen(q, p)
+	sqDist4x2Loop(out, a0, a1, a2, a3, p, q)
 }
 
-// sqDist4Generic is sqDist4's sweep in Go.
+// sqDist4x2Generic is sqDist4x2's sweep in Go.
 //
 //dpbyz:hotpath
-func sqDist4Generic(a0, a1, a2, a3, p []float64) (s0, s1, s2, s3 float64) {
+func sqDist4x2Generic(out *[8]float64, a0, a1, a2, a3, p, q []float64) {
 	assertSameLen(a0, p)
 	assertSameLen(a1, p)
 	assertSameLen(a2, p)
 	assertSameLen(a3, p)
+	assertSameLen(q, p)
+	var s0, s1, s2, s3, t0, t1, t2, t3 float64
 	for k, x := range p {
-		d0, d1, d2, d3 := a0[k]-x, a1[k]-x, a2[k]-x, a3[k]-x
+		y := q[k]
+		r0, r1, r2, r3 := a0[k], a1[k], a2[k], a3[k]
+		d0, d1, d2, d3 := r0-x, r1-x, r2-x, r3-x
+		e0, e1, e2, e3 := r0-y, r1-y, r2-y, r3-y
 		s0 += d0 * d0
 		s1 += d1 * d1
 		s2 += d2 * d2
 		s3 += d3 * d3
+		t0 += e0 * e0
+		t1 += e1 * e1
+		t2 += e2 * e2
+		t3 += e3 * e3
 	}
-	return s0, s1, s2, s3
+	*out = [8]float64{s0, s1, s2, s3, t0, t1, t2, t3}
 }

@@ -1,6 +1,6 @@
 // SSE2 bodies of the three hottest vecmath loops: DotBlocked2, Axpy4 and
-// sqDist4. Their Go wrappers check lengths and call in; the loops they
-// replace are kept as dotBlocked2Generic, axpy4Generic and sqDist4Generic
+// sqDist4x2. Their Go wrappers check lengths and call in; the loops they
+// replace are kept as dotBlocked2Generic, axpy4Generic and sqDist4x2Generic
 // (the body on every other GOARCH, and the tests' oracle).
 //
 // Why the bits do not move. Each XMM lane holds exactly one of the Go
@@ -14,8 +14,13 @@
 //   - dotBlocked2: (p0,p1) (p2,p3) (q0,q1) (q2,q3) live in X0–X3; the
 //     tail adds into lane 0 only (MULSD / ADDSD); the combine is
 //     (p0+p1)+(p2+p3) as in Go.
-//   - sqDist4: lanes (s0,s1) in X0 and (s2,s3) in X1; coordinate k is
-//     added before k+1 in every lane, and the difference is row − p.
+//   - sqDist4x2: the tile of rows a0..a3 × points p, q. Lane map:
+//       X0 = (a0·p, a1·p)   X1 = (a2·p, a3·p)
+//       X2 = (a0·q, a1·q)   X3 = (a2·q, a3·q)
+//     that is out[0..3] in X0–X1 and out[4..7] in X2–X3, the order of
+//     sqDist4x2Generic's (s0..s3, t0..t3). Coordinate k is added before
+//     k+1 in every lane, the difference is row − point, and the odd tail
+//     coordinate is one more packed step of the same kind.
 //   - axpy4: per coordinate d + (((a0·x0 + a1·x1) + a2·x2) + a3·x3), Go's
 //     left-to-right evaluation of the expression.
 //
@@ -96,73 +101,107 @@ dot2combine:
 	MOVSD    X2, q+80(FP)
 	RET
 
-// func sqDist4Loop(a0, a1, a2, a3, p []float64) (s0, s1, s2, s3 float64)
-TEXT ·sqDist4Loop(SB), NOSPLIT, $0-152
-	MOVQ  a0_base+0(FP), R8
-	MOVQ  a1_base+24(FP), R9
-	MOVQ  a2_base+48(FP), R10
-	MOVQ  a3_base+72(FP), R11
-	MOVQ  p_base+96(FP), SI
-	MOVQ  p_len+104(FP), CX
-	XORPS X0, X0 // (s0, s1)
-	XORPS X1, X1 // (s2, s3)
+// func sqDist4x2Loop(out *[8]float64, a0, a1, a2, a3, p, q []float64)
+TEXT ·sqDist4x2Loop(SB), NOSPLIT, $0-152
+	MOVQ  out+0(FP), DI
+	MOVQ  a0_base+8(FP), R8
+	MOVQ  a1_base+32(FP), R9
+	MOVQ  a2_base+56(FP), R10
+	MOVQ  a3_base+80(FP), R11
+	MOVQ  p_base+104(FP), SI
+	MOVQ  p_len+112(FP), CX
+	MOVQ  q_base+128(FP), DX
+	XORPS X0, X0 // (a0·p, a1·p)
+	XORPS X1, X1 // (a2·p, a3·p)
+	XORPS X2, X2 // (a0·q, a1·q)
+	XORPS X3, X3 // (a2·q, a3·q)
 	XORQ  AX, AX
 	MOVQ  CX, BX
 	ANDQ  $-2, BX
-	JZ    sq4tail
+	JZ    sq4x2tail
 
-sq4loop:
+sq4x2loop:
 	MOVUPD   (R8)(AX*8), X4  // a0[k], a0[k+1]
 	MOVUPD   (R9)(AX*8), X5  // a1[k], a1[k+1]
 	MOVUPD   (R10)(AX*8), X6 // a2[k], a2[k+1]
 	MOVUPD   (R11)(AX*8), X7 // a3[k], a3[k+1]
-	MOVUPD   (SI)(AX*8), X8  // p[k], p[k+1]
-	MOVAPS   X4, X9
+	MOVAPS   X4, X8
 	UNPCKLPD X5, X4          // a0[k], a1[k]
-	UNPCKHPD X5, X9          // a0[k+1], a1[k+1]
-	MOVAPS   X6, X10
+	UNPCKHPD X5, X8          // a0[k+1], a1[k+1]
+	MOVAPS   X6, X9
 	UNPCKLPD X7, X6          // a2[k], a3[k]
-	UNPCKHPD X7, X10         // a2[k+1], a3[k+1]
-	MOVAPS   X8, X11
-	UNPCKLPD X8, X8          // p[k], p[k]
+	UNPCKHPD X7, X9          // a2[k+1], a3[k+1]
+	MOVUPD   (SI)(AX*8), X10 // p[k], p[k+1]
+	MOVAPS   X10, X11
+	UNPCKLPD X10, X10        // p[k], p[k]
 	UNPCKHPD X11, X11        // p[k+1], p[k+1]
-	SUBPD    X8, X4
-	SUBPD    X8, X6
-	SUBPD    X11, X9
-	SUBPD    X11, X10
+	MOVUPD   (DX)(AX*8), X12 // q[k], q[k+1]
+	MOVAPS   X12, X13
+	UNPCKLPD X12, X12        // q[k], q[k]
+	UNPCKHPD X13, X13        // q[k+1], q[k+1]
+	MOVAPS   X4, X5
+	MOVAPS   X6, X7
+	MOVAPS   X8, X14
+	MOVAPS   X9, X15
+	SUBPD    X10, X5         // row − p at k
+	SUBPD    X10, X7
+	SUBPD    X11, X14        // row − p at k+1
+	SUBPD    X11, X15
+	SUBPD    X12, X4         // row − q at k
+	SUBPD    X12, X6
+	SUBPD    X13, X8         // row − q at k+1
+	SUBPD    X13, X9
+	MULPD    X5, X5
+	MULPD    X7, X7
 	MULPD    X4, X4
 	MULPD    X6, X6
+	MULPD    X14, X14
+	MULPD    X15, X15
+	MULPD    X8, X8
 	MULPD    X9, X9
-	MULPD    X10, X10
-	ADDPD    X4, X0          // coordinate k
-	ADDPD    X6, X1
-	ADDPD    X9, X0          // then k+1
-	ADDPD    X10, X1
+	ADDPD    X5, X0          // coordinate k
+	ADDPD    X7, X1
+	ADDPD    X4, X2
+	ADDPD    X6, X3
+	ADDPD    X14, X0         // then k+1
+	ADDPD    X15, X1
+	ADDPD    X8, X2
+	ADDPD    X9, X3
 	ADDQ     $2, AX
 	CMPQ     AX, BX
-	JLT      sq4loop
+	JLT      sq4x2loop
 
-sq4tail:
+sq4x2tail:
 	CMPQ     AX, CX
-	JGE      sq4done
+	JGE      sq4x2done
 	MOVSD    (R8)(AX*8), X4
 	MOVHPD   (R9)(AX*8), X4  // a0[k], a1[k]
 	MOVSD    (R10)(AX*8), X6
 	MOVHPD   (R11)(AX*8), X6 // a2[k], a3[k]
-	MOVSD    (SI)(AX*8), X8
-	UNPCKLPD X8, X8          // p[k], p[k]
-	SUBPD    X8, X4
-	SUBPD    X8, X6
+	MOVSD    (SI)(AX*8), X10
+	UNPCKLPD X10, X10        // p[k], p[k]
+	MOVSD    (DX)(AX*8), X12
+	UNPCKLPD X12, X12        // q[k], q[k]
+	MOVAPS   X4, X5
+	MOVAPS   X6, X7
+	SUBPD    X10, X5
+	SUBPD    X10, X7
+	SUBPD    X12, X4
+	SUBPD    X12, X6
+	MULPD    X5, X5
+	MULPD    X7, X7
 	MULPD    X4, X4
 	MULPD    X6, X6
-	ADDPD    X4, X0
-	ADDPD    X6, X1
+	ADDPD    X5, X0
+	ADDPD    X7, X1
+	ADDPD    X4, X2
+	ADDPD    X6, X3
 
-sq4done:
-	MOVSD    X0, s0+120(FP)
-	MOVHPD   X0, s1+128(FP)
-	MOVSD    X1, s2+136(FP)
-	MOVHPD   X1, s3+144(FP)
+sq4x2done:
+	MOVUPD X0, (DI)   // out[0], out[1]
+	MOVUPD X1, 16(DI) // out[2], out[3]
+	MOVUPD X2, 32(DI) // out[4], out[5]
+	MOVUPD X3, 48(DI) // out[6], out[7]
 	RET
 
 // func axpy4Loop(d []float64, a0 float64, x0 []float64, a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, x3 []float64)

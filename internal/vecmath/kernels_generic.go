@@ -8,8 +8,8 @@ func dotBlocked2Loop(a, b0, b1 []float64) (p, q float64) {
 	return dotBlocked2Generic(a, b0, b1)
 }
 
-func sqDist4Loop(a0, a1, a2, a3, p []float64) (s0, s1, s2, s3 float64) {
-	return sqDist4Generic(a0, a1, a2, a3, p)
+func sqDist4x2Loop(out *[8]float64, a0, a1, a2, a3, p, q []float64) {
+	sqDist4x2Generic(out, a0, a1, a2, a3, p, q)
 }
 
 func axpy4Loop(d []float64, a0 float64, x0 []float64, a1 float64, x1 []float64,

@@ -65,12 +65,26 @@ func requireKernelsMatchGeneric(t *testing.T, rows [][]float64, coef []float64, 
 			math.Float64bits(p), math.Float64bits(q), math.Float64bits(wp), math.Float64bits(wq))
 	}
 
-	var s, ws [4]float64
-	s[0], s[1], s[2], s[3] = sqDist4(rows[1], rows[2], rows[3], rows[4], rows[0])
-	ws[0], ws[1], ws[2], ws[3] = sqDist4Generic(rows[1], rows[2], rows[3], rows[4], rows[0])
-	for i := range s {
-		if !sameBits(s[i], ws[i]) {
-			t.Fatalf("%s: sqDist4[%d] = %#x, generic %#x", label, i, math.Float64bits(s[i]), math.Float64bits(ws[i]))
+	// The tile as the pairwise pass calls it: four rows and two points, one
+	// point passed twice (q == p, an odd n's last row), and one row repeated
+	// (the padding of a sweep with fewer than four rows left).
+	for _, c := range []struct {
+		name string
+		a    [4]int
+		p, q int
+	}{
+		{"tile", [4]int{1, 2, 3, 4}, 0, 5},
+		{"q == p", [4]int{1, 2, 3, 4}, 0, 0},
+		{"repeated rows", [4]int{1, 2, 2, 2}, 0, 5},
+	} {
+		var s, ws [8]float64
+		a, p, q := c.a, rows[c.p], rows[c.q]
+		sqDist4x2(&s, rows[a[0]], rows[a[1]], rows[a[2]], rows[a[3]], p, q)
+		sqDist4x2Generic(&ws, rows[a[0]], rows[a[1]], rows[a[2]], rows[a[3]], p, q)
+		for i := range s {
+			if !sameBits(s[i], ws[i]) {
+				t.Fatalf("%s: sqDist4x2 %s out[%d] = %#x, generic %#x", label, c.name, i, math.Float64bits(s[i]), math.Float64bits(ws[i]))
+			}
 		}
 	}
 
@@ -85,7 +99,7 @@ func requireKernelsMatchGeneric(t *testing.T, rows [][]float64, coef []float64, 
 }
 
 // TestKernelsMatchGeneric is the differential test of the three kernels
-// that have an assembly body — DotBlocked2, sqDist4 and Axpy4 — against
+// that have an assembly body — DotBlocked2, sqDist4x2 and Axpy4 — against
 // their Go loops, bit for bit: every length from 0 to 70 (each residue of
 // the unrolled blocks and both tails), rows at an even and an odd element
 // offset, and values that are Gaussian, planted with or made of ±0, ±Inf,
@@ -95,11 +109,11 @@ func TestKernelsMatchGeneric(t *testing.T) {
 	for _, fill := range kernelFills(rng) {
 		for n := 0; n <= 70; n++ {
 			for _, off := range []int{0, 1} {
-				rows := make([][]float64, 5)
+				rows := make([][]float64, 6)
 				for r := range rows {
 					rows[r] = offsetVec(n, (off+r)%2, func(j int) float64 { return fill.at(r, j) })
 				}
-				coef := offsetVec(4, 0, func(j int) float64 { return fill.at(5, n+j) })
+				coef := offsetVec(4, 0, func(j int) float64 { return fill.at(6, n+j) })
 				requireKernelsMatchGeneric(t, rows, coef, fmt.Sprintf("%s n=%d offset=%d", fill.name, n, off))
 			}
 		}

@@ -250,7 +250,6 @@ func TestInlineKernelsZeroAlloc(t *testing.T) {
 		{"MeanAroundMedianInto", func() { _ = MeanAroundMedianInto(dst, vs, 6) }},
 		{"MeanInto", func() { _ = MeanInto(dst, vs) }},
 		{"PairwiseSqDistsInto", func() { _ = PairwiseSqDistsInto(gram, vs) }},
-		{"SqDistsInto", func() { SqDistsInto(gram[0], vs, dst) }},
 	}
 	// The tiled sorted-column path at the benchmark's n = 16 and at n = 64,
 	// both with full-width tiles, and with a planted NaN so the per-tile

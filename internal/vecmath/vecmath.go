@@ -27,7 +27,7 @@ var ErrDimensionMismatch = errors.New("vecmath: dimension mismatch")
 // It also carries weight in the kernels: inlined in front of a loop it is
 // what tells the compiler len(a) == len(b), so indexing b by a's index needs
 // no bounds check. go build -gcflags=-d=ssa/check_bce shows none in the
-// loops of Dot, SqDist and sqDist4Generic. The 4-blocked bodies (DotBlocked,
+// loops of Dot, SqDist and sqDist4x2Generic. The 4-blocked bodies (DotBlocked,
 // dotBlocked2Generic, Axpy) reslice each block, x := a[i:i+4:i+4]: that
 // costs one slice check per block on the first vector and none on the
 // others or on x[0..3], where indexing a[i+1] … a[i+3] cost four per block.
