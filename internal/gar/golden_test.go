@@ -14,44 +14,62 @@ import (
 
 // sortedColumnGoldens pins the FNV-64a hash of the AggregateInto output bits
 // of every rule that runs through the sorted-column kernel, at three shapes.
-// The constants were printed by this test at commit 28d2c2f (the parent of
-// the tiled kernel) and must not be edited by a kernel change.
+// The constants were printed by this test with the portable goldenCloud on
+// the kernels of commit d28893a (the parent of the SSE2 compare-exchange)
+// and must not be edited by a kernel change.
 var sortedColumnGoldens = map[string]uint64{
-	"bulyan/n=16,f=3,d=1000":       0x4da5a380c3a7995c,
-	"bulyan/n=33,f=7,d=517":        0x58ffba1699e37510,
-	"bulyan/n=7,f=1,d=130":         0x0f464f0f5ff11b35,
-	"centeredclip/n=16,f=4,d=1000": 0x1b5f78620671953c,
-	"centeredclip/n=33,f=8,d=517":  0xeff11f2bd84d85b1,
-	"centeredclip/n=7,f=2,d=130":   0x0c5a6422d036a0ac,
-	"meamed/n=16,f=4,d=1000":       0x22f0786bacf433a6,
-	"meamed/n=33,f=8,d=517":        0x514717701894b8b5,
-	"meamed/n=7,f=2,d=130":         0x67287340268169cd,
-	"median/n=16,f=4,d=1000":       0x2bac808f1b3c6398,
-	"median/n=33,f=8,d=517":        0xa7088cc2012504ff,
-	"median/n=7,f=2,d=130":         0xa384764368752e9c,
-	"phocas/n=16,f=4,d=1000":       0x6fc69964426dccf6,
-	"phocas/n=33,f=8,d=517":        0xde52c702698b586f,
-	"phocas/n=7,f=2,d=130":         0xfb7855c583b216db,
-	"trimmedmean/n=16,f=4,d=1000":  0x46703d73b6844018,
-	"trimmedmean/n=33,f=8,d=517":   0xd13274abcdb1a92e,
-	"trimmedmean/n=7,f=2,d=130":    0x6ccff348744e5566,
+	"bulyan/n=16,f=3,d=1000":       0x9c08da5cc73f96e1,
+	"bulyan/n=33,f=7,d=517":        0x791859f33ea217ee,
+	"bulyan/n=7,f=1,d=130":         0xcd8a3f828b36f055,
+	"centeredclip/n=16,f=4,d=1000": 0x620c4b598bf9f7d6,
+	"centeredclip/n=33,f=8,d=517":  0x56c539126f5248d5,
+	"centeredclip/n=7,f=2,d=130":   0xc95bf45ecbb5aa92,
+	"meamed/n=16,f=4,d=1000":       0x773f4ee0667da585,
+	"meamed/n=33,f=8,d=517":        0xc53ccdeac11992c4,
+	"meamed/n=7,f=2,d=130":         0x0a621c34efb16ead,
+	"median/n=16,f=4,d=1000":       0x959d8d28570ab42d,
+	"median/n=33,f=8,d=517":        0x7f5526965c042a0e,
+	"median/n=7,f=2,d=130":         0xec16d28f67b6089d,
+	"phocas/n=16,f=4,d=1000":       0x02c0ffea55be2f62,
+	"phocas/n=33,f=8,d=517":        0x6a638d3dad5557e1,
+	"phocas/n=7,f=2,d=130":         0xc234e0cf15b05141,
+	"trimmedmean/n=16,f=4,d=1000":  0xf8159b0fe8bdd332,
+	"trimmedmean/n=33,f=8,d=517":   0xfb845ac7a5c226f3,
+	"trimmedmean/n=7,f=2,d=130":    0x3b8e445505b8e09e,
 }
 
-// goldenCloud builds the seeded input of one golden entry: a Gaussian cloud
-// around 1 whose first f rows are planted far outliers and whose last row is
-// an exact duplicate of the row before it (ties the sort must not reorder
-// visibly).
+// goldenCloud builds the seeded input of one golden entry: a cloud around
+// 1 (spread 0.3) whose first f rows are far outliers around −25 (spread 3,
+// so they do not tie) and whose last row is an exact duplicate of the row
+// before it (ties the sort must not reorder visibly). It draws through
+// portableNormal, so the cloud has the same bits on every GOARCH and a
+// moved golden points at the code under test.
 func goldenCloud(n, f, d int, seed uint64) [][]float64 {
-	grads := cloudWithOutliers(n, f, d, 1, 0.3, 25, seed)
-	rng := randx.New(seed ^ 0x9e3779b97f4a7c15)
-	for i := 0; i < f; i++ {
-		// Outliers differ per row and per coordinate so they do not tie.
-		for j := range grads[i] {
-			grads[i][j] += 3 * rng.Normal()
+	rng := randx.New(seed)
+	grads := make([][]float64, n)
+	for i := range grads {
+		center, spread := 1.0, 0.3
+		if i < f {
+			center, spread = -25, 3
 		}
+		g := make([]float64, d)
+		for j := range g {
+			g[j] = center + spread*portableNormal(rng)
+		}
+		grads[i] = g
 	}
 	copy(grads[n-1], grads[n-2])
 	return grads
+}
+
+// portableNormal returns a draw of mean 0 and variance 1 from rng's
+// uniforms alone: the sum of four Float64s (Irwin–Hall, variance 1/3),
+// centred and scaled by √3. rng.Normal's ziggurat tables are computed with
+// math.Exp and math.Log, whose last bits differ between GOARCHes; every
+// step here is exact or one IEEE 754 rounding.
+func portableNormal(rng *randx.Stream) float64 {
+	s := rng.Float64() + rng.Float64() + rng.Float64() + rng.Float64()
+	return (s - 2) * 1.7320508075688772
 }
 
 // hashBits returns the FNV-64a hash of the IEEE-754 bit patterns of xs.
@@ -65,19 +83,28 @@ func hashBits(xs []float64) uint64 {
 	return h.Sum64()
 }
 
+// skipUnlessPinnedArch skips a golden test outside amd64 and 386. Float
+// results are per-architecture where the compiler fuses multiply-adds
+// (ROADMAP 1(c)); amd64 runs the SSE2 kernels and 386 their Go bodies,
+// neither fuses, and on goldenCloud's portable input both give the same
+// bits.
+func skipUnlessPinnedArch(t *testing.T) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+		t.Skipf("goldens are pinned to GOARCH=amd64 and 386 (FMA fusion makes float results per-architecture); running on %s", runtime.GOARCH)
+	}
+}
+
 // TestSortedColumnGoldens is the slice of ROADMAP item 1(b) the tiled
 // sorted-column kernel needs (item 1's trajectory goldens should absorb it):
 // for median, trimmedmean, meamed, phocas, bulyan and centeredclip —
 // every rule that enters vecmath.reduceSortedColumnsRange — it pins the
 // output bits on seeded inputs, on the inline path (SetParallelism(1)) and
 // on the chunked path (SetParallelism(2) with a grain small enough that the
-// chunk boundary splits a tile). Float trajectories are per-architecture
-// (the compiler fuses multiply-adds outside amd64, ROADMAP 1(c)), so the
-// constants are pinned to GOARCH=amd64.
+// chunk boundary splits a tile). The constants hold on amd64 and 386
+// (skipUnlessPinnedArch).
 func TestSortedColumnGoldens(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("goldens are pinned to GOARCH=amd64 (FMA fusion makes float results per-architecture); running on %s", runtime.GOARCH)
-	}
+	skipUnlessPinnedArch(t)
 	shapes := []struct{ n, f, d int }{{7, 2, 130}, {16, 4, 1000}, {33, 8, 517}}
 	rules := []string{"median", "trimmedmean", "meamed", "phocas", "bulyan", "centeredclip"}
 	t.Cleanup(func() {
@@ -116,36 +143,33 @@ func TestSortedColumnGoldens(t *testing.T) {
 // pairwiseGoldens pins the FNV-64a hash of the AggregateInto output bits of
 // the rules whose selection reads the pairwise squared-distance matrix
 // (vecmath.PairwiseSqDistsInto), each at the largest f it admits. bulyan —
-// the kernel's other consumer — is pinned above. The constants
-// were printed by this test at commit a70fa47 (the parent of the four-pair
-// kernel) and must not be edited by a kernel change.
+// the kernel's other consumer — is pinned above. The constants were printed
+// like sortedColumnGoldens' and must not be edited by a kernel change.
 //
 // sketched's exact re-score (cachedSqDist, sketched.go) calls vecmath.SqDist
 // once per pair, so its agreement with the exact kernel rests on the matrix
 // entries being those same bits.
 var pairwiseGoldens = map[string]uint64{
-	"krum/n=16,f=6,d=1000":           0x582e5fad5c6c4e59,
-	"krum/n=33,f=15,d=517":           0x741642e124a813bd,
-	"krum/n=7,f=2,d=130":             0x446671adceed90ea,
-	"mda/n=16,f=7,d=1000":            0x08ce0bfba993dba1,
-	"mda/n=33,f=16,d=517":            0x595f17e87dc2a866,
-	"mda/n=7,f=3,d=130":              0x3df9347dc9ad03b7,
-	"multikrum/n=16,f=6,d=1000":      0xa05cad1ddae567df,
-	"multikrum/n=33,f=15,d=517":      0x5969f0151a5b4764,
-	"multikrum/n=7,f=2,d=130":        0xcc081cde9dec9f78,
-	"sketched(krum)/n=16,f=6,d=1000": 0x582e5fad5c6c4e59,
-	"sketched(krum)/n=33,f=15,d=517": 0x741642e124a813bd,
-	"sketched(krum)/n=7,f=2,d=130":   0x446671adceed90ea,
+	"krum/n=16,f=6,d=1000":           0x72ae9047129394ea,
+	"krum/n=33,f=15,d=517":           0x33dd4f66ec6f6d07,
+	"krum/n=7,f=2,d=130":             0xd657c877a3e3f176,
+	"mda/n=16,f=7,d=1000":            0x961edb82d025c9ff,
+	"mda/n=33,f=16,d=517":            0x953868795e21c691,
+	"mda/n=7,f=3,d=130":              0x98d8115e3e5758db,
+	"multikrum/n=16,f=6,d=1000":      0xd580ce26dfac8612,
+	"multikrum/n=33,f=15,d=517":      0xc874257e5645ea1c,
+	"multikrum/n=7,f=2,d=130":        0xba7301838d60e5d0,
+	"sketched(krum)/n=16,f=6,d=1000": 0x72ae9047129394ea,
+	"sketched(krum)/n=33,f=15,d=517": 0x33dd4f66ec6f6d07,
+	"sketched(krum)/n=7,f=2,d=130":   0xd657c877a3e3f176,
 }
 
 // TestPairwiseGoldens is the next slice of ROADMAP item 1(b): krum,
 // multikrum, mda and the sketched kernel of krum at its default sketch, on
 // the clouds of TestSortedColumnGoldens, on the inline path and on the
-// row-striped one. amd64-only for the same reason.
+// row-striped one, on amd64 and 386 alike.
 func TestPairwiseGoldens(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("goldens are pinned to GOARCH=amd64 (FMA fusion makes float results per-architecture); running on %s", runtime.GOARCH)
-	}
+	skipUnlessPinnedArch(t)
 	shapes := []struct{ n, f, d int }{{7, 2, 130}, {16, 4, 1000}, {33, 8, 517}}
 	newRule := func(name string, n, f int) (GAR, error) {
 		if name == "sketched(krum)" {

@@ -29,7 +29,11 @@ var errEmptyInput = errors.New("vecmath: empty input matrix")
 //     row against row with min/max, so every column of the tile is sorted by
 //     the same data-independent instruction stream (a per-column
 //     sort.Float64s spends most of its time in mispredicted branches);
-//     afterwards row r holds the r-th order statistic of every column;
+//     afterwards row r holds the r-th order statistic of every column. On
+//     amd64 each compare-exchange (minMaxRows) runs as SSE2 MINPD / MAXPD,
+//     two columns per instruction. Those differ from Go's min/max only on
+//     ±0 and NaN, which the guard below keeps out of every sorted tile, so
+//     they give min/max's bits;
 //  3. reduce row-wise, with the additions of apply in the same order.
 //
 // The guard: gatherTile notes whether the tile holds a NaN or a −0, and such
@@ -271,7 +275,7 @@ func gatherTile(tile []float64, vs [][]float64, j0, t int) bool {
 // applying the compare-exchanges of Batcher's merge-exchange network (Knuth
 // TAOCP 5.2.2 Algorithm M, valid for every n >= 2) to whole rows: afterwards
 // row r holds the r-th order statistic of each column. The comparator
-// sequence depends on n alone and min/max do not branch on the data.
+// sequence depends on n alone and minMaxRows does not branch on the data.
 //
 //dpbyz:hotpath
 func sortTileRows(tile []float64, n, t int) {
@@ -282,17 +286,36 @@ func sortTileRows(tile []float64, n, t int) {
 				if i&p != r {
 					continue
 				}
-				a := tile[i*t : i*t+t]
-				b := tile[(i+d)*t : (i+d)*t+t]
-				for k, x := range a {
-					y := b[k]
-					a[k], b[k] = min(x, y), max(x, y)
-				}
+				minMaxRows(tile[i*t:i*t+t], tile[(i+d)*t:(i+d)*t+t])
 			}
 			if q == p {
 				break
 			}
 		}
+	}
+}
+
+// minMaxRows is one comparator of sortTileRows over two tile rows: a[k],
+// b[k] = min(a[k], b[k]), max(a[k], b[k]) for every k. On amd64 the loop
+// runs as SSE2 (kernels_amd64.s), two columns per MINPD / MAXPD, which give
+// minMaxRowsGeneric's bits only on rows without NaN and −0: call it only
+// on a tile gatherTile has passed. Like SqDist it panics on a length
+// mismatch.
+//
+//dpbyz:hotpath
+func minMaxRows(a, b []float64) {
+	assertSameLen(a, b)
+	minMaxRowsLoop(a, b)
+}
+
+// minMaxRowsGeneric is minMaxRows's loop in Go.
+//
+//dpbyz:hotpath
+func minMaxRowsGeneric(a, b []float64) {
+	assertSameLen(a, b)
+	for k, x := range a {
+		y := b[k]
+		a[k], b[k] = min(x, y), max(x, y)
 	}
 }
 

@@ -1,15 +1,16 @@
-// SSE2 bodies of the three hottest vecmath loops: DotBlocked2, Axpy4 and
-// sqDist4x2. Their Go wrappers check lengths and call in; the loops they
-// replace are kept as dotBlocked2Generic, axpy4Generic and sqDist4x2Generic
+// SSE2 bodies of the four hottest vecmath loops: DotBlocked2, Axpy4,
+// sqDist4x2 and the sorting network's compare-exchange minMaxRows. Their Go
+// wrappers check lengths and call in; the loops they replace are kept as
+// dotBlocked2Generic, axpy4Generic, sqDist4x2Generic and minMaxRowsGeneric
 // (the body on every other GOARCH, and the tests' oracle).
 //
-// Why the bits do not move. Each XMM lane holds exactly one of the Go
-// loop's scalar accumulators (or, in axpy4, one independent coordinate),
-// and a packed ADDPD / SUBPD / MULPD performs, per lane, the same IEEE 754
-// double operation with the same rounding as the ADDSD / SUBSD / MULSD the
-// Go compiler emits for that accumulator. The kernels issue those lane
-// operations in the Go loop's order, so every lane sees the scalar
-// sequence of operations, operands and roundings:
+// Why the bits do not move in the arithmetic kernels. Each XMM lane holds
+// exactly one of the Go loop's scalar accumulators (or, in axpy4, one
+// independent coordinate), and a packed ADDPD / SUBPD / MULPD performs, per
+// lane, the same IEEE 754 double operation with the same rounding as the
+// ADDSD / SUBSD / MULSD the Go compiler emits for that accumulator. The
+// kernels issue those lane operations in the Go loop's order, so every lane
+// sees the scalar sequence of operations, operands and roundings:
 //
 //   - dotBlocked2: (p0,p1) (p2,p3) (q0,q1) (q2,q3) live in X0–X3; the
 //     tail adds into lane 0 only (MULSD / ADDSD); the combine is
@@ -23,6 +24,17 @@
 //     coordinate is one more packed step of the same kind.
 //   - axpy4: per coordinate d + (((a0·x0 + a1·x1) + a2·x2) + a3·x3), Go's
 //     left-to-right evaluation of the expression.
+//
+// minMaxRows has a precondition instead: neither row holds a NaN or a −0.
+// gatherTile checks exactly that before sortTileRows runs, and sends any
+// tile that fails it to the per-column reference loop, so every call meets
+// it. MINPD / MAXPD (and MINSD / MAXSD for the odd tail) return, per lane,
+// the smaller / larger operand, and the second operand where the two
+// compare equal or either is NaN; Go's min / max order −0 below +0 and
+// propagate NaN. Without NaN and −0, x == y holds only for equal bits, so
+// which operand an equal pair returns does not matter and each lane's
+// result has the bits of min(a[k], b[k]) / max(a[k], b[k]). ±Inf and
+// subnormals compare as ordinary values in both.
 //
 // Only SSE2 is used: it is the amd64 baseline (GOAMD64=v1), so there is no
 // feature detection, and without FMA or AVX no step fuses or changes
@@ -263,4 +275,49 @@ axpy4tail:
 	MOVSD X8, (DI)(AX*8)
 
 axpy4done:
+	RET
+
+// func minMaxRowsLoop(a, b []float64)
+TEXT ·minMaxRowsLoop(SB), NOSPLIT, $0-48
+	MOVQ a_base+0(FP), SI
+	MOVQ a_len+8(FP), CX
+	MOVQ b_base+24(FP), DI
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-4, BX
+	JZ   minmaxtail
+
+minmaxloop:
+	MOVUPD (SI)(AX*8), X0   // a[k], a[k+1]
+	MOVUPD 16(SI)(AX*8), X1 // a[k+2], a[k+3]
+	MOVUPD (DI)(AX*8), X2   // b[k], b[k+1]
+	MOVUPD 16(DI)(AX*8), X3 // b[k+2], b[k+3]
+	MOVAPS X0, X4
+	MOVAPS X1, X5
+	MINPD  X2, X0           // min(a, b)
+	MINPD  X3, X1
+	MAXPD  X4, X2           // max(b, a)
+	MAXPD  X5, X3
+	MOVUPD X0, (SI)(AX*8)
+	MOVUPD X1, 16(SI)(AX*8)
+	MOVUPD X2, (DI)(AX*8)
+	MOVUPD X3, 16(DI)(AX*8)
+	ADDQ   $4, AX
+	CMPQ   AX, BX
+	JLT    minmaxloop
+
+minmaxtail:
+	CMPQ   AX, CX
+	JGE    minmaxdone
+	MOVSD  (SI)(AX*8), X0
+	MOVSD  (DI)(AX*8), X2
+	MOVAPS X0, X4
+	MINSD  X2, X0
+	MAXSD  X4, X2
+	MOVSD  X0, (SI)(AX*8)
+	MOVSD  X2, (DI)(AX*8)
+	INCQ   AX
+	JMP    minmaxtail
+
+minmaxdone:
 	RET

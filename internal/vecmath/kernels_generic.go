@@ -16,3 +16,7 @@ func axpy4Loop(d []float64, a0 float64, x0 []float64, a1 float64, x1 []float64,
 	a2 float64, x2 []float64, a3 float64, x3 []float64) {
 	axpy4Generic(d, a0, x0, a1, x1, a2, x2, a3, x3)
 }
+
+func minMaxRowsLoop(a, b []float64) {
+	minMaxRowsGeneric(a, b)
+}

@@ -50,6 +50,40 @@ func kernelFills(rng *randx.Stream) []struct {
 		{"huge", func(r, j int) float64 { return 1e300 * gauss() }},
 		{"tiny", func(r, j int) float64 { return 1e-300 * gauss() }},
 		{"subnormal", func(r, j int) float64 { return 0x1p-1040 * gauss() }},
+		{"ties", func(r, j int) float64 { return tieValues[rng.Intn(len(tieValues))] }},
+	}
+}
+
+// tieValues is the "ties" fill's alphabet: few enough values that most
+// compare-exchanges meet equal operands.
+var tieValues = []float64{math.Inf(-1), -1, 0, 0.5, 0.5, 2, math.Inf(1)}
+
+// tileValue maps x into the values gatherTile lets through to the sorting
+// network: NaN becomes +Inf and −0 becomes +0. ±Inf, subnormals and every
+// other value stay.
+func tileValue(x float64) float64 {
+	switch {
+	case math.IsNaN(x):
+		return math.Inf(1)
+	case x == 0:
+		return 0
+	}
+	return x
+}
+
+// requireMinMaxRowsMatchGeneric runs the sorting network's compare-exchange
+// and its Go loop on copies of the rows a and b and fails on the first
+// element whose bits differ.
+func requireMinMaxRowsMatchGeneric(t *testing.T, a, b []float64, label string) {
+	t.Helper()
+	ka, kb := Clone(a), Clone(b)
+	minMaxRows(a, b)
+	minMaxRowsGeneric(ka, kb)
+	for k := range a {
+		if math.Float64bits(a[k]) != math.Float64bits(ka[k]) || math.Float64bits(b[k]) != math.Float64bits(kb[k]) {
+			t.Fatalf("%s: minMaxRows [%d] = (%#x, %#x), generic (%#x, %#x)", label, k,
+				math.Float64bits(a[k]), math.Float64bits(b[k]), math.Float64bits(ka[k]), math.Float64bits(kb[k]))
+		}
 	}
 }
 
@@ -98,12 +132,15 @@ func requireKernelsMatchGeneric(t *testing.T, rows [][]float64, coef []float64, 
 	}
 }
 
-// TestKernelsMatchGeneric is the differential test of the three kernels
-// that have an assembly body — DotBlocked2, sqDist4x2 and Axpy4 — against
-// their Go loops, bit for bit: every length from 0 to 70 (each residue of
-// the unrolled blocks and both tails), rows at an even and an odd element
-// offset, and values that are Gaussian, planted with or made of ±0, ±Inf,
-// NaN and subnormals, or scaled so that products overflow or underflow.
+// TestKernelsMatchGeneric is the differential test of the four kernels
+// that have an assembly body — DotBlocked2, sqDist4x2, Axpy4 and
+// minMaxRows — against their Go loops, bit for bit: every length from 0 to
+// 70 (each residue of the unrolled blocks and both tails), rows at an even
+// and an odd element offset, and values that are Gaussian, planted with or
+// made of ±0, ±Inf, NaN and subnormals, scaled so that products overflow or
+// underflow, or drawn from a handful so that most pairs tie. minMaxRows
+// gets the same rows through tileValue, its contract being the tiles
+// gatherTile admits.
 func TestKernelsMatchGeneric(t *testing.T) {
 	rng := randx.New(40)
 	for _, fill := range kernelFills(rng) {
@@ -114,7 +151,11 @@ func TestKernelsMatchGeneric(t *testing.T) {
 					rows[r] = offsetVec(n, (off+r)%2, func(j int) float64 { return fill.at(r, j) })
 				}
 				coef := offsetVec(4, 0, func(j int) float64 { return fill.at(6, n+j) })
-				requireKernelsMatchGeneric(t, rows, coef, fmt.Sprintf("%s n=%d offset=%d", fill.name, n, off))
+				label := fmt.Sprintf("%s n=%d offset=%d", fill.name, n, off)
+				requireKernelsMatchGeneric(t, rows, coef, label)
+				a := offsetVec(n, off, func(j int) float64 { return tileValue(rows[0][j]) })
+				b := offsetVec(n, 1-off, func(j int) float64 { return tileValue(rows[1][j]) })
+				requireMinMaxRowsMatchGeneric(t, a, b, label)
 			}
 		}
 	}
@@ -193,6 +234,27 @@ func BenchmarkAxpy4(b *testing.B) {
 					k.fn(m[0], 1e-3, m[1], -1e-3, m[2], 2e-3, m[3], -2e-3, m[4])
 				}
 				benchSink = m[0][d-1]
+			})
+		}
+	}
+}
+
+// BenchmarkMinMaxRows is the micro-cell of the sorting network's
+// compare-exchange, laid out as BenchmarkDotBlocked2: a row of n = 16's tile
+// (tileCols gives 128 columns), a short row and a long one.
+func BenchmarkMinMaxRows(b *testing.B) {
+	rng := randx.New(1)
+	for _, d := range []int{16, 128, 10000} {
+		m := randMatrix(rng, 2, d)
+		for _, k := range []struct {
+			name string
+			fn   func(a, b []float64)
+		}{{"kernel", minMaxRows}, {"generic", minMaxRowsGeneric}} {
+			b.Run(fmt.Sprintf("d=%d/%s", d, k.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.fn(m[0], m[1])
+				}
+				benchSink = m[1][d-1]
 			})
 		}
 	}
