@@ -85,9 +85,9 @@ func hashBits(xs []float64) uint64 {
 
 // skipUnlessPinnedArch skips a golden test outside amd64 and 386. Float
 // results are per-architecture where the compiler fuses multiply-adds
-// (ROADMAP 1(c)); amd64 runs the SSE2 kernels and 386 their Go bodies,
-// neither fuses, and on goldenCloud's portable input both give the same
-// bits.
+// (ROADMAP 1(c)); amd64 runs the AVX2 kernels (or, on a CPU without AVX2,
+// their Go bodies) and 386 the Go bodies, neither fuses, and on
+// goldenCloud's portable input all give the same bits.
 func skipUnlessPinnedArch(t *testing.T) {
 	t.Helper()
 	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {

@@ -10,10 +10,10 @@ package vecmath
 // DotBlocked's order, so results are deterministic everywhere and the
 // two-row kernel is bit-identical to two one-row calls.
 //
-// On amd64 the loops of DotBlocked2 and Axpy4 run as SSE2
+// On an amd64 CPU with AVX2 the loops of DotBlocked2 and Axpy4 run as AVX2
 // (kernels_amd64.s), lane for lane the operations of dotBlocked2Generic and
-// axpy4Generic below, which are the body on every other GOARCH and the
-// oracle of the differential tests.
+// axpy4Generic below, which are the body on every other CPU and GOARCH and
+// the oracle of the differential tests.
 
 // DotBlocked returns the inner product <a, b> accumulated in four
 // interleaved partial sums. The reduction order differs from Dot, so the two
@@ -50,7 +50,10 @@ func DotBlocked(a, b []float64) float64 {
 func DotBlocked2(a, b0, b1 []float64) (float64, float64) {
 	assertSameLen(a, b0)
 	assertSameLen(a, b1)
-	return dotBlocked2Loop(a, b0, b1)
+	if useAVX2 {
+		return dotBlocked2AVX2(a, b0, b1)
+	}
+	return dotBlocked2Generic(a, b0, b1)
 }
 
 // dotBlocked2Generic is DotBlocked2's loop in Go.
@@ -96,7 +99,11 @@ func Axpy4(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []float64,
 		Axpy(a3, x3, dst[:len(x3)])
 		return
 	}
-	axpy4Loop(dst[:n], a0, x0, a1, x1, a2, x2, a3, x3)
+	if useAVX2 {
+		axpy4AVX2(dst[:n], a0, x0, a1, x1, a2, x2, a3, x3)
+		return
+	}
+	axpy4Generic(dst[:n], a0, x0, a1, x1, a2, x2, a3, x3)
 }
 
 // axpy4Generic is Axpy4's loop in Go, for vectors that all share d's

@@ -30,10 +30,10 @@ var errEmptyInput = errors.New("vecmath: empty input matrix")
 //     the same data-independent instruction stream (a per-column
 //     sort.Float64s spends most of its time in mispredicted branches);
 //     afterwards row r holds the r-th order statistic of every column. On
-//     amd64 each compare-exchange (minMaxRows) runs as SSE2 MINPD / MAXPD,
-//     two columns per instruction. Those differ from Go's min/max only on
-//     ±0 and NaN, which the guard below keeps out of every sorted tile, so
-//     they give min/max's bits;
+//     an AVX2 CPU each compare-exchange (minMaxRows) runs as VMINPD /
+//     VMAXPD, four columns per instruction. Those differ from Go's min/max
+//     only on ±0 and NaN, which the guard below keeps out of every sorted
+//     tile, so they give min/max's bits;
 //  3. reduce row-wise, with the additions of apply in the same order.
 //
 // The guard: gatherTile notes whether the tile holds a NaN or a −0, and such
@@ -296,16 +296,20 @@ func sortTileRows(tile []float64, n, t int) {
 }
 
 // minMaxRows is one comparator of sortTileRows over two tile rows: a[k],
-// b[k] = min(a[k], b[k]), max(a[k], b[k]) for every k. On amd64 the loop
-// runs as SSE2 (kernels_amd64.s), two columns per MINPD / MAXPD, which give
-// minMaxRowsGeneric's bits only on rows without NaN and −0: call it only
-// on a tile gatherTile has passed. Like SqDist it panics on a length
-// mismatch.
+// b[k] = min(a[k], b[k]), max(a[k], b[k]) for every k. On an AVX2 CPU the
+// loop runs as AVX2 (kernels_amd64.s), four columns per VMINPD / VMAXPD,
+// which give minMaxRowsGeneric's bits only on rows without NaN and −0: call
+// it only on a tile gatherTile has passed. Like SqDist it panics on a
+// length mismatch.
 //
 //dpbyz:hotpath
 func minMaxRows(a, b []float64) {
 	assertSameLen(a, b)
-	minMaxRowsLoop(a, b)
+	if useAVX2 {
+		minMaxRowsAVX2(a, b)
+		return
+	}
+	minMaxRowsGeneric(a, b)
 }
 
 // minMaxRowsGeneric is minMaxRows's loop in Go.
@@ -487,7 +491,7 @@ func pairwiseRows(dst [][]float64, vs [][]float64, c, w int) {
 // p and q in out: out[r] = SqDist(a_r, p) and out[4+r] = SqDist(a_r, q), bit
 // for bit, from one sweep over the coordinates. Eight accumulators each sum
 // their own pair in ascending k exactly as SqDist does, with the row as the
-// minuend. On amd64 the sweep runs as SSE2 (kernels_amd64.s), two
+// minuend. On an AVX2 CPU the sweep runs as AVX2 (kernels_amd64.s), four
 // accumulators per register, lane for lane sqDist4x2Generic's operations.
 // Like SqDist it panics on a length mismatch.
 //
@@ -498,7 +502,11 @@ func sqDist4x2(out *[8]float64, a0, a1, a2, a3, p, q []float64) {
 	assertSameLen(a2, p)
 	assertSameLen(a3, p)
 	assertSameLen(q, p)
-	sqDist4x2Loop(out, a0, a1, a2, a3, p, q)
+	if useAVX2 {
+		sqDist4x2AVX2(out, a0, a1, a2, a3, p, q)
+		return
+	}
+	sqDist4x2Generic(out, a0, a1, a2, a3, p, q)
 }
 
 // sqDist4x2Generic is sqDist4x2's sweep in Go.

@@ -1,8 +1,13 @@
 package vecmath
 
 import (
+	"bufio"
 	"fmt"
 	"math"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"dpbyz/internal/randx"
@@ -18,8 +23,8 @@ var kernelSpecials = []float64{
 }
 
 // offsetVec returns an n-vector that starts off elements into its backing
-// array (off = 1 puts it off the 16-byte alignment of a fresh allocation),
-// filled by at(j).
+// array (offsets 0–3 put its first element at every 8-byte position of a
+// 32-byte vector load), filled by at(j).
 func offsetVec(n, off int, at func(j int) float64) []float64 {
 	v := make([]float64, n+off)[off:]
 	for j := range v {
@@ -135,30 +140,60 @@ func requireKernelsMatchGeneric(t *testing.T, rows [][]float64, coef []float64, 
 // TestKernelsMatchGeneric is the differential test of the four kernels
 // that have an assembly body — DotBlocked2, sqDist4x2, Axpy4 and
 // minMaxRows — against their Go loops, bit for bit: every length from 0 to
-// 70 (each residue of the unrolled blocks and both tails), rows at an even
-// and an odd element offset, and values that are Gaussian, planted with or
-// made of ±0, ±Inf, NaN and subnormals, scaled so that products overflow or
-// underflow, or drawn from a handful so that most pairs tie. minMaxRows
-// gets the same rows through tileValue, its contract being the tiles
-// gatherTile admits.
+// 70 (each residue of the unrolled blocks and both tails), rows at element
+// offsets 0 to 3 (every 8-byte misalignment of a 32-byte load), and values
+// that are Gaussian, planted with or made of ±0, ±Inf, NaN and subnormals,
+// scaled so that products overflow or underflow, or drawn from a handful so
+// that most pairs tie. minMaxRows gets the same rows through tileValue,
+// its contract being the tiles gatherTile admits.
 func TestKernelsMatchGeneric(t *testing.T) {
 	rng := randx.New(40)
 	for _, fill := range kernelFills(rng) {
 		for n := 0; n <= 70; n++ {
-			for _, off := range []int{0, 1} {
+			for off := range 4 {
 				rows := make([][]float64, 6)
 				for r := range rows {
-					rows[r] = offsetVec(n, (off+r)%2, func(j int) float64 { return fill.at(r, j) })
+					rows[r] = offsetVec(n, (off+r)%4, func(j int) float64 { return fill.at(r, j) })
 				}
 				coef := offsetVec(4, 0, func(j int) float64 { return fill.at(6, n+j) })
 				label := fmt.Sprintf("%s n=%d offset=%d", fill.name, n, off)
 				requireKernelsMatchGeneric(t, rows, coef, label)
 				a := offsetVec(n, off, func(j int) float64 { return tileValue(rows[0][j]) })
-				b := offsetVec(n, 1-off, func(j int) float64 { return tileValue(rows[1][j]) })
+				b := offsetVec(n, 3-off, func(j int) float64 { return tileValue(rows[1][j]) })
 				requireMinMaxRowsMatchGeneric(t, a, b, label)
 			}
 		}
 	}
+}
+
+// TestAVX2ProbeMatchesCPUInfo checks the CPUID / XGETBV decode behind
+// useAVX2 against an independent source: Linux lists avx and avx2 in
+// /proc/cpuinfo only when the CPU has them and the kernel saves the YMM
+// registers, which is exactly the condition the AVX2 loops need.
+func TestAVX2ProbeMatchesCPUInfo(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skipf("the probe runs on amd64 and /proc/cpuinfo is Linux's; this is %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var flags []string
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		if name, value, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(name) == "flags" {
+			flags = strings.Fields(value)
+			break
+		}
+	}
+	if flags == nil {
+		t.Fatal("no flags line in /proc/cpuinfo")
+	}
+	want := slices.Contains(flags, "avx") && slices.Contains(flags, "avx2")
+	if useAVX2 != want {
+		t.Fatalf("useAVX2 = %v, but /proc/cpuinfo lists avx and avx2: %v", useAVX2, want)
+	}
+	t.Logf("useAVX2 = %v", useAVX2)
 }
 
 // requireAxpy4 asserts Axpy4's contract on decoded fuzz input: the kernel
@@ -199,8 +234,8 @@ func FuzzAxpy4(f *testing.F) {
 }
 
 // BenchmarkDotBlocked2 is the micro-cell of the two-row dot: the kernel
-// (SSE2 on amd64) beside its Go loop, at fig2's d = 68 and the wide
-// workloads' 9,999 features.
+// (AVX2 where the CPU has it) beside its Go loop, at fig2's d = 68 and the
+// wide workloads' 9,999 features.
 func BenchmarkDotBlocked2(b *testing.B) {
 	rng := randx.New(1)
 	for _, d := range []int{68, 9999} {
