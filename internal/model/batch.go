@@ -122,11 +122,7 @@ func affineBatch(dst, w []float64, batch []data.Point, xSq []float64, clip float
 		vecmath.Axpy(g, batch[i].X, dst[:len(batch[i].X)])
 		dst[f] += g
 	}
-	inv := 1 / float64(len(batch))
-	for i := range dst {
-		dst[i] *= inv
-	}
-	return dst
+	return vecmath.ScaleInPlace(1/float64(len(batch)), dst)
 }
 
 // ClippedBatchGradient implements BatchGradienter.
@@ -188,11 +184,7 @@ func (m *MeanEstimation) ClippedBatchGradient(dst, _, w []float64, batch []data.
 		sSum += s
 	}
 	vecmath.Axpy(sSum, w, dst)
-	inv := 1 / float64(len(batch))
-	for i := range dst {
-		dst[i] *= inv
-	}
-	return dst
+	return vecmath.ScaleInPlace(1/float64(len(batch)), dst)
 }
 
 // ClippedBatchGradient implements BatchGradienter: per-sample
@@ -216,11 +208,7 @@ func (m *MLP) ClippedBatchGradient(dst, buf, w []float64, batch []data.Point, _ 
 		vecmath.Axpy(s, buf, dst)
 	}
 	putHidden(hp)
-	inv := 1 / float64(len(batch))
-	for i := range dst {
-		dst[i] *= inv
-	}
-	return dst
+	return vecmath.ScaleInPlace(1/float64(len(batch)), dst)
 }
 
 // hiddenPool recycles MLP hidden-activation scratch so Loss/Predict/

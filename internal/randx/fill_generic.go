@@ -1,0 +1,13 @@
+//go:build !amd64
+
+package randx
+
+// Without amd64 there is no assembly loop and fillNormal runs
+// fillNormalGeneric. The stub only satisfies the compiler: with haveFillRect
+// a false constant, no call to it is compiled.
+
+const haveFillRect = false
+
+func fillNormalRect(s *[4]uint64, dst, v []float64, sigma float64, k int) (next int, x float64, i int) {
+	panic("randx: no assembly fill loop")
+}

@@ -25,6 +25,15 @@
 // locals, so filling a vector leaves every value and the stream position
 // exactly where len(dst) Normal calls would.
 //
+// On amd64 the bulk fill's common path is assembly (fill_amd64.s): the
+// stream words stay in four registers and each candidate is one xoshiro
+// step, one exact integer-to-double conversion, a multiply by the power of
+// two 1/2⁵² (exact), one multiply by the strip width, a compare and
+// sigma·z (+ v[k]) — each the Go expression's own operation with its one
+// rounding, and no fused multiply-add, so the variates and the final
+// stream position are those of the Go loop, fillNormalGeneric, bit for
+// bit. The assembly file's header gives the argument step by step.
+//
 //dpbyz:deterministic
 package randx
 
@@ -314,14 +323,46 @@ func (r *Stream) AddNormalVec(dst, v []float64, sigma float64) []float64 {
 }
 
 // fillNormal is the bulk ziggurat: dst[k] = sigma·z_k, plus v[k] when v is
-// non-nil, where z_k is the k-th variate Normal would return. The stream
-// state lives in four local words for the whole vector — a Normal call per
-// variate would store it and reload it, a serial chain through memory — and
-// is written back only around the rare wedge and tail paths (zigOuter draws
-// from r) and once at the end.
+// non-nil, where z_k is the k-th variate Normal would return. On amd64 the
+// inner-rectangle loop is fillNormalRect (fill_amd64.s), which returns here
+// only for a candidate that leaves its rectangle; zigOuter finishes that
+// one, and the loop resumes at the same k. Elsewhere the whole fill is
+// fillNormalGeneric. Both draw the same variates in the same order.
 //
 //dpbyz:hotpath
 func (r *Stream) fillNormal(dst, v []float64, sigma float64) {
+	if !haveFillRect {
+		r.fillNormalGeneric(dst, v, sigma)
+		return
+	}
+	if v != nil {
+		v = v[:len(dst)]
+	}
+	for k := 0; ; {
+		next, x, i := fillNormalRect(&r.s, dst, v, sigma, k)
+		if next == len(dst) {
+			return
+		}
+		k = next
+		if z, ok := r.zigOuter(x, i); ok {
+			if v != nil {
+				dst[k] = v[k] + sigma*z
+			} else {
+				dst[k] = sigma * z
+			}
+			k++
+		}
+	}
+}
+
+// fillNormalGeneric is fillNormal's loop in Go. The stream state lives in
+// four local words for the whole vector — a Normal call per variate would
+// store it and reload it, a serial chain through memory — and is written
+// back only around the rare wedge and tail paths (zigOuter draws from r)
+// and once at the end.
+//
+//dpbyz:hotpath
+func (r *Stream) fillNormalGeneric(dst, v []float64, sigma float64) {
 	if v != nil {
 		v = v[:len(dst)]
 	}

@@ -127,9 +127,10 @@ func normalRef(r *Stream, paths *zigPaths) float64 {
 	}
 }
 
-// checkFill runs NormalVec and AddNormalVec (separate and aliased
-// destinations) from state st against the per-variate loop and reports the
-// first bit or stream-position mismatch.
+// checkFill runs the bulk fill — NormalVec and AddNormalVec, which take the
+// assembly loop on amd64, and fillNormalGeneric, the Go loop — from state
+// st, with v nil, separate from dst and aliased to it, against the
+// per-variate loop, and reports the first bit or stream-position mismatch.
 func checkFill(t *testing.T, st StreamState, n int, sigma float64, paths *zigPaths) {
 	t.Helper()
 	v := make([]float64, n)
@@ -148,28 +149,44 @@ func checkFill(t *testing.T, st StreamState, n int, sigma float64, paths *zigPat
 		wantVec[k] = sigma * z
 		wantAdd[k] = v[k] + sigma*z
 	}
-	aliased := append([]float64(nil), v...)
-	for _, c := range []struct {
+	for _, body := range []struct {
 		name string
-		fill func(r *Stream) []float64
-		want []float64
+		fill func(r *Stream, dst, v []float64) []float64
 	}{
-		{"NormalVec", func(r *Stream) []float64 { return r.NormalVec(make([]float64, n), sigma) }, wantVec},
-		{"AddNormalVec", func(r *Stream) []float64 { return r.AddNormalVec(make([]float64, n), v, sigma) }, wantAdd},
-		{"AddNormalVec/aliased", func(r *Stream) []float64 { return r.AddNormalVec(aliased, aliased, sigma) }, wantAdd},
-	} {
-		r := Restore(st)
-		got := c.fill(r)
-		if len(got) != n {
-			t.Fatalf("%s n=%d: returned length %d", c.name, n, len(got))
-		}
-		for k := range got {
-			if math.Float64bits(got[k]) != math.Float64bits(c.want[k]) {
-				t.Fatalf("%s n=%d σ=%g: variate %d = %v, per-variate loop %v", c.name, n, sigma, k, got[k], c.want[k])
+		{"fillNormal", func(r *Stream, dst, v []float64) []float64 {
+			if v == nil {
+				return r.NormalVec(dst, sigma)
 			}
-		}
-		if r.State() != ref.State() {
-			t.Fatalf("%s n=%d σ=%g: stream state %v, per-variate loop %v", c.name, n, sigma, r.State(), ref.State())
+			return r.AddNormalVec(dst, v, sigma)
+		}},
+		{"fillNormalGeneric", func(r *Stream, dst, v []float64) []float64 {
+			r.fillNormalGeneric(dst, v, sigma)
+			return dst
+		}},
+	} {
+		aliased := append([]float64(nil), v...)
+		for _, c := range []struct {
+			name   string
+			dst, v []float64
+			want   []float64
+		}{
+			{"v nil", make([]float64, n), nil, wantVec},
+			{"v separate", make([]float64, n), v, wantAdd},
+			{"v aliased", aliased, aliased, wantAdd},
+		} {
+			r := Restore(st)
+			got := body.fill(r, c.dst, c.v)
+			if len(got) != n {
+				t.Fatalf("%s %s n=%d: returned length %d", body.name, c.name, n, len(got))
+			}
+			for k := range got {
+				if math.Float64bits(got[k]) != math.Float64bits(c.want[k]) {
+					t.Fatalf("%s %s n=%d σ=%g: variate %d = %v, per-variate loop %v", body.name, c.name, n, sigma, k, got[k], c.want[k])
+				}
+			}
+			if r.State() != ref.State() {
+				t.Fatalf("%s %s n=%d σ=%g: stream state %v, per-variate loop %v", body.name, c.name, n, sigma, r.State(), ref.State())
+			}
 		}
 	}
 }
@@ -202,4 +219,67 @@ func FuzzNormalFill(f *testing.F) {
 		var paths zigPaths
 		checkFill(t, New(seed).State(), int(n), sigma, &paths)
 	})
+}
+
+// firstCandidate names the path the first candidate drawn from st takes:
+// "inside" its strip's inner rectangle, the "tail", or the wedge, where it
+// is "wedge accepted" or "wedge rejected" (a fresh candidate follows).
+func firstCandidate(st StreamState) string {
+	r := Restore(st)
+	x, i, inside := zigStrip(r.Uint64())
+	switch {
+	case inside:
+		return "inside"
+	case i == 0:
+		return "tail"
+	}
+	if _, ok := r.zigOuter(x, i); ok {
+		return "wedge accepted"
+	}
+	return "wedge rejected"
+}
+
+// The assembly fill leaves its loop for every candidate outside the inner
+// rectangle and enters it again at the same index. TestNormalFillSlowPaths
+// starts fills where the first, the middle or the last variate begins with
+// a tail candidate, an accepted wedge or a rejected one, at every length
+// from 1 to 70 and at 10⁴, and requires the variates and the final stream
+// position of the per-variate loop (checkFill: NormalVec, AddNormalVec and
+// fillNormalGeneric, v nil, separate and aliased).
+func TestNormalFillSlowPaths(t *testing.T) {
+	// A reference stream, with the state in front of each variate and the
+	// path of that variate's first candidate.
+	const span = 60_000
+	r := New(44)
+	states := make([]StreamState, span)
+	kinds := make([]string, span)
+	var paths zigPaths
+	for g := range states {
+		states[g] = r.State()
+		kinds[g] = firstCandidate(states[g])
+		normalRef(r, &paths)
+	}
+	// startFor returns a start state whose variate p begins with a candidate
+	// of the given kind: the state p variates ahead of such a variate.
+	startFor := func(kind string, p int) StreamState {
+		for g := p; g < span; g++ {
+			if kinds[g] == kind {
+				return states[g-p]
+			}
+		}
+		t.Fatalf("no %q variate at or after %d in %d reference variates", kind, p, span)
+		return StreamState{}
+	}
+	lengths := []int{10_000}
+	for n := 1; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for _, kind := range []string{"tail", "wedge accepted", "wedge rejected"} {
+			for _, p := range []int{0, n / 2, n - 1} {
+				checkFill(t, startFor(kind, p), n, 1.5, &paths)
+			}
+		}
+	}
+	checkFill(t, New(44).State(), 0, 1.5, &paths)
 }

@@ -43,3 +43,9 @@ func axpy4AVX2(d []float64, a0 float64, x0 []float64, a1 float64, x1 []float64,
 
 //go:noescape
 func minMaxRowsAVX2(a, b []float64)
+
+//go:noescape
+func axpyAVX2(alpha float64, x, dst []float64)
+
+//go:noescape
+func scaleInPlaceAVX2(s float64, v []float64)

@@ -1,9 +1,10 @@
-// AVX2 bodies of the four hottest vecmath loops: DotBlocked2, Axpy4,
-// sqDist4x2 and the sorting network's compare-exchange minMaxRows, plus the
-// CPUID / XGETBV probe that decides at init whether they run
-// (kernels_amd64.go). On a CPU without AVX2 the wrappers call the Go loops
-// instead, dotBlocked2Generic, axpy4Generic, sqDist4x2Generic and
-// minMaxRowsGeneric, which are also the body on every other GOARCH and the
+// AVX2 bodies of the hottest vecmath loops: DotBlocked2, Axpy4, sqDist4x2,
+// the sorting network's compare-exchange minMaxRows, and the honest worker's
+// per-coordinate passes Axpy and ScaleInPlace, plus the CPUID / XGETBV
+// probe that decides at init whether they run (kernels_amd64.go). On a CPU
+// without AVX2 the wrappers call the Go loops instead, dotBlocked2Generic,
+// axpy4Generic, sqDist4x2Generic, minMaxRowsGeneric, axpyGeneric and
+// scaleInPlaceGeneric, which are also the body on every other GOARCH and the
 // tests' oracle.
 //
 // Why the bits do not move in the arithmetic kernels. Each YMM lane holds
@@ -27,6 +28,10 @@
 //     column step of the same kind.
 //   - axpy4: four coordinates per step, each d + (((a0·x0 + a1·x1) +
 //     a2·x2) + a3·x3), Go's left-to-right evaluation of the expression.
+//   - axpy and scaleInPlace: eight coordinates per step in two registers,
+//     each dst + alpha·x (one VMULPD, one VADDPD) or v·s (one VMULPD), then
+//     one coordinate per step in lane 0; a coordinate's loads come before
+//     its store, so x may be dst itself.
 //
 // There is no FMA: a fused multiply-add rounds once where the Go loop
 // rounds twice (Go fuses only on architectures such as arm64, never on
@@ -289,5 +294,71 @@ minmaxtail:
 	JMP    minmaxtail
 
 minmaxdone:
+	VZEROUPPER
+	RET
+
+// func axpyAVX2(alpha float64, x, dst []float64)
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
+	VBROADCASTSD alpha+0(FP), Y0
+	MOVQ         x_base+8(FP), SI
+	MOVQ         x_len+16(FP), CX
+	MOVQ         dst_base+32(FP), DI
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-8, BX
+	JZ           axpytail
+
+axpyloop:
+	VMULPD  (SI)(AX*8), Y0, Y1    // alpha·x[k..k+3]
+	VMULPD  32(SI)(AX*8), Y0, Y2  // alpha·x[k+4..k+7]
+	VADDPD  (DI)(AX*8), Y1, Y1    // dst + …
+	VADDPD  32(DI)(AX*8), Y2, Y2
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y2, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, BX
+	JLT     axpyloop
+
+axpytail:
+	CMPQ   AX, CX
+	JGE    axpydone
+	VMULSD (SI)(AX*8), X0, X1
+	VADDSD (DI)(AX*8), X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	JMP    axpytail
+
+axpydone:
+	VZEROUPPER
+	RET
+
+// func scaleInPlaceAVX2(s float64, v []float64)
+TEXT ·scaleInPlaceAVX2(SB), NOSPLIT, $0-32
+	VBROADCASTSD s+0(FP), Y0
+	MOVQ         v_base+8(FP), DI
+	MOVQ         v_len+16(FP), CX
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-8, BX
+	JZ           scaletail
+
+scaleloop:
+	VMULPD  (DI)(AX*8), Y0, Y1   // v[k..k+3]·s
+	VMULPD  32(DI)(AX*8), Y0, Y2 // v[k+4..k+7]·s
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y2, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, BX
+	JLT     scaleloop
+
+scaletail:
+	CMPQ   AX, CX
+	JGE    scaledone
+	VMULSD (DI)(AX*8), X0, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	JMP    scaletail
+
+scaledone:
 	VZEROUPPER
 	RET

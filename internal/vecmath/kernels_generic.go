@@ -20,3 +20,7 @@ func axpy4AVX2(d []float64, a0 float64, x0 []float64, a1 float64, x1 []float64,
 }
 
 func minMaxRowsAVX2(a, b []float64) { panic("vecmath: no AVX2 loops") }
+
+func axpyAVX2(alpha float64, x, dst []float64) { panic("vecmath: no AVX2 loops") }
+
+func scaleInPlaceAVX2(s float64, v []float64) { panic("vecmath: no AVX2 loops") }

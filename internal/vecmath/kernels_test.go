@@ -130,22 +130,47 @@ func requireKernelsMatchGeneric(t *testing.T, rows [][]float64, coef []float64, 
 	got, want := Clone(rows[0]), Clone(rows[0])
 	Axpy4(got, coef[0], rows[1], coef[1], rows[2], coef[2], rows[3], coef[3], rows[4])
 	axpy4Generic(want, coef[0], rows[1], coef[1], rows[2], coef[2], rows[3], coef[3], rows[4])
+	requireSameRow(t, got, want, label+": Axpy4")
+}
+
+// requireAxpyScaleMatchGeneric runs Axpy into d, Axpy with d as its own x,
+// then ScaleInPlace on d, and the three Go loops on a copy of d, and fails
+// on the first element whose bits differ.
+func requireAxpyScaleMatchGeneric(t *testing.T, d, x, coef []float64, label string) {
+	t.Helper()
+	want := Clone(d)
+	Axpy(coef[0], x, d)
+	axpyGeneric(coef[0], x, want)
+	requireSameRow(t, d, want, label+": Axpy")
+	Axpy(coef[1], d, d)
+	axpyGeneric(coef[1], want, want)
+	requireSameRow(t, d, want, label+": Axpy aliased")
+	ScaleInPlace(coef[2], d)
+	scaleInPlaceGeneric(coef[2], want)
+	requireSameRow(t, d, want, label+": ScaleInPlace")
+}
+
+// requireSameRow fails on the first element of got whose bits differ from
+// want's (NaN-ness only for a NaN, sameBits).
+func requireSameRow(t *testing.T, got, want []float64, label string) {
+	t.Helper()
 	for j := range got {
 		if !sameBits(got[j], want[j]) {
-			t.Fatalf("%s: Axpy4 dst[%d] = %#x, generic %#x", label, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+			t.Fatalf("%s dst[%d] = %#x, generic %#x", label, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
 		}
 	}
 }
 
-// TestKernelsMatchGeneric is the differential test of the four kernels
-// that have an assembly body — DotBlocked2, sqDist4x2, Axpy4 and
-// minMaxRows — against their Go loops, bit for bit: every length from 0 to
+// TestKernelsMatchGeneric is the differential test of the six kernels
+// that have an assembly body — DotBlocked2, sqDist4x2, Axpy4, minMaxRows,
+// Axpy and ScaleInPlace — against their Go loops, bit for bit: every length from 0 to
 // 70 (each residue of the unrolled blocks and both tails), rows at element
 // offsets 0 to 3 (every 8-byte misalignment of a 32-byte load), and values
 // that are Gaussian, planted with or made of ±0, ±Inf, NaN and subnormals,
 // scaled so that products overflow or underflow, or drawn from a handful so
 // that most pairs tie. minMaxRows gets the same rows through tileValue,
-// its contract being the tiles gatherTile admits.
+// its contract being the tiles gatherTile admits. Axpy's destination and
+// source sit at different offsets.
 func TestKernelsMatchGeneric(t *testing.T) {
 	rng := randx.New(40)
 	for _, fill := range kernelFills(rng) {
@@ -161,6 +186,8 @@ func TestKernelsMatchGeneric(t *testing.T) {
 				a := offsetVec(n, off, func(j int) float64 { return tileValue(rows[0][j]) })
 				b := offsetVec(n, 3-off, func(j int) float64 { return tileValue(rows[1][j]) })
 				requireMinMaxRowsMatchGeneric(t, a, b, label)
+				d := offsetVec(n, 3-off, func(j int) float64 { return rows[5][j] })
+				requireAxpyScaleMatchGeneric(t, d, rows[2], coef, label)
 			}
 		}
 	}
@@ -290,6 +317,37 @@ func BenchmarkMinMaxRows(b *testing.B) {
 					k.fn(m[0], m[1])
 				}
 				benchSink = m[1][d-1]
+			})
+		}
+	}
+}
+
+// BenchmarkAxpyScale is the micro-cell of Axpy and ScaleInPlace, each beside
+// its Go loop, at the fleet workload's d = 11 and the wide workloads' 10⁴.
+func BenchmarkAxpyScale(b *testing.B) {
+	rng := randx.New(1)
+	for _, d := range []int{11, 10000} {
+		m := randMatrix(rng, 2, d)
+		for _, k := range []struct {
+			name  string
+			axpy  func(alpha float64, x, dst []float64)
+			scale func(s float64, v []float64)
+		}{
+			{"kernel", func(alpha float64, x, dst []float64) { Axpy(alpha, x, dst) },
+				func(s float64, v []float64) { ScaleInPlace(s, v) }},
+			{"generic", axpyGeneric, scaleInPlaceGeneric},
+		} {
+			b.Run(fmt.Sprintf("axpy/d=%d/%s", d, k.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.axpy(1e-3, m[1], m[0])
+				}
+				benchSink = m[0][d-1]
+			})
+			b.Run(fmt.Sprintf("scale/d=%d/%s", d, k.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.scale(1, m[0])
+				}
+				benchSink = m[0][d-1]
 			})
 		}
 	}

@@ -28,7 +28,7 @@ var ErrDimensionMismatch = errors.New("vecmath: dimension mismatch")
 // what tells the compiler len(a) == len(b), so indexing b by a's index needs
 // no bounds check. go build -gcflags=-d=ssa/check_bce shows none in the
 // loops of Dot, SqDist and sqDist4x2Generic. The 4-blocked bodies (DotBlocked,
-// dotBlocked2Generic, Axpy) reslice each block, x := a[i:i+4:i+4]: that
+// dotBlocked2Generic, axpyGeneric) reslice each block, x := a[i:i+4:i+4]: that
 // costs one slice check per block on the first vector and none on the
 // others or on x[0..3], where indexing a[i+1] … a[i+3] cost four per block.
 // Their scalar tails keep one check per element. Do not "clean it up" into a
@@ -106,22 +106,50 @@ func Scale(s float64, v []float64) []float64 {
 	return out
 }
 
-// ScaleInPlace multiplies v by s in place and returns v.
+// ScaleInPlace multiplies v by s in place and returns v. On an amd64 CPU
+// with AVX2 the loop is scaleInPlaceAVX2 (kernels_amd64.s), one VMULPD per
+// four coordinates, the bits of scaleInPlaceGeneric.
 //
 //dpbyz:hotpath
 func ScaleInPlace(s float64, v []float64) []float64 {
-	for i := range v {
-		v[i] *= s
+	if useAVX2 {
+		scaleInPlaceAVX2(s, v)
+		return v
 	}
+	scaleInPlaceGeneric(s, v)
 	return v
 }
 
-// Axpy performs dst += alpha * x in place and returns dst. The loop is
-// unrolled four-wide; each coordinate is updated independently, so the
-// result is bit-identical to the plain loop.
+// scaleInPlaceGeneric is ScaleInPlace's loop in Go.
+//
+//dpbyz:hotpath
+func scaleInPlaceGeneric(s float64, v []float64) {
+	for i := range v {
+		v[i] *= s
+	}
+}
+
+// Axpy performs dst += alpha * x in place and returns dst. Each coordinate
+// is updated independently, so the AVX2 loop on an amd64 CPU that has it
+// (axpyAVX2, kernels_amd64.s) and the four-wide unrolled Go loop
+// (axpyGeneric) are bit-identical to the plain loop. x and dst may be the
+// same slice but must not overlap otherwise.
 //
 //dpbyz:hotpath
 func Axpy(alpha float64, x, dst []float64) []float64 {
+	assertSameLen(x, dst)
+	if useAVX2 {
+		axpyAVX2(alpha, x, dst)
+		return dst
+	}
+	axpyGeneric(alpha, x, dst)
+	return dst
+}
+
+// axpyGeneric is Axpy's loop in Go.
+//
+//dpbyz:hotpath
+func axpyGeneric(alpha float64, x, dst []float64) {
 	assertSameLen(x, dst)
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
@@ -134,7 +162,6 @@ func Axpy(alpha float64, x, dst []float64) []float64 {
 	for ; i < len(x); i++ {
 		dst[i] += alpha * x[i]
 	}
-	return dst
 }
 
 // Dot returns the inner product <a, b>.
