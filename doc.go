@@ -306,35 +306,9 @@
 // internal/worker, internal/randx and internal/data); CHANGES.md (PR 3) records the measured before/after and
 // bench/README.md the current fig2_local numbers.
 //
-// # Sub-quadratic aggregation
-//
-// The distance-based rules (Krum, Multi-Krum, Bulyan, MDA) are Θ(n²·d) as
-// the paper writes them: every pair of the n submitted gradients is priced
-// at full dimension d. GARSpec's Kernel knob swaps in one sub-quadratic
-// kernel (gar.NewSketched) that keeps the registry, the pooled
-// AggregateInto fast path and the zero-allocation steady state. Kernel
-// "sketched" projects every gradient to SketchDim (default 32) coordinates
-// with a seed-derived Johnson–Lindenstrauss sketch (internal/randx —
-// SketchSeed, or the run Seed when 0, so every backend and every
-// parallelism width builds the identical projection), scores the sketch
-// Gram, shortlists the plausible winners, and re-scores only the shortlist
-// with exact full-dimension distances: Θ(n·d) projection + Θ(n²·k) sketch
-// distances + Θ(c·n·d) re-check. Krum, Multi-Krum and every Bulyan
-// iteration run the same shortlist step; MDA shortlists centers by sketch
-// diameter instead. Selection is property-tested to match the exact kernel
-// on the battery fixtures; it is an approximation, not a bit-identity
-// contract — an adversarial cloud can in principle steer the sketch —
-// which is why it is an explicit choice and never a default:
-//
-//	s.GAR = dpbyz.GARSpec{Name: "krum", N: 1024, F: 10, Kernel: "sketched"}
-//
-// BENCH_gar_scale.json records the measured grid (n up to 1024, d up to
-// 10⁶): at n = 1024 one Krum round is 11–18x faster sketched; at n = 64 the
-// shortlist covers most of the cohort and the exact kernel is the right
-// choice. (The file's "incremental" rows belong to a cross-round kernel
-// that was retired: under the paper's per-round DP noise it re-anchored on
-// every round. A Spec that still names it is rejected with a pointer to
-// "exact", which computes the identical trajectory.)
+// The distance-based rules (Krum, Multi-Krum, Bulyan, MDA) run one exact
+// Θ(n²·d) pairwise pass, as the paper writes them; the way to shrink n is
+// the bucketed topology (see "Topology and staleness").
 //
 // At the experiment level, every Spec-driven table — the figures, the ε,
 // heterogeneity and staleness sweeps, the batch-size crossover and the spec

@@ -33,14 +33,6 @@ func TestConstructorBoundaryBattery(t *testing.T) {
 			minN: func(f int) int { return 2*f + 1 },
 			ctor: func(n, f int) (GAR, error) { return NewMDA(n, f) },
 		},
-		"sketched-krum": {
-			minN: func(f int) int { return 2*f + 3 },
-			ctor: func(n, f int) (GAR, error) { return NewSketched("krum", n, f, SketchOptions{SketchDim: 4}) },
-		},
-		"sketched-bulyan": {
-			minN: func(f int) int { return 4*f + 3 },
-			ctor: func(n, f int) (GAR, error) { return NewSketched("bulyan", n, f, SketchOptions{SketchDim: 4}) },
-		},
 	}
 	const d = 9
 	for name, b := range build {

@@ -209,8 +209,8 @@ func TestMultiKrumAveragesSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mk.M() != 5 {
-		t.Errorf("M = %d", mk.M())
+	if mk.m != 5 {
+		t.Errorf("m = %d", mk.m)
 	}
 	grads := cloudWithOutliers(11, 4, 5, 1, 0.05, 80, 9)
 	out, err := mk.Aggregate(grads)

@@ -145,52 +145,38 @@ func TestSortedColumnGoldens(t *testing.T) {
 // (vecmath.PairwiseSqDistsInto), each at the largest f it admits. bulyan —
 // the kernel's other consumer — is pinned above. The constants were printed
 // like sortedColumnGoldens' and must not be edited by a kernel change.
-//
-// sketched's exact re-score (cachedSqDist, sketched.go) calls vecmath.SqDist
-// once per pair, so its agreement with the exact kernel rests on the matrix
-// entries being those same bits.
 var pairwiseGoldens = map[string]uint64{
-	"krum/n=16,f=6,d=1000":           0x72ae9047129394ea,
-	"krum/n=33,f=15,d=517":           0x33dd4f66ec6f6d07,
-	"krum/n=7,f=2,d=130":             0xd657c877a3e3f176,
-	"mda/n=16,f=7,d=1000":            0x961edb82d025c9ff,
-	"mda/n=33,f=16,d=517":            0x953868795e21c691,
-	"mda/n=7,f=3,d=130":              0x98d8115e3e5758db,
-	"multikrum/n=16,f=6,d=1000":      0xd580ce26dfac8612,
-	"multikrum/n=33,f=15,d=517":      0xc874257e5645ea1c,
-	"multikrum/n=7,f=2,d=130":        0xba7301838d60e5d0,
-	"sketched(krum)/n=16,f=6,d=1000": 0x72ae9047129394ea,
-	"sketched(krum)/n=33,f=15,d=517": 0x33dd4f66ec6f6d07,
-	"sketched(krum)/n=7,f=2,d=130":   0xd657c877a3e3f176,
+	"krum/n=16,f=6,d=1000":      0x72ae9047129394ea,
+	"krum/n=33,f=15,d=517":      0x33dd4f66ec6f6d07,
+	"krum/n=7,f=2,d=130":        0xd657c877a3e3f176,
+	"mda/n=16,f=7,d=1000":       0x961edb82d025c9ff,
+	"mda/n=33,f=16,d=517":       0x953868795e21c691,
+	"mda/n=7,f=3,d=130":         0x98d8115e3e5758db,
+	"multikrum/n=16,f=6,d=1000": 0xd580ce26dfac8612,
+	"multikrum/n=33,f=15,d=517": 0xc874257e5645ea1c,
+	"multikrum/n=7,f=2,d=130":   0xba7301838d60e5d0,
 }
 
 // TestPairwiseGoldens is the next slice of ROADMAP item 1(b): krum,
-// multikrum, mda and the sketched kernel of krum at its default sketch, on
-// the clouds of TestSortedColumnGoldens, on the inline path and on the
-// row-striped one, on amd64 and 386 alike.
+// multikrum and mda, on the clouds of TestSortedColumnGoldens, on the
+// inline path and on the row-striped one, on amd64 and 386 alike.
 func TestPairwiseGoldens(t *testing.T) {
 	skipUnlessPinnedArch(t)
 	shapes := []struct{ n, f, d int }{{7, 2, 130}, {16, 4, 1000}, {33, 8, 517}}
-	newRule := func(name string, n, f int) (GAR, error) {
-		if name == "sketched(krum)" {
-			return NewSketched("krum", n, f, SketchOptions{})
-		}
-		return New(name, n, f)
-	}
 	t.Cleanup(func() {
 		vecmath.SetParallelism(0)
 		vecmath.SetParallelGrain(0)
 	})
 	for _, sh := range shapes {
 		grads := goldenCloud(sh.n, sh.f, sh.d, uint64(sh.n*1000+sh.d))
-		for _, name := range []string{"krum", "multikrum", "mda", "sketched(krum)"} {
+		for _, name := range []string{"krum", "multikrum", "mda"} {
 			// The largest f the rule admits at this n; the cloud keeps its
 			// sh.f outliers.
 			f := sh.n
-			g, err := newRule(name, sh.n, f)
+			g, err := New(name, sh.n, f)
 			for err != nil && f > 0 {
 				f--
-				g, err = newRule(name, sh.n, f)
+				g, err = New(name, sh.n, f)
 			}
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", name, sh.n, err)

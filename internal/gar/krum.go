@@ -157,9 +157,6 @@ func NewMultiKrum(n, f, m int) (*MultiKrum, error) {
 	return mk, nil
 }
 
-// M returns the selection size.
-func (mk *MultiKrum) M() int { return mk.m }
-
 // KF implements GAR: Multi-Krum inherits Krum's constant.
 func (mk *MultiKrum) KF() float64 { return 1 / math.Sqrt(2*krumEta(mk.n, mk.f)) }
 

@@ -1,9 +1,6 @@
 package gar
 
-import (
-	"math"
-	"sync"
-)
+import "sync"
 
 // scratch bundles every buffer an AggregateInto call needs — gradient-sized
 // iterates, n-sized score columns, the shared n×n Gram (pairwise squared
@@ -14,20 +11,15 @@ import (
 //
 //dpbyz:scratch
 type scratch struct {
-	vecA, vecB       []float64 // gradient-sized (d) iterates and accumulators
-	scores           []float64 // per-worker (n) scores / distances
-	scoresB          []float64 // second score column (sketch-space scores)
-	row              []float64 // Krum neighbour-distance row (n-1)
-	gramFlat         []float64 // backing store of the Gram matrix (n·n)
-	gram             [][]float64
-	gram2Flat        []float64 // second n×n matrix (sketched exact-pair cache)
-	gram2            [][]float64
-	intA, intB, intC []int       // subset-search index workspaces
-	scored           []phocasVal // Phocas per-coordinate selection column
-	selA, selB       [][]float64 // gradient selections (headers only, no copies)
-	bucketFlat       []float64   // Bucketed pre-aggregation means (m·d, selA holds the row headers)
-	skFlat           []float64   // sketch projections (n·k, skRows holds the row headers)
-	skRows           [][]float64
+	vecA, vecB []float64 // gradient-sized (d) iterates and accumulators
+	scores     []float64 // per-worker (n) scores / distances
+	row        []float64 // Krum neighbour-distance row (n-1)
+	gramFlat   []float64 // backing store of the Gram matrix (n·n)
+	gram       [][]float64
+	intA, intB []int       // subset-search index workspaces
+	scored     []phocasVal // Phocas per-coordinate selection column
+	selA, selB [][]float64 // gradient selections (headers only, no copies)
+	bucketFlat []float64   // Bucketed pre-aggregation means (m·d, selA holds the row headers)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -59,36 +51,6 @@ func (s *scratch) square(n int) [][]float64 {
 	rows := grow(&s.gram, n)
 	for i := range rows {
 		rows[i] = flat[i*n : (i+1)*n]
-	}
-	return rows
-}
-
-// nanSquare returns a second, independent n×n matrix view with every entry
-// NaN: the sketched kernels hold the sketch Gram in square and the exact-pair
-// cache here, NaN meaning "not computed yet" (see cachedSqDist).
-//
-//dpbyz:scratch
-//dpbyz:hotpath
-func (s *scratch) nanSquare(n int) [][]float64 {
-	flat := grow(&s.gram2Flat, n*n)
-	for i := range flat {
-		flat[i] = math.NaN()
-	}
-	rows := grow(&s.gram2, n)
-	for i := range rows {
-		rows[i] = flat[i*n : (i+1)*n]
-	}
-	return rows
-}
-
-// sketchRows returns an n×k matrix view for sketch projections.
-//
-//dpbyz:scratch
-func (s *scratch) sketchRows(n, k int) [][]float64 {
-	flat := grow(&s.skFlat, n*k)
-	rows := grow(&s.skRows, n)
-	for i := range rows {
-		rows[i] = flat[i*k : (i+1)*k]
 	}
 	return rows
 }

@@ -2,7 +2,6 @@ package gar
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"dpbyz/internal/randx"
@@ -21,22 +20,12 @@ const (
 	propertyD = 16
 )
 
-// sketchedNames are the sketched wrapper's builds, by the name they report.
-var sketchedNames = []string{"sketched(krum)", "sketched(multikrum)", "sketched(bulyan)", "sketched(mda)"}
-
-// batteryRules builds every named rule at the battery size: registry names
-// through New, "sketched(inner)" through NewSketched.
+// batteryRules builds every named registry rule at the battery size.
 func batteryRules(t *testing.T, names []string) map[string]GAR {
 	t.Helper()
 	out := make(map[string]GAR, len(names))
 	for _, name := range names {
-		var g GAR
-		var err error
-		if inner, ok := strings.CutPrefix(name, "sketched("); ok {
-			g, err = NewSketched(strings.TrimSuffix(inner, ")"), propertyN, propertyF, SketchOptions{})
-		} else {
-			g, err = New(name, propertyN, propertyF)
-		}
+		g, err := New(name, propertyN, propertyF)
 		if err != nil {
 			t.Fatalf("rule %q rejects n=%d f=%d: %v", name, propertyN, propertyF, err)
 		}
@@ -60,10 +49,9 @@ func gaussianCloud(rng *randx.Stream, n, d int, sigma float64) (cloud [][]float6
 
 // Permutation invariance: a GAR must not care which worker sent which
 // gradient — F(X∘π) = F(X) for every permutation π. Catches index-dependent
-// tie-breaking and trim bookkeeping bugs — including the sketched wrapper's
-// shortlist, whose lexLess tie-break claims exactly this.
+// tie-breaking and trim bookkeeping bugs.
 func TestPropertyPermutationInvariance(t *testing.T) {
-	rules := batteryRules(t, append(Names(), sketchedNames...))
+	rules := batteryRules(t, Names())
 	for name, g := range rules {
 		t.Run(name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 10; seed++ {

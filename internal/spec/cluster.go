@@ -73,22 +73,18 @@ func workerConfig(s *Spec, o *runOptions, m *materialized, id int, addr string) 
 
 // coalition builds the Spec's one colluding adversary over the honest
 // workers [GAR.F, GAR.N) — the simulator's layout — or nil for an
-// unattacked Spec (Validate rejects an attack with GAR.F == 0). Its rule is its own, not m.gar: the server aggregates
-// concurrently, and a rule may be stateful (gar.Sketched builds its
-// sketcher lazily).
+// unattacked Spec (Validate rejects an attack with GAR.F == 0). It shares
+// the server's rule m.gar: every rule aggregates from pooled scratch, so
+// concurrent calls are safe.
 func coalition(s *Spec, o *runOptions, m *materialized) (*worker.Coalition, error) {
 	if s.Attack == nil {
 		return nil, nil
-	}
-	rule, err := s.NewGARFactory()(s.GAR.N, s.GAR.F)
-	if err != nil {
-		return nil, fmt.Errorf("spec: adversary rule: %w", err)
 	}
 	honest := make([]cluster.WorkerConfig, s.GAR.N-s.GAR.F)
 	for i := range honest {
 		honest[i] = workerConfig(s, o, m, s.GAR.F+i, "")
 	}
-	return cluster.NewCoalition(m.attack, rule, s.Seed, honest)
+	return cluster.NewCoalition(m.attack, m.gar, s.Seed, honest)
 }
 
 // bindServer is the server half every cluster entry point shares: translate

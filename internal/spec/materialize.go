@@ -183,17 +183,16 @@ func (s *Spec) materializeFrom(o *runOptions, build func() (train, test *data.Da
 	if o.initParams != nil {
 		m.initParams = o.initParams
 	}
-	// Topology and kernel compose in the factory: every backend materializes
-	// the identical wrapper, so the bucket deal and the sketch transform —
-	// pure functions of their seeds — agree across local, cluster and worker
-	// processes.
+	// The topology is applied in the factory: every backend materializes the
+	// identical rule, so the bucket deal — a pure function of its seed —
+	// agrees across local, cluster and worker processes.
 	if m.gar, err = s.NewGARFactory()(s.GAR.N, s.GAR.F); err != nil {
 		return nil, err
 	}
 	if s.Attack != nil {
 		// Rule injection for GAR-aware attacks happens at the consumer: the
 		// simulate runner arms m.attack with its rule, and the cluster path
-		// hands it to the run's one adversary (coalition) with its own rule.
+		// hands it to the run's one adversary (coalition) with the server's rule.
 		m.attack, err = attack.New(s.Attack.Name)
 		if err != nil {
 			return nil, err

@@ -169,38 +169,11 @@ type GARSpec struct {
 	N int `json:"n"`
 	// F is the number of Byzantine workers the rule must tolerate.
 	F int `json:"f"`
-	// Kernel selects the Krum-family kernel implementation: "exact" (the
-	// default) runs the full pairwise pass; "sketched" shortlists
-	// candidates from JL sketch distances and re-checks them exactly — an
-	// approximation, so it is never chosen silently. "sketched" requires
-	// a rule gar.SketchSupported reports true for, and does not compose
-	// with the bucketed topology (buckets are already few). The retired
-	// value "incremental" is rejected by name: "exact" reproduces its
-	// trajectory bit for bit.
+	// Kernel accepts only "" and "exact" (the full pairwise pass; there is
+	// one aggregation path per rule and topology). The retired values
+	// "incremental" and "sketched" are rejected by name. The field stays
+	// only because bench/specs.go sets it, until ROADMAP item 13 deletes it.
 	Kernel string `json:"kernel,omitempty"`
-	// SketchDim is the JL sketch dimension (0 selects
-	// gar.DefaultSketchDim); only valid with kernel "sketched".
-	SketchDim int `json:"sketchDim,omitempty"`
-	// SketchSeed fixes the deterministic sketch transform (0 means the
-	// run seed); only valid with kernel "sketched".
-	SketchSeed uint64 `json:"sketchSeed,omitempty"`
-}
-
-// kernel returns the kernel implementation name, defaulting to "exact".
-func (g *GARSpec) kernel() string {
-	if g.Kernel == "" {
-		return "exact"
-	}
-	return g.Kernel
-}
-
-// sketchOptions builds the gar.SketchOptions the kernel knob selects.
-func (g *GARSpec) sketchOptions(runSeed uint64) gar.SketchOptions {
-	seed := g.SketchSeed
-	if seed == 0 {
-		seed = runSeed
-	}
-	return gar.SketchOptions{SketchDim: g.SketchDim, Seed: seed}
 }
 
 // TopologySpec selects the aggregation topology.
@@ -408,7 +381,7 @@ func (s *Spec) Quorum() int {
 }
 
 // NewGARFactory returns the Spec's (n, f) → aggregation-rule constructor,
-// honoring its GAR name, kernel and topology: Validate and materialization
+// honoring its GAR name and topology: Validate and materialization
 // call it at (GAR.N, GAR.F), the epoched-membership modes at every
 // boundary. The factory is deterministic: the bucketed deal reuses the
 // Spec's topology seed, so the same (n, f) always yields an equivalent
@@ -419,12 +392,6 @@ func (s *Spec) NewGARFactory() func(n, f int) (gar.GAR, error) {
 		size, seed := s.Topology.BucketSize, s.Topology.seed(s.Seed)
 		return func(n, f int) (gar.GAR, error) {
 			return gar.NewBucketed(name, n, f, size, seed)
-		}
-	}
-	if s.GAR.kernel() == "sketched" {
-		opt := s.GAR.sketchOptions(s.Seed)
-		return func(n, f int) (gar.GAR, error) {
-			return gar.NewSketched(name, n, f, opt)
 		}
 	}
 	return func(n, f int) (gar.GAR, error) {
@@ -460,19 +427,14 @@ func (s *Spec) Validate() error {
 	if s.GAR.Name == "" {
 		return errors.New("spec: missing gar.name")
 	}
-	switch k := s.GAR.kernel(); k {
-	case "exact":
-		if s.GAR.SketchDim != 0 || s.GAR.SketchSeed != 0 {
-			return fmt.Errorf("spec: gar.sketchDim/sketchSeed need kernel \"sketched\", not %q", k)
-		}
-	case "sketched":
-		if s.Topology.name() == "bucketed" {
-			return fmt.Errorf("spec: gar kernel %q does not compose with the bucketed topology "+
-				"(buckets are already few; sketch the flat rule instead)", k)
-		}
+	switch k := s.GAR.Kernel; k {
+	case "", "exact":
 	case "incremental":
 		return errors.New("spec: gar kernel \"incremental\" was retired (under per-round DP noise it " +
 			"recomputed the exact pass every round); use \"exact\", which produces the bit-identical trajectory")
+	case "sketched":
+		return errors.New("spec: gar kernel \"sketched\" was retired (it approximated the Krum-family rules and " +
+			"rarely kept their exact pick on noise-dominated gradients); use \"exact\"")
 	default:
 		return fmt.Errorf("spec: unknown gar kernel %q", k)
 	}
@@ -482,7 +444,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("spec: unknown topology %q", name)
 	}
 	// Constructing the rule validates its own n-vs-f constraint (at the
-	// bucket count ⌈n/s⌉ under the bucketed topology) and its kernel support.
+	// bucket count ⌈n/s⌉ under the bucketed topology).
 	if _, err := s.NewGARFactory()(s.GAR.N, s.GAR.F); err != nil {
 		return err
 	}

@@ -79,6 +79,7 @@ func TestSpecUnknownFieldRejected(t *testing.T) {
 		`{"version": 1, "data": {"file": "phishing.t"}}`,
 		`{"version": 1, "mechanism": {"name": "gaussian", "eps": 0.2}}`,
 		`{"version": 1, "membership": {"minWorkers": 2, "evictAfter": 3}}`,
+		`{"version": 1, "gar": {"name": "krum", "n": 11, "f": 2, "sketchDim": 32}}`,
 	} {
 		if _, err := Parse([]byte(doc)); err == nil {
 			t.Errorf("Parse(%s) accepted a document with an unknown field", doc)
@@ -131,21 +132,6 @@ func TestSpecValidate(t *testing.T) {
 		"both momenta":       func(s *Spec) { s.Momentum = 0.5 },
 		"mech without clip":  func(s *Spec) { s.ClipNorm = 0 },
 		"unknown kernel":     func(s *Spec) { s.Topology = nil; s.GAR = GARSpec{Name: "krum", N: 11, F: 2, Kernel: "fast"} }, //dpbyz:unregistered
-		"kernel unsupported rule": func(s *Spec) {
-			s.Topology = nil
-			s.GAR = GARSpec{Name: "trimmedmean", N: 11, F: 2, Kernel: "sketched"}
-		},
-		"kernel with bucketed topology": func(s *Spec) {
-			s.GAR = GARSpec{Name: "krum", N: 11, F: 2, Kernel: "sketched"}
-		},
-		"sketchDim without sketched": func(s *Spec) {
-			s.Topology = nil
-			s.GAR = GARSpec{Name: "krum", N: 11, F: 2, SketchDim: 16}
-		},
-		"negative sketchDim": func(s *Spec) {
-			s.Topology = nil
-			s.GAR = GARSpec{Name: "krum", N: 11, F: 2, Kernel: "sketched", SketchDim: -1}
-		},
 	} {
 		s := fullSpec()
 		mutate(&s)
@@ -153,24 +139,29 @@ func TestSpecValidate(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	// The retired kernel is rejected by name with the migration spelled out
-	// (a fleet store may still hold a spec.json that selects it), whatever
-	// else the GAR block says.
+	// A retired kernel is rejected by name with the migration spelled out (a
+	// fleet store may still hold a spec.json that selects it). Only
+	// "incremental" computed the exact pass, so only its message may promise
+	// the bit-identical trajectory.
 	for _, g := range []GARSpec{
 		{Name: "krum", N: 11, F: 2, Kernel: "incremental"},
-		{Name: "mda", N: 11, F: 2, Kernel: "incremental", SketchSeed: 5},
+		{Name: "mda", N: 11, F: 2, Kernel: "incremental"},
+		{Name: "mda", N: 11, F: 2, Kernel: "sketched"},
 	} {
 		s := fullSpec()
 		s.Topology = nil
 		s.GAR = g
 		err := s.Validate()
 		if err == nil {
-			t.Fatalf("retired kernel accepted for %s", g.Name)
+			t.Fatalf("retired kernel %q accepted for %s", g.Kernel, g.Name)
 		}
-		for _, want := range []string{"retired", `"exact"`, "bit-identical"} {
+		for _, want := range []string{"retired", `"exact"`} {
 			if !strings.Contains(err.Error(), want) {
-				t.Errorf("retired-kernel error for %s lacks %q: %v", g.Name, want, err)
+				t.Errorf("retired-kernel error for %s/%s lacks %q: %v", g.Name, g.Kernel, want, err)
 			}
+		}
+		if bit := strings.Contains(err.Error(), "bit-identical"); bit != (g.Kernel == "incremental") {
+			t.Errorf("retired-kernel error for %s/%s: mentions bit-identical = %v: %v", g.Name, g.Kernel, bit, err)
 		}
 	}
 }
