@@ -241,6 +241,11 @@ func BenchmarkMDAExactVsGreedy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	greedy, err := gar.NewMDA(n, f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	greedy.MaxEnumerate = 1 // C(n, n−f) > 1: always the greedy heuristic
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := mda.Aggregate(grads); err != nil {
@@ -250,7 +255,7 @@ func BenchmarkMDAExactVsGreedy(b *testing.B) {
 	})
 	b.Run("greedy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := mda.AggregateGreedy(grads); err != nil {
+			if _, err := greedy.Aggregate(grads); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,8 @@
 // Command dpbyz-lint runs the dpbyz analyzer suite (internal/analysis) over
 // module packages and reports contract violations: nondeterminism in
 // //dpbyz:deterministic packages, allocations in //dpbyz:hotpath functions,
-// pooled-scratch aliasing, and unknown registry names.
+// pooled-scratch aliasing, unknown registry names, and internal/ functions
+// that only tests call.
 //
 // Use (this is what CI runs):
 //

@@ -41,7 +41,7 @@
 //
 // The zero Data field defaults to the paper's synthetic phishing stand-in
 // with its 8400-point train split. Because the Spec is plain data, it
-// round-trips through JSON (dpbyz.LoadSpec / Spec.Save — unknown fields are
+// round-trips through JSON (dpbyz.LoadSpec / Spec.JSON — unknown fields are
 // rejected and the document carries a version tag) and the same document
 // runs unchanged on every backend:
 //
@@ -349,10 +349,14 @@
 //     registry key (gar/attack/partition/dp lookups, Spec reference
 //     fields) is checked against the registered names, so a typo'd
 //     fixture fails lint instead of failing at run time.
+//   - testonly needs no annotation either: a function or method of an
+//     internal/ package that no non-test file of the module references is
+//     code shipped for its tests alone, and is reported.
 //
 // Reviewed exceptions are waived line by line (//dpbyz:wallclock,
 // //dpbyz:orderedmap, //dpbyz:allowalloc, //dpbyz:allowalias,
-// //dpbyz:unregistered) so every deviation from a contract is visible in
+// //dpbyz:unregistered), or in a function's doc comment for a test seam
+// (//dpbyz:testseam), so every deviation from a contract is visible in
 // the diff that introduces it. See the internal/analysis package
 // documentation for the analyzer details and ROADMAP.md for the map of
 // which packages carry which contract.

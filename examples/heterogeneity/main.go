@@ -9,7 +9,7 @@
 //
 // Every condition is one serializable dpbyz.Spec with a "partition" field —
 // the same JSON-able object the CLI, cluster binaries and experiment grids
-// consume — so any cell of this sweep can be exported with Spec.Save and
+// consume — so any cell of this sweep can be exported with Spec.JSON and
 // replayed on a real cluster unchanged.
 package main
 

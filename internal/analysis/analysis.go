@@ -1,8 +1,9 @@
-// Package analysis is dpbyz's static-analysis suite: four analyzers that
+// Package analysis is dpbyz's static-analysis suite: five analyzers that
 // mechanically enforce the repo's cross-cutting code contracts — bit-identical
 // determinism, zero-allocation steady-state hot paths, pooled-scratch
-// aliasing discipline, and registry-name integrity. The analyzers run over
-// the whole module via cmd/dpbyz-lint and programmatically in TestLintClean.
+// aliasing discipline, registry-name integrity, and no internal/ code that
+// only tests call. The analyzers run over the whole module via
+// cmd/dpbyz-lint and programmatically in TestLintClean.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis API
 // shape (Analyzer / Pass / Diagnostic) but is self-contained on the standard
@@ -25,7 +26,9 @@
 //
 // and relaxed, where a human has reviewed the construct, with inline waivers
 // (//dpbyz:orderedmap, //dpbyz:wallclock, //dpbyz:allowalloc,
-// //dpbyz:allowalias) that each analyzer honours on the flagged line.
+// //dpbyz:allowalias, //dpbyz:unregistered) that each analyzer honours on
+// the flagged line, and with //dpbyz:testseam in the doc comment of a
+// function that testonly would otherwise report as called only by tests.
 package analysis
 
 import (
@@ -87,9 +90,9 @@ func (d Diagnostic) Position(fset *token.FileSet) token.Position {
 	return fset.Position(d.Pos)
 }
 
-// All returns the four dpbyz analyzers in reporting order.
+// All returns the five dpbyz analyzers in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detlint, HotPathAlloc, ScratchAlias, RegistryRef}
+	return []*Analyzer{Detlint, HotPathAlloc, ScratchAlias, RegistryRef, TestOnly}
 }
 
 // ByName returns the named analyzer, or nil.

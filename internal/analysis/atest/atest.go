@@ -41,7 +41,10 @@ type expectation struct {
 
 // Run loads <testdata>/src/<pkg> for each pkg, applies the analyzers, and
 // reports any mismatch between emitted diagnostics and // want annotations
-// as test errors. A nil analyzers slice runs the full suite.
+// as test errors. A nil analyzers slice runs the full suite. It is the
+// harness of the analyzers' own tests, which are its only callers.
+//
+//dpbyz:testseam
 func Run(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, pkg := range pkgs {

@@ -11,6 +11,7 @@ import (
 // must produce is annotated // want) and a clean-idiom package (it must stay
 // silent). The scratchpos package includes the PR-2 RunWorker repro;
 // registrypos includes typo'd registry names through the real lookups.
+// testonlyneg reaches methods through interfaces and generic instances.
 
 func TestDetlint(t *testing.T) {
 	atest.Run(t, "testdata", []*analysis.Analyzer{analysis.Detlint}, "detpos", "detneg")
@@ -26,4 +27,8 @@ func TestScratchAlias(t *testing.T) {
 
 func TestRegistryRef(t *testing.T) {
 	atest.Run(t, "testdata", []*analysis.Analyzer{analysis.RegistryRef}, "registrypos", "registryneg")
+}
+
+func TestTestOnly(t *testing.T) {
+	atest.Run(t, "testdata", []*analysis.Analyzer{analysis.TestOnly}, "testonlypos", "testonlyneg")
 }

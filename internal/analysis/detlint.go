@@ -43,7 +43,7 @@ func runDetlint(pass *Pass) error {
 	}
 	waivers := newWaiverIndex(pass.Fset, pass.Files)
 	for _, f := range pass.Files {
-		if fileIsTest(pass, f) {
+		if fileIsTest(pass.Fset, f) {
 			continue
 		}
 		checkRandImports(pass, f)

@@ -19,10 +19,15 @@ import (
 //   - //dpbyz:scratch — in a function's doc comment: the function returns
 //     pooled/reused scratch memory; or in a type's doc comment: values of the
 //     type carry reused scratch in their fields. Consumed by scratchalias.
+//   - //dpbyz:testseam — in a function's doc comment, next to the reason: a
+//     reviewed seam that only tests call (a helper shared by tests of
+//     several packages, a fault-injection or tuning hook). Waives testonly
+//     for that declaration.
 const (
 	directiveDeterministic = "deterministic"
 	directiveHotPath       = "hotpath"
 	directiveScratch       = "scratch"
+	directiveTestSeam      = "testseam"
 )
 
 // Inline waivers. A waiver suppresses one analyzer's diagnostic on the line

@@ -54,6 +54,11 @@ type Module struct {
 	carrierTypes map[string]bool
 	// registries caches the extracted registry-name table; see registryref.
 	registries map[string][]string
+	// uses caches the non-test use index; see testonly.
+	uses *useIndex
+	// standalone marks a LoadDir module: its one package is the whole
+	// program the module-wide indexes see.
+	standalone bool
 }
 
 // LoadConfig tunes Load.
@@ -68,19 +73,15 @@ type LoadConfig struct {
 
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
-	ImportPath    string
-	Name          string
-	Dir           string
-	GoFiles       []string
-	CgoFiles      []string
-	TestGoFiles   []string
-	XTestGoFiles  []string
-	Module        *struct{ Dir string }
-	Error         *struct{ Err string }
-	DepOnly       bool
-	ForTest       string
-	Incomplete    bool
-	IgnoredGoFile []string
+	ImportPath   string
+	Name         string
+	Dir          string
+	GoFiles      []string
+	CgoFiles     []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Module       *struct{ Dir string }
+	Error        *struct{ Err string }
 }
 
 // Load enumerates patterns with `go list`, parses and type-checks every
@@ -152,7 +153,7 @@ func LoadDir(dir string) (*Module, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("analysis: no .go files in %s", dir)
 	}
-	m := &Module{Fset: token.NewFileSet(), Dir: FindModuleRoot(dir)}
+	m := &Module{Fset: token.NewFileSet(), Dir: FindModuleRoot(dir), standalone: true}
 	files, err := parseFiles(m.Fset, dir, names)
 	if err != nil {
 		return nil, err

@@ -35,7 +35,7 @@ func runScratchAlias(pass *Pass) error {
 	carriers := pass.Module.CarrierTypes()
 	waivers := newWaiverIndex(pass.Fset, pass.Files)
 	for _, f := range pass.Files {
-		if fileIsTest(pass, f) {
+		if fileIsTest(pass.Fset, f) {
 			continue
 		}
 		for _, decl := range f.Decls {

@@ -2,14 +2,15 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path/filepath"
 	"strings"
 )
 
 // fileIsTest reports whether the parsed file came from a _test.go file.
-func fileIsTest(p *Pass, f *ast.File) bool {
-	name := filepath.Base(p.Fset.Position(f.Package).Filename)
+func fileIsTest(fset *token.FileSet, f *ast.File) bool {
+	name := filepath.Base(fset.Position(f.Package).Filename)
 	return strings.HasSuffix(name, "_test.go")
 }
 

@@ -145,15 +145,6 @@ type RandomNoise struct {
 
 var _ Attack = (*RandomNoise)(nil)
 
-// NewRandomNoise returns the random-noise fault with per-coordinate
-// standard deviation sigma.
-func NewRandomNoise(sigma float64) (*RandomNoise, error) {
-	if sigma <= 0 {
-		return nil, fmt.Errorf("attack: non-positive noise scale %v", sigma)
-	}
-	return &RandomNoise{Sigma: sigma}, nil
-}
-
 // Name implements Attack.
 func (r *RandomNoise) Name() string { return "randomnoise" }
 

@@ -57,7 +57,10 @@ func TestFoECraft(t *testing.T) {
 
 func TestFoEDoesNotMutateInputs(t *testing.T) {
 	honest := honestSample()
-	snapshot := vecmath.CloneAll(honest)
+	snapshot := make([][]float64, len(honest))
+	for i, v := range honest {
+		snapshot[i] = vecmath.Clone(v)
+	}
 	if _, err := NewFallOfEmpires().Craft(honest, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +101,7 @@ func TestZero(t *testing.T) {
 }
 
 func TestRandomNoise(t *testing.T) {
-	r, err := NewRandomNoise(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := &RandomNoise{Sigma: 2}
 	got, err := r.Craft(honestSample(), randx.New(1))
 	if err != nil {
 		t.Fatal(err)
@@ -115,16 +115,10 @@ func TestRandomNoise(t *testing.T) {
 	if _, err := r.Craft(honestSample(), nil); err == nil {
 		t.Error("nil stream did not error")
 	}
-	if _, err := NewRandomNoise(0); err == nil {
-		t.Error("zero sigma did not error")
-	}
 }
 
 func TestRandomNoiseDeterministicPerSeed(t *testing.T) {
-	r, err := NewRandomNoise(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := &RandomNoise{Sigma: 1}
 	a, err := r.Craft(honestSample(), randx.New(5))
 	if err != nil {
 		t.Fatal(err)
@@ -140,10 +134,7 @@ func TestRandomNoiseDeterministicPerSeed(t *testing.T) {
 
 func TestEmptyHonestErrors(t *testing.T) {
 	attacks := []Attack{NewALIE(), NewFallOfEmpires(), NewSignFlip(), NewZero()}
-	r, err := NewRandomNoise(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := &RandomNoise{Sigma: 1}
 	attacks = append(attacks, r)
 	for _, a := range attacks {
 		if _, err := a.Craft(nil, randx.New(1)); !errors.Is(err, ErrNoHonestGradients) {

@@ -100,7 +100,11 @@ func Save(path string, c *Checkpoint) error {
 	return nil
 }
 
-// Load reads a checkpoint from path.
+// Load reads a checkpoint from path. It is the reload half of the model
+// file dpbyz-train -save writes, an evaluator's entry point that in this
+// module only the round-trip tests call.
+//
+//dpbyz:testseam
 func Load(path string) (*Checkpoint, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -35,9 +35,6 @@ func NewRunDir(root, id string) RunDir {
 	return RunDir{path: filepath.Join(root, id)}
 }
 
-// Path returns the directory path.
-func (d RunDir) Path() string { return d.path }
-
 // SpecPath returns the run's spec file path.
 func (d RunDir) SpecPath() string { return filepath.Join(d.path, RunSpecFile) }
 

@@ -14,7 +14,7 @@ func TestRunDirLayoutAndEnsure(t *testing.T) {
 	if err := d.Ensure(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(d.Path()); err != nil {
+	if _, err := os.Stat(d.path); err != nil {
 		t.Fatalf("run dir missing after Ensure: %v", err)
 	}
 	for name, path := range map[string]string{
@@ -23,7 +23,7 @@ func TestRunDirLayoutAndEnsure(t *testing.T) {
 		RunSnapshotFile: d.SnapshotPath(),
 		RunEventsFile:   d.EventsPath(),
 	} {
-		if filepath.Base(path) != name || filepath.Dir(path) != d.Path() {
+		if filepath.Base(path) != name || filepath.Dir(path) != d.path {
 			t.Errorf("%s path = %q", name, path)
 		}
 	}

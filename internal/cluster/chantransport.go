@@ -111,7 +111,10 @@ func (f FaultConfig) partitioned(idx int) bool {
 // WithFaults returns a view of the transport whose future Dials inject the
 // given faults: up on the dialer-to-listener direction, down on the
 // reverse. Listen is shared with the parent transport, so a fault-free
-// server and faulty workers can coexist on one ChanTransport.
+// server and faulty workers can coexist on one ChanTransport. It is the
+// fault-injection seam of the cluster and cross-backend tests.
+//
+//dpbyz:testseam
 func (t *ChanTransport) WithFaults(up, down FaultConfig) Transport {
 	return &faultyTransport{t: t, up: up, down: down}
 }

@@ -319,22 +319,3 @@ func decodeFloat64s(dst []float64, src []byte, n int) []float64 {
 	}
 	return dst
 }
-
-// appendMessageFrame re-encodes a decoded message; used by tests and fuzzing
-// to check the codec round-trips bit-exactly.
-func appendMessageFrame(dst []byte, m *message) ([]byte, error) {
-	switch m.kind {
-	case msgHello:
-		return appendHelloFrame(dst, m.hello), nil
-	case msgParams:
-		return appendParamsFrame(dst, m.params), nil
-	case msgGradient:
-		return appendGradientFrame(dst, m.gradient), nil
-	case msgJoin:
-		return appendJoinFrame(dst, m.join), nil
-	case msgWelcome:
-		return appendWelcomeFrame(dst, m.welcome), nil
-	default:
-		return dst, fmt.Errorf("%w: %d", ErrBadType, m.kind)
-	}
-}

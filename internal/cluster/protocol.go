@@ -178,16 +178,15 @@ type conn struct {
 	released bool
 }
 
-func newConn(raw Conn) *conn { return newConnMax(raw, DefaultMaxFrameBytes) }
-
 func newConnMax(raw Conn, maxFrame int) *conn {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrameBytes
 	}
 	// The header's length field is a uint32; a larger cap could never be
-	// declared (or encoded) faithfully.
-	if int64(maxFrame) > int64(math.MaxUint32) {
-		maxFrame = math.MaxUint32
+	// declared (or encoded) faithfully. The bound goes through an int64
+	// variable: as a constant it would not fit a 32-bit int.
+	if limit := int64(math.MaxUint32); int64(maxFrame) > limit {
+		maxFrame = int(limit)
 	}
 	hand, _ := raw.(frameHandoff)
 	return &conn{raw: raw, hand: hand, maxFrame: maxFrame}

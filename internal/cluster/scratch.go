@@ -48,13 +48,3 @@ func putScratch(buf []float64) {
 	}
 	scratchPool.Unlock()
 }
-
-// drainScratchForTest empties the pool and returns the retained buffers,
-// letting tests prove a result does not alias recycled scratch.
-func drainScratchForTest() [][]float64 {
-	scratchPool.Lock()
-	defer scratchPool.Unlock()
-	bufs := scratchPool.bufs
-	scratchPool.bufs = nil
-	return bufs
-}

@@ -53,10 +53,6 @@ func New(points []Point) (*Dataset, error) {
 	return &Dataset{points: points, dim: d, xsq: xsq}, nil
 }
 
-// PointSqNorm returns ‖X‖² of the i-th point, from the construction-time
-// cache.
-func (ds *Dataset) PointSqNorm(i int) float64 { return ds.xsq[i] }
-
 // Len returns the number of points.
 func (ds *Dataset) Len() int { return len(ds.points) }
 
@@ -156,9 +152,6 @@ func (b *Batcher) Next() []Point {
 // (from the dataset's construction-time cache), aligned with that batch and
 // owned by the batcher under the same reuse rule.
 func (b *Batcher) BatchSqNorms() []float64 { return b.norms }
-
-// BatchSize returns the (possibly capped) batch size.
-func (b *Batcher) BatchSize() int { return len(b.idx) }
 
 // RNGState snapshots the batcher's sampling-stream position, for resumable
 // training checkpoints. Restoring it with SetRNGState makes future batch

@@ -122,8 +122,8 @@ func TestBatcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.BatchSize() != 4 {
-		t.Fatalf("BatchSize = %d", b.BatchSize())
+	if len(b.idx) != 4 {
+		t.Fatalf("BatchSize = %d", len(b.idx))
 	}
 	batch := b.Next()
 	if len(batch) != 4 {
@@ -144,8 +144,8 @@ func TestBatcherCapsBatchSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.BatchSize() != 2 {
-		t.Errorf("BatchSize = %d, want capped 2", b.BatchSize())
+	if len(b.idx) != 2 {
+		t.Errorf("BatchSize = %d, want capped 2", len(b.idx))
 	}
 }
 

@@ -21,7 +21,7 @@ func TestPointSqNormCache(t *testing.T) {
 			for _, x := range d.Point(i).X {
 				want += x * x
 			}
-			if got := d.PointSqNorm(i); math.Abs(got-want) > 1e-12 {
+			if got := d.xsq[i]; math.Abs(got-want) > 1e-12 {
 				t.Fatalf("point %d: cached %v, want %v", i, got, want)
 			}
 		}

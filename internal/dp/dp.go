@@ -98,8 +98,7 @@ type Mechanism interface {
 
 // Gaussian is the Gaussian mechanism of Eq. 6.
 type Gaussian struct {
-	sigma  float64
-	budget Budget
+	sigma float64
 }
 
 var _ Mechanism = (*Gaussian)(nil)
@@ -111,7 +110,7 @@ func NewGaussian(gmax float64, batchSize int, bud Budget) (*Gaussian, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Gaussian{sigma: s, budget: bud}, nil
+	return &Gaussian{sigma: s}, nil
 }
 
 // NewGaussianWithSigma returns a Gaussian mechanism with an explicit noise
@@ -128,10 +127,6 @@ func (g *Gaussian) Name() string { return "gaussian" }
 
 // Sigma implements Mechanism.
 func (g *Gaussian) Sigma() float64 { return g.sigma }
-
-// Budget returns the per-step budget this mechanism was calibrated for
-// (zero value when constructed with an explicit sigma).
-func (g *Gaussian) Budget() Budget { return g.budget }
 
 // PerCoordinateVariance implements Mechanism: σ².
 func (g *Gaussian) PerCoordinateVariance() float64 { return g.sigma * g.sigma }

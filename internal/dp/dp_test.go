@@ -104,9 +104,6 @@ func TestGaussianMechanism(t *testing.T) {
 	if g.Name() != "gaussian" {
 		t.Errorf("Name = %q", g.Name())
 	}
-	if g.Budget() != bud {
-		t.Errorf("Budget = %+v", g.Budget())
-	}
 	if got := g.PerCoordinateVariance(); math.Abs(got-g.Sigma()*g.Sigma()) > 1e-15 {
 		t.Errorf("PerCoordinateVariance = %v", got)
 	}

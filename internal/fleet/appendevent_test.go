@@ -57,7 +57,7 @@ func TestAppendEventMatchesJSONMarshal(t *testing.T) {
 func FuzzAppendEvent(f *testing.F) {
 	f.Add(0, 0, 0.5, 0.0, 0.0, false, false)
 	f.Add(12, 12, 1e-7, 0.93, 41.0, true, true)
-	f.Add(-1, 1<<40, -1e21, 1e-9, 5e-324, true, false)
+	f.Add(-1, 1<<30, -1e21, 1e-9, 5e-324, true, false)
 	f.Add(7, 7, math.MaxFloat64, -0.0, 9.999999e-7, false, true)
 	f.Fuzz(func(t *testing.T, seq, step int, loss, acc, vn float64, hasAcc, hasVN bool) {
 		ev := Event{Seq: seq, Step: step, Loss: loss}

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -191,20 +190,6 @@ func (l *EventLog) Next(cursor int) (lines [][]byte, changed <-chan struct{}, cl
 		l.changed = make(chan struct{})
 	}
 	return lines, l.changed, l.closed
-}
-
-// Event decodes the event at index i.
-func (l *EventLog) Event(i int) (Event, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if i < 0 || i >= len(l.lines) {
-		return Event{}, fmt.Errorf("fleet: event index %d outside log of %d", i, len(l.lines))
-	}
-	var ev Event
-	if err := json.Unmarshal(l.lines[i], &ev); err != nil {
-		return Event{}, fmt.Errorf("fleet: decode event %d: %w", i, err)
-	}
-	return ev, nil
 }
 
 // Flush pushes every buffered line to the file. The service calls this

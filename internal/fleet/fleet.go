@@ -502,18 +502,6 @@ func (s *Service) Snapshot(id spec.RunID) (*checkpoint.RunState, error) {
 	return r.dir.LoadSnapshot()
 }
 
-// Finished returns a channel that closes when the run reaches a terminal
-// state (or the service stops with the run still in flight).
-func (s *Service) Finished(id spec.RunID) (<-chan struct{}, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.runs[id]
-	if !ok {
-		return nil, ErrNoRun
-	}
-	return r.finished, nil
-}
-
 // Counts is the scheduler half of GET /metrics.
 type Counts struct {
 	Total      int `json:"runsTotal"`
@@ -575,6 +563,10 @@ func (s *Service) Stop() {
 // flushes all stop — in-flight contexts die, and buffered event lines are
 // abandoned unflushed, exactly what SIGKILL would leave behind. The store
 // is then as stale as a real crash makes it, and Open must recover from it.
+// It is the crash model of the fleet tests until a fault-injecting
+// filesystem replaces it.
+//
+//dpbyz:testseam
 func (s *Service) Kill() {
 	s.mu.Lock()
 	if s.stopped || s.killed {

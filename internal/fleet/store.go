@@ -78,9 +78,6 @@ type Store struct {
 // NewStore addresses a store at root. Nothing is touched until a save.
 func NewStore(root string) Store { return Store{root: root} }
 
-// Root returns the store's root directory.
-func (s Store) Root() string { return s.root }
-
 // Dir returns the run's directory handle.
 func (s Store) Dir(id spec.RunID) checkpoint.RunDir {
 	return checkpoint.NewRunDir(s.root, string(id))

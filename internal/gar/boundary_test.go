@@ -97,8 +97,8 @@ func TestBucketedBoundaryBattery(t *testing.T) {
 			continue
 		}
 		wantM := (tc.n + tc.s - 1) / tc.s
-		if b.Buckets() != wantM {
-			t.Errorf("bucketed(%s): %d buckets, want %d", tc.inner, b.Buckets(), wantM)
+		if b.m != wantM {
+			t.Errorf("bucketed(%s): %d buckets, want %d", tc.inner, b.m, wantM)
 		}
 		grads := cloudWithOutliers(tc.n, tc.f, d, 1, 0.2, 20, 3)
 		out, err := b.Aggregate(grads)
@@ -108,7 +108,7 @@ func TestBucketedBoundaryBattery(t *testing.T) {
 			t.Errorf("bucketed(%s) returned %d coordinates", tc.inner, len(out))
 		}
 		// Every worker lands in exactly one bucket and the counts sum to n.
-		assign := b.Assignment()
+		assign := b.assign
 		seen := make([]int, wantM)
 		for w, k := range assign {
 			if k < 0 || k >= wantM {

@@ -86,19 +86,6 @@ func NewBucketed(inner string, n, f, size int, seed uint64) (*Bucketed, error) {
 	return b, nil
 }
 
-// Buckets returns the bucket count m = ⌈n/s⌉.
-func (b *Bucketed) Buckets() int { return b.m }
-
-// Inner returns the wrapped rule (constructed for (m, f)).
-func (b *Bucketed) Inner() GAR { return b.inner }
-
-// Assignment returns a copy of the worker→bucket map.
-func (b *Bucketed) Assignment() []int {
-	out := make([]int, len(b.assign))
-	copy(out, b.assign)
-	return out
-}
-
 // KF scales the inner rule's VN-ratio constant by √s: averaging s
 // independent honest gradients divides their variance by the (minimum)
 // bucket fill, so the Eq. 2 condition k_F·√(VN) < 1 holds for the wrapped

@@ -163,7 +163,7 @@ func TestBucketedSeedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asgA, asgB := a.Assignment(), b.Assignment()
+	asgA, asgB := a.assign, b.assign
 	for i := range asgA {
 		if asgA[i] != asgB[i] {
 			t.Fatalf("worker %d dealt to bucket %d vs %d under the same seed", i, asgA[i], asgB[i])
@@ -188,7 +188,7 @@ func TestBucketedSeedDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	same := true
-	for i, v := range c.Assignment() {
+	for i, v := range c.assign {
 		if v != asgA[i] {
 			same = false
 			break
@@ -231,12 +231,12 @@ func TestBucketedUnevenLastBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Buckets() != 6 {
-		t.Fatalf("⌈23/4⌉ = 6 buckets, got %d", b.Buckets())
+	if b.m != 6 {
+		t.Fatalf("⌈23/4⌉ = 6 buckets, got %d", b.m)
 	}
-	counts := make([]int, b.Buckets())
-	for w, k := range b.Assignment() {
-		if k < 0 || k >= b.Buckets() {
+	counts := make([]int, b.m)
+	for w, k := range b.assign {
+		if k < 0 || k >= b.m {
 			t.Fatalf("worker %d dealt to out-of-range bucket %d", w, k)
 		}
 		counts[k]++
@@ -282,16 +282,16 @@ func TestBucketedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Buckets() != 11 {
+	if b.m != 11 {
 		t.Errorf("size 0 should select DefaultBucketSize=%d (11 buckets), got %d",
-			DefaultBucketSize, b.Buckets())
+			DefaultBucketSize, b.m)
 	}
 	if b.Name() != "bucketed(krum)" {
 		t.Errorf("name %q", b.Name())
 	}
-	if b.KF() <= b.Inner().KF() {
+	if b.KF() <= b.inner.KF() {
 		t.Errorf("bucketed KF %v should scale the inner constant %v up by √s",
-			b.KF(), b.Inner().KF())
+			b.KF(), b.inner.KF())
 	}
 	wrongCount := make([][]float64, 3)
 	for i := range wrongCount {

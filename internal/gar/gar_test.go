@@ -191,7 +191,10 @@ func TestKrumSelectsAnInputVector(t *testing.T) {
 func TestKrumDoesNotMutateInputs(t *testing.T) {
 	g, _ := NewKrum(7, 1)
 	grads := cloudWithOutliers(7, 1, 3, 1, 0.1, 10, 5)
-	snapshot := vecmath.CloneAll(grads)
+	snapshot := make([][]float64, len(grads))
+	for i, v := range grads {
+		snapshot[i] = vecmath.Clone(v)
+	}
 	out, err := g.Aggregate(grads)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +236,7 @@ func TestMDAExactMatchesBruteForceDiameter(t *testing.T) {
 		t.Fatal(err)
 	}
 	grads := cloudWithOutliers(n, f, dim, 1, 0.3, 20, 11)
-	dists, err := vecmath.PairwiseSqDists(grads)
+	dists, err := pairwiseMatrix(grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,6 +280,15 @@ func TestMDAExactMatchesBruteForceDiameter(t *testing.T) {
 	}
 }
 
+// pairwiseMatrix returns the squared-distance matrix of grads in fresh rows.
+func pairwiseMatrix(grads [][]float64) ([][]float64, error) {
+	m := make([][]float64, len(grads))
+	for i := range m {
+		m[i] = make([]float64, len(grads))
+	}
+	return m, vecmath.PairwiseSqDistsInto(m, grads)
+}
+
 func subsetDiameter(dists [][]float64, subset []int) float64 {
 	var diam float64
 	for a := 0; a < len(subset); a++ {
@@ -304,12 +316,19 @@ func TestMDAGreedyFallback(t *testing.T) {
 	if vecmath.Dist(out, honestMean) > 0.5 {
 		t.Errorf("greedy MDA drifted %v", vecmath.Dist(out, honestMean))
 	}
-	out2, err := g.AggregateGreedy(grads)
+	// MaxEnumerate = 1 takes the greedy branch: the output is, bit for bit,
+	// the mean of minDiameterGreedy's subset.
+	dists, err := pairwiseMatrix(grads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.ApproxEqual(out, out2, 1e-12) {
-		t.Error("forced greedy disagrees with MaxEnumerate=1 path")
+	var chosen [][]float64
+	for _, j := range minDiameterGreedy(dists, 11, 6, getScratch()) {
+		chosen = append(chosen, grads[j])
+	}
+	want, _ := vecmath.Mean(chosen)
+	if !vecmath.ApproxEqual(out, want, 0) {
+		t.Errorf("MaxEnumerate=1 output %v, want the greedy subset's mean %v", out, want)
 	}
 }
 

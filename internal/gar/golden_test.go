@@ -95,8 +95,8 @@ func skipUnlessPinnedArch(t *testing.T) {
 	}
 }
 
-// TestSortedColumnGoldens is the slice of ROADMAP item 1(b) the tiled
-// sorted-column kernel needs (item 1's trajectory goldens should absorb it):
+// TestSortedColumnGoldens is the slice of ROADMAP item 4 the tiled
+// sorted-column kernel needs (item 4's trajectory goldens should absorb it):
 // for median, trimmedmean, meamed, phocas, bulyan and centeredclip —
 // every rule that enters vecmath.reduceSortedColumnsRange — it pins the
 // output bits on seeded inputs, on the inline path (SetParallelism(1)) and
@@ -157,7 +157,7 @@ var pairwiseGoldens = map[string]uint64{
 	"multikrum/n=7,f=2,d=130":   0xba7301838d60e5d0,
 }
 
-// TestPairwiseGoldens is the next slice of ROADMAP item 1(b): krum,
+// TestPairwiseGoldens is the next slice of ROADMAP item 4: krum,
 // multikrum and mda, on the clouds of TestSortedColumnGoldens, on the
 // inline path and on the row-striped one, on amd64 and 386 alike.
 func TestPairwiseGoldens(t *testing.T) {

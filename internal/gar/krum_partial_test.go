@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dpbyz/internal/randx"
-	"dpbyz/internal/vecmath"
 )
 
 // referenceKrumScores is the pre-optimization krumScoresInto: full sort of
@@ -13,7 +12,7 @@ import (
 // only as the bit-identity oracle for the partial-selection kernel.
 func referenceKrumScores(grads [][]float64, f int) []float64 {
 	n := len(grads)
-	gram, err := vecmath.PairwiseSqDists(grads)
+	gram, err := pairwiseMatrix(grads)
 	if err != nil {
 		panic(err)
 	}

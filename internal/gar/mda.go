@@ -23,7 +23,8 @@ const DefaultMDAMaxEnumerate = 200_000
 // candidate subset of it plus its n−f−1 nearest neighbours).
 type MDA struct {
 	ruleBase
-	// MaxEnumerate caps the exact search; exposed for the ablation bench.
+	// MaxEnumerate caps the exact search; exposed for the ablation bench,
+	// where 1 forces the greedy heuristic (C(n, n−f) > 1 whenever f ≥ 1).
 	MaxEnumerate int
 }
 
@@ -56,28 +57,9 @@ func (m *MDA) KF() float64 {
 }
 
 // AggregateInto implements IntoAggregator.
-func (m *MDA) AggregateInto(dst []float64, grads [][]float64) error {
-	return m.aggregateInto(dst, grads, false)
-}
-
-// AggregateGreedy forces the greedy heuristic regardless of problem size;
-// used by the exact-vs-greedy ablation bench.
-func (m *MDA) AggregateGreedy(grads [][]float64) ([]float64, error) {
-	var d int
-	if len(grads) > 0 {
-		d = len(grads[0])
-	}
-	out := make([]float64, d)
-	if err := m.aggregateInto(out, grads, true); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// aggregateInto is the shared MDA body; forceGreedy skips the exact search.
 //
 //dpbyz:hotpath
-func (m *MDA) aggregateInto(dst []float64, grads [][]float64, forceGreedy bool) error {
+func (m *MDA) AggregateInto(dst []float64, grads [][]float64) error {
 	if err := checkAggInto(dst, grads, m.n); err != nil {
 		return err
 	}
@@ -92,7 +74,7 @@ func (m *MDA) aggregateInto(dst []float64, grads [][]float64, forceGreedy bool) 
 	_ = vecmath.PairwiseSqDistsInto(gram, grads)
 	k := m.n - m.f
 	var subset []int
-	if !forceGreedy && binomialAtMost(m.n, k, m.MaxEnumerate) {
+	if binomialAtMost(m.n, k, m.MaxEnumerate) {
 		subset = minDiameterExact(gram, m.n, k, s)
 	} else {
 		subset = minDiameterGreedy(gram, m.n, k, s)

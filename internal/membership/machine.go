@@ -355,7 +355,11 @@ type ExploreResult struct {
 
 // Explore exhaustively enumerates every reachable state of the round
 // protocol under cfg's bounds, checking the safety invariants in each.
-// It returns the exploration size, or the first invariant violation.
+// It returns the exploration size, or the first invariant violation. The
+// model-checking tests are its callers; the cluster and the simulator run
+// the machine it checks.
+//
+//dpbyz:testseam
 func Explore(cfg ModelConfig) (ExploreResult, error) {
 	if cfg.Workers < 1 || cfg.Workers > cfg.Membership.MaxWorkers {
 		return ExploreResult{}, fmt.Errorf("model: workers %d outside [1, max %d]",

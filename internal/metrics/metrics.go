@@ -88,16 +88,6 @@ func (h *History) MinLoss() (float64, int) {
 	return best, bestStep
 }
 
-// StepsToReachLoss returns the first step whose loss is <= target, or -1.
-func (h *History) StepsToReachLoss(target float64) int {
-	for _, r := range h.records {
-		if r.Loss <= target {
-			return r.Step
-		}
-	}
-	return -1
-}
-
 // WriteCSV renders the history with header step,loss,accuracy,vnratio.
 // NaN metrics are emitted as empty cells.
 func (h *History) WriteCSV(w io.Writer) error {
@@ -186,22 +176,6 @@ func aggregate(hs []*History, metric func(StepRecord) float64) (*SeriesStats, er
 		out.Std[s] = math.Sqrt(variance)
 	}
 	return out, nil
-}
-
-// WriteCSV renders the aggregated series with header step,mean,std.
-func (s *SeriesStats) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "step,mean,std\n"); err != nil {
-		return fmt.Errorf("metrics: write header: %w", err)
-	}
-	for i := range s.Steps {
-		line := strconv.Itoa(s.Steps[i]) + "," +
-			strconv.FormatFloat(s.Mean[i], 'g', 10, 64) + "," +
-			strconv.FormatFloat(s.Std[i], 'g', 10, 64) + "\n"
-		if _, err := io.WriteString(w, line); err != nil {
-			return fmt.Errorf("metrics: write row: %w", err)
-		}
-	}
-	return nil
 }
 
 // Final returns the last mean ± std pair, or NaNs for an empty series.

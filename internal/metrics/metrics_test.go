@@ -29,12 +29,6 @@ func TestHistoryBasics(t *testing.T) {
 	if minLoss != 2 || step != 1 {
 		t.Errorf("MinLoss = %v at %d", minLoss, step)
 	}
-	if got := h.StepsToReachLoss(2.1); got != 1 {
-		t.Errorf("StepsToReachLoss = %d", got)
-	}
-	if got := h.StepsToReachLoss(0.1); got != -1 {
-		t.Errorf("StepsToReachLoss unreachable = %d", got)
-	}
 	if got := h.Record(0).Loss; got != 3 {
 		t.Errorf("Record(0).Loss = %v", got)
 	}
@@ -126,14 +120,10 @@ func TestAggregateAccuracy(t *testing.T) {
 	}
 }
 
-func TestSeriesStatsWriteCSVAndEmptyFinal(t *testing.T) {
-	s := &SeriesStats{Steps: []int{0}, Mean: []float64{1.5}, Std: []float64{0.25}}
-	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != "step,mean,std\n0,1.5,0.25\n" {
-		t.Errorf("CSV = %q", sb.String())
+func TestSeriesStatsFinal(t *testing.T) {
+	s := &SeriesStats{Steps: []int{0, 5}, Mean: []float64{1.5, 0.5}, Std: []float64{0.25, 0.125}}
+	if m, sd := s.Final(); m != 0.5 || sd != 0.125 {
+		t.Errorf("Final = %v ± %v, want 0.5 ± 0.125", m, sd)
 	}
 	empty := &SeriesStats{}
 	m, sd := empty.Final()

@@ -117,18 +117,6 @@ func Names() []string {
 	return names
 }
 
-// DisjointNames returns the partitioners whose assignments cover every point
-// exactly once (everything except "iid", whose workers share the full set).
-func DisjointNames() []string {
-	var names []string
-	for _, name := range Names() {
-		if name != "iid" {
-			names = append(names, name)
-		}
-	}
-	return names
-}
-
 // Split materializes the named partition as per-worker datasets: the
 // assignment of New(name).Partition followed by a data.Subset per worker.
 func Split(name string, ds *data.Dataset, p Params) ([]*data.Dataset, error) {

@@ -200,7 +200,10 @@ func TestQuantitySizeProfile(t *testing.T) {
 // that starve some workers (tiny datasets, extreme skew).
 func TestNoEmptyWorkersUnderStress(t *testing.T) {
 	ds := testDataset(t, 17)
-	for _, name := range DisjointNames() {
+	for _, name := range Names() {
+		if name == "iid" { // shares the full set, so disjointness does not apply
+			continue
+		}
 		pr, err := New(name)
 		if err != nil {
 			t.Fatal(err)
@@ -234,7 +237,10 @@ func TestPartitionErrors(t *testing.T) {
 			t.Errorf("%s accepted a nil dataset", name)
 		}
 	}
-	for _, name := range DisjointNames() {
+	for _, name := range Names() {
+		if name == "iid" { // shares the full set, so disjointness does not apply
+			continue
+		}
 		pr, _ := New(name)
 		if _, err := pr.Partition(ds, Params{Workers: 11, Seed: 1}); err == nil {
 			t.Errorf("%s accepted more workers than points", name)

@@ -113,13 +113,6 @@ func (r *Stream) SetState(st StreamState) {
 	r.s = st.S
 }
 
-// Restore returns a new stream positioned at the given snapshot.
-func Restore(st StreamState) *Stream {
-	var r Stream
-	r.SetState(st)
-	return &r
-}
-
 // Uint64 returns the next 64 uniformly random bits (xoshiro256++).
 //
 //dpbyz:hotpath
@@ -410,16 +403,6 @@ func (r *Stream) Laplace(b float64) float64 {
 		return -b * math.Log(1-2*u)
 	}
 	return b * math.Log(1+2*u)
-}
-
-// LaplaceVec fills dst with i.i.d. Laplace(0, scale) variates and returns dst.
-//
-//dpbyz:hotpath
-func (r *Stream) LaplaceVec(dst []float64, scale float64) []float64 {
-	for i := range dst {
-		dst[i] = r.Laplace(scale)
-	}
-	return dst
 }
 
 // Sample fills idx with a uniform sample WITHOUT replacement from [0, n).

@@ -158,23 +158,6 @@ func TestLaplaceMoments(t *testing.T) {
 	}
 }
 
-func TestLaplaceVec(t *testing.T) {
-	r := New(31)
-	v := r.LaplaceVec(make([]float64, 16), 1)
-	allZero := true
-	for _, x := range v {
-		if x != 0 {
-			allZero = false
-		}
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			t.Fatalf("LaplaceVec produced non-finite %v", x)
-		}
-	}
-	if allZero {
-		t.Error("LaplaceVec produced all zeros")
-	}
-}
-
 // A uniform of exactly 0 maps to u = -1/2, where the inverse CDF is
 // b·log(0) = -Inf; Laplace must redraw that one value. The state below makes
 // the first Uint64 exactly 0 (rotl(0+0, 23) + 0), so Float64 returns 0.

@@ -100,8 +100,12 @@ func evalSite(t *testing.T) []float64 {
 // pairwiseSite is the squared-distance matrix of one fixed batch, into a
 // freshly allocated matrix.
 func pairwiseSite(t *testing.T) []float64 {
-	m, err := vecmath.PairwiseSqDists(fanOutGrads())
-	if err != nil {
+	grads := fanOutGrads()
+	m := make([][]float64, len(grads))
+	for i := range m {
+		m[i] = make([]float64, len(grads))
+	}
+	if err := vecmath.PairwiseSqDistsInto(m, grads); err != nil {
 		t.Fatal(err)
 	}
 	return slices.Concat(m...)

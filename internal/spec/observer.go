@@ -7,8 +7,6 @@ import (
 	"io"
 	"math"
 	"sync"
-
-	"dpbyz/internal/metrics"
 )
 
 // StepEvent is one completed step as seen by an Observer.
@@ -34,29 +32,6 @@ type StepEvent struct {
 type Observer interface {
 	OnStep(ev StepEvent) error
 }
-
-// HistorySink is an in-memory Observer: it accumulates every step into a
-// metrics.History, the same structure the backends return, so streaming and
-// batch consumers share one type.
-type HistorySink struct {
-	h *metrics.History
-}
-
-// NewHistorySink returns an empty in-memory sink.
-func NewHistorySink() *HistorySink {
-	return &HistorySink{h: &metrics.History{}}
-}
-
-// OnStep implements Observer.
-func (s *HistorySink) OnStep(ev StepEvent) error {
-	s.h.Append(metrics.StepRecord{
-		Step: ev.Step, Loss: ev.Loss, Accuracy: ev.Accuracy, VNRatio: ev.VNRatio,
-	})
-	return nil
-}
-
-// History returns the accumulated trace.
-func (s *HistorySink) History() *metrics.History { return s.h }
 
 // JSONLSink writes one JSON object per step to an io.Writer — a streaming
 // metrics log that external tooling can tail while the run is live.

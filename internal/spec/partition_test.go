@@ -53,7 +53,10 @@ func sameDataset(a, b *data.Dataset) bool {
 // in-process cluster, and JoinSpec workers on other machines agree on the
 // scenario without shipping data.
 func TestPartitionCrossBackendDatasets(t *testing.T) {
-	for _, name := range partition.DisjointNames() {
+	for _, name := range partition.Names() {
+		if name == "iid" { // shares the full set, so disjointness does not apply
+			continue
+		}
 		t.Run(name, func(t *testing.T) {
 			s := heteroSpec()
 			s.Partition = &PartitionSpec{Name: name, Beta: 0.3, Shards: 1, Alpha: 1.5}

@@ -293,18 +293,6 @@ func (s Spec) JSON() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Save writes the canonical encoding to path.
-func (s Spec) Save(path string) error {
-	b, err := s.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return fmt.Errorf("spec: write %s: %w", path, err)
-	}
-	return nil
-}
-
 // Defaulting accessors: the JSON stays minimal (zero fields round-trip as
 // absent) and the defaults live in exactly one place.
 

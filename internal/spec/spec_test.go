@@ -201,7 +201,11 @@ func TestSpecDefaults(t *testing.T) {
 
 func TestSpecSaveLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.json")
-	if err := fullSpec().Save(path); err != nil {
+	b, err := fullSpec().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(path)

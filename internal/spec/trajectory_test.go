@@ -104,7 +104,7 @@ func pinOf(res *Result) trajectoryPin {
 	return p
 }
 
-// TestTrajectoryPins is a slice of ROADMAP item 2(b): whole-run trajectories
+// TestTrajectoryPins is a slice of ROADMAP item 4: whole-run trajectories
 // pinned across both backends and a mid-run resume, so a change that moves
 // local and cluster together still trips it. amd64-only, like every golden
 // here: the compiler fuses multiply-adds elsewhere. Within amd64 the pins

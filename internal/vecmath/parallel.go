@@ -30,7 +30,10 @@ var (
 // SetParallelism caps the number of goroutines a fan-out may use; it is a
 // test seam. workers <= 0 restores the default (runtime.GOMAXPROCS at call
 // time). SetParallelism(1) forces every loop onto the calling goroutine,
-// which is also the fully allocation-free configuration.
+// which is also the fully allocation-free configuration. Tests in several
+// packages use it to pin the fan-out width.
+//
+//dpbyz:testseam
 func SetParallelism(workers int) {
 	if workers < 0 {
 		workers = 0
@@ -49,6 +52,8 @@ func parallelism() int {
 // SetParallelGrain sets the per-worker work floor, in element operations;
 // it is a test seam. work <= 0 restores DefaultParallelGrain. Tests set 1
 // to exercise the parallel path on small inputs.
+//
+//dpbyz:testseam
 func SetParallelGrain(work int) {
 	if work < 0 {
 		work = 0

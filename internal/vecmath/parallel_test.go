@@ -74,8 +74,8 @@ func TestParallelKernelsBitIdenticalToSequential(t *testing.T) {
 		if err := MeanInto(seqMean, vs); err != nil {
 			t.Fatal(err)
 		}
-		seqGram, err := PairwiseSqDists(vs)
-		if err != nil {
+		seqGram := poisonedSquare(tc.n)
+		if err := PairwiseSqDistsInto(seqGram, vs); err != nil {
 			t.Fatal(err)
 		}
 
@@ -97,8 +97,8 @@ func TestParallelKernelsBitIdenticalToSequential(t *testing.T) {
 		if err := MeanInto(parMean, vs); err != nil {
 			t.Fatal(err)
 		}
-		parGram, err := PairwiseSqDists(vs)
-		if err != nil {
+		parGram := poisonedSquare(tc.n)
+		if err := PairwiseSqDistsInto(parGram, vs); err != nil {
 			t.Fatal(err)
 		}
 		SetParallelism(0)
@@ -143,47 +143,14 @@ func TestParallelKernelsBitIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// TestIntoKernelsMatchAllocatingVariants pins the *Into kernels to their
-// allocating counterparts.
+// TestIntoKernelsMatchAllocatingVariants pins MeanInto to Mean, the one
+// allocating counterpart of an *Into kernel.
 func TestIntoKernelsMatchAllocatingVariants(t *testing.T) {
 	rng := randx.New(3)
 	vs := randMatrix(rng, 9, 33)
 	dst := make([]float64, 33)
 
-	want, err := CoordMedian(vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CoordMedianInto(dst, vs); err != nil {
-		t.Fatal(err)
-	}
-	if !ApproxEqual(dst, want, 0) {
-		t.Error("CoordMedianInto diverges from CoordMedian")
-	}
-
-	want, err = TrimmedCoordMean(vs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := TrimmedCoordMeanInto(dst, vs, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !ApproxEqual(dst, want, 0) {
-		t.Error("TrimmedCoordMeanInto diverges from TrimmedCoordMean")
-	}
-
-	want, err = MeanAroundMedian(vs, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := MeanAroundMedianInto(dst, vs, 5); err != nil {
-		t.Fatal(err)
-	}
-	if !ApproxEqual(dst, want, 0) {
-		t.Error("MeanAroundMedianInto diverges from MeanAroundMedian")
-	}
-
-	want, err = Mean(vs)
+	want, err := Mean(vs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +197,8 @@ func TestInlineKernelsZeroAlloc(t *testing.T) {
 	rng := randx.New(5)
 	vs := randMatrix(rng, 11, 256)
 	dst := make([]float64, 256)
-	gram, err := PairwiseSqDists(vs)
-	if err != nil {
+	gram := poisonedSquare(len(vs))
+	if err := PairwiseSqDistsInto(gram, vs); err != nil {
 		t.Fatal(err)
 	}
 

@@ -33,66 +33,68 @@ func TestTrimmedCoordMean(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := TrimmedCoordMean(tt.give, tt.trim)
-			if err != nil {
+			got := make([]float64, len(tt.want))
+			if err := TrimmedCoordMeanInto(got, tt.give, tt.trim); err != nil {
 				t.Fatal(err)
 			}
 			if !ApproxEqual(got, tt.want, 1e-12) {
-				t.Errorf("TrimmedCoordMean = %v, want %v", got, tt.want)
+				t.Errorf("TrimmedCoordMeanInto = %v, want %v", got, tt.want)
 			}
 		})
 	}
 }
 
 func TestTrimmedCoordMeanErrors(t *testing.T) {
-	if _, err := TrimmedCoordMean(nil, 0); err == nil {
+	dst := make([]float64, 1)
+	if err := TrimmedCoordMeanInto(dst, nil, 0); err == nil {
 		t.Error("empty input did not error")
 	}
-	if _, err := TrimmedCoordMean([][]float64{{1}, {2}}, 1); err == nil {
+	if err := TrimmedCoordMeanInto(dst, [][]float64{{1}, {2}}, 1); err == nil {
 		t.Error("over-trimming did not error")
 	}
-	if _, err := TrimmedCoordMean([][]float64{{1}}, -1); err == nil {
+	if err := TrimmedCoordMeanInto(dst, [][]float64{{1}}, -1); err == nil {
 		t.Error("negative trim did not error")
 	}
-	if _, err := TrimmedCoordMean([][]float64{{1}, {1, 2}, {3}}, 0); err == nil {
+	if err := TrimmedCoordMeanInto(dst, [][]float64{{1}, {1, 2}, {3}}, 0); err == nil {
 		t.Error("ragged input did not error")
 	}
 }
 
 func TestMeanAroundMedian(t *testing.T) {
 	// Median of {1,2,3,4,1000} is 3; the 3 closest values are {2,3,4}.
-	got, err := MeanAroundMedian([][]float64{{1}, {2}, {3}, {4}, {1000}}, 3)
-	if err != nil {
+	got := make([]float64, 1)
+	if err := MeanAroundMedianInto(got, [][]float64{{1}, {2}, {3}, {4}, {1000}}, 3); err != nil {
 		t.Fatal(err)
 	}
 	if !ApproxEqual(got, []float64{3}, 1e-12) {
-		t.Errorf("MeanAroundMedian = %v, want [3]", got)
+		t.Errorf("MeanAroundMedianInto = %v, want [3]", got)
 	}
 }
 
 func TestMeanAroundMedianFullWindowIsMean(t *testing.T) {
 	vs := [][]float64{{1, -4}, {5, 0}, {9, 2}}
-	got, err := MeanAroundMedian(vs, 3)
-	if err != nil {
+	got := make([]float64, 2)
+	if err := MeanAroundMedianInto(got, vs, 3); err != nil {
 		t.Fatal(err)
 	}
 	mean, _ := Mean(vs)
 	if !ApproxEqual(got, mean, 1e-12) {
-		t.Errorf("MeanAroundMedian with m=n = %v, want mean %v", got, mean)
+		t.Errorf("MeanAroundMedianInto with m=n = %v, want mean %v", got, mean)
 	}
 }
 
 func TestMeanAroundMedianErrors(t *testing.T) {
-	if _, err := MeanAroundMedian(nil, 1); err == nil {
+	dst := make([]float64, 1)
+	if err := MeanAroundMedianInto(dst, nil, 1); err == nil {
 		t.Error("empty input did not error")
 	}
-	if _, err := MeanAroundMedian([][]float64{{1}}, 0); err == nil {
+	if err := MeanAroundMedianInto(dst, [][]float64{{1}}, 0); err == nil {
 		t.Error("m=0 did not error")
 	}
-	if _, err := MeanAroundMedian([][]float64{{1}}, 2); err == nil {
+	if err := MeanAroundMedianInto(dst, [][]float64{{1}}, 2); err == nil {
 		t.Error("m>n did not error")
 	}
-	if _, err := MeanAroundMedian([][]float64{{1}, {1, 2}}, 1); err == nil {
+	if err := MeanAroundMedianInto(dst, [][]float64{{1}, {1, 2}}, 1); err == nil {
 		t.Error("ragged input did not error")
 	}
 }
@@ -108,8 +110,8 @@ func TestTrimmedMeanWithinRange(t *testing.T) {
 			}
 			vs[i] = []float64{clampFinite(x)}
 		}
-		got, err := TrimmedCoordMean(vs, 2)
-		if err != nil {
+		got := make([]float64, 1)
+		if err := TrimmedCoordMeanInto(got, vs, 2); err != nil {
 			return false
 		}
 		lo, hi := vs[0][0], vs[0][0]

@@ -46,15 +46,6 @@ func Clone(v []float64) []float64 {
 	return out
 }
 
-// CloneAll deep-copies a slice of vectors.
-func CloneAll(vs [][]float64) [][]float64 {
-	out := make([][]float64, len(vs))
-	for i, v := range vs {
-		out[i] = Clone(v)
-	}
-	return out
-}
-
 // Fill sets every coordinate of v to x and returns v.
 //
 //dpbyz:hotpath
@@ -65,7 +56,10 @@ func Fill(v []float64, x float64) []float64 {
 	return v
 }
 
-// Add returns a + b.
+// Add returns a + b. It is an allocating helper that the gar, attack and
+// vecmath tests share.
+//
+//dpbyz:testseam
 func Add(a, b []float64) []float64 {
 	assertSameLen(a, b)
 	out := make([]float64, len(a))
@@ -75,7 +69,10 @@ func Add(a, b []float64) []float64 {
 	return out
 }
 
-// Sub returns a - b.
+// Sub returns a - b. It is an allocating helper that the gar, attack and
+// vecmath tests share.
+//
+//dpbyz:testseam
 func Sub(a, b []float64) []float64 {
 	assertSameLen(a, b)
 	out := make([]float64, len(a))
@@ -97,7 +94,10 @@ func SubInto(dst, a, b []float64) []float64 {
 	return dst
 }
 
-// Scale returns s * v.
+// Scale returns s * v. It is an allocating helper that the gar, attack and
+// vecmath tests share.
+//
+//dpbyz:testseam
 func Scale(s float64, v []float64) []float64 {
 	out := make([]float64, len(v))
 	for i := range v {
@@ -244,20 +244,9 @@ func Mean(vs [][]float64) ([]float64, error) {
 	return out, nil
 }
 
-// CoordMedian returns the coordinate-wise median of vs.
-func CoordMedian(vs [][]float64) ([]float64, error) {
-	if len(vs) == 0 {
-		return nil, errors.New("vecmath: median of zero vectors")
-	}
-	out := make([]float64, len(vs[0]))
-	if err := CoordMedianInto(out, vs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // CoordMedianInto stores the coordinate-wise median of vs into dst without
-// allocating gradient-sized scratch.
+// allocating gradient-sized scratch. It returns an error when vs is empty or
+// the vectors and dst disagree on dimension.
 //
 // Non-finite inputs are ordered, not rejected: on every coordinate NaN sorts
 // before −Inf (the sort.Float64s order), so fewer than n/2 rows submitting
@@ -297,22 +286,6 @@ func CoordStd(vs [][]float64) ([]float64, error) {
 	return out, nil
 }
 
-// PairwiseSqDists returns the symmetric matrix of squared distances between
-// the vectors in vs; entry [i][j] holds ‖vs[i]−vs[j]‖². It returns an error
-// when vs is empty or the vectors disagree on dimension.
-func PairwiseSqDists(vs [][]float64) ([][]float64, error) {
-	n := len(vs)
-	m := make([][]float64, n)
-	flat := make([]float64, n*n)
-	for i := range m {
-		m[i] = flat[i*n : (i+1)*n]
-	}
-	if err := PairwiseSqDistsInto(m, vs); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // AllFinite reports whether every coordinate of v is finite (no NaN/±Inf).
 //
 //dpbyz:hotpath
@@ -325,7 +298,10 @@ func AllFinite(v []float64) bool {
 	return true
 }
 
-// ApproxEqual reports whether a and b agree coordinate-wise within tol.
+// ApproxEqual reports whether a and b agree coordinate-wise within tol. It is
+// the comparison the tests of seven packages share.
+//
+//dpbyz:testseam
 func ApproxEqual(a, b []float64, tol float64) bool {
 	if len(a) != len(b) {
 		return false

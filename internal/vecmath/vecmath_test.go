@@ -17,15 +17,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestCloneAll(t *testing.T) {
-	vs := [][]float64{{1, 2}, {3, 4}}
-	cs := CloneAll(vs)
-	cs[0][0] = 7
-	if vs[0][0] != 1 {
-		t.Fatal("CloneAll aliases inner slices")
-	}
-}
-
 func TestAddSubScale(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}
@@ -164,20 +155,20 @@ func TestCoordMedian(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := CoordMedian(tt.give)
-			if err != nil {
+			got := make([]float64, len(tt.want))
+			if err := CoordMedianInto(got, tt.give); err != nil {
 				t.Fatal(err)
 			}
 			if !ApproxEqual(got, tt.want, 1e-12) {
-				t.Errorf("CoordMedian = %v, want %v", got, tt.want)
+				t.Errorf("CoordMedianInto = %v, want %v", got, tt.want)
 			}
 		})
 	}
-	if _, err := CoordMedian(nil); err == nil {
-		t.Error("CoordMedian(nil) did not error")
+	if err := CoordMedianInto(make([]float64, 1), nil); err == nil {
+		t.Error("CoordMedianInto(nil) did not error")
 	}
-	if _, err := CoordMedian([][]float64{{1}, {1, 2}}); err == nil {
-		t.Error("CoordMedian on ragged input did not error")
+	if err := CoordMedianInto(make([]float64, 1), [][]float64{{1}, {1, 2}}); err == nil {
+		t.Error("CoordMedianInto on ragged input did not error")
 	}
 }
 
@@ -201,8 +192,8 @@ func TestCoordMedianWithinRange(t *testing.T) {
 				k++
 			}
 		}
-		med, err := CoordMedian(vs)
-		if err != nil {
+		med := make([]float64, 3)
+		if err := CoordMedianInto(med, vs); err != nil {
 			return false
 		}
 		for j := 0; j < 3; j++ {
@@ -242,8 +233,8 @@ func TestCoordStd(t *testing.T) {
 
 func TestPairwiseSqDists(t *testing.T) {
 	vs := [][]float64{{0, 0}, {3, 4}, {0, 1}}
-	m, err := PairwiseSqDists(vs)
-	if err != nil {
+	m := poisonedSquare(len(vs))
+	if err := PairwiseSqDistsInto(m, vs); err != nil {
 		t.Fatal(err)
 	}
 	if m[0][1] != 25 || m[1][0] != 25 {

@@ -70,7 +70,7 @@ var stepGoldens = map[string]uint64{
 	"theory/clip=0/none/mu=0/d=69":             0x178f245191ba5547,
 }
 
-// TestStepGoldens is the worker slice of ROADMAP item 1(b): it pins the
+// TestStepGoldens is the worker slice of ROADMAP item 4: it pins the
 // honest step's output bits — batch draw, gradient, clip, noise, momentum —
 // in both orderings. amd64-only, like gar.TestPairwiseGoldens: the compiler
 // fuses multiply-adds elsewhere, so float results are per-architecture.

@@ -72,8 +72,6 @@ type (
 	Observer = spec.Observer
 	// StepEvent is one completed step as seen by an Observer.
 	StepEvent = spec.StepEvent
-	// HistorySink is an in-memory Observer accumulating a History.
-	HistorySink = spec.HistorySink
 	// JSONLSink streams one JSON object per step to a writer.
 	JSONLSink = spec.JSONLSink
 	// ProgressSink prints periodic progress lines.
@@ -135,7 +133,6 @@ var (
 	WithLogf           = spec.WithLogf
 
 	// Observer sinks.
-	NewHistorySink  = spec.NewHistorySink
 	NewJSONLSink    = spec.NewJSONLSink
 	NewProgressSink = spec.NewProgressSink
 
