@@ -61,14 +61,14 @@ func BenchmarkFigure4(b *testing.B) {
 func BenchmarkTable1VNConditions(b *testing.B) {
 	var satisfied int
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable1()
+		tables, err := experiments.RunTable1()
 		if err != nil {
 			b.Fatal(err)
 		}
 		satisfied = 0
-		for _, r := range res {
-			for _, row := range r.Rows {
-				if row.Satisfied {
+		for _, t := range tables {
+			for _, row := range t.Rows {
+				if row[len(row)-1].(bool) {
 					satisfied++
 				}
 			}
@@ -101,11 +101,12 @@ func BenchmarkTheorem1ErrorRate(b *testing.B) {
 	}
 	var dimScaling float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.RunTheorem1(context.Background(), spec)
+		t, err := experiments.RunTheorem1(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		dimScaling = points[1].ErrDP / points[0].ErrDP
+		// Column 1 is err-dp.
+		dimScaling = t.Rows[1][1].(float64) / t.Rows[0][1].(float64)
 	}
 	// Theorem 1 predicts ≈ 16 for a 16× dimension increase.
 	b.ReportMetric(dimScaling, "errDP(d=128)/errDP(d=8)")
@@ -415,21 +416,16 @@ func BenchmarkAttackCraft(b *testing.B) {
 // Extension-experiment benches (DESIGN.md §3 VN-EMP / XOVER / MLP rows).
 
 func BenchmarkVNEmpirical(b *testing.B) {
-	spec := experiments.VNEmpiricalSpec{
-		BatchSizes:  []int{10, 100, 1000},
-		Samples:     32,
-		DatasetSize: 2000,
-		Features:    20,
-	}
 	var lastRatio float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.RunVNEmpirical(context.Background(), spec)
+		t, err := experiments.RunVNEmpirical(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		lastRatio = points[len(points)-1].RatioDP
+		// Column 2 is vn-dp.
+		lastRatio = t.Rows[len(t.Rows)-1][2].(float64)
 	}
-	b.ReportMetric(lastRatio, "vn-dp@b=1000")
+	b.ReportMetric(lastRatio, "vn-dp@b=2000")
 }
 
 func BenchmarkCrossover(b *testing.B) {

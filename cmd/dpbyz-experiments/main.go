@@ -15,9 +15,11 @@
 // spec (any JSON run spec — the same file dpbyz-train and the cluster
 // binaries consume — repeated across seeds and aggregated like a grid row).
 // -exp takes a comma-separated list; an unknown name is an error. Every
-// Spec-driven table is one experiments.Sweep, run by experiments.Run and
-// printed by experiments.WriteTable; each experiment's output ends with a
-// blank line.
+// Spec-driven table is one experiments.Sweep, run by experiments.Run. Every
+// experiment returns experiments.Tables, and the one writer
+// experiments.WriteTables prints them; each experiment's output ends with a
+// blank line. -steps and -seeds override the step and seed counts of every
+// experiment that trains (the Theorem 1 T sweep keeps its own step grid).
 package main
 
 import (
@@ -35,10 +37,10 @@ import (
 	"dpbyz/internal/experiments"
 )
 
-// experiment is one -exp name and what it prints.
+// experiment is one -exp name and the tables it prints.
 type experiment struct {
 	name string
-	run  func(ctx context.Context) error
+	run  func(ctx context.Context) ([]experiments.Table, error)
 }
 
 func main() {
@@ -88,88 +90,76 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return s
 	}
 
-	// table runs one Spec-driven sweep and prints it; a figure adds its
-	// one-line verdict.
-	table := func(sw experiments.Sweep, summary bool) func(context.Context) error {
-		return func(ctx context.Context) error {
+	// table runs one Spec-driven sweep; a figure's footer is its one-line
+	// verdict.
+	table := func(sw experiments.Sweep, summary bool) func(context.Context) ([]experiments.Table, error) {
+		return func(ctx context.Context) ([]experiments.Table, error) {
 			cells, err := experiments.Run(ctx, sw, sched(sw.ID))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if err := experiments.WriteTable(stdout, sw, cells); err != nil || !summary {
-				return err
+			t := sw.Table(cells)
+			if summary {
+				t.Footer = experiments.Summary(sw, cells)
 			}
-			_, err = fmt.Fprintln(stdout, experiments.Summary(sw, cells))
-			return err
+			return []experiments.Table{t}, nil
 		}
 	}
 
-	// The registry, in output order. Every entry's output is followed by one
-	// blank line.
+	// The registry, in output order. Every entry's tables are followed by
+	// one blank line.
 	registry := []experiment{
 		{"fig2", table(experiments.Figure2(scale), true)},
 		{"fig3", table(experiments.Figure3(scale), true)},
 		{"fig4", table(experiments.Figure4(scale), true)},
 		{"figmlp", table(experiments.FigureMLP(scale), true)},
-		{"table1", func(context.Context) error {
-			res, err := experiments.RunTable1()
-			if err != nil {
-				return err
-			}
-			return experiments.WriteTable1Report(stdout, res)
-		}},
-		{"thm1", func(ctx context.Context) error {
-			spec := experiments.Theorem1Spec{}
+		{"table1", func(context.Context) ([]experiments.Table, error) { return experiments.RunTable1() }},
+		{"thm1", func(ctx context.Context) ([]experiments.Table, error) {
+			var spec experiments.Theorem1Spec
 			if *smoke {
 				spec = experiments.Theorem1Spec{Dims: []int{8, 32, 128}, Steps: 150, Seeds: 2, DatasetSize: 1500}
 			}
-			points, err := experiments.RunTheorem1(ctx, spec)
-			if err != nil {
-				return err
+			if *steps > 0 {
+				spec.Steps = *steps
 			}
-			fmt.Fprintln(stdout, "Theorem 1: final suboptimality vs model dimension")
-			if err := experiments.WriteTheorem1Report(stdout, points); err != nil {
-				return err
+			if *seeds > 0 {
+				spec.Seeds = *seeds
 			}
-			bPoints, err := experiments.RunTheorem1BatchSweep(ctx, spec, nil)
-			if err != nil {
-				return err
+			var out []experiments.Table
+			for _, sweep := range []func(context.Context, experiments.Theorem1Spec) (experiments.Table, error){
+				experiments.RunTheorem1, experiments.RunTheorem1BatchSweep, experiments.RunTheorem1StepsSweep,
+			} {
+				t, err := sweep(ctx, spec)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, t)
 			}
-			tPoints, err := experiments.RunTheorem1StepsSweep(ctx, spec, nil)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, "Theorem 1: rate factors 1/b^2 and 1/T (unclipped harness)")
-			return experiments.WriteTheorem1SweepReports(stdout, bPoints, tPoints)
+			return out, nil
 		}},
-		{"vnempirical", func(ctx context.Context) error {
-			points, err := experiments.RunVNEmpirical(ctx, experiments.VNEmpiricalSpec{})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, "Empirical DP-adjusted VN ratio vs k_F(n, f) (Eq. 8)")
-			return experiments.WriteVNEmpiricalReport(stdout, points)
+		{"vnempirical", func(ctx context.Context) ([]experiments.Table, error) {
+			t, err := experiments.RunVNEmpirical(ctx)
+			return []experiments.Table{t}, err
 		}},
-		{"crossover", func(ctx context.Context) error {
+		{"crossover", func(ctx context.Context) ([]experiments.Table, error) {
 			sw := experiments.CrossoverSweep(scale)
 			cells, err := experiments.Run(ctx, sw, sched(sw.ID))
 			if err != nil {
-				return err
+				return nil, err
 			}
 			res, err := experiments.Crossover(sw, cells)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			fmt.Fprintln(stdout, sw.Title)
-			return experiments.WriteCrossoverReport(stdout, res)
+			return []experiments.Table{res.Table(sw.Title)}, nil
 		}},
 		{"epssweep", table(experiments.EpsilonSweep(scale), false)},
 		{"hetsweep", table(experiments.HeterogeneitySweep(scale), false)},
 		{"stalesweep", table(experiments.StalenessSweep(scale), false)},
-		{"spec", func(ctx context.Context) error {
+		{"spec", func(ctx context.Context) ([]experiments.Table, error) {
 			s, err := dpbyz.LoadSpec(*specPath)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			n := *seeds
 			if n == 0 && !*smoke {
@@ -197,7 +187,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			continue
 		}
 		fmt.Fprintf(stderr, "running %s...\n", e.name)
-		if err := e.run(ctx); err != nil {
+		tables, err := e.run(ctx)
+		if err != nil {
+			return err
+		}
+		if err := experiments.WriteTables(stdout, tables...); err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout)

@@ -100,3 +100,22 @@ func TestCrossoverReportsProgress(t *testing.T) {
 		t.Errorf("%d progress lines, want %d", n, cells)
 	}
 }
+
+// -steps and -seeds reach Theorem 1's harness: a shorter run moves the
+// d sweep's numbers, and so does a different seed count.
+func TestTheorem1HonoursStepsAndSeeds(t *testing.T) {
+	dSweep := func(extra ...string) string {
+		var stdout bytes.Buffer
+		if err := run(append([]string{"-exp", "thm1", "-smoke"}, extra...), &stdout, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		// The d sweep is the first table: title, header and three rows.
+		return strings.Join(strings.SplitN(stdout.String(), "\n", 6)[:5], "\n")
+	}
+	smoke := dSweep()
+	for _, flags := range [][]string{{"-steps", "5"}, {"-seeds", "1"}} {
+		if got := dSweep(flags...); got == smoke {
+			t.Errorf("%v: d sweep unchanged:\n%s", flags, got)
+		}
+	}
+}

@@ -314,11 +314,13 @@
 // heterogeneity and staleness sweeps, the batch-size crossover and the spec
 // cell — is one experiments.Sweep value (rows of Specs, each repeated over
 // seeds), executed by the one runner experiments.Run on one bounded worker
-// pool, with per-seed datasets built once and shared read-only, and printed
-// by the one writer experiments.WriteTable; results are bit-identical at
-// every parallelism level (see the internal/experiments package comment for
-// the determinism contract, and cmd/dpbyz-experiments -parallel / -progress
-// for the CLI knobs).
+// pool, with per-seed datasets built once and shared read-only; results are
+// bit-identical at every parallelism level (see the internal/experiments
+// package comment for the determinism contract, and cmd/dpbyz-experiments
+// -parallel / -progress for the CLI knobs). Every experiment, Sweep-driven
+// or not (Table 1, Theorem 1, the empirical VN ratio), returns its results
+// as experiments.Tables, and the one writer experiments.WriteTables prints
+// them, in dpbyz-experiments and dpbyz-vnratio alike.
 //
 // # Static analysis and code contracts
 //

@@ -43,7 +43,7 @@ func TestIPMLineSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.ApproxEqual(v, vecmath.Scale(1-DefaultIPMNu, mean), 1e-12) {
+	if !vecmath.ApproxEqual(v, vecmath.ScaleInPlace(1-DefaultIPMNu, vecmath.Clone(mean)), 1e-12) {
 		t.Error("rule-free IPM is not plain inner-product manipulation")
 	}
 
@@ -78,7 +78,7 @@ func TestIPMLineSearch(t *testing.T) {
 	}
 	// The converged factor must beat (or match) the stateless FoE submission
 	// under the simulated rule.
-	foeVec := vecmath.Scale(1-DefaultFoENu, mean)
+	foeVec := vecmath.ScaleInPlace(1-DefaultFoENu, vecmath.Clone(mean))
 	tunedVec := armed.craftAt(armed.Nu, mean)
 	foeScore, err := armed.simulate(foeVec, mean, honest)
 	if err != nil {
@@ -143,7 +143,7 @@ func TestDriftAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vecmath.ApproxEqual(v, vecmath.Scale(-DefaultDriftNu, mean), 1e-12) {
+	if !vecmath.ApproxEqual(v, vecmath.ScaleInPlace(-DefaultDriftNu, vecmath.Clone(mean)), 1e-12) {
 		t.Error("pre-observation drift is not the sign-flip opening")
 	}
 
@@ -155,7 +155,7 @@ func TestDriftAttack(t *testing.T) {
 	}
 	// Crafted = mean − nu·|mean|·driftDirection: the displacement must OPPOSE
 	// the observed aggregate (the accumulated descent history).
-	disp := vecmath.Sub(v, mean)
+	disp := vecmath.SubInto(make([]float64, len(v)), v, mean)
 	if disp[2] >= 0 || vecmath.Norm(disp) < 1e-6 {
 		t.Errorf("drift displacement %v does not oppose the observed aggregate", disp)
 	}

@@ -178,8 +178,8 @@ func TestPaperDefaults(t *testing.T) {
 }
 
 func TestMimic(t *testing.T) {
-	m := NewMimic()
-	got, err := m.Craft(honestSample(), nil)
+	honest := honestSample()
+	got, err := NewMimic().Craft(honest, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,24 +188,7 @@ func TestMimic(t *testing.T) {
 	}
 	// The crafted copy must not alias the honest gradient.
 	got[0] = 99
-	if honestSample()[0][0] != 1 {
+	if honest[0][0] != 1 {
 		t.Error("Mimic aliased the honest gradient")
-	}
-	m2 := &Mimic{Target: 2}
-	got2, err := m2.Craft(honestSample(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecmath.ApproxEqual(got2, []float64{3, 10}, 0) {
-		t.Errorf("Mimic target 2 = %v", got2)
-	}
-	// Out-of-range targets fall back to worker 0.
-	m3 := &Mimic{Target: 99}
-	got3, err := m3.Craft(honestSample(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecmath.ApproxEqual(got3, []float64{1, 10}, 0) {
-		t.Errorf("Mimic out-of-range = %v", got3)
 	}
 }

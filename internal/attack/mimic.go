@@ -10,12 +10,9 @@ import (
 // aggregator can flag the submission as malicious (it IS an honest
 // gradient), yet the over-representation biases the aggregate towards that
 // worker's data. Included as an extension beyond the paper's two attacks;
-// it is most effective in non-IID settings.
-type Mimic struct {
-	// Target is the index (into the honest gradients passed to Craft) of
-	// the worker to mimic.
-	Target int
-}
+// it is most effective in non-IID settings. The mimicked worker is the
+// first honest gradient passed to Craft.
+type Mimic struct{}
 
 var _ Attack = (*Mimic)(nil)
 
@@ -25,14 +22,10 @@ func NewMimic() *Mimic { return &Mimic{} }
 // Name implements Attack.
 func (m *Mimic) Name() string { return "mimic" }
 
-// Craft implements Attack: a copy of the target honest gradient.
+// Craft implements Attack: a copy of the first honest gradient.
 func (m *Mimic) Craft(honest [][]float64, _ *randx.Stream) ([]float64, error) {
 	if len(honest) == 0 {
 		return nil, ErrNoHonestGradients
 	}
-	t := m.Target
-	if t < 0 || t >= len(honest) {
-		t = 0
-	}
-	return vecmath.Clone(honest[t]), nil
+	return vecmath.Clone(honest[0]), nil
 }

@@ -167,11 +167,9 @@ type MembershipConfig struct {
 	MaxWorkers int
 	// FRatio re-derives each epoch's Byzantine allowance f_e = ⌊FRatio·n_e⌋.
 	FRatio float64
-	// EpochRounds is the boundary spacing in rounds.
+	// EpochRounds is the boundary spacing in rounds. A member is evicted
+	// after membership.DefaultEvictAfter consecutive missed rounds.
 	EpochRounds int
-	// EvictAfter evicts a member after this many consecutive missed rounds
-	// (0 means membership.DefaultEvictAfter).
-	EvictAfter int
 	// Stragglers is the per-epoch bounded-staleness budget: each epoch's
 	// commit quorum is n_e − f_e − Stragglers (0 = fully synchronous).
 	// Pair with ServerConfig.LateCredit exactly as with a fixed Quorum.
@@ -201,7 +199,6 @@ func (mc *MembershipConfig) trackerConfig() membership.Config {
 		MaxWorkers:  mc.MaxWorkers,
 		FRatio:      mc.FRatio,
 		EpochRounds: mc.EpochRounds,
-		EvictAfter:  mc.EvictAfter,
 	}
 }
 

@@ -114,3 +114,30 @@ func Crossover(sw Sweep, cells []CellResult) (*CrossoverResult, error) {
 	}
 	return res, nil
 }
+
+// Table renders the crossover under title: one row per batch size, its four
+// accuracies and which conditions work (D, A, C for DP only, attack only,
+// combined), with the three crossover batch sizes as the footer.
+func (res *CrossoverResult) Table(title string) Table {
+	t := Table{
+		Title: title,
+		Columns: []Column{{"batch", 8, "%-*d"}, {"baseline", 10, "%*.4f"}, {"dp-only", 10, "%*.4f"},
+			{"attack-only", 12, "%*.4f"}, {"combined", 10, "%*.4f"}, {"ok?", 8, "%*s"}},
+		Footer: fmt.Sprintf("crossovers: dp-only b>=%d, attack-only b>=%d, combined b>=%d",
+			res.MinBatchDPOnly, res.MinBatchAttackOnly, res.MinBatchCombined),
+	}
+	for _, p := range res.Points {
+		verdict := ""
+		if p.DPOnlyOK {
+			verdict += "D"
+		}
+		if p.AttackOnlyOK {
+			verdict += "A"
+		}
+		if p.CombinedOK {
+			verdict += "C"
+		}
+		t.Rows = append(t.Rows, []any{p.BatchSize, p.BaselineAcc, p.DPOnlyAcc, p.AttackOnlyAcc, p.CombinedAcc, verdict})
+	}
+	return t
+}

@@ -8,6 +8,15 @@
 // scale from cmd/dpbyz-experiments or at smoke-test scale from the test
 // suite and benchmarks.
 //
+// # Every result is a Table
+//
+// Every experiment returns what it prints as Tables — a title, columns of
+// header, width and fmt verb, rows of cells and a footer — and one writer,
+// WriteTables, prints them all: a Sweep's cells (Sweep.Table, a figure's
+// Summary as the footer), Table 1 (one table per model size), Theorem 1's
+// d, b and T sweeps, the empirical VN ratio and the crossover's pivot
+// (CrossoverResult.Table). cmd/dpbyz-vnratio prints Table 1's columns too.
+//
 // # Every table is one Sweep
 //
 // Every Spec-driven table — Figures 2–4 and the MLP figure, the ε sweep,
@@ -17,11 +26,12 @@
 // Figure2 and EpsilonSweep build them with the paper's settings as
 // constants; a caller that wants a smaller grid trims Rows. One runner, Run,
 // executes any Sweep on Pool (Sched.Workers goroutines, default GOMAXPROCS)
-// and one writer, WriteTable, prints it; the crossover adds only its pivot.
+// and Sweep.Table renders its cells; the crossover adds only its pivot.
 // Progress labels are "<row keys> seed k". Theorem 1 and the empirical VN
 // ratio are not Spec-driven — the first needs an inverse-time learning-rate
 // schedule and a Gaussian-mean data source no Spec can name, the second
-// samples raw gradients without training — and keep their own loops.
+// samples raw gradients without training — and keep their own loops, with
+// every setting but Theorem1Spec's four fields a constant.
 //
 // # Scheduler determinism contract
 //
@@ -133,12 +143,12 @@ type Sched struct {
 }
 
 // Sweep is one table of the evaluation: rows of runspec.Specs, each run at
-// seeds 1..Seeds and folded into one CellResult, printed by WriteTable as
+// seeds 1..Seeds and folded into one CellResult, rendered by Sweep.Table as
 // the row's key cells followed by its Metrics.
 type Sweep struct {
 	// ID names the table in cell errors ("experiments: <id>/<row> seed k").
 	ID string
-	// Title is the line WriteTable prints above the table.
+	// Title is the table's title.
 	Title string
 	// Keys are the left-aligned key columns; every row has one cell each.
 	Keys []Key

@@ -14,6 +14,33 @@ func smokeScale() Scale {
 	return Scale{Steps: 60, Seeds: 2, DatasetSize: 800, Features: 10}
 }
 
+// column returns the cells of t's column headed h, one per row.
+func column[T any](t *testing.T, tab Table, h string) []T {
+	t.Helper()
+	for i, c := range tab.Columns {
+		if c.Header != h {
+			continue
+		}
+		out := make([]T, len(tab.Rows))
+		for r, row := range tab.Rows {
+			out[r] = row[i].(T)
+		}
+		return out
+	}
+	t.Fatalf("table %q has no column %q", tab.Title, h)
+	return nil
+}
+
+// render prints the tables with WriteTables.
+func render(t *testing.T, tables ...Table) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := WriteTables(&sb, tables...); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 // pick returns sw trimmed to the rows at the given indices.
 func pick(sw Sweep, rows ...int) Sweep {
 	kept := make([]Row, len(rows))
@@ -22,6 +49,25 @@ func pick(sw Sweep, rows ...int) Sweep {
 	}
 	sw.Rows = kept
 	return sw
+}
+
+// WriteTables pads every cell to its column's width, left-aligning a column
+// whose verb starts with "%-" (header included) and right-aligning the
+// rest, and prints a title or footer only when it is set.
+func TestWriteTables(t *testing.T) {
+	cols := []Column{{"name", 6, "%-*s"}, {"x", 5, "%*.2f"}, {"ok", 6, "%*v"}}
+	got := render(t,
+		Table{Title: "T", Columns: cols, Rows: [][]any{{"a", 1.5, true}}, Footer: "end"},
+		Table{Columns: cols, Rows: [][]any{{"bb", -2.0, false}}})
+	want := "T\n" +
+		"name       x     ok\n" +
+		"a       1.50   true\n" +
+		"end\n" +
+		"name       x     ok\n" +
+		"bb     -2.00  false\n"
+	if got != want {
+		t.Errorf("got\n%s\nwant\n%s", got, want)
+	}
 }
 
 func TestGrid(t *testing.T) {
@@ -110,16 +156,13 @@ func TestRunFigureSmoke(t *testing.T) {
 	if base := Cell(cells, "none+clear"); base.FinalAccMean < 0.75 {
 		t.Errorf("baseline accuracy %v too low", base.FinalAccMean)
 	}
-	var sb strings.Builder
-	if err := WriteTable(&sb, sw, cells); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(sb.String(), "\n")
+	out := render(t, sw.Table(cells))
+	lines := strings.Split(out, "\n")
 	if lines[0] != "fig2 (b=50, eps=0.2, steps=60, seeds=2)" || !strings.HasPrefix(lines[5], "alie+dp ") {
-		t.Errorf("report missing content:\n%s", sb.String())
+		t.Errorf("report missing content:\n%s", out)
 	}
 	if len(lines) != 2+len(cells)+1 || lines[len(lines)-1] != "" {
-		t.Errorf("report is not title, header and one line per cell:\n%s", sb.String())
+		t.Errorf("report is not title, header and one line per cell:\n%s", out)
 	}
 	if s := Summary(sw, cells); !strings.HasPrefix(s, "fig2: ") {
 		t.Errorf("summary = %q", s)
@@ -148,68 +191,61 @@ func TestRunTheorem1ShowsLinearDimDependence(t *testing.T) {
 	spec := Theorem1Spec{
 		Dims:        []int{4, 64},
 		Steps:       150,
-		BatchSize:   10,
 		Seeds:       2,
 		DatasetSize: 1500,
 	}
-	points, err := RunTheorem1(context.Background(), spec)
+	tab, err := RunTheorem1(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
+	dims, errDP, errClear := column[int](t, tab, "dim"), column[float64](t, tab, "err-dp"), column[float64](t, tab, "err-clear")
+	if len(dims) != 2 {
+		t.Fatalf("rows = %d", len(dims))
 	}
-	small, large := points[0], points[1]
 	// With DP, error must grow markedly with d; without, it must not.
-	if large.ErrDP <= small.ErrDP*4 {
-		t.Errorf("DP error did not scale with d: %v -> %v (16x dim)", small.ErrDP, large.ErrDP)
+	if errDP[1] <= errDP[0]*4 {
+		t.Errorf("DP error did not scale with d: %v -> %v (16x dim)", errDP[0], errDP[1])
 	}
-	if large.ErrClear > small.ErrClear*4 && large.ErrClear > 1e-4 {
-		t.Errorf("clear error scaled with d: %v -> %v", small.ErrClear, large.ErrClear)
+	if errClear[1] > errClear[0]*4 && errClear[1] > 1e-4 {
+		t.Errorf("clear error scaled with d: %v -> %v", errClear[0], errClear[1])
 	}
 	// And at every d, DP hurts.
-	for _, p := range points {
-		if p.ErrDP <= p.ErrClear {
-			t.Errorf("d=%d: DP error %v not above clear %v", p.Dim, p.ErrDP, p.ErrClear)
+	for i, d := range dims {
+		if errDP[i] <= errClear[i] {
+			t.Errorf("d=%d: DP error %v not above clear %v", d, errDP[i], errClear[i])
 		}
 	}
-	var sb strings.Builder
-	if err := WriteTheorem1Report(&sb, points); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "err-dp") {
+	if !strings.Contains(render(t, tab), "err-dp") {
 		t.Error("theorem1 report missing header")
 	}
 }
 
 func TestRunTable1(t *testing.T) {
-	res, err := RunTable1()
+	tables, err := RunTable1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 4 {
-		t.Fatalf("results = %d", len(res))
+	if len(tables) != 4 {
+		t.Fatalf("tables = %d", len(tables))
 	}
 	// At ResNet-50 scale every condition must fail with b = 50 and
 	// f/n = 5/23.
-	resnet := res[len(res)-1]
-	if resnet.Dim != 25_600_000 {
-		t.Fatalf("last dim = %d", resnet.Dim)
+	resnet := tables[len(tables)-1]
+	if resnet.Title != "d = 25600000" {
+		t.Fatalf("last table title = %q", resnet.Title)
 	}
-	for _, row := range resnet.Rows {
-		if row.Satisfied {
-			t.Errorf("rule %s satisfied at ResNet-50 scale", row.Rule)
+	rules := column[string](t, resnet, "rule")
+	for i, ok := range column[bool](t, resnet, "satisfied") {
+		if ok {
+			t.Errorf("rule %s satisfied at ResNet-50 scale", rules[i])
 		}
 	}
-	var sb strings.Builder
-	if err := WriteTable1Report(&sb, res); err != nil {
-		t.Fatal(err)
-	}
+	out := render(t, tables...)
 	// The header states the (b, f/n) the rows were computed at.
-	if want := "Table 1 necessary conditions (b=50, f/n=0.217)\n"; !strings.HasPrefix(sb.String(), want) {
-		t.Errorf("table1 header: got %q, want %q", strings.SplitAfter(sb.String(), "\n")[0], want)
+	if want := "Table 1 necessary conditions (b=50, f/n=0.217)\nd = 69\n  rule "; !strings.HasPrefix(out, want) {
+		t.Errorf("table1 header: got %q, want %q", out[:min(len(out), len(want))], want)
 	}
-	if !strings.Contains(sb.String(), "krum") {
+	if !strings.Contains(out, "\n  krum ") {
 		t.Error("table1 report missing rules")
 	}
 }
@@ -231,60 +267,32 @@ func TestRunEpsilonSweep(t *testing.T) {
 		t.Errorf("eps=0.1 loss %v unexpectedly far below eps=0.9 loss %v",
 			cells[0].MinLossMean, cells[1].MinLossMean)
 	}
-	var sb strings.Builder
-	if err := WriteTable(&sb, sw, cells); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "epsilon") || strings.Contains(sb.String(), "steps-to-min") {
-		t.Errorf("sweep report has the wrong columns:\n%s", sb.String())
+	if out := render(t, sw.Table(cells)); !strings.Contains(out, "epsilon") || strings.Contains(out, "steps-to-min") {
+		t.Errorf("sweep report has the wrong columns:\n%s", out)
 	}
 }
 
 func TestRunVNEmpirical(t *testing.T) {
-	points, err := RunVNEmpirical(context.Background(), VNEmpiricalSpec{
-		BatchSizes:  []int{10, 2000},
-		Samples:     32,
-		DatasetSize: 3000,
-		Features:    20,
-	})
+	tab, err := RunVNEmpirical(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
+	batches, clear, noisy := column[int](t, tab, "batch"), column[float64](t, tab, "vn-clear"), column[float64](t, tab, "vn-dp")
+	if len(batches) != 5 || batches[0] != 10 || batches[4] != 2000 {
+		t.Fatalf("batch sizes = %v, want 10 … 2000", batches)
 	}
-	small, large := points[0], points[1]
 	// The DP-adjusted ratio must dominate the clear ratio and shrink with b.
-	for _, p := range points {
-		if p.RatioDP <= p.RatioClear {
-			t.Errorf("b=%d: DP ratio %v not above clear %v", p.BatchSize, p.RatioDP, p.RatioClear)
+	for i, b := range batches {
+		if noisy[i] <= clear[i] {
+			t.Errorf("b=%d: DP ratio %v not above clear %v", b, noisy[i], clear[i])
 		}
 	}
-	if large.RatioDP >= small.RatioDP {
-		t.Errorf("DP ratio did not shrink with batch: %v -> %v", small.RatioDP, large.RatioDP)
+	if noisy[4] >= noisy[0] {
+		t.Errorf("DP ratio did not shrink with batch: %v -> %v", noisy[0], noisy[4])
 	}
 	// MDA (the most tolerant rule) must fail the condition at b=10.
-	if small.Holds["mda"] {
+	if column[bool](t, tab, "mda")[0] {
 		t.Error("MDA condition holds at b=10 under DP; should fail")
-	}
-	var sb strings.Builder
-	if err := WriteVNEmpiricalReport(&sb, points); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "vn-dp") || !strings.Contains(sb.String(), "mda") {
-		t.Errorf("report missing content:\n%s", sb.String())
-	}
-	if err := WriteVNEmpiricalReport(&sb, nil); err != nil {
-		t.Errorf("empty report errored: %v", err)
-	}
-}
-
-func TestRunVNEmpiricalNoAdmissibleRule(t *testing.T) {
-	if _, err := RunVNEmpirical(context.Background(), VNEmpiricalSpec{
-		Workers: 3, Byzantine: 2, BatchSizes: []int{10}, Samples: 4,
-		DatasetSize: 100, Features: 4,
-	}); err == nil {
-		t.Error("expected error when no rule admits (n, f)")
 	}
 }
 
@@ -340,12 +348,8 @@ func TestRunCrossover(t *testing.T) {
 	if !res.Points[0].DPOnlyOK || !res.Points[0].AttackOnlyOK {
 		t.Error("single defences should work at b=20")
 	}
-	var sb strings.Builder
-	if err := WriteCrossoverReport(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "crossovers") {
-		t.Errorf("report missing summary:\n%s", sb.String())
+	if out := render(t, res.Table(sw.Title)); !strings.Contains(out, "\ncrossovers: dp-only b>=20, attack-only b>=20, combined b>=400\n") {
+		t.Errorf("report missing summary:\n%s", out)
 	}
 }
 
@@ -383,35 +387,35 @@ func TestTheorem1BatchSweepQuadratic(t *testing.T) {
 	spec := Theorem1Spec{
 		Dims: []int{32}, Steps: 150, Seeds: 3, DatasetSize: 2000,
 	}
-	points, err := RunTheorem1BatchSweep(context.Background(), spec, []int{5, 20})
+	tab, err := RunTheorem1BatchSweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
+	batches, errDP := column[int](t, tab, "batch"), column[float64](t, tab, "err-dp")
+	if len(batches) != 4 || batches[0] != 5 || batches[2] != 20 {
+		t.Fatalf("batch sizes = %v, want 5, 10, 20, 40", batches)
 	}
 	// 4x the batch: Theorem 1 predicts ~16x less error (d·s² ∝ 1/b²).
-	ratio := points[0].ErrDP / points[1].ErrDP
-	if ratio < 6 {
+	if ratio := errDP[0] / errDP[2]; ratio < 6 {
 		t.Errorf("b-sweep ratio = %v, want clearly superlinear (>6)", ratio)
 	}
 }
 
 func TestTheorem1StepsSweepDecaying(t *testing.T) {
 	spec := Theorem1Spec{
-		Dims: []int{16}, BatchSize: 10, Seeds: 3, DatasetSize: 2000,
+		Dims: []int{16}, Seeds: 3, DatasetSize: 2000,
 	}
-	points, err := RunTheorem1StepsSweep(context.Background(), spec, []int{50, 400})
+	tab, err := RunTheorem1StepsSweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
+	steps, errDP := column[int](t, tab, "steps"), column[float64](t, tab, "err-dp")
+	if len(steps) != 3 || steps[0] != 50 || steps[2] != 800 {
+		t.Fatalf("step counts = %v, want 50, 200, 800", steps)
 	}
-	// 8x the steps with the 1/t schedule: error must drop substantially
+	// 16x the steps with the 1/t schedule: error must drop substantially
 	// (Theorem 1's O(1/T)).
-	if points[1].ErrDP >= points[0].ErrDP/3 {
-		t.Errorf("T-sweep: err(50) = %v, err(400) = %v; want >3x drop",
-			points[0].ErrDP, points[1].ErrDP)
+	if errDP[2] >= errDP[0]/3 {
+		t.Errorf("T-sweep: err(50) = %v, err(800) = %v; want >3x drop", errDP[0], errDP[2])
 	}
 }

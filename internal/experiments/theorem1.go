@@ -17,28 +17,35 @@ import (
 // without — i.e. the final suboptimality grows linearly in d only when DP
 // noise is injected.
 type Theorem1Spec struct {
-	// Dims is the d grid to sweep (default {8, 16, 32, 64, 128}).
+	// Dims is the d grid to sweep (default {8, 16, 32, 64, 128}); the b and
+	// T sweeps run at Dims[0].
 	Dims []int
-	// Steps is T (default 200).
+	// Steps is T (default 200); the T sweep has its own grid.
 	Steps int
-	// BatchSize is b (default 10).
-	BatchSize int
-	// Workers is n (default 5; no Byzantine workers — Theorem 1 bounds the
-	// error even with a perfect GAR, so we use honest averaging).
-	Workers int
-	// Sigma is the data σ (default 1).
-	Sigma float64
-	// Epsilon/Delta form the per-step budget (defaults 0.2 / 1e-6).
-	Epsilon float64
-	Delta   float64
-	// Gmax is the clipping bound (default 1; large enough not to bite on
-	// this task, so sensitivity calibration rather than clipping drives σ).
-	Gmax float64
-	// Seeds is the number of repetitions per d (default 3).
+	// Seeds is the number of repetitions per point (default 3).
 	Seeds int
 	// DatasetSize is the sample pool size (default 4000).
 	DatasetSize int
 }
+
+// The settings of the Theorem 1 harness that no Theorem1Spec field sets.
+// It runs at the paper's per-step (ε, δ) on data of σ = 1.
+const (
+	// theorem1Workers is n; no worker is Byzantine: Theorem 1 bounds the
+	// error even with a perfect GAR, so the harness averages honestly.
+	theorem1Workers = 5
+	// theorem1Batch is b outside the b sweep.
+	theorem1Batch = 10
+	// theorem1Gmax is the clipping bound, large enough not to bite on the d
+	// sweep, so sensitivity calibration rather than clipping drives σ.
+	theorem1Gmax = 1.0
+)
+
+// The grids of the b and T sweeps.
+var (
+	theorem1Batches = []int{5, 10, 20, 40}
+	theorem1Steps   = []int{50, 200, 800}
+)
 
 func (s *Theorem1Spec) fillDefaults() {
 	if len(s.Dims) == 0 {
@@ -46,24 +53,6 @@ func (s *Theorem1Spec) fillDefaults() {
 	}
 	if s.Steps == 0 {
 		s.Steps = 200
-	}
-	if s.BatchSize == 0 {
-		s.BatchSize = 10
-	}
-	if s.Workers == 0 {
-		s.Workers = 5
-	}
-	if s.Sigma == 0 {
-		s.Sigma = 1
-	}
-	if s.Epsilon == 0 {
-		s.Epsilon = PaperEpsilon
-	}
-	if s.Delta == 0 {
-		s.Delta = PaperDelta
-	}
-	if s.Gmax == 0 {
-		s.Gmax = 1
 	}
 	if s.Seeds == 0 {
 		s.Seeds = 3
@@ -73,22 +62,20 @@ func (s *Theorem1Spec) fillDefaults() {
 	}
 }
 
-// Theorem1Point is one measurement of the d sweep.
-type Theorem1Point struct {
-	// Dim is the model/data dimension d.
-	Dim int
-	// ErrDP is the mean final suboptimality Q(w_T) − Q* with DP noise.
-	ErrDP float64
-	// ErrClear is the same without DP noise.
-	ErrClear float64
-}
+// errDPColumn is the final suboptimality with DP noise, in every Theorem 1
+// table.
+var errDPColumn = Column{"err-dp", 14, "%*.6g"}
 
 // RunTheorem1 sweeps d and measures final suboptimality with and without DP
-// noise. Theorem 1 predicts ErrDP growing linearly in d while ErrClear
-// stays flat.
-func RunTheorem1(ctx context.Context, spec Theorem1Spec) ([]Theorem1Point, error) {
+// noise. Theorem 1 predicts err-dp growing linearly in d while err-clear
+// stays flat. Its table has one row per d: err-dp, err-clear and their
+// ratio.
+func RunTheorem1(ctx context.Context, spec Theorem1Spec) (Table, error) {
 	spec.fillDefaults()
-	out := make([]Theorem1Point, 0, len(spec.Dims))
+	t := Table{
+		Title:   "Theorem 1: final suboptimality vs model dimension",
+		Columns: []Column{{"dim", 8, "%-*d"}, errDPColumn, {"err-clear", 14, "%*.6g"}, {"ratio", 10, "%*.2f"}},
+	}
 	for _, d := range spec.Dims {
 		// Theorem 1's schedule is γ_t = 1/(λ(1−sinα)t); with averaging
 		// (α = 0) and λ = 1 for this objective the d sweep uses the
@@ -96,14 +83,14 @@ func RunTheorem1(ctx context.Context, spec Theorem1Spec) ([]Theorem1Point, error
 		// fixed small step keeps the clear/DP comparison clean and the
 		// d-scaling intact.
 		errs, err := theorem1Cell(ctx, spec, theorem1Shape{
-			dim: d, batch: spec.BatchSize, steps: spec.Steps, clip: spec.Gmax, constantLR: 0.05,
+			dim: d, batch: theorem1Batch, steps: spec.Steps, clip: theorem1Gmax, constantLR: 0.05,
 		}, []bool{false, true})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: theorem1 d=%d: %w", d, err)
+			return Table{}, fmt.Errorf("experiments: theorem1 d=%d: %w", d, err)
 		}
-		out = append(out, Theorem1Point{Dim: d, ErrClear: errs[0], ErrDP: errs[1]})
+		t.Rows = append(t.Rows, []any{d, errs[1], errs[0], errs[1] / errs[0]})
 	}
-	return out, nil
+	return t, nil
 }
 
 // Table 1 / Propositions 1–3 across a model-size grid. (n, f) = (23, 5) so
@@ -118,80 +105,76 @@ const (
 
 var table1Dims = []int{69, 10_000, 100_000, 25_600_000}
 
-// Table1Result is the reproduced table: one row set per model size.
-type Table1Result struct {
-	Dim  int
-	Rows []gar.Table1Row
+// Table1Columns are the columns of a set of Table 1 rows, one row per rule,
+// whose cells Table1Cells returns; cmd/dpbyz-vnratio prints them too.
+var Table1Columns = []Column{
+	{"rule", 12, "%-*s"}, {"kind", 14, "%-*s"}, {"k_F", 12, "%*.5g"}, {"threshold", 16, "%*.6g"}, {"satisfied", 10, "%*v"},
+}
+
+// Table1Cells returns the cells of one Table 1 row in Table1Columns' order.
+func Table1Cells(r gar.Table1Row) []any {
+	return []any{r.Rule, r.Kind, r.KF, r.Threshold, r.Satisfied}
 }
 
 // RunTable1 evaluates the Table 1 necessary conditions over the model-size
-// grid at the paper's per-step budget.
-func RunTable1() ([]Table1Result, error) {
+// grid at the paper's per-step budget: one table per model size, titled
+// "d = <d>" and indented under it, the first headed by the batch size and
+// f/n they were computed at.
+func RunTable1() ([]Table, error) {
 	budget := dp.Budget{Epsilon: PaperEpsilon, Delta: PaperDelta}
-	out := make([]Table1Result, 0, len(table1Dims))
+	// An empty one-wide first column indents the rows by two spaces.
+	cols := append([]Column{{"", 1, "%-*s"}}, Table1Columns...)
+	out := make([]Table, 0, len(table1Dims))
 	for _, d := range table1Dims {
 		rows, err := gar.Table1(table1Workers, table1Byzantine, table1Batch, d, budget)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table1 d=%d: %w", d, err)
 		}
-		out = append(out, Table1Result{Dim: d, Rows: rows})
+		t := Table{Title: fmt.Sprintf("d = %d", d), Columns: cols}
+		for _, r := range rows {
+			t.Rows = append(t.Rows, append([]any{""}, Table1Cells(r)...))
+		}
+		out = append(out, t)
 	}
+	out[0].Title = fmt.Sprintf("Table 1 necessary conditions (b=%d, f/n=%.3f)\n%s",
+		table1Batch, float64(table1Byzantine)/table1Workers, out[0].Title)
 	return out, nil
-}
-
-// Theorem1BatchPoint is one measurement of the batch-size sweep.
-type Theorem1BatchPoint struct {
-	// BatchSize is b.
-	BatchSize int
-	// ErrDP is the mean final suboptimality with DP noise.
-	ErrDP float64
 }
 
 // RunTheorem1BatchSweep fixes d and T and sweeps b, validating the 1/b²
 // factor of Theorem 1's rate: the DP noise scale s is proportional to 1/b,
-// so the error term d·s² falls quadratically in the batch size.
-func RunTheorem1BatchSweep(ctx context.Context, spec Theorem1Spec, batches []int) ([]Theorem1BatchPoint, error) {
+// so the error term d·s² falls quadratically in the batch size. Its table
+// has one row per b: err-dp.
+func RunTheorem1BatchSweep(ctx context.Context, spec Theorem1Spec) (Table, error) {
 	spec.fillDefaults()
-	if len(batches) == 0 {
-		batches = []int{5, 10, 20, 40}
+	t := Table{
+		Title:   "Theorem 1: rate factors 1/b^2 and 1/T (unclipped harness)",
+		Columns: []Column{{"batch", 8, "%-*d"}, errDPColumn},
 	}
-	d := spec.Dims[0]
-	out := make([]Theorem1BatchPoint, 0, len(batches))
-	for _, b := range batches {
-		errs, err := theorem1Cell(ctx, spec, theorem1Shape{dim: d, batch: b, steps: spec.Steps}, []bool{true})
+	for _, b := range theorem1Batches {
+		errs, err := theorem1Cell(ctx, spec, theorem1Shape{dim: spec.Dims[0], batch: b, steps: spec.Steps}, []bool{true})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: theorem1 b=%d: %w", b, err)
+			return Table{}, fmt.Errorf("experiments: theorem1 b=%d: %w", b, err)
 		}
-		out = append(out, Theorem1BatchPoint{BatchSize: b, ErrDP: errs[0]})
+		t.Rows = append(t.Rows, []any{b, errs[0]})
 	}
-	return out, nil
-}
-
-// Theorem1StepsPoint is one measurement of the step-count sweep.
-type Theorem1StepsPoint struct {
-	// Steps is T.
-	Steps int
-	// ErrDP is the mean final suboptimality with DP noise.
-	ErrDP float64
+	return t, nil
 }
 
 // RunTheorem1StepsSweep fixes d and b and sweeps T with the 1/t schedule,
-// validating the 1/T factor of Theorem 1's rate.
-func RunTheorem1StepsSweep(ctx context.Context, spec Theorem1Spec, stepGrid []int) ([]Theorem1StepsPoint, error) {
+// validating the 1/T factor of Theorem 1's rate. Its table has one row per
+// T: err-dp.
+func RunTheorem1StepsSweep(ctx context.Context, spec Theorem1Spec) (Table, error) {
 	spec.fillDefaults()
-	if len(stepGrid) == 0 {
-		stepGrid = []int{50, 200, 800}
-	}
-	d := spec.Dims[0]
-	out := make([]Theorem1StepsPoint, 0, len(stepGrid))
-	for _, steps := range stepGrid {
-		errs, err := theorem1Cell(ctx, spec, theorem1Shape{dim: d, batch: spec.BatchSize, steps: steps}, []bool{true})
+	t := Table{Columns: []Column{{"steps", 8, "%-*d"}, errDPColumn}}
+	for _, steps := range theorem1Steps {
+		errs, err := theorem1Cell(ctx, spec, theorem1Shape{dim: spec.Dims[0], batch: theorem1Batch, steps: steps}, []bool{true})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: theorem1 T=%d: %w", steps, err)
+			return Table{}, fmt.Errorf("experiments: theorem1 T=%d: %w", steps, err)
 		}
-		out = append(out, Theorem1StepsPoint{Steps: steps, ErrDP: errs[0]})
+		t.Rows = append(t.Rows, []any{steps, errs[0]})
 	}
-	return out, nil
+	return t, nil
 }
 
 // theorem1Shape is one mean-estimation configuration of the Theorem 1
@@ -206,7 +189,7 @@ type theorem1Shape struct {
 }
 
 // theorem1Cell trains the shape once per (seed, DP mode) — honest averaging
-// over spec.Workers, the (d, seed) dataset built once and shared by the
+// over theorem1Workers, the (d, seed) dataset built once and shared by the
 // modes — and returns, per mode, the final suboptimality averaged over the
 // spec's seeds. The b and T sweeps run it unclipped under the 1/t schedule:
 // the theorem's contraction argument assumes the unclipped strongly convex
@@ -215,7 +198,7 @@ type theorem1Shape struct {
 // always calibrated to the (G_max, b, ε, δ) sensitivity, exactly as in the
 // theorem's statement.
 func theorem1Cell(ctx context.Context, spec Theorem1Spec, sh theorem1Shape, dpModes []bool) ([]float64, error) {
-	mech, err := dp.NewGaussian(spec.Gmax, sh.batch, dp.Budget{Epsilon: spec.Epsilon, Delta: spec.Delta})
+	mech, err := dp.NewGaussian(theorem1Gmax, sh.batch, dp.Budget{Epsilon: PaperEpsilon, Delta: PaperDelta})
 	if err != nil {
 		return nil, err
 	}
@@ -226,13 +209,13 @@ func theorem1Cell(ctx context.Context, spec Theorem1Spec, sh theorem1Shape, dpMo
 	errs := make([]float64, len(dpModes))
 	for seed := 1; seed <= spec.Seeds; seed++ {
 		ds, center, err := data.GaussianMean(data.GaussianMeanConfig{
-			N: spec.DatasetSize, Dim: sh.dim, Sigma: spec.Sigma, Seed: uint64(seed),
+			N: spec.DatasetSize, Dim: sh.dim, Sigma: 1, Seed: uint64(seed),
 		})
 		if err != nil {
 			return nil, err
 		}
 		for i, withDP := range dpModes {
-			g, err := gar.NewAverage(spec.Workers)
+			g, err := gar.NewAverage(theorem1Workers)
 			if err != nil {
 				return nil, err
 			}

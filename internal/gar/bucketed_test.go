@@ -49,13 +49,13 @@ func TestBucketedTranslationEquivariance(t *testing.T) {
 				}
 				shifted := make([][]float64, len(cloud))
 				for i, v := range cloud {
-					shifted[i] = vecmath.Add(v, shift)
+					shifted[i] = vecmath.Axpy(1, shift, vecmath.Clone(v))
 				}
 				got, err := g.Aggregate(shifted)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !vecmath.ApproxEqual(vecmath.Add(base, shift), got, 1e-8) {
+				if !vecmath.ApproxEqual(vecmath.Axpy(1, shift, vecmath.Clone(base)), got, 1e-8) {
 					t.Fatalf("seed %d: bucketed aggregate not translation-equivariant", seed)
 				}
 			}
@@ -80,7 +80,7 @@ func TestBucketedSingleOutlierClipped(t *testing.T) {
 				outlierAt := func(scale float64) []float64 {
 					subs := make([][]float64, len(cloud))
 					copy(subs, cloud)
-					subs[0] = vecmath.Scale(scale, dir)
+					subs[0] = vecmath.ScaleInPlace(scale, vecmath.Clone(dir))
 					agg, err := g.Aggregate(subs)
 					if err != nil {
 						t.Fatal(err)

@@ -19,16 +19,15 @@ import (
 // 0 since the paper derives no VN-ratio constant for it.
 //
 // This implementation is stateless: v₀ is the coordinate-wise median of
-// the step's submissions and τ defaults to the median distance to v₀,
-// making the rule scale-equivariant.
+// the step's submissions, τ is the median distance to v₀ (adaptive, which
+// makes the rule scale-equivariant), and it runs centeredClipIters
+// iterations.
 type CenteredClip struct {
 	ruleBase
-	// Radius is the clipping radius τ; 0 selects the median distance to
-	// the starting center each call (adaptive, scale-equivariant).
-	Radius float64
-	// Iters is the number of clipping iterations (default 3).
-	Iters int
 }
+
+// centeredClipIters is the number of clipping iterations.
+const centeredClipIters = 3
 
 var (
 	_ GAR            = (*CenteredClip)(nil)
@@ -45,7 +44,7 @@ func NewCenteredClip(n, f int) (*CenteredClip, error) {
 		return nil, fmt.Errorf("%w: centeredclip needs 2f < n (n=%d, f=%d)",
 			ErrBadByzantineCount, n, f)
 	}
-	c := &CenteredClip{Iters: 3}
+	c := &CenteredClip{}
 	c.bind("centeredclip", n, f, c)
 	return c, nil
 }
@@ -66,21 +65,14 @@ func (c *CenteredClip) AggregateInto(dst []float64, grads [][]float64) error {
 	if err := vecmath.CoordMedianInto(v, grads); err != nil {
 		return err
 	}
-	radius := c.Radius
-	if radius <= 0 {
-		radius = medianDistanceTo(grads, v, grow(&s.scores, len(grads)))
-		if radius == 0 {
-			// All submissions identical to the center; nothing to refine.
-			return nil
-		}
-	}
-	iters := c.Iters
-	if iters <= 0 {
-		iters = 3
+	radius := medianDistanceTo(grads, v, grow(&s.scores, len(grads)))
+	if radius == 0 {
+		// All submissions identical to the center; nothing to refine.
+		return nil
 	}
 	delta := grow(&s.vecA, len(v))
 	diff := grow(&s.vecB, len(v))
-	for l := 0; l < iters; l++ {
+	for l := 0; l < centeredClipIters; l++ {
 		for i := range delta {
 			delta[i] = 0
 		}

@@ -29,7 +29,7 @@ func TestTranslationEquivariance(t *testing.T) {
 		shift := []float64{float64(shiftRaw[0]), float64(shiftRaw[1]), float64(shiftRaw[2])}
 		shifted := make([][]float64, len(grads))
 		for i, g := range grads {
-			shifted[i] = vecmath.Add(g, shift)
+			shifted[i] = vecmath.Axpy(1, shift, vecmath.Clone(g))
 		}
 		for _, rule := range rules {
 			a, err1 := rule.Aggregate(grads)
@@ -37,7 +37,7 @@ func TestTranslationEquivariance(t *testing.T) {
 			if err1 != nil || err2 != nil {
 				return false
 			}
-			if !vecmath.ApproxEqual(vecmath.Add(a, shift), b, 1e-4) {
+			if !vecmath.ApproxEqual(vecmath.Axpy(1, shift, vecmath.Clone(a)), b, 1e-4) {
 				return false
 			}
 		}
@@ -55,7 +55,7 @@ func scaleEquivariant(rules []GAR, seed uint64, cRaw uint8) bool {
 	grads := randomCloud(seed, 9, 3)
 	scaled := make([][]float64, len(grads))
 	for i, g := range grads {
-		scaled[i] = vecmath.Scale(c, g)
+		scaled[i] = vecmath.ScaleInPlace(c, vecmath.Clone(g))
 	}
 	for _, rule := range rules {
 		a, err1 := rule.Aggregate(grads)
@@ -63,7 +63,7 @@ func scaleEquivariant(rules []GAR, seed uint64, cRaw uint8) bool {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		if !vecmath.ApproxEqual(vecmath.Scale(c, a), b, 1e-4) {
+		if !vecmath.ApproxEqual(vecmath.ScaleInPlace(c, vecmath.Clone(a)), b, 1e-4) {
 			return false
 		}
 	}
@@ -100,7 +100,7 @@ func TestNegationEquivariance(t *testing.T) {
 		grads := randomCloud(seed, 9, 4)
 		negated := make([][]float64, len(grads))
 		for i, g := range grads {
-			negated[i] = vecmath.Scale(-1, g)
+			negated[i] = vecmath.ScaleInPlace(-1, vecmath.Clone(g))
 		}
 		for _, rule := range rules {
 			a, err1 := rule.Aggregate(grads)
@@ -108,7 +108,7 @@ func TestNegationEquivariance(t *testing.T) {
 			if err1 != nil || err2 != nil {
 				return false
 			}
-			if !vecmath.ApproxEqual(vecmath.Scale(-1, a), b, 1e-4) {
+			if !vecmath.ApproxEqual(vecmath.ScaleInPlace(-1, vecmath.Clone(a)), b, 1e-4) {
 				return false
 			}
 		}

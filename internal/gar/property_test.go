@@ -97,13 +97,13 @@ func TestPropertyTranslationEquivariance(t *testing.T) {
 				}
 				shifted := make([][]float64, len(cloud))
 				for i, v := range cloud {
-					shifted[i] = vecmath.Add(v, shift)
+					shifted[i] = vecmath.Axpy(1, shift, vecmath.Clone(v))
 				}
 				got, err := g.Aggregate(shifted)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !vecmath.ApproxEqual(vecmath.Add(base, shift), got, 1e-8) {
+				if !vecmath.ApproxEqual(vecmath.Axpy(1, shift, vecmath.Clone(base)), got, 1e-8) {
 					t.Fatalf("seed %d: aggregate not translation-equivariant", seed)
 				}
 			}
@@ -122,7 +122,7 @@ func TestPropertySingleOutlierClipped(t *testing.T) {
 		t.Helper()
 		subs := make([][]float64, len(cloud))
 		copy(subs, cloud)
-		subs[0] = vecmath.Scale(scale, dir)
+		subs[0] = vecmath.ScaleInPlace(scale, vecmath.Clone(dir))
 		agg, err := g.Aggregate(subs)
 		if err != nil {
 			t.Fatal(err)
@@ -166,7 +166,7 @@ func TestPropertySingleOutlierClipped(t *testing.T) {
 		dir[0] = 1
 		subs := make([][]float64, len(cloud))
 		copy(subs, cloud)
-		subs[0] = vecmath.Scale(1e9, dir)
+		subs[0] = vecmath.ScaleInPlace(1e9, vecmath.Clone(dir))
 		agg, err := avg.Aggregate(subs)
 		if err != nil {
 			t.Fatal(err)
@@ -183,9 +183,9 @@ func TestPropertySingleOutlierClipped(t *testing.T) {
 func byzantineFixtures(cloud [][]float64, mean, std []float64) map[string][]float64 {
 	return map[string][]float64{
 		"alie":     vecmath.Axpy(-1.5, std, vecmath.Clone(mean)),
-		"foe":      vecmath.Scale(1-1.1, mean),
-		"signflip": vecmath.Scale(-1, mean),
-		"huge":     vecmath.Scale(1e6, mean),
+		"foe":      vecmath.ScaleInPlace(1-1.1, vecmath.Clone(mean)),
+		"signflip": vecmath.ScaleInPlace(-1, vecmath.Clone(mean)),
+		"huge":     vecmath.ScaleInPlace(1e6, vecmath.Clone(mean)),
 		"mimic":    vecmath.Clone(cloud[0]),
 	}
 }

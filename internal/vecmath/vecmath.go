@@ -56,32 +56,6 @@ func Fill(v []float64, x float64) []float64 {
 	return v
 }
 
-// Add returns a + b. It is an allocating helper that the gar, attack and
-// vecmath tests share.
-//
-//dpbyz:testseam
-func Add(a, b []float64) []float64 {
-	assertSameLen(a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a - b. It is an allocating helper that the gar, attack and
-// vecmath tests share.
-//
-//dpbyz:testseam
-func Sub(a, b []float64) []float64 {
-	assertSameLen(a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // SubInto stores a - b into dst and returns dst.
 //
 //dpbyz:hotpath
@@ -92,18 +66,6 @@ func SubInto(dst, a, b []float64) []float64 {
 		dst[i] = a[i] - b[i]
 	}
 	return dst
-}
-
-// Scale returns s * v. It is an allocating helper that the gar, attack and
-// vecmath tests share.
-//
-//dpbyz:testseam
-func Scale(s float64, v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i := range v {
-		out[i] = s * v[i]
-	}
-	return out
 }
 
 // ScaleInPlace multiplies v by s in place and returns v. On an amd64 CPU

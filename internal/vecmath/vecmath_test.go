@@ -17,26 +17,31 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// The add and scale compositions the gar and attack tests build on Clone
+// leave their inputs alone.
 func TestAddSubScale(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}
-	if got := Add(a, b); !ApproxEqual(got, []float64{5, 7, 9}, 0) {
-		t.Errorf("Add = %v", got)
+	if got := Axpy(1, b, Clone(a)); !ApproxEqual(got, []float64{5, 7, 9}, 0) {
+		t.Errorf("Axpy(1, b, Clone(a)) = %v", got)
 	}
-	if got := Sub(b, a); !ApproxEqual(got, []float64{3, 3, 3}, 0) {
-		t.Errorf("Sub = %v", got)
+	if got := ScaleInPlace(2, Clone(a)); !ApproxEqual(got, []float64{2, 4, 6}, 0) {
+		t.Errorf("ScaleInPlace(2, Clone(a)) = %v", got)
 	}
-	if got := Scale(2, a); !ApproxEqual(got, []float64{2, 4, 6}, 0) {
-		t.Errorf("Scale = %v", got)
+	if !ApproxEqual(a, []float64{1, 2, 3}, 0) || !ApproxEqual(b, []float64{4, 5, 6}, 0) {
+		t.Errorf("inputs moved: a = %v, b = %v", a, b)
 	}
 }
 
+// SubInto writes into dst the a - b that the allocating composition
+// Axpy(-1, b, Clone(a)) returns.
 func TestIntoVariantsMatchAllocVariants(t *testing.T) {
 	a := []float64{1, -2, 3.5}
 	b := []float64{0.5, 2, -1}
 	dst := make([]float64, 3)
-	if got := SubInto(dst, a, b); !ApproxEqual(got, Sub(a, b), 0) {
-		t.Errorf("SubInto = %v", got)
+	want := Axpy(-1, b, Clone(a))
+	if got := SubInto(dst, a, b); &got[0] != &dst[0] || !ApproxEqual(got, want, 0) || !ApproxEqual(got, []float64{0.5, -4, 4.5}, 0) {
+		t.Errorf("SubInto = %v, want %v", got, want)
 	}
 }
 
