@@ -20,7 +20,10 @@ type Point struct {
 }
 
 // Dataset is an immutable-by-convention collection of points sharing a
-// feature dimension.
+// feature dimension. The generators (SyntheticPhishing, GaussianMean,
+// TwoGaussians) carve every row from one backing array, each row capped at
+// the dimension, so the rows are read-only: a write through one point's X
+// lands in the array every Subset, Split half and Batcher batch shares.
 type Dataset struct {
 	points []Point
 	dim    int

@@ -48,10 +48,22 @@ func (c *SyntheticPhishingConfig) fillDefaults() {
 // structure that is linearly separable up to NoiseRate label noise. A
 // logistic model with d = Features+1 parameters trained on it behaves like
 // the paper's task: quick convergence with moderate gradient variance.
+//
+// The draw contract, which fixes the dataset's bits for a seed: first the
+// hidden separator w (Features NormalVec variates), then the bias (one
+// Normal), then exactly Features+1 words per point, in point order. With u
+// a word's Float64 uniform, word j of a point makes coordinate j — 2u − 1
+// when j%3 == 0, else −1 when u < 0.5 and +1 otherwise — and the last word
+// is the label-noise draw: the label [w·x + bias > 0] flips when u <
+// NoiseRate.
 func SyntheticPhishing(cfg SyntheticPhishingConfig) (*Dataset, error) {
 	cfg.fillDefaults()
 	if cfg.N <= 0 || cfg.Features <= 0 {
 		return nil, fmt.Errorf("data: invalid synthetic config %+v", cfg)
+	}
+	ds, err := newDense(cfg.N, cfg.Features)
+	if err != nil {
+		return nil, err
 	}
 	rng := randx.New(cfg.Seed ^ 0x5048495348)
 	// A hidden unit-norm "true" separator with a bias term.
@@ -67,34 +79,77 @@ func SyntheticPhishing(cfg SyntheticPhishingConfig) (*Dataset, error) {
 	}
 	bias := 0.1 * rng.Normal()
 
-	pts := make([]Point, cfg.N)
-	for i := range pts {
-		x := make([]float64, cfg.Features)
-		for j := range x {
-			// Mixture mimicking the phishing file: mostly ±1 categorical
-			// encodings with some continuous coordinates.
-			if j%3 == 0 {
-				x[j] = 2*rng.Float64() - 1
-			} else if rng.Float64() < 0.5 {
-				x[j] = -1
-			} else {
-				x[j] = 1
-			}
+	words := make([]uint64, cfg.Features+1)
+	for i := range ds.points {
+		rng.Uint64s(words)
+		x := ds.points[i].X
+		u, w := words[:len(x)], w[:len(x)]
+		score, sq := bias, 0.0
+		// Whole triples of coordinates (continuous, ±1, ±1) with no branch,
+		// then the row's last one or two. Both sums run in coordinate order.
+		j := 0
+		for ; j+3 <= len(x); j += 3 {
+			v0, v1, v2 := 2*unitFloat(u[j])-1, signOne(u[j+1]), signOne(u[j+2])
+			x[j], x[j+1], x[j+2] = v0, v1, v2
+			score = score + w[j]*v0 + w[j+1]*v1 + w[j+2]*v2
+			sq = sq + v0*v0 + v1*v1 + v2*v2
 		}
-		score := bias
-		for j := range x {
-			score += w[j] * x[j]
+		for ; j < len(x); j++ {
+			v := coordinate(j, u[j])
+			x[j] = v
+			score += w[j] * v
+			sq += v * v
 		}
 		y := 0.0
 		if score > 0 {
 			y = 1
 		}
-		if rng.Float64() < cfg.NoiseRate {
+		if unitFloat(words[len(x)]) < cfg.NoiseRate {
 			y = 1 - y
 		}
-		pts[i] = Point{X: x, Y: y}
+		ds.points[i].Y = y
+		ds.xsq[i] = sq
 	}
-	return New(pts)
+	return ds, nil
+}
+
+// coordinate is synthetic phishing coordinate j drawn from word u. Mixture
+// mimicking the phishing file: mostly ±1 categorical encodings with some
+// continuous coordinates.
+func coordinate(j int, u uint64) float64 {
+	if j%3 == 0 {
+		return 2*unitFloat(u) - 1
+	}
+	return signOne(u)
+}
+
+// unitFloat is randx.Stream.Float64's map of one word to [0, 1).
+func unitFloat(u uint64) float64 { return float64(u>>11) / (1 << 53) }
+
+// signOne is −1 when unitFloat(u) < 0.5 — exactly when u's top bit is
+// clear — and +1 otherwise: that bit, inverted, as the sign of 1.0, so no
+// branch can mispredict on it.
+func signOne(u uint64) float64 { return math.Float64frombits(0x3ff0000000000000 | ^u&(1<<63)) }
+
+// newDense returns a dataset of n points of dimension dim, all zero, whose
+// rows are windows of one backing array, each capped at dim: one allocation
+// for every row. The generators fill each row in place and store its ‖x‖²
+// in xsq as they go, so no second pass computes the norms. Each row starts
+// at a multiple of 8 floats, so in a backing array past 32 KB (which is
+// page aligned) it starts on a 64-byte line, as a row allocated on its own
+// does: the gradient kernels' 32-byte loads never straddle two lines.
+func newDense(n, dim int) (*Dataset, error) {
+	lines := (dim-1)/8 + 1
+	if lines > math.MaxInt/8/n {
+		return nil, fmt.Errorf("data: %d points of %d features overflow the address space", n, dim)
+	}
+	stride := 8 * lines
+	backing := make([]float64, n*stride)
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i].X = backing[i*stride : i*stride+dim : i*stride+dim]
+	}
+	return &Dataset{points: pts, dim: dim, xsq: make([]float64, n)}, nil
 }
 
 // GaussianMeanConfig parameterizes the distribution used in Theorem 1's
@@ -137,19 +192,19 @@ func GaussianMean(cfg GaussianMeanConfig) (*Dataset, []float64, error) {
 	} else if len(center) != cfg.Dim {
 		return nil, nil, fmt.Errorf("data: center dim %d != %d", len(center), cfg.Dim)
 	}
-	coordSigma := cfg.Sigma / math.Sqrt(float64(cfg.Dim))
-	pts := make([]Point, cfg.N)
-	for i := range pts {
-		x := make([]float64, cfg.Dim)
-		rng.NormalVec(x, coordSigma)
-		for j := range x {
-			x[j] += center[j]
-		}
-		pts[i] = Point{X: x}
-	}
-	ds, err := New(pts)
+	ds, err := newDense(cfg.N, cfg.Dim)
 	if err != nil {
 		return nil, nil, err
+	}
+	coordSigma := cfg.Sigma / math.Sqrt(float64(cfg.Dim))
+	for i, p := range ds.points {
+		rng.NormalVec(p.X, coordSigma)
+		var sq float64
+		for j := range p.X {
+			p.X[j] += center[j]
+			sq += p.X[j] * p.X[j]
+		}
+		ds.xsq[i] = sq
 	}
 	return ds, center, nil
 }
@@ -173,18 +228,25 @@ func TwoGaussians(cfg TwoGaussiansConfig) (*Dataset, error) {
 	if cfg.N < 2 || cfg.Dim <= 0 || cfg.Separation < 0 {
 		return nil, fmt.Errorf("data: invalid two-Gaussians config %+v", cfg)
 	}
+	ds, err := newDense(cfg.N, cfg.Dim)
+	if err != nil {
+		return nil, err
+	}
 	rng := randx.New(cfg.Seed ^ 0x32474155)
-	pts := make([]Point, cfg.N)
-	for i := range pts {
-		x := make([]float64, cfg.Dim)
-		rng.NormalVec(x, 1)
+	for i := range ds.points {
+		x := rng.NormalVec(ds.points[i].X, 1)
 		y := float64(i % 2)
 		if y == 1 {
 			x[0] += cfg.Separation / 2
 		} else {
 			x[0] -= cfg.Separation / 2
 		}
-		pts[i] = Point{X: x, Y: y}
+		var sq float64
+		for _, v := range x {
+			sq += v * v
+		}
+		ds.points[i].Y = y
+		ds.xsq[i] = sq
 	}
-	return New(pts)
+	return ds, nil
 }

@@ -50,3 +50,15 @@ func TestNormalVecAllocationFree(t *testing.T) {
 		t.Errorf("NormalVec allocs/op = %v, want 0", allocs)
 	}
 }
+
+func TestUint64sAllocationFree(t *testing.T) {
+	r := New(5)
+	for _, n := range uint64sLengths {
+		dst := make([]uint64, n)
+		if allocs := testing.AllocsPerRun(100, func() {
+			r.Uint64s(dst)
+		}); allocs != 0 {
+			t.Errorf("Uint64s(len %d) allocs/op = %v, want 0", n, allocs)
+		}
+	}
+}

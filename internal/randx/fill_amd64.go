@@ -1,3 +1,5 @@
+//go:build !purego
+
 package randx
 
 // haveFillRect is true where fillNormal runs the inner-rectangle loop of

@@ -1,3 +1,5 @@
+//go:build !purego
+
 // The inner-rectangle loop of the bulk ziggurat fill (fillNormal in
 // randx.go): the path that about 98.8 % of candidates take, in registers.
 // The four xoshiro256++ words stay in R8–R11 across the whole vector, and

@@ -1,10 +1,10 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package randx
 
-// Without amd64 there is no assembly loop and fillNormal runs
-// fillNormalGeneric. The stub only satisfies the compiler: with haveFillRect
-// a false constant, no call to it is compiled.
+// Without amd64, or under the purego build tag, there is no assembly loop
+// and fillNormal runs fillNormalGeneric. The stub only satisfies the
+// compiler: with haveFillRect a false constant, no call to it is compiled.
 
 const haveFillRect = false
 

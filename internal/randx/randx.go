@@ -25,7 +25,8 @@
 // locals, so filling a vector leaves every value and the stream position
 // exactly where len(dst) Normal calls would.
 //
-// On amd64 the bulk fill's common path is assembly (fill_amd64.s): the
+// On amd64 the bulk fill's common path is assembly (fill_amd64.s; the
+// purego build tag leaves it out and runs the Go loop everywhere): the
 // stream words stay in four registers and each candidate is one xoshiro
 // step, one exact integer-to-double conversion, a multiply by the power of
 // two 1/2⁵² (exact), one multiply by the strip width, a compare and
@@ -120,6 +121,20 @@ func (r *Stream) Uint64() uint64 {
 	res, s0, s1, s2, s3 := xoshiro(r.s[0], r.s[1], r.s[2], r.s[3])
 	r.s = [4]uint64{s0, s1, s2, s3}
 	return res
+}
+
+// Uint64s fills dst with the next len(dst) words of the stream — the values,
+// and the final stream position, of len(dst) Uint64 calls — and returns dst.
+// The state stays in four locals for the whole fill, as in fillNormal.
+//
+//dpbyz:hotpath
+func (r *Stream) Uint64s(dst []uint64) []uint64 {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for k := range dst {
+		dst[k], s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return dst
 }
 
 // xoshiro is the one xoshiro256++ step: it returns the output for state

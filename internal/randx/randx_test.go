@@ -228,3 +228,31 @@ func TestMul64(t *testing.T) {
 		t.Errorf("mul64(0, x) = (%d, %d)", hi, lo)
 	}
 }
+
+// uint64sLengths are the fill lengths the bulk-draw tests cover: every
+// length up to 9 and one long fill.
+var uint64sLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10_000}
+
+// Uint64s must return the words successive Uint64 calls from the same
+// state would, and leave the stream where those calls leave it.
+func TestUint64sMatchesUint64(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 0x5048495348} {
+		for _, n := range uint64sLengths {
+			bulk, ref := New(seed), New(seed)
+			bulk.Uint64() // start mid-stream
+			ref.Uint64()
+			got := bulk.Uint64s(make([]uint64, n))
+			if len(got) != n {
+				t.Fatalf("seed %d n=%d: returned %d words", seed, n, len(got))
+			}
+			for k, w := range got {
+				if want := ref.Uint64(); w != want {
+					t.Fatalf("seed %d n=%d: word %d = %#x, want %#x", seed, n, k, w, want)
+				}
+			}
+			if bulk.State() != ref.State() {
+				t.Fatalf("seed %d n=%d: state %v after the fill, want %v", seed, n, bulk.State(), ref.State())
+			}
+		}
+	}
+}

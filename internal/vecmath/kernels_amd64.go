@@ -1,9 +1,12 @@
+//go:build !purego
+
 package vecmath
 
 // useAVX2 decides, once at package init, whether the kernels run their AVX2
 // loops (kernels_amd64.s) or their Go bodies; both give the same bits. The
 // loops' callers check the lengths: every slice argument must be as long as
-// the first one (p, for sqDist4x2AVX2).
+// the first one (p, for sqDist4x2AVX2). The purego build tag leaves this
+// file and kernels_amd64.s out, and kernels_generic.go's false constant in.
 var useAVX2 = hasAVX2()
 
 // hasAVX2 reports whether the AVX2 loops may run: CPUID leaf 1 has AVX and

@@ -1,3 +1,5 @@
+//go:build !purego
+
 // AVX2 bodies of the hottest vecmath loops: DotBlocked2, Axpy4, sqDist4x2,
 // the sorting network's compare-exchange minMaxRows, and the honest worker's
 // per-coordinate passes Axpy and ScaleInPlace, plus the CPUID / XGETBV

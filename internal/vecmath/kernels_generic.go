@@ -1,10 +1,11 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package vecmath
 
-// Without amd64 there are no AVX2 loops and the kernels run their Go bodies.
-// The stubs only satisfy the compiler: with useAVX2 a false constant, no
-// call to them is compiled.
+// Without amd64, or under the purego build tag (the Go ecosystem's "no
+// assembly" convention), there are no AVX2 loops and the kernels run their
+// Go bodies. The stubs only satisfy the compiler: with useAVX2 a false
+// constant, no call to them is compiled.
 
 const useAVX2 = false
 
