@@ -34,16 +34,21 @@ var (
 	_ BatchGradienter = (*MLP)(nil)
 )
 
-// dloss* return dLoss/dz at pre-activation z and label y; the per-sample
-// gradient of an affine model is then g·[x, 1].
-func dlossLogisticMSE(z, y float64) float64 {
-	p := sigmoid(z)
-	return 2 * (p - y) * p * (1 - p)
-}
+// dloss* return dLoss/dz of one sample from its link output p (sigmoid(z)
+// for the logistic models, z itself for linear regression) and label y; the
+// per-sample gradient of an affine model is then g·[x, 1].
+func dlossLogisticMSE(p, y float64) float64 { return 2 * (p - y) * p * (1 - p) }
 
-func dlossLogisticNLL(z, y float64) float64 { return sigmoid(z) - y }
+func dlossLogisticNLL(p, y float64) float64 { return p - y }
 
 func dlossLinearRegression(z, y float64) float64 { return 2 * (z - y) }
+
+// linkBlock is how many rows affineBatch and LogisticMSE.Loss score before
+// they apply the link to all of them at once (vecmath.SigmoidInPlace, four
+// lanes at a time). It is a multiple of 4, so every block but the last
+// holds whole pairs and Axpy4 quads, and the sums run in the order of a
+// row-by-row loop.
+const linkBlock = 64
 
 // pairDots returns the scores w·xᵢ and w·xᵢ₊₁ of batch rows i and i+1, each
 // over the row's own width, reading w once when the two rows share a width
@@ -63,16 +68,29 @@ func pairDots(w []float64, batch []data.Point, i int) (float64, float64) {
 	return vecmath.DotBlocked2(w[:len(x0)], x0, x1)
 }
 
+// scoreRows writes into z (length len(rows)) the score w·x + b of every row,
+// the bias b being the last parameter, two rows per pairDots sweep.
+func scoreRows(z, w []float64, rows []data.Point) {
+	b := w[len(w)-1]
+	for i := 0; i < len(rows); i += 2 {
+		p, q := pairDots(w, rows, i)
+		z[i] = p + b
+		if i+1 < len(rows) {
+			z[i+1] = q + b
+		}
+	}
+}
+
 // affineSampleCoeff returns the (possibly clipped) per-sample coefficient g
-// for batch point i of an affine model with score dot = w·x: the per-sample
-// gradient g·[x, 1] has norm |g|·√(‖x‖²+1), so clipping reduces to rescaling
-// the scalar. With clip <= 0 the raw coefficient is returned; otherwise ‖x‖²
-// comes from xSq when it is non-nil and from one blocked pass over x when it
-// is not.
-func affineSampleCoeff(w []float64, batch []data.Point, i int, dot float64, xSq []float64, clip float64,
-	dloss func(z, y float64) float64) float64 {
-	p := batch[i]
-	g := dloss(dot+w[len(w)-1], p.Y)
+// for batch point i of an affine model whose link output is p: the
+// per-sample gradient g·[x, 1] has norm |g|·√(‖x‖²+1), so clipping reduces
+// to rescaling the scalar. With clip <= 0 the raw coefficient is returned;
+// otherwise ‖x‖² comes from xSq when it is non-nil and from one blocked pass
+// over x when it is not.
+func affineSampleCoeff(batch []data.Point, i int, p float64, xSq []float64, clip float64,
+	dloss func(p, y float64) float64) float64 {
+	pt := batch[i]
+	g := dloss(p, pt.Y)
 	if clip <= 0 || g == 0 {
 		return g
 	}
@@ -80,7 +98,7 @@ func affineSampleCoeff(w []float64, batch []data.Point, i int, dot float64, xSq 
 	if xSq != nil {
 		sq = xSq[i]
 	} else {
-		sq = vecmath.DotBlocked(p.X, p.X)
+		sq = vecmath.DotBlocked(pt.X, pt.X)
 	}
 	if norm := math.Abs(g) * math.Sqrt(sq+1); norm > clip {
 		g *= clip / norm
@@ -90,54 +108,59 @@ func affineSampleCoeff(w []float64, batch []data.Point, i int, dot float64, xSq 
 
 // affineBatch is the shared batched kernel of the three affine models, for
 // both the raw (clip <= 0) and per-sample-clipped (clip > 0) batch
-// gradients. Samples are processed four at a time: two DotBlocked2 sweeps
-// score the four rows, reading w once per pair, the four coefficients
-// follow, then one fused Axpy4 sweep accumulates them, touching each dst
-// coordinate once per block instead of once per sample. The 1–3 leftover
-// samples are scored in pairs where they can be and accumulated one by one,
-// in sample order.
+// gradients. It works linkBlock samples at a time: scoreRows scores the
+// block, reading w once per pair of rows, and, for the logistic models
+// (logistic), vecmath.SigmoidInPlace maps the whole block through the link.
+// The samples then go four at a time: the four coefficients, then one fused
+// Axpy4 sweep that accumulates them, touching each dst coordinate once per
+// quad instead of once per sample. The 1–3 leftover samples of the last
+// block are accumulated one by one, in sample order.
 func affineBatch(dst, w []float64, batch []data.Point, xSq []float64, clip float64,
-	dloss func(z, y float64) float64) []float64 {
+	logistic bool, dloss func(p, y float64) float64) []float64 {
 	for i := range dst {
 		dst[i] = 0
 	}
 	f := len(dst) - 1
+	var ps [linkBlock]float64
 	var gs [4]float64
-	i := 0
-	for ; i+4 <= len(batch); i += 4 {
-		gs[0], gs[1] = pairDots(w, batch, i)
-		gs[2], gs[3] = pairDots(w, batch, i+2)
-		for k := range gs {
-			gs[k] = affineSampleCoeff(w, batch, i+k, gs[k], xSq, clip, dloss)
-			dst[f] += gs[k]
+	for lo := 0; lo < len(batch); lo += linkBlock {
+		hi := min(lo+linkBlock, len(batch))
+		p := ps[:hi-lo]
+		scoreRows(p, w, batch[lo:hi])
+		if logistic {
+			vecmath.SigmoidInPlace(p)
 		}
-		vecmath.Axpy4(dst, gs[0], batch[i].X, gs[1], batch[i+1].X,
-			gs[2], batch[i+2].X, gs[3], batch[i+3].X)
-	}
-	for ; i < len(batch); i++ {
-		if i%2 == 0 {
-			gs[0], gs[1] = pairDots(w, batch, i)
+		i := lo
+		for ; i+4 <= hi; i += 4 {
+			for k := range gs {
+				gs[k] = affineSampleCoeff(batch, i+k, p[i-lo+k], xSq, clip, dloss)
+				dst[f] += gs[k]
+			}
+			vecmath.Axpy4(dst, gs[0], batch[i].X, gs[1], batch[i+1].X,
+				gs[2], batch[i+2].X, gs[3], batch[i+3].X)
 		}
-		g := affineSampleCoeff(w, batch, i, gs[i%2], xSq, clip, dloss)
-		vecmath.Axpy(g, batch[i].X, dst[:len(batch[i].X)])
-		dst[f] += g
+		for ; i < hi; i++ {
+			g := affineSampleCoeff(batch, i, p[i-lo], xSq, clip, dloss)
+			vecmath.Axpy(g, batch[i].X, dst[:len(batch[i].X)])
+			dst[f] += g
+		}
 	}
 	return vecmath.ScaleInPlace(1/float64(len(batch)), dst)
 }
 
 // ClippedBatchGradient implements BatchGradienter.
 func (m *LogisticMSE) ClippedBatchGradient(dst, _, w []float64, batch []data.Point, xSq []float64, clip float64) []float64 {
-	return affineBatch(dst, w, batch, xSq, clip, dlossLogisticMSE)
+	return affineBatch(dst, w, batch, xSq, clip, true, dlossLogisticMSE)
 }
 
 // ClippedBatchGradient implements BatchGradienter.
 func (m *LogisticNLL) ClippedBatchGradient(dst, _, w []float64, batch []data.Point, xSq []float64, clip float64) []float64 {
-	return affineBatch(dst, w, batch, xSq, clip, dlossLogisticNLL)
+	return affineBatch(dst, w, batch, xSq, clip, true, dlossLogisticNLL)
 }
 
 // ClippedBatchGradient implements BatchGradienter.
 func (m *LinearRegression) ClippedBatchGradient(dst, _, w []float64, batch []data.Point, xSq []float64, clip float64) []float64 {
-	return affineBatch(dst, w, batch, xSq, clip, dlossLinearRegression)
+	return affineBatch(dst, w, batch, xSq, clip, false, dlossLinearRegression)
 }
 
 // ClippedBatchGradient implements BatchGradienter. The per-sample gradient

@@ -151,7 +151,7 @@ func TestAffineGradientMatchesScalarReference(t *testing.T) {
 		for j, xj := range p.X {
 			z += w[j] * xj
 		}
-		g := sigmoid(z) - p.Y
+		g := vecmath.Sigmoid(z) - p.Y
 		for j, xj := range p.X {
 			want[j] += g * xj
 		}
@@ -162,6 +162,71 @@ func TestAffineGradientMatchesScalarReference(t *testing.T) {
 		want[i] *= inv
 		if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
 			t.Fatalf("coord %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestAffineBatchKeepsRowOrder pins the affine kernels bit for bit, across
+// linkBlock boundaries, to a row-by-row loop: each row scored by its own
+// DotBlocked and put through Sigmoid, the samples accumulated as one Axpy4
+// per quad from the first row and one Axpy per leftover row. Linking a
+// whole block at once must not move a bit at any batch size.
+func TestAffineBatchKeepsRowOrder(t *testing.T) {
+	const features = 7
+	mse, _ := NewLogisticMSE(features)
+	nll, _ := NewLogisticNLL(features)
+	lin, _ := NewLinearRegression(features)
+	models := []struct {
+		m     BatchGradienter
+		link  func(float64) float64
+		dloss func(p, y float64) float64
+	}{
+		{mse, vecmath.Sigmoid, dlossLogisticMSE},
+		{nll, vecmath.Sigmoid, dlossLogisticNLL},
+		{lin, func(z float64) float64 { return z }, dlossLinearRegression},
+	}
+	for _, n := range []int{1, 3, 5, linkBlock - 1, linkBlock, linkBlock + 1, linkBlock + 3, 2*linkBlock + 3} {
+		batch, xSq := batchTask(t, features, n, int64(n))
+		w := randomParams(features+1, 13)
+		for _, tc := range models {
+			for _, clip := range []float64{0, 0.05} {
+				want := make([]float64, features+1)
+				gs := make([]float64, n)
+				for i, p := range batch {
+					z := vecmath.DotBlocked(w[:features], p.X) + w[features]
+					gs[i] = affineSampleCoeff(batch, i, tc.link(z), xSq, clip, tc.dloss)
+				}
+				i := 0
+				for ; i+4 <= n; i += 4 {
+					for k := range 4 {
+						want[features] += gs[i+k]
+					}
+					vecmath.Axpy4(want, gs[i], batch[i].X, gs[i+1], batch[i+1].X,
+						gs[i+2], batch[i+2].X, gs[i+3], batch[i+3].X)
+				}
+				for ; i < n; i++ {
+					vecmath.Axpy(gs[i], batch[i].X, want[:features])
+					want[features] += gs[i]
+				}
+				vecmath.ScaleInPlace(1/float64(n), want)
+				got := tc.m.Gradient(make([]float64, features+1), w, batch)
+				if clip > 0 {
+					got = tc.m.ClippedBatchGradient(make([]float64, features+1), nil, w, batch, xSq, clip)
+				}
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("%s n=%d clip=%v: coord %d = %v, row-by-row %v", tc.m.Name(), n, clip, j, got[j], want[j])
+					}
+				}
+			}
+		}
+		var s float64
+		for _, p := range batch {
+			d := vecmath.Sigmoid(vecmath.DotBlocked(w[:features], p.X)+w[features]) - p.Y
+			s += d * d
+		}
+		if got, want := mse.Loss(w, batch), s/float64(n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("LogisticMSE.Loss n=%d = %v, row-by-row %v", n, got, want)
 		}
 	}
 }

@@ -73,7 +73,7 @@ func (m *MLP) forward(w []float64, x []float64, hBuf []float64) float64 {
 		hBuf[i] = math.Tanh(a)
 		z += w2[i] * hBuf[i]
 	}
-	return sigmoid(z)
+	return vecmath.Sigmoid(z)
 }
 
 // Predict implements Predictor.

@@ -136,22 +136,13 @@ func DatasetLoss(m Model, w []float64, ds *data.Dataset) float64 {
 	return total / float64(n)
 }
 
-// sigmoid is the numerically stable logistic function.
-func sigmoid(z float64) float64 {
-	if z >= 0 {
-		return 1 / (1 + math.Exp(-z))
-	}
-	e := math.Exp(z)
-	return e / (1 + e)
-}
-
 // affine returns w·x + bias where the bias is the last parameter; the
 // feature dimension is len(w)-1. It scores one point for Predict; the Loss
-// loops score their batch two rows per sweep over w with pairDots, which is
-// bit-identical to one DotBlocked call per row. Like the historical scalar
-// loop, both range over x, tolerating a w that carries more features than
-// the point (the cluster tests exercise dimension-confused workers that
-// way).
+// loops score their batch two rows per sweep over w with pairDots (through
+// scoreRows in LogisticMSE.Loss and affineBatch), which is bit-identical to
+// one DotBlocked call per row. Like the historical scalar loop, both range
+// over x, tolerating a w that carries more features than the point (the
+// cluster tests exercise dimension-confused workers that way).
 func affine(w []float64, x []float64) float64 {
 	return w[len(w)-1] + vecmath.DotBlocked(w[:len(x)], x)
 }
@@ -187,26 +178,31 @@ func (m *LogisticMSE) Features() int { return m.features }
 
 // Predict implements Predictor.
 func (m *LogisticMSE) Predict(w []float64, x []float64) float64 {
-	return sigmoid(affine(w, x))
+	return vecmath.Sigmoid(affine(w, x))
 }
 
-// Loss implements Model: mean over the batch of (sigmoid(w·x+b) − y)².
+// Loss implements Model: mean over the batch of (sigmoid(w·x+b) − y)². The
+// batch is scored linkBlock rows at a time and each block goes through the
+// link at once; the squares are summed in sample order.
 func (m *LogisticMSE) Loss(w []float64, batch []data.Point) float64 {
 	var s float64
-	var zs [2]float64
-	for i, p := range batch {
-		if i%2 == 0 {
-			zs[0], zs[1] = pairDots(w, batch, i)
+	var ps [linkBlock]float64
+	for lo := 0; lo < len(batch); lo += linkBlock {
+		rows := batch[lo:min(lo+linkBlock, len(batch))]
+		p := ps[:len(rows)]
+		scoreRows(p, w, rows)
+		vecmath.SigmoidInPlace(p)
+		for k, pk := range p {
+			d := pk - rows[k].Y
+			s += d * d
 		}
-		d := sigmoid(w[len(w)-1]+zs[i%2]) - p.Y
-		s += d * d
 	}
 	return s / float64(len(batch))
 }
 
 // Gradient implements Model. dLoss/dz = 2(p − y)·p·(1 − p).
 func (m *LogisticMSE) Gradient(dst, w []float64, batch []data.Point) []float64 {
-	return affineBatch(dst, w, batch, nil, 0, dlossLogisticMSE)
+	return affineBatch(dst, w, batch, nil, 0, true, dlossLogisticMSE)
 }
 
 // LogisticNLL is standard logistic regression with the cross-entropy loss,
@@ -239,7 +235,7 @@ func (m *LogisticNLL) Features() int { return m.features }
 
 // Predict implements Predictor.
 func (m *LogisticNLL) Predict(w []float64, x []float64) float64 {
-	return sigmoid(affine(w, x))
+	return vecmath.Sigmoid(affine(w, x))
 }
 
 // Loss implements Model: mean binary cross-entropy, computed in the stable
@@ -260,7 +256,7 @@ func (m *LogisticNLL) Loss(w []float64, batch []data.Point) float64 {
 
 // Gradient implements Model: mean over the batch of (sigmoid(z) − y)·x.
 func (m *LogisticNLL) Gradient(dst, w []float64, batch []data.Point) []float64 {
-	return affineBatch(dst, w, batch, nil, 0, dlossLogisticNLL)
+	return affineBatch(dst, w, batch, nil, 0, true, dlossLogisticNLL)
 }
 
 // LinearRegression is ordinary least squares with MSE loss, the simplest
@@ -304,7 +300,7 @@ func (m *LinearRegression) Loss(w []float64, batch []data.Point) float64 {
 
 // Gradient implements Model.
 func (m *LinearRegression) Gradient(dst, w []float64, batch []data.Point) []float64 {
-	return affineBatch(dst, w, batch, nil, 0, dlossLinearRegression)
+	return affineBatch(dst, w, batch, nil, 0, false, dlossLinearRegression)
 }
 
 // MeanEstimation is Theorem 1's lower-bound objective

@@ -152,24 +152,6 @@ func TestNames(t *testing.T) {
 	}
 }
 
-func TestSigmoid(t *testing.T) {
-	if got := sigmoid(0); got != 0.5 {
-		t.Errorf("sigmoid(0) = %v", got)
-	}
-	if got := sigmoid(1000); got != 1 {
-		t.Errorf("sigmoid(1000) = %v", got)
-	}
-	if got := sigmoid(-1000); got != 0 {
-		t.Errorf("sigmoid(-1000) = %v", got)
-	}
-	// Symmetry: sigmoid(-z) = 1 - sigmoid(z).
-	for _, z := range []float64{0.1, 1, 5, 20} {
-		if diff := sigmoid(-z) - (1 - sigmoid(z)); math.Abs(diff) > 1e-12 {
-			t.Errorf("sigmoid symmetry broken at %v: %v", z, diff)
-		}
-	}
-}
-
 func TestAccuracyPerfectSeparation(t *testing.T) {
 	m, _ := NewLogisticMSE(1)
 	ds, err := data.New([]data.Point{

@@ -38,7 +38,10 @@
 //dpbyz:deterministic
 package randx
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Stream is a deterministic pseudo-random stream. It is NOT safe for
 // concurrent use; derive one stream per goroutine instead.
@@ -172,22 +175,11 @@ func (r *Stream) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	lo = a * b
-	hi = aHi*bHi + t>>32 + (t&mask+aLo*bHi)>>32
-	return hi, lo
 }
 
 // PermInto fills p with a uniformly random permutation of [0, len(p)) and

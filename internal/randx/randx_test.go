@@ -218,17 +218,6 @@ func TestSamplePanicsWhenTooLarge(t *testing.T) {
 	New(1).Sample(make([]int, 5), 4)
 }
 
-func TestMul64(t *testing.T) {
-	hi, lo := mul64(math.MaxUint64, 2)
-	if hi != 1 || lo != math.MaxUint64-1 {
-		t.Errorf("mul64(MaxUint64, 2) = (%d, %d)", hi, lo)
-	}
-	hi, lo = mul64(0, 12345)
-	if hi != 0 || lo != 0 {
-		t.Errorf("mul64(0, x) = (%d, %d)", hi, lo)
-	}
-}
-
 // uint64sLengths are the fill lengths the bulk-draw tests cover: every
 // length up to 9 and one long fill.
 var uint64sLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10_000}

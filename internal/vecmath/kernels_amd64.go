@@ -2,12 +2,23 @@
 
 package vecmath
 
+import "math"
+
 // useAVX2 decides, once at package init, whether the kernels run their AVX2
 // loops (kernels_amd64.s) or their Go bodies; both give the same bits. The
 // loops' callers check the lengths: every slice argument must be as long as
 // the first one (p, for sqDist4x2AVX2). The purego build tag leaves this
 // file and kernels_amd64.s out, and kernels_generic.go's false constant in.
 var useAVX2 = hasAVX2()
+
+// useAVX2FMA decides, once at package init, whether SigmoidInPlace runs its
+// AVX2 loop: only where math.Exp itself takes its FMA branch (math's useFMA,
+// AVX && FMA), because that loop is a port of the branch and has its bits
+// only there. AVX2 here implies AVX with the OS's YMM support. The last
+// term asks math itself, since GODEBUG=cpu.fma=off (or cpu.avx=off) turns
+// its FMA branch off on a CPU that has FMA: at 0.375 the branch returns
+// 0x3ff747a513dbef6b and the unfused one 0x3ff747a513dbef6a.
+var useAVX2FMA = useAVX2 && hasFMA() && math.Float64bits(math.Exp(0.375)) == 0x3ff747a513dbef6b
 
 // hasAVX2 reports whether the AVX2 loops may run: CPUID leaf 1 has AVX and
 // OSXSAVE (without OSXSAVE, XGETBV faults, so it is checked first), XCR0
@@ -28,6 +39,14 @@ func hasAVX2() bool {
 	const avx2 = 1 << 5
 	_, b, _, _ := cpuid(7, 0)
 	return b&avx2 != 0
+}
+
+// hasFMA reports whether CPUID leaf 1 has FMA (ECX bit 12), the fused
+// multiply-adds VFMADD213PD / VFNMADD231PD.
+func hasFMA() bool {
+	const fma = 1 << 12
+	_, _, c, _ := cpuid(1, 0)
+	return c&fma != 0
 }
 
 func cpuid(leaf, sub uint32) (a, b, c, d uint32)
@@ -52,3 +71,6 @@ func axpyAVX2(alpha float64, x, dst []float64)
 
 //go:noescape
 func scaleInPlaceAVX2(s float64, v []float64)
+
+//go:noescape
+func sigmoidAVX2(z []float64) (done int)

@@ -1,13 +1,14 @@
 //go:build !purego
 
 // AVX2 bodies of the hottest vecmath loops: DotBlocked2, Axpy4, sqDist4x2,
-// the sorting network's compare-exchange minMaxRows, and the honest worker's
-// per-coordinate passes Axpy and ScaleInPlace, plus the CPUID / XGETBV
-// probe that decides at init whether they run (kernels_amd64.go). On a CPU
-// without AVX2 the wrappers call the Go loops instead, dotBlocked2Generic,
-// axpy4Generic, sqDist4x2Generic, minMaxRowsGeneric, axpyGeneric and
-// scaleInPlaceGeneric, which are also the body on every other GOARCH and the
-// tests' oracle.
+// the sorting network's compare-exchange minMaxRows, the honest worker's
+// per-coordinate passes Axpy and ScaleInPlace, and the logistic link
+// SigmoidInPlace, plus the CPUID / XGETBV probe that decides at init whether
+// they run (kernels_amd64.go). On a CPU without AVX2 the wrappers call the
+// Go loops instead, dotBlocked2Generic, axpy4Generic, sqDist4x2Generic,
+// minMaxRowsGeneric, axpyGeneric and scaleInPlaceGeneric, which are also the
+// body on every other GOARCH and the tests' oracle; SigmoidInPlace calls
+// Sigmoid, its scalar body and oracle, there and on a CPU without FMA.
 //
 // Why the bits do not move in the arithmetic kernels. Each YMM lane holds
 // exactly one of the Go loop's scalar accumulators (or, in axpy4, one
@@ -35,9 +36,22 @@
 //     one coordinate per step in lane 0; a coordinate's loads come before
 //     its store, so x may be dst itself.
 //
-// There is no FMA: a fused multiply-add rounds once where the Go loop
-// rounds twice (Go fuses only on architectures such as arm64, never on
-// amd64), so every product is a VMULPD and every sum a separate VADDPD.
+// There is no FMA but one: a fused multiply-add rounds once where the Go
+// loop rounds twice (Go fuses only on architectures such as arm64, never on
+// amd64), so every product is a VMULPD and every sum a separate VADDPD. The
+// exception is sigmoidAVX2, whose scalar body is not a Go loop but
+// math.Exp, and on a CPU with AVX and FMA math.Exp is itself assembly that
+// fuses: the FMA branch of math/exp_amd64.s (Shibata's branch-free method,
+// built for SIMD). sigmoidAVX2 is that branch with one scalar evaluation per
+// lane: the same constants, each VFNMADD231SD / VFMADD213SD / MULSD / ADDSD
+// as its packed twin in the same order, CVTSD2SL (round to nearest) as
+// VCVTPD2DQ, the exponent 2^k built by the same integer add and shift, then
+// Sigmoid's 1 + e, numerator and one division. It runs only where math.Exp
+// takes that branch (useAVX2FMA), and only on quads whose −|z| lies in
+// [−708, 0], where math.Exp's path has no branch left (no special value, no
+// overflow, no subnormal result); any other quad is left to Sigmoid. So
+// every lane returns Sigmoid's bits, which is math.Exp's result put through
+// the same IEEE operations.
 //
 // The VEX-scalar rule. A VEX-encoded scalar or 128-bit instruction (VADDSD,
 // VMULSD, VMOVSD, …) zeroes bits 128–255 of its destination register. The
@@ -362,5 +376,109 @@ scaletail:
 	JMP    scaletail
 
 scaledone:
+	VZEROUPPER
+	RET
+
+// The constants of math.Exp's amd64 body (math/exp_amd64.s), written as the
+// same literals so they assemble to the same bits, each in all four lanes of
+// a 32-byte row so that it can be a VEX memory operand: the sign bit, the
+// −708 bound, LOG2E, LN2U, LN2L, the 1/16 of the argument reduction, the
+// Taylor coefficients 1/8! … 1/3!, 0.5 and 1.0 (exprodata<>+64 … +0, +8),
+// 2.0 (exprodata<>+16), and the exponent bias 0x3FF as a 64-bit integer.
+#define SIGROW(row, v) \
+	DATA sigmoiddata<>+(row*32)(SB)/8, v; \
+	DATA sigmoiddata<>+(row*32+8)(SB)/8, v; \
+	DATA sigmoiddata<>+(row*32+16)(SB)/8, v; \
+	DATA sigmoiddata<>+(row*32+24)(SB)/8, v
+
+SIGROW(0, $0x8000000000000000)
+SIGROW(1, $-708.0)
+SIGROW(2, $1.4426950408889634073599246810018920)
+SIGROW(3, $0.69314718055966295651160180568695068359375)
+SIGROW(4, $0.28235290563031577122588448175013436025525412068e-12)
+SIGROW(5, $0.0625)
+SIGROW(6, $2.4801587301587301587e-5)
+SIGROW(7, $1.9841269841269841270e-4)
+SIGROW(8, $1.3888888888888888889e-3)
+SIGROW(9, $8.3333333333333333333e-3)
+SIGROW(10, $4.1666666666666666667e-2)
+SIGROW(11, $1.6666666666666666667e-1)
+SIGROW(12, $0.5)
+SIGROW(13, $1.0)
+SIGROW(14, $2.0)
+SIGROW(15, $0x3FF)
+GLOBL sigmoiddata<>(SB), RODATA|NOPTR, $512
+
+#define SIGSIGN sigmoiddata<>+0(SB)
+#define SIGMIN sigmoiddata<>+32(SB)
+#define SIGLOG2E sigmoiddata<>+64(SB)
+#define SIGLN2U sigmoiddata<>+96(SB)
+#define SIGLN2L sigmoiddata<>+128(SB)
+#define SIGSIXTEENTH sigmoiddata<>+160(SB)
+#define SIGC8 sigmoiddata<>+192(SB)
+#define SIGC7 sigmoiddata<>+224(SB)
+#define SIGC6 sigmoiddata<>+256(SB)
+#define SIGC5 sigmoiddata<>+288(SB)
+#define SIGC4 sigmoiddata<>+320(SB)
+#define SIGC3 sigmoiddata<>+352(SB)
+#define SIGHALF sigmoiddata<>+384(SB)
+#define SIGONE sigmoiddata<>+416(SB)
+#define SIGTWO sigmoiddata<>+448(SB)
+#define SIGBIAS sigmoiddata<>+480(SB)
+
+// func sigmoidAVX2(z []float64) (done int)
+TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-32
+	MOVQ   z_base+0(FP), DI
+	MOVQ   z_len+8(FP), CX
+	XORQ   AX, AX
+	ANDQ   $-4, CX
+	JZ     sigmoiddone
+	VXORPD Y15, Y15, Y15
+
+sigmoidloop:
+	VMOVUPD      (DI)(AX*8), Y0         // z
+	VORPD        SIGSIGN, Y0, Y1        // x = −|z|
+	VCMPPD       $0x19, SIGMIN, Y1, Y2  // NGE_UQ: x < −708 or NaN
+	VMOVMSKPD    Y2, BX
+	TESTL        BX, BX
+	JNZ          sigmoiddone
+	VMULPD       SIGLOG2E, Y1, Y2
+	VCVTPD2DQY   Y2, X2                 // k = x·LOG2E rounded to nearest
+	VCVTDQ2PD    X2, Y3                 // float64(k)
+	VFNMADD231PD SIGLN2U, Y3, Y1        // x − k·LN2U, one rounding
+	VFNMADD231PD SIGLN2L, Y3, Y1        // − k·LN2L
+	VMULPD       SIGSIXTEENTH, Y1, Y1   // r = (x − k·ln2)/16
+	VMOVUPD      SIGC8, Y4
+	VFMADD213PD  SIGC7, Y1, Y4          // Y4 = Y4·r + c, Horner
+	VFMADD213PD  SIGC6, Y1, Y4
+	VFMADD213PD  SIGC5, Y1, Y4
+	VFMADD213PD  SIGC4, Y1, Y4
+	VFMADD213PD  SIGC3, Y1, Y4
+	VFMADD213PD  SIGHALF, Y1, Y4
+	VFMADD213PD  SIGONE, Y1, Y4
+	VMULPD       Y4, Y1, Y1             // y = r·poly = e^r − 1
+	VADDPD       SIGTWO, Y1, Y4         // y = y·(y + 2), four times:
+	VMULPD       Y4, Y1, Y1             // (e^(2r) − 1), …, (e^(16r) − 1)
+	VADDPD       SIGTWO, Y1, Y4
+	VMULPD       Y4, Y1, Y1
+	VADDPD       SIGTWO, Y1, Y4
+	VMULPD       Y4, Y1, Y1
+	VADDPD       SIGTWO, Y1, Y4
+	VFMADD213PD  SIGONE, Y4, Y1         // the last one fused with the + 1
+	VPMOVSXDQ    X2, Y5
+	VPADDQ       SIGBIAS, Y5, Y5
+	VPSLLQ       $52, Y5, Y5            // 2^k
+	VMULPD       Y5, Y1, Y1             // e = e^x
+	VADDPD       SIGONE, Y1, Y6         // 1 + e
+	VCMPPD       $0x1D, Y15, Y0, Y7     // GE_OQ: z ≥ 0
+	VBLENDVPD    Y7, SIGONE, Y1, Y1     // 1 where z ≥ 0, e elsewhere
+	VDIVPD       Y6, Y1, Y1
+	VMOVUPD      Y1, (DI)(AX*8)
+	ADDQ         $4, AX
+	CMPQ         AX, CX
+	JLT          sigmoidloop
+
+sigmoiddone:
+	MOVQ       AX, done+24(FP)
 	VZEROUPPER
 	RET

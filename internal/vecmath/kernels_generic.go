@@ -4,10 +4,12 @@ package vecmath
 
 // Without amd64, or under the purego build tag (the Go ecosystem's "no
 // assembly" convention), there are no AVX2 loops and the kernels run their
-// Go bodies. The stubs only satisfy the compiler: with useAVX2 a false
-// constant, no call to them is compiled.
+// Go bodies. The stubs only satisfy the compiler: with useAVX2 and
+// useAVX2FMA false constants, no call to them is compiled.
 
 const useAVX2 = false
+
+const useAVX2FMA = false
 
 func dotBlocked2AVX2(a, b0, b1 []float64) (p, q float64) { panic("vecmath: no AVX2 loops") }
 
@@ -25,3 +27,5 @@ func minMaxRowsAVX2(a, b []float64) { panic("vecmath: no AVX2 loops") }
 func axpyAVX2(alpha float64, x, dst []float64) { panic("vecmath: no AVX2 loops") }
 
 func scaleInPlaceAVX2(s float64, v []float64) { panic("vecmath: no AVX2 loops") }
+
+func sigmoidAVX2(z []float64) (done int) { panic("vecmath: no AVX2 loops") }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"os/exec"
 	"runtime"
 	"slices"
 	"strings"
@@ -194,15 +195,17 @@ func TestKernelsMatchGeneric(t *testing.T) {
 }
 
 // TestAVX2ProbeMatchesCPUInfo checks the CPUID / XGETBV decode behind
-// useAVX2 against an independent source: Linux lists avx and avx2 in
-// /proc/cpuinfo only when the CPU has them and the kernel saves the YMM
-// registers, which is exactly the condition the AVX2 loops need.
+// useAVX2 and useAVX2FMA against an independent source: Linux lists avx and
+// avx2 in /proc/cpuinfo only when the CPU has them and the kernel saves the
+// YMM registers, which is exactly the condition the AVX2 loops need, and fma
+// when the CPU has the fused multiply-adds, which the sigmoid loop also
+// needs.
 func TestAVX2ProbeMatchesCPUInfo(t *testing.T) {
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
 		t.Skipf("the probe runs on amd64 and /proc/cpuinfo is Linux's; this is %s/%s", runtime.GOOS, runtime.GOARCH)
 	}
 	if puregoBuild {
-		t.Skip("the purego tag leaves the probe out: useAVX2 is the false constant")
+		t.Skip("the purego tag leaves the probe out: useAVX2 and useAVX2FMA are false constants")
 	}
 	f, err := os.Open("/proc/cpuinfo")
 	if err != nil {
@@ -223,7 +226,34 @@ func TestAVX2ProbeMatchesCPUInfo(t *testing.T) {
 	if useAVX2 != want {
 		t.Fatalf("useAVX2 = %v, but /proc/cpuinfo lists avx and avx2: %v", useAVX2, want)
 	}
-	t.Logf("useAVX2 = %v", useAVX2)
+	wantFMA := want && slices.Contains(flags, "fma")
+	if useAVX2FMA != wantFMA {
+		t.Fatalf("useAVX2FMA = %v, but /proc/cpuinfo lists avx, avx2 and fma: %v", useAVX2FMA, wantFMA)
+	}
+	t.Logf("useAVX2 = %v, useAVX2FMA = %v", useAVX2, useAVX2FMA)
+}
+
+// TestSigmoidProbeFollowsMath runs this test binary again with
+// GODEBUG=cpu.fma=off, which turns math.Exp's FMA branch off on a CPU that
+// has FMA, and requires the child to see useAVX2FMA false and
+// SigmoidInPlace still equal to Sigmoid: the AVX2 loop has the bits of that
+// branch only.
+func TestSigmoidProbeFollowsMath(t *testing.T) {
+	if runtime.GOARCH != "amd64" || puregoBuild {
+		t.Skipf("the probe runs on amd64 without the purego tag; this is %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	if os.Getenv("VECMATH_FMA_OFF_CHILD") != "" {
+		if useAVX2FMA {
+			t.Fatal("useAVX2FMA = true while GODEBUG turns math's FMA branch off")
+		}
+		requireSigmoidInPlace(t, offsetVec(1000, 0, func(j int) float64 { return float64(j-500) / 16 }), "fma off")
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSigmoidProbeFollowsMath$", "-test.count=1")
+	cmd.Env = append(os.Environ(), "GODEBUG=cpu.fma=off", "VECMATH_FMA_OFF_CHILD=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child with GODEBUG=cpu.fma=off: %v\n%s", err, out)
+	}
 }
 
 // requireAxpy4 asserts Axpy4's contract on decoded fuzz input: the kernel
