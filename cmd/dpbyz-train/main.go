@@ -11,6 +11,11 @@
 //
 // The emitted spec file is the same document cmd/dpbyz-server,
 // cmd/dpbyz-worker and cmd/dpbyz-experiments -exp spec consume.
+//
+// The trained model is the final -checkpoint snapshot: a run writes one at
+// its last step, holding the params beside the Spec and the backend that
+// produced them. Read it with dpbyz.LoadRunState, or continue it with
+// -resume.
 package main
 
 import (
@@ -23,7 +28,6 @@ import (
 	"syscall"
 
 	"dpbyz"
-	"dpbyz/internal/checkpoint"
 )
 
 func main() {
@@ -81,7 +85,6 @@ func run() (retErr error) {
 		resume    = flag.String("resume", "", "resume from a snapshot written via -checkpoint")
 		jsonl     = flag.String("jsonl", "", "stream per-step metrics as JSON lines to this file (- for stderr)")
 		progress  = flag.Int("progress", 0, "print a progress line every k steps (0 disables)")
-		savePath  = flag.String("save", "", "write the trained model as a JSON checkpoint to this path")
 		list      = flag.Bool("list", false, "list registered GARs, attacks and mechanisms, then exit")
 	)
 	flag.Parse()
@@ -247,30 +250,6 @@ func run() (retErr error) {
 		}
 	}
 	printPrivacy(res.Privacy)
-	if *savePath != "" {
-		name := s.Model.Name
-		if name == "" {
-			name = "logistic-mse"
-		}
-		feat := s.Data.Features
-		if feat == 0 {
-			feat = 68
-		}
-		note := fmt.Sprintf("spec=%s gar=%s backend=%s", s.Name, s.GAR.Name, res.Backend)
-		err := checkpoint.Save(*savePath, &checkpoint.Checkpoint{
-			Model:        name,
-			Features:     feat,
-			Hidden:       s.Model.Hidden,
-			Params:       res.Params,
-			StepsTrained: s.Steps,
-			Seed:         s.Seed,
-			Note:         note,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "checkpoint written to %s\n", *savePath)
-	}
 	return res.History.WriteCSV(os.Stdout)
 }
 

@@ -411,7 +411,9 @@
 // Every run persists in its own directory under the store root:
 //
 //	run-00000000/spec.json       the submitted Spec, indented
-//	run-00000000/meta.json       status, scheduling, outcome; indented
+//	run-00000000/meta.json       status, scheduling, outcome; indented,
+//	                             written at submission and at the
+//	                             terminal transition
 //	run-00000000/snapshot.json   the latest resumable RunState, written at
 //	                             the submission's cadence: compact JSON on
 //	                             one line (machine state; `python3 -m
@@ -424,11 +426,17 @@
 // load. The service runs every local run on one LocalBackend value, so a
 // submitted sweep shares its dataset as above.
 //
-// The write ordering — log before snapshot — is the crash-safety contract:
-// a service killed with runs in flight — SIGKILL, not merely SIGTERM —
-// restarts, resumes each interrupted run from its snapshot, and finishes
-// with final parameters bit-identical to an uninterrupted service,
-// regenerating the identical telemetry along the way. Clients
+// A run in flight reads "running" in the service but "pending" on disk: a
+// restart reschedules every non-terminal run alike, so the running status
+// is never written. The write ordering — log before snapshot — is the
+// crash-safety contract: a service killed with runs in flight — SIGKILL,
+// not merely SIGTERM — restarts, resumes each interrupted run from its
+// snapshot, and finishes with final parameters bit-identical to an
+// uninterrupted service, regenerating the identical telemetry along the
+// way. The store is process-crash-safe only: spec, meta and snapshot are
+// replaced atomically (a temporary file, then a rename) and the event log
+// is appended to, but no file is fsynced, so a power loss can lose
+// or reorder writes the kernel had not yet flushed. Clients
 // stream GET /runs/{id}/events as ndjson with a resumable cursor
 // (?cursor=N or Last-Event-ID), so a consumer that disconnects and
 // reconnects sees every event exactly once even across a service crash;

@@ -1,3 +1,9 @@
+// Package checkpoint persists resumable run snapshots: a RunState taken at
+// a step boundary holds everything a backend needs to continue the run bit
+// for bit, and the one taken after the final step is the trained model —
+// its params beside the Spec and the backend that produced them. Snapshots
+// are written atomically (WriteFileAtomic), so a crash mid-write never
+// leaves a truncated file where a resumable one used to be.
 package checkpoint
 
 import (
@@ -116,6 +122,7 @@ type RunState struct {
 var (
 	ErrBadRunStateVersion = errors.New("checkpoint: unsupported run-state version")
 	ErrBadStep            = errors.New("checkpoint: negative step")
+	ErrEmpty              = errors.New("checkpoint: empty parameter vector")
 	// ErrUndecodable reports a snapshot that is not a run-state document:
 	// truncated, empty or not JSON.
 	ErrUndecodable = errors.New("checkpoint: undecodable run state")
@@ -228,7 +235,25 @@ func SaveRunState(path string, s *RunState) error {
 	return WriteFileAtomic(path, b)
 }
 
-// LoadRunState reads a snapshot from path.
+// WriteFileAtomic writes data to path through a temporary file and a rename
+// — the one write path of every snapshot and of every file in a fleet run
+// directory: a crash mid-write never leaves a truncated file where a good
+// one used to be, and a failed write leaves no temporary file behind.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		_ = os.Remove(tmp)
+		return fmt.Errorf("checkpoint: write %s: %w", tmp, err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		_ = os.Remove(tmp)
+		return fmt.Errorf("checkpoint: rename %s: %w", path, err)
+	}
+	return nil
+}
+
+// LoadRunState reads a snapshot from path. A missing file's error matches
+// fs.ErrNotExist.
 func LoadRunState(path string) (*RunState, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -96,6 +96,24 @@ func TestReadRunStateLoadsV2(t *testing.T) {
 	}
 }
 
+// A document that is not a run state — not JSON, or empty — is refused
+// with ErrUndecodable.
+func TestReadRejectsGarbage(t *testing.T) {
+	for _, src := range []string{"not json", ""} {
+		if _, err := ReadRunState(strings.NewReader(src)); !errors.Is(err, ErrUndecodable) {
+			t.Errorf("%q: error = %v, want ErrUndecodable", src, err)
+		}
+	}
+}
+
+// A missing snapshot's error matches fs.ErrNotExist: the fleet's run
+// directory tells "no snapshot yet" from a damaged one by it.
+func TestLoadMissingFile(t *testing.T) {
+	if _, err := LoadRunState(filepath.Join(t.TempDir(), "absent.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("error = %v, want one matching fs.ErrNotExist", err)
+	}
+}
+
 func TestRunStateCheckSpec(t *testing.T) {
 	s := sampleRunState()
 	if err := s.CheckSpec("local", []byte(`{"version":1,"steps":60}`)); err != nil {
@@ -129,7 +147,7 @@ func TestRunStateCheckSpec(t *testing.T) {
 func TestSaveRunStateFailureKeepsPrevious(t *testing.T) {
 	for _, nonEmpty := range []bool{true, false} {
 		dir := t.TempDir()
-		path := filepath.Join(dir, RunSnapshotFile)
+		path := filepath.Join(dir, "snapshot.json")
 		if err := SaveRunState(path, sampleRunState()); err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +188,7 @@ func TestSaveRunStateFailureKeepsPrevious(t *testing.T) {
 // A snapshot whose state fails Validate is refused before anything touches
 // the disk.
 func TestSaveRunStateValidatesFirst(t *testing.T) {
-	path := filepath.Join(t.TempDir(), RunSnapshotFile)
+	path := filepath.Join(t.TempDir(), "snapshot.json")
 	bad := sampleRunState()
 	bad.Velocity = []float64{1}
 	if err := SaveRunState(path, bad); err == nil {
@@ -178,5 +196,25 @@ func TestSaveRunStateValidatesFirst(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 0 {
 		t.Errorf("refused save left %d files behind", len(entries))
+	}
+}
+
+func TestWriteFileAtomic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "meta.json")
+	if err := WriteFileAtomic(path, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != "v2" {
+		t.Fatalf("content %q, want last write", b)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Error("temporary file left behind")
 	}
 }

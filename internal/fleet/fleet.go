@@ -8,9 +8,10 @@
 // # Crash-resume contract
 //
 // Every run lives in its own directory under the store root (spec.json,
-// meta.json, snapshot.json, events.jsonl — the checkpoint.RunDir layout),
-// with all writes atomic. Before each resumable snapshot lands, the run's
-// event log is flushed, so on ANY crash the on-disk log is at least as
+// meta.json, snapshot.json, events.jsonl — the RunDir layout); spec, meta
+// and snapshot are replaced atomically and the event log is appended to.
+// Before each resumable snapshot lands, the run's event log is
+// flushed, so on ANY crash the on-disk log is at least as
 // long as the on-disk snapshot's Step. A restarted service truncates each
 // log back to exactly its snapshot's Step lines and resumes the run, whose
 // bit-identical replay regenerates the truncated lines byte-for-byte:
@@ -87,7 +88,7 @@ var (
 // the service mutex; the event log has its own.
 type run struct {
 	id  spec.RunID
-	dir checkpoint.RunDir
+	dir RunDir
 	sp  spec.Spec
 	log *EventLog
 
@@ -133,9 +134,9 @@ type Service struct {
 }
 
 // Open starts a service over the store at cfg.Root, rebuilding state from
-// disk: terminal runs become streamable history, and every run found
-// pending or running — in flight when the previous process died — is
-// realigned to its last snapshot and rescheduled. Runs whose directories
+// disk: terminal runs become streamable history, and every non-terminal
+// run — queued or in flight when the previous process died — is realigned
+// to its last snapshot and rescheduled. Runs whose directories
 // are unreadable are skipped with a log line rather than failing the whole
 // store.
 func Open(cfg Config) (*Service, error) {
@@ -224,11 +225,9 @@ func (s *Service) reopenRun(id spec.RunID) error {
 		_ = log.Close()
 		return err
 	}
+	// Pending in memory only: on disk the run keeps the status it was
+	// found with, which a restart treats the same way.
 	r.meta.Status = StatusPending
-	if err := s.store.SaveMeta(&r.meta); err != nil {
-		_ = log.Close()
-		return err
-	}
 	s.insert(r)
 	s.schedule(r, snap)
 	return nil
@@ -329,13 +328,11 @@ func (s *Service) execute(ctx context.Context, r *run, resume *checkpoint.RunSta
 		s.mu.Unlock()
 		return
 	}
+	// In memory only (/runs, Counts): a restart reschedules a pending run
+	// exactly as it would a running one, so the disk keeps "pending".
 	r.meta.Status = StatusRunning
 	meta := r.meta
 	s.mu.Unlock()
-	if err := s.store.SaveMeta(&meta); err != nil {
-		s.finish(r, StatusFailed, err, nil)
-		return
-	}
 
 	obs := &logObserver{log: r.log}
 	if s.hold != nil {
@@ -369,7 +366,7 @@ func (s *Service) execute(ctx context.Context, r *run, resume *checkpoint.RunSta
 		s.finish(r, StatusCancelled, nil, res)
 	case ctx.Err() != nil:
 		// Service stop (or kill): not a run outcome. The on-disk status
-		// still says "running", which is exactly what makes a restarted
+		// is still non-terminal, which is exactly what makes a restarted
 		// service reschedule it.
 	default:
 		s.finish(r, StatusFailed, err, res)

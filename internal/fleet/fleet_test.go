@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -146,16 +148,17 @@ func TestFleetKillResumeBitIdentity(t *testing.T) {
 	}
 	svcA.Kill()
 
-	// The killed store is genuinely stale: meta still says running, the log
-	// may exceed the snapshot (flushed-but-unsnapshotted progress) and the
-	// snapshot is behind the trajectory the dead service had computed.
+	// The killed store is genuinely stale: meta still says pending (the
+	// running status never reaches the disk), the log may exceed the
+	// snapshot (flushed-but-unsnapshotted progress) and the snapshot is
+	// behind the trajectory the dead service had computed.
 	for _, id := range ids {
 		meta, err := NewStore(root).LoadMeta(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meta.Status != StatusRunning {
-			t.Fatalf("killed run %s has status %q on disk, want running", id, meta.Status)
+		if meta.Status != StatusPending {
+			t.Fatalf("killed run %s has status %q on disk, want pending", id, meta.Status)
 		}
 	}
 
@@ -198,6 +201,177 @@ func TestFleetKillResumeBitIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertEventsExactlyOnce(t, log, steps)
+	}
+}
+
+// The running status lives in memory only: while a run is mid-flight the
+// service and its counts say running, and meta.json on disk still says
+// pending — all a restart needs to reschedule it. The terminal transition
+// is the next write.
+func TestFleetRunningStatusStaysInMemory(t *testing.T) {
+	root := t.TempDir()
+	hold, held := holdAt(5, 1)
+	svc, err := Open(Config{Root: root, Width: 1, CheckpointEvery: 10, Logf: t.Logf, hold: hold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Stop()
+	ids, err := svc.Submit(&spec.Submission{Runs: []spec.Spec{fleetSpec(40, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := ids[0]
+	waitHeld(t, held, 1)
+
+	meta, err := svc.Meta(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Status != StatusRunning {
+		t.Errorf("in-flight run reads %q in the service, want running", meta.Status)
+	}
+	if c := svc.Counts(); c.Active != 1 {
+		t.Errorf("Counts().Active = %d with one run in flight, want 1", c.Active)
+	}
+	disk, err := NewStore(root).LoadMeta(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disk.Status != StatusPending {
+		t.Errorf("in-flight run reads %q on disk, want pending", disk.Status)
+	}
+
+	if err := svc.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	waitFinished(t, svc, id, 60*time.Second)
+	if disk, err = NewStore(root).LoadMeta(id); err != nil || disk.Status != StatusCancelled {
+		t.Fatalf("cancelled run reads %+v (%v) on disk, want cancelled", disk, err)
+	}
+}
+
+// firstSteps forwards the events of steps below n and drops the rest.
+type firstSteps struct {
+	n    int
+	next spec.Observer
+}
+
+func (o firstSteps) OnStep(ev spec.StepEvent) error {
+	if ev.Step >= o.n {
+		return nil
+	}
+	return o.next.OnStep(ev)
+}
+
+// A store written while the running status still reached the disk holds a
+// run whose meta.json says running, beside a mid-run snapshot and an event
+// log that outruns it. Open resumes it without rewriting its meta.json,
+// and it finishes bit-identical to an uninterrupted run with every event
+// exactly once.
+func TestFleetResumesRunningMetaFromOlderStore(t *testing.T) {
+	const (
+		steps    = 60
+		every    = 10
+		snapAt   = 30
+		logged   = 34 // the log outruns the snapshot, as after a crash
+		holdStep = 45
+	)
+	ctx := context.Background()
+	sp := fleetSpec(steps, 5)
+	want, err := (&spec.LocalBackend{}).Run(ctx, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	root := t.TempDir()
+	store := NewStore(root)
+	id := spec.FormatRunID(0)
+	dir := store.Dir(id)
+	if err := dir.Ensure(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveSpec(id, &sp); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveMeta(&Meta{
+		Version: MetaVersion, ID: id, Backend: "local",
+		CheckpointEvery: every, Status: StatusRunning,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	log, err := OpenEventLog(dir.EventsPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&spec.LocalBackend{}).Run(ctx, sp,
+		spec.WithObserver(firstSteps{n: logged, next: &logObserver{log: log}}),
+		spec.WithSnapshotFunc(func(st *checkpoint.RunState) error {
+			if st.Step != snapAt {
+				return nil
+			}
+			return checkpoint.SaveRunState(dir.SnapshotPath(), st)
+		}, every),
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A hard link keeps the written meta.json's inode alive, so a rewrite
+	// (a rename onto a new file) cannot come back with the same number.
+	pin := filepath.Join(t.TempDir(), "meta.json")
+	if err := os.Link(dir.MetaPath(), pin); err != nil {
+		t.Fatal(err)
+	}
+
+	reached, release := make(chan struct{}), make(chan struct{})
+	hold := func(ctx context.Context, _ spec.RunID, step int) {
+		if step == holdStep {
+			close(reached)
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+		}
+	}
+	svc, err := Open(Config{Root: root, Width: 1, Logf: t.Logf, hold: hold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Stop()
+	select {
+	case <-reached:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the resumed run never reached the hold step")
+	}
+	written, err := os.Stat(pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, err := os.Stat(dir.MetaPath()); err != nil || !os.SameFile(written, now) {
+		t.Fatalf("restart rewrote the resumed run's meta.json (%v)", err)
+	}
+	if disk, err := store.LoadMeta(id); err != nil || disk.Status != StatusRunning {
+		t.Fatalf("resumed run reads %+v (%v) on disk, want running", disk, err)
+	}
+	if meta, err := svc.Meta(id); err != nil || meta.Status != StatusRunning {
+		t.Fatalf("resumed run reads %+v (%v) in the service, want running", meta, err)
+	}
+	close(release)
+
+	got := finalParams(t, svc, id, steps)
+	for j := range want.Params {
+		if got[j] != want.Params[j] {
+			t.Fatalf("param %d differs after resuming the older store: %v vs %v", j, got[j], want.Params[j])
+		}
+	}
+	events, err := svc.Events(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEventsExactlyOnce(t, events, steps)
+	if disk, err := store.LoadMeta(id); err != nil || disk.Status != StatusDone {
+		t.Fatalf("finished run reads %+v (%v) on disk, want done", disk, err)
 	}
 }
 

@@ -2,8 +2,11 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 
 	"dpbyz/internal/checkpoint"
 	"dpbyz/internal/spec"
@@ -15,10 +18,12 @@ const MetaVersion = 1
 // Status is a run's position in the fleet lifecycle.
 type Status string
 
-// Run lifecycle states. A restarted service reschedules every run it finds
-// in StatusPending or StatusRunning — "running" on disk after a crash means
-// "was in flight when the process died", and the snapshot/event-log pair
-// carries everything needed to resume it bit-identically.
+// Run lifecycle states. StatusRunning lives in memory only: meta.json is
+// written at submission (pending) and at the terminal transition, so a run
+// in flight when the process died reads pending on disk (running, in older
+// stores). A restarted service reschedules every non-terminal run alike,
+// and the snapshot/event-log pair carries everything needed to resume it
+// bit-identically.
 const (
 	StatusPending   Status = "pending"
 	StatusRunning   Status = "running"
@@ -35,8 +40,9 @@ func (st Status) Terminal() bool {
 
 // Meta is the service-side record of one run: identity, scheduling
 // directives, lifecycle state and — once terminal — the outcome summary.
-// It lives in the run directory's meta.json, written atomically on every
-// transition, so a restart reconstructs the whole fleet from the store.
+// It lives in the run directory's meta.json, written atomically at
+// submission and at the terminal transition — the two states a restart
+// tells apart — so a restart reconstructs the whole fleet from the store.
 type Meta struct {
 	// Version is the metadata schema version (MetaVersion at write time).
 	Version int `json:"version"`
@@ -69,8 +75,10 @@ type Meta struct {
 
 // Store is the fleet's on-disk state: one directory per run under a root,
 // each holding spec.json, meta.json, snapshot.json and events.jsonl (the
-// checkpoint.RunDir layout). Every write is atomic, so a crash at any
-// instant leaves each file either old or new, never torn.
+// RunDir layout). Every write of spec, meta and snapshot is atomic, so a
+// process crash at any instant leaves each file either old or new, never
+// torn. No file is fsynced, so the store survives a process crash, not a
+// power loss.
 type Store struct {
 	root string
 }
@@ -78,9 +86,46 @@ type Store struct {
 // NewStore addresses a store at root. Nothing is touched until a save.
 func NewStore(root string) Store { return Store{root: root} }
 
+// RunDir addresses one run's directory in a store. It is a pure path
+// helper: nothing is touched until Ensure or a save call.
+type RunDir struct {
+	path string
+}
+
 // Dir returns the run's directory handle.
-func (s Store) Dir(id spec.RunID) checkpoint.RunDir {
-	return checkpoint.NewRunDir(s.root, string(id))
+func (s Store) Dir(id spec.RunID) RunDir {
+	return RunDir{path: filepath.Join(s.root, string(id))}
+}
+
+// SpecPath returns the path of the run's serialized Spec.
+func (d RunDir) SpecPath() string { return filepath.Join(d.path, "spec.json") }
+
+// MetaPath returns the path of the run's Meta.
+func (d RunDir) MetaPath() string { return filepath.Join(d.path, "meta.json") }
+
+// SnapshotPath returns the path of the run's resumable snapshot
+// (checkpoint.SaveRunState's compact JSON).
+func (d RunDir) SnapshotPath() string { return filepath.Join(d.path, "snapshot.json") }
+
+// EventsPath returns the path of the run's append-only JSONL event log.
+func (d RunDir) EventsPath() string { return filepath.Join(d.path, "events.jsonl") }
+
+// Ensure creates the directory (and the store root above it) if needed.
+func (d RunDir) Ensure() error {
+	if err := os.MkdirAll(d.path, 0o755); err != nil {
+		return fmt.Errorf("fleet: create run dir %s: %w", d.path, err)
+	}
+	return nil
+}
+
+// LoadSnapshot reads the run's resumable snapshot, returning (nil, nil) when
+// none was written yet — the caller's signal to start the run from scratch.
+func (d RunDir) LoadSnapshot() (*checkpoint.RunState, error) {
+	st, err := checkpoint.LoadRunState(d.SnapshotPath())
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	return st, err
 }
 
 // SaveMeta atomically writes the run's metadata.
@@ -134,20 +179,23 @@ func (s Store) LoadSpec(id spec.RunID) (*spec.Spec, error) {
 }
 
 // List returns the store's run IDs in lexical — which, for the fleet's
-// zero-padded sequential IDs, is submission — order. Directories whose
-// names are not valid run IDs are not the store's to manage and are skipped.
+// zero-padded sequential IDs, is submission — order. A missing root lists
+// as empty: a fresh store has no runs yet. Entries that are not
+// directories, or whose names are not valid run IDs, are not the store's
+// to manage and are skipped.
 func (s Store) List() ([]spec.RunID, error) {
-	names, err := checkpoint.ListRunDirs(s.root)
-	if err != nil {
-		return nil, err
+	entries, err := os.ReadDir(s.root)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
 	}
-	ids := make([]spec.RunID, 0, len(names))
-	for _, name := range names {
-		id := spec.RunID(name)
-		if id.Validate() != nil {
-			continue
+	if err != nil {
+		return nil, fmt.Errorf("fleet: list %s: %w", s.root, err)
+	}
+	var ids []spec.RunID
+	for _, e := range entries {
+		if id := spec.RunID(e.Name()); e.IsDir() && id.Validate() == nil {
+			ids = append(ids, id)
 		}
-		ids = append(ids, id)
 	}
 	return ids, nil
 }
